@@ -204,20 +204,6 @@ class Cone:
             dot(r, v) >= 0 for r in self.dual_rays
         )
 
-    def relint_contains(self, v: Sequence[int]) -> bool:
-        v = vec(v)
-        return all(dot(l, v) == 0 for l in self.perp_basis) and all(
-            dot(r, v) > 0 for r in self.dual_rays
-        )
-
-    def dual_contains(self, u: Sequence[int]) -> bool:
-        u = vec(u)
-        return all(dot(u, g) >= 0 for g in self.gens)
-
-    def dual_relint_contains(self, u: Sequence[int]) -> bool:
-        u = vec(u)
-        return all(dot(u, g) > 0 for g in self.gens)
-
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(g) for g in other.gens)
 
@@ -256,7 +242,25 @@ class Cone:
         return [f for f in self.faces() if f.dim == self.dim - 1]
 
     def is_face_of(self, other: "Cone") -> bool:
-        return self.key in {f.key for f in other.faces()}
+        """True when this cone is a face of the strongly convex ``other``.
+
+        Decided by one supporting cut: the dual rays of ``other`` that vanish
+        on this cone cut out the smallest face of ``other`` containing it, and
+        this cone is a face exactly when it holds every extremal ray of
+        ``other`` on that cut.
+        """
+        if self.rank != other.rank:
+            return False
+        if not other.is_strongly_convex:
+            raise ValueError("face enumeration needs a strongly convex cone")
+        if not other.contains_cone(self):
+            return False
+        cut = [u for u in other.dual_rays if all(dot(u, g) == 0 for g in self.gens)]
+        return all(
+            self.contains(r)
+            for r in other.extremal_rays
+            if all(dot(u, r) == 0 for u in cut)
+        )
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.rank != other.rank:
@@ -276,9 +280,6 @@ class Cone:
         if lmap.source.rank != self.rank:
             raise ValueError("map source does not match ambient rank")
         return Cone([lmap(g) for g in self.gens], lmap.target.rank)
-
-
-ZERO = None  # placeholder so callers can spell zero_cone(rank) explicitly
 
 
 def zero_cone(rank: int) -> Cone:

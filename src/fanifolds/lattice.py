@@ -540,15 +540,19 @@ def right_inverse(a: Mat, rows: int, cols: int) -> Mat:
 
 
 def integer_kernel(a: Mat, rows: int, cols: int) -> tuple[Vec, ...]:
-    """Basis of the saturated lattice {x in Z^cols : A x = 0}."""
-    if cols == 0:
-        return ()
-    if rows == 0:
-        return tuple(identity_matrix(cols))
-    snf = smith_normal_form(a)
-    vinv = invert_unimodular(snf.V)
-    r = snf.rank
-    return tuple(tuple(row[j] for row in vinv) for j in range(r, cols))
+    """Basis of the saturated lattice {x in Z^cols : A x = 0}.
+
+    Integer row reduction of [A^T | I] that tracks its transform (Cohen, "A
+    Course in Computational Algebraic Number Theory", section 2.4).  The
+    unimodular row operations pivot only on the A^T columns, so the identity
+    part of the rows whose A^T part ends up zero is a saturated kernel basis.
+    """
+    work = [
+        [a[i][j] for i in range(rows)] + [int(k == j) for k in range(cols)]
+        for j in range(cols)
+    ]
+    r = _echelon(work, rows)
+    return tuple(tuple(row[rows:]) for row in work[r:])
 
 
 def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:
@@ -561,8 +565,19 @@ def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:
     for v in work:
         if len(v) != rank:
             raise ValueError("vector length does not match rank")
+    return mat(work[: _echelon(work, rank)])
+
+
+def _echelon(work: list[list[int]], ncols: int) -> int:
+    """Hermite-reduce the rows of ``work`` in place on their first ncols entries.
+
+    Only unimodular integer row operations are used; entries past ncols are
+    carried along.  Returns the number r of pivot rows: afterwards work[:r]
+    is in reduced row-style Hermite form on the first ncols entries and
+    work[r:] is zero there.
+    """
     r = 0
-    for c in range(rank):
+    for c in range(ncols):
         while True:
             live = [i for i in range(r, len(work)) if work[i][c] != 0]
             if not live:
@@ -585,4 +600,4 @@ def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:
                 q = work[i][c] // work[r][c]
                 work[i] = [x - q * y for x, y in zip(work[i], work[r])]
             r += 1
-    return mat(work[:r])
+    return r

@@ -1,0 +1,71 @@
+"""Cone.is_face_of against the brute-force face list."""
+
+import itertools
+import random
+
+import pytest
+
+from fanifolds.cones import Cone, zero_cone
+
+
+def face_keys(other):
+    """The old definition's face list: keys of every cone in other.faces()."""
+    return {f.key for f in other.faces()}
+
+
+def random_strongly_convex(rng, rank):
+    """A strongly convex cone of rank `rank`, often not full-dimensional."""
+    while True:
+        dim = rng.randint(1, rank)
+        basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+        gens = [
+            [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank)]
+            if dim < rank
+            else [rng.randint(-3, 3) for _ in range(rank)]
+            for _ in range(rng.randint(dim, rank + 3))
+        ]
+        c = Cone(gens, rank)
+        if c.gens and c.is_strongly_convex:
+            return c
+
+
+def check(c, other, keys):
+    expected = c.key in keys
+    assert c.is_face_of(other) == expected, (c, other)
+    return expected
+
+
+def test_is_face_of_matches_face_enumeration():
+    rng = random.Random(11)
+    verdicts = set()
+    for rank in (2, 3, 4):
+        for _ in range(25):
+            other = random_strongly_convex(rng, rank)
+            keys = face_keys(other)
+            for f in other.faces():
+                assert check(f, other, keys)
+            rays = other.extremal_rays
+            for size in range(len(rays) + 1):
+                for sub in itertools.combinations(rays, size):
+                    verdicts.add(check(Cone(sub, rank), other, keys))
+            for g in other.gens:
+                verdicts.add(check(Cone([g], rank), other, keys))
+            for _ in range(3):
+                cone = random_strongly_convex(rng, rank)
+                meet = other.intersection(cone)
+                verdicts.add(check(meet, other, keys))
+                verdicts.add(check(meet, cone, face_keys(cone)))
+                verdicts.add(check(cone, other, keys))
+            assert not Cone(other.gens, rank).is_face_of(
+                Cone([g + (0,) for g in other.gens], rank + 1)
+            )
+            assert not zero_cone(rank + 1).is_face_of(other)
+    assert verdicts == {True, False}
+
+
+def test_is_face_of_needs_strongly_convex_other():
+    line = Cone([(1, 0), (-1, 0)], 2)
+    with pytest.raises(ValueError):
+        zero_cone(2).is_face_of(line)
+    with pytest.raises(ValueError):
+        Cone([(1, 0)], 2).is_face_of(line)

@@ -53,8 +53,16 @@ def test_product_cone():
 
 
 def test_fan_validate_catches_overlap():
+    problem = ["cones 0 and 1 do not intersect in a common face"]
     bad = Fan([Cone([(1, 0), (0, 1)], 2), Cone([(1, 1), (1, -1)], 2)], 2)
-    assert bad.validate()  # interiors overlap
+    assert bad.validate() == problem  # interiors overlap
+    # the meet is all of cone 1, which is not a face of cone 0
+    bad = Fan([Cone([(1, 0), (0, 1)], 2), Cone([(1, 0), (1, 1)], 2)], 2)
+    assert bad.validate() == problem
+    # the meet is the ray (1,1,0), inside a facet of the orthant
+    orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    bad = Fan([orthant, Cone([(1, 1, 0), (1, 1, -1)], 3)], 3)
+    assert bad.validate() == problem
 
 
 def test_fan_properties_projective_plane():

@@ -1,5 +1,6 @@
 """Integer linear algebra: Smith form, quotients, kernels, Hermite form."""
 
+import itertools
 import random
 
 import pytest
@@ -159,6 +160,55 @@ def test_integer_kernel_saturated():
         assert len(ker) == cols - matrix_rank(a)
         # saturation: quotient by the kernel has no torsion
         assert quotient_with_torsion(cols, ker).torsion == ()
+    assert integer_kernel((), 0, 3) == identity_matrix(3)
+    assert integer_kernel(((),), 1, 0) == ()
+    # 500 distinct matrices against a second algorithm, the SNF kernel
+    seen = set()
+    for a, rows, cols in _kernel_cases(random.Random(2104)):
+        if len(seen) == 500:
+            break
+        if a in seen:
+            continue
+        seen.add(a)
+        ker = integer_kernel(a, rows, cols)
+        for v in ker:
+            assert mat_vec(a, v) == (0,) * rows
+        assert len(ker) == cols - matrix_rank(a)
+        assert row_hermite(ker, cols) == row_hermite(_snf_kernel(a, cols), cols)
+
+
+def _snf_kernel(a, cols):
+    """Second algorithm: the last columns of V^-1 from A = U D V."""
+    snf = smith_normal_form(a)
+    vinv = invert_unimodular(snf.V)
+    return tuple(tuple(row[j] for row in vinv) for j in range(snf.rank, cols))
+
+
+def _kernel_cases(rng):
+    """Fixed-seed matrices: zero, tall, repeated rows, full-rank square, random."""
+    for i in itertools.count():
+        kind = i % 5
+        if kind == 0:
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            yield ((0,) * cols,) * rows, rows, cols
+        elif kind == 1:
+            cols = rng.randint(1, 4)
+            rows = rng.randint(cols + 1, 6)
+            yield random_matrix(rng, rows, cols, 6), rows, cols
+        elif kind == 2:
+            rows, cols = rng.randint(1, 3), rng.randint(1, 5)
+            a = random_matrix(rng, rows, cols, 7)
+            a = a + tuple(rng.choice(a) for _ in range(rng.randint(1, 3)))
+            yield a, len(a), cols
+        elif kind == 3:
+            n = rng.randint(1, 4)
+            a = random_matrix(rng, n, n, 9)
+            while det(a) == 0:
+                a = random_matrix(rng, n, n, 9)
+            yield a, n, n
+        else:
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            yield random_matrix(rng, rows, cols, rng.choice((1, 3, 12))), rows, cols
 
 
 def test_row_hermite_canonical():
