@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
@@ -62,29 +63,33 @@ class ToricDiagram:
         return self.fanifold.stratum(self.objects[i].stratum).lattice_rank
 
     def support(self, i: int, degree: int) -> list[Vec]:
-        """Dual-lattice points of the chart monoid inside the coordinate box."""
+        """Dual-lattice points of the chart monoid inside the coordinate box.
+
+        The points come in lexicographic order.  Only the first rank - 1
+        coordinates walk the box; for each such prefix the inequalities
+        u.g >= 0 cut the last coordinate down to one integer interval.
+        """
         rank = self.object_rank(i)
-        cone = self.object_cone(i)
-        out = []
-        for u in itertools.product(range(-degree, degree + 1), repeat=rank):
-            if all(dot(u, g) >= 0 for g in cone.gens):
-                out.append(u)
+        if rank == 0:
+            return [()]
+        gens = self.object_cone(i).gens
+        heads = [(g[:-1], g[-1]) for g in gens]
+        out: list[Vec] = []
+        for prefix in itertools.product(range(-degree, degree + 1), repeat=rank - 1):
+            lo, hi = -degree, degree
+            for head, last in heads:
+                s = sum(map(mul, prefix, head))
+                if last > 0:
+                    lo = max(lo, -(s // last))
+                elif last < 0:
+                    hi = min(hi, s // -last)
+                elif s < 0:
+                    break
+                if lo > hi:
+                    break
+            else:
+                out.extend([prefix + (x,) for x in range(lo, hi + 1)])
         return out
-
-    def apply(self, arrow: DiagramArrow, u: Vec) -> Vec | None:
-        """Image of a source monomial, or None when it is sent to zero."""
-        if arrow.kind == "restrict":
-            return u
-        if any(dot(u, g) != 0 for g in arrow.cone.gens):
-            return None
-        return mat_vec(arrow.forward, u)
-
-    def preimage(self, arrow: DiagramArrow, w: Vec) -> Vec | None:
-        """The monomial mapping to w, or None when w is not in the image."""
-        if arrow.kind == "restrict":
-            src = self.object_cone(arrow.source)
-            return w if all(dot(w, g) >= 0 for g in src.gens) else None
-        return mat_vec(arrow.backward, w)
 
 
 def _collapse_matrices(phi: Fanifold, arrow) -> tuple[Mat, Mat]:
@@ -228,10 +233,12 @@ class _UnionFind:
         self.parent: list[int] = []
         self.zero: list[bool] = []
 
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        self.zero.append(False)
-        return len(self.parent) - 1
+    def extend(self, n: int) -> int:
+        """Add n singleton classes; return the id of the first."""
+        start = len(self.parent)
+        self.parent.extend(range(start, start + n))
+        self.zero.extend([False] * n)
+        return start
 
     def find(self, x: int) -> int:
         while self.parent[x] != x:
@@ -261,68 +268,83 @@ class SectionCensus:
     basis: list[dict[tuple[ChartObject, Vec], int]] | None = None
 
 
-def _census_classes(diagram: ToricDiagram, degree: int):
-    """Union-find structure of box coefficients under all compatibility maps."""
+def _census_classes(
+    diagram: ToricDiagram, degree: int
+) -> tuple[_UnionFind, list[dict[Vec, int]]]:
+    """Union-find structure of box coefficients under all compatibility maps.
+
+    Chart i's support points get the contiguous ids offset_i + k, in support
+    order; ``ids[i]`` maps each point to its id.
+    """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     uf = _UnionFind()
-    supports: list[list[Vec]] = []
-    var: dict[tuple[int, Vec], int] = {}
+    ids: list[dict[Vec, int]] = []
     for i in range(len(diagram.objects)):
         sup = diagram.support(i, degree)
-        supports.append(sup)
-        for u in sup:
-            var[(i, u)] = uf.add()
+        start = uf.extend(len(sup))
+        ids.append(dict(zip(sup, range(start, start + len(sup)))))
 
-    def in_box(w: Vec) -> bool:
-        return all(abs(c) <= degree for c in w)
-
+    union, mark_zero = uf.union, uf.mark_zero
+    lo, hi = -degree, degree
     for arrow in diagram.arrows:
-        src, tgt = arrow.source, arrow.target
-        tgt_cone = diagram.object_cone(tgt)
-        for u in supports[src]:
-            w = diagram.apply(arrow, u)
-            if w is None:
+        src_ids, tgt_ids = ids[arrow.source], ids[arrow.target]
+        if arrow.kind == "restrict":
+            # the source cone contains the target cone, so the source dual
+            # cone (and support) sits inside the target's
+            for u, x in src_ids.items():
+                union(x, tgt_ids[u])
+            for w, y in tgt_ids.items():
+                if w not in src_ids:
+                    mark_zero(y)
+            continue
+        gens, forward, backward = arrow.cone.gens, arrow.forward, arrow.backward
+        for u, x in src_ids.items():
+            if any(sum(map(mul, u, g)) for g in gens):
                 continue
-            if in_box(w):
-                uf.union(var[(src, u)], var[(tgt, w)])
+            w = tuple([sum(map(mul, row, u)) for row in forward])
+            if all(lo <= c <= hi for c in w):
+                union(x, tgt_ids[w])
             else:
-                uf.mark_zero(var[(src, u)])
-        for w in supports[tgt]:
-            u = diagram.preimage(arrow, w)
-            if u is None or not in_box(u):
-                uf.mark_zero(var[(tgt, w)])
-    return uf, supports, var
+                mark_zero(x)
+        for w, y in tgt_ids.items():
+            if not all(lo <= sum(map(mul, row, w)) <= hi for row in backward):
+                mark_zero(y)
+    return uf, ids
+
+
+def _free_roots(uf: _UnionFind) -> list[int]:
+    """Class representatives not forced to zero, in increasing order."""
+    zero = uf.zero
+    return [x for x, p in enumerate(uf.parent) if p == x and not zero[x]]
 
 
 def limit_census(
     diagram: ToricDiagram, degree: int, with_basis: bool = False
 ) -> SectionCensus:
     """Dimension of the compatible coefficient tuples up to the degree box."""
-    uf, supports, var = _census_classes(diagram, degree)
-    roots = {uf.find(x) for x in range(len(uf.parent))}
-    free = sorted(r for r in roots if not uf.zero[r])
+    uf, ids = _census_classes(diagram, degree)
+    free = _free_roots(uf)
     warnings = list(diagram.warnings)
-    for i, sup in enumerate(supports):
-        if not sup:
-            warnings.append(f"chart {diagram.objects[i]} has empty support")
+    for obj, chart in zip(diagram.objects, ids):
+        if not chart:
+            warnings.append(f"chart {obj} has empty support")
     basis = None
     if with_basis:
-        basis = []
+        find = uf.find
         members: dict[int, dict[tuple[ChartObject, Vec], int]] = {r: {} for r in free}
-        for (i, u), x in var.items():
-            r = uf.find(x)
-            if r in members:
-                members[r][(diagram.objects[i], u)] = 1
+        for obj, chart in zip(diagram.objects, ids):
+            for u, x in chart.items():
+                r = find(x)
+                if r in members:
+                    members[r][(obj, u)] = 1
         basis = [members[r] for r in free]
     return SectionCensus(
         degree=degree,
         dimension=len(free),
         object_count=len(diagram.objects),
         arrow_count=len(diagram.arrows),
-        support_sizes={
-            diagram.objects[i]: len(sup) for i, sup in enumerate(supports)
-        },
+        support_sizes={obj: len(chart) for obj, chart in zip(diagram.objects, ids)},
         warnings=warnings,
         basis=basis,
     )
@@ -491,23 +513,20 @@ def subalgebra_check(
         rel_results.append((rel_name, holds))
 
     diagram = full_diagram(phi)
-    uf, supports, var = _census_classes(diagram, degree)
-    roots = sorted(
-        {uf.find(x) for x in range(len(uf.parent))} - set()
-    )
-    free = [r for r in roots if not uf.zero[r]]
+    uf, ids = _census_classes(diagram, degree)
+    free = _free_roots(uf)
     free_pos = {r: i for i, r in enumerate(free)}
 
     def tuple_vector(values: dict[str, Laurent]) -> list[Fraction] | None:
         coeffs: dict[int, int] = {}
-        for i, obj in enumerate(diagram.objects):
+        for obj, chart in zip(diagram.objects, ids):
             val = values[obj.stratum]
-            for u in supports[i]:
+            for u, x in chart.items():
                 c = val.get(u, 0)
-                x = uf.find(var[(i, u)])
-                if x in coeffs and coeffs[x] != c:
+                r = uf.find(x)
+                if r in coeffs and coeffs[r] != c:
                     return None
-                coeffs[x] = c
+                coeffs[r] = c
         vec = [Fraction(0)] * len(free)
         for x, c in coeffs.items():
             if x in free_pos:

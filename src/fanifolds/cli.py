@@ -192,6 +192,9 @@ def cmd_bmodel_chart(args) -> int:
 
 def cmd_bmodel_census(args) -> int:
     phi = _load(args)
+    report = phi.validate()
+    if not report.valid:
+        raise ValueError("invalid fanifold: " + "; ".join(report.errors))
     census = limit_census(full_diagram(phi), args.degree)
     supports = [
         {"stratum": o.stratum, "cone": o.cone_index, "size": n}

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .cones import Cone, dual_monoid, zero_cone
+from .cones import Cone, zero_cone
 from .lattice import (
     LatticeMap,
     Mat,
@@ -36,12 +36,6 @@ class Fan:
         self.rank = rank
         self.cones = tuple(cones)
 
-    @classmethod
-    def from_generators(
-        cls, cone_gens: Iterable[Iterable[Sequence[int]]], rank: int
-    ) -> "Fan":
-        return cls([Cone(gens, rank) for gens in cone_gens], rank)
-
     def __len__(self) -> int:
         return len(self.cones)
 
@@ -55,9 +49,6 @@ class Fan:
         for c in self.cones:
             seen.update(c.extremal_rays)
         return tuple(sorted(seen))
-
-    def cones_of_dim(self, d: int) -> list[int]:
-        return [i for i, c in enumerate(self.cones) if c.dim == d]
 
     def maximal_cone_indices(self) -> list[int]:
         out = []
@@ -104,10 +95,6 @@ class Fan:
                     f"cones {i} and {j} do not intersect in a common face"
                 )
         return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
 
     @property
     def is_face_closed(self) -> bool:
@@ -464,13 +451,6 @@ class StackyFan:
     def stacky_gens(self, cone: Cone) -> Mat:
         return tuple(self.stacky_generator(r) for r in cone.extremal_rays)
 
-    def beta_matrix(self) -> Mat:
-        """Map from the ray-indexed lattice: columns are the stacky generators."""
-        cols = [self.stacky_generator(r) for r in self.rays]
-        return tuple(
-            tuple(col[i] for col in cols) for i in range(self.rank)
-        )
-
     def fan_tilde(self) -> Fan:
         """Standard-basis lift: each cone becomes a coordinate cone upstairs."""
         rays = self.rays
@@ -544,8 +524,3 @@ class StackyFan:
                 continue
             multiples[rbar] = k
         return StackyFan(fq.fan, multiples), fq, warnings
-
-
-def dual_cone_monoid(fan: Fan, cone_index: int) -> tuple[Vec, ...]:
-    """Monoid generators of the dual cone of the selected fan cone."""
-    return dual_monoid(fan.cones[cone_index])

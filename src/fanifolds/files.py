@@ -60,16 +60,49 @@ def _fan_to_dict(fan: Fan | StackyFan) -> dict:
     return out
 
 
-def _fan_from_dict(d: dict, rank: int) -> Fan | StackyFan:
-    rays = [tuple(int(x) for x in r) for r in d.get("rays", [])]
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _require(entry: dict, keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in entry]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: {value!r} is not an integer") from None
+
+
+def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
+    return [
+        tuple(_int(x, what) for x in _list(r, what))
+        for r in _list(rows, what)
+    ]
+
+
+def _fan_from_dict(d, rank: int, what: str) -> Fan | StackyFan:
+    d = _object(d, f"{what}: fan")
+    rays = _int_rows(d.get("rays", []), f"{what}: fan rays")
     for r in rays:
         if len(r) != rank:
             raise ValueError(f"ray {r} does not have {rank} entries")
     cones = []
-    for idx in d.get("cones", []):
-        for i in idx:
-            if not 0 <= i < len(rays):
-                raise ValueError(f"cone refers to missing ray {i}")
+    for idx in _list(d.get("cones", []), f"{what}: fan cones"):
+        for i in _list(idx, f"{what}: fan cones"):
+            if not isinstance(i, int) or not 0 <= i < len(rays):
+                raise ValueError(f"cone refers to missing ray {i!r}")
         if idx:
             cones.append(Cone([rays[i] for i in idx], rank))
         else:
@@ -78,11 +111,11 @@ def _fan_from_dict(d: dict, rank: int) -> Fan | StackyFan:
     beta = d.get("stacky_beta")
     if beta is None:
         return fan
+    beta = _int_rows(beta, f"{what}: stacky_beta")
     if len(beta) != len(rays):
         raise ValueError("stacky_beta needs one row per ray")
     multiples = {}
     for r, b in zip(rays, beta):
-        b = tuple(int(x) for x in b)
         if len(b) != rank:
             raise ValueError(f"stacky generator {b} does not have {rank} entries")
         if not any(b):
@@ -136,39 +169,49 @@ def fanifold_to_dict(phi: Fanifold) -> dict:
 
 
 def fanifold_from_dict(d: dict) -> Fanifold:
+    d = _object(d, "the document")
     if d.get("format") != FORMAT:
         raise ValueError(f"unsupported format {d.get('format')!r}; need {FORMAT!r}")
-    dimension = int(d["dimension"])
+    _require(d, ("dimension",), "the document")
+    dimension = _int(d["dimension"], "dimension")
     strata = []
     seen = set()
-    for s in d.get("strata", []):
+    for k, s in enumerate(_list(d.get("strata", []), "strata")):
+        s = _object(s, f"stratum {k}")
+        _require(s, ("id", "dim", "lattice_rank"), f"stratum {k}")
         name = s["id"]
+        if not isinstance(name, str):
+            raise ValueError(f"stratum {k}: id {name!r} is not a string")
         if name in seen:
             raise ValueError(f"duplicate stratum id {name!r}")
         seen.add(name)
-        rank = int(s["lattice_rank"])
-        fan = _fan_from_dict(s.get("fan", {}), rank)
+        what = f"stratum {name!r}"
+        rank = _int(s["lattice_rank"], f"{what}: lattice_rank")
+        fan = _fan_from_dict(s.get("fan", {}), rank, what)
         strata.append(
             Stratum(
                 name=name,
-                dim=int(s["dim"]),
+                dim=_int(s["dim"], f"{what}: dim"),
                 fan=fan,
                 interior=bool(s.get("interior", True)),
-                chi_c=int(s["chi_c"]) if "chi_c" in s else None,
+                chi_c=_int(s["chi_c"], f"{what}: chi_c") if "chi_c" in s else None,
             )
         )
     by_name = {s.name: s for s in strata}
     arrows = []
-    for a in d.get("arrows", []):
+    for k, a in enumerate(_list(d.get("arrows", []), "arrows")):
+        what = f"arrow {k}"
+        a = _object(a, what)
+        _require(a, ("from", "to", "cone", "quotient_matrix"), what)
         src_name, tgt_name = a["from"], a["to"]
-        if src_name not in by_name or tgt_name not in by_name:
+        if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
             raise ValueError(f"arrow references unknown stratum: {a}")
         src = by_name[src_name]
         plain = src.plain_fan
         rays = plain.rays
-        for i in a["cone"]:
-            if not 0 <= i < len(rays):
-                raise ValueError(f"arrow cone refers to missing ray {i}")
+        for i in _list(a["cone"], f"{what}: cone"):
+            if not isinstance(i, int) or not 0 <= i < len(rays):
+                raise ValueError(f"arrow cone refers to missing ray {i!r}")
         if a["cone"]:
             cone = Cone([rays[i] for i in a["cone"]], plain.rank)
         else:
@@ -180,7 +223,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
             )
         q_rank = plain.rank - cone.dim
         t_rank = by_name[tgt_name].lattice_rank
-        matrix = tuple(tuple(int(x) for x in row) for row in a["quotient_matrix"])
+        matrix = tuple(_int_rows(a["quotient_matrix"], f"{what}: quotient_matrix"))
         if len(matrix) != t_rank or any(len(row) != q_rank for row in matrix):
             raise ValueError(
                 f"quotient matrix of arrow {src_name!r} -> {tgt_name!r} must be "

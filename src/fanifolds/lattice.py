@@ -436,10 +436,6 @@ class QuotientResult:
     section: LatticeMap
     span_rank: int
 
-    @property
-    def has_torsion(self) -> bool:
-        return bool(self.torsion)
-
 
 def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> QuotientResult:
     """Quotient of Z^ambient_rank by the integer span of the given vectors."""

@@ -14,7 +14,7 @@ No geometry is constructed here; everything is exact bookkeeping on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import Cone
 from .fans import Fan, StackyFan, refines
@@ -110,13 +110,6 @@ class SkeletonModel:
     strata: tuple[SkeletonStratum, ...]
     incidences: tuple[tuple[int, int], ...]
     warnings: tuple[str, ...] = ()
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {(s.base, s.cone_index): i for i, s in enumerate(self.strata)}
-
-    def index_of(self, base: str, cone_index: int) -> int:
-        return self._index[(base, cone_index)]
 
     def strata_over(self, base: str) -> list[int]:
         return [i for i, s in enumerate(self.strata) if s.base == base]

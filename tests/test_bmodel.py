@@ -1,8 +1,14 @@
 """Section rings of glued toric spaces: diagrams, censuses, subalgebras."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from fanifolds.bmodel import (
+    ToricDiagram,
+    _census_classes,
     chart_diagram,
     components,
     full_diagram,
@@ -11,7 +17,9 @@ from fanifolds.bmodel import (
     u_functor,
     u_identities_hold,
 )
+from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import EXAMPLES
+from fanifolds.lattice import dot, mat_vec
 
 
 def census_dims(phi, degrees):
@@ -164,3 +172,175 @@ def test_u_identities_on_examples():
     )
     tri = EXAMPLES["3a1"]()
     assert u_identities_hold(tri, ["a"], ["a", "b"])
+
+
+# -- oracles for the census kernel -------------------------------------------
+
+
+class _OneChart(ToricDiagram):
+    """A diagram with the single chart of one cone, for testing ``support``."""
+
+    def __init__(self, cone):
+        self.cone = cone
+
+    def object_rank(self, i):
+        return self.cone.rank
+
+    def object_cone(self, i):
+        return self.cone
+
+
+def _box_support(cone, degree):
+    return [
+        u
+        for u in itertools.product(range(-degree, degree + 1), repeat=cone.rank)
+        if all(dot(u, g) >= 0 for g in cone.gens)
+    ]
+
+
+def _random_cones(rng):
+    for rank in range(5):
+        yield zero_cone(rank)
+        for _ in range(12 if rank else 0):
+            # single rays, simplicial cones and cones with extra generators
+            count = rng.choice([1, rank, rank + 1, rank + 2])
+            gens = [
+                tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)
+            ]
+            yield Cone(gens, rank)
+        for k in range(rank):
+            yield Cone([tuple(int(j == k) for j in range(rank))], rank)
+
+
+def test_support_is_the_box_filter_in_product_order():
+    rng = random.Random(20260317)
+    cones = list(_random_cones(rng))
+    assert any(not c.gens for c in cones) and any(len(c.gens) > c.rank for c in cones)
+    for cone in cones:
+        chart = _OneChart(cone)
+        for degree in (0, 1, 3):
+            assert chart.support(0, degree) == _box_support(cone, degree), (
+                cone,
+                degree,
+            )
+
+
+def _reference_census(diagram, degree):
+    """The box walk the census used to do: every box point of every chart,
+    with restriction and collapse maps applied point by point.  Returns the
+    dimension, support sizes, basis and the union-find arrays as they stood
+    after the last map."""
+    supports, var, parent, zero = [], {}, [], []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+            zero[rx] = zero[rx] or zero[ry]
+
+    def mark_zero(x):
+        zero[find(x)] = True
+
+    def in_box(w):
+        return all(abs(c) <= degree for c in w)
+
+    for i in range(len(diagram.objects)):
+        sup = _box_support(diagram.object_cone(i), degree)
+        supports.append(sup)
+        for u in sup:
+            var[(i, u)] = len(parent)
+            parent.append(len(parent))
+            zero.append(False)
+    for arrow in diagram.arrows:
+        src, tgt = arrow.source, arrow.target
+        for u in supports[src]:
+            if arrow.kind == "restrict":
+                w = u
+            elif any(dot(u, g) != 0 for g in arrow.cone.gens):
+                continue
+            else:
+                w = mat_vec(arrow.forward, u)
+            if in_box(w):
+                union(var[(src, u)], var[(tgt, w)])
+            else:
+                mark_zero(var[(src, u)])
+        src_gens = diagram.object_cone(src).gens
+        for w in supports[tgt]:
+            if arrow.kind == "restrict":
+                u = w if all(dot(w, g) >= 0 for g in src_gens) else None
+            else:
+                u = mat_vec(arrow.backward, w)
+            if u is None or not in_box(u):
+                mark_zero(var[(tgt, w)])
+    arrays = (list(parent), list(zero))
+    free = sorted(r for r in {find(x) for x in range(len(parent))} if not zero[r])
+    members = {r: {} for r in free}
+    for (i, u), x in var.items():
+        r = find(x)
+        if r in members:
+            members[r][(diagram.objects[i], u)] = 1
+    sizes = {diagram.objects[i]: len(sup) for i, sup in enumerate(supports)}
+    return len(free), sizes, [members[r] for r in free], arrays
+
+
+def test_census_matches_the_box_walk_reference():
+    for name, build in sorted(EXAMPLES.items()):
+        diagram = full_diagram(build())
+        for degree in range(4):
+            census = limit_census(diagram, degree, with_basis=True)
+            dimension, sizes, basis, arrays = _reference_census(diagram, degree)
+            # same union and mark calls, in the same order, on the same ids
+            uf = _census_classes(diagram, degree)[0]
+            assert (uf.parent, uf.zero) == arrays, (name, degree)
+            assert census.dimension == dimension, (name, degree)
+            assert census.support_sizes == sizes, (name, degree)
+            assert census.basis == basis, (name, degree)
+
+
+def _fit(points):
+    """Lagrange interpolation through (x, y) pairs, as exact Fractions."""
+
+    def poly(x):
+        total = Fraction(0)
+        for j, (xj, yj) in enumerate(points):
+            term = Fraction(yj)
+            for k, (xk, _) in enumerate(points):
+                if k != j:
+                    term *= Fraction(x - xk, xj - xk)
+            total += term
+        return total
+
+    return poly
+
+
+def test_rank_two_censuses_are_polynomials_in_the_degree():
+    # Ehrhart-type growth: the fit through D = 1..4 predicts D = 5..16
+    rank_two = [
+        name
+        for name, build in sorted(EXAMPLES.items())
+        if max(s.lattice_rank for s in build().strata) == 2
+    ]
+    assert rank_two == ["affine2", "proj2", "quadric_stacky", "square", "unigon"]
+    for name in rank_two:
+        diagram = full_diagram(EXAMPLES[name]())
+        dims = {d: limit_census(diagram, d).dimension for d in range(1, 17)}
+        poly = _fit([(d, dims[d]) for d in range(1, 5)])
+        assert [poly(d) for d in range(5, 17)] == [dims[d] for d in range(5, 17)], name
+
+
+def test_census_closed_forms_up_to_degree_eight():
+    forms = {
+        "unigon": lambda d: d * d + d + 1,
+        "3a1": lambda d: 3 * d + 1,
+        "interval": lambda d: 2 * d + 1,
+        "affine3": lambda d: (d + 1) ** 3,
+    }
+    for name, form in forms.items():
+        degrees = range(9)
+        assert census_dims(EXAMPLES[name](), degrees) == [form(d) for d in degrees], name

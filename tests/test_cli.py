@@ -3,6 +3,7 @@
 import json
 import os
 
+from fanifolds import files
 from fanifolds.cli import run
 from fanifolds.examples import EXAMPLES
 
@@ -58,6 +59,20 @@ def test_census_unigon_degree_3(capsys):
     )
     assert code == 0
     assert "dimension: 13" in out
+
+
+def test_census_refuses_an_invalid_fanifold(tmp_path, capsys):
+    doc = json.loads(files.dumps(EXAMPLES["square"]()))
+    doc["dimension"] = -1
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_capture(
+        capsys, ["bmodel", "census", "--file", str(path), "--degree", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid fanifold: ")
+    assert "Traceback" not in err
 
 
 def test_bmodel_chart_and_components(capsys):

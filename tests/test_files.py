@@ -7,6 +7,7 @@ import os
 import pytest
 
 from fanifolds import files
+from fanifolds.cli import run
 from fanifolds.examples import EXAMPLES
 
 DATA_DIR = os.path.join(
@@ -127,3 +128,45 @@ def test_stacky_beta_encodes_multiples():
         s for s in d["strata"] if len(s["fan"].get("rays", [])) == 2
     )
     assert origin["fan"]["stacky_beta"] == origin["fan"]["rays"]
+
+
+def _cli_load_error(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run(["validate", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_malformed_shapes_exit_2_naming_the_culprit(tmp_path, capsys):
+    d = _base()
+    d["strata"][0]["fan"] = "x"
+    name = d["strata"][0]["id"]
+    assert _cli_load_error(tmp_path, capsys, d) == (
+        f"error: stratum {name!r}: fan must be a JSON object"
+    )
+
+    d = _base()
+    del d["arrows"][1]["from"]
+    assert _cli_load_error(tmp_path, capsys, d) == "error: arrow 1 lacks 'from'"
+
+    for key in ("strata", "arrows"):
+        for junk in ("x", {}, 3):
+            d = _base()
+            d[key] = junk
+            assert _cli_load_error(tmp_path, capsys, d) == (
+                f"error: {key} must be a JSON list"
+            )
+
+    d = _base()
+    d["strata"][2] = ["not", "a", "stratum"]
+    assert _cli_load_error(tmp_path, capsys, d) == (
+        "error: stratum 2 must be a JSON object"
+    )
+    assert _cli_load_error(tmp_path, capsys, [1]) == (
+        "error: the document must be a JSON object"
+    )
