@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
-from .fanifold import Fanifold, unrolled_closure
+from .fanifold import Fanifold, require_valid, unrolled_closure
 from .fans import StackyFan
 from .lattice import Mat, Vec, dot, invert_unimodular, mat_mul, mat_vec, transpose
 
@@ -170,10 +170,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     """
     if f_name not in phi.by_name:
         raise ValueError(f"unknown stratum {f_name!r}")
-    report = phi.validate()
-    if not report.valid:
-        raise ValueError("invalid fanifold: " + "; ".join(report.errors))
-    if not report.is_poset:
+    if not require_valid(phi).is_poset:
         uc = unrolled_closure(phi, f_name)
         diagram = full_diagram(uc.fanifold)
         diagram.warnings.append(

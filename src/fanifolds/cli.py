@@ -39,7 +39,7 @@ from .bmodel import (
     u_functor,
 )
 from .cones import Cone, zero_cone
-from .fanifold import Fanifold
+from .fanifold import Fanifold, require_valid
 from .fans import StackyFan, quotient_fan, refines, resolve_to_smooth
 from .mesh import export_mesh
 from .mirror import mirror_dictionary, restriction_pairs
@@ -192,9 +192,7 @@ def cmd_bmodel_chart(args) -> int:
 
 def cmd_bmodel_census(args) -> int:
     phi = _load(args)
-    report = phi.validate()
-    if not report.valid:
-        raise ValueError("invalid fanifold: " + "; ".join(report.errors))
+    require_valid(phi)
     census = limit_census(full_diagram(phi), args.degree)
     supports = [
         {"stratum": o.stratum, "cone": o.cone_index, "size": n}

@@ -10,11 +10,12 @@ spaces, skeleta, mirrors) is computed from this diagram alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone, product_cone, zero_cone
-from .fans import Fan, FanQuotient, StackyFan, quotient_fan
+from .fans import Fan, FanQuotient, StackyFan, quotient_fan, require_valid_fan
 from .lattice import (
     LatticeMap,
     Mat,
@@ -32,7 +33,7 @@ from .lattice import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stratum:
     name: str
     dim: int
@@ -57,7 +58,7 @@ class Stratum:
         return self.chi_c if self.chi_c is not None else (-1) ** self.dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arrow:
     source: str
     target: str
@@ -65,11 +66,11 @@ class Arrow:
     iso: LatticeMap  # free quotient of the source lattice by the cone's span -> target lattice
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     is_poset: bool
     coherent: bool
-    errors: list[str] = field(default_factory=list)
+    errors: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -144,6 +145,11 @@ class Fanifold:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Computed on the first call: nothing reassigns strata or arrows."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         errors: list[str] = []
         seen: set[str] = set()
         for s in self.strata:
@@ -164,7 +170,7 @@ class Fanifold:
             ):
                 errors.append(f"stratum {s.name!r} fan: missing the zero cone")
         if errors:
-            return ValidationReport(is_poset=False, coherent=False, errors=errors)
+            return ValidationReport(is_poset=False, coherent=False, errors=tuple(errors))
 
         for k, a in enumerate(self.arrows):
             if a.source not in self.by_name or a.target not in self.by_name:
@@ -244,7 +250,7 @@ class Fanifold:
                 parallel = True
             pairs.add((a.source, a.target))
         return ValidationReport(
-            is_poset=not parallel, coherent=coherent, errors=errors
+            is_poset=not parallel, coherent=coherent, errors=tuple(errors)
         )
 
     def _composite_exists(self, a: Arrow, b: Arrow) -> bool:
@@ -264,6 +270,14 @@ class Fanifold:
             if self.arrow_map(c).matrix == composed:
                 return True
         return False
+
+
+def require_valid(phi: Fanifold) -> ValidationReport:
+    """The report of a valid diagram; ValueError listing every error otherwise."""
+    report = phi.validate()
+    if not report.valid:
+        raise ValueError("invalid fanifold: " + "; ".join(report.errors))
+    return report
 
 
 # -- constructors ------------------------------------------------------------
@@ -303,10 +317,7 @@ def from_fan(
     fan: Fan | StackyFan, names: Sequence[str] | None = None
 ) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    problems = plain.validate()
-    if problems:
-        raise ValueError("invalid fan: " + "; ".join(problems))
+    plain = require_valid_fan(fan)
     n = plain.rank
     if names is None:
         names = [f"s{i}" for i in range(len(plain.cones))]
@@ -339,10 +350,7 @@ def sphere_section(
     fan: Fan | StackyFan, names: Sequence[str] | None = None
 ) -> Fanifold:
     """Fanifold structure on the unit-sphere slice of the fan's support."""
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    problems = plain.validate()
-    if problems:
-        raise ValueError("invalid fan: " + "; ".join(problems))
+    plain = require_valid_fan(fan)
     n = plain.rank
     keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
     if names is None:
@@ -409,7 +417,6 @@ def _product_fan(f1: Fan | StackyFan, f2: Fan | StackyFan) -> Fan | StackyFan:
 def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
     """Stratum pairs with product fans; arrow pairs (either side may stand still)."""
     strata = []
-    fan_len2: dict[str, int] = {}
     for s1 in phi1.strata:
         for s2 in phi2.strata:
             pf = _product_fan(s1.fan, s2.fan)
@@ -422,17 +429,8 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
                     chi_c=s1.chi * s2.chi,
                 )
             )
-    out = Fanifold(
-        dimension=phi1.dimension + phi2.dimension,
-        strata=strata,
-        arrows=[],
-        compact=(
-            None
-            if phi1.compact is None or phi2.compact is None
-            else phi1.compact and phi2.compact
-        ),
-        provenance=("product", phi1, phi2),
-    )
+    by_name = {s.name: s for s in strata}
+    fq_cache: dict[tuple[str, int], FanQuotient] = {}
 
     def zero_index(phi: Fanifold, name: str) -> int:
         f = phi.stratum(name).plain_fan
@@ -457,10 +455,8 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         i1 = a1.cone_index if a1 else zero_index(phi1, g1)
         i2 = a2.cone_index if a2 else zero_index(phi2, g2)
         cone_index = i1 * len2 + i2
-        fq = out._fq_cache.get((src, cone_index))
-        if fq is None:
-            fq = quotient_fan(out.stratum(src).plain_fan, cone_index)
-            out._fq_cache[(src, cone_index)] = fq
+        fq = quotient_fan(by_name[src].plain_fan, cone_index)
+        fq_cache[(src, cone_index)] = fq
         m1 = (
             phi1.arrow_map(a1).matrix
             if a1
@@ -490,7 +486,18 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
                 r1 + r2,
             )
         arrows.append(Arrow(source=src, target=tgt, cone_index=cone_index, iso=iso))
-    out.arrows = tuple(arrows)
+    out = Fanifold(
+        dimension=phi1.dimension + phi2.dimension,
+        strata=strata,
+        arrows=arrows,
+        compact=(
+            None
+            if phi1.compact is None or phi2.compact is None
+            else phi1.compact and phi2.compact
+        ),
+        provenance=("product", phi1, phi2),
+    )
+    out._fq_cache.update(fq_cache)
     return out
 
 
@@ -523,7 +530,7 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
     if unknown:
         raise ValueError(f"unknown strata: {sorted(unknown)}")
     strata = []
-    arrows = []
+    index_maps: dict[str, dict[int, int]] = {}
     for s in phi.strata:
         if s.name in doomed:
             continue
@@ -532,11 +539,12 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
             for a in phi.out_arrows(s.name)
             if a.target in doomed
         }
+        plain = s.plain_fan
+        keep = [i for i in range(len(plain.cones)) if i not in dropped]
+        index_maps[s.name] = {old: new for new, old in enumerate(keep)}
         if not dropped:
             strata.append(s)
             continue
-        plain = s.plain_fan
-        keep = [i for i in range(len(plain.cones)) if i not in dropped]
         new_fan: Fan | StackyFan = Fan([plain.cones[i] for i in keep], plain.rank)
         if isinstance(s.fan, StackyFan):
             mm = {
@@ -544,25 +552,11 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
             }
             new_fan = StackyFan(new_fan, mm)
         strata.append(replace(s, fan=new_fan))
-    index_maps = {}
-    for s in phi.strata:
-        if s.name in doomed:
-            continue
-        dropped = {
-            a.cone_index
-            for a in phi.out_arrows(s.name)
-            if a.target in doomed
-        }
-        keep = [
-            i for i in range(len(s.plain_fan.cones)) if i not in dropped
-        ]
-        index_maps[s.name] = {old: new for new, old in enumerate(keep)}
-    for a in phi.arrows:
-        if a.source in doomed or a.target in doomed:
-            continue
-        arrows.append(
-            replace(a, cone_index=index_maps[a.source][a.cone_index])
-        )
+    arrows = [
+        replace(a, cone_index=index_maps[a.source][a.cone_index])
+        for a in phi.arrows
+        if a.source not in doomed and a.target not in doomed
+    ]
     out = Fanifold(
         dimension=phi.dimension,
         strata=strata,
@@ -648,14 +642,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         strata.append(Stratum(name=name, dim=src.dim, fan=ffan))
         to_original[name] = a.source
 
-    out = Fanifold(
-        dimension=f.dim,
-        strata=strata,
-        arrows=[],
-        compact=None,
-        provenance=("unrolled", phi, f_name),
-    )
-
+    fq_cache: dict[tuple[str, int], FanQuotient] = {}
     arrows = []
     for name_a, a in objects:
         if a is None:
@@ -699,10 +686,10 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
                     len(basis_a),
                 )
                 ci = face_fans[name_a].cone_index(local_c)
-                fq = out._fq_cache.get((name_a, ci))
+                fq = fq_cache.get((name_a, ci))
                 if fq is None:
                     fq = quotient_fan(face_fans[name_a], ci)
-                    out._fq_cache[(name_a, ci)] = fq
+                    fq_cache[(name_a, ci)] = fq
                 # span(sigma_a) -> span(sigma_b) through the original arrow c
                 rows = []
                 for coord_vec in identity_matrix(len(basis_a)):
@@ -728,7 +715,14 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
                 arrows.append(
                     Arrow(source=name_a, target=name_b, cone_index=ci, iso=iso)
                 )
-    out.arrows = tuple(arrows)
+    out = Fanifold(
+        dimension=f.dim,
+        strata=strata,
+        arrows=arrows,
+        compact=None,
+        provenance=("unrolled", phi, f_name),
+    )
+    out._fq_cache.update(fq_cache)
     return UnrolledClosure(fanifold=out, to_original=to_original, top=f"{f_name}.top")
 
 

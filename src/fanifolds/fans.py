@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone, zero_cone
@@ -71,7 +72,14 @@ class Fan:
     # -- validity and shape ------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Problems that make this not a fan; empty when valid."""
+        """Problems that make this not a fan; empty when valid.
+
+        Computed once per fan: nothing reassigns a fan's cones or rank.
+        """
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> list[str]:
         problems: list[str] = []
         for i, c in enumerate(self.cones):
             if c.rank != self.rank:
@@ -186,6 +194,15 @@ class Fan:
         if witness is not None:
             out["completeness_witness"] = witness
         return out
+
+
+def require_valid_fan(fan: Fan | StackyFan) -> Fan:
+    """The plain fan under ``fan``; ValueError when it is not a fan."""
+    plain = fan.fan if isinstance(fan, StackyFan) else fan
+    problems = plain.validate()
+    if problems:
+        raise ValueError("invalid fan: " + "; ".join(problems))
+    return plain
 
 
 def fan_from_ray_indices(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bmodel import UFunctorDescriptor, u_functor
-from .fanifold import Fanifold, delete_strata
+from .fanifold import Fanifold, delete_strata, require_valid
 from .skeleton import HandlePlan, handle_plan
 
 A_SIDE_CONVENTION = (
@@ -170,9 +170,7 @@ def mirror_dictionary(phi: Fanifold) -> MirrorDictionary:
     certificate amounts to finding a decoration-preserving automorphism;
     the search is still exhaustive rather than assumed.
     """
-    report = phi.validate()
-    if not report.valid:
-        raise ValueError(f"invalid exit diagram: {report.errors[0]}")
+    require_valid(phi)
     stratum_labels = []
     for st in phi.strata:
         r = st.lattice_rank

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import Cone
-from .fans import Fan, StackyFan, refines
-from .fanifold import Fanifold
+from .fans import Fan, StackyFan, refines, require_valid_fan
+from .fanifold import Fanifold, require_valid
 from .lattice import dot, identity_matrix, invert_unimodular, mat_mul, transpose
 
 
@@ -50,10 +50,7 @@ def fltz_pieces(fan: Fan | StackyFan) -> list[FLTZPiece]:
     generators.  Plain fans always give connected annihilators because the
     lattice points of a cone generate the saturation of its span.
     """
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    errors = plain.validate()
-    if errors:
-        raise ValueError(f"invalid fan: {errors[0]}")
+    plain = require_valid_fan(fan)
     pieces = []
     for i, c in enumerate(plain.cones):
         group: tuple[int, ...] = ()
@@ -190,9 +187,7 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     arrow with exit cone sigma, a cone containing sigma sits under its
     image in the target's fan.
     """
-    report = phi.validate()
-    if not report.valid:
-        raise ValueError(f"invalid exit diagram: {report.errors[0]}")
+    require_valid(phi)
     memo: dict = {}
     notes: list[str] = []
     strata: list[SkeletonStratum] = []
@@ -301,9 +296,7 @@ def handle_plan(phi: Fanifold) -> HandlePlan:
     exit diagram are marked trivial: the radial scaling flow retracts
     them, so attaching adds nothing new.
     """
-    report = phi.validate()
-    if not report.valid:
-        raise ValueError(f"invalid exit diagram: {report.errors[0]}")
+    require_valid(phi)
     conical = phi.provenance is not None and phi.provenance[0] == "fan"
     handles = []
     for st in phi.strata:

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from fanifolds import files
 from fanifolds.cli import run
 from fanifolds.examples import EXAMPLES
@@ -61,17 +63,32 @@ def test_census_unigon_degree_3(capsys):
     assert "dimension: 13" in out
 
 
-def test_census_refuses_an_invalid_fanifold(tmp_path, capsys):
+GATED_COMMANDS = {
+    "bmodel-chart": ["bmodel", "chart", "--stratum", "(s0,s0)"],
+    "bmodel-census": ["bmodel", "census", "--degree", "2"],
+    "skeleton-report": ["skeleton", "report"],
+    "skeleton-euler": ["skeleton", "euler"],
+    "skeleton-handles": ["skeleton", "handles"],
+    "skeleton-mesh": ["skeleton", "mesh"],
+    "mirror-dict": ["mirror", "dict"],
+    "mirror-restrict": ["mirror", "restrict", "--closed", "(s2,s2)"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GATED_COMMANDS))
+def test_census_refuses_an_invalid_fanifold(tmp_path, capsys, command):
+    """Every gated subcommand refuses the same invalid file the same way."""
     doc = json.loads(files.dumps(EXAMPLES["square"]()))
     doc["dimension"] = -1
     path = tmp_path / "square.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_capture(
-        capsys, ["bmodel", "census", "--file", str(path), "--degree", "2"]
+        capsys, GATED_COMMANDS[command] + ["--file", str(path)]
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: invalid fanifold: ")
+    assert err.startswith("error: invalid fanifold: stratum '(s")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
 
 

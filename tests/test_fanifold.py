@@ -1,5 +1,7 @@
 """Exit diagrams: construction, validation, order structure, surgery."""
 
+import dataclasses
+
 import pytest
 
 from fanifolds.examples import (
@@ -65,6 +67,24 @@ def test_examples_registry_all_validate():
         assert report.coherent, name
         expect_poset = name not in ("unigon", "necklace1")
         assert report.is_poset == expect_poset, name
+
+
+def test_validate_is_computed_once():
+    phi = EXAMPLES["square"]()
+    assert phi.validate() is phi.validate()
+
+
+def test_strata_arrows_and_reports_are_frozen():
+    phi = EXAMPLES["square"]()
+    report = phi.validate()
+    assert isinstance(report.errors, tuple)
+    for obj, field in (
+        (phi.strata[0], "dim"),
+        (phi.arrows[0], "cone_index"),
+        (report, "errors"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
 
 
 def test_leq_and_down_closure_on_square():

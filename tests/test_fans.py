@@ -65,6 +65,23 @@ def test_fan_validate_catches_overlap():
     assert bad.validate() == problem
 
 
+def test_fan_validate_runs_once(monkeypatch):
+    calls = []
+    is_face_of = Cone.is_face_of
+
+    def counted(self, other):
+        calls.append(1)
+        return is_face_of(self, other)
+
+    monkeypatch.setattr(Cone, "is_face_of", counted)
+    fan = projective_fan(2)
+    first = fan.validate()
+    assert first == [] and calls
+    before = len(calls)
+    assert fan.validate() == first
+    assert len(calls) == before
+
+
 def test_fan_properties_projective_plane():
     props = projective_fan(2).properties()
     assert props["valid"] and props["complete"] and props["smooth"]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fanifolds.examples import EXAMPLES
+from fanifolds.fanifold import Fanifold
 from fanifolds.mirror import (
     A_SIDE_CONVENTION,
     mirror_dictionary,
@@ -92,6 +93,22 @@ def test_restriction_gluing_identities_on_corners():
     ri = restriction_pairs(sq, inter)
     assert set(ru.a_removed) == set(rc.a_removed) & set(rd.a_removed)
     assert set(ri.a_removed) == set(rc.a_removed) | set(rd.a_removed)
+
+
+def test_restriction_pairs_validates_each_diagram_once(monkeypatch):
+    runs = []
+    body = Fanifold._report.func
+
+    def counted(phi):
+        runs.append(phi)
+        return body(phi)
+
+    monkeypatch.setattr(Fanifold._report, "func", counted)
+    sq = EXAMPLES["square"]()
+    restriction_pairs(sq, ["(s2,s2)", "(s2,s3)", "(s2,s0)"])
+    # the square itself, then the diagram left after deleting strata
+    assert len(runs) == 2
+    assert runs[0] is sq and runs[1] is not sq
 
 
 def test_restriction_pair_json_round_trip():
