@@ -12,14 +12,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
 from .fanifold import Fanifold, require_valid, unrolled_closure
 from .fans import StackyFan
-from .lattice import Mat, Vec, dot, invert_unimodular, mat_mul, mat_vec, transpose
+from .lattice import (
+    Mat,
+    Vec,
+    dot,
+    invert_unimodular,
+    mat_mul,
+    mat_vec,
+    matrix_rank,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ def _collapse_matrices(phi: Fanifold, arrow) -> tuple[Mat, Mat]:
 
 
 def _restriction_arrows(
-    phi: Fanifold, objects: Sequence[ChartObject], index: Mapping[ChartObject, int]
+    phi: Fanifold, objects: Sequence[ChartObject]
 ) -> list[DiagramArrow]:
     arrows = []
     by_stratum: dict[str, list[int]] = {}
@@ -124,34 +132,42 @@ def _restriction_arrows(
     return arrows
 
 
-def full_diagram(phi: Fanifold) -> ToricDiagram:
-    """One chart per (stratum, cone) pair, with all induced monomial maps."""
-    objects = [
-        ChartObject(s.name, k)
-        for s in phi.strata
-        for k in range(len(s.plain_fan.cones))
-    ]
+def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagram:
+    """Charts of the allowed cones of each stratum, with their monomial maps.
+
+    Collapse arrows run along the fanifold arrows between allowed strata,
+    from every allowed cone containing the collapsed cone to the chart of
+    its image, when that chart is allowed too.  The image must be a cone of
+    the target fan; validation matches every quotient image to one.
+    """
+    kept = {g: sorted(ks) for g, ks in allowed.items()}
+    objects = [ChartObject(g, k) for g, ks in kept.items() for k in ks]
     index = {o: i for i, o in enumerate(objects)}
-    arrows = _restriction_arrows(phi, objects, index)
+    arrows = _restriction_arrows(phi, objects)
     for fa in phi.arrows:
+        if fa.source not in kept or fa.target not in kept:
+            continue
         sigma = phi.arrow_cone(fa)
         forward, backward = _collapse_matrices(phi, fa)
         amap = phi.arrow_map(fa)
         src_fan = phi.stratum(fa.source).plain_fan
         tgt_fan = phi.stratum(fa.target).plain_fan
-        for k, tau in enumerate(src_fan.cones):
+        for k in kept[fa.source]:
+            tau = src_fan.cones[k]
             if not tau.contains_cone(sigma):
                 continue
-            image = tau.image(amap)
-            tk = tgt_fan.cone_index(image)
+            tk = tgt_fan.cone_index(tau.image(amap))
             if tk is None:
                 raise ValueError(
                     f"image of cone {k} of {fa.source!r} missing from {fa.target!r}"
                 )
+            target = index.get(ChartObject(fa.target, tk))
+            if target is None:
+                continue
             arrows.append(
                 DiagramArrow(
                     source=index[ChartObject(fa.source, k)],
-                    target=index[ChartObject(fa.target, tk)],
+                    target=target,
                     kind="collapse",
                     cone=sigma,
                     forward=forward,
@@ -159,6 +175,13 @@ def full_diagram(phi: Fanifold) -> ToricDiagram:
                 )
             )
     return ToricDiagram(phi, objects, arrows)
+
+
+def full_diagram(phi: Fanifold) -> ToricDiagram:
+    """One chart per (stratum, cone) pair, with all induced monomial maps."""
+    return _diagram(
+        phi, {s.name: range(len(s.plain_fan.cones)) for s in phi.strata}
+    )
 
 
 def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
@@ -188,38 +211,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
             if a.target in below or a.target == f_name:
                 keep.add(a.cone_index)
         allowed[g] = keep
-    objects = [
-        ChartObject(g, k) for g in below for k in sorted(allowed[g])
-    ]
-    index = {o: i for i, o in enumerate(objects)}
-    arrows = _restriction_arrows(phi, objects, index)
-    for fa in phi.arrows:
-        if fa.source not in below or fa.target not in below:
-            continue
-        sigma = phi.arrow_cone(fa)
-        forward, backward = _collapse_matrices(phi, fa)
-        amap = phi.arrow_map(fa)
-        src_fan = phi.stratum(fa.source).plain_fan
-        tgt_fan = phi.stratum(fa.target).plain_fan
-        for k in sorted(allowed[fa.source]):
-            tau = src_fan.cones[k]
-            if not tau.contains_cone(sigma):
-                continue
-            image = tau.image(amap)
-            tk = tgt_fan.cone_index(image)
-            if tk is None or tk not in allowed[fa.target]:
-                continue
-            arrows.append(
-                DiagramArrow(
-                    source=index[ChartObject(fa.source, k)],
-                    target=index[ChartObject(fa.target, tk)],
-                    kind="collapse",
-                    cone=sigma,
-                    forward=forward,
-                    backward=backward,
-                )
-            )
-    return ToricDiagram(phi, objects, arrows)
+    return _diagram(phi, allowed)
 
 
 # -- census ------------------------------------------------------------------
@@ -514,7 +506,7 @@ def subalgebra_check(
     free = _free_roots(uf)
     free_pos = {r: i for i, r in enumerate(free)}
 
-    def tuple_vector(values: dict[str, Laurent]) -> list[Fraction] | None:
+    def tuple_vector(values: dict[str, Laurent]) -> list[int] | None:
         coeffs: dict[int, int] = {}
         for obj, chart in zip(diagram.objects, ids):
             val = values[obj.stratum]
@@ -524,30 +516,15 @@ def subalgebra_check(
                 if r in coeffs and coeffs[r] != c:
                     return None
                 coeffs[r] = c
-        vec = [Fraction(0)] * len(free)
+        vec = [0] * len(free)
         for x, c in coeffs.items():
             if x in free_pos:
-                vec[free_pos[x]] = Fraction(c)
+                vec[free_pos[x]] = c
             elif c:
                 return None  # nonzero value on a forced-zero class
         return vec
 
-    # row-reduce product tuples incrementally to measure the spanned rank
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def absorb(v: list[Fraction]) -> None:
-        for r, p in zip(rows, pivots):
-            if v[p]:
-                f = v[p] / r[p]
-                for k in range(len(v)):
-                    v[k] -= f * r[k]
-        for k, c in enumerate(v):
-            if c:
-                rows.append(v)
-                pivots.append(k)
-                return
-
+    rows: list[list[int]] = []
     names = [g[0] for g in generators]
     for count in range(max_factors + 1):
         for combo in itertools.combinations_with_replacement(
@@ -579,12 +556,12 @@ def subalgebra_check(
                     + " is inconsistent with the degree box"
                 )
                 continue
-            absorb(v)
+            rows.append(v)
 
     return SubalgebraReport(
         degree=degree,
         census_dimension=len(free),
-        span_rank=len(rows),
+        span_rank=matrix_rank(rows),
         relations=rel_results,
         problems=problems,
     )

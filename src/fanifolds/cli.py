@@ -45,9 +45,6 @@ from .mesh import export_mesh
 from .mirror import mirror_dictionary, restriction_pairs
 from .skeleton import euler_characteristic_c, handle_plan, skeleton_model
 
-# Fixed default so that any randomized mode is reproducible run to run.
-DEFAULT_SEED = 9157
-
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -509,12 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--file", required=True, help="fanifold file (path or bundled name)")
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized modes (fixed default for reproducibility)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="fanifolds", description="Exact toolkit for fanifold exit diagrams."

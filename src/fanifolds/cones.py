@@ -21,7 +21,6 @@ from .lattice import (
     integer_kernel,
     invert_unimodular,
     mat,
-    matrix_rank,
     primitivize,
     row_hermite,
     smith_normal_form,
@@ -143,9 +142,7 @@ class Cone:
     @cached_property
     def perp_basis(self) -> Mat:
         """Saturated basis of {u : <u, v> = 0 for all v in the cone}."""
-        return row_hermite(
-            integer_kernel(mat(self.gens), len(self.gens), self.rank), self.rank
-        )
+        return integer_kernel(mat(self.gens), len(self.gens), self.rank)
 
     @cached_property
     def _dual(self) -> tuple[Mat, Mat]:
@@ -164,15 +161,13 @@ class Cone:
     def lineality_basis(self) -> Mat:
         """Saturated basis of the largest linear subspace inside the cone."""
         rows = list(self.dual_rays) + list(self.perp_basis)
-        return row_hermite(
-            integer_kernel(mat(rows), len(rows), self.rank), self.rank
-        )
+        return integer_kernel(mat(rows), len(rows), self.rank)
 
     # -- basic invariants --------------------------------------------------
 
     @cached_property
     def dim(self) -> int:
-        return matrix_rank(mat(self.gens))
+        return self.rank - len(self.perp_basis)
 
     @cached_property
     def is_strongly_convex(self) -> bool:
@@ -296,9 +291,8 @@ def dual_monoid(cone: Cone) -> tuple[Vec, ...]:
     """
     n = cone.rank
     a = mat(cone.gens)
-    perp = row_hermite(integer_kernel(a, len(a), n), n)
     out: list[Vec] = []
-    for l in perp:
+    for l in cone.perp_basis:
         out.append(l)
         out.append(vec_scale(-1, l))
 

@@ -27,7 +27,6 @@ from .lattice import (
     mat,
     mat_mul,
     right_inverse,
-    row_hermite,
     solve_integer,
     vec,
 )
@@ -313,30 +312,48 @@ def _arrow_between_cones(
     return Arrow(source=name_i, target=name_j, cone_index=sub_index, iso=iso)
 
 
+def _cone_strata(
+    fan: Fan | StackyFan,
+    plain: Fan,
+    keep: Sequence[int],
+    shift: int,
+    names: Sequence[str] | None,
+) -> tuple[list[Stratum], list[Arrow]]:
+    """One stratum of dimension dim - shift per kept cone, and its face arrows.
+
+    ``names`` (default ``s<cone index>``) name the kept cones in order.
+    """
+    if names is None:
+        name = {i: f"s{i}" for i in keep}
+    else:
+        name = {i: names[k] for k, i in enumerate(keep)}
+    strata = []
+    quotients: dict[int, FanQuotient] = {}
+    for i in keep:
+        sub, fq = _stratum_fan_for_cone(fan, i)
+        quotients[i] = fq
+        strata.append(Stratum(name=name[i], dim=plain.cones[i].dim - shift, fan=sub))
+    arrows = []
+    for i in keep:
+        for j in keep:
+            ci, cj = plain.cones[i], plain.cones[j]
+            if i == j or not cj.contains_cone(ci) or cj.dim == ci.dim:
+                continue
+            arrows.append(
+                _arrow_between_cones(
+                    plain, i, j, quotients[i], quotients[j], name[i], name[j]
+                )
+            )
+    return strata, arrows
+
+
 def from_fan(
     fan: Fan | StackyFan, names: Sequence[str] | None = None
 ) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
     plain = require_valid_fan(fan)
     n = plain.rank
-    if names is None:
-        names = [f"s{i}" for i in range(len(plain.cones))]
-    strata = []
-    quotients: list[FanQuotient] = []
-    for i, c in enumerate(plain.cones):
-        sub, fq = _stratum_fan_for_cone(fan, i)
-        quotients.append(fq)
-        strata.append(Stratum(name=names[i], dim=c.dim, fan=sub))
-    arrows = []
-    for i, ci in enumerate(plain.cones):
-        for j, cj in enumerate(plain.cones):
-            if i == j or not cj.contains_cone(ci) or cj.dim == ci.dim:
-                continue
-            arrows.append(
-                _arrow_between_cones(
-                    plain, i, j, quotients[i], quotients[j], names[i], names[j]
-                )
-            )
+    strata, arrows = _cone_strata(fan, plain, range(len(plain.cones)), 0, names)
     return Fanifold(
         dimension=n,
         strata=strata,
@@ -351,31 +368,10 @@ def sphere_section(
 ) -> Fanifold:
     """Fanifold structure on the unit-sphere slice of the fan's support."""
     plain = require_valid_fan(fan)
-    n = plain.rank
     keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
-    if names is None:
-        names = {i: f"s{i}" for i in keep}
-    else:
-        names = {i: names[k] for k, i in enumerate(keep)}
-    strata = []
-    quotients: dict[int, FanQuotient] = {}
-    for i in keep:
-        sub, fq = _stratum_fan_for_cone(fan, i)
-        quotients[i] = fq
-        strata.append(Stratum(name=names[i], dim=plain.cones[i].dim - 1, fan=sub))
-    arrows = []
-    for i in keep:
-        for j in keep:
-            ci, cj = plain.cones[i], plain.cones[j]
-            if i == j or not cj.contains_cone(ci) or cj.dim == ci.dim:
-                continue
-            arrows.append(
-                _arrow_between_cones(
-                    plain, i, j, quotients[i], quotients[j], names[i], names[j]
-                )
-            )
+    strata, arrows = _cone_strata(fan, plain, keep, 1, names)
     return Fanifold(
-        dimension=n - 1,
+        dimension=plain.rank - 1,
         strata=strata,
         arrows=arrows,
         compact=plain.is_face_closed,
@@ -587,10 +583,7 @@ def _span_coordinates(cone: Cone) -> tuple[Mat, Mat]:
 
     Returns (basis, expand) with expand @ coords = ambient vector.
     """
-    basis = row_hermite(
-        integer_kernel(mat(cone.perp_basis), len(cone.perp_basis), cone.rank),
-        cone.rank,
-    )
+    basis = integer_kernel(mat(cone.perp_basis), len(cone.perp_basis), cone.rank)
     expand = tuple(
         tuple(row[i] for row in basis) for i in range(cone.rank)
     )  # rank x dim matrix: columns are the basis vectors

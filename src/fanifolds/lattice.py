@@ -2,13 +2,14 @@
 
 Everything works on plain Python ints (arbitrary precision), vectors are
 tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
-the right: (M @ v)[i] = sum_j M[i][j] * v[j].
+the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Three exact routines do all the
+elimination: the Smith normal form, the integer Hermite reduction ``_echelon``
+(rank, kernels, unimodular inverses, canonical bases) and the Bareiss ``det``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -124,51 +125,23 @@ def det(m: Mat) -> int:
 
 
 def matrix_rank(m: Mat) -> int:
-    """Rank over Q, by fraction elimination (exact)."""
-    rows = [[Fraction(x) for x in r] for r in m]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q: the pivot count of the integer Hermite reduction."""
+    return _echelon([list(r) for r in m], len(m[0]) if m else 0)
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1."""
+    """Inverse of an integer matrix with determinant +-1.
+
+    Hermite-reduces [M | I].  M is unimodular exactly when the reduction
+    leaves n pivots that all equal 1; the left block is then I and the right
+    block, the row transform, is M^-1.
+    """
     n = len(m)
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    # Gauss-Jordan over Q; the result is integral because |det| = 1.
-    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pr = aug[col]
-        inv = 1 / pr[col]
-        aug[col] = [a * inv for a in pr]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for r in aug:
-        row = r[n:]
-        assert all(x.denominator == 1 for x in row)
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    if all(len(r) == n for r in m):
+        work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+        if _echelon(work, n) == n and all(work[i][i] == 1 for i in range(n)):
+            return tuple(tuple(r[n:]) for r in work)
+    raise ValueError(f"matrix is not unimodular (det = {det(m)})")
 
 
 def is_unimodular(m: Mat) -> bool:
@@ -536,19 +509,21 @@ def right_inverse(a: Mat, rows: int, cols: int) -> Mat:
 
 
 def integer_kernel(a: Mat, rows: int, cols: int) -> tuple[Vec, ...]:
-    """Basis of the saturated lattice {x in Z^cols : A x = 0}.
+    """Canonical (row-style Hermite) basis of {x in Z^cols : A x = 0}.
 
     Integer row reduction of [A^T | I] that tracks its transform (Cohen, "A
     Course in Computational Algebraic Number Theory", section 2.4).  The
     unimodular row operations pivot only on the A^T columns, so the identity
-    part of the rows whose A^T part ends up zero is a saturated kernel basis.
+    part of the rows whose A^T part ends up zero is a saturated kernel basis;
+    a second reduction of those rows makes it the canonical one that
+    ``row_hermite`` returns for the same lattice.
     """
     work = [
         [a[i][j] for i in range(rows)] + [int(k == j) for k in range(cols)]
         for j in range(cols)
     ]
-    r = _echelon(work, rows)
-    return tuple(tuple(row[rows:]) for row in work[r:])
+    kernel = [row[rows:] for row in work[_echelon(work, rows):]]
+    return mat(kernel[: _echelon(kernel, cols)])
 
 
 def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:

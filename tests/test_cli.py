@@ -23,6 +23,7 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["bmodel"]) == 1
     assert run(["bmodel", "census", "--file", "3a1.json"]) == 1  # missing degree
+    assert run(["validate", "--file", "3a1.json", "--seed", "1"]) == 1  # no such option
     capsys.readouterr()
 
 

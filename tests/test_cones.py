@@ -1,4 +1,4 @@
-"""Cone.is_face_of against the brute-force face list."""
+"""Cone.is_face_of against the brute-force face list, Cone.dim against the SNF."""
 
 import itertools
 import random
@@ -6,6 +6,7 @@ import random
 import pytest
 
 from fanifolds.cones import Cone, zero_cone
+from fanifolds.lattice import mat, smith_normal_form
 
 
 def face_keys(other):
@@ -69,3 +70,22 @@ def test_is_face_of_needs_strongly_convex_other():
         zero_cone(2).is_face_of(line)
     with pytest.raises(ValueError):
         Cone([(1, 0)], 2).is_face_of(line)
+
+
+def test_dim_matches_the_smith_rank_of_the_generators():
+    rng = random.Random(3301)
+    seen_line = seen_zero = False
+    for rank in range(5):
+        for _ in range(40):
+            gens = [
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 2))
+            ]
+            if gens and rng.random() < 0.3:
+                gens.append(tuple(-x for x in gens[0]))  # often a line
+            c = Cone(gens, rank)
+            expected = smith_normal_form(mat(c.gens)).rank if c.gens else 0
+            assert c.dim == expected, c
+            seen_zero |= not c.gens
+            seen_line |= bool(c.gens) and not c.is_strongly_convex
+    assert seen_zero and seen_line

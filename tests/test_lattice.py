@@ -128,6 +128,51 @@ def test_solve_integer():
     assert solve_integer(identity_matrix(0), ()) == ()
 
 
+def _elementary(rng, n):
+    """A random elementary integer matrix: a shear, a row swap or a sign flip."""
+    e = [list(r) for r in identity_matrix(n)]
+    i, j = rng.randrange(n), rng.randrange(n)
+    kind = rng.randrange(3)
+    if kind == 0 and i != j:
+        e[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+    elif kind == 1:
+        e[i], e[j] = e[j], e[i]
+    else:
+        e[i][i] = -1
+    return tuple(map(tuple, e))
+
+
+def test_invert_unimodular_on_products_of_elementary_matrices():
+    rng = random.Random(6021)
+    for n in range(7):
+        for _ in range(25):
+            m = identity_matrix(n)
+            for _ in range(rng.randint(0, 3 * n)):
+                m = mat_mul(m, _elementary(rng, n))
+            inv = invert_unimodular(m)
+            assert mat_mul(m, inv) == identity_matrix(n)
+            assert mat_mul(inv, m) == identity_matrix(n)
+    assert invert_unimodular(()) == ()
+
+
+def test_invert_unimodular_rejects_non_unimodular():
+    rng = random.Random(4417)
+    for target in (0, 2, -2, 6):
+        found = 0
+        while found < 10:
+            n = rng.randint(1, 4)
+            m = random_matrix(rng, n, n, 3)
+            if det(m) != target:
+                continue
+            with pytest.raises(ValueError, match=rf"\(det = {det(m)}\)"):
+                invert_unimodular(m)
+            found += 1
+    with pytest.raises(ValueError):
+        invert_unimodular(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        invert_unimodular(((1, 0), (0, 1), (0, 0)))
+
+
 def test_right_inverse_random():
     rng = random.Random(777)
     found = 0
@@ -174,7 +219,9 @@ def test_integer_kernel_saturated():
         for v in ker:
             assert mat_vec(a, v) == (0,) * rows
         assert len(ker) == cols - matrix_rank(a)
-        assert row_hermite(ker, cols) == row_hermite(_snf_kernel(a, cols), cols)
+        assert matrix_rank(a) == smith_normal_form(a).rank
+        # the returned basis is already the canonical Hermite one
+        assert ker == row_hermite(_snf_kernel(a, cols), cols)
 
 
 def _snf_kernel(a, cols):
