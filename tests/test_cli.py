@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,16 @@ from fanifolds.cli import run
 from fanifolds.examples import EXAMPLES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
+CLI_GOLDEN_DIR = os.path.join(GOLDEN_DIR, "cli")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def read_golden(name: str) -> str:
+    with open(os.path.join(CLI_GOLDEN_DIR, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+CLI_CASES = json.loads(read_golden("cases.json"))
 
 
 def run_capture(capsys, argv):
@@ -30,6 +42,40 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c["name"] for c in CLI_CASES])
+def test_help_and_usage_text_match_the_goldens(monkeypatch, capsys, case):
+    """Help at every level and every usage error, byte for byte
+    (recorded by ``tools/regen_cli_goldens.py`` at 80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_capture(capsys, case["argv"])
+    assert code == case["code"]
+    assert out == read_golden(case["name"] + ".out")
+    assert err == read_golden(case["name"] + ".err")
+
+
+def test_one_shot_entry_point_reads_sys_argv():
+    """``python -m fanifolds.cli`` parses ``sys.argv``, which no in-process
+    call of ``run`` reaches."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fanifolds.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+
+    proc = cli("validate", "--file", "unigon")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "dimension: 2\nstrata: 3\narrows: 4\n"
+        "is_poset: false\ncoherent: true\nvalid: true\n"
+    )
+    proc = cli("bmodel", "census", "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == read_golden("bmodel-census-help.out")
 
 
 def test_missing_file_exits_2(capsys):
