@@ -10,13 +10,15 @@ Subcommands::
     skeleton report               skeleton strata, incidences, checks
     skeleton euler                compactly-supported Euler characteristic
     skeleton handles              Weinstein-style handle plan
-    skeleton mesh                 schematic OBJ export
+    skeleton mesh [--resolution N]  schematic OBJ export
     mirror dict                   chart-side / skeleton-side dictionary
     mirror restrict --closed ..   matched restriction pair
     fan props [--stratum S]       fan predicates per stratum
     fan quotient --stratum S --cone i,j   star quotient by a cone
     fan resolve --stratum S       stellar resolution to a smooth refinement
     fan refines --stratum FINE,COARSE     refinement check between two strata
+
+Every one is a row of ``COMMANDS``, which the parser is built from.
 
 Files are looked up literally first, then among the bundled examples, so
 ``--file unigon.json`` works from anywhere.  Exit codes: 0 success, 1 for
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import files
 from .bmodel import (
@@ -498,84 +501,144 @@ def cmd_fan_refines(args) -> int:
     return 0
 
 
+# -- command table -----------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One row of the command table."""
+
+    path: tuple[str, ...]
+    handler: str  # name of the ``cmd_*`` function, looked up when it runs
+    args: tuple = ()  # (flag, ``add_argument`` keywords) beyond ``_COMMON_ARGS``
+    help: str | None = None  # listed in the parent's help only when given
+    gated: bool = False  # refuses an invalid fanifold: one ``error:`` line, exit 2
+
+
+_COMMON_ARGS = (
+    ("--file", {"required": True, "help": "fanifold file (path or bundled name)"}),
+    ("--format", {"choices": ("json", "text"), "default": "text"}),
+    ("--out", {"help": "write the report here instead of stdout"}),
+)
+
+_GROUP_HELP = {
+    "bmodel": "glued toric space computations",
+    "skeleton": "conic Lagrangian skeleton computations",
+    "mirror": "matched chart-side / skeleton-side views",
+    "fan": "fan-level queries on one stratum",
+}
+
+_CLOSED = ("--closed", {"required": True, "help": "comma-separated closed stratum ids"})
+
+COMMANDS = (
+    Command(("validate",), "cmd_validate", help="structural validation report"),
+    Command(("bmodel", "components"), "cmd_bmodel_components"),
+    Command(
+        ("bmodel", "chart"), "cmd_bmodel_chart",
+        (("--stratum", {"required": True, "help": "stratum id whose closure to chart"}),),
+        gated=True,
+    ),
+    Command(
+        ("bmodel", "census"), "cmd_bmodel_census",
+        (("--degree", {"type": int, "required": True, "help": "degree bound D"}),),
+        gated=True,
+    ),
+    Command(("bmodel", "ufunctor"), "cmd_bmodel_ufunctor", (_CLOSED,)),
+    Command(("skeleton", "report"), "cmd_skeleton_report", gated=True),
+    Command(("skeleton", "euler"), "cmd_skeleton_euler", gated=True),
+    Command(("skeleton", "handles"), "cmd_skeleton_handles", gated=True),
+    Command(
+        ("skeleton", "mesh"), "cmd_skeleton_mesh",
+        (("--resolution", {"type": int, "default": 16, "help": "segments per full circle"}),),
+        gated=True,
+    ),
+    Command(("mirror", "dict"), "cmd_mirror_dict", gated=True),
+    Command(("mirror", "restrict"), "cmd_mirror_restrict", (_CLOSED,), gated=True),
+    Command(
+        ("fan", "props"), "cmd_fan_props",
+        (("--stratum", {"help": "stratum id (default: all strata)"}),),
+    ),
+    Command(
+        ("fan", "quotient"), "cmd_fan_quotient",
+        (
+            ("--stratum", {"required": True}),
+            ("--cone", {"required": True, "help": "comma-separated ray indices ('' = zero cone)"}),
+        ),
+    ),
+    Command(("fan", "resolve"), "cmd_fan_resolve", (("--stratum", {"required": True}),)),
+    Command(
+        ("fan", "refines"), "cmd_fan_refines",
+        (("--stratum", {"required": True, "help": "FINE,COARSE stratum ids"}),),
+    ),
+)
+
+_PATHS = frozenset(c.path for c in COMMANDS)
+
+
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--file", required=True, help="fanifold file (path or bundled name)")
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--out", help="write the report here instead of stdout")
+class _Unparsed(Exception):
+    """A parser built along one path would have printed help or an error."""
 
-    parser = argparse.ArgumentParser(
+
+class _PathParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        raise _Unparsed
+
+    def error(self, message):
+        raise _Unparsed
+
+
+def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in ``COMMANDS``, or only of ``path``'s.
+
+    Given a path, only the parsers along it are built (top level, group,
+    leaf), and they print nothing: where one would print help or a usage
+    error it raises ``_Unparsed`` instead, so ``run`` can parse again with
+    the full tree and print the full tree's text.
+    """
+    parser = (argparse.ArgumentParser if path is None else _PathParser)(
         prog="fanifolds", description="Exact toolkit for fanifold exit diagrams."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="structural validation report")
-    p.set_defaults(func=cmd_validate)
-
-    bm = sub.add_parser("bmodel", help="glued toric space computations")
-    bms = bm.add_subparsers(dest="subcommand", required=True)
-    p = bms.add_parser("components", parents=[common])
-    p.set_defaults(func=cmd_bmodel_components)
-    p = bms.add_parser("chart", parents=[common])
-    p.add_argument("--stratum", required=True, help="stratum id whose closure to chart")
-    p.set_defaults(func=cmd_bmodel_chart)
-    p = bms.add_parser("census", parents=[common])
-    p.add_argument("--degree", type=int, required=True, help="degree bound D")
-    p.set_defaults(func=cmd_bmodel_census)
-    p = bms.add_parser("ufunctor", parents=[common])
-    p.add_argument("--closed", required=True, help="comma-separated closed stratum ids")
-    p.set_defaults(func=cmd_bmodel_ufunctor)
-
-    sk = sub.add_parser("skeleton", help="conic Lagrangian skeleton computations")
-    sks = sk.add_subparsers(dest="subcommand", required=True)
-    p = sks.add_parser("report", parents=[common])
-    p.set_defaults(func=cmd_skeleton_report)
-    p = sks.add_parser("euler", parents=[common])
-    p.set_defaults(func=cmd_skeleton_euler)
-    p = sks.add_parser("handles", parents=[common])
-    p.set_defaults(func=cmd_skeleton_handles)
-    p = sks.add_parser("mesh", parents=[common])
-    p.add_argument("--resolution", type=int, default=16, help="segments per full circle")
-    p.set_defaults(func=cmd_skeleton_mesh)
-
-    mi = sub.add_parser("mirror", help="matched chart-side / skeleton-side views")
-    mis = mi.add_subparsers(dest="subcommand", required=True)
-    p = mis.add_parser("dict", parents=[common])
-    p.set_defaults(func=cmd_mirror_dict)
-    p = mis.add_parser("restrict", parents=[common])
-    p.add_argument("--closed", required=True, help="comma-separated closed stratum ids")
-    p.set_defaults(func=cmd_mirror_restrict)
-
-    fa = sub.add_parser("fan", help="fan-level queries on one stratum")
-    fas = fa.add_subparsers(dest="subcommand", required=True)
-    p = fas.add_parser("props", parents=[common])
-    p.add_argument("--stratum", help="stratum id (default: all strata)")
-    p.set_defaults(func=cmd_fan_props)
-    p = fas.add_parser("quotient", parents=[common])
-    p.add_argument("--stratum", required=True)
-    p.add_argument("--cone", required=True, help="comma-separated ray indices ('' = zero cone)")
-    p.set_defaults(func=cmd_fan_quotient)
-    p = fas.add_parser("resolve", parents=[common])
-    p.add_argument("--stratum", required=True)
-    p.set_defaults(func=cmd_fan_resolve)
-    p = fas.add_parser("refines", parents=[common])
-    p.add_argument("--stratum", required=True, help="FINE,COARSE stratum ids")
-    p.set_defaults(func=cmd_fan_refines)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for cmd in COMMANDS:
+        if path is not None and cmd.path != path:
+            continue
+        *group, leaf = cmd.path
+        sub = top
+        for name in group:
+            if name not in groups:
+                groups[name] = top.add_parser(name, help=_GROUP_HELP[name]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            sub = groups[name]
+        p = sub.add_parser(leaf, **({} if cmd.help is None else {"help": cmd.help}))
+        for flag, options in _COMMON_ARGS + cmd.args:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=cmd.handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parsers along the command ``argv`` names, falling back
+    to the full tree when it names none, asks for help or fails to parse."""
+    path = next((p for p in (tuple(argv[:1]), tuple(argv[:2])) if p in _PATHS), None)
+    if path is not None:
+        try:
+            return build_parser(path).parse_args(argv)
+        except _Unparsed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -149,13 +149,24 @@ class Cone:
         return dual_description(self.gens, (), self.rank)
 
     @cached_property
-    def _primal(self) -> tuple[Mat, Mat]:
-        return dual_description(self.dual_rays, self.perp_basis, self.rank)
-
-    @cached_property
     def extremal_rays(self) -> Mat:
-        """Minimal generating rays (unique for a strongly convex cone)."""
-        return self._primal[1]
+        """Minimal generating rays (unique for a strongly convex cone), sorted.
+
+        For a strongly convex cone the dual rays vanishing on a gen cut out
+        the smallest face holding it, and that face is a ray exactly when no
+        gen vanishes on a strictly larger set of dual rays (Fukuda and
+        Prodon, "Double description method revisited", 1996).  A cone with a
+        line runs the double description back from its dual.
+        """
+        if self.lineality_basis:
+            return dual_description(self.dual_rays, self.perp_basis, self.rank)[1]
+        zeros = [
+            frozenset(i for i, u in enumerate(self.dual_rays) if dot(u, g) == 0)
+            for g in self.gens
+        ]
+        return tuple(sorted(
+            g for g, z in zip(self.gens, zeros) if not any(w > z for w in zeros)
+        ))
 
     @cached_property
     def lineality_basis(self) -> Mat:

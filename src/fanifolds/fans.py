@@ -61,10 +61,15 @@ class Fan:
         return out
 
     def cone_index(self, cone: Cone) -> int | None:
+        """Index of the first cone equal to ``cone``, or None."""
+        return self._first_index.get(cone.key)
+
+    @cached_property
+    def _first_index(self) -> dict[tuple, int]:
+        out: dict[tuple, int] = {}
         for i, c in enumerate(self.cones):
-            if c == cone:
-                return i
-        return None
+            out.setdefault(c.key, i)
+        return out
 
     def support_contains(self, v: Sequence[int]) -> bool:
         return any(c.contains(v) for c in self.cones)
@@ -87,12 +92,10 @@ class Fan:
                 return problems
             if not c.is_strongly_convex:
                 problems.append(f"cone {i}: contains a line")
-        seen: dict[tuple, int] = {}
         for i, c in enumerate(self.cones):
-            if c.key in seen:
-                problems.append(f"cone {i} duplicates cone {seen[c.key]}")
-            else:
-                seen[c.key] = i
+            first = self._first_index[c.key]
+            if first != i:
+                problems.append(f"cone {i} duplicates cone {first}")
         if problems:
             return problems
         for i, j in itertools.combinations(range(len(self.cones)), 2):

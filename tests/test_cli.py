@@ -1,19 +1,22 @@
 """Command-line behaviour: exit codes, reports, goldens, mesh output."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from fanifolds import files
-from fanifolds.cli import run
+from fanifolds import cli, files
+from fanifolds.cli import COMMANDS, run
 from fanifolds.examples import EXAMPLES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 CLI_GOLDEN_DIR = os.path.join(GOLDEN_DIR, "cli")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def read_golden(name: str) -> str:
@@ -53,6 +56,13 @@ def test_help_and_usage_text_match_the_goldens(monkeypatch, capsys, case):
     assert code == case["code"]
     assert out == read_golden(case["name"] + ".out")
     assert err == read_golden(case["name"] + ".err")
+
+
+def test_goldens_hold_help_at_every_level_of_the_table():
+    argvs = {tuple(c["argv"]) for c in CLI_CASES}
+    paths = {c.path for c in COMMANDS}
+    levels = {()} | {p[:1] for p in paths} | paths
+    assert {(*level, "--help") for level in levels} <= argvs
 
 
 def test_one_shot_entry_point_reads_sys_argv():
@@ -120,6 +130,49 @@ GATED_COMMANDS = {
     "mirror-dict": ["mirror", "dict"],
     "mirror-restrict": ["mirror", "restrict", "--closed", "(s2,s2)"],
 }
+
+
+def command_path(words):
+    return tuple(itertools.takewhile(lambda w: not w.startswith(("-", "[")), words))
+
+
+def check_synopsis(synopsis: str) -> tuple:
+    """The command path a synopsis names; it must show the row's own
+    options, the required ones bare and the others in brackets."""
+    words = synopsis.split()
+    path = command_path(words)
+    (cmd,) = [c for c in COMMANDS if c.path == path]
+    for flag, options in cmd.args:
+        if options.get("required"):
+            assert flag in words, synopsis
+        else:
+            assert f"[{flag}" in words, synopsis
+    return path
+
+
+def readme_rows() -> list[tuple[tuple, str]]:
+    """(command path, "on an invalid fanifold" cell) of the README table."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("Subcommands:", 1)[1].split("\n\n", 2)[1]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if cells[0].startswith("`"):
+            rows.append((check_synopsis(cells[0].strip("`")), cells[2]))
+    return rows
+
+
+def test_readme_and_docstring_list_the_command_table():
+    paths = [c.path for c in COMMANDS]
+    gated = {c.path for c in COMMANDS if c.gated}
+    rows = readme_rows()
+    assert [path for path, _ in rows] == paths
+    assert {path for path, cell in rows if cell == "exits 2"} == gated
+    assert {command_path(argv) for argv in GATED_COMMANDS.values()} == gated
+
+    listing = cli.__doc__.split("Subcommands::", 1)[1].split("\n\n", 2)[1]
+    synopses = [re.split(r"\s{2,}", line.strip())[0] for line in listing.splitlines()]
+    assert [check_synopsis(s) for s in synopses] == paths
 
 
 @pytest.mark.parametrize("command", sorted(GATED_COMMANDS))

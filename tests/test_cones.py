@@ -1,11 +1,12 @@
-"""Cone.is_face_of against the brute-force face list, Cone.dim against the SNF."""
+"""Cone.is_face_of against the brute-force face list, Cone.dim against the SNF,
+Cone.extremal_rays against a second double description."""
 
 import itertools
 import random
 
 import pytest
 
-from fanifolds.cones import Cone, zero_cone
+from fanifolds.cones import Cone, dual_description, zero_cone
 from fanifolds.lattice import mat, smith_normal_form
 
 
@@ -89,3 +90,34 @@ def test_dim_matches_the_smith_rank_of_the_generators():
             seen_zero |= not c.gens
             seen_line |= bool(c.gens) and not c.is_strongly_convex
     assert seen_zero and seen_line
+
+
+def test_extremal_rays_match_the_double_description_of_the_dual():
+    """The combinatorial rule against the rays a double description recovers
+    from the dual: rank 0-4, lower-dimensional cones, gens that are sums of
+    other gens, and cones with a line."""
+    rng = random.Random(6061)
+    seen = {"zero": 0, "low": 0, "full": 0, "sum": 0, "line": 0}
+    for rank in range(5):
+        for _ in range(60):
+            dim = rng.randint(1, rank) if rank else 0
+            basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
+            gens = [
+                tuple(sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank))
+                for _ in range(rng.randint(1, rank + 3))
+            ]
+            if len(gens) >= 2 and rng.random() < 0.4:
+                gens.append(tuple(x + y for x, y in zip(gens[0], gens[1])))
+                seen["sum"] += 1
+            if gens and rng.random() < 0.2:
+                gens.append(tuple(-x for x in gens[-1]))  # often a line
+            c = Cone(gens, rank)
+            want = dual_description(c.dual_rays, c.perp_basis, c.rank)[1]
+            assert c.extremal_rays == want, c
+            if c.is_strongly_convex:
+                assert set(want) <= set(c.gens), c
+            seen["zero"] += not c.gens
+            seen["low"] += 0 < c.dim < rank
+            seen["full"] += 0 < c.dim == rank
+            seen["line"] += not c.is_strongly_convex
+    assert all(seen.values()), seen

@@ -82,6 +82,19 @@ def test_fan_validate_runs_once(monkeypatch):
     assert len(calls) == before
 
 
+def test_cone_index_returns_the_first_equal_cone():
+    a, b = Cone([(1, 0), (0, 1)], 2), Cone([(1, 0)], 2)
+    # cone 2 is cone 0 again, spanned by other gens
+    fan = Fan([a, b, Cone([(1, 0), (1, 1), (0, 1)], 2), zero_cone(2), b], 2)
+    assert fan.validate() == ["cone 2 duplicates cone 0", "cone 4 duplicates cone 1"]
+    assert fan.cone_index(Cone([(0, 1), (2, 1), (1, 0)], 2)) == 0
+    assert fan.cone_index(b) == 1
+    assert fan.cone_index(zero_cone(2)) == 3
+    assert fan.cone_index(Cone([(0, 1)], 2)) is None  # absent
+    assert fan.cone_index(Cone([(1, 0, 0)], 3)) is None  # another rank
+    assert fan.cone_index(zero_cone(3)) is None
+
+
 def test_fan_properties_projective_plane():
     props = projective_fan(2).properties()
     assert props["valid"] and props["complete"] and props["smooth"]

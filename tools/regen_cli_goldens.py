@@ -19,23 +19,20 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fanifolds.cli import run  # noqa: E402
+from fanifolds.cli import COMMANDS, run  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "goldens", "cli")
 
-GROUPS = {
-    "bmodel": ("components", "chart", "census", "ufunctor"),
-    "skeleton": ("report", "euler", "handles", "mesh"),
-    "mirror": ("dict", "restrict"),
-    "fan": ("props", "quotient", "resolve", "refines"),
-}
-
 
 def cases() -> list[tuple[str, list[str]]]:
-    out = [("help", ["--help"]), ("validate-help", ["validate", "--help"])]
-    for group, leaves in GROUPS.items():
-        out.append((f"{group}-help", [group, "--help"]))
-        out.extend((f"{group}-{leaf}-help", [group, leaf, "--help"]) for leaf in leaves)
+    """``--help`` at the top, at each group and at each command of the
+    table, then help in other spellings and every kind of usage error."""
+    levels: list[tuple[str, ...]] = [()]
+    for cmd in COMMANDS:
+        for level in (cmd.path[:1], cmd.path):
+            if level not in levels:
+                levels.append(level)
+    out = [("-".join((*level, "help")), [*level, "--help"]) for level in levels]
     out += [
         ("short-help", ["bmodel", "census", "-h"]),
         ("abbreviated-help", ["validate", "--he"]),
