@@ -71,19 +71,19 @@ def test_one_shot_entry_point_reads_sys_argv():
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
 
-    def cli(*argv):
+    def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", "fanifolds.cli", *argv],
             capture_output=True, text=True, env=env, check=False,
         )
 
-    proc = cli("validate", "--file", "unigon")
+    proc = run_module("validate", "--file", "unigon")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == (
         "dimension: 2\nstrata: 3\narrows: 4\n"
         "is_poset: false\ncoherent: true\nvalid: true\n"
     )
-    proc = cli("bmodel", "census", "--help")
+    proc = run_module("bmodel", "census", "--help")
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == read_golden("bmodel-census-help.out")
 
