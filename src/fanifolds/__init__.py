@@ -7,7 +7,7 @@ rings of sections of the glued toric space, and conic Lagrangian skeleta
 with their handle plans -- entirely over the integers.
 """
 
-from .cones import Cone, dual_monoid, product_cone, zero_cone
+from .cones import Cone, product_cone, zero_cone
 from .fanifold import (
     Arrow,
     Fanifold,

@@ -2,8 +2,9 @@
 
 A cone is stored by integer ray generators.  The dual description (facet
 normals plus the perpendicular lattice) is computed with a double-description
-pass, so membership, faces, relative interiors and Hilbert-style monoid
-generators are all exact -- no floating point anywhere.
+pass, so membership and faces are exact -- no floating point anywhere.  A
+face of a strongly convex cone is the sorted tuple of the extremal rays it
+keeps.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .lattice import (
     dot,
     identity_matrix,
     integer_kernel,
-    invert_unimodular,
     mat,
+    matrix_rank,
     primitivize,
     row_hermite,
     smith_normal_form,
@@ -170,7 +171,15 @@ class Cone:
 
     @cached_property
     def lineality_basis(self) -> Mat:
-        """Saturated basis of the largest linear subspace inside the cone."""
+        """Saturated basis of the largest linear subspace inside the cone.
+
+        The sum of the dual rays lies in the relative interior of the dual, so
+        it vanishes on the cone exactly along that subspace, and a cone whose
+        gens it is positive on holds no line.
+        """
+        s = [sum(u[i] for u in self.dual_rays) for i in range(self.rank)]
+        if all(dot(s, g) > 0 for g in self.gens):
+            return ()
         rows = list(self.dual_rays) + list(self.perp_basis)
         return integer_kernel(mat(rows), len(rows), self.rank)
 
@@ -220,6 +229,10 @@ class Cone:
         """Equality key: two cones agree iff they agree as point sets."""
         return (self.rank, frozenset(self.extremal_rays), self.lineality_basis)
 
+    def face_key(self, face: Mat) -> tuple:
+        """The key of the cone a face of this cone spans."""
+        return (self.rank, frozenset(face), ())
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cone) and self.key == other.key
 
@@ -229,44 +242,47 @@ class Cone:
     def __repr__(self) -> str:
         return f"Cone(rank={self.rank}, gens={list(self.gens)})"
 
-    def faces(self) -> list["Cone"]:
-        """All faces (cuts by supporting hyperplanes), the cone itself included."""
+    def _cut(self, vectors: Sequence[Vec]) -> Mat:
+        """Extremal rays of the smallest face holding ``vectors``.
+
+        The vectors lie in this strongly convex cone, and the dual rays that
+        vanish on all of them cut that face out (Fulton, Introduction to Toric
+        Varieties, 1.2).
+        """
         if not self.is_strongly_convex:
             raise ValueError("face enumeration needs a strongly convex cone")
-        found: dict[frozenset, Cone] = {}
-        ext = self.extremal_rays
-        for size in range(len(self.dual_rays) + 1):
-            for sub in itertools.combinations(self.dual_rays, size):
-                kept = frozenset(
-                    g for g in ext if all(dot(u, g) == 0 for u in sub)
-                )
-                if kept not in found:
-                    found[kept] = Cone(sorted(kept), self.rank)
-        return sorted(found.values(), key=lambda c: (c.dim, c.gens))
+        cut = [u for u in self.dual_rays if all(dot(u, v) == 0 for v in vectors)]
+        return tuple(
+            r for r in self.extremal_rays if all(dot(u, r) == 0 for u in cut)
+        )
 
-    def facets(self) -> list["Cone"]:
-        return [f for f in self.faces() if f.dim == self.dim - 1]
+    def facets(self) -> list[Mat]:
+        """The facets, one per dual ray: the extremal rays it vanishes on."""
+        if not self.is_strongly_convex:
+            raise ValueError("face enumeration needs a strongly convex cone")
+        return sorted({
+            tuple(r for r in self.extremal_rays if dot(u, r) == 0)
+            for u in self.dual_rays
+        })
+
+    def faces(self) -> list[Mat]:
+        """All faces, the cone itself included, ordered by (dimension, rays).
+
+        Every proper face is a meet of facets (Ziegler, Lectures on Polytopes,
+        ch. 2), and a meet keeps the rays both faces keep.
+        """
+        found = {self.extremal_rays}
+        for f in self.facets():
+            found |= {tuple(r for r in g if r in f) for g in found}
+        return sorted(found, key=lambda f: (matrix_rank(f), f))
 
     def is_face_of(self, other: "Cone") -> bool:
-        """True when this cone is a face of the strongly convex ``other``.
-
-        Decided by one supporting cut: the dual rays of ``other`` that vanish
-        on this cone cut out the smallest face of ``other`` containing it, and
-        this cone is a face exactly when it holds every extremal ray of
-        ``other`` on that cut.
-        """
+        """True when this cone is a face of the strongly convex ``other``:
+        it lies in ``other`` and holds every ray of its smallest face there."""
         if self.rank != other.rank:
             return False
-        if not other.is_strongly_convex:
-            raise ValueError("face enumeration needs a strongly convex cone")
-        if not other.contains_cone(self):
-            return False
-        cut = [u for u in other.dual_rays if all(dot(u, g) == 0 for g in self.gens)]
-        return all(
-            self.contains(r)
-            for r in other.extremal_rays
-            if all(dot(u, r) == 0 for u in cut)
-        )
+        face = other._cut(self.gens)
+        return other.contains_cone(self) and all(self.contains(r) for r in face)
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.rank != other.rank:
@@ -290,53 +306,6 @@ class Cone:
 
 def zero_cone(rank: int) -> Cone:
     return Cone((), rank)
-
-
-def dual_monoid(cone: Cone) -> tuple[Vec, ...]:
-    """Generators of the monoid {u in Z^n : u >= 0 on the cone}.
-
-    Splits off the perpendicular lattice (contributing a +/- basis) and runs a
-    bounded search for the irreducible elements of the pointed remainder: every
-    irreducible lies in the fundamental zonotope of the extremal rays, so a
-    coordinate box of that size suffices.
-    """
-    n = cone.rank
-    a = mat(cone.gens)
-    out: list[Vec] = []
-    for l in cone.perp_basis:
-        out.append(l)
-        out.append(vec_scale(-1, l))
-
-    snf = smith_normal_form(a)
-    r = snf.rank
-    if r:
-        vinv = invert_unimodular(snf.V)
-        comp = [tuple(row[j] for row in vinv) for j in range(r)]
-        ineqs = [tuple(dot(g, comp[j]) for j in range(r)) for g in cone.gens]
-        lin, rays = dual_description(ineqs, (), r)
-        if lin:
-            raise AssertionError("pointed reduction still has lineality")
-
-        def inside(c: Vec) -> bool:
-            return all(dot(iq, c) >= 0 for iq in ineqs)
-
-        bounds = [sum(abs(rr[j]) for rr in rays) for j in range(r)]
-        candidates = [
-            c
-            for c in itertools.product(*[range(-b, b + 1) for b in bounds])
-            if any(c) and inside(c)
-        ]
-        for x in candidates:
-            reducible = any(
-                y != x and any(vec_sub(x, y)) and inside(vec_sub(x, y))
-                for y in candidates
-            )
-            if not reducible:
-                u = tuple(
-                    sum(x[j] * comp[j][i] for j in range(r)) for i in range(n)
-                )
-                out.append(u)
-    return tuple(sorted(_dedup(out)))
 
 
 def product_cone(a: Cone, b: Cone) -> Cone:

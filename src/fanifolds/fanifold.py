@@ -626,7 +626,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         sigma = phi.arrow_cone(a)
         basis, expand = _span_coordinates(sigma)
         local = [
-            Cone([_coords_in_span(basis, g) for g in face.gens], len(basis))
+            Cone([_coords_in_span(basis, g) for g in face], len(basis))
             for face in sigma.faces()
         ]
         ffan = Fan(local, len(basis))

@@ -109,8 +109,19 @@ class Fan:
 
     @property
     def is_face_closed(self) -> bool:
-        keys = {c.key for c in self.cones}
-        return all(f.key in keys for c in self.cones for f in c.faces())
+        return not self._missing_faces
+
+    @cached_property
+    def _missing_faces(self) -> dict[tuple, Mat]:
+        """Key -> rays of each face of a cone that is not a cone of the fan,
+        in the order first met."""
+        out: dict[tuple, Mat] = {}
+        for c in self.cones:
+            for f in c.faces():
+                key = c.face_key(f)
+                if key not in self._first_index:
+                    out.setdefault(key, f)
+        return out
 
     @property
     def is_simplicial(self) -> bool:
@@ -125,7 +136,8 @@ class Fan:
         return self.completeness_witness() is None
 
     def completeness_witness(self) -> str | None:
-        """None when the support is everything, else a short reason."""
+        """None when the support of this valid fan is everything, else a
+        short reason."""
         if not self.is_face_closed:
             return "not closed under taking faces"
         if not self.cones:
@@ -138,14 +150,15 @@ class Fan:
             bad = next(c for c in tops if c.dim != self.rank)
             return f"maximal cone {list(bad.gens)} has dimension {bad.dim} < {self.rank}"
         shared: dict[int, set[int]] = {i: set() for i in range(len(tops))}
+        ray_sets = [set(c.extremal_rays) for c in tops]
         for i, c in enumerate(tops):
             for f in c.facets():
                 others = [
-                    j for j, c2 in enumerate(tops) if j != i and c2.contains_cone(f)
+                    j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
                 ]
                 if len(others) != 1:
                     return (
-                        f"facet {list(f.gens)} of a maximal cone is shared by "
+                        f"facet {list(f)} of a maximal cone is shared by "
                         f"{len(others)} other maximal cones, expected 1"
                     )
                 shared[i].add(others[0])
@@ -170,18 +183,10 @@ class Fan:
         }
         if problems:
             return out
-        keys = {c.key for c in self.cones}
-        missing = None
-        for c in self.cones:
-            for f in c.faces():
-                if f.key not in keys:
-                    missing = [list(g) for g in f.gens]
-                    break
-            if missing:
-                break
+        missing = next(iter(self._missing_faces.values()), None)
         out["face_closed"] = missing is None
         if missing is not None:
-            out["missing_face"] = missing
+            out["missing_face"] = [list(r) for r in missing]
         bad_simp = next((c for c in self.cones if not c.is_simplicial), None)
         out["simplicial"] = bad_simp is None
         if bad_simp is not None:
@@ -262,16 +267,9 @@ def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
 
 def face_closure(fan: Fan) -> Fan:
     """The same fan with every face of every cone appended (deduplicated)."""
-    cones = list(fan.cones)
-    keys = {c.key for c in cones}
-    extra: list[Cone] = []
-    for c in fan.cones:
-        for f in c.faces():
-            if f.key not in keys:
-                keys.add(f.key)
-                extra.append(f)
+    extra = [Cone(f, fan.rank) for f in fan._missing_faces.values()]
     extra.sort(key=lambda c: (c.dim, c.gens))
-    return Fan(cones + extra, fan.rank)
+    return Fan(fan.cones + tuple(extra), fan.rank)
 
 
 def stellar_subdivision(fan: Fan, point: Sequence[int]) -> Fan:
@@ -297,9 +295,10 @@ def stellar_subdivision(fan: Fan, point: Sequence[int]) -> Fan:
         if not c.contains(v):
             push(c)
             continue
+        star = set(c._cut((v,)))
         for f in c.facets():
-            if not f.contains(v):
-                push(Cone(list(f.gens) + [v], fan.rank))
+            if not star.issubset(f):
+                push(Cone(list(f) + [v], fan.rank))
     result = Fan(out, fan.rank)
     return face_closure(result) if closed else result
 
@@ -386,13 +385,13 @@ def cones_cover(sigma: Cone, pieces: Sequence[Cone]) -> bool:
     tops = [p for p in pieces if p.dim == d]
     if not tops:
         return False
-    sigma_facets = sigma.facets()
+    ray_sets = [set(t.extremal_rays) for t in tops]
     neighbours: dict[int, set[int]] = {i: set() for i in range(len(tops))}
     for i, t in enumerate(tops):
         for f in t.facets():
-            on_boundary = any(sf.contains_cone(f) for sf in sigma_facets)
+            on_boundary = sigma._cut(f) != sigma.extremal_rays
             sharers = [
-                j for j, t2 in enumerate(tops) if j != i and t2.contains_cone(f)
+                j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
             ]
             if on_boundary:
                 if sharers:

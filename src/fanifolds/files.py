@@ -44,14 +44,9 @@ def _fan_to_dict(fan: Fan | StackyFan) -> dict:
     ray_index = {tuple(r): i for i, r in enumerate(plain.rays)}
     cones = []
     for c in plain.cones:
-        idx = []
-        for r in c.extremal_rays:
-            if tuple(r) not in ray_index:
-                raise ValueError(f"cone ray {r} missing from the fan's ray list")
-            idx.append(ray_index[tuple(r)])
-        if Cone([plain.rays[i] for i in idx], plain.rank) != c:
+        if not c.is_strongly_convex:
             raise ValueError("cone is not recovered by its extremal rays")
-        cones.append(sorted(idx))
+        cones.append(sorted(ray_index[r] for r in c.extremal_rays))
     out = {"rays": rays, "cones": cones}
     if isinstance(fan, StackyFan):
         out["stacky_beta"] = [

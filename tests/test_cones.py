@@ -1,5 +1,6 @@
-"""Cone.is_face_of against the brute-force face list, Cone.dim against the SNF,
-Cone.extremal_rays against a second double description."""
+"""Cone.faces, Cone.facets and Cone.is_face_of against the subset enumeration
+of the dual rays, Cone.dim against the SNF, Cone.extremal_rays against a
+second double description, Cone.lineality_basis against the kernel."""
 
 import itertools
 import random
@@ -7,16 +8,29 @@ import random
 import pytest
 
 from fanifolds.cones import Cone, dual_description, zero_cone
-from fanifolds.lattice import mat, smith_normal_form
+from fanifolds.lattice import dot, integer_kernel, mat, smith_normal_form
+
+
+def reference_faces(c):
+    """Every subset of the dual rays cuts out the extremal rays it vanishes
+    on; the faces in order of (dimension, rays), the dimension read from a
+    cone built on each face."""
+    found = set()
+    for size in range(len(c.dual_rays) + 1):
+        for sub in itertools.combinations(c.dual_rays, size):
+            found.add(tuple(
+                g for g in c.extremal_rays if all(dot(u, g) == 0 for u in sub)
+            ))
+    return sorted(found, key=lambda f: (Cone(f, c.rank).dim, f))
 
 
 def face_keys(other):
-    """The old definition's face list: keys of every cone in other.faces()."""
-    return {f.key for f in other.faces()}
+    return {Cone(f, other.rank).key for f in reference_faces(other)}
 
 
-def random_strongly_convex(rng, rank):
-    """A strongly convex cone of rank `rank`, often not full-dimensional."""
+def random_strongly_convex(rng, rank, most=None):
+    """A strongly convex cone of rank `rank`, often not full-dimensional,
+    with at most `most` (default rank + 3) generators."""
     while True:
         dim = rng.randint(1, rank)
         basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
@@ -24,7 +38,7 @@ def random_strongly_convex(rng, rank):
             [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank)]
             if dim < rank
             else [rng.randint(-3, 3) for _ in range(rank)]
-            for _ in range(rng.randint(dim, rank + 3))
+            for _ in range(rng.randint(dim, most or rank + 3))
         ]
         c = Cone(gens, rank)
         if c.gens and c.is_strongly_convex:
@@ -45,7 +59,7 @@ def test_is_face_of_matches_face_enumeration():
             other = random_strongly_convex(rng, rank)
             keys = face_keys(other)
             for f in other.faces():
-                assert check(f, other, keys)
+                assert check(Cone(f, rank), other, keys)
             rays = other.extremal_rays
             for size in range(len(rays) + 1):
                 for sub in itertools.combinations(rays, size):
@@ -63,6 +77,51 @@ def test_is_face_of_matches_face_enumeration():
             )
             assert not zero_cone(rank + 1).is_face_of(other)
     assert verdicts == {True, False}
+
+
+def test_faces_and_facets_match_the_subset_enumeration():
+    rng = random.Random(7207)
+    seen = {"zero": 0, "low": 0, "full": 0, "non-simplicial": 0}
+    for rank in range(6):
+        for _ in range(30):
+            if rank == 0 or rng.random() < 0.1:
+                c = zero_cone(rank)
+            else:
+                c = random_strongly_convex(rng, rank, most=rank + 1 if rank == 5 else None)
+            want = reference_faces(c)
+            assert c.faces() == want, c
+            assert c.facets() == [
+                f for f in want if Cone(f, rank).dim == c.dim - 1
+            ], c
+            seen["zero"] += not c.gens
+            seen["low"] += 0 < c.dim < rank
+            seen["full"] += 0 < c.dim == rank
+            seen["non-simplicial"] += not c.is_simplicial
+    assert all(seen.values()), seen
+    with pytest.raises(ValueError):
+        Cone([(1, 0), (-1, 0)], 2).faces()
+    with pytest.raises(ValueError):
+        Cone([(1, 0), (-1, 0), (0, 1)], 2).facets()
+
+
+def test_lineality_basis_matches_the_kernel_of_the_dual():
+    """The shortcut (no line when the sum of the dual rays is positive on
+    every gen) against the kernel of the dual rays and the perp basis."""
+    rng = random.Random(4409)
+    lines = 0
+    for rank in range(5):
+        for _ in range(60):
+            gens = [
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 2))
+            ]
+            if gens and rng.random() < 0.3:
+                gens.append(tuple(-x for x in gens[-1]))  # often a line
+            c = Cone(gens, rank)
+            rows = list(c.dual_rays) + list(c.perp_basis)
+            assert c.lineality_basis == integer_kernel(mat(rows), len(rows), rank), c
+            lines += bool(c.lineality_basis)
+    assert lines >= 30, lines
 
 
 def test_is_face_of_needs_strongly_convex_other():

@@ -2,7 +2,7 @@
 
 import random
 
-from fanifolds.cones import Cone, dual_monoid, product_cone, zero_cone
+from fanifolds.cones import Cone, product_cone, zero_cone
 from fanifolds.examples import (
     a1_fan,
     orthant_fan,
@@ -14,6 +14,7 @@ from fanifolds.examples import (
 from fanifolds.fans import (
     Fan,
     StackyFan,
+    cones_cover,
     face_closure,
     fan_from_ray_indices,
     quotient_fan,
@@ -40,10 +41,27 @@ def test_cone_extremal_rays_drop_redundant_generators():
     assert c == Cone([(1, 0), (0, 1)], 2)
 
 
-def test_dual_monoid_quadric():
-    # dual of cone<(-1,1),(1,1)> needs three hilbert generators
-    gens = dual_monoid(Cone([(-1, 1), (1, 1)], 2))
-    assert sorted(gens) == [(-1, 1), (0, 1), (1, 1)]
+def test_face_tests_on_a_validated_fan_build_no_cone(monkeypatch):
+    coarse = orthant_fan(2)
+    fine = stellar_subdivision(coarse, (1, 1))
+    fans = [projective_fan(2), orthant_fan(3), quadric_fan(), p1_fan(), coarse, fine]
+    for fan in fans:
+        assert fan.validate() == []
+    built = []
+    init = Cone.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cone, "__init__", counted)
+    for fan in fans:
+        assert fan.is_face_closed
+        fan.completeness_witness()
+        fan.properties()
+    assert refines(fine, coarse).ok
+    assert cones_cover(coarse.cones[0], [c for c in fine.cones if c.dim == 2])
+    assert not built
 
 
 def test_product_cone():

@@ -8,7 +8,10 @@ import pytest
 
 from fanifolds import files
 from fanifolds.cli import run
+from fanifolds.cones import Cone
 from fanifolds.examples import EXAMPLES
+from fanifolds.fanifold import Fanifold, Stratum
+from fanifolds.fans import Fan
 
 DATA_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "fanifolds", "data"
@@ -52,6 +55,13 @@ def test_save_and_load_files(tmp_path):
     path = tmp_path / "interval.json"
     files.save_fanifold(phi, str(path))
     assert files.dumps(files.load_fanifold(str(path))) == files.dumps(phi)
+
+
+def test_dumps_refuses_a_cone_with_a_line():
+    halfplane = Fan([Cone([(1, 0), (-1, 0), (0, 1)], 2)], 2)
+    phi = Fanifold(2, [Stratum(name="s", dim=0, fan=halfplane)], [])
+    with pytest.raises(ValueError, match="^cone is not recovered by its extremal rays$"):
+        files.dumps(phi)
 
 
 def _base():
