@@ -1,8 +1,8 @@
 """Randomized property suites.
 
 Each suite runs at least 200 cases from a fixed seed.  The drivers are
-plain functions; ``test_acceptance.py`` runs all six once, with the default
-cases and seed, under its time bound.
+plain functions so the acceptance tests can re-run them with their own
+budget; the pytest wrappers below call them with the defaults.
 """
 
 import random
@@ -107,6 +107,10 @@ def run_quotient_composition_suite(seed=SEED, cases=CASES):
         done += 1
 
 
+def test_quotient_composition_suite():
+    run_quotient_composition_suite()
+
+
 # -- suite 2: Smith normal form ----------------------------------------------
 
 
@@ -134,6 +138,10 @@ def run_snf_suite(seed=SEED, cases=CASES):
         assert len(nz) == matrix_rank(a)
 
 
+def test_snf_suite():
+    run_snf_suite()
+
+
 # -- suite 3: constructors always validate -----------------------------------
 
 
@@ -155,6 +163,10 @@ def run_constructor_validation_suite(seed=SEED, cases=CASES):
             report = section.validate()
             assert report.valid and report.coherent
             assert section.dimension == fan.rank - 1
+
+
+def test_constructor_validation_suite():
+    run_constructor_validation_suite()
 
 
 # -- suite 4: euler characteristic vs direct recount -------------------------
@@ -226,6 +238,10 @@ def run_euler_suite(seed=SEED, cases=CASES):
         done += 1
 
 
+def test_euler_suite():
+    run_euler_suite()
+
+
 # -- suite 5: section-functor identities -------------------------------------
 
 
@@ -245,6 +261,10 @@ def run_u_identity_suite(seed=SEED, cases=CASES):
         # marking is monotone in the closed set
         big = sorted(set(c) | set(d))
         assert set(u_functor(phi, c).marked) <= set(u_functor(phi, big).marked)
+
+
+def test_u_identity_suite():
+    run_u_identity_suite()
 
 
 # -- suite 6: restriction pairs are contravariant ----------------------------
@@ -268,3 +288,7 @@ def run_restriction_suite(seed=SEED, cases=CASES):
             s.name for s in phi.strata if s.interior and s.name not in z2
         }
         assert set(p2.a_removed) == removed
+
+
+def test_restriction_suite():
+    run_restriction_suite()
