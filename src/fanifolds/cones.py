@@ -5,11 +5,17 @@ normals plus the perpendicular lattice) is computed with a double-description
 pass, so membership and faces are exact -- no floating point anywhere.  A
 face of a strongly convex cone is the sorted tuple of the extremal rays it
 keeps.
+
+Cones are interned: equal normalized generator tuples in the same rank share
+one live, immutable ``Cone``, so its dual description, extremal rays and key
+are computed once for every caller that holds it.  The table holds cones
+weakly, so a cone lives only while some caller holds it.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -116,10 +122,17 @@ def dual_description(
 
 
 class Cone:
-    """Convex rational polyhedral cone spanned by integer generators."""
+    """Convex rational polyhedral cone spanned by integer generators.
 
-    def __init__(self, generators: Iterable[Sequence[int]], rank: int):
-        self.rank = rank
+    The generators are made primitive and deduplicated in their given order.
+    Equal normalized generators in the same rank share one live, immutable
+    instance, which carries every cached property below; nothing assigns to
+    a cone once it is built.
+    """
+
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, generators: Iterable[Sequence[int]], rank: int):
         gens: list[Vec] = []
         seen: set[Vec] = set()
         for g in generators:
@@ -131,7 +144,20 @@ class Cone:
                 if p not in seen:
                     seen.add(p)
                     gens.append(p)
-        self.gens = tuple(gens)
+        key = (rank, tuple(gens))
+        self = cls._live.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.rank, self.gens = key
+            cls._live[key] = self
+        return self
+
+    def __init__(self, generators: Iterable[Sequence[int]], rank: int):
+        """Nothing left to do: ``__new__`` normalized and interned the cone."""
+
+    def __reduce__(self):
+        # copies and unpickled cones go through the table too
+        return Cone, (self.gens, self.rank)
 
     # -- dual data ---------------------------------------------------------
 

@@ -100,8 +100,15 @@ class Fan:
             return problems
         for i, j in itertools.combinations(range(len(self.cones)), 2):
             ci, cj = self.cones[i], self.cones[j]
-            meet = ci.intersection(cj)
-            if not (meet.is_face_of(ci) and meet.is_face_of(cj)):
+            # a nested pair meets in the smaller cone, a face of itself
+            if cj.contains_cone(ci):
+                common = ci.is_face_of(cj)
+            elif ci.contains_cone(cj):
+                common = cj.is_face_of(ci)
+            else:
+                meet = ci.intersection(cj)
+                common = meet.is_face_of(ci) and meet.is_face_of(cj)
+            if not common:
                 problems.append(
                     f"cones {i} and {j} do not intersect in a common face"
                 )

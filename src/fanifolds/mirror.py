@@ -121,6 +121,22 @@ def _edge_multiset(phi: Fanifold, name_map) -> dict:
     return out
 
 
+def _first_bijection(names, candidates, accept, chosen=()) -> dict | None:
+    """The first assignment, in backtracking order, of a distinct candidate
+    to each name (``candidates[i]`` lists those for ``names[i]``, in the
+    order tried) that ``accept`` takes; None when there is none."""
+    i = len(chosen)
+    if i == len(names):
+        assignment = dict(zip(names, chosen))
+        return assignment if accept(assignment) else None
+    for a in candidates[i]:
+        if a not in chosen:
+            found = _first_bijection(names, candidates, accept, chosen + (a,))
+            if found is not None:
+                return found
+    return None
+
+
 def _shape_isomorphism(phi_b: Fanifold, phi_a: Fanifold) -> ShapeCertificate:
     """Backtracking search for a decoration-preserving bijection of strata."""
     b_names = sorted(s.name for s in phi_b.strata)
@@ -129,34 +145,14 @@ def _shape_isomorphism(phi_b: Fanifold, phi_a: Fanifold) -> ShapeCertificate:
         return ShapeCertificate(False)
     b_shape = {n: _node_shape(phi_b, n) for n in b_names}
     a_shape = {n: _node_shape(phi_a, n) for n in a_names}
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    a_edges = _edge_multiset(phi_a, {n: n for n in a_names})
 
-    def edges_ok() -> bool:
-        b_edges = _edge_multiset(phi_b, assignment)
-        ident = {n: n for n in a_names}
-        a_edges = _edge_multiset(phi_a, ident)
-        for key, cnt in b_edges.items():
-            if a_edges.get(key, 0) != cnt:
-                return False
-        return sum(b_edges.values()) == sum(a_edges.values())
+    def edges_ok(assignment: dict[str, str]) -> bool:
+        return _edge_multiset(phi_b, assignment) == a_edges
 
-    def search(i: int) -> bool:
-        if i == len(b_names):
-            return edges_ok()
-        b = b_names[i]
-        for a in a_names:
-            if a in used or a_shape[a] != b_shape[b]:
-                continue
-            assignment[b] = a
-            used.add(a)
-            if search(i + 1):
-                return True
-            del assignment[b]
-            used.discard(a)
-        return False
-
-    if search(0):
+    candidates = [[a for a in a_names if a_shape[a] == b_shape[b]] for b in b_names]
+    assignment = _first_bijection(b_names, candidates, edges_ok)
+    if assignment is not None:
         return ShapeCertificate(
             True, tuple(sorted((b, assignment[b]) for b in b_names))
         )

@@ -1,13 +1,20 @@
 """Cone.faces, Cone.facets and Cone.is_face_of against the subset enumeration
 of the dual rays, Cone.dim against the SNF, Cone.extremal_rays against a
-second double description, Cone.lineality_basis against the kernel."""
+second double description, Cone.lineality_basis against the kernel; one live
+cone per normalized generator tuple."""
 
+import collections
+import copy
+import gc
 import itertools
+import os
 import random
+import weakref
 
 import pytest
 
 from fanifolds.cones import Cone, dual_description, zero_cone
+from fanifolds.files import load_fanifold
 from fanifolds.lattice import dot, integer_kernel, mat, smith_normal_form
 
 
@@ -180,3 +187,48 @@ def test_extremal_rays_match_the_double_description_of_the_dual():
             seen["full"] += 0 < c.dim == rank
             seen["line"] += not c.is_strongly_convex
     assert all(seen.values()), seen
+
+
+def test_equal_normalized_gens_share_one_live_cone():
+    c = Cone([(1, 0), (0, 1)], 2)
+    assert Cone([(2, 0), (0, 3)], 2) is c
+    assert Cone(iter([(1, 0), (0, 0), (3, 0), (0, 1)]), 2) is c
+    assert copy.deepcopy(c) is c
+    assert zero_cone(2) is not zero_cone(3)
+    permuted = Cone([(0, 1), (1, 0)], 2)
+    assert permuted is not c
+    assert permuted == c
+    assert permuted.gens == ((0, 1), (1, 0))
+
+
+def test_a_cone_lives_only_while_someone_holds_it():
+    gc.collect()
+    gc.disable()
+    try:
+        c = Cone([(5, 7, 11), (1, 2, 3)], 3)
+        c.faces()
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+        assert (3, ((5, 7, 11), (1, 2, 3))) not in Cone._live
+    finally:
+        gc.enable()
+
+
+def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
+    dualized = collections.Counter()
+    dual = Cone._dual.func
+
+    def counted(self):
+        dualized[self.rank, self.gens] += 1
+        return dual(self)
+
+    monkeypatch.setattr(Cone._dual, "func", counted)
+    total = 0
+    for name in sorted(os.listdir(data)):
+        dualized.clear()
+        assert load_fanifold(os.path.join(data, name)).validate().coherent, name
+        assert max(dualized.values(), default=1) == 1, (name, dualized.most_common(3))
+        total += len(dualized)
+    assert total > 50

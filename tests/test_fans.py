@@ -1,9 +1,11 @@
 """Cones, fans, quotients, subdivisions, and stacky structure."""
 
+import itertools
 import random
 
 from fanifolds.cones import Cone, product_cone, zero_cone
 from fanifolds.examples import (
+    EXAMPLES,
     a1_fan,
     orthant_fan,
     p1_fan,
@@ -81,6 +83,70 @@ def test_fan_validate_catches_overlap():
     orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     bad = Fan([orthant, Cone([(1, 1, 0), (1, 1, -1)], 3)], 3)
     assert bad.validate() == problem
+
+
+def meet_rule(fan):
+    """The pairwise problems of a fan found by building every meet and
+    asking whether it is a face of both cones: the oracle for the
+    nested-pair shortcut in ``Fan.validate``."""
+    return [
+        f"cones {i} and {j} do not intersect in a common face"
+        for (i, ci), (j, cj) in itertools.combinations(enumerate(fan.cones), 2)
+        if not all(ci.intersection(cj).is_face_of(c) for c in (ci, cj))
+    ]
+
+
+def test_validate_matches_the_meet_rule_on_the_bundled_examples():
+    """Each stratum fan, and the same fan with a ray through the interior of
+    one of its cones added first or last: the ray lies in that cone but is
+    not one of its faces."""
+    broken = 0
+    for name, build in EXAMPLES.items():
+        for st in build().strata:
+            fan = st.plain_fan
+            assert fan.validate() == meet_rule(fan) == [], (name, st.name)
+            for c in fan.cones:
+                if c.dim < 2:
+                    continue
+                ray = Cone([[sum(x) for x in zip(*c.extremal_rays)]], fan.rank)
+                for cones in ((ray,) + fan.cones, fan.cones + (ray,)):
+                    bad = Fan(cones, fan.rank)
+                    assert bad.validate() == meet_rule(bad) != [], (name, st.name, c)
+                    broken += 1
+    assert broken > 20
+
+
+def test_validate_matches_the_meet_rule_on_random_fans():
+    """Random cones of rank 2 and 3 mixed with their faces and with rays
+    inside them, so nested pairs meet both in a face and off one."""
+    rng = random.Random(8081)
+    seen = {"valid": 0, "invalid": 0, "face": 0, "not a face": 0}
+    for _ in range(300):
+        rank = rng.choice((2, 3))
+        pool = []
+        while len(pool) < 3:
+            gens = [
+                [rng.randint(-2, 2) for _ in range(rank)]
+                for _ in range(rng.randint(1, rank + 1))
+            ]
+            c = Cone(gens, rank)
+            if c.gens and c.is_strongly_convex:
+                pool.append(c)
+        for c in list(pool):
+            pool += [Cone(f, rank) for f in c.faces()]
+            weights = [rng.randint(0, 2) for _ in c.extremal_rays]
+            inside = [sum(w * r[i] for w, r in zip(weights, c.extremal_rays)) for i in range(rank)]
+            pool.append(Cone([inside], rank))
+        picked = {}
+        for c in rng.sample(pool, rng.randint(2, 5)):
+            picked.setdefault(c.key, c)
+        fan = Fan(picked.values(), rank)
+        assert fan.validate() == meet_rule(fan), fan.cones
+        seen["invalid" if fan.validate() else "valid"] += 1
+        for ci, cj in itertools.permutations(fan.cones, 2):
+            if ci.gens and cj.contains_cone(ci):
+                seen["face" if ci.is_face_of(cj) else "not a face"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_fan_validate_runs_once(monkeypatch):

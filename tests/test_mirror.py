@@ -1,11 +1,15 @@
 """Matched chart-side / skeleton-side labels and restriction pairs."""
 
+import gc
 import json
+import os
+import weakref
 
 import pytest
 
 from fanifolds.examples import EXAMPLES
 from fanifolds.fanifold import Fanifold
+from fanifolds.files import load_fanifold
 from fanifolds.mirror import (
     A_SIDE_CONVENTION,
     mirror_dictionary,
@@ -29,6 +33,23 @@ def test_dictionary_certificate_is_a_bijection():
     md = mirror_dictionary(EXAMPLES["square"]())
     matching = dict(md.certificate.matching)
     assert sorted(matching) == sorted(matching.values())
+
+
+def test_dictionary_leaves_no_reference_cycle():
+    """With the cyclic collector off, the fanifold (and the cones it holds)
+    is freed as soon as the caller drops it."""
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
+    gc.collect()
+    gc.disable()
+    try:
+        for name in sorted(os.listdir(data)):
+            phi = load_fanifold(os.path.join(data, name))
+            ref = weakref.ref(phi)
+            assert mirror_dictionary(phi).certificate.ok, name
+            del phi
+            assert ref() is None, name
+    finally:
+        gc.enable()
 
 
 def test_dictionary_convention_is_recorded_verbatim():
