@@ -405,7 +405,12 @@ def cmd_fan_quotient(args) -> int:
     phi = _load(args)
     fan = _stratum_fan(phi, args.stratum)
     plain = fan.fan if isinstance(fan, StackyFan) else fan
-    ray_idx = [int(p) for p in _split_ids(args.cone)]
+    ray_idx = []
+    for p in _split_ids(args.cone):
+        try:
+            ray_idx.append(int(p))
+        except ValueError:
+            raise ValueError(f"--cone: {p!r} is not a ray index") from None
     for i in ray_idx:
         if not 0 <= i < len(plain.rays):
             raise ValueError(f"no ray {i} in the fan at {args.stratum!r}")

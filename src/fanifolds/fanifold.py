@@ -10,6 +10,7 @@ spaces, skeleta, mirrors) is computed from this diagram alone.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -22,13 +23,10 @@ from .lattice import (
     Vec,
     identity_matrix,
     integer_kernel,
-    is_unimodular,
     lattice_map,
     mat,
     mat_mul,
-    right_inverse,
     solve_integer,
-    vec,
 )
 
 
@@ -84,14 +82,18 @@ class Fanifold:
         arrows: Iterable[Arrow],
         compact: bool | None = None,
         provenance: tuple | None = None,
+        quotients: Mapping[tuple[str, int], FanQuotient] | None = None,
     ):
+        """``quotients`` maps (source, cone index) to the star quotient a
+        constructor already built for an arrow, so ``arrow_quotient`` does not
+        build it again; each must equal ``quotient_fan`` of that cone."""
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
         self.compact = compact
         self.provenance = provenance
         self.by_name = {s.name: s for s in self.strata}
-        self._fq_cache: dict[tuple[str, int], FanQuotient] = {}
+        self._fq_cache: dict[tuple[str, int], FanQuotient] = dict(quotients or {})
 
     def __repr__(self) -> str:
         return (
@@ -195,15 +197,13 @@ class Fanifold:
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso shape mismatch")
                 continue
             if tgt.lattice_rank != fq.fan.rank or (
-                tgt.lattice_rank and not a.iso.is_unimodular
+                tgt.lattice_rank and not a.iso.is_unimodular()
             ):
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso not unimodular")
                 continue
-            image_keys = sorted(
-                c.image(a.iso).key for c in fq.fan.cones
-            )
-            target_keys = sorted(c.key for c in tgt.plain_fan.cones)
-            if image_keys != target_keys:
+            # keys hold frozensets, which sorted() cannot put in one order
+            image_keys = Counter(c.image(a.iso).key for c in fq.fan.cones)
+            if image_keys != Counter(c.key for c in tgt.plain_fan.cones):
                 errors.append(
                     f"arrow {k} ({a.source}->{a.target}): quotient fan does not"
                     " match the target fan"
@@ -292,24 +292,33 @@ def _stratum_fan_for_cone(
     return fq.fan, fq
 
 
+def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> LatticeMap:
+    """The map ``iso`` with ``iso . fq.projection == numerator``.
+
+    ``numerator`` must vanish on the kernel of the projection.  Then the iso
+    is unique, and since the quotient's section is a right inverse of the
+    projection, it is ``numerator @ section``.
+    """
+    free = fq.fan.rank
+    return lattice_map(
+        mat_mul(numerator, fq.section.matrix) if free else (), free, target_rank
+    )
+
+
 def _arrow_between_cones(
-    fan: Fan, i: int, j: int, fq_i: FanQuotient, fq_j: FanQuotient,
-    name_i: str, name_j: str,
-) -> Arrow:
-    """Arrow between the cone-i stratum and the cone-j stratum (i face of j)."""
-    p_i = fq_i.projection
-    p_j = fq_j.projection
-    pos = fq_i.star.index(j)
-    sub_index = pos
+    j: int, fq_i: FanQuotient, fq_j: FanQuotient, name_i: str, name_j: str,
+) -> tuple[Arrow, FanQuotient]:
+    """Arrow from the cone-i stratum to the cone-j stratum (i a face of j),
+    with its star quotient.  The iso is ``p_j @ s_i @ s_ij``: it satisfies
+    ``iso . p_ij . p_i == p_j``."""
+    sub_index = fq_i.star.index(j)
     fq_ij = quotient_fan(fq_i.fan, sub_index)
-    if fq_ij.fan.rank == 0:
-        iso = lattice_map((), 0, len(p_j.matrix))
-    else:
-        comp = mat_mul(fq_ij.projection.matrix, p_i.matrix)
-        rinv = right_inverse(comp, fq_ij.fan.rank, fan.rank)
-        iso_mat = mat_mul(p_j.matrix, rinv)
-        iso = lattice_map(iso_mat, fq_ij.fan.rank, len(p_j.matrix))
-    return Arrow(source=name_i, target=name_j, cone_index=sub_index, iso=iso)
+    p_j = fq_j.projection.matrix
+    iso = _iso_through_section(
+        mat_mul(p_j, fq_i.section.matrix), fq_ij, len(p_j)
+    )
+    arrow = Arrow(source=name_i, target=name_j, cone_index=sub_index, iso=iso)
+    return arrow, fq_ij
 
 
 def _cone_strata(
@@ -318,8 +327,9 @@ def _cone_strata(
     keep: Sequence[int],
     shift: int,
     names: Sequence[str] | None,
-) -> tuple[list[Stratum], list[Arrow]]:
-    """One stratum of dimension dim - shift per kept cone, and its face arrows.
+) -> tuple[list[Stratum], list[Arrow], dict[tuple[str, int], FanQuotient]]:
+    """One stratum of dimension dim - shift per kept cone, its face arrows,
+    and each arrow's star quotient keyed by (source, cone index).
 
     ``names`` (default ``s<cone index>``) name the kept cones in order.
     """
@@ -334,17 +344,18 @@ def _cone_strata(
         quotients[i] = fq
         strata.append(Stratum(name=name[i], dim=plain.cones[i].dim - shift, fan=sub))
     arrows = []
+    arrow_quotients: dict[tuple[str, int], FanQuotient] = {}
     for i in keep:
         for j in keep:
             ci, cj = plain.cones[i], plain.cones[j]
             if i == j or not cj.contains_cone(ci) or cj.dim == ci.dim:
                 continue
-            arrows.append(
-                _arrow_between_cones(
-                    plain, i, j, quotients[i], quotients[j], name[i], name[j]
-                )
+            arrow, fq = _arrow_between_cones(
+                j, quotients[i], quotients[j], name[i], name[j]
             )
-    return strata, arrows
+            arrows.append(arrow)
+            arrow_quotients[(arrow.source, arrow.cone_index)] = fq
+    return strata, arrows, arrow_quotients
 
 
 def from_fan(
@@ -353,13 +364,16 @@ def from_fan(
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
     plain = require_valid_fan(fan)
     n = plain.rank
-    strata, arrows = _cone_strata(fan, plain, range(len(plain.cones)), 0, names)
+    strata, arrows, quotients = _cone_strata(
+        fan, plain, range(len(plain.cones)), 0, names
+    )
     return Fanifold(
         dimension=n,
         strata=strata,
         arrows=arrows,
         compact=(n == 0),
         provenance=("fan", fan),
+        quotients=quotients,
     )
 
 
@@ -369,13 +383,14 @@ def sphere_section(
     """Fanifold structure on the unit-sphere slice of the fan's support."""
     plain = require_valid_fan(fan)
     keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
-    strata, arrows = _cone_strata(fan, plain, keep, 1, names)
+    strata, arrows, quotients = _cone_strata(fan, plain, keep, 1, names)
     return Fanifold(
         dimension=plain.rank - 1,
         strata=strata,
         arrows=arrows,
         compact=plain.is_face_closed,
         provenance=("sphere", fan),
+        quotients=quotients,
     )
 
 
@@ -426,7 +441,7 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
                 )
             )
     by_name = {s.name: s for s in strata}
-    fq_cache: dict[tuple[str, int], FanQuotient] = {}
+    quotients: dict[tuple[str, int], FanQuotient] = {}
 
     def zero_index(phi: Fanifold, name: str) -> int:
         f = phi.stratum(name).plain_fan
@@ -452,7 +467,7 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         i2 = a2.cone_index if a2 else zero_index(phi2, g2)
         cone_index = i1 * len2 + i2
         fq = quotient_fan(by_name[src].plain_fan, cone_index)
-        fq_cache[(src, cone_index)] = fq
+        quotients[(src, cone_index)] = fq
         m1 = (
             phi1.arrow_map(a1).matrix
             if a1
@@ -471,18 +486,9 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         ] + [
             (0,) * c1 + tuple(m2[i]) for i in range(r2)
         ]
-        free = fq.fan.rank
-        if free == 0:
-            iso = lattice_map((), 0, r1 + r2)
-        else:
-            rinv = right_inverse(mat(fq.projection.matrix), free, c1 + c2)
-            iso = lattice_map(
-                mat_mul(mat(block), rinv) if block else (),
-                free,
-                r1 + r2,
-            )
+        iso = _iso_through_section(block, fq, r1 + r2)
         arrows.append(Arrow(source=src, target=tgt, cone_index=cone_index, iso=iso))
-    out = Fanifold(
+    return Fanifold(
         dimension=phi1.dimension + phi2.dimension,
         strata=strata,
         arrows=arrows,
@@ -492,9 +498,8 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
             else phi1.compact and phi2.compact
         ),
         provenance=("product", phi1, phi2),
+        quotients=quotients,
     )
-    out._fq_cache.update(fq_cache)
-    return out
 
 
 def disjoint_union(a: Fanifold, b: Fanifold, prefixes=("L.", "R.")) -> Fanifold:
@@ -578,16 +583,9 @@ class UnrolledClosure:
     top: str  # id of the stratum covering F itself
 
 
-def _span_coordinates(cone: Cone) -> tuple[Mat, Mat]:
-    """Basis (rows) of the saturated span of a cone, and expansion back.
-
-    Returns (basis, expand) with expand @ coords = ambient vector.
-    """
-    basis = integer_kernel(mat(cone.perp_basis), len(cone.perp_basis), cone.rank)
-    expand = tuple(
-        tuple(row[i] for row in basis) for i in range(cone.rank)
-    )  # rank x dim matrix: columns are the basis vectors
-    return basis, expand
+def _span_basis(cone: Cone) -> Mat:
+    """Basis (rows) of the saturated span of a cone."""
+    return integer_kernel(mat(cone.perp_basis), len(cone.perp_basis), cone.rank)
 
 
 def _coords_in_span(basis: Mat, v: Vec) -> Vec:
@@ -615,7 +613,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
 
     strata = []
     to_original = {}
-    span_data: dict[str, tuple[Mat, Mat]] = {}
+    span_basis: dict[str, Mat] = {}
     face_fans: dict[str, Fan] = {}
     for name, a in objects:
         if a is None:
@@ -624,18 +622,18 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
             continue
         src = phi.stratum(a.source)
         sigma = phi.arrow_cone(a)
-        basis, expand = _span_coordinates(sigma)
+        basis = _span_basis(sigma)
         local = [
             Cone([_coords_in_span(basis, g) for g in face], len(basis))
             for face in sigma.faces()
         ]
         ffan = Fan(local, len(basis))
-        span_data[name] = (basis, expand)
+        span_basis[name] = basis
         face_fans[name] = ffan
         strata.append(Stratum(name=name, dim=src.dim, fan=ffan))
         to_original[name] = a.source
 
-    fq_cache: dict[tuple[str, int], FanQuotient] = {}
+    quotients: dict[tuple[str, int], FanQuotient] = {}
     arrows = []
     for name_a, a in objects:
         if a is None:
@@ -645,6 +643,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         top_index = next(
             i for i, c in enumerate(ffan.cones) if c.dim == ffan.rank
         )
+        quotients[(name_a, top_index)] = quotient_fan(ffan, top_index)
         arrows.append(
             Arrow(
                 source=name_a,
@@ -672,39 +671,21 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
                     continue
                 if sigma_a.image(map_c) != phi.arrow_cone(b):
                     continue
-                basis_a, _ = span_data[name_a]
-                basis_b, expand_b = span_data[name_b]
+                basis_a, basis_b = span_basis[name_a], span_basis[name_b]
                 local_c = Cone(
                     [_coords_in_span(basis_a, g) for g in sigma_c.gens],
                     len(basis_a),
                 )
                 ci = face_fans[name_a].cone_index(local_c)
-                fq = fq_cache.get((name_a, ci))
+                fq = quotients.get((name_a, ci))
                 if fq is None:
-                    fq = quotient_fan(face_fans[name_a], ci)
-                    fq_cache[(name_a, ci)] = fq
+                    fq = quotients[(name_a, ci)] = quotient_fan(face_fans[name_a], ci)
                 # span(sigma_a) -> span(sigma_b) through the original arrow c
-                rows = []
-                for coord_vec in identity_matrix(len(basis_a)):
-                    amb = tuple(
-                        sum(basis_a[j][i] * coord_vec[j] for j in range(len(basis_a)))
-                        for i in range(len(basis_a[0]) if basis_a else 0)
-                    )
-                    img = map_c(amb)
-                    rows.append(_coords_in_span(basis_b, img))
+                rows = [_coords_in_span(basis_b, map_c(v)) for v in basis_a]
                 span_map = tuple(
                     tuple(r[i] for r in rows) for i in range(len(basis_b))
                 )  # matrix dim_b x dim_a acting on coordinates
-                free = fq.fan.rank
-                if free == 0:
-                    iso = lattice_map((), 0, len(basis_b))
-                else:
-                    rinv = right_inverse(
-                        mat(fq.projection.matrix), free, len(basis_a)
-                    )
-                    iso = lattice_map(
-                        mat_mul(mat(span_map), rinv), free, len(basis_b)
-                    )
+                iso = _iso_through_section(span_map, fq, len(basis_b))
                 arrows.append(
                     Arrow(source=name_a, target=name_b, cone_index=ci, iso=iso)
                 )
@@ -714,8 +695,8 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         arrows=arrows,
         compact=None,
         provenance=("unrolled", phi, f_name),
+        quotients=quotients,
     )
-    out._fq_cache.update(fq_cache)
     return UnrolledClosure(fanifold=out, to_original=to_original, top=f"{f_name}.top")
 
 

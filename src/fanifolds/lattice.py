@@ -495,19 +495,6 @@ def solve_integer(a: Mat, b: Sequence[int]) -> Vec | None:
     return mat_vec(invert_unimodular(snf.V), y) if n else ()
 
 
-def right_inverse(a: Mat, rows: int, cols: int) -> Mat:
-    """Integer right inverse of a surjective map Z^cols -> Z^rows."""
-    if rows == 0:
-        return tuple(() for _ in range(cols)) if cols else ()
-    snf = smith_normal_form(a)
-    if snf.invariant_factors != (1,) * rows:
-        raise ValueError("map is not surjective onto the lattice")
-    vinv = invert_unimodular(snf.V)
-    uinv = invert_unimodular(snf.U)
-    dplus = tuple(tuple(1 if (i == j) else 0 for j in range(rows)) for i in range(cols))
-    return mat_mul(mat_mul(vinv, dplus), uinv)
-
-
 def integer_kernel(a: Mat, rows: int, cols: int) -> tuple[Vec, ...]:
     """Canonical (row-style Hermite) basis of {x in Z^cols : A x = 0}.
 

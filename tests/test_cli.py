@@ -304,6 +304,16 @@ def test_fan_commands(capsys):
     assert "refines: true" in out
 
 
+@pytest.mark.parametrize("cone", ["x", "0,x"])
+def test_fan_quotient_names_a_bad_cone_index(capsys, cone):
+    code, out, err = run_capture(
+        capsys,
+        ["fan", "quotient", "--file", "proj2.json", "--stratum", "s3", "--cone", cone],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --cone: 'x' is not a ray index\n"
+
+
 def test_ufunctor_command(capsys):
     code, out, _ = run_capture(
         capsys,

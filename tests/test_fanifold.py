@@ -1,17 +1,22 @@
 """Exit diagrams: construction, validation, order structure, surgery."""
 
 import dataclasses
+import random
 
 import pytest
 
+from fanifolds import fanifold, fans
+from fanifolds.cones import Cone
 from fanifolds.examples import (
     EXAMPLES,
     a1_fan,
     orthant_fan,
     p1_fan,
     projective_fan,
+    quadric_fan,
 )
 from fanifolds.fanifold import (
+    Fanifold,
     delete_strata,
     disjoint_union,
     empty_fanifold,
@@ -22,6 +27,8 @@ from fanifolds.fanifold import (
     sphere_section,
     unrolled_closure,
 )
+from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
+from fanifolds.lattice import identity_matrix, lattice_map, mat_mul, mat_vec
 
 
 def test_from_fan_affine_line():
@@ -224,3 +231,154 @@ def test_arrow_maps_compose_coherently_on_square():
         assert amap.matrix is not None
         fq = sq.arrow_quotient(a)
         assert fq.fan.rank == sq.stratum(a.target).lattice_rank
+
+
+def test_validate_rejects_an_arrow_iso_that_is_not_unimodular():
+    phi = EXAMPLES["affine2"]()
+    k, a = next((k, a) for k, a in enumerate(phi.arrows) if a.iso.source.rank == 1)
+    doubled = dataclasses.replace(
+        a, iso=lattice_map(((2 * a.iso.matrix[0][0],),), 1, 1)
+    )
+    arrows = phi.arrows[:k] + (doubled,) + phi.arrows[k + 1:]
+    report = Fanifold(phi.dimension, phi.strata, arrows).validate()
+    assert report.errors == (
+        f"arrow {k} ({a.source}->{a.target}): iso not unimodular",
+    )
+
+
+def test_arrow_check_ignores_the_order_of_the_target_cones():
+    # cone keys hold frozensets, which have no total order; in these diagrams
+    # the quotient's images and the target fan list the rays in other orders
+    assert unrolled_closure(EXAMPLES["affine3"](), "s0").fanifold.validate().valid
+    assert product(EXAMPLES["unigon"](), EXAMPLES["interval"]()).validate().valid
+
+
+# -- arrow quotients and isos from the constructors -----------------------------
+
+
+def _random_basis_fans(seed=9091):
+    """Plain, subdivided and stacky fans, each in a random lattice basis."""
+    rng = random.Random(seed)
+    out = []
+    for k, base in enumerate(
+        [orthant_fan(2), quadric_fan(), projective_fan(2)] * 2 + [orthant_fan(3)]
+    ):
+        n = base.rank
+        m = [list(r) for r in identity_matrix(n)]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            t = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+        rng.shuffle(m)
+        fan = Fan([Cone([mat_vec(m, g) for g in c.gens], n) for c in base.cones], n)
+        if k % 2 or k == 6:
+            cone = rng.choice([c for c in fan.cones if c.dim >= 2])
+            fan = stellar_subdivision(fan, tuple(map(sum, zip(*cone.gens))))
+        if k >= 3:
+            fan = StackyFan(fan, {r: rng.randint(1, 3) for r in fan.rays})
+        out.append(fan)
+    return out
+
+
+def _from_fan_diagrams():
+    """from_fan and sphere_section on the examples' fans and the random fans."""
+    fans_ = [
+        phi.provenance[1]
+        for phi in (build() for build in EXAMPLES.values())
+        if phi.provenance and phi.provenance[0] in ("fan", "sphere")
+    ] + _random_basis_fans()
+    return [(fan, build(fan)) for fan in fans_ for build in (from_fan, sphere_section)]
+
+
+def _product_diagrams():
+    interval = EXAMPLES["interval"]()
+    factors = [build() for _, build in sorted(EXAMPLES.items())] + [
+        from_fan(fan) for fan in _random_basis_fans()
+    ]
+    return [(phi, interval, product(phi, interval)) for phi in factors]
+
+
+def _constructed_diagrams():
+    out = [phi for _, phi in _from_fan_diagrams()]
+    out += [p for _, _, p in _product_diagrams()]
+    for _, build in sorted(EXAMPLES.items()):
+        phi = build()
+        out += [unrolled_closure(phi, s.name).fanifold for s in phi.strata]
+    return out
+
+
+def test_validating_a_constructed_diagram_builds_no_quotient(monkeypatch):
+    diagrams = _constructed_diagrams()
+    calls = []
+
+    def counted(fan, cone_index):
+        calls.append(cone_index)
+        return quotient_fan(fan, cone_index)
+
+    monkeypatch.setattr(fanifold, "quotient_fan", counted)
+    monkeypatch.setattr(fans, "quotient_fan", counted)
+    reports = [phi.validate() for phi in diagrams]
+    assert calls == []
+    assert all(r.valid for r in reports)
+
+
+def test_quotients_handed_to_the_diagram_equal_fresh_ones():
+    for phi in _constructed_diagrams():
+        assert set(phi._fq_cache) == {(a.source, a.cone_index) for a in phi.arrows}
+        for (name, index), fq in phi._fq_cache.items():
+            fresh = quotient_fan(phi.stratum(name).plain_fan, index)
+            assert fq.projection == fresh.projection
+            assert fq.section == fresh.section
+            assert fq.star == fresh.star
+            assert fq.torsion == fresh.torsion
+            assert [c.key for c in fq.fan.cones] == [c.key for c in fresh.fan.cones]
+
+
+def test_arrow_isos_satisfy_their_defining_identity():
+    # from_fan / sphere_section: the arrow s<i> -> s<j> carries p_i to p_j
+    checked = 0
+    for fan, phi in _from_fan_diagrams():
+        plain = fan.fan if isinstance(fan, StackyFan) else fan
+        for a in phi.arrows:
+            p_i = quotient_fan(plain, int(a.source[1:])).projection
+            p_j = quotient_fan(plain, int(a.target[1:])).projection
+            assert mat_mul(phi.arrow_map(a).matrix, p_i.matrix) == p_j.matrix
+            checked += 1
+    # product: the arrow map is block-diagonal in the factors' arrow maps,
+    # with an identity on a factor that stands still
+    for phi1, phi2, phi in _product_diagrams():
+        by_key = {(a.source, a.cone_index): a for a in phi.arrows}
+        seen = 0
+        for a1, g1 in _moves(phi1):
+            for a2, g2 in _moves(phi2):
+                if a1 is None and a2 is None:
+                    continue
+                m1, c1 = _move_map(phi1, a1, g1)
+                m2, c2 = _move_map(phi2, a2, g2)
+                block = tuple(r + (0,) * c2 for r in m1) + tuple(
+                    (0,) * c1 + r for r in m2
+                )
+                len2 = len(phi2.stratum(g2).plain_fan.cones)
+                index = _move_index(phi1, a1, g1) * len2 + _move_index(phi2, a2, g2)
+                a = by_key[(f"({g1},{g2})", index)]
+                assert phi.arrow_map(a).matrix == block
+                seen += 1
+        assert seen == len(phi.arrows)
+        checked += seen
+    assert checked > 500
+
+
+def _moves(phi):
+    """Each arrow with its source, then each stratum standing still."""
+    return [(a, a.source) for a in phi.arrows] + [(None, s.name) for s in phi.strata]
+
+
+def _move_map(phi, a, name):
+    rank = phi.stratum(name).lattice_rank
+    return (phi.arrow_map(a).matrix if a else identity_matrix(rank)), rank
+
+
+def _move_index(phi, a, name):
+    if a is not None:
+        return a.cone_index
+    return next(i for i, c in enumerate(phi.stratum(name).plain_fan.cones) if c.dim == 0)
