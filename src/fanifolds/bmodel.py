@@ -6,6 +6,16 @@ stratum, and collapse maps along fanifold arrows (the monomials not
 perpendicular to the collapsed cone are sent to zero).  A global section is
 a coefficient tuple compatible with every map, so censuses reduce to exact
 linear bookkeeping over the rationals.
+
+The census counts classes of box points under these maps.  Since every
+stratum keeps its zero-cone chart, the face localizations join all copies
+of a point in one stratum, so a class id belongs to a stratum lattice point:
+only the points in the dual of every kept cone get one, and one zero sink
+stands for the rest.  Each fanifold arrow is walked once, out of the chart
+of its own cone, whose collapse makes every identification the larger
+charts' collapses make; ``_census_classes`` gives the proof.  The support
+sizes are counted from interval lengths, and chart points are built only
+for a basis.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cones import Cone
 from .fanifold import Fanifold, require_valid, unrolled_closure
@@ -71,47 +81,62 @@ class ToricDiagram:
         return self.fanifold.stratum(self.objects[i].stratum).lattice_rank
 
     def support(self, i: int, degree: int) -> list[Vec]:
-        """Dual-lattice points of the chart monoid inside the coordinate box.
+        """Dual-lattice points of the chart monoid inside the coordinate box,
+        in lexicographic order."""
+        return _box_points(self.object_cone(i).gens, self.object_rank(i), degree)
 
-        The points come in lexicographic order.  Only the first rank - 1
-        coordinates walk the box; for each such prefix the inequalities
-        u.g >= 0 cut the last coordinate down to one integer interval.
-        """
-        rank = self.object_rank(i)
-        if rank == 0:
-            return [()]
-        gens = self.object_cone(i).gens
-        heads = [(g[:-1], g[-1]) for g in gens]
-        out: list[Vec] = []
-        for prefix in itertools.product(range(-degree, degree + 1), repeat=rank - 1):
-            lo, hi = -degree, degree
-            for head, last in heads:
-                s = sum(map(mul, prefix, head))
-                if last > 0:
-                    lo = max(lo, -(s // last))
-                elif last < 0:
-                    hi = min(hi, s // -last)
-                elif s < 0:
-                    break
-                if lo > hi:
-                    break
-            else:
-                out.extend([prefix + (x,) for x in range(lo, hi + 1)])
-        return out
+
+def _box_cuts(
+    gens: Sequence[Vec], rank: int, degree: int
+) -> Iterator[tuple[Vec, int, int]]:
+    """The box points u with u.g >= 0 for every g in ``gens``, as intervals.
+
+    Only the first rank - 1 coordinates walk the box, in lexicographic
+    order; for each such prefix the inequalities cut the last coordinate
+    down to one integer interval lo..hi, yielded when it is not empty.
+    Needs rank >= 1.
+    """
+    heads = [(g[:-1], g[-1]) for g in gens]
+    for prefix in itertools.product(range(-degree, degree + 1), repeat=rank - 1):
+        lo, hi = -degree, degree
+        for head, last in heads:
+            s = sum(map(mul, prefix, head))
+            if last > 0:
+                lo = max(lo, -(s // last))
+            elif last < 0:
+                hi = min(hi, s // -last)
+            elif s < 0:
+                break
+            if lo > hi:
+                break
+        else:
+            yield prefix, lo, hi
+
+
+def _box_points(gens: Sequence[Vec], rank: int, degree: int) -> list[Vec]:
+    if rank == 0:
+        return [()]
+    return [
+        prefix + (x,)
+        for prefix, lo, hi in _box_cuts(gens, rank, degree)
+        for x in range(lo, hi + 1)
+    ]
+
+
+def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
+    if rank == 0:
+        return 1
+    return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
 
 
 def _collapse_matrices(phi: Fanifold, arrow) -> tuple[Mat, Mat]:
     """Monomial matrices of the orbit-closure co-map along a fanifold arrow."""
     fq = phi.arrow_quotient(arrow)
     a = arrow.iso.matrix
-    s = fq.section.matrix
-    p = fq.projection.matrix
-    if not a:
-        rank_g = phi.stratum(arrow.source).lattice_rank
-        return tuple(() for _ in range(0)), tuple((0,) * 0 for _ in range(rank_g))
-    a_inv_t = transpose(invert_unimodular(a))
-    forward = mat_mul(a_inv_t, transpose(s))
-    backward = mat_mul(transpose(p), transpose(a))
+    if not a:  # rank-0 target: forward has no rows, backward no columns
+        return (), ((),) * phi.stratum(arrow.source).lattice_rank
+    forward = mat_mul(transpose(invert_unimodular(a)), transpose(fq.section.matrix))
+    backward = mat_mul(transpose(fq.projection.matrix), transpose(a))
     return forward, backward
 
 
@@ -259,47 +284,92 @@ class SectionCensus:
 
 def _census_classes(
     diagram: ToricDiagram, degree: int
-) -> tuple[_UnionFind, list[dict[Vec, int]]]:
-    """Union-find structure of box coefficients under all compatibility maps.
+) -> tuple[_UnionFind, dict[str, dict[Vec, int]]]:
+    """Union-find classes of the box coefficients under all compatibility maps.
 
-    Chart i's support points get the contiguous ids offset_i + k, in support
-    order; ``ids[i]`` maps each point to its id.
+    A class id belongs to a stratum lattice point, not to a chart point.
+    Three facts about the diagrams ``full_diagram`` and ``chart_diagram``
+    build make this exact:
+
+    * Every stratum keeps its zero-cone chart, and a restriction arrow runs
+      from each chart to the chart of every kept cone it contains, the zero
+      cone included.  So the restrictions join all copies of u in one
+      stratum, and they zero u unless it lies in the dual of every kept
+      cone.  Only those points, the surviving ones, get an id; every other
+      box point of the stratum reads the sink, id 0, zero from the start.
+    * For a fanifold arrow with cone sigma, each kept chart tau >= sigma
+      collapses onto the target's chart of the image of tau.  Its points in
+      sigma^perp are those of the sigma chart cut down by the dual of tau,
+      the image chart's points are those of the zero chart cut down by the
+      dual of the image, and u lies in the one dual exactly when its image
+      lies in the other.  So the collapse of the sigma chart into the zero
+      chart makes every union and mark the others make, and it is the one
+      collapse walked per arrow.
+    * ``forward`` = a^-T s^T and ``backward`` = p^T a^T, for the iso a, the
+      projection p and its section s, are inverse bijections between
+      sigma^perp and the target lattice.  p s = I gives
+      forward(backward(w)) = w.  backward(forward(u)) = (s p)^T u, and
+      u . (v - s p v) = 0 for every v, since v - s p v lies in ker p, the
+      saturated span of sigma, on which u vanishes.  So the box walk joins
+      exactly the surviving u in sigma^perp whose image is a surviving
+      target point; every other surviving u in sigma^perp, and every
+      surviving target point that no such u reaches, is zero.
+
+    Returns the classes and, per stratum, each surviving point's id.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     uf = _UnionFind()
-    ids: list[dict[Vec, int]] = []
-    for i in range(len(diagram.objects)):
-        sup = diagram.support(i, degree)
-        start = uf.extend(len(sup))
-        ids.append(dict(zip(sup, range(start, start + len(sup)))))
+    uf.mark_zero(uf.extend(1))  # the sink, id 0
+    cones: dict[str, list[Cone]] = {}
+    ranks: dict[str, int] = {}
+    for i, obj in enumerate(diagram.objects):
+        cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
+        ranks[obj.stratum] = diagram.object_rank(i)
+    ids: dict[str, dict[Vec, int]] = {}
+    for name, kept in cones.items():
+        if all(c.gens for c in kept):
+            raise ValueError(f"stratum {name!r} has no zero-cone chart")
+        gens = list(dict.fromkeys(g for c in kept for g in c.gens))
+        points = _box_points(gens, ranks[name], degree)
+        start = uf.extend(len(points))
+        ids[name] = dict(zip(points, range(start, start + len(points))))
 
-    union, mark_zero = uf.union, uf.mark_zero
-    lo, hi = -degree, degree
+    objects = diagram.objects
     for arrow in diagram.arrows:
-        src_ids, tgt_ids = ids[arrow.source], ids[arrow.target]
-        if arrow.kind == "restrict":
-            # the source cone contains the target cone, so the source dual
-            # cone (and support) sits inside the target's
-            for u, x in src_ids.items():
-                union(x, tgt_ids[u])
-            for w, y in tgt_ids.items():
-                if w not in src_ids:
-                    mark_zero(y)
-            continue
-        gens, forward, backward = arrow.cone.gens, arrow.forward, arrow.backward
-        for u, x in src_ids.items():
-            if any(sum(map(mul, u, g)) for g in gens):
-                continue
-            w = tuple([sum(map(mul, row, u)) for row in forward])
-            if all(lo <= c <= hi for c in w):
-                union(x, tgt_ids[w])
-            else:
-                mark_zero(x)
-        for w, y in tgt_ids.items():
-            if not all(lo <= sum(map(mul, row, w)) <= hi for row in backward):
-                mark_zero(y)
+        if arrow.kind == "collapse" and not diagram.object_cone(arrow.target).gens:
+            _collapse(
+                uf,
+                ids[objects[arrow.source].stratum],
+                ids[objects[arrow.target].stratum],
+                arrow,
+            )
     return uf, ids
+
+
+def _collapse(
+    uf: _UnionFind, src: dict[Vec, int], tgt: dict[Vec, int], arrow: DiagramArrow
+) -> None:
+    """Walk one collapse from the chart of its cone sigma into the zero chart
+    of the target stratum, over the surviving points of both strata."""
+    # every surviving source point lies in the dual of sigma, whose chart is
+    # kept, so it is perpendicular to sigma when it is to the sum of the gens
+    total = [sum(c) for c in zip(*arrow.cone.gens)]
+    forward = arrow.forward
+    union, mark_zero = uf.union, uf.mark_zero
+    hit = set()
+    for u, x in src.items():
+        if sum(map(mul, u, total)):
+            continue
+        y = tgt.get(tuple([sum(map(mul, row, u)) for row in forward]))
+        if y is None:
+            mark_zero(x)
+        else:
+            union(x, y)
+            hit.add(y)
+    for y in tgt.values():
+        if y not in hit:
+            mark_zero(y)
 
 
 def _free_roots(uf: _UnionFind) -> list[int]:
@@ -311,29 +381,36 @@ def _free_roots(uf: _UnionFind) -> list[int]:
 def limit_census(
     diagram: ToricDiagram, degree: int, with_basis: bool = False
 ) -> SectionCensus:
-    """Dimension of the compatible coefficient tuples up to the degree box."""
+    """Dimension of the compatible coefficient tuples up to the degree box.
+
+    With ``with_basis``, one ``{(object, u): 1}`` dict per free class, over
+    its chart points; the classes come in the order of their first chart
+    point, walking the objects in order and each chart in support order.
+    """
     uf, ids = _census_classes(diagram, degree)
-    free = _free_roots(uf)
+    sizes = {
+        obj: _box_count(diagram.object_cone(i).gens, diagram.object_rank(i), degree)
+        for i, obj in enumerate(diagram.objects)
+    }
     warnings = list(diagram.warnings)
-    for obj, chart in zip(diagram.objects, ids):
-        if not chart:
-            warnings.append(f"chart {obj} has empty support")
+    warnings += [f"chart {obj} has empty support" for obj, n in sizes.items() if not n]
     basis = None
     if with_basis:
-        find = uf.find
-        members: dict[int, dict[tuple[ChartObject, Vec], int]] = {r: {} for r in free}
-        for obj, chart in zip(diagram.objects, ids):
-            for u, x in chart.items():
-                r = find(x)
-                if r in members:
-                    members[r][(obj, u)] = 1
-        basis = [members[r] for r in free]
+        find, zero = uf.find, uf.zero
+        members: dict[int, dict[tuple[ChartObject, Vec], int]] = {}
+        for i, obj in enumerate(diagram.objects):
+            chart = ids[obj.stratum]
+            for u in diagram.support(i, degree):
+                r = find(chart.get(u, 0))
+                if not zero[r]:
+                    members.setdefault(r, {})[(obj, u)] = 1
+        basis = list(members.values())
     return SectionCensus(
         degree=degree,
-        dimension=len(free),
+        dimension=len(_free_roots(uf)),
         object_count=len(diagram.objects),
         arrow_count=len(diagram.arrows),
-        support_sizes={obj: len(chart) for obj, chart in zip(diagram.objects, ids)},
+        support_sizes=sizes,
         warnings=warnings,
         basis=basis,
     )
@@ -395,9 +472,7 @@ def _laurent_add(a: Laurent, b: Laurent, scale: int = 1) -> Laurent:
     return out
 
 
-def _push_stratum(phi: Fanifold, arrow, value: Laurent) -> Laurent:
-    forward, _ = _collapse_matrices(phi, arrow)
-    sigma = phi.arrow_cone(arrow)
+def _push_stratum(sigma: Cone, forward: Mat, value: Laurent) -> Laurent:
     out: Laurent = {}
     for u, c in value.items():
         if any(dot(u, g) != 0 for g in sigma.gens):
@@ -408,9 +483,12 @@ def _push_stratum(phi: Fanifold, arrow, value: Laurent) -> Laurent:
 
 
 def _stratum_values(
-    phi: Fanifold, seed: Mapping[str, Laurent]
+    phi: Fanifold, seed: Mapping[str, Laurent], forwards: Sequence[Mat]
 ) -> tuple[dict[str, Laurent], list[str]]:
-    """Propagate per-stratum Laurent values up the exit diagram."""
+    """Propagate per-stratum Laurent values up the exit diagram.
+
+    ``forwards[k]`` is the collapse forward matrix of ``phi.arrows[k]``.
+    """
     problems: list[str] = []
     minimal = {s.name for s in phi.minimal_strata()}
     missing = minimal - set(seed)
@@ -422,10 +500,10 @@ def _stratum_values(
     values: dict[str, Laurent] = {k: dict(v) for k, v in seed.items() if k in minimal}
     order = sorted(phi.strata, key=lambda s: s.dim)
     for s in order:
-        for a in phi.out_arrows(s.name):
-            if s.name not in values:
+        for a, forward in zip(phi.arrows, forwards):
+            if a.source != s.name or s.name not in values:
                 continue
-            pushed = _push_stratum(phi, a, values[s.name])
+            pushed = _push_stratum(phi.arrow_cone(a), forward, values[s.name])
             if a.target in values:
                 if values[a.target] != pushed:
                     problems.append(
@@ -479,9 +557,10 @@ def subalgebra_check(
     if max_factors is None:
         max_factors = degree
     problems: list[str] = []
+    forwards = [_collapse_matrices(phi, a)[0] for a in phi.arrows]
     gen_values: list[dict[str, Laurent]] = []
     for name, seed in generators:
-        vals, errs = _stratum_values(phi, seed)
+        vals, errs = _stratum_values(phi, seed, forwards)
         gen_values.append(vals)
         problems.extend(f"generator {name!r}: {e}" for e in errs)
 
@@ -501,21 +580,25 @@ def subalgebra_check(
                 holds = False
         rel_results.append((rel_name, holds))
 
-    diagram = full_diagram(phi)
-    uf, ids = _census_classes(diagram, degree)
+    uf, ids = _census_classes(full_diagram(phi), degree)
     free = _free_roots(uf)
     free_pos = {r: i for i, r in enumerate(free)}
 
     def tuple_vector(values: dict[str, Laurent]) -> list[int] | None:
+        """The class coefficients of the chart points' values.  A stratum's
+        chart points are its box points; each reads the class of its
+        stratum point, or the zero sink."""
         coeffs: dict[int, int] = {}
-        for obj, chart in zip(diagram.objects, ids):
-            val = values[obj.stratum]
-            for u, x in chart.items():
+        for name, points in ids.items():
+            val = values[name]
+            for u, c in val.items():
+                if c and u not in points and all(-degree <= x <= degree for x in u):
+                    return None  # nonzero value on a point of the sink
+            for u, x in points.items():
                 c = val.get(u, 0)
                 r = uf.find(x)
-                if r in coeffs and coeffs[r] != c:
+                if coeffs.setdefault(r, c) != c:
                     return None
-                coeffs[r] = c
         vec = [0] * len(free)
         for x, c in coeffs.items():
             if x in free_pos:
@@ -538,7 +621,7 @@ def subalgebra_check(
                     values[m] = _laurent_mul(values[m], gen_values[gi][m])
             # extend to every stratum by pushing forward
             full_vals, errs = _stratum_values(
-                phi, {m: values[m] for m in minimal}
+                phi, {m: values[m] for m in minimal}, forwards
             )
             if errs:
                 problems.append(

@@ -704,7 +704,13 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
 
 
 def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
-    """Ideal boundary of (real line) x from_fan: two fan-decorated endpoints."""
+    """Ideal boundary of (real line) x from_fan: two fan-decorated endpoints.
+
+    The mid strata are the sphere section's, with its arrows and quotients.
+    Each endpoint copies the arrows out of the zero stratum of ``from_fan``,
+    whose fan has the endpoint's cones in the same order, with their
+    quotients re-keyed to the endpoint.
+    """
     plain = sigma_fan.fan if isinstance(sigma_fan, StackyFan) else sigma_fan
     mid = sphere_section(sigma_fan)
     strata = [
@@ -714,21 +720,24 @@ def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
     for s in mid.strata:
         strata.append(Stratum(name=s.name, dim=s.dim + 1, fan=s.fan))
     arrows = list(mid.arrows)
+    quotients = {(a.source, a.cone_index): mid.arrow_quotient(a) for a in mid.arrows}
     helper = from_fan(sigma_fan)
+    zero = helper.strata[_zero_cone_index(plain)].name
     for end in ("end0", "end1"):
         for a in helper.arrows:
-            if a.source != helper.strata[_zero_cone_index(plain)].name:
+            if a.source != zero:
                 continue
-            # target stratum of the helper corresponds to a nonzero cone,
-            # which is a mid stratum of the sphere section with the same name
-            target = a.target
-            arrows.append(replace(a, source=end, target=target))
+            # the helper's target stratum, named after a nonzero cone, is
+            # the mid stratum of the sphere section with the same name
+            arrows.append(replace(a, source=end))
+            quotients[(end, a.cone_index)] = helper.arrow_quotient(a)
     return Fanifold(
         dimension=plain.rank,
         strata=strata,
         arrows=arrows,
         compact=plain.is_face_closed,
         provenance=None,
+        quotients=quotients,
     )
 
 

@@ -1,12 +1,15 @@
 """Section rings of glued toric spaces: diagrams, censuses, subalgebras."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fanifolds import bmodel
 from fanifolds.bmodel import (
+    ChartObject,
     ToricDiagram,
     _census_classes,
     chart_diagram,
@@ -18,8 +21,18 @@ from fanifolds.bmodel import (
     u_identities_hold,
 )
 from fanifolds.cones import Cone, zero_cone
-from fanifolds.examples import EXAMPLES
-from fanifolds.lattice import dot, mat_vec
+from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan
+from fanifolds.fanifold import (
+    Fanifold,
+    from_fan,
+    ideal_boundary,
+    manifold,
+    product,
+    require_valid,
+)
+from fanifolds.fans import Fan, quotient_fan
+from fanifolds.lattice import dot, invert_unimodular, lattice_map, mat_mul, mat_vec
+from test_properties import random_fan
 
 
 def census_dims(phi, degrees):
@@ -219,17 +232,17 @@ def test_support_is_the_box_filter_in_product_order():
     for cone in cones:
         chart = _OneChart(cone)
         for degree in (0, 1, 3):
-            assert chart.support(0, degree) == _box_support(cone, degree), (
-                cone,
-                degree,
-            )
+            box = _box_support(cone, degree)
+            assert chart.support(0, degree) == box, (cone, degree)
+            assert bmodel._box_count(cone.gens, cone.rank, degree) == len(box)
 
 
 def _reference_census(diagram, degree):
     """The box walk the census used to do: every box point of every chart,
     with restriction and collapse maps applied point by point.  Returns the
-    dimension, support sizes, basis and the union-find arrays as they stood
-    after the last map."""
+    dimension, support sizes, basis (classes in the order of their first
+    chart point) and the class of every chart point (i, u): its root, or
+    None when the class is zero."""
     supports, var, parent, zero = [], {}, [], []
 
     def find(x):
@@ -278,29 +291,168 @@ def _reference_census(diagram, degree):
                 u = mat_vec(arrow.backward, w)
             if u is None or not in_box(u):
                 mark_zero(var[(tgt, w)])
-    arrays = (list(parent), list(zero))
-    free = sorted(r for r in {find(x) for x in range(len(parent))} if not zero[r])
-    members = {r: {} for r in free}
+    classes = {}
+    members = {}
     for (i, u), x in var.items():
         r = find(x)
-        if r in members:
-            members[r][(diagram.objects[i], u)] = 1
+        classes[(i, u)] = None if zero[r] else r
+        if not zero[r]:
+            members.setdefault(r, {})[(diagram.objects[i], u)] = 1
     sizes = {diagram.objects[i]: len(sup) for i, sup in enumerate(supports)}
-    return len(free), sizes, [members[r] for r in free], arrays
+    return len(members), sizes, list(members.values()), classes
+
+
+def _kernel_classes(diagram, degree, points):
+    """The kernel's class of each chart point (i, u), or None when zero: the
+    class of u in the chart's stratum, or the zero sink, id 0."""
+    uf, ids = _census_classes(diagram, degree)
+    out = {}
+    for i, u in points:
+        r = uf.find(ids[diagram.objects[i].stratum].get(u, 0))
+        out[(i, u)] = None if uf.zero[r] else r
+    return out
+
+
+def _same_partition(a, b):
+    """Same chart points, the same ones zero, and the free classes of one
+    matched one to one with those of the other."""
+    if a.keys() != b.keys():
+        return False
+    pairs = {(a[k], b[k]) for k in a}
+    if any((x is None) != (y is None) for x, y in pairs):
+        return False
+    return len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs})
+
+
+def _unimodular(rng, n):
+    """A small random matrix in GL(n, Z): signed permutation times shears."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        m[i][j] = rng.choice((-1, 1))
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _rebased(phi, rng):
+    """The same diagram with each stratum's lattice in a random basis (and
+    its plain fan, since the census never reads stacky data).  The box is
+    not invariant, so the collapse maps can carry box points out of it."""
+    moves = {
+        s.name: tuple(map(tuple, _unimodular(rng, s.lattice_rank)))
+        for s in phi.strata
+    }
+    strata = []
+    for s in phi.strata:
+        n = s.lattice_rank
+        move = lattice_map(moves[s.name], n, n)
+        fan = Fan([c.image(move) for c in s.plain_fan.cones], n)
+        strata.append(dataclasses.replace(s, fan=fan))
+    ranks = {s.name: s.lattice_rank for s in strata}
+    arrows = []
+    for a in phi.arrows:
+        src = next(s for s in strata if s.name == a.source)
+        fq = quotient_fan(src.plain_fan, a.cone_index)
+        iso = ()
+        if ranks[a.target]:
+            moved_map = mat_mul(
+                mat_mul(moves[a.target], phi.arrow_map(a).matrix),
+                invert_unimodular(moves[a.source]),
+            )
+            iso = mat_mul(moved_map, fq.section.matrix)
+        iso = lattice_map(iso, fq.fan.rank, ranks[a.target])
+        arrows.append(dataclasses.replace(a, iso=iso))
+    out = Fanifold(phi.dimension, strata, arrows)
+    require_valid(out)
+    return out
+
+
+def _oracle_diagrams():
+    """Full diagrams of the examples, as given and in random lattice bases;
+    each stratum's chart diagram (unrolled closures included); products with
+    interval and unigon; two ideal boundaries; and seeded random fans in
+    random lattice bases."""
+    rng = random.Random(20261018)
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        yield name, full_diagram(phi)
+        yield f"{name} rebased", full_diagram(_rebased(phi, rng))
+        for s in phi.strata:
+            yield f"{name} [{s.name}]", chart_diagram(phi, s.name)
+    for left, right in [
+        ("interval", "unigon"),
+        ("unigon", "interval"),
+        ("3a1", "interval"),
+        ("proj1", "unigon"),
+    ]:
+        phi = product(EXAMPLES[left](), EXAMPLES[right]())
+        yield f"{left} x {right}", full_diagram(phi)
+    for fan in (orthant_fan(2), projective_fan(2)):
+        phi = ideal_boundary(product(manifold(1), from_fan(fan)))
+        yield f"boundary of R x {fan!r}", full_diagram(phi)
+    for k in range(8):
+        fan = random_fan(rng, allow_rank3=k % 4 == 0)
+        m = lattice_map(tuple(map(tuple, _unimodular(rng, fan.rank))), fan.rank, fan.rank)
+        moved = Fan([c.image(m) for c in fan.cones], fan.rank)
+        yield f"random fan {k}", full_diagram(from_fan(moved))
 
 
 def test_census_matches_the_box_walk_reference():
-    for name, build in sorted(EXAMPLES.items()):
-        diagram = full_diagram(build())
-        for degree in range(4):
+    for label, diagram in _oracle_diagrams():
+        for degree in range(6):
             census = limit_census(diagram, degree, with_basis=True)
-            dimension, sizes, basis, arrays = _reference_census(diagram, degree)
-            # same union and mark calls, in the same order, on the same ids
-            uf = _census_classes(diagram, degree)[0]
-            assert (uf.parent, uf.zero) == arrays, (name, degree)
-            assert census.dimension == dimension, (name, degree)
-            assert census.support_sizes == sizes, (name, degree)
-            assert census.basis == basis, (name, degree)
+            dimension, sizes, basis, classes = _reference_census(diagram, degree)
+            # every chart point in the same class, and zero, as in the walk
+            kernel = _kernel_classes(diagram, degree, classes)
+            assert _same_partition(kernel, classes), (label, degree)
+            assert census.dimension == dimension, (label, degree)
+            assert census.support_sizes == sizes, (label, degree)
+            assert census.basis == basis, (label, degree)
+
+
+def test_census_allocates_one_id_per_surviving_stratum_point(monkeypatch):
+    phi = EXAMPLES["proj3"]()
+    diagram = full_diagram(phi)
+    degree = 12
+    # a stratum point survives the restriction arrows when it lies in the
+    # dual of every cone of the stratum's charts
+    surviving = 0
+    for s in phi.strata:
+        gens = [g for c in s.plain_fan.cones for g in c.gens]
+        box = itertools.product(range(-degree, degree + 1), repeat=s.lattice_rank)
+        surviving += sum(all(dot(u, g) >= 0 for g in gens) for u in box)
+    uf, _ = _census_classes(diagram, degree)
+    assert len(uf.parent) == surviving + 1  # and the zero sink
+
+    walks = []
+    collapse = bmodel._collapse
+
+    def counted(uf, src, tgt, arrow):
+        walks.append(arrow)
+        collapse(uf, src, tgt, arrow)
+
+    monkeypatch.setattr(bmodel, "_collapse", counted)
+    _census_classes(diagram, degree)
+    # one walk per fanifold arrow, out of the chart of the arrow's cone
+    assert len(walks) == len(phi.arrows) == 50
+    assert sum(a.kind == "collapse" for a in diagram.arrows) == 110
+    assert all(diagram.object_cone(a.source) == a.cone for a in walks)
+    census = limit_census(diagram, degree)
+    assert census.dimension == 1
+    assert sum(census.support_sizes.values()) == 80081
+
+
+def test_census_rejects_a_stratum_without_its_zero_chart():
+    phi = EXAMPLES["affine1"]()
+    s = next(s for s in phi.strata if s.lattice_rank)
+    ray = next(k for k, c in enumerate(s.plain_fan.cones) if c.gens)
+    diagram = ToricDiagram(phi, [ChartObject(s.name, ray)], [])
+    with pytest.raises(ValueError, match="has no zero-cone chart"):
+        limit_census(diagram, 1)
 
 
 def _fit(points):

@@ -298,9 +298,20 @@ def _product_diagrams():
     return [(phi, interval, product(phi, interval)) for phi in factors]
 
 
+def _boundary_diagrams():
+    """Ideal boundaries of R x from_fan, each glued from a sphere section and
+    the zero stratum of a from_fan diagram."""
+    return [
+        ideal_boundary(product(manifold(1), phi))
+        for _, phi in _from_fan_diagrams()
+        if phi.provenance[0] == "fan"
+    ]
+
+
 def _constructed_diagrams():
     out = [phi for _, phi in _from_fan_diagrams()]
     out += [p for _, _, p in _product_diagrams()]
+    out += _boundary_diagrams()
     for _, build in sorted(EXAMPLES.items()):
         phi = build()
         out += [unrolled_closure(phi, s.name).fanifold for s in phi.strata]
@@ -320,6 +331,21 @@ def test_validating_a_constructed_diagram_builds_no_quotient(monkeypatch):
     reports = [phi.validate() for phi in diagrams]
     assert calls == []
     assert all(r.valid for r in reports)
+
+
+def test_validating_an_ideal_boundary_builds_no_quotient(monkeypatch):
+    boundary = ideal_boundary(product(manifold(1), from_fan(orthant_fan(3))))
+    calls = []
+
+    def counted(fan, cone_index):
+        calls.append(cone_index)
+        return quotient_fan(fan, cone_index)
+
+    monkeypatch.setattr(fanifold, "quotient_fan", counted)
+    monkeypatch.setattr(fans, "quotient_fan", counted)
+    assert len(boundary.arrows) == 26
+    assert boundary.validate().valid
+    assert calls == []
 
 
 def test_quotients_handed_to_the_diagram_equal_fresh_ones():
