@@ -3,9 +3,12 @@
 Every stratum contributes one affine chart per cone of its fan.  Charts are
 tied together by two kinds of monomial maps: face localizations inside one
 stratum, and collapse maps along fanifold arrows (the monomials not
-perpendicular to the collapsed cone are sent to zero).  A global section is
-a coefficient tuple compatible with every map, so censuses reduce to exact
-linear bookkeeping over the rationals.
+perpendicular to the collapsed cone are sent to zero).  Both are read off
+tables built once, exact without validation and shared with
+``skeleton_model``: each fan's containment table (``Fan._inside``) and each
+arrow's star map and collapse matrices (``Fanifold._star_map``,
+``Fanifold._collapse_matrices``).  A global section is a coefficient tuple
+compatible with every map, so censuses are exact linear bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
@@ -32,11 +35,8 @@ from .lattice import (
     Mat,
     Vec,
     dot,
-    invert_unimodular,
-    mat_mul,
     mat_vec,
     matrix_rank,
-    transpose,
 )
 
 
@@ -129,17 +129,6 @@ def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
 
 
-def _collapse_matrices(phi: Fanifold, arrow) -> tuple[Mat, Mat]:
-    """Monomial matrices of the orbit-closure co-map along a fanifold arrow."""
-    fq = phi.arrow_quotient(arrow)
-    a = arrow.iso.matrix
-    if not a:  # rank-0 target: forward has no rows, backward no columns
-        return (), ((),) * phi.stratum(arrow.source).lattice_rank
-    forward = mat_mul(transpose(invert_unimodular(a)), transpose(fq.section.matrix))
-    backward = mat_mul(transpose(fq.projection.matrix), transpose(a))
-    return forward, backward
-
-
 def _restriction_arrows(
     phi: Fanifold, objects: Sequence[ChartObject]
 ) -> list[DiagramArrow]:
@@ -148,11 +137,11 @@ def _restriction_arrows(
     for i, o in enumerate(objects):
         by_stratum.setdefault(o.stratum, []).append(i)
     for name, members in by_stratum.items():
-        fan = phi.stratum(name).plain_fan
+        inside = phi.stratum(name).plain_fan._inside
         for i, j in itertools.permutations(members, 2):
-            big = fan.cones[objects[i].cone_index]
-            small = fan.cones[objects[j].cone_index]
-            if big.key != small.key and big.contains_cone(small):
+            big, small = objects[i].cone_index, objects[j].cone_index
+            # a cone equal to a different one lies inside it both ways
+            if small in inside[big] and big not in inside[small]:
                 arrows.append(DiagramArrow(source=i, target=j, kind="restrict"))
     return arrows
 
@@ -160,10 +149,11 @@ def _restriction_arrows(
 def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagram:
     """Charts of the allowed cones of each stratum, with their monomial maps.
 
-    Collapse arrows run along the fanifold arrows between allowed strata,
-    from every allowed cone containing the collapsed cone to the chart of
-    its image, when that chart is allowed too.  The image must be a cone of
-    the target fan; validation matches every quotient image to one.
+    Restrictions come from each fan's containment table.  Collapse arrows
+    run along the fanifold arrows between allowed strata, from each allowed
+    cone of the arrow's star map to the chart of its image when that is
+    allowed too.  The image must be a cone of the target fan: validation
+    checks it.
     """
     kept = {g: sorted(ks) for g, ks in allowed.items()}
     objects = [ChartObject(g, k) for g, ks in kept.items() for k in ks]
@@ -173,15 +163,11 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
         if fa.source not in kept or fa.target not in kept:
             continue
         sigma = phi.arrow_cone(fa)
-        forward, backward = _collapse_matrices(phi, fa)
-        amap = phi.arrow_map(fa)
-        src_fan = phi.stratum(fa.source).plain_fan
-        tgt_fan = phi.stratum(fa.target).plain_fan
-        for k in kept[fa.source]:
-            tau = src_fan.cones[k]
-            if not tau.contains_cone(sigma):
+        forward, backward = phi._collapse_matrices(fa)
+        for k, tk in phi._star_map(fa).items():
+            source = index.get(ChartObject(fa.source, k))
+            if source is None:
                 continue
-            tk = tgt_fan.cone_index(tau.image(amap))
             if tk is None:
                 raise ValueError(
                     f"image of cone {k} of {fa.source!r} missing from {fa.target!r}"
@@ -191,7 +177,7 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
                 continue
             arrows.append(
                 DiagramArrow(
-                    source=index[ChartObject(fa.source, k)],
+                    source=source,
                     target=target,
                     kind="collapse",
                     cone=sigma,
@@ -232,10 +218,8 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     for g in below:
         fan = phi.stratum(g).plain_fan
         keep = {i for i, c in enumerate(fan.cones) if c.dim == 0}
-        for a in phi.out_arrows(g):
-            if a.target in below or a.target == f_name:
-                keep.add(a.cone_index)
-        allowed[g] = keep
+        # below holds f_name itself
+        allowed[g] = keep | {a.cone_index for a in phi.out_arrows(g) if a.target in below}
     return _diagram(phi, allowed)
 
 
@@ -557,7 +541,7 @@ def subalgebra_check(
     if max_factors is None:
         max_factors = degree
     problems: list[str] = []
-    forwards = [_collapse_matrices(phi, a)[0] for a in phi.arrows]
+    forwards = [phi._collapse_matrices(a)[0] for a in phi.arrows]
     gen_values: list[dict[str, Laurent]] = []
     for name, seed in generators:
         vals, errs = _stratum_values(phi, seed, forwards)

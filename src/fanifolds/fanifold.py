@@ -23,10 +23,12 @@ from .lattice import (
     Vec,
     identity_matrix,
     integer_kernel,
+    invert_unimodular,
     lattice_map,
     mat,
     mat_mul,
     solve_integer,
+    transpose,
 )
 
 
@@ -94,6 +96,8 @@ class Fanifold:
         self.provenance = provenance
         self.by_name = {s.name: s for s in self.strata}
         self._fq_cache: dict[tuple[str, int], FanQuotient] = dict(quotients or {})
+        self._star_maps: dict[Arrow, dict[int, int | None]] = {}
+        self._collapses: dict[Arrow, tuple[Mat, Mat]] = {}
 
     def __repr__(self) -> str:
         return (
@@ -124,6 +128,31 @@ class Fanifold:
     def arrow_map(self, a: Arrow) -> LatticeMap:
         """The composite lattice map source lattice -> target lattice."""
         return a.iso.compose(self.arrow_quotient(a).projection)
+
+    def _star_map(self, a: Arrow) -> dict[int, int | None]:
+        """Each source cone containing the arrow's cone, in index order ->
+        the index of its image in the target fan (None when it is no cone
+        there), read off the star quotient's cones and the iso once."""
+        out = self._star_maps.get(a)
+        if out is None:
+            fq, tgt = self.arrow_quotient(a), self.stratum(a.target).plain_fan
+            out = self._star_maps[a] = {
+                k: tgt.cone_index(c.image(a.iso)) for k, c in zip(fq.star, fq.fan.cones)
+            }
+        return out
+
+    def _collapse_matrices(self, a: Arrow) -> tuple[Mat, Mat]:
+        """Monomial matrices (forward, backward) of the orbit-closure co-map
+        along an arrow, built once per arrow."""
+        out = self._collapses.get(a)
+        if out is None:
+            fq, m = self.arrow_quotient(a), a.iso.matrix
+            # a rank-0 target: forward has no rows, backward no columns
+            out = self._collapses[a] = (
+                mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix)),
+                mat_mul(transpose(fq.projection.matrix), transpose(m)),
+            ) if m else ((), ((),) * self.stratum(a.source).lattice_rank)
+        return out
 
     def minimal_strata(self) -> list[Stratum]:
         targets = {a.target for a in self.arrows}
@@ -201,9 +230,9 @@ class Fanifold:
             ):
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso not unimodular")
                 continue
-            # keys hold frozensets, which sorted() cannot put in one order
-            image_keys = Counter(c.image(a.iso).key for c in fq.fan.cones)
-            if image_keys != Counter(c.key for c in tgt.plain_fan.cones):
+            # the target's cones are distinct: each must be hit exactly once
+            images = Counter(self._star_map(a).values())
+            if images != Counter(range(len(tgt.plain_fan.cones))):
                 errors.append(
                     f"arrow {k} ({a.source}->{a.target}): quotient fan does not"
                     " match the target fan"
@@ -253,22 +282,16 @@ class Fanifold:
         )
 
     def _composite_exists(self, a: Arrow, b: Arrow) -> bool:
-        sigma_a = self.arrow_cone(a)
-        map_a = self.arrow_map(a)
-        map_b = self.arrow_map(b)
-        cone_b = self.arrow_cone(b)
-        composed = mat_mul(map_b.matrix, map_a.matrix)
-        for c in self.out_arrows(a.source):
-            if c.target != b.target:
-                continue
-            sigma_c = self.arrow_cone(c)
-            if not sigma_c.contains_cone(sigma_a):
-                continue
-            if sigma_c.image(map_a) != cone_b:
-                continue
-            if self.arrow_map(c).matrix == composed:
-                return True
-        return False
+        """Does an arrow c out of a's source, whose cone holds sigma_a and
+        goes onto sigma_b under a, equal b after a?  Needs valid fans."""
+        star_a = self._star_map(a)
+        composed = mat_mul(self.arrow_map(b).matrix, self.arrow_map(a).matrix)
+        return any(
+            c.target == b.target
+            and star_a.get(c.cone_index) == b.cone_index
+            and self.arrow_map(c).matrix == composed
+            for c in self.out_arrows(a.source)
+        )
 
 
 def require_valid(phi: Fanifold) -> ValidationReport:
@@ -347,8 +370,7 @@ def _cone_strata(
     arrow_quotients: dict[tuple[str, int], FanQuotient] = {}
     for i in keep:
         for j in keep:
-            ci, cj = plain.cones[i], plain.cones[j]
-            if i == j or not cj.contains_cone(ci) or cj.dim == ci.dim:
+            if i not in plain._inside[j] or plain.cones[j].dim == plain.cones[i].dim:
                 continue
             arrow, fq = _arrow_between_cones(
                 j, quotients[i], quotients[j], name[i], name[j]
@@ -653,23 +675,24 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
             )
         )
         # arrows to other boundary objects along factorizations
-        sigma_a = phi.arrow_cone(a)
         map_a = phi.arrow_map(a)
+        inside_a = phi.stratum(a.source).plain_fan._inside[a.cone_index] | {a.cone_index}
         for name_b, b in objects:
             if b is None or name_b == name_a:
                 continue
+            cone_b = phi.stratum(b.source).plain_fan.cone_index(phi.arrow_cone(b))
             for c in phi.out_arrows(a.source):
                 if c.target != b.source:
                     continue
                 sigma_c = phi.arrow_cone(c)
-                if not sigma_a.contains_cone(sigma_c) or sigma_c.dim == 0:
+                if c.cone_index not in inside_a or sigma_c.dim == 0:
                     continue
                 # does b compose with c to give a?
                 map_c = phi.arrow_map(c)
                 map_b = phi.arrow_map(b)
                 if mat_mul(map_b.matrix, map_c.matrix) != map_a.matrix:
                     continue
-                if sigma_a.image(map_c) != phi.arrow_cone(b):
+                if phi._star_map(c).get(a.cone_index) != cone_b:
                     continue
                 basis_a, basis_b = span_basis[name_a], span_basis[name_b]
                 local_c = Cone(

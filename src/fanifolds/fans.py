@@ -52,13 +52,23 @@ class Fan:
         return tuple(sorted(seen))
 
     def maximal_cone_indices(self) -> list[int]:
-        out = []
-        for i, c in enumerate(self.cones):
-            if not any(
-                j != i and self.cones[j].contains_cone(c) for j in range(len(self.cones))
-            ):
-                out.append(i)
-        return out
+        inside = set().union(*self._inside)
+        return [i for i in range(len(self.cones)) if i not in inside]
+
+    @cached_property
+    def _inside(self) -> tuple[frozenset[int], ...]:
+        """For each cone, the indices of the other cones it contains.
+
+        A cone is the conic hull of its gens, so tau contains sigma exactly
+        when tau holds every gen of sigma: one ``Cone.contains`` per (cone,
+        distinct gen of the fan) gives ``Cone.contains_cone`` on every pair,
+        on any fan, valid or not."""
+        gens = dict.fromkeys(g for c in self.cones for g in c.gens)
+        held = [frozenset(g for g in gens if c.contains(g)) for c in self.cones]
+        return tuple(
+            frozenset(j for j, c in enumerate(self.cones) if j != i and h.issuperset(c.gens))
+            for i, h in enumerate(held)
+        )
 
     def cone_index(self, cone: Cone) -> int | None:
         """Index of the first cone equal to ``cone``, or None."""
@@ -101,9 +111,9 @@ class Fan:
         for i, j in itertools.combinations(range(len(self.cones)), 2):
             ci, cj = self.cones[i], self.cones[j]
             # a nested pair meets in the smaller cone, a face of itself
-            if cj.contains_cone(ci):
+            if i in self._inside[j]:
                 common = ci.is_face_of(cj)
-            elif ci.contains_cone(cj):
+            elif j in self._inside[i]:
                 common = cj.is_face_of(ci)
             else:
                 meet = ci.intersection(cj)
@@ -251,7 +261,7 @@ def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
     sigma = fan.cones[cone_index]
     q = quotient_with_torsion(fan.rank, sigma.gens)
     star = tuple(
-        i for i, c in enumerate(fan.cones) if c.contains_cone(sigma)
+        i for i, inside in enumerate(fan._inside) if i == cone_index or cone_index in inside
     )
     images = [fan.cones[i].image(q.projection) for i in star]
     for im in images:

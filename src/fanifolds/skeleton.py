@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cones import Cone
 from .fans import Fan, StackyFan, refines, require_valid_fan
 from .fanifold import Fanifold, require_valid
-from .lattice import dot, identity_matrix, invert_unimodular, mat_mul, transpose
+from .lattice import dot, identity_matrix, mat_mul
 
 
 # -- conic pieces of a single fan --------------------------------------------
@@ -141,25 +141,19 @@ class SkeletonModel:
 
 def _piece_group_order(
     phi: Fanifold,
-    name: str,
-    cone_index: int,
+    key: tuple[str, int],
+    lifts: dict[tuple[str, int], list[tuple[str, int]]],
     memo: dict,
     notes: list[str],
 ) -> int:
-    key = (name, cone_index)
+    """The component group order over (stratum, cone index).  ``lifts``
+    lists the source cone each incoming arrow carries onto it, in arrow
+    order."""
     if key in memo:
         return memo[key]
+    name, cone_index = key
     st = phi.stratum(name)
-    tau = st.plain_fan.cones[cone_index]
-    lifted = []
-    for a in phi.in_arrows(name):
-        sigma = phi.arrow_cone(a)
-        amap = phi.arrow_map(a)
-        src_fan = phi.stratum(a.source).plain_fan
-        for k, c in enumerate(src_fan.cones):
-            if c.contains_cone(sigma) and c.image(amap) == tau:
-                lifted.append(_piece_group_order(phi, a.source, k, memo, notes))
-                break
+    lifted = [_piece_group_order(phi, k, lifts, memo, notes) for k in lifts.get(key, ())]
     if lifted:
         # A quotient fan cannot always retain torsion (a rank-0 lattice has
         # nowhere to put it), so the value lifted from deeper strata is the
@@ -172,7 +166,7 @@ def _piece_group_order(
             )
             g = max(lifted)
     elif st.is_stacky:
-        g = st.fan.group_order(tau)
+        g = st.fan.group_order(st.plain_fan.cones[cone_index])
     else:
         g = 1
     memo[key] = g
@@ -185,15 +179,33 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     One stratum per (base stratum, cone of its fan).  Incidences: within a
     base stratum, a cone sits under each cone it is a face of; along an
     arrow with exit cone sigma, a cone containing sigma sits under its
-    image in the target's fan.
+    image in the target's fan.  Both are read off the tables ``full_diagram``
+    reads for its restrict and collapse arrows: each fan's containment table
+    (``Fan._inside``) and each arrow's star map (``Fanifold._star_map``).
     """
     require_valid(phi)
+    keys = ((st.name, k) for st in phi.strata for k in range(len(st.plain_fan.cones)))
+    index = {key: i for i, key in enumerate(keys)}
+    incidences: list[tuple[int, int]] = []
+    for st in phi.strata:
+        for k, inside in enumerate(st.plain_fan._inside):
+            incidences += [(index[(st.name, k2)], index[(st.name, k)]) for k2 in inside]
+    # a valid arrow carries its star cones to distinct target cones
+    lifts: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for a in phi.arrows:
+        for k, j in phi._star_map(a).items():
+            if j is None:
+                raise ValueError(
+                    f"arrow {a.source!r} -> {a.target!r} does not carry cone "
+                    f"{k} into the target fan"
+                )
+            incidences.append((index[(a.source, k)], index[(a.target, j)]))
+            lifts.setdefault((a.target, j), []).append((a.source, k))
     memo: dict = {}
     notes: list[str] = []
     strata: list[SkeletonStratum] = []
     for st in phi.strata:
-        fan = st.plain_fan
-        for k, c in enumerate(fan.cones):
+        for k, c in enumerate(st.plain_fan.cones):
             strata.append(
                 SkeletonStratum(
                     base=st.name,
@@ -201,35 +213,10 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
                     cone_index=k,
                     cone_dim=c.dim,
                     torus_rank=st.lattice_rank - c.dim,
-                    group_order=_piece_group_order(phi, st.name, k, memo, notes),
+                    group_order=_piece_group_order(phi, (st.name, k), lifts, memo, notes),
                     interior=st.interior,
                 )
             )
-    index = {(s.base, s.cone_index): i for i, s in enumerate(strata)}
-    incidences: list[tuple[int, int]] = []
-    for st in phi.strata:
-        fan = st.plain_fan
-        for k, c in enumerate(fan.cones):
-            for k2, c2 in enumerate(fan.cones):
-                if k2 != k and c.contains_cone(c2):
-                    incidences.append(
-                        (index[(st.name, k2)], index[(st.name, k)])
-                    )
-    for a in phi.arrows:
-        sigma = phi.arrow_cone(a)
-        amap = phi.arrow_map(a)
-        src_fan = phi.stratum(a.source).plain_fan
-        tgt_fan = phi.stratum(a.target).plain_fan
-        for k, c in enumerate(src_fan.cones):
-            if not c.contains_cone(sigma):
-                continue
-            j = tgt_fan.cone_index(c.image(amap))
-            if j is None:
-                raise ValueError(
-                    f"arrow {a.source!r} -> {a.target!r} does not carry cone "
-                    f"{k} into the target fan"
-                )
-            incidences.append((index[(a.source, k)], index[(a.target, j)]))
     return SkeletonModel(
         fanifold=phi,
         strata=tuple(strata),
@@ -340,15 +327,11 @@ def canonical_section_check(model: SkeletonModel) -> bool:
                 continue
             if len(amat) != c or any(len(r) != c for r in amat):
                 return False
-            a_inv = invert_unimodular(amat)
-            forward = mat_mul(transpose(a_inv), transpose(fq.section.matrix))
-            backward = mat_mul(transpose(fq.projection.matrix), transpose(amat))
+            forward, backward = phi._collapse_matrices(a)
             if mat_mul(forward, backward) != identity_matrix(c):
                 return False
-            tgt_fan = phi.stratum(a.target).plain_fan
-            for t in fq.fan.cones:
-                if tgt_fan.cone_index(t.image(a.iso)) is None:
-                    return False
+            if None in phi._star_map(a).values():
+                return False
         except (ValueError, IndexError):
             return False
     return True

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan
 from fanifolds.fanifold import (
     Fanifold,
+    Stratum,
     from_fan,
     ideal_boundary,
     manifold,
@@ -32,6 +35,9 @@ from fanifolds.fanifold import (
 )
 from fanifolds.fans import Fan, quotient_fan
 from fanifolds.lattice import dot, invert_unimodular, lattice_map, mat_mul, mat_vec
+from fanifolds.cli import resolve_input
+from fanifolds.files import load_fanifold
+from fanifolds.skeleton import skeleton_model
 from test_properties import random_fan
 
 
@@ -496,3 +502,111 @@ def test_census_closed_forms_up_to_degree_eight():
     for name, form in forms.items():
         degrees = range(9)
         assert census_dims(EXAMPLES[name](), degrees) == [form(d) for d in degrees], name
+
+
+# -- incidence tables: one per fan and per arrow ----------------------------------
+
+
+def _arrow_rows(diagram):
+    return [
+        (a.source, a.target, a.kind, a.cone, a.forward, a.backward)
+        for a in diagram.arrows
+    ]
+
+
+def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypatch):
+    """The first pass builds each fan's containment table and each arrow's
+    star map and collapse matrices; a second pass with every cone test and
+    cone image refused gives the same diagrams and skeleton models."""
+    phis = [build() for _, build in sorted(EXAMPLES.items())]
+
+    def outputs(phi):
+        out = [_arrow_rows(full_diagram(phi))]
+        if phi.validate().is_poset:
+            out += [_arrow_rows(chart_diagram(phi, s.name)) for s in phi.strata]
+        model = skeleton_model(phi)
+        out.append((model.strata, model.incidences, model.warnings))
+        return out
+
+    before = [outputs(phi) for phi in phis]
+
+    def refuse(*args):
+        raise AssertionError("cone linear algebra after the tables exist")
+
+    for name in ("contains", "contains_cone", "image"):
+        monkeypatch.setattr(Cone, name, refuse)
+    assert [outputs(phi) for phi in phis] == before
+
+
+def test_restriction_arrows_skip_a_duplicated_cone():
+    """Two equal cones contain each other, and no restriction joins them,
+    on a diagram nothing validated."""
+    fan = Fan(
+        [Cone([(1, 0), (0, 1)], 2), Cone([(0, 1), (1, 0)], 2), Cone([(1, 0)], 2), zero_cone(2)],
+        2,
+    )
+    phi = Fanifold(2, [Stratum("s", 0, fan)], [])
+    assert not phi.validate().valid
+    assert [(a.source, a.target, a.kind) for a in full_diagram(phi).arrows] == [
+        (0, 2, "restrict"), (0, 3, "restrict"), (1, 2, "restrict"),
+        (1, 3, "restrict"), (2, 3, "restrict"),
+    ]
+
+
+def test_skeleton_incidences_are_the_diagram_arrow_pairs():
+    """Both builders index (stratum, cone) alike, a restriction is an
+    incidence (face, cone) and a collapse one (source, target).  Unigon's
+    two parallel arrows collapse the same charts, so its 12 diagram arrows
+    give 11 incidences; every other example has one arrow per incidence."""
+    counts = {}
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        diagram, model = full_diagram(phi), skeleton_model(phi)
+        assert [(o.stratum, o.cone_index) for o in diagram.objects] == [
+            (s.base, s.cone_index) for s in model.strata
+        ]
+        pairs = [
+            (a.target, a.source) if a.kind == "restrict" else (a.source, a.target)
+            for a in diagram.arrows
+        ]
+        assert set(pairs) == set(model.incidences), name
+        counts[name] = (len(pairs), len(model.incidences))
+    assert counts.pop("unigon") == (12, 11)
+    assert all(n == m for n, m in counts.values()), counts
+
+
+def test_unrolled_chart_diagrams_carry_one_warning_per_call():
+    """The warning goes on a fresh diagram each call: the cached tables
+    hold no diagram."""
+    uni = EXAMPLES["unigon"]()
+    assert not uni.validate().is_poset
+    for s in uni.strata:
+        for _ in range(2):
+            assert chart_diagram(uni, s.name).warnings == [
+                f"stratum {s.name!r} has an unrolled closure"
+                " (the exit diagram is not a poset)"
+            ]
+
+
+def _arrow_orders(build):
+    out = []
+    for name in sorted(EXAMPLES):
+        phi = build(name)
+        diagrams = [("full", full_diagram(phi))]
+        diagrams += [(f"chart {s.name}", chart_diagram(phi, s.name)) for s in phi.strata]
+        for label, d in diagrams:
+            out.append([name, label, [[a.source, a.target, a.kind] for a in d.arrows]])
+    return out
+
+
+def test_diagram_arrow_order_matches_the_golden():
+    """The (source, target, kind) arrows of ``full_diagram`` and of every
+    ``chart_diagram``, in order, for each bundled file and each example
+    constructor (``bmodel chart`` prints this order; the golden is written
+    by ``tools/regen_goldens.py``)."""
+    path = os.path.join(os.path.dirname(__file__), "goldens", "diagram_arrows.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 15 + sum(len(b().strata) for b in EXAMPLES.values())
+    assert _arrow_orders(lambda n: load_fanifold(resolve_input(f"{n}.json"))) == golden
+    assert _arrow_orders(lambda n: EXAMPLES[n]()) == golden

@@ -408,3 +408,27 @@ def _move_index(phi, a, name):
     if a is not None:
         return a.cone_index
     return next(i for i, c in enumerate(phi.stratum(name).plain_fan.cones) if c.dim == 0)
+
+
+def test_star_maps_match_the_image_walk():
+    """Each arrow's star map against the walk it replaces: every source cone
+    containing the arrow's cone, mapped by ``arrow_map`` and looked up in
+    the target fan.  Every example, and the from_fan, sphere_section,
+    product, boundary and unrolled diagrams built from the examples and from
+    random fans in random lattice bases."""
+    diagrams = [build() for _, build in sorted(EXAMPLES.items())] + _constructed_diagrams()
+    checked = 0
+    for phi in diagrams:
+        for a in phi.arrows:
+            sigma = phi.arrow_cone(a)
+            amap = phi.arrow_map(a)
+            tgt = phi.stratum(a.target).plain_fan
+            want = [
+                (k, tgt.cone_index(tau.image(amap)))
+                for k, tau in enumerate(phi.stratum(a.source).plain_fan.cones)
+                if tau.contains_cone(sigma)
+            ]
+            assert list(phi._star_map(a).items()) == want, (phi, a)
+            assert phi._star_map(a) is phi._star_map(a)
+            checked += len(want)
+    assert checked > 4000

@@ -343,3 +343,103 @@ def test_small_fans_shapes():
     assert Fan([Cone([(1, 0)], 2), Cone([(1,)], 1)], 2).validate() == [
         "cone 1: ambient rank 1 != 2"
     ]
+
+
+# -- the containment table ----------------------------------------------------
+
+
+def _inside_by_pairs(fan):
+    """The oracle for ``Fan._inside``: ``contains_cone`` on every ordered
+    pair of distinct cones."""
+    return tuple(
+        frozenset(j for j, d in enumerate(fan.cones) if j != i and c.contains_cone(d))
+        for i, c in enumerate(fan.cones)
+    )
+
+
+def _maximal_by_pairs(fan):
+    return [
+        i
+        for i, c in enumerate(fan.cones)
+        if not any(j != i and d.contains_cone(c) for j, d in enumerate(fan.cones))
+    ]
+
+
+def _moved(fan, rng):
+    """The fan in a random basis of Z^n: a signed permutation times shears."""
+    n = fan.rank
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        m[i][j] = rng.choice((-1, 1))
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+    move = lattice_map(m, n, n)
+    return Fan([c.image(move) for c in fan.cones], n)
+
+
+def test_containment_table_matches_contains_cone_on_valid_fans():
+    """Every stratum fan of every example, and seeded random fans with
+    subdivisions in random lattice bases; the stars of ``quotient_fan`` and
+    ``maximal_cone_indices`` read the table, so they are checked too."""
+    from test_properties import random_fan
+
+    rng = random.Random(1111)
+    fans = [st.plain_fan for build in EXAMPLES.values() for st in build().strata]
+    fans += [_moved(random_fan(rng), rng) for _ in range(40)]
+    nested = 0
+    for fan in fans:
+        assert fan.validate() == []
+        assert fan._inside == _inside_by_pairs(fan), fan.cones
+        assert fan.maximal_cone_indices() == _maximal_by_pairs(fan)
+        for k, sigma in enumerate(fan.cones):
+            star = tuple(i for i, c in enumerate(fan.cones) if c.contains_cone(sigma))
+            assert quotient_fan(fan, k).star == star
+        nested += sum(map(len, fan._inside))
+    assert nested > 600
+
+
+def test_containment_table_matches_contains_cone_on_invalid_fans():
+    """A duplicated cone, two 2-cones overlapping off a face, and a cone
+    holding a line: the table still answers every pair as ``contains_cone``
+    does, and validation reports what it did before the table."""
+    z = zero_cone(2)
+    cases = [
+        (
+            [Cone([(1, 0), (0, 1)], 2), Cone([(1, 0)], 2), Cone([(0, 1), (1, 0)], 2), z],
+            ["cone 2 duplicates cone 0"],
+            [],
+        ),
+        (
+            [
+                Cone([(1, 0), (0, 1)], 2),
+                Cone([(1, 1), (1, -1)], 2),
+                Cone([(1, 0)], 2),
+                Cone([(1, 1)], 2),
+                z,
+            ],
+            [
+                "cones 0 and 1 do not intersect in a common face",
+                "cones 0 and 3 do not intersect in a common face",
+                "cones 1 and 2 do not intersect in a common face",
+            ],
+            [0, 1],
+        ),
+        (
+            [
+                Cone([(1, 0), (-1, 0), (0, 1)], 2),
+                Cone([(1, 0)], 2),
+                Cone([(0, 1)], 2),
+                Cone([(1, 0), (0, 1)], 2),
+                z,
+            ],
+            ["cone 0: contains a line"],
+            [0],
+        ),
+    ]
+    for cones, problems, maximal in cases:
+        fan = Fan(cones, 2)
+        assert fan._inside == _inside_by_pairs(fan)
+        assert fan.validate() == problems
+        assert fan.maximal_cone_indices() == _maximal_by_pairs(fan) == maximal
