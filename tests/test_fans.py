@@ -25,6 +25,7 @@ from fanifolds.fans import (
     stellar_subdivision,
 )
 from fanifolds.lattice import lattice_map
+from test_properties import random_fan
 
 
 def test_cone_basics():
@@ -383,8 +384,6 @@ def test_containment_table_matches_contains_cone_on_valid_fans():
     """Every stratum fan of every example, and seeded random fans with
     subdivisions in random lattice bases; the stars of ``quotient_fan`` and
     ``maximal_cone_indices`` read the table, so they are checked too."""
-    from test_properties import random_fan
-
     rng = random.Random(1111)
     fans = [st.plain_fan for build in EXAMPLES.values() for st in build().strata]
     fans += [_moved(random_fan(rng), rng) for _ in range(40)]
