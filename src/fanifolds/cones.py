@@ -7,9 +7,9 @@ face of a strongly convex cone is the sorted tuple of the extremal rays it
 keeps.
 
 Cones are interned: equal normalized generator tuples in the same rank share
-one live, immutable ``Cone``, so its dual description, extremal rays and key
-are computed once for every caller that holds it.  The table holds cones
-weakly, so a cone lives only while some caller holds it.
+one live, immutable ``Cone``, so its dual description, extremal rays, key and
+span quotient are computed once for every caller that holds it.  The table
+holds cones weakly, so a cone lives only while some caller holds it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     LatticeMap,
     Mat,
+    QuotientResult,
     Vec,
     dot,
     identity_matrix,
@@ -29,6 +30,7 @@ from .lattice import (
     mat,
     matrix_rank,
     primitivize,
+    quotient_with_torsion,
     row_hermite,
     smith_normal_form,
     vec,
@@ -160,6 +162,12 @@ class Cone:
         return Cone, (self.gens, self.rank)
 
     # -- dual data ---------------------------------------------------------
+
+    @cached_property
+    def quotient(self) -> QuotientResult:
+        """Z^rank modulo the span of the gens: one SNF and one inverse per
+        cone, shared by every star quotient taken along it."""
+        return quotient_with_torsion(self.rank, self.gens)
 
     @cached_property
     def dual_rays(self) -> Mat:
@@ -303,12 +311,26 @@ class Cone:
         return sorted(found, key=lambda f: (matrix_rank(f), f))
 
     def is_face_of(self, other: "Cone") -> bool:
-        """True when this cone is a face of the strongly convex ``other``:
-        it lies in ``other`` and holds every ray of its smallest face there."""
+        """True when this cone is a face of the strongly convex ``other``.
+
+        ``_has_face`` is true on every face, so when it says no the
+        containment test is not needed."""
         if self.rank != other.rank:
             return False
-        face = other._cut(self.gens)
-        return other.contains_cone(self) and all(self.contains(r) for r in face)
+        return other._has_face(self) and other.contains_cone(self)
+
+    def _has_face(self, inner: "Cone") -> bool:
+        """Is ``inner`` a face of this strongly convex cone, given that it
+        lies in it?  (On any ``inner``, true when it is a face.)
+
+        ``inner`` is a face exactly when it holds every extremal ray r of
+        the smallest face holding it.  Such an r is extremal here, so if it
+        lies in the smaller ``inner`` it is extremal there too, hence a
+        positive multiple of a gen of ``inner``; gens are primitive, so r is
+        one of them.  No dual description of ``inner`` is needed.
+        """
+        gens = set(inner.gens)
+        return all(r in gens for r in self._cut(inner.gens))
 
     def intersection(self, other: "Cone") -> "Cone":
         if self.rank != other.rank:

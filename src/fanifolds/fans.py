@@ -3,7 +3,20 @@
 A fan here is an ordered list of cones (order matters to callers that index
 into it); it is *not* required to contain every face of every cone.  The
 pairwise condition -- any two cones meet in a common face -- is still enforced
-by ``Fan.validate``.
+by ``Fan.validate``, which builds meets only between maximal cones:
+
+Lemma.  Suppose every nested pair sigma in tau of distinct cones has sigma a
+face of tau, and every two distinct maximal cones meet in a common face.
+Then any two cones meet in a common face.  (Face-closedness is not needed.)
+
+Proof.  Take maximal sigma' containing sigma and tau' containing tau.  If
+sigma' = tau', put F = sigma'; otherwise F = sigma' meet tau', a face of both.
+Either way F is a face of sigma' and of tau'.  As sigma and F are faces of
+sigma', so is sigma meet F; it lies in F, so it is a face of F, and a
+hyperplane supporting F in sigma' cuts it out of sigma, so it is a face of
+sigma.  The same holds for tau meet F.  Now sigma meet tau = (sigma meet F) meet (tau meet
+F), a meet of two faces of F, so a face of F; lying in the face sigma meet F
+of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ class Fan:
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, n_cones={len(self.cones)})"
 
-    @property
+    @cached_property
     def rays(self) -> Mat:
         """All extremal rays appearing in the fan, sorted."""
         seen: set[Vec] = set()
@@ -89,7 +102,12 @@ class Fan:
     def validate(self) -> list[str]:
         """Problems that make this not a fan; empty when valid.
 
-        Computed once per fan: nothing reassigns a fan's cones or rank.
+        A bad rank, a line or a duplicate is reported first.  Otherwise the
+        lemma in the module docstring decides validity from the nested pairs
+        (a face test each, no meet) and the pairs of maximal cones (a meet
+        each); only a fan this rejects scans every pair, so its problem list
+        names each pair that fails.  Computed once per fan: nothing
+        reassigns a fan's cones or rank.
         """
         return list(self._problems)
 
@@ -108,21 +126,26 @@ class Fan:
                 problems.append(f"cone {i} duplicates cone {first}")
         if problems:
             return problems
-        for i, j in itertools.combinations(range(len(self.cones)), 2):
-            ci, cj = self.cones[i], self.cones[j]
-            # a nested pair meets in the smaller cone, a face of itself
-            if i in self._inside[j]:
-                common = ci.is_face_of(cj)
-            elif j in self._inside[i]:
-                common = cj.is_face_of(ci)
-            else:
-                meet = ci.intersection(cj)
-                common = meet.is_face_of(ci) and meet.is_face_of(cj)
-            if not common:
-                problems.append(
-                    f"cones {i} and {j} do not intersect in a common face"
-                )
-        return problems
+        nested = [(i, j) for j, inside in enumerate(self._inside) for i in inside]
+        tops = itertools.combinations(self.maximal_cone_indices(), 2)
+        if all(self._meet_is_a_face(i, j) for i, j in itertools.chain(nested, tops)):
+            return problems
+        return [
+            f"cones {i} and {j} do not intersect in a common face"
+            for i, j in itertools.combinations(range(len(self.cones)), 2)
+            if not self._meet_is_a_face(i, j)
+        ]
+
+    def _meet_is_a_face(self, i: int, j: int) -> bool:
+        """Do cones i and j meet in a common face?  A nested pair meets in
+        the smaller cone, so only its face test runs."""
+        ci, cj = self.cones[i], self.cones[j]
+        if i in self._inside[j]:
+            return cj._has_face(ci)
+        if j in self._inside[i]:
+            return ci._has_face(cj)
+        meet = ci.intersection(cj)
+        return ci._has_face(meet) and cj._has_face(meet)
 
     @property
     def is_face_closed(self) -> bool:
@@ -259,7 +282,9 @@ class FanQuotient:
 
 def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
     sigma = fan.cones[cone_index]
-    q = quotient_with_torsion(fan.rank, sigma.gens)
+    if sigma.rank != fan.rank:
+        raise ValueError("cone rank does not match the fan rank")
+    q = sigma.quotient
     star = tuple(
         i for i, inside in enumerate(fan._inside) if i == cone_index or cone_index in inside
     )

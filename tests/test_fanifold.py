@@ -246,6 +246,31 @@ def test_validate_rejects_an_arrow_iso_that_is_not_unimodular():
     )
 
 
+def test_coherence_checks_where_the_composite_sends_the_cone():
+    """from_fan of the fan of P1 x P1, with the two arrows out of one edge
+    stratum sent to each other's corner.  Every fan, arrow and iso still
+    validates, and every corner arrow has a rank-0 target, so all their maps
+    agree; only the image condition sees that the face arrow holding the
+    quadrant whose image is b's cone goes to the other corner."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    quadrants = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    fan = fans.fan_from_ray_indices(rays, quadrants + [[0], [1], [2], [3], []], 2)
+    phi = from_fan(fan)
+    edge = phi.arrows[0].source
+    k, m = [k for k, a in enumerate(phi.arrows) if a.source == edge]
+    arrows = list(phi.arrows)
+    arrows[k] = dataclasses.replace(phi.arrows[k], target=phi.arrows[m].target)
+    arrows[m] = dataclasses.replace(phi.arrows[m], target=phi.arrows[k].target)
+    report = Fanifold(phi.dimension, phi.strata, arrows).validate()
+    (a,) = [a for a in phi.arrows if a.target == edge]
+    assert report.is_poset and not report.coherent
+    assert report.errors == tuple(
+        f"no coherent composite for {a.source}->{edge}->{b.target}"
+        f" (cones {a.cone_index}, {b.cone_index})"
+        for b in (arrows[k], arrows[m])
+    )
+
+
 def test_arrow_check_ignores_the_order_of_the_target_cones():
     # cone keys hold frozensets, which have no total order; in these diagrams
     # the quotient's images and the target fan list the rays in other orders

@@ -24,7 +24,7 @@ from fanifolds.fans import (
     resolve_to_smooth,
     stellar_subdivision,
 )
-from fanifolds.lattice import lattice_map
+from fanifolds.lattice import lattice_map, quotient_with_torsion
 from test_properties import random_fan
 
 
@@ -151,14 +151,16 @@ def test_validate_matches_the_meet_rule_on_random_fans():
 
 
 def test_fan_validate_runs_once(monkeypatch):
+    """Counted by meets: validation builds one per pair of maximal cones
+    and tests faces without ``Cone.is_face_of``."""
     calls = []
-    is_face_of = Cone.is_face_of
+    intersection = Cone.intersection
 
     def counted(self, other):
         calls.append(1)
-        return is_face_of(self, other)
+        return intersection(self, other)
 
-    monkeypatch.setattr(Cone, "is_face_of", counted)
+    monkeypatch.setattr(Cone, "intersection", counted)
     fan = projective_fan(2)
     first = fan.validate()
     assert first == [] and calls
@@ -442,3 +444,69 @@ def test_containment_table_matches_contains_cone_on_invalid_fans():
         assert fan._inside == _inside_by_pairs(fan)
         assert fan.validate() == problems
         assert fan.maximal_cone_indices() == _maximal_by_pairs(fan) == maximal
+
+
+def test_cone_quotient_equals_a_fresh_quotient():
+    """The cached span quotient of every example cone, of every cone of
+    their star quotients and of seeded random cones (lines and the zero cone
+    among them) equals ``quotient_with_torsion`` run afresh, and
+    ``quotient_fan`` hands out that one quotient."""
+    cones = []
+    for build in EXAMPLES.values():
+        for st in build().strata:
+            fan = st.plain_fan
+            cones += fan.cones
+            for k, c in enumerate(fan.cones):
+                fq = quotient_fan(fan, k)
+                assert fq.projection is c.quotient.projection
+                assert fq.section is c.quotient.section
+                assert fq.torsion == c.quotient.torsion
+                cones += fq.fan.cones
+    rng = random.Random(1201)
+    for _ in range(200):
+        rank = rng.randint(1, 4)
+        gens = [
+            [rng.randint(-3, 3) for _ in range(rank)]
+            for _ in range(rng.randint(0, rank + 1))
+        ]
+        cones.append(Cone(gens, rank))
+    assert sum(not c.is_strongly_convex for c in cones) >= 10
+    for c in cones:
+        assert c.quotient == quotient_with_torsion(c.rank, c.gens), c
+
+
+def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
+    """Seeded random fans in random bases, each with one cone added inside a
+    maximal cone: the span of some of its rays and a point inside it or one
+    of its faces.  Every bad pair involves that non-maximal cone, so the
+    nested and maximal pairs must reject exactly the fans the meet rule
+    rejects, and the full scan must then list every bad pair, nested or
+    not.  (Random fans are face-closed, so such a cone is never a face.)"""
+    rng = random.Random(1202)
+    seen = {"mutants": 0, "bad non-nested pairs": 0}
+    for _ in range(250):
+        fan = _moved(random_fan(rng), rng)
+        tops = [fan.cones[i] for i in fan.maximal_cone_indices() if fan.cones[i].dim >= 2]
+        if not tops:
+            continue
+        tau = rng.choice(tops)
+        rays = list(tau.extremal_rays)
+        face = rng.sample(rays, rng.randint(2, len(rays)))
+        weights = [rng.randint(1, 3) for _ in face]
+        point = [sum(w * r[i] for w, r in zip(weights, face)) for i in range(fan.rank)]
+        sigma = Cone(rng.sample(rays, rng.randint(0, len(rays) - 1)) + [point], fan.rank)
+        if sigma.key in fan._first_index:
+            continue
+        at = rng.randint(0, len(fan.cones))
+        mutant = Fan(fan.cones[:at] + (sigma,) + fan.cones[at:], fan.rank)
+        assert at not in mutant.maximal_cone_indices()
+        problems = mutant.validate()
+        assert problems == meet_rule(mutant) != [], mutant.cones
+        seen["mutants"] += 1
+        for p in problems:
+            i, j = (int(w) for w in p.split()[1:4:2])
+            assert at in (i, j), p
+            other = j if i == at else i
+            if other not in mutant._inside[at] and at not in mutant._inside[other]:
+                seen["bad non-nested pairs"] += 1
+    assert seen["mutants"] >= 150 and seen["bad non-nested pairs"] >= 8, seen
