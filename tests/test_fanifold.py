@@ -28,7 +28,13 @@ from fanifolds.fanifold import (
     unrolled_closure,
 )
 from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
-from fanifolds.lattice import identity_matrix, lattice_map, mat_mul, mat_vec
+from fanifolds.lattice import (
+    identity_matrix,
+    lattice_map,
+    mat_mul,
+    mat_vec,
+    quotient_with_torsion,
+)
 
 
 def test_from_fan_affine_line():
@@ -374,14 +380,18 @@ def test_validating_an_ideal_boundary_builds_no_quotient(monkeypatch):
 
 
 def test_quotients_handed_to_the_diagram_equal_fresh_ones():
+    """``quotient_fan`` reads each cone's cached lattice quotient, so the
+    projection, section and torsion are checked against one built afresh."""
     for phi in _constructed_diagrams():
         assert set(phi._fq_cache) == {(a.source, a.cone_index) for a in phi.arrows}
         for (name, index), fq in phi._fq_cache.items():
-            fresh = quotient_fan(phi.stratum(name).plain_fan, index)
-            assert fq.projection == fresh.projection
-            assert fq.section == fresh.section
+            fan = phi.stratum(name).plain_fan
+            fresh = quotient_fan(fan, index)
+            lattice = quotient_with_torsion(fan.rank, fan.cones[index].gens)
+            assert fq.projection == fresh.projection == lattice.projection
+            assert fq.section == fresh.section == lattice.section
             assert fq.star == fresh.star
-            assert fq.torsion == fresh.torsion
+            assert fq.torsion == fresh.torsion == lattice.torsion
             assert [c.key for c in fq.fan.cones] == [c.key for c in fresh.fan.cones]
 
 

@@ -46,9 +46,9 @@ def _mutate(doc, rng):
     st = rng.choice(strata)
     fan = rng.choice([s for s in strata if s["lattice_rank"] == top])["fan"]
     kind = rng.choice((
-        "ray entry", "ray moved", "ray negated", "cone ray dropped", "cone ray added",
-        "cone ray swapped",
-        "cone dropped", "cone duplicated", "stratum dim", "lattice rank",
+        "ray entry", "ray moved", "ray negated", "cone ray dropped",
+        "cone ray added", "cone ray swapped", "cone dropped",
+        "cone duplicated", "stratum dim", "lattice rank",
         "arrow end", "arrow cone", "matrix entry", "arrow dropped",
         "arrow duplicated", "dimension", "wrong type",
     ))
