@@ -1,4 +1,4 @@
-"""Exact integer lattice arithmetic: Smith normal form, quotients, annihilators.
+"""Exact integer lattice arithmetic: Smith normal form, quotients, kernels.
 
 Everything works on plain Python ints (arbitrary precision), vectors are
 tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
@@ -161,12 +161,6 @@ class Lattice:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("negative rank")
-
-    def zero(self) -> Vec:
-        return zero_vector(self.rank)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return len(v) == self.rank and all(isinstance(x, int) for x in v)
 
 
 @dataclass(frozen=True)
@@ -391,7 +385,7 @@ def smith_normal_form(a: Mat | Iterable[Iterable[int]]) -> SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# quotients and annihilators
+# quotients
 
 
 @dataclass(frozen=True)
@@ -439,36 +433,6 @@ def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -
         section=lattice_map(sec, free, n),
         span_rank=rank,
     )
-
-
-@dataclass(frozen=True)
-class AnnihilatorResult:
-    """Dual sublattice {u : <u, v> = 0 for all v}, with component group data."""
-
-    basis: Mat  # rows form a basis of the annihilator in the dual lattice
-    component_group: tuple[int, ...]  # invariant factors > 1 of M / Zspan
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def group_order(self) -> int:
-        order = 1
-        for d in self.component_group:
-            order *= d
-        return order
-
-
-def annihilator(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> AnnihilatorResult:
-    """Basis of {u in dual(Z^n) : u.v = 0 for all given v}.
-
-    The component group records the torsion of Z^n / Zspan(vectors); it is the
-    pi_0 of the subgroup of the compact torus dual cut out by the vectors (the
-    finite part that shows up alongside non-primitive generator data).
-    """
-    q = quotient_with_torsion(ambient_rank, vectors)
-    return AnnihilatorResult(basis=q.projection.matrix, component_group=q.torsion)
 
 
 def solve_integer(a: Mat, b: Sequence[int]) -> Vec | None:

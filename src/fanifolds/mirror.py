@@ -3,23 +3,28 @@
 Both sides of the dictionary are labeled copies of the same exit diagram:
 the chart side views a stratum through the monoid rings of its local fan,
 the skeleton side through the conic pieces of the same fan.  Categories
-never appear here — only labels and the combinatorial shape, which is
-checked by an explicit isomorphism search between the two decorated
-graphs.
+never appear here — only labels and a certificate that the two builders
+agree: ``full_diagram`` and ``skeleton_model`` must give the same
+(stratum, cone) keys, matching ranks (chart lattice rank less cone
+dimension is the piece's torus rank) and the same incidences (chart maps
+against skeleton incidences).  Both read each fan's containment table and
+each arrow's star map, so the certificate checks the two builders against
+each other, not against the geometry; it compares no group orders, since
+the chart side carries none.
 
 Restriction pairs track what happens when a down-closed set of strata is
 kept: the chart side restricts section data to the closed set, the
-skeleton side removes the handles of the complement.  The two removal
-lists are required to agree.
+skeleton side removes the handles of the complement, which are the
+interior strata outside the closed set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bmodel import UFunctorDescriptor, u_functor
+from .bmodel import ToricDiagram, UFunctorDescriptor, full_diagram, u_functor
 from .fanifold import Fanifold, delete_strata, require_valid
-from .skeleton import HandlePlan, handle_plan
+from .skeleton import HandlePlan, SkeletonModel, handle_plan, skeleton_model
 
 A_SIDE_CONVENTION = (
     "opposite-side sign conventions are absorbed by negating the "
@@ -45,7 +50,11 @@ class ArrowLabels:
 
 @dataclass(frozen=True)
 class ShapeCertificate:
-    """Result of the exhaustive matching between the two labeled diagrams."""
+    """Whether the chart diagram and the skeleton model agree.
+
+    On success ``matching`` pairs each stratum with itself: both sides are
+    indexed by the same (stratum, cone) keys.
+    """
 
     ok: bool
     matching: tuple[tuple[str, str], ...] = ()
@@ -99,72 +108,43 @@ class MirrorDictionary:
         return "\n".join(rows) + "\n"
 
 
-def _node_shape(phi: Fanifold, name: str) -> tuple:
-    st = phi.stratum(name)
-    fan = st.plain_fan
-    cone_dims = tuple(sorted(c.dim for c in fan.cones))
-    groups = ()
-    if st.is_stacky:
-        groups = tuple(sorted(st.fan.group_order(c) for c in fan.cones))
-    return (st.dim, st.lattice_rank, cone_dims, groups)
+def _certify(diagram: ToricDiagram, model: SkeletonModel) -> ShapeCertificate:
+    """Compare the chart diagram with the skeleton model, (stratum, cone) by
+    (stratum, cone).
 
-
-def _edge_multiset(phi: Fanifold, name_map) -> dict:
-    out: dict = {}
-    for a in phi.arrows:
-        key = (
-            name_map[a.source],
-            name_map[a.target],
-            phi.arrow_cone(a).dim,
+    Charts and pieces must carry the same keys in the same order, each
+    chart's lattice rank less its cone's dimension must be the piece's
+    torus rank, and the chart maps must give the incidences: a restriction
+    as (target, source), a collapse as (source, target).  Maps are compared
+    as a set, so parallel maps between two charts count once.
+    """
+    pairs = {
+        (a.target, a.source) if a.kind == "restrict" else (a.source, a.target)
+        for a in diagram.arrows
+    }
+    agree = (
+        [(o.stratum, o.cone_index) for o in diagram.objects]
+        == [(s.base, s.cone_index) for s in model.strata]
+        and all(
+            diagram.object_rank(i) - diagram.object_cone(i).dim == s.torus_rank
+            for i, s in enumerate(model.strata)
         )
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _first_bijection(names, candidates, accept, chosen=()) -> dict | None:
-    """The first assignment, in backtracking order, of a distinct candidate
-    to each name (``candidates[i]`` lists those for ``names[i]``, in the
-    order tried) that ``accept`` takes; None when there is none."""
-    i = len(chosen)
-    if i == len(names):
-        assignment = dict(zip(names, chosen))
-        return assignment if accept(assignment) else None
-    for a in candidates[i]:
-        if a not in chosen:
-            found = _first_bijection(names, candidates, accept, chosen + (a,))
-            if found is not None:
-                return found
-    return None
-
-
-def _shape_isomorphism(phi_b: Fanifold, phi_a: Fanifold) -> ShapeCertificate:
-    """Backtracking search for a decoration-preserving bijection of strata."""
-    b_names = sorted(s.name for s in phi_b.strata)
-    a_names = sorted(s.name for s in phi_a.strata)
-    if len(b_names) != len(a_names):
+        and pairs == set(model.incidences)
+    )
+    if not agree:
         return ShapeCertificate(False)
-    b_shape = {n: _node_shape(phi_b, n) for n in b_names}
-    a_shape = {n: _node_shape(phi_a, n) for n in a_names}
-    a_edges = _edge_multiset(phi_a, {n: n for n in a_names})
-
-    def edges_ok(assignment: dict[str, str]) -> bool:
-        return _edge_multiset(phi_b, assignment) == a_edges
-
-    candidates = [[a for a in a_names if a_shape[a] == b_shape[b]] for b in b_names]
-    assignment = _first_bijection(b_names, candidates, edges_ok)
-    if assignment is not None:
-        return ShapeCertificate(
-            True, tuple(sorted((b, assignment[b]) for b in b_names))
-        )
-    return ShapeCertificate(False)
+    names = sorted(st.name for st in diagram.fanifold.strata)
+    return ShapeCertificate(True, tuple((n, n) for n in names))
 
 
 def mirror_dictionary(phi: Fanifold) -> MirrorDictionary:
     """Label both sides of every stratum and arrow, and certify the shape.
 
-    The two labeled diagrams are built over the same exit diagram, so the
-    certificate amounts to finding a decoration-preserving automorphism;
-    the search is still exhaustive rather than assumed.
+    The certificate compares ``full_diagram(phi)`` with ``skeleton_model(phi)``
+    as built: charts against pieces, ranks against torus ranks, chart maps
+    against incidences (see ``_certify``).  Both builders read the same
+    containment tables and star maps, so it checks that they agree; it
+    compares no group orders.
     """
     require_valid(phi)
     stratum_labels = []
@@ -201,7 +181,7 @@ def mirror_dictionary(phi: Fanifold) -> MirrorDictionary:
                 ),
             )
         )
-    certificate = _shape_isomorphism(phi, phi)
+    certificate = _certify(full_diagram(phi), skeleton_model(phi))
     return MirrorDictionary(
         fanifold=phi,
         stratum_labels=tuple(stratum_labels),
@@ -254,8 +234,9 @@ def restriction_pairs(phi: Fanifold, closed) -> RestrictionPair:
     Chart side: the section functor supported on the closed set, with its
     three-term exactness label.  Skeleton side: the handle plan of the
     subdomain cut out by the closed set, plus the handles removed from the
-    full plan.  The removed list is verified against the plain set
-    difference of interior strata.
+    full plan.  The full plan has one handle per interior stratum and the
+    subdomain keeps the closed strata with their interior flags, so the
+    removed handles are the interior strata outside the closed set.
     """
     closed = tuple(sorted(set(closed)))
     names = {s.name for s in phi.strata}
@@ -264,24 +245,12 @@ def restriction_pairs(phi: Fanifold, closed) -> RestrictionPair:
         raise ValueError(f"unknown strata: {unknown}")
     if not phi.is_down_closed(closed):
         raise ValueError("the chosen strata are not closed (missing deeper strata)")
-    full_plan = handle_plan(phi)
+    require_valid(phi)
     sub = delete_strata(phi, [n for n in names if n not in closed])
     sub_plan = handle_plan(sub)
     removed = tuple(
-        sorted(
-            {h.stratum for h in full_plan.handles}
-            - {h.stratum for h in sub_plan.handles}
-        )
+        sorted(s.name for s in phi.strata if s.interior and s.name not in closed)
     )
-    expect = tuple(
-        sorted(
-            s.name for s in phi.strata if s.interior and s.name not in closed
-        )
-    )
-    if removed != expect:
-        raise ValueError(
-            f"handle bookkeeping mismatch: removed {removed}, expected {expect}"
-        )
     b_descriptor = u_functor(phi, closed) if closed else None
     zset = ",".join(closed) if closed else "(empty)"
     b_sequence = (

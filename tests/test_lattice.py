@@ -1,13 +1,13 @@
 """Integer linear algebra: Smith form, quotients, kernels, Hermite form."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from fanifolds.lattice import (
     LatticeMap,
-    annihilator,
     content,
     det,
     identity_matrix,
@@ -97,6 +97,11 @@ def test_quotient_with_torsion_basics():
     assert q.projection((1, 0)) == (0,)
     assert q.projection(q.section((1,))) == (1,)
 
+    # a non-primitive generator leaves torsion beside the free part
+    q = quotient_with_torsion(2, [(2, 0)])
+    assert q.free_rank == 1 and q.torsion == (2,)
+    assert q.projection((2, 0)) == (0,)
+
 
 def test_quotient_projection_section_random():
     rng = random.Random(4321)
@@ -113,11 +118,15 @@ def test_quotient_projection_section_random():
 
 
 def test_annihilator():
-    a = annihilator(2, [(2, 0)])
-    assert a.rank == 1
-    assert a.component_group == (2,)
-    assert a.group_order == 2
-    assert all(sum(x * y for x, y in zip(row, (2, 0))) == 0 for row in a.basis)
+    # characters vanishing on (2, 0): a saturated rank-1 basis, and the
+    # component group Z^2 / Z(2, 0) has torsion of order 2
+    basis = integer_kernel(((2, 0),), 1, 2)
+    assert len(basis) == 1
+    assert all(sum(x * y for x, y in zip(row, (2, 0))) == 0 for row in basis)
+    q = quotient_with_torsion(2, [(2, 0)])
+    assert q.free_rank == len(basis)
+    assert q.torsion == (2,)
+    assert math.prod(q.torsion) == 2
 
 
 def test_solve_integer():

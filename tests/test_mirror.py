@@ -1,5 +1,6 @@
 """Matched chart-side / skeleton-side labels and restriction pairs."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -7,15 +8,18 @@ import weakref
 
 import pytest
 
+from fanifolds import mirror
+from fanifolds.bmodel import ToricDiagram, full_diagram
 from fanifolds.examples import EXAMPLES
 from fanifolds.fanifold import Fanifold
 from fanifolds.files import load_fanifold
 from fanifolds.mirror import (
     A_SIDE_CONVENTION,
+    _certify,
     mirror_dictionary,
     restriction_pairs,
 )
-from fanifolds.skeleton import handle_plan
+from fanifolds.skeleton import handle_plan, skeleton_model
 
 
 def test_dictionary_labels_every_stratum_and_arrow():
@@ -30,9 +34,77 @@ def test_dictionary_labels_every_stratum_and_arrow():
 
 
 def test_dictionary_certificate_is_a_bijection():
-    md = mirror_dictionary(EXAMPLES["square"]())
-    matching = dict(md.certificate.matching)
-    assert sorted(matching) == sorted(matching.values())
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        md = mirror_dictionary(phi)
+        assert md.certificate.ok, name
+        names = sorted(s.name for s in phi.strata)
+        assert md.certificate.matching == tuple((n, n) for n in names), name
+
+
+# -- mutants of one side that the certificate must refuse ---------------------
+
+
+def _drop_incidence(phi):
+    model = skeleton_model(phi)
+    return full_diagram(phi), dataclasses.replace(
+        model, incidences=model.incidences[1:]
+    )
+
+
+def _bump_last_piece(phi, field):
+    """Raise one field of the last skeleton piece by 1."""
+    model = skeleton_model(phi)
+    strata = list(model.strata)
+    strata[-1] = dataclasses.replace(strata[-1], **{field: getattr(strata[-1], field) + 1})
+    return full_diagram(phi), dataclasses.replace(model, strata=tuple(strata))
+
+
+def _move_collapse_target(phi):
+    """Send one collapse arrow to another chart of its target stratum, one
+    it does not already reach."""
+    diagram = full_diagram(phi)
+    reached = {(a.source, a.target) for a in diagram.arrows if a.kind == "collapse"}
+    for k, a in enumerate(diagram.arrows):
+        if a.kind != "collapse":
+            continue
+        stratum = diagram.objects[a.target].stratum
+        for t, o in enumerate(diagram.objects):
+            if o.stratum == stratum and (a.source, t) not in reached:
+                arrows = list(diagram.arrows)
+                arrows[k] = dataclasses.replace(a, target=t)
+                mutant = ToricDiagram(phi, diagram.objects, arrows)
+                return mutant, skeleton_model(phi)
+    raise AssertionError("no collapse target to move")
+
+
+MUTANTS = {
+    "drop-incidence": _drop_incidence,
+    "relabel-piece": lambda phi: _bump_last_piece(phi, "cone_index"),
+    "raise-torus-rank": lambda phi: _bump_last_piece(phi, "torus_rank"),
+    "move-collapse-target": _move_collapse_target,
+}
+
+
+@pytest.mark.parametrize("name", ["unigon", "proj3", "square"])
+@pytest.mark.parametrize("mutate", sorted(MUTANTS))
+def test_certificate_refuses_a_mutated_side(name, mutate):
+    phi = EXAMPLES[name]()
+    assert _certify(full_diagram(phi), skeleton_model(phi)).ok
+    certificate = _certify(*MUTANTS[mutate](phi))
+    assert not certificate.ok
+    assert certificate.matching == ()
+
+
+def test_dictionary_prints_a_failed_certificate(monkeypatch):
+    def dropped(phi):
+        return _drop_incidence(phi)[1]
+
+    monkeypatch.setattr(mirror, "skeleton_model", dropped)
+    md = mirror_dictionary(EXAMPLES["unigon"]())
+    assert not md.certificate.ok
+    assert md.to_text().endswith("shape isomorphism: FAILED\n")
+    assert md.to_json_dict()["certificate"] == {"ok": False, "matching": []}
 
 
 def test_dictionary_leaves_no_reference_cycle():
