@@ -16,16 +16,25 @@ of a point in one stratum, so a class id belongs to a stratum lattice point:
 only the points in the dual of every kept cone get one, and one zero sink
 stands for the rest.  Each fanifold arrow is walked once, out of the chart
 of its own cone, whose collapse makes every identification the larger
-charts' collapses make; ``_census_classes`` gives the proof.  The support
-sizes are counted from interval lengths, and chart points are built only
-for a basis.
+charts' collapses make; ``_census_classes`` gives the proof.
+
+Box points are walked as intervals of the last coordinate, one per prefix
+of the others.  Each gen's dot with a prefix of the first rank - 2
+coordinates is computed once, and the coordinate before the last steps by
+adding the gen's coefficient there (``_cut_rows``).  A chart's support size
+is counted from interval lengths in one such walk, and a zero-cone chart
+is counted as the whole box with none.  Each stratum keeps its surviving
+points as a cut list, so a collapse finds its points in sigma^perp with
+one dot per interval.  Chart points are built only for a basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import floordiv, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cones import Cone
@@ -86,6 +95,52 @@ class ToricDiagram:
         return _box_points(self.object_cone(i).gens, self.object_rank(i), degree)
 
 
+def _cut_rows(
+    gens: Sequence[Vec], rank: int, degree: int
+) -> Iterator[tuple[Vec, int, list[int], list[int]]]:
+    """The box points u with u.g >= 0 for every g in ``gens``, one prefix of
+    the first rank - 2 coordinates at a time, in lexicographic order.
+
+    For each such outer prefix, yields (outer, ylo, los, his): the
+    coordinate before the last runs over a window from ylo, and at its k-th
+    value the last coordinate runs over los[k]..his[k], empty when
+    lo > hi.  Each gen's dot with the outer prefix is computed once, and
+    stepping the coordinate before the last adds the gen's coefficient
+    there.  A gen whose last coordinate is 0 cuts the window, as the others
+    cut the last coordinate.  Needs rank >= 2.
+    """
+    flat = [(g[:-2], g[-2]) for g in gens if not g[-1]]
+    sloped = [(g[:-2], g[-2], g[-1]) for g in gens if g[-1]]
+    for outer in itertools.product(range(-degree, degree + 1), repeat=rank - 2):
+        ylo, yhi = -degree, degree
+        for head, step in flat:
+            s = sum(map(mul, outer, head))
+            if step > 0:
+                ylo = max(ylo, -(s // step))
+            elif step < 0:
+                yhi = min(yhi, s // -step)
+            elif s < 0:
+                break
+            if ylo > yhi:
+                break
+        else:
+            n = yhi - ylo + 1
+            los, his = [-degree] * n, [degree] * n
+            for head, step, last in sloped:
+                s = sum(map(mul, outer, head))
+                # the gen's dot with the prefix at each value of the window
+                if step:
+                    dots = range(s + ylo * step, s + (yhi + 1) * step, step)
+                else:
+                    dots = repeat(s, n)
+                if last > 0:  # x >= -dot / last
+                    bounds = map(neg, map(floordiv, dots, repeat(last)))
+                    los = list(map(max, los, bounds))
+                else:  # x <= dot / -last
+                    his = list(map(min, his, map(floordiv, dots, repeat(-last))))
+            yield outer, ylo, los, his
+
+
 def _box_cuts(
     gens: Sequence[Vec], rank: int, degree: int
 ) -> Iterator[tuple[Vec, int, int]]:
@@ -96,21 +151,15 @@ def _box_cuts(
     down to one integer interval lo..hi, yielded when it is not empty.
     Needs rank >= 1.
     """
-    heads = [(g[:-1], g[-1]) for g in gens]
-    for prefix in itertools.product(range(-degree, degree + 1), repeat=rank - 1):
-        lo, hi = -degree, degree
-        for head, last in heads:
-            s = sum(map(mul, prefix, head))
-            if last > 0:
-                lo = max(lo, -(s // last))
-            elif last < 0:
-                hi = min(hi, s // -last)
-            elif s < 0:
-                break
-            if lo > hi:
-                break
-        else:
-            yield prefix, lo, hi
+    if rank == 1:  # the empty prefix, at which every dot is 0
+        lo = 0 if any(g[0] > 0 for g in gens) else -degree
+        hi = 0 if any(g[0] < 0 for g in gens) else degree
+        yield (), lo, hi
+        return
+    for outer, ylo, los, his in _cut_rows(gens, rank, degree):
+        for y, lo, hi in zip(itertools.count(ylo), los, his):
+            if lo <= hi:
+                yield outer + (y,), lo, hi
 
 
 def _box_points(gens: Sequence[Vec], rank: int, degree: int) -> list[Vec]:
@@ -124,9 +173,15 @@ def _box_points(gens: Sequence[Vec], rank: int, degree: int) -> list[Vec]:
 
 
 def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
-    if rank == 0:
-        return 1
-    return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
+    if not gens:  # the zero cone's chart is the whole box
+        return (2 * degree + 1) ** rank
+    if rank == 1:
+        return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
+    # max(hi - lo, -1) + 1 points at each value of the window
+    return sum(
+        sum(map(max, map(sub, his, los), repeat(-1))) + len(los)
+        for _, _, los, his in _cut_rows(gens, rank, degree)
+    )
 
 
 def _restriction_arrows(
@@ -299,10 +354,29 @@ def _census_classes(
       target point; every other surviving u in sigma^perp, and every
       surviving target point that no such u reaches, is zero.
 
+    Each stratum keeps its surviving points as a cut list, one interval of
+    the last coordinate per prefix of the others, and their ids run
+    contiguously through each interval in lexicographic order.  A collapse
+    reads the surviving points in sigma^perp off that list, not off every
+    surviving point (``_perp_points``):
+
+    * Every surviving source point lies in the dual of sigma, whose chart
+      is kept, so it lies in sigma^perp exactly when it is perpendicular to
+      t, the sum of sigma's gens: each u . g is >= 0, and they sum to u . t.
+    * On the interval of a prefix p, u . t = s + x t_last with s = p . t'
+      for the first rank - 1 coordinates t' of t.  When t_last != 0 only
+      x = -s / t_last can vanish it, and it is a point of the interval
+      exactly when it is an integer in lo..hi.  When t_last = 0 the dot is
+      s for every x, so the interval lies in sigma^perp when s = 0 and
+      misses it otherwise.  Either way the interval costs one dot, plus the
+      points it keeps, whose ids are its first id plus x - lo.
+
     Returns the classes and, per stratum, each surviving point's id.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if 2 * degree + 1 > sys.maxsize:
+        raise ValueError(f"degree {degree} is too large")
     uf = _UnionFind()
     uf.mark_zero(uf.extend(1))  # the sink, id 0
     cones: dict[str, list[Cone]] = {}
@@ -311,40 +385,77 @@ def _census_classes(
         cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
         ranks[obj.stratum] = diagram.object_rank(i)
     ids: dict[str, dict[Vec, int]] = {}
+    cuts: dict[str, list[tuple[Vec, int, int, int]]] = {}
     for name, kept in cones.items():
         if all(c.gens for c in kept):
             raise ValueError(f"stratum {name!r} has no zero-cone chart")
         gens = list(dict.fromkeys(g for c in kept for g in c.gens))
-        points = _box_points(gens, ranks[name], degree)
-        start = uf.extend(len(points))
-        ids[name] = dict(zip(points, range(start, start + len(points))))
+        start = len(uf.parent)
+        points = ids[name] = {}
+        stratum_cuts = cuts[name] = []
+        if not ranks[name]:
+            points[()] = start
+        else:
+            for prefix, lo, hi in _box_cuts(gens, ranks[name], degree):
+                stop = start + hi - lo + 1
+                stratum_cuts.append((prefix, lo, hi, start))
+                points.update(
+                    zip([prefix + (x,) for x in range(lo, hi + 1)], range(start, stop))
+                )
+                start = stop
+        uf.extend(len(points))
 
     objects = diagram.objects
     for arrow in diagram.arrows:
         if arrow.kind == "collapse" and not diagram.object_cone(arrow.target).gens:
+            src = objects[arrow.source].stratum
             _collapse(
                 uf,
-                ids[objects[arrow.source].stratum],
+                _perp_points(cuts[src], ids[src], arrow.cone.gens),
                 ids[objects[arrow.target].stratum],
                 arrow,
             )
     return uf, ids
 
 
+def _perp_points(
+    cuts: Sequence[tuple[Vec, int, int, int]],
+    ids: Mapping[Vec, int],
+    gens: Sequence[Vec],
+) -> list[tuple[Vec, int]]:
+    """The surviving points of one stratum perpendicular to the sum of
+    ``gens``, with their ids, read off the stratum's cut list interval by
+    interval; on the surviving points that is sigma^perp for the cone sigma
+    of ``gens`` (``_census_classes`` gives the proof)."""
+    if not gens:  # every point is perpendicular to the zero cone
+        return list(ids.items())
+    total = [sum(c) for c in zip(*gens)]
+    head, last = total[:-1], total[-1]
+    out = []
+    for prefix, lo, hi, start in cuts:
+        s = sum(map(mul, prefix, head))
+        if last:
+            x, r = divmod(-s, last)
+            if not r and lo <= x <= hi:
+                out.append((prefix + (x,), start + x - lo))
+        elif not s:
+            out.extend((prefix + (x,), start + x - lo) for x in range(lo, hi + 1))
+    return out
+
+
 def _collapse(
-    uf: _UnionFind, src: dict[Vec, int], tgt: dict[Vec, int], arrow: DiagramArrow
+    uf: _UnionFind,
+    src: Iterable[tuple[Vec, int]],
+    tgt: dict[Vec, int],
+    arrow: DiagramArrow,
 ) -> None:
     """Walk one collapse from the chart of its cone sigma into the zero chart
-    of the target stratum, over the surviving points of both strata."""
-    # every surviving source point lies in the dual of sigma, whose chart is
-    # kept, so it is perpendicular to sigma when it is to the sum of the gens
-    total = [sum(c) for c in zip(*arrow.cone.gens)]
+    of the target stratum: ``src`` holds the surviving source points in
+    sigma^perp with their ids, ``tgt`` every surviving target point's id."""
     forward = arrow.forward
     union, mark_zero = uf.union, uf.mark_zero
     hit = set()
-    for u, x in src.items():
-        if sum(map(mul, u, total)):
-            continue
+    for u, x in src:
         y = tgt.get(tuple([sum(map(mul, row, u)) for row in forward]))
         if y is None:
             mark_zero(x)
@@ -376,8 +487,6 @@ def limit_census(
         obj: _box_count(diagram.object_cone(i).gens, diagram.object_rank(i), degree)
         for i, obj in enumerate(diagram.objects)
     }
-    warnings = list(diagram.warnings)
-    warnings += [f"chart {obj} has empty support" for obj, n in sizes.items() if not n]
     basis = None
     if with_basis:
         find, zero = uf.find, uf.zero
@@ -395,7 +504,7 @@ def limit_census(
         object_count=len(diagram.objects),
         arrow_count=len(diagram.arrows),
         support_sizes=sizes,
-        warnings=warnings,
+        warnings=list(diagram.warnings),
         basis=basis,
     )
 

@@ -231,16 +231,31 @@ def _random_cones(rng):
             yield Cone([tuple(int(j == k) for j in range(rank))], rank)
 
 
+def _product_cuts(points):
+    """The intervals of the last coordinate, one per prefix of the others,
+    of points given in product order."""
+    lasts = {}
+    for u in points:
+        lasts.setdefault(u[:-1], []).append(u[-1])
+    cuts = [(prefix, xs[0], xs[-1]) for prefix, xs in lasts.items()]
+    assert all(xs == list(range(xs[0], xs[-1] + 1)) for xs in lasts.values())
+    return cuts
+
+
 def test_support_is_the_box_filter_in_product_order():
     rng = random.Random(20260317)
     cones = list(_random_cones(rng))
     assert any(not c.gens for c in cones) and any(len(c.gens) > c.rank for c in cones)
-    for cone in cones:
-        chart = _OneChart(cone)
-        for degree in (0, 1, 3):
+    # last coordinates of every sign, so every cut of the walk runs
+    assert {(g[-1] > 0) - (g[-1] < 0) for c in cones for g in c.gens} == {-1, 0, 1}
+    for degree in range(7):
+        for cone in cones:
             box = _box_support(cone, degree)
-            assert chart.support(0, degree) == box, (cone, degree)
+            assert _OneChart(cone).support(0, degree) == box, (cone, degree)
             assert bmodel._box_count(cone.gens, cone.rank, degree) == len(box)
+            if cone.rank:
+                cuts = list(bmodel._box_cuts(cone.gens, cone.rank, degree))
+                assert cuts == _product_cuts(box), (cone, degree)
 
 
 def _reference_census(diagram, degree):
@@ -417,6 +432,7 @@ def test_census_matches_the_box_walk_reference():
             assert _same_partition(kernel, classes), (label, degree)
             assert census.dimension == dimension, (label, degree)
             assert census.support_sizes == sizes, (label, degree)
+            assert census.warnings == diagram.warnings, (label, degree)
             assert census.basis == basis, (label, degree)
 
 
@@ -502,6 +518,38 @@ def test_census_closed_forms_up_to_degree_eight():
     for name, form in forms.items():
         degrees = range(9)
         assert census_dims(EXAMPLES[name](), degrees) == [form(d) for d in degrees], name
+
+
+def test_census_closed_forms_past_the_ladder_cap():
+    # the benchmark ladder stops the rank-3 examples at D = 12
+    assert limit_census(full_diagram(EXAMPLES["affine3"]()), 16).dimension == 17**3
+    assert limit_census(full_diagram(EXAMPLES["proj3"]()), 16).dimension == 1
+
+
+def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
+    monkeypatch,
+):
+    """On every collapse walk of the oracle diagrams, the points read off
+    the source stratum's cut list are its surviving points in sigma^perp,
+    in id order."""
+    perp = bmodel._perp_points
+    walks, wrong = [], []
+
+    def checked(cuts, ids, gens):
+        got = perp(cuts, ids, gens)
+        want = [(u, x) for u, x in ids.items() if all(dot(u, g) == 0 for g in gens)]
+        walks.append(sum(g[-1] for g in gens))
+        if got != want:
+            wrong.append((label, degree, gens))
+        return got
+
+    monkeypatch.setattr(bmodel, "_perp_points", checked)
+    for label, diagram in _oracle_diagrams():
+        for degree in range(6):
+            _census_classes(diagram, degree)
+    assert not wrong
+    # both cases of the cut: the gens' summed last coordinate zero or not
+    assert 0 in walks and any(walks)
 
 
 # -- incidence tables: one per fan and per arrow ----------------------------------

@@ -120,6 +120,19 @@ def test_census_unigon_degree_3(capsys):
     assert "dimension: 13" in out
 
 
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_census_refuses_a_degree_past_the_box_index(capsys, example):
+    """2D + 1 past sys.maxsize is refused in one line before any walk, on
+    every bundled example."""
+    degree = str(10**20)
+    code, out, err = run_capture(
+        capsys, ["bmodel", "census", "--file", f"{example}.json", "--degree", degree]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degree {degree} is too large\n"
+
+
 GATED_COMMANDS = {
     "bmodel-chart": ["bmodel", "chart", "--stratum", "(s0,s0)"],
     "bmodel-census": ["bmodel", "census", "--degree", "2"],
