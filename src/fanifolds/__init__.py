@@ -59,7 +59,6 @@ from .skeleton import (
     fltz_pieces,
     handle_plan,
     skeleton_model,
-    skeleton_refinement_check,
 )
 from .mesh import export_mesh
 from .mirror import (

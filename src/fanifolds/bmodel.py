@@ -491,10 +491,11 @@ def limit_census(
     if with_basis:
         find, zero = uf.find, uf.zero
         members: dict[int, dict[tuple[ChartObject, Vec], int]] = {}
-        for i, obj in enumerate(diagram.objects):
-            chart = ids[obj.stratum]
-            for u in diagram.support(i, degree):
-                r = find(chart.get(u, 0))
+        # A chart's support holds every surviving point of its stratum, in
+        # the same lexicographic order, and its other points read the sink.
+        for obj in diagram.objects:
+            for u, x in ids[obj.stratum].items():
+                r = find(x)
                 if not zero[r]:
                     members.setdefault(r, {})[(obj, u)] = 1
         basis = list(members.values())

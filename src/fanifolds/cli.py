@@ -650,6 +650,10 @@ def run(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input needs more than is available",
+              file=sys.stderr)
+        return 2
 
 
 def main() -> None:

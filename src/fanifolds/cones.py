@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -138,10 +139,10 @@ class Cone:
         gens: list[Vec] = []
         seen: set[Vec] = set()
         for g in generators:
-            g = vec(g)
+            g = tuple(map(int, g))
             if len(g) != rank:
                 raise ValueError("generator length does not match ambient rank")
-            if any(x != 0 for x in g):
+            if any(g):
                 p = primitivize(g)
                 if p not in seen:
                     seen.add(p)
@@ -249,7 +250,7 @@ class Cone:
 
     def contains(self, v: Sequence[int]) -> bool:
         v = vec(v)
-        return all(dot(l, v) == 0 for l in self.perp_basis) and all(
+        return not any(map(dot, self.perp_basis, repeat(v))) and all(
             dot(r, v) >= 0 for r in self.dual_rays
         )
 
@@ -285,9 +286,9 @@ class Cone:
         """
         if not self.is_strongly_convex:
             raise ValueError("face enumeration needs a strongly convex cone")
-        cut = [u for u in self.dual_rays if all(dot(u, v) == 0 for v in vectors)]
+        cut = [u for u in self.dual_rays if not any(map(dot, repeat(u), vectors))]
         return tuple(
-            r for r in self.extremal_rays if all(dot(u, r) == 0 for u in cut)
+            r for r in self.extremal_rays if not any(map(dot, cut, repeat(r)))
         )
 
     def facets(self) -> list[Mat]:

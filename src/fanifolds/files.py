@@ -87,7 +87,10 @@ def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
     ]
 
 
-def _fan_from_dict(d, rank: int, what: str) -> Fan | StackyFan:
+def _fan_from_dict(
+    d, rank: int, what: str
+) -> tuple[Fan | StackyFan, list[tuple[int, ...]]]:
+    """The fan, and the file's ray list its cone indices refer to."""
     d = _object(d, f"{what}: fan")
     rays = _int_rows(d.get("rays", []), f"{what}: fan rays")
     for r in rays:
@@ -105,7 +108,7 @@ def _fan_from_dict(d, rank: int, what: str) -> Fan | StackyFan:
     fan = Fan(cones, rank)
     beta = d.get("stacky_beta")
     if beta is None:
-        return fan
+        return fan, rays
     beta = _int_rows(beta, f"{what}: stacky_beta")
     if len(beta) != len(rays):
         raise ValueError("stacky_beta needs one row per ray")
@@ -125,7 +128,7 @@ def _fan_from_dict(d, rank: int, what: str) -> Fan | StackyFan:
         if k is None or k <= 0 or tuple(px * k for px in prim) != b:
             raise ValueError(f"stacky generator {b} is not a positive multiple of {r}")
         multiples[tuple(primitivize(r))] = k
-    return StackyFan(fan, multiples)
+    return StackyFan(fan, multiples), rays
 
 
 def fanifold_to_dict(phi: Fanifold) -> dict:
@@ -170,6 +173,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     _require(d, ("dimension",), "the document")
     dimension = _int(d["dimension"], "dimension")
     strata = []
+    file_rays = {}
     seen = set()
     for k, s in enumerate(_list(d.get("strata", []), "strata")):
         s = _object(s, f"stratum {k}")
@@ -182,7 +186,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         seen.add(name)
         what = f"stratum {name!r}"
         rank = _int(s["lattice_rank"], f"{what}: lattice_rank")
-        fan = _fan_from_dict(s.get("fan", {}), rank, what)
+        fan, file_rays[name] = _fan_from_dict(s.get("fan", {}), rank, what)
         strata.append(
             Stratum(
                 name=name,
@@ -201,9 +205,8 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         src_name, tgt_name = a["from"], a["to"]
         if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
             raise ValueError(f"arrow references unknown stratum: {a}")
-        src = by_name[src_name]
-        plain = src.plain_fan
-        rays = plain.rays
+        plain = by_name[src_name].plain_fan
+        rays = file_rays[src_name]
         for i in _list(a["cone"], f"{what}: cone"):
             if not isinstance(i, int) or not 0 <= i < len(rays):
                 raise ValueError(f"arrow cone refers to missing ray {i!r}")

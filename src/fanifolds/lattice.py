@@ -5,12 +5,18 @@ tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
 the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Three exact routines do all the
 elimination: the Smith normal form, the integer Hermite reduction ``_echelon``
 (rank, kernels, unimodular inverses, canonical bases) and the Bareiss ``det``.
+
+The vector kernels (products, row operations, gcds) run no Python frame per
+vector entry: each is one pass of C-level builtins, such as
+``sum(map(mul, u, v))`` or ``list(map(sub, row, map(mul, repeat(q), pivot)))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -22,15 +28,15 @@ Mat = tuple[Vec, ...]
 
 
 def vec(xs: Iterable[int]) -> Vec:
-    return tuple(int(x) for x in xs)
+    return tuple(map(int, xs))
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
-    return tuple(vec(r) for r in rows)
+    return tuple(map(vec, rows))
 
 
 def identity_matrix(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def zero_vector(n: int) -> Vec:
@@ -50,15 +56,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if inner != len(b):
         raise ValueError(f"shape mismatch: {mat_shape(a)} @ {mat_shape(b)}")
     bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(ra[k] * bc[k] for k in range(inner)) for bc in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, bc)) for bc in bt) for ra in a)
 
 
 def mat_vec(m: Mat, v: Sequence[int]) -> Vec:
     if m and len(m[0]) != len(v):
         raise ValueError(f"shape mismatch: {mat_shape(m)} @ vec{len(v)}")
-    return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in m)
+    return tuple(sum(map(mul, r, v)) for r in m)
 
 
 def transpose(m: Mat) -> Mat:
@@ -66,27 +70,24 @@ def transpose(m: Mat) -> Mat:
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(c: int, v: Sequence[int]) -> Vec:
-    return tuple(c * a for a in v)
+    return tuple([c * a for a in v])
 
 
 def content(v: Sequence[int]) -> int:
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitivize(v: Sequence[int]) -> Vec:
@@ -94,7 +95,7 @@ def primitivize(v: Sequence[int]) -> Vec:
     g = content(v)
     if g == 0:
         return vec(v)
-    return tuple(a // g for a in v)
+    return tuple([a // g for a in v])
 
 
 def det(m: Mat) -> int:
@@ -240,36 +241,35 @@ class SNFResult:
 
 
 class _SNFWork:
-    """Mutable state for the SNF reduction, maintaining A = U @ D @ V."""
+    """Mutable state for the SNF reduction, maintaining A = U @ D @ V.
+
+    U is kept transposed, as ``Ut``, so its column operations are row
+    operations too."""
 
     def __init__(self, a: Mat):
         self.m, self.n = mat_shape(a)
         self.D = [list(r) for r in a]
-        self.U = [list(r) for r in identity_matrix(self.m)]
+        self.Ut = [list(r) for r in identity_matrix(self.m)]
         self.V = [list(r) for r in identity_matrix(self.n)]
 
-    # Row ops act as D <- E @ D, so U <- U @ E^-1 (column ops on U).
+    # Row ops act as D <- E @ D, so U <- U @ E^-1 (column ops on U, row ops
+    # on Ut).
     def swap_rows(self, i, j):
         if i == j:
             return
         self.D[i], self.D[j] = self.D[j], self.D[i]
-        for r in self.U:
-            r[i], r[j] = r[j], r[i]
+        self.Ut[i], self.Ut[j] = self.Ut[j], self.Ut[i]
 
     def add_row(self, i, j, q):
         """row i += q * row j."""
         if q == 0:
             return
-        Di, Dj = self.D[i], self.D[j]
-        for k in range(self.n):
-            Di[k] += q * Dj[k]
-        for r in self.U:
-            r[j] -= q * r[i]
+        self.D[i] = list(map(add, self.D[i], map(mul, repeat(q), self.D[j])))
+        self.Ut[j] = list(map(sub, self.Ut[j], map(mul, repeat(q), self.Ut[i])))
 
     def negate_row(self, i):
-        self.D[i] = [-x for x in self.D[i]]
-        for r in self.U:
-            r[i] = -r[i]
+        self.D[i] = list(map(neg, self.D[i]))
+        self.Ut[i] = list(map(neg, self.Ut[i]))
 
     # Column ops act as D <- D @ F, so V <- F^-1 @ V (row ops on V).
     def swap_cols(self, i, j):
@@ -285,23 +285,19 @@ class _SNFWork:
             return
         for r in self.D:
             r[i] += q * r[j]
-        Vi, Vj = self.V[i], self.V[j]
-        for k in range(self.n):
-            Vj[k] -= q * Vi[k]
+        self.V[j] = list(map(sub, self.V[j], map(mul, repeat(q), self.V[i])))
 
     def find_pivot(self, s):
         """Smallest-absolute-value nonzero entry of D[s:, s:], row-major ties."""
         best = None
-        best_abs = None
+        best_abs = 0
         for i in range(s, self.m):
-            row = self.D[i]
-            for j in range(s, self.n):
-                x = row[j]
-                if x != 0 and (best_abs is None or abs(x) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(x)
-                    if best_abs == 1:
-                        return best
+            tail = list(map(abs, self.D[i][s:]))
+            x = min(filter(None, tail), default=0)
+            if x and (best is None or x < best_abs):
+                best, best_abs = (i, s + tail.index(x)), x
+                if x == 1:
+                    return best
         return best
 
     def clear_at(self, s):
@@ -320,9 +316,7 @@ class _SNFWork:
                 self.add_row(i, s, -(self.D[i][s] // p))
             for j in range(s + 1, self.n):
                 self.add_col(j, s, -(self.D[s][j] // p))
-            if all(self.D[i][s] == 0 for i in range(s + 1, self.m)) and all(
-                self.D[s][j] == 0 for j in range(s + 1, self.n)
-            ):
+            if not any(r[s] for r in self.D[s + 1:]) and not any(self.D[s][s + 1:]):
                 return True
 
     def clear_pair(self, s):
@@ -376,7 +370,7 @@ def smith_normal_form(a: Mat | Iterable[Iterable[int]]) -> SNFResult:
             break
         w.add_col(bad, bad + 1, 1)
         w.clear_pair(bad)
-    U = mat(w.U)
+    U = transpose(w.Ut)
     D = mat(w.D)
     V = mat(w.V)
     result = SNFResult(U, D, V)
@@ -501,25 +495,27 @@ def _echelon(work: list[list[int]], ncols: int) -> int:
     r = 0
     for c in range(ncols):
         while True:
-            live = [i for i in range(r, len(work)) if work[i][c] != 0]
+            live = [(abs(row[c]), i) for i, row in enumerate(work[r:], r) if row[c]]
             if not live:
                 break
-            i0 = min(live, key=lambda i: (abs(work[i][c]), i))
+            i0 = min(live)[1]
             work[r], work[i0] = work[i0], work[r]
             if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
+                work[r] = list(map(neg, work[r]))
+            pivot = work[r]
             done = True
             for i in range(r + 1, len(work)):
                 if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                    q = work[i][c] // pivot[c]
+                    work[i] = list(map(sub, work[i], map(mul, repeat(q), pivot)))
                     if work[i][c] != 0:
                         done = False
             if done:
                 break
         if r < len(work) and work[r][c] != 0:
+            pivot = work[r]
             for i in range(r):
-                q = work[i][c] // work[r][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                q = work[i][c] // pivot[c]
+                work[i] = list(map(sub, work[i], map(mul, repeat(q), pivot)))
             r += 1
     return r

@@ -4,9 +4,9 @@ A fan cuts a conic Lagrangian out of the cotangent bundle of a torus: one
 piece per cone, namely the annihilator subtorus times the cone itself.  An
 exit diagram glues these local pictures along its arrows.  This module
 builds the resulting combinatorial stratification, evaluates its
-compactly-supported Euler characteristic, schedules Weinstein handle
-attachments (one handle per interior stratum, ordered by dimension), and
-certifies skeleton inclusions induced by fan refinements.
+compactly-supported Euler characteristic and schedules Weinstein handle
+attachments (one handle per interior stratum, ordered by dimension).  A fan
+refinement only grows the skeleton, so ``fans.refines`` is its certificate.
 
 No geometry is constructed here; everything is exact bookkeeping on the
 (stratum, cone) incidence complex.  See mesh.py for the renderer.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import Cone
-from .fans import Fan, StackyFan, refines, require_valid_fan
+from .fans import Fan, StackyFan, require_valid_fan
 from .fanifold import Fanifold, require_valid
 from .lattice import identity_matrix, mat_mul
 
@@ -330,25 +330,4 @@ def canonical_section_check(model: SkeletonModel) -> bool:
                 return False
         except (ValueError, IndexError):
             return False
-    return True
-
-
-def skeleton_refinement_check(
-    coarse: Fan | StackyFan, fine: Fan | StackyFan
-) -> bool:
-    """Certify that subdividing a fan only grows its skeleton.
-
-    Requires ``fine`` to refine ``coarse`` (precondition: raises
-    otherwise).  A refining cone lies in a coarse cone, so its span stays
-    inside the coarse cone's span and every annihilator of the coarse fan
-    contains an annihilator of the fine one, giving the piecewise
-    inclusion of skeleta.  Containment already makes each generator vanish
-    on the coarse cone's perp basis, so nothing is left to check once
-    ``refines`` holds, and the answer is True.
-    """
-    cplain = coarse.fan if isinstance(coarse, StackyFan) else coarse
-    fplain = fine.fan if isinstance(fine, StackyFan) else fine
-    res = refines(fplain, cplain)
-    if not res.ok:
-        raise ValueError(f"not a refinement: {res.problems[0]}")
     return True

@@ -188,6 +188,19 @@ def test_readme_and_docstring_list_the_command_table():
     assert [check_synopsis(s) for s in synopses] == paths
 
 
+def test_out_of_memory_exits_2_in_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_bmodel_census", exhausted)
+    code, out, err = run_capture(
+        capsys, ["bmodel", "census", "--file", "proj2.json", "--degree", "3"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: the input needs more than is available\n"
+
+
 @pytest.mark.parametrize("command", sorted(GATED_COMMANDS))
 def test_census_refuses_an_invalid_fanifold(tmp_path, capsys, command):
     """Every gated subcommand refuses the same invalid file the same way."""

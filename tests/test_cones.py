@@ -10,6 +10,7 @@ import itertools
 import os
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -232,3 +233,77 @@ def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
         assert max(dualized.values(), default=1) == 1, (name, dualized.most_common(3))
         total += len(dualized)
     assert total > 50
+
+
+def _solve(cols, v):
+    """The unique rational lam with sum(lam_i cols_i) = v, or None when the
+    columns are dependent or v is not in their span."""
+    k = len(cols)
+    rows = [[Fraction(c[i]) for c in cols] + [Fraction(v[i])] for i in range(len(v))]
+    for c in range(k):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[i][k] for i in range(k)]
+
+
+def brute_contains(gens, v):
+    """v is a nonnegative combination of the gens; by Caratheodory's theorem
+    of linearly independent ones, whose coefficients one exact solve finds.
+    No dual description is used."""
+    if not any(v):
+        return True
+    for k in range(1, len(v) + 1):
+        for sub in itertools.combinations(gens, k):
+            lam = _solve(sub, v)
+            if lam is not None and min(lam) >= 0:
+                return True
+    return False
+
+
+def test_contains_and_cut_match_a_brute_reference():
+    """``contains`` against Caratheodory on random cones (lines included),
+    and ``_cut`` against the face of the sum: for vectors in a strongly
+    convex cone the smallest face holding them holds their sum p, and an
+    extremal ray r lies in it exactly when p - r / N stays in the cone for
+    large N; N = 10**6 exceeds every u . r of a dual ray u on these cones."""
+    rng = random.Random(20152)
+    big = 2**65 + 3
+    for _ in range(150):
+        rank = rng.randint(1, 3)
+        gens = [
+            [rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, 4))
+        ]
+        c = Cone(gens, rank)
+        probes = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(4)]
+        probes += [[big * x for x in v] for v in probes[:2]]
+        for _ in range(2):
+            coeffs = [rng.randint(0, 2) for _ in c.gens]
+            probes.append(
+                [sum(a * g[i] for a, g in zip(coeffs, c.gens)) for i in range(rank)]
+            )
+        for v in probes:
+            assert c.contains(v) == brute_contains(c.gens, v), (c, v)
+    for _ in range(150):
+        c = random_strongly_convex(rng, rng.randint(1, 3))
+        vectors = []
+        for _ in range(rng.randint(0, 3)):
+            picked = rng.sample(c.gens, rng.randint(0, len(c.gens)))
+            coeffs = [rng.choice((1, 2, big)) for _ in picked]
+            vectors.append(tuple(
+                sum(a * g[i] for a, g in zip(coeffs, picked)) for i in range(c.rank)
+            ))
+        p = [sum(col) for col in zip(*vectors)] or [0] * c.rank
+        expected = tuple(
+            r for r in c.extremal_rays
+            if brute_contains(c.gens, [10**6 * x - y for x, y in zip(p, r)])
+        )
+        assert c._cut(vectors) == expected, (c, vectors)

@@ -180,3 +180,35 @@ def test_malformed_shapes_exit_2_naming_the_culprit(tmp_path, capsys):
     assert _cli_load_error(tmp_path, capsys, [1]) == (
         "error: the document must be a JSON object"
     )
+
+
+def _permute_rays(d: dict, stratum: str, order: list[int]) -> dict:
+    """The same document with one stratum's rays listed in ``order``: its
+    fan cones, stacky rows and outgoing arrow cones follow the rays."""
+    d = copy.deepcopy(d)
+    new_index = {old: new for new, old in enumerate(order)}
+    fan = next(s["fan"] for s in d["strata"] if s["id"] == stratum)
+    fan["rays"] = [fan["rays"][i] for i in order]
+    fan["cones"] = [[new_index[i] for i in c] for c in fan["cones"]]
+    if "stacky_beta" in fan:
+        fan["stacky_beta"] = [fan["stacky_beta"][i] for i in order]
+    for a in d["arrows"]:
+        if a["from"] == stratum:
+            a["cone"] = [new_index[i] for i in a["cone"]]
+    return d
+
+
+@pytest.mark.parametrize(
+    "name, stratum, order",
+    [("proj1", "s2", [1, 0]), ("proj2", "s3", [2, 0, 1]), ("quadric_stacky", "s1", [1, 0])],
+)
+def test_arrow_cones_index_the_file_ray_list(name, stratum, order):
+    with open(os.path.join(DATA_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    bundled = files.loads(text)
+    permuted = files.fanifold_from_dict(_permute_rays(json.loads(text), stratum, order))
+    assert permuted.validate().valid
+    assert [
+        (a.source, a.target, a.cone_index, a.iso.matrix) for a in permuted.arrows
+    ] == [(a.source, a.target, a.cone_index, a.iso.matrix) for a in bundled.arrows]
+    assert files.dumps(permuted) == text

@@ -16,6 +16,7 @@ from fanifolds.lattice import (
     is_unimodular,
     lattice_map,
     mat_mul,
+    mat_shape,
     mat_vec,
     matrix_rank,
     primitivize,
@@ -282,3 +283,295 @@ def test_lattice_map_compose_and_call():
 def test_lattice_map_validates_shape():
     with pytest.raises(ValueError):
         lattice_map(((1, 0),), 3, 1)
+
+
+# -- the kernels against their generator-expression definitions --------------
+#
+# The vector kernels and row operations of ``lattice`` are written with
+# C-level builtins.  The definitions below are the per-entry generator
+# expressions they replaced, kept as the reference: on the same inputs each
+# kernel must return the same values, of the same types, and raise the same
+# exceptions.
+
+
+def _ref_vec(xs):
+    return tuple(int(x) for x in xs)
+
+
+def _ref_mat(rows):
+    return tuple(_ref_vec(r) for r in rows)
+
+
+def _ref_identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _ref_mat_mul(a, b):
+    if len(a) == 0:
+        return ()
+    inner = len(a[0])
+    if inner != len(b):
+        raise ValueError(f"shape mismatch: {mat_shape(a)} @ {mat_shape(b)}")
+    bt = list(zip(*b)) if b else []
+    return tuple(
+        tuple(sum(ra[k] * bc[k] for k in range(inner)) for bc in bt) for ra in a
+    )
+
+
+def _ref_mat_vec(m, v):
+    if m and len(m[0]) != len(v):
+        raise ValueError(f"shape mismatch: {mat_shape(m)} @ vec{len(v)}")
+    return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in m)
+
+
+def _ref_content(v):
+    g = 0
+    for a in v:
+        g = math.gcd(g, abs(a))
+    return g
+
+
+def _ref_primitivize(v):
+    g = _ref_content(v)
+    return _ref_vec(v) if g == 0 else tuple(a // g for a in v)
+
+
+def _ref_echelon(work, ncols):
+    r = 0
+    for c in range(ncols):
+        while True:
+            live = [i for i in range(r, len(work)) if work[i][c] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: (abs(work[i][c]), i))
+            work[r], work[i0] = work[i0], work[r]
+            if work[r][c] < 0:
+                work[r] = [-x for x in work[r]]
+            done = True
+            for i in range(r + 1, len(work)):
+                if work[i][c] != 0:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                    if work[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(work) and work[r][c] != 0:
+            for i in range(r):
+                q = work[i][c] // work[r][c]
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+            r += 1
+    return r
+
+
+def _ref_row_hermite(vectors, rank):
+    work = [list(_ref_vec(v)) for v in vectors]
+    return _ref_mat(work[: _ref_echelon(work, rank)])
+
+
+def _ref_integer_kernel(a, rows, cols):
+    work = [
+        [a[i][j] for i in range(rows)] + [int(k == j) for k in range(cols)]
+        for j in range(cols)
+    ]
+    kernel = [row[rows:] for row in work[_ref_echelon(work, rows):]]
+    return _ref_mat(kernel[: _ref_echelon(kernel, cols)])
+
+
+def _ref_invert_unimodular(m):
+    n = len(m)
+    if all(len(r) == n for r in m):
+        work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+        if _ref_echelon(work, n) == n and all(work[i][i] == 1 for i in range(n)):
+            return tuple(tuple(r[n:]) for r in work)
+    raise ValueError(f"matrix is not unimodular (det = {det(m)})")
+
+
+def _ref_smith_normal_form(a):
+    """(U, D, V) by the per-entry row and column loops, same pivot rules."""
+    a = _ref_mat(a)
+    m, n = len(a), len(a[0]) if a else 0
+    D = [list(r) for r in a]
+    U = [list(r) for r in _ref_identity(m)]
+    V = [list(r) for r in _ref_identity(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            D[i], D[j] = D[j], D[i]
+            for r in U:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, q):
+        if q:
+            for k in range(n):
+                D[i][k] += q * D[j][k]
+            for r in U:
+                r[j] -= q * r[i]
+
+    def negate_row(i):
+        D[i] = [-x for x in D[i]]
+        for r in U:
+            r[i] = -r[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in D:
+                r[i], r[j] = r[j], r[i]
+            V[i], V[j] = V[j], V[i]
+
+    def add_col(i, j, q):
+        if q:
+            for r in D:
+                r[i] += q * r[j]
+            for k in range(n):
+                V[j][k] -= q * V[i][k]
+
+    def find_pivot(s):
+        best, best_abs = None, None
+        for i in range(s, m):
+            for j in range(s, n):
+                x = D[i][j]
+                if x != 0 and (best_abs is None or abs(x) < best_abs):
+                    best, best_abs = (i, j), abs(x)
+                    if best_abs == 1:
+                        return best
+        return best
+
+    r = 0
+    for s in range(min(m, n)):
+        while True:
+            piv = find_pivot(s)
+            if piv is None:
+                break
+            swap_rows(s, piv[0])
+            swap_cols(s, piv[1])
+            if D[s][s] < 0:
+                negate_row(s)
+            p = D[s][s]
+            for i in range(s + 1, m):
+                add_row(i, s, -(D[i][s] // p))
+            for j in range(s + 1, n):
+                add_col(j, s, -(D[s][j] // p))
+            if all(D[i][s] == 0 for i in range(s + 1, m)) and all(
+                D[s][j] == 0 for j in range(s + 1, n)
+            ):
+                break
+        if piv is None:
+            break
+        r += 1
+    while True:
+        for i in range(r):
+            if D[i][i] < 0:
+                negate_row(i)
+        bad = next((s for s in range(r - 1) if D[s + 1][s + 1] % D[s][s] != 0), None)
+        if bad is None:
+            break
+        add_col(bad, bad + 1, 1)
+        s, t = bad, bad + 1
+        while True:
+            entries = [(i, j) for i in (s, t) for j in (s, t) if D[i][j] != 0]
+            if not entries:
+                break
+            i, j = min(entries, key=lambda ij: (abs(D[ij[0]][ij[1]]), ij))
+            swap_rows(s, i)
+            swap_cols(s, j)
+            if D[s][s] < 0:
+                negate_row(s)
+            p = D[s][s]
+            add_row(t, s, -(D[t][s] // p))
+            add_col(t, s, -(D[s][t] // p))
+            if D[t][s] == 0 and D[s][t] == 0:
+                break
+    return _ref_mat(U), _ref_mat(D), _ref_mat(V)
+
+
+def _entry(rng):
+    """Zero, a small entry of either sign, or one past 2**64."""
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.8:
+        return rng.randint(-6, 6)
+    return rng.choice((-1, 1)) * (2**64 + rng.randint(0, 2**66))
+
+
+def _vector(rng, n):
+    if rng.random() < 0.15:
+        return (0,) * n
+    return tuple(_entry(rng) for _ in range(n))
+
+
+def _matrix(rng, rows, cols):
+    return tuple(_vector(rng, cols) for _ in range(rows))
+
+
+def _unimodular(rng, n):
+    """A product of elementary matrices, some with multipliers past 2**64."""
+    m = [list(r) for r in identity_matrix(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((rng.randint(-3, 3), 2**65 + rng.randint(0, 9)))
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i], m[j] = m[j], [-x for x in m[i]]
+    return tuple(tuple(r) for r in m)
+
+
+def _outcome(fn, *args):
+    """The value with its types, or the exception raised, comparably."""
+    try:
+        value = fn(*args)
+    except (ValueError, IndexError, TypeError) as e:
+        return ("raised", type(e), str(e))
+    return ("value", value, repr(value))
+
+
+def test_vector_kernels_match_their_generator_definitions():
+    from fanifolds import lattice as L
+
+    rng = random.Random(20150)
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        u, v = _vector(rng, n), _vector(rng, n)
+        c = _entry(rng)
+        assert L.vec(u) == _ref_vec(u) and type(L.vec(u)) is tuple
+        assert L.vec([str(x) for x in u]) == _ref_vec([str(x) for x in u])
+        assert L.dot(u, v) == sum(a * b for a, b in zip(u, v))
+        assert L.vec_add(u, v) == tuple(a + b for a, b in zip(u, v))
+        assert L.vec_sub(u, v) == tuple(a - b for a, b in zip(u, v))
+        assert L.vec_scale(c, u) == tuple(c * a for a in u)
+        assert L.content(u) == _ref_content(u)
+        assert _outcome(L.primitivize, u) == _outcome(_ref_primitivize, u)
+        rows, inner, cols = rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4)
+        a, b = _matrix(rng, rows, inner), _matrix(rng, inner, cols)
+        assert L.mat(a) == _ref_mat(a)
+        assert _outcome(L.mat_mul, a, b) == _outcome(_ref_mat_mul, a, b)
+        for w in (_vector(rng, inner), _vector(rng, inner + 1)):
+            assert _outcome(L.mat_vec, a, w) == _outcome(_ref_mat_vec, a, w)
+        b = _matrix(rng, inner + 1, cols)
+        assert _outcome(L.mat_mul, a, b) == _outcome(_ref_mat_mul, a, b)
+        assert L.identity_matrix(n) == _ref_identity(n)
+
+
+def test_eliminations_match_their_generator_definitions():
+    from fanifolds import lattice as L
+
+    rng = random.Random(20151)
+    for _ in range(250):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        a = _matrix(rng, rows, cols)
+        if rng.random() < 0.3 and rows:  # a dependent row
+            k = rng.randint(-3, 3)
+            a = a[:-1] + (tuple(k * x for x in a[0]),)
+        ncols = rng.randint(0, cols)
+        work, ref = [list(r) for r in a], [list(r) for r in a]
+        assert L._echelon(work, ncols) == _ref_echelon(ref, ncols)
+        assert work == ref
+        assert row_hermite(a, cols) == _ref_row_hermite(a, cols)
+        if rows:
+            assert integer_kernel(a, rows, cols) == _ref_integer_kernel(a, rows, cols)
+            snf = smith_normal_form(a)
+            assert (snf.U, snf.D, snf.V) == _ref_smith_normal_form(a)
+        n = rng.randint(1, 4)
+        for m in (_unimodular(rng, n), _matrix(rng, n, n)):
+            assert _outcome(invert_unimodular, m) == _outcome(_ref_invert_unimodular, m)

@@ -1,6 +1,5 @@
 """Conic Lagrangian skeleta: strata, Euler counts, handles, section checks."""
 
-import pytest
 
 from fanifolds.examples import (
     EXAMPLES,
@@ -12,7 +11,7 @@ from fanifolds.examples import (
     stacky_quadric_fan,
 )
 from fanifolds.fanifold import from_fan, sphere_section
-from fanifolds.fans import resolve_to_smooth
+from fanifolds.fans import refines, resolve_to_smooth
 from fanifolds.lattice import lattice_map
 from fanifolds.skeleton import (
     canonical_section_check,
@@ -20,7 +19,6 @@ from fanifolds.skeleton import (
     fltz_pieces,
     handle_plan,
     skeleton_model,
-    skeleton_refinement_check,
 )
 
 
@@ -158,12 +156,12 @@ def test_canonical_section_check_rejects_corrupt_iso():
 
 
 def test_skeleton_refinement_check_quadric():
+    """A refinement only grows the skeleton, so ``refines`` certifies it."""
     coarse = stacky_quadric_fan()
     fine = resolve_to_smooth(coarse.fan).fan
-    assert skeleton_refinement_check(coarse, fine)
-    assert skeleton_refinement_check(coarse.fan, fine)
-    with pytest.raises(ValueError):
-        skeleton_refinement_check(fine, coarse.fan)  # not a refinement that way
+    assert refines(fine, coarse.fan).ok
+    backwards = refines(coarse.fan, fine)  # not a refinement that way
+    assert not backwards.ok and backwards.problems
 
 
 def test_sphere_section_skeleton():
