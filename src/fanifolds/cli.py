@@ -22,7 +22,8 @@ Every one is a row of ``COMMANDS``, which the parser is built from.
 
 Files are looked up literally first, then among the bundled examples, so
 ``--file unigon.json`` works from anywhere.  Exit codes: 0 success, 1 for
-usage errors, 2 when the input fails validation or a computation rejects it.
+usage errors, 2 when the input fails validation, a computation rejects it or
+it needs more memory than is available.
 """
 
 from __future__ import annotations

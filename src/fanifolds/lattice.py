@@ -7,8 +7,10 @@ elimination: the Smith normal form, the integer Hermite reduction ``_echelon``
 (rank, kernels, unimodular inverses, canonical bases) and the Bareiss ``det``.
 
 The vector kernels (products, row operations, gcds) run no Python frame per
-vector entry: each is one pass of C-level builtins, such as
-``sum(map(mul, u, v))`` or ``list(map(sub, row, map(mul, repeat(q), pivot)))``.
+vector entry: a product, a row operation or an entrywise sum is one pass of
+C-level builtins, such as ``sum(map(mul, u, v))`` or
+``list(map(sub, row, map(mul, repeat(q), pivot)))``; scaling by one number is
+one list comprehension, which beats ``map`` with ``repeat`` on short vectors.
 """
 
 from __future__ import annotations
