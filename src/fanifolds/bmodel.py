@@ -89,11 +89,6 @@ class ToricDiagram:
     def object_rank(self, i: int) -> int:
         return self.fanifold.stratum(self.objects[i].stratum).lattice_rank
 
-    def support(self, i: int, degree: int) -> list[Vec]:
-        """Dual-lattice points of the chart monoid inside the coordinate box,
-        in lexicographic order."""
-        return _box_points(self.object_cone(i).gens, self.object_rank(i), degree)
-
 
 def _cut_rows(
     gens: Sequence[Vec], rank: int, degree: int
@@ -160,16 +155,6 @@ def _box_cuts(
         for y, lo, hi in zip(itertools.count(ylo), los, his):
             if lo <= hi:
                 yield outer + (y,), lo, hi
-
-
-def _box_points(gens: Sequence[Vec], rank: int, degree: int) -> list[Vec]:
-    if rank == 0:
-        return [()]
-    return [
-        prefix + (x,)
-        for prefix, lo, hi in _box_cuts(gens, rank, degree)
-        for x in range(lo, hi + 1)
-    ]
 
 
 def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
@@ -260,8 +245,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     if f_name not in phi.by_name:
         raise ValueError(f"unknown stratum {f_name!r}")
     if not require_valid(phi).is_poset:
-        uc = unrolled_closure(phi, f_name)
-        diagram = full_diagram(uc.fanifold)
+        diagram = full_diagram(unrolled_closure(phi, f_name))
         diagram.warnings.append(
             f"stratum {f_name!r} has an unrolled closure"
             " (the exit diagram is not a poset)"
@@ -645,11 +629,9 @@ def subalgebra_check(
     generators: Sequence[tuple[str, Mapping[str, Laurent]]],
     relations: Sequence[tuple[str, Mapping[tuple[int, ...], int]]] = (),
     degree: int = 4,
-    max_factors: int | None = None,
 ) -> SubalgebraReport:
-    """Check relations exactly and spanning of the census space by products."""
-    if max_factors is None:
-        max_factors = degree
+    """Check relations exactly, and whether the products of at most
+    ``degree`` generators span the census space."""
     problems: list[str] = []
     forwards = [phi._collapse_matrices(a)[0] for a in phi.arrows]
     gen_values: list[dict[str, Laurent]] = []
@@ -701,7 +683,7 @@ def subalgebra_check(
 
     rows: list[list[int]] = []
     names = [g[0] for g in generators]
-    for count in range(max_factors + 1):
+    for count in range(degree + 1):
         for combo in itertools.combinations_with_replacement(
             range(len(generators)), count
         ):

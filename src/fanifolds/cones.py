@@ -315,7 +315,11 @@ class Cone:
         """True when this cone is a face of the strongly convex ``other``.
 
         ``_has_face`` is true on every face, so when it says no the
-        containment test is not needed."""
+        containment test is not needed.  Nothing in the package calls this:
+        ``Fan.validate`` settles nested pairs with ``_has_face`` alone, by
+        the lemma in ``fans``.  It stays public as the plain definition that
+        the meet-rule tests and the face suites check the faster paths
+        against."""
         if self.rank != other.rank:
             return False
         return other._has_face(self) and other.contains_cone(self)

@@ -349,17 +349,11 @@ def _cone_strata(
     plain: Fan,
     keep: Sequence[int],
     shift: int,
-    names: Sequence[str] | None,
 ) -> tuple[list[Stratum], list[Arrow], dict[tuple[str, int], FanQuotient]]:
-    """One stratum of dimension dim - shift per kept cone, its face arrows,
-    and each arrow's star quotient keyed by (source, cone index).
-
-    ``names`` (default ``s<cone index>``) name the kept cones in order.
-    """
-    if names is None:
-        name = {i: f"s{i}" for i in keep}
-    else:
-        name = {i: names[k] for k, i in enumerate(keep)}
+    """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
+    its face arrows, and each arrow's star quotient keyed by (source, cone
+    index)."""
+    name = {i: f"s{i}" for i in keep}
     strata = []
     quotients: dict[int, FanQuotient] = {}
     for i in keep:
@@ -380,15 +374,11 @@ def _cone_strata(
     return strata, arrows, arrow_quotients
 
 
-def from_fan(
-    fan: Fan | StackyFan, names: Sequence[str] | None = None
-) -> Fanifold:
+def from_fan(fan: Fan | StackyFan) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
     plain = require_valid_fan(fan)
     n = plain.rank
-    strata, arrows, quotients = _cone_strata(
-        fan, plain, range(len(plain.cones)), 0, names
-    )
+    strata, arrows, quotients = _cone_strata(fan, plain, range(len(plain.cones)), 0)
     return Fanifold(
         dimension=n,
         strata=strata,
@@ -399,13 +389,11 @@ def from_fan(
     )
 
 
-def sphere_section(
-    fan: Fan | StackyFan, names: Sequence[str] | None = None
-) -> Fanifold:
+def sphere_section(fan: Fan | StackyFan) -> Fanifold:
     """Fanifold structure on the unit-sphere slice of the fan's support."""
     plain = require_valid_fan(fan)
     keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
-    strata, arrows, quotients = _cone_strata(fan, plain, keep, 1, names)
+    strata, arrows, quotients = _cone_strata(fan, plain, keep, 1)
     return Fanifold(
         dimension=plain.rank - 1,
         strata=strata,
@@ -524,16 +512,16 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
     )
 
 
-def disjoint_union(a: Fanifold, b: Fanifold, prefixes=("L.", "R.")) -> Fanifold:
+def disjoint_union(a: Fanifold, b: Fanifold) -> Fanifold:
+    """``a`` and ``b`` side by side, their strata renamed ``L.<name>`` and
+    ``R.<name>``."""
     if a.dimension != b.dimension:
         raise ValueError("disjoint union needs equal dimensions")
-    pa, pb = prefixes
-    strata = [replace(s, name=pa + s.name) for s in a.strata] + [
-        replace(s, name=pb + s.name) for s in b.strata
-    ]
-    arrows = [
-        replace(x, source=pa + x.source, target=pa + x.target) for x in a.arrows
-    ] + [replace(x, source=pb + x.source, target=pb + x.target) for x in b.arrows]
+    strata: list[Stratum] = []
+    arrows: list[Arrow] = []
+    for pre, side in (("L.", a), ("R.", b)):
+        strata += [replace(s, name=pre + s.name) for s in side.strata]
+        arrows += [replace(x, source=pre + x.source, target=pre + x.target) for x in side.arrows]
     return Fanifold(
         dimension=a.dimension,
         strata=strata,
@@ -598,13 +586,6 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
 # -- unrolled closures -------------------------------------------------------
 
 
-@dataclass
-class UnrolledClosure:
-    fanifold: Fanifold
-    to_original: dict[str, str]  # new stratum id -> original stratum id
-    top: str  # id of the stratum covering F itself
-
-
 def _span_basis(cone: Cone) -> Mat:
     """Basis (rows) of the saturated span of a cone."""
     return integer_kernel(mat(cone.perp_basis), len(cone.perp_basis), cone.rank)
@@ -621,7 +602,7 @@ def _coords_in_span(basis: Mat, v: Vec) -> Vec:
     return sol
 
 
-def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
+def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
     """Closure of one stratum, with its boundary unrolled arrow-by-arrow.
 
     Objects are the arrows into the chosen stratum plus an identity object;
@@ -634,13 +615,11 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         objects.append((f"{a.source}.via{k}", a))
 
     strata = []
-    to_original = {}
     span_basis: dict[str, Mat] = {}
     face_fans: dict[str, Fan] = {}
     for name, a in objects:
         if a is None:
             strata.append(Stratum(name=name, dim=f.dim, fan=Fan([zero_cone(0)], 0)))
-            to_original[name] = f_name
             continue
         src = phi.stratum(a.source)
         sigma = phi.arrow_cone(a)
@@ -653,7 +632,6 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         span_basis[name] = basis
         face_fans[name] = ffan
         strata.append(Stratum(name=name, dim=src.dim, fan=ffan))
-        to_original[name] = a.source
 
     quotients: dict[tuple[str, int], FanQuotient] = {}
     arrows = []
@@ -712,7 +690,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
                 arrows.append(
                     Arrow(source=name_a, target=name_b, cone_index=ci, iso=iso)
                 )
-    out = Fanifold(
+    return Fanifold(
         dimension=f.dim,
         strata=strata,
         arrows=arrows,
@@ -720,7 +698,6 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> UnrolledClosure:
         provenance=("unrolled", phi, f_name),
         quotients=quotients,
     )
-    return UnrolledClosure(fanifold=out, to_original=to_original, top=f"{f_name}.top")
 
 
 # -- ideal boundary ----------------------------------------------------------

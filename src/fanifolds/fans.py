@@ -22,17 +22,15 @@ of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .cones import Cone, zero_cone
+from .cones import Cone
 from .lattice import (
     LatticeMap,
     Mat,
     Vec,
-    dot,
-    lattice_map,
     mat,
     primitivize,
     quotient_with_torsion,
@@ -184,31 +182,18 @@ class Fan:
             return "empty fan"
         if self.rank == 0:
             return None
-        maximal = self.maximal_cone_indices()
-        tops = [self.cones[i] for i in maximal]
-        if any(c.dim != self.rank for c in tops):
-            bad = next(c for c in tops if c.dim != self.rank)
+        tops = [self.cones[i] for i in self.maximal_cone_indices()]
+        bad = next((c for c in tops if c.dim != self.rank), None)
+        if bad is not None:
             return f"maximal cone {list(bad.gens)} has dimension {bad.dim} < {self.rank}"
-        shared: dict[int, set[int]] = {i: set() for i in range(len(tops))}
-        ray_sets = [set(c.extremal_rays) for c in tops]
-        for i, c in enumerate(tops):
-            for f in c.facets():
-                others = [
-                    j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
-                ]
-                if len(others) != 1:
-                    return (
-                        f"facet {list(f)} of a maximal cone is shared by "
-                        f"{len(others)} other maximal cones, expected 1"
-                    )
-                shared[i].add(others[0])
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            nxt = shared[frontier.pop()] - reached
-            reached |= nxt
-            frontier.extend(nxt)
-        if len(reached) != len(tops):
+        unpaired, connected = _pair_facets(tops, None)
+        if unpaired is not None:
+            f, n = unpaired
+            return (
+                f"facet {list(f)} of a maximal cone is shared by "
+                f"{n} other maximal cones, expected 1"
+            )
+        if not connected:
             return "maximal cones do not form one facet-connected component"
         return None
 
@@ -379,7 +364,10 @@ def _parallelepiped_point(cone: Cone) -> Vec | None:
     )
 
 
-def resolve_to_smooth(fan: Fan, max_steps: int = 1000) -> ResolveResult:
+_RESOLVE_STEPS = 1000  # subdivisions before resolve_to_smooth gives up
+
+
+def resolve_to_smooth(fan: Fan) -> ResolveResult:
     """Refine until every cone is smooth, by repeated stellar subdivision.
 
     Non-simplicial cones are first split at the primitive sum of their rays;
@@ -388,7 +376,7 @@ def resolve_to_smooth(fan: Fan, max_steps: int = 1000) -> ResolveResult:
     """
     current = fan
     steps: list[Vec] = []
-    for _ in range(max_steps):
+    for _ in range(_RESOLVE_STEPS):
         target = next((c for c in current.cones if not c.is_simplicial), None)
         if target is not None:
             total = (0,) * current.rank
@@ -409,10 +397,40 @@ def resolve_to_smooth(fan: Fan, max_steps: int = 1000) -> ResolveResult:
             raise AssertionError("multiplicity > 1 but no box point found")
         steps.append(v)
         current = stellar_subdivision(current, v)
-    raise RuntimeError("resolution did not terminate in max_steps")
+    raise RuntimeError(f"resolution did not terminate in {_RESOLVE_STEPS} steps")
 
 
 # -- refinement --------------------------------------------------------------
+
+
+def _pair_facets(
+    tops: Sequence[Cone], sigma: Cone | None
+) -> tuple[tuple[Mat, int] | None, bool]:
+    """Pair the facets of the equal-dimensional cones ``tops`` (not empty)
+    as a tiling of ``sigma`` (None: the whole space) needs: a facet on the
+    boundary of sigma lies in no other top, any other facet in exactly one.
+
+    Returns the first facet that breaks this, with the number of other tops
+    holding it (else None), and whether the tops are facet-connected.
+    """
+    ray_sets = [set(t.extremal_rays) for t in tops]
+    neighbours: list[set[int]] = [set() for _ in tops]
+    for i, t in enumerate(tops):
+        for f in t.facets():
+            expected = 1 if sigma is None or sigma._cut(f) == sigma.extremal_rays else 0
+            sharers = [
+                j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
+            ]
+            if len(sharers) != expected:
+                return (f, len(sharers)), False
+            neighbours[i].update(sharers)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = neighbours[frontier.pop()] - reached
+        reached |= nxt
+        frontier.extend(nxt)
+    return None, len(reached) == len(tops)
 
 
 def cones_cover(sigma: Cone, pieces: Sequence[Cone]) -> bool:
@@ -427,28 +445,8 @@ def cones_cover(sigma: Cone, pieces: Sequence[Cone]) -> bool:
     tops = [p for p in pieces if p.dim == d]
     if not tops:
         return False
-    ray_sets = [set(t.extremal_rays) for t in tops]
-    neighbours: dict[int, set[int]] = {i: set() for i in range(len(tops))}
-    for i, t in enumerate(tops):
-        for f in t.facets():
-            on_boundary = sigma._cut(f) != sigma.extremal_rays
-            sharers = [
-                j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
-            ]
-            if on_boundary:
-                if sharers:
-                    return False
-            elif len(sharers) != 1:
-                return False
-            else:
-                neighbours[i].add(sharers[0])
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = neighbours[frontier.pop()] - reached
-        reached |= nxt
-        frontier.extend(nxt)
-    return len(reached) == len(tops)
+    unpaired, connected = _pair_facets(tops, sigma)
+    return unpaired is None and connected
 
 
 @dataclass(frozen=True)
@@ -511,21 +509,6 @@ class StackyFan:
 
     def stacky_gens(self, cone: Cone) -> Mat:
         return tuple(self.stacky_generator(r) for r in cone.extremal_rays)
-
-    def fan_tilde(self) -> Fan:
-        """Standard-basis lift: each cone becomes a coordinate cone upstairs."""
-        rays = self.rays
-        index = {r: i for i, r in enumerate(rays)}
-        n = len(rays)
-        lifted = []
-        for c in self.fan.cones:
-            gens = []
-            for r in c.extremal_rays:
-                e = [0] * n
-                e[index[r]] = 1
-                gens.append(tuple(e))
-            lifted.append(Cone(gens, n))
-        return Fan(lifted, n)
 
     def component_group(self, cone: Cone) -> tuple[int, ...]:
         """Cokernel torsion of the stacky generators of the cone."""

@@ -74,10 +74,11 @@ def _require(entry: dict, keys: tuple[str, ...], what: str) -> None:
 
 
 def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what}: {value!r} is not an integer") from None
+    """A JSON integer only: no float, string or boolean (Python's ``bool``
+    is an ``int``, so the type is compared exactly)."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    return value
 
 
 def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
@@ -99,7 +100,7 @@ def _fan_from_dict(
     cones = []
     for idx in _list(d.get("cones", []), f"{what}: fan cones"):
         for i in _list(idx, f"{what}: fan cones"):
-            if not isinstance(i, int) or not 0 <= i < len(rays):
+            if type(i) is not int or not 0 <= i < len(rays):
                 raise ValueError(f"cone refers to missing ray {i!r}")
         if idx:
             cones.append(Cone([rays[i] for i in idx], rank))
@@ -186,13 +187,16 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         seen.add(name)
         what = f"stratum {name!r}"
         rank = _int(s["lattice_rank"], f"{what}: lattice_rank")
+        interior = s.get("interior", True)
+        if type(interior) is not bool:
+            raise ValueError(f"{what}: interior {interior!r} is not true or false")
         fan, file_rays[name] = _fan_from_dict(s.get("fan", {}), rank, what)
         strata.append(
             Stratum(
                 name=name,
                 dim=_int(s["dim"], f"{what}: dim"),
                 fan=fan,
-                interior=bool(s.get("interior", True)),
+                interior=interior,
                 chi_c=_int(s["chi_c"], f"{what}: chi_c") if "chi_c" in s else None,
             )
         )
@@ -208,7 +212,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         plain = by_name[src_name].plain_fan
         rays = file_rays[src_name]
         for i in _list(a["cone"], f"{what}: cone"):
-            if not isinstance(i, int) or not 0 <= i < len(rays):
+            if type(i) is not int or not 0 <= i < len(rays):
                 raise ValueError(f"arrow cone refers to missing ray {i!r}")
         if a["cone"]:
             cone = Cone([rays[i] for i in a["cone"]], plain.rank)

@@ -15,7 +15,7 @@ one list comprehension, which beats ``map`` with ``repeat`` on short vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from operator import add, mul, neg, sub
@@ -39,10 +39,6 @@ def mat(rows: Iterable[Iterable[int]]) -> Mat:
 
 def identity_matrix(n: int) -> Mat:
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
-
-
-def zero_vector(n: int) -> Vec:
-    return (0,) * n
 
 
 def mat_shape(m: Mat) -> tuple[int, int]:
@@ -197,9 +193,7 @@ class LatticeMap:
         return LatticeMap(m, other.source, self.target)
 
     def is_unimodular(self) -> bool:
-        return self.source.rank == self.target.rank and (
-            self.source.rank == 0 or det(self.matrix) in (1, -1)
-        )
+        return self.source.rank == self.target.rank and is_unimodular(self.matrix)
 
 
 def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: int) -> LatticeMap:
@@ -397,7 +391,6 @@ class QuotientResult:
     torsion: tuple[int, ...]
     projection: LatticeMap
     section: LatticeMap
-    span_rank: int
 
 
 def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> QuotientResult:
@@ -427,7 +420,6 @@ def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -
         torsion=snf.torsion,
         projection=lattice_map(proj_rows, n, free),
         section=lattice_map(sec, free, n),
-        span_rank=rank,
     )
 
 

@@ -87,7 +87,7 @@ class _Layout:
         self.fiber_dir: dict[tuple, tuple] = {}
         self.fiber_sector: dict[tuple, tuple] = {}
         self.strip_dir: dict[tuple, tuple] = {}
-        self.circle_normal: dict[str, tuple] = {}
+        self.circle_normal: dict[str, tuple] = {}  # unset: (0, 1)
 
 
 def _sample_segment(p, q, steps):
@@ -117,7 +117,6 @@ def _fan_layout(model: SkeletonModel, resolution: int) -> _Layout:
         c = plain.cones[i]
         if c.dim == 0:
             lay.point[st.name] = origin
-            lay.circle_normal[st.name] = (0.0, 1.0)
         elif c.dim == 1:
             d = _unit(c.gens[0])
             end = (d[0] * _RADIUS, d[1] * _RADIUS)
@@ -171,23 +170,10 @@ def _cycle_or_chain_layout(model: SkeletonModel, resolution: int) -> _Layout | N
             if e not in ins:
                 return None
             ins[e].append(v)
-    if any(len(vs) != 2 for vs in ins.values()) or len(verts) != len(edges):
+    if any(len(vs) != 2 for vs in ins.values()):
         return _chain_layout(model, resolution)
-    # walk the cycle
-    v0 = verts[0]
-    order: list[tuple[str, str]] = []
-    v, e = v0, out[v0][0]
-    seen_edges = set()
-    for _ in range(len(edges)):
-        order.append((v, e))
-        seen_edges.add(e)
-        pair = ins[e]
-        v = pair[1] if pair[0] == v else pair[0]
-        nxt = [x for x in out[v] if x not in seen_edges]
-        if not nxt:
-            break
-        e = nxt[0]
-    if len(order) != len(edges):
+    order = _walk_cycle(out, ins, verts[0], out[verts[0]][0])
+    if order is None:
         return None
     lay = _Layout()
     r = len(order)
@@ -242,14 +228,11 @@ def _chain_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
         x = x1 + 1.0
     for v in verts:
         lay.point.setdefault(v, (x, 0.0))
-        lay.circle_normal[v] = (0.0, 1.0)
         st = phi.stratum(v)
         for k, c in enumerate(st.plain_fan.cones):
             if c.dim == 1:
                 s = 1.0 if c.gens[0][0] > 0 else -1.0
                 lay.fiber_dir[(v, k)] = (s, 0.0)
-    for v in verts:
-        lay.circle_normal.setdefault(v, (0.0, 1.0))
     return lay
 
 
@@ -293,7 +276,6 @@ def _polygon_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
                 lay.strip_dir[(e, kk)] = inward
         if v is not None:
             lay.point[v] = p
-            lay.circle_normal[v] = (0.0, 1.0)
             stv = phi.stratum(v)
             for kk, c in enumerate(stv.plain_fan.cones):
                 if c.dim == 1:
@@ -323,21 +305,26 @@ def _edge_cycle(phi, edges, corners):
     if any(len(vs) != 2 for vs in edge_verts.values()):
         return None
     e = edges[0]
-    v = sorted(edge_verts[e])[0]
-    sides = []
+    return _walk_cycle(vert_edges, edge_verts, min(edge_verts[e]), e)
+
+
+def _walk_cycle(out, ends, v, e):
+    """The (corner entering, edge) pairs met walking from corner ``v`` along
+    edge ``e``: each step crosses the edge to its other end and leaves by
+    the first edge there not yet walked.  ``out`` maps a corner to its
+    edges, ``ends`` each edge to its two corners.  None when the walk
+    closes up before every edge of ``ends`` is walked."""
+    order = []
     used = set()
-    for _ in range(len(edges)):
-        sides.append((v, e))
+    while True:
+        order.append((v, e))
         used.add(e)
-        pair = edge_verts[e]
+        pair = ends[e]
         v = pair[1] if pair[0] == v else pair[0]
-        nxt = [x for x in vert_edges[v] if x not in used]
+        nxt = [x for x in out[v] if x not in used]
         if not nxt:
-            break
+            return order if len(order) == len(ends) else None
         e = nxt[0]
-    if len(sides) != len(edges):
-        return None
-    return sides
 
 
 def _grid_layout(model: SkeletonModel, resolution: int) -> _Layout:
@@ -347,7 +334,6 @@ def _grid_layout(model: SkeletonModel, resolution: int) -> _Layout:
     for st in phi.strata:
         if st.dim == 0:
             lay.point[st.name] = (x, 0.0)
-            lay.circle_normal[st.name] = (0.0, 1.0)
             for k, c in enumerate(st.plain_fan.cones):
                 if c.dim == 1:
                     lay.fiber_dir[(st.name, k)] = _unit(c.gens[0])
@@ -531,12 +517,8 @@ def export_mesh(model: SkeletonModel, resolution: int) -> str:
                 w, lay.point[s.base], lay.fiber_dir[key], _RADIUS / 2,
                 resolution, boundary,
             )
-        elif b == 0 and t == 1 and c == 0 and n == 2:
-            # isolated rank-1 fiber over a point in a surface: flat circle
-            w.group(f"{s.ident}.circle")
-            ids = _ring(w, lay.point[s.base], (0.0, 1.0), resolution)
-            w.line([*ids, ids[0]])
         elif b == 0 and t == 1 and c == 0:
+            # a flat circle unless a cycle layout turned it to face outward
             w.group(f"{s.ident}.circle")
             ids = _ring(
                 w, lay.point[s.base],

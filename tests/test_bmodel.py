@@ -196,19 +196,6 @@ def test_u_identities_on_examples():
 # -- oracles for the census kernel -------------------------------------------
 
 
-class _OneChart(ToricDiagram):
-    """A diagram with the single chart of one cone, for testing ``support``."""
-
-    def __init__(self, cone):
-        self.cone = cone
-
-    def object_rank(self, i):
-        return self.cone.rank
-
-    def object_cone(self, i):
-        return self.cone
-
-
 def _box_support(cone, degree):
     return [
         u
@@ -243,6 +230,9 @@ def _product_cuts(points):
 
 
 def test_support_is_the_box_filter_in_product_order():
+    """A chart's support as ``_box_cuts`` yields it: the box filter's points
+    grouped by prefix, in product order, one non-empty interval each; and
+    ``_box_count`` counts it, rank 0 included."""
     rng = random.Random(20260317)
     cones = list(_random_cones(rng))
     assert any(not c.gens for c in cones) and any(len(c.gens) > c.rank for c in cones)
@@ -251,7 +241,6 @@ def test_support_is_the_box_filter_in_product_order():
     for degree in range(7):
         for cone in cones:
             box = _box_support(cone, degree)
-            assert _OneChart(cone).support(0, degree) == box, (cone, degree)
             assert bmodel._box_count(cone.gens, cone.rank, degree) == len(box)
             if cone.rank:
                 cuts = list(bmodel._box_cuts(cone.gens, cone.rank, degree))

@@ -38,14 +38,19 @@ def face_keys(other):
 
 def random_strongly_convex(rng, rank, most=None):
     """A strongly convex cone of rank `rank`, often not full-dimensional,
-    with at most `most` (default rank + 3) generators."""
+    with at most `most` (default rank + 3) generators.  Below full dimension
+    each gen is a nonnegative combination of `dim` basis vectors, so the
+    cone lies in their span."""
+
+    def combination(basis):
+        ks = [rng.randint(0, 2) for _ in basis]
+        return [sum(k * b[i] for k, b in zip(ks, basis)) for i in range(rank)]
+
     while True:
         dim = rng.randint(1, rank)
         basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(dim)]
         gens = [
-            [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank)]
-            if dim < rank
-            else [rng.randint(-3, 3) for _ in range(rank)]
+            combination(basis) if dim < rank else [rng.randint(-3, 3) for _ in range(rank)]
             for _ in range(rng.randint(dim, most or rank + 3))
         ]
         c = Cone(gens, rank)

@@ -206,10 +206,10 @@ def test_delete_all_and_nothing():
 def test_unrolled_closure_of_necklace1_edge():
     n1 = EXAMPLES["necklace1"]()
     uc = unrolled_closure(n1, "e1")
-    report = uc.fanifold.validate()
+    report = uc.validate()
     assert report.valid and report.is_poset
     # the self-glued edge unrolls into two vertex copies over one edge
-    dims = sorted(s.dim for s in uc.fanifold.strata)
+    dims = sorted(s.dim for s in uc.strata)
     assert dims == [0, 0, 1]
 
 
@@ -280,7 +280,7 @@ def test_coherence_checks_where_the_composite_sends_the_cone():
 def test_arrow_check_ignores_the_order_of_the_target_cones():
     # cone keys hold frozensets, which have no total order; in these diagrams
     # the quotient's images and the target fan list the rays in other orders
-    assert unrolled_closure(EXAMPLES["affine3"](), "s0").fanifold.validate().valid
+    assert unrolled_closure(EXAMPLES["affine3"](), "s0").validate().valid
     assert product(EXAMPLES["unigon"](), EXAMPLES["interval"]()).validate().valid
 
 
@@ -345,7 +345,7 @@ def _constructed_diagrams():
     out += _boundary_diagrams()
     for _, build in sorted(EXAMPLES.items()):
         phi = build()
-        out += [unrolled_closure(phi, s.name).fanifold for s in phi.strata]
+        out += [unrolled_closure(phi, s.name) for s in phi.strata]
     return out
 
 

@@ -196,6 +196,61 @@ def test_fan_properties_quadric():
     assert props["non_smooth_multiplicity"] == 2
 
 
+def _c(*gens):
+    return Cone(list(gens), len(gens[0]))
+
+
+def test_completeness_witness_strings_on_small_fans():
+    """Each reason ``fan props`` can print, on the smallest fan that gives
+    it; complete fans give None."""
+    hexagon = list(projective_fan(2).cones) + [
+        _c((1, 1), (-2, 1)), _c((-2, 1), (1, -2)), _c((1, -2), (1, 1)),
+    ]  # two complete fans laid over each other: each pairs its facets within itself
+    cases = [
+        (Fan([_c((1, 0), (0, 1))], 2), "not closed under taking faces"),
+        (Fan([], 2), "empty fan"),
+        (
+            face_closure(Fan([_c((1, 0))], 2)),
+            "maximal cone [(1, 0)] has dimension 1 < 2",
+        ),
+        (
+            orthant_fan(2),
+            "facet [(0, 1)] of a maximal cone is shared by 0 other maximal cones, expected 1",
+        ),
+        (
+            face_closure(Fan([_c((1, 0), (0, 1)), _c((0, 1), (-1, 0))], 2)),
+            "facet [(1, 0)] of a maximal cone is shared by 0 other maximal cones, expected 1",
+        ),
+        (
+            face_closure(Fan(hexagon, 2)),
+            "maximal cones do not form one facet-connected component",
+        ),
+        (projective_fan(2), None),
+        (p1_fan(), None),
+        (Fan([zero_cone(0)], 0), None),
+    ]
+    for fan, witness in cases:
+        assert fan.completeness_witness() == witness, fan.cones
+        assert fan.is_complete == (witness is None)
+
+
+def test_cones_cover_both_ways():
+    quadrant = _c((1, 0), (0, 1))
+    low, high = _c((1, 0), (1, 1)), _c((1, 1), (0, 1))
+    outside = _c((1, 0), (1, -1))  # shares the boundary facet (1, 0) of ``low``
+    rays = [_c((1, 0)), _c((0, 1)), _c((1, 1))]
+    ray = _c((1, 0))
+    assert cones_cover(quadrant, [low, high])
+    assert cones_cover(quadrant, [low, high] + rays)  # pieces on the boundary
+    assert not cones_cover(quadrant, [low])  # an interior facet unpaired
+    assert not cones_cover(quadrant, [low, high, outside])  # a boundary facet paired
+    assert not cones_cover(quadrant, rays)  # no full-dimensional piece
+    assert cones_cover(ray, [ray])  # sigma below full dimension
+    assert not cones_cover(ray, [])
+    assert cones_cover(zero_cone(2), [zero_cone(2)])
+    assert not cones_cover(zero_cone(2), [])
+
+
 def test_fan_from_ray_indices():
     fan = fan_from_ray_indices([(1, 0), (0, 1)], [[], [0], [1], [0, 1]], 2)
     assert len(fan.cones) == 4
@@ -296,7 +351,6 @@ def test_stacky_multiples_create_isotropy_on_smooth_cone():
     ray = next(c for c in fan.cones if c.dim == 1 and c.gens[0] == (1, 0))
     assert sf.component_group(ray) == (2,)
     assert sf.stacky_generator((1, 0)) == (2, 0)
-    assert sf.fan_tilde().rank == fan.rank
 
 
 def test_stacky_quotient_propagates_multiples():

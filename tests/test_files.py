@@ -212,3 +212,45 @@ def test_arrow_cones_index_the_file_ray_list(name, stratum, order):
         (a.source, a.target, a.cone_index, a.iso.matrix) for a in permuted.arrows
     ] == [(a.source, a.target, a.cone_index, a.iso.matrix) for a in bundled.arrows]
     assert files.dumps(permuted) == text
+
+
+
+_S02 = ("strata", 1)  # the stratum '(s0,s2)' of square.json, of lattice rank 1
+
+
+@pytest.mark.parametrize(
+    "edits, line",
+    [
+        ({_S02 + ("fan", "rays", 0, 0): 1.5}, "stratum '(s0,s2)': fan rays: 1.5 is not an integer"),
+        ({_S02 + ("dim",): 1.25}, "stratum '(s0,s2)': dim: 1.25 is not an integer"),
+        ({_S02 + ("dim",): True}, "stratum '(s0,s2)': dim: True is not an integer"),
+        ({_S02 + ("lattice_rank",): "1"}, "stratum '(s0,s2)': lattice_rank: '1' is not an integer"),
+        ({_S02 + ("chi_c",): -1.0}, "stratum '(s0,s2)': chi_c: -1.0 is not an integer"),
+        ({("dimension",): "2"}, "dimension: '2' is not an integer"),
+        ({("arrows", 3, "quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
+        ({_S02 + ("interior",): "no"}, "stratum '(s0,s2)': interior 'no' is not true or false"),
+        ({_S02 + ("interior",): 1}, "stratum '(s0,s2)': interior 1 is not true or false"),
+        ({_S02 + ("fan", "cones", 0, 0): False}, "cone refers to missing ray False"),
+        ({("arrows", 3, "cone", 0): True}, "arrow cone refers to missing ray True"),
+        (
+            {
+                _S02 + ("fan", "rays", 0, 0): 1.5,
+                _S02 + ("dim",): 1.25,
+                _S02 + ("interior",): "no",
+            },
+            "stratum '(s0,s2)': interior 'no' is not true or false",
+        ),
+    ],
+)
+def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
+    """A float, string or boolean where the schema has an integer, and
+    anything but a boolean for ``interior``; each once loaded as a nearby
+    value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1."""
+    with open(os.path.join(DATA_DIR, "square.json"), encoding="utf-8") as fh:
+        d = json.load(fh)
+    for path, value in edits.items():
+        entry = d
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+    assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
