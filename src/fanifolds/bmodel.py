@@ -4,11 +4,14 @@ Every stratum contributes one affine chart per cone of its fan.  Charts are
 tied together by two kinds of monomial maps: face localizations inside one
 stratum, and collapse maps along fanifold arrows (the monomials not
 perpendicular to the collapsed cone are sent to zero).  Both are read off
-tables built once, exact without validation and shared with
+tables built at most once, exact without validation and shared with
 ``skeleton_model``: each fan's containment table (``Fan._inside``) and each
-arrow's star map and collapse matrices (``Fanifold._star_map``,
-``Fanifold._collapse_matrices``).  A global section is a coefficient tuple
-compatible with every map, so censuses are exact linear bookkeeping.
+arrow's star map (``Fanifold._star_map``).  An arrow's collapse matrices
+(``Fanifold._collapse_matrices``) are built on the first read of a collapse
+arrow's ``forward`` or ``backward``, not with the diagram: the census reads
+``forward`` only on the collapses it walks.  A global section is a
+coefficient tuple compatible with every map, so censuses are exact linear
+bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
@@ -38,7 +41,7 @@ from operator import floordiv, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cones import Cone
-from .fanifold import Fanifold, require_valid, unrolled_closure
+from .fanifold import Arrow, Fanifold, require_valid, unrolled_closure
 from .fans import StackyFan
 from .lattice import (
     Mat,
@@ -61,8 +64,24 @@ class DiagramArrow:
     target: int
     kind: str  # "restrict" (face localization) or "collapse" (orbit closure)
     cone: Cone | None = None  # for collapse: the cone being collapsed
-    forward: Mat | None = None  # collapse: monomial matrix on the perp sublattice
-    backward: Mat | None = None  # collapse: preimage matrix (right inverse of forward)
+    along: tuple[Fanifold, Arrow] | None = None  # collapse: the fanifold arrow
+
+    @property
+    def forward(self) -> Mat | None:
+        """Collapse: the monomial matrix on the perp sublattice."""
+        return self._collapse_matrices()[0]
+
+    @property
+    def backward(self) -> Mat | None:
+        """Collapse: the preimage matrix, a right inverse of ``forward``."""
+        return self._collapse_matrices()[1]
+
+    def _collapse_matrices(self) -> tuple[Mat | None, Mat | None]:
+        """Built by the fanifold on the first read, not with the diagram."""
+        if self.along is None:
+            return None, None
+        phi, arrow = self.along
+        return phi._collapse_matrices(arrow)
 
 
 class ToricDiagram:
@@ -203,7 +222,6 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
         if fa.source not in kept or fa.target not in kept:
             continue
         sigma = phi.arrow_cone(fa)
-        forward, backward = phi._collapse_matrices(fa)
         for k, tk in phi._star_map(fa).items():
             source = index.get(ChartObject(fa.source, k))
             if source is None:
@@ -221,8 +239,7 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
                     target=target,
                     kind="collapse",
                     cone=sigma,
-                    forward=forward,
-                    backward=backward,
+                    along=(phi, fa),
                 )
             )
     return ToricDiagram(phi, objects, arrows)

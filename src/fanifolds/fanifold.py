@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cones import Cone, product_cone, zero_cone
 from .fans import Fan, FanQuotient, StackyFan, quotient_fan, require_valid_fan
@@ -84,18 +84,17 @@ class Fanifold:
         arrows: Iterable[Arrow],
         compact: bool | None = None,
         provenance: tuple | None = None,
-        quotients: Mapping[tuple[str, int], FanQuotient] | None = None,
     ):
-        """``quotients`` maps (source, cone index) to the star quotient a
-        constructor already built for an arrow, so ``arrow_quotient`` does not
-        build it again; each must equal ``quotient_fan`` of that cone."""
+        """An arrow's star quotient is ``quotient_fan`` of its cone, which
+        the source fan keeps: a constructor that built it to take the
+        arrow's iso leaves it there for ``arrow_quotient`` and validation."""
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
         self.compact = compact
         self.provenance = provenance
         self.by_name = {s.name: s for s in self.strata}
-        self._fq_cache: dict[tuple[str, int], FanQuotient] = dict(quotients or {})
+        self._fq_cache: dict[tuple[str, int], FanQuotient] = {}
         self._star_maps: dict[Arrow, dict[int, int | None]] = {}
         self._collapses: dict[Arrow, tuple[Mat, Mat]] = {}
 
@@ -305,14 +304,10 @@ def require_valid(phi: Fanifold) -> ValidationReport:
 # -- constructors ------------------------------------------------------------
 
 
-def _stratum_fan_for_cone(
-    fan: Fan | StackyFan, index: int
-) -> tuple[Fan | StackyFan, FanQuotient]:
+def _stratum_fan_for_cone(fan: Fan | StackyFan, index: int) -> Fan | StackyFan:
     if isinstance(fan, StackyFan):
-        sub, fq, _warn = fan.quotient(index)
-        return sub, fq
-    fq = quotient_fan(fan, index)
-    return fq.fan, fq
+        return fan.quotient(index)[0]
+    return quotient_fan(fan, index).fan
 
 
 def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> LatticeMap:
@@ -328,20 +323,17 @@ def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> L
     )
 
 
-def _arrow_between_cones(
-    j: int, fq_i: FanQuotient, fq_j: FanQuotient, name_i: str, name_j: str,
-) -> tuple[Arrow, FanQuotient]:
-    """Arrow from the cone-i stratum to the cone-j stratum (i a face of j),
-    with its star quotient.  The iso is ``p_j @ s_i @ s_ij``: it satisfies
-    ``iso . p_ij . p_i == p_j``."""
+def _arrow_between_cones(plain: Fan, i: int, j: int) -> Arrow:
+    """Arrow from the stratum of cone i to that of cone j (i a face of j).
+    The iso is ``p_j @ s_i @ s_ij``: it satisfies ``iso . p_ij . p_i == p_j``."""
+    fq_i, fq_j = quotient_fan(plain, i), quotient_fan(plain, j)
     sub_index = fq_i.star.index(j)
     fq_ij = quotient_fan(fq_i.fan, sub_index)
     p_j = fq_j.projection.matrix
     iso = _iso_through_section(
         mat_mul(p_j, fq_i.section.matrix), fq_ij, len(p_j)
     )
-    arrow = Arrow(source=name_i, target=name_j, cone_index=sub_index, iso=iso)
-    return arrow, fq_ij
+    return Arrow(source=f"s{i}", target=f"s{j}", cone_index=sub_index, iso=iso)
 
 
 def _cone_strata(
@@ -349,43 +341,35 @@ def _cone_strata(
     plain: Fan,
     keep: Sequence[int],
     shift: int,
-) -> tuple[list[Stratum], list[Arrow], dict[tuple[str, int], FanQuotient]]:
+) -> tuple[list[Stratum], list[Arrow]]:
     """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
-    its face arrows, and each arrow's star quotient keyed by (source, cone
-    index)."""
-    name = {i: f"s{i}" for i in keep}
-    strata = []
-    quotients: dict[int, FanQuotient] = {}
-    for i in keep:
-        sub, fq = _stratum_fan_for_cone(fan, i)
-        quotients[i] = fq
-        strata.append(Stratum(name=name[i], dim=plain.cones[i].dim - shift, fan=sub))
-    arrows = []
-    arrow_quotients: dict[tuple[str, int], FanQuotient] = {}
-    for i in keep:
-        for j in keep:
-            if i not in plain._inside[j] or plain.cones[j].dim == plain.cones[i].dim:
-                continue
-            arrow, fq = _arrow_between_cones(
-                j, quotients[i], quotients[j], name[i], name[j]
-            )
-            arrows.append(arrow)
-            arrow_quotients[(arrow.source, arrow.cone_index)] = fq
-    return strata, arrows, arrow_quotients
+    and its face arrows."""
+    strata = [
+        Stratum(
+            name=f"s{i}", dim=plain.cones[i].dim - shift, fan=_stratum_fan_for_cone(fan, i)
+        )
+        for i in keep
+    ]
+    arrows = [
+        _arrow_between_cones(plain, i, j)
+        for i in keep
+        for j in keep
+        if i in plain._inside[j] and plain.cones[j].dim != plain.cones[i].dim
+    ]
+    return strata, arrows
 
 
 def from_fan(fan: Fan | StackyFan) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
     plain = require_valid_fan(fan)
     n = plain.rank
-    strata, arrows, quotients = _cone_strata(fan, plain, range(len(plain.cones)), 0)
+    strata, arrows = _cone_strata(fan, plain, range(len(plain.cones)), 0)
     return Fanifold(
         dimension=n,
         strata=strata,
         arrows=arrows,
         compact=(n == 0),
         provenance=("fan", fan),
-        quotients=quotients,
     )
 
 
@@ -393,14 +377,13 @@ def sphere_section(fan: Fan | StackyFan) -> Fanifold:
     """Fanifold structure on the unit-sphere slice of the fan's support."""
     plain = require_valid_fan(fan)
     keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
-    strata, arrows, quotients = _cone_strata(fan, plain, keep, 1)
+    strata, arrows = _cone_strata(fan, plain, keep, 1)
     return Fanifold(
         dimension=plain.rank - 1,
         strata=strata,
         arrows=arrows,
         compact=plain.is_face_closed,
         provenance=("sphere", fan),
-        quotients=quotients,
     )
 
 
@@ -451,7 +434,6 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
                 )
             )
     by_name = {s.name: s for s in strata}
-    quotients: dict[tuple[str, int], FanQuotient] = {}
 
     def zero_index(phi: Fanifold, name: str) -> int:
         f = phi.stratum(name).plain_fan
@@ -477,7 +459,6 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         i2 = a2.cone_index if a2 else zero_index(phi2, g2)
         cone_index = i1 * len2 + i2
         fq = quotient_fan(by_name[src].plain_fan, cone_index)
-        quotients[(src, cone_index)] = fq
         m1 = (
             phi1.arrow_map(a1).matrix
             if a1
@@ -508,7 +489,6 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
             else phi1.compact and phi2.compact
         ),
         provenance=("product", phi1, phi2),
-        quotients=quotients,
     )
 
 
@@ -633,7 +613,6 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
         face_fans[name] = ffan
         strata.append(Stratum(name=name, dim=src.dim, fan=ffan))
 
-    quotients: dict[tuple[str, int], FanQuotient] = {}
     arrows = []
     for name_a, a in objects:
         if a is None:
@@ -643,7 +622,6 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
         top_index = next(
             i for i, c in enumerate(ffan.cones) if c.dim == ffan.rank
         )
-        quotients[(name_a, top_index)] = quotient_fan(ffan, top_index)
         arrows.append(
             Arrow(
                 source=name_a,
@@ -678,9 +656,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
                     len(basis_a),
                 )
                 ci = face_fans[name_a].cone_index(local_c)
-                fq = quotients.get((name_a, ci))
-                if fq is None:
-                    fq = quotients[(name_a, ci)] = quotient_fan(face_fans[name_a], ci)
+                fq = quotient_fan(face_fans[name_a], ci)
                 # span(sigma_a) -> span(sigma_b) through the original arrow c
                 rows = [_coords_in_span(basis_b, map_c(v)) for v in basis_a]
                 span_map = tuple(
@@ -696,7 +672,6 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
         arrows=arrows,
         compact=None,
         provenance=("unrolled", phi, f_name),
-        quotients=quotients,
     )
 
 
@@ -706,10 +681,12 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
 def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
     """Ideal boundary of (real line) x from_fan: two fan-decorated endpoints.
 
-    The mid strata are the sphere section's, with its arrows and quotients.
-    Each endpoint copies the arrows out of the zero stratum of ``from_fan``,
-    whose fan has the endpoint's cones in the same order, with their
-    quotients re-keyed to the endpoint.
+    The mid strata are the sphere section's, with its arrows.  Each endpoint
+    carries the fan itself and has the arrows out of the zero stratum of
+    ``from_fan``: one along each nonzero cone j to the mid stratum of j,
+    whose lattice is the quotient lattice of j, so the iso is the identity.
+    The star quotient of such an arrow is ``quotient_fan(fan, j)``, which
+    the sphere section built the mid stratum from.
     """
     plain = sigma_fan.fan if isinstance(sigma_fan, StackyFan) else sigma_fan
     mid = sphere_section(sigma_fan)
@@ -720,32 +697,19 @@ def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
     for s in mid.strata:
         strata.append(Stratum(name=s.name, dim=s.dim + 1, fan=s.fan))
     arrows = list(mid.arrows)
-    quotients = {(a.source, a.cone_index): mid.arrow_quotient(a) for a in mid.arrows}
-    helper = from_fan(sigma_fan)
-    zero = helper.strata[_zero_cone_index(plain)].name
     for end in ("end0", "end1"):
-        for a in helper.arrows:
-            if a.source != zero:
-                continue
-            # the helper's target stratum, named after a nonzero cone, is
-            # the mid stratum of the sphere section with the same name
-            arrows.append(replace(a, source=end))
-            quotients[(end, a.cone_index)] = helper.arrow_quotient(a)
+        for j, c in enumerate(plain.cones):
+            if c.dim:
+                r = plain.rank - c.dim
+                iso = lattice_map(identity_matrix(r), r, r)
+                arrows.append(Arrow(source=end, target=f"s{j}", cone_index=j, iso=iso))
     return Fanifold(
         dimension=plain.rank,
         strata=strata,
         arrows=arrows,
         compact=plain.is_face_closed,
         provenance=None,
-        quotients=quotients,
     )
-
-
-def _zero_cone_index(fan: Fan) -> int:
-    for i, c in enumerate(fan.cones):
-        if c.dim == 0:
-            return i
-    raise ValueError("fan has no zero cone")
 
 
 def empty_fanifold(dimension: int) -> Fanifold:

@@ -47,6 +47,7 @@ class Fan:
     def __init__(self, cones: Iterable[Cone], rank: int):
         self.rank = rank
         self.cones = tuple(cones)
+        self._quotients: dict[int, FanQuotient] = {}  # see ``quotient_fan``
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -266,6 +267,17 @@ class FanQuotient:
 
 
 def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
+    """The star of cone ``cone_index`` pushed to the quotient lattice of its
+    span.  Built once per (fan, cone index) and kept on the fan, which
+    nothing mutates, so every diagram holding the fan shares it; a cone
+    whose star does not push to a fan raises on every call."""
+    fq = fan._quotients.get(cone_index)
+    if fq is None:
+        fq = fan._quotients[cone_index] = _star_quotient(fan, cone_index)
+    return fq
+
+
+def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
     sigma = fan.cones[cone_index]
     if sigma.rank != fan.rank:
         raise ValueError("cone rank does not match the fan rank")

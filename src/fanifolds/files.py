@@ -243,7 +243,39 @@ def fanifold_from_dict(d: dict) -> Fanifold:
 
 
 def dumps(phi: Fanifold) -> str:
-    return json.dumps(fanifold_to_dict(phi), indent=2) + "\n"
+    return _indented(fanifold_to_dict(phi), "") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _indented(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for the values a document holds
+    (dicts with string keys, lists, strings, ints and booleans), nested
+    ``indent`` deep, without the pure-Python encoder's per-item dispatch; a
+    list of ints is one join."""
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = [_indented(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"cannot write {type(value).__name__} {value!r}")
 
 
 def loads(text: str) -> Fanifold:

@@ -575,6 +575,33 @@ def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypa
     assert [outputs(phi) for phi in phis] == before
 
 
+def test_collapse_matrices_are_built_only_where_read():
+    """``full_diagram`` and ``chart_diagram`` build no collapse matrix.  The
+    census builds those of the arrows it walks, each out of the chart of
+    its own cone into a zero-cone chart, and no others.  A collapse arrow's
+    ``forward`` and ``backward`` are its fanifold arrow's matrices."""
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        diagrams = [full_diagram(phi)]
+        if phi.validate().is_poset:
+            diagrams += [chart_diagram(phi, s.name) for s in phi.strata]
+        assert phi._collapses == {}, name
+        walked = set()
+        for diagram in diagrams:
+            limit_census(diagram, 2)
+            walked |= {
+                a.along[1]
+                for a in diagram.arrows
+                if a.kind == "collapse" and not diagram.object_cone(a.target).gens
+            }
+        assert set(phi._collapses) == walked == set(phi.arrows), name
+        for a in diagrams[0].arrows:
+            if a.kind == "collapse":
+                assert (a.forward, a.backward) == phi._collapse_matrices(a.along[1])
+            else:
+                assert a.along is a.forward is a.backward is None
+
+
 def test_restriction_arrows_skip_a_duplicated_cone():
     """Two equal cones contain each other, and no restriction joins them,
     on a diagram nothing validated."""

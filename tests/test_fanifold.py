@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fanifolds import fanifold, fans
+from fanifolds import fans
 from fanifolds.cones import Cone
 from fanifolds.examples import (
     EXAMPLES,
@@ -349,50 +349,88 @@ def _constructed_diagrams():
     return out
 
 
-def test_validating_a_constructed_diagram_builds_no_quotient(monkeypatch):
-    diagrams = _constructed_diagrams()
-    calls = []
+def _count_star_quotients(monkeypatch):
+    """Record each (fan, cone index) whose star quotient is built, not read
+    from the fan's cache; holding the fans keeps their ids apart."""
+    built = []
+    build = fans._star_quotient
 
     def counted(fan, cone_index):
-        calls.append(cone_index)
-        return quotient_fan(fan, cone_index)
+        built.append((fan, cone_index))
+        return build(fan, cone_index)
 
-    monkeypatch.setattr(fanifold, "quotient_fan", counted)
-    monkeypatch.setattr(fans, "quotient_fan", counted)
+    monkeypatch.setattr(fans, "_star_quotient", counted)
+    return built
+
+
+def _no_star_quotient_twice(built):
+    keys = [(id(fan), i) for fan, i in built]
+    return len(set(keys)) == len(keys)
+
+
+def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch):
+    """Across construction and validation each star quotient is built once:
+    the constructors leave on each fan the quotients they took the isos
+    from, and validation reads them.  Validation builds only those no iso
+    needed (an unrolled closure's arrows to its top object)."""
+    built = _count_star_quotients(monkeypatch)
+    diagrams = _constructed_diagrams()
+    constructed = len(built)
     reports = [phi.validate() for phi in diagrams]
-    assert calls == []
+    assert constructed > 1000
+    assert len(built) - constructed == sum(
+        a.target.endswith(".top") for phi in diagrams for a in phi.arrows
+    )
+    assert _no_star_quotient_twice(built)
     assert all(r.valid for r in reports)
 
 
 def test_validating_an_ideal_boundary_builds_no_quotient(monkeypatch):
+    """The endpoints' arrows read the quotients the sphere section's strata
+    were built from."""
+    built = _count_star_quotients(monkeypatch)
     boundary = ideal_boundary(product(manifold(1), from_fan(orthant_fan(3))))
-    calls = []
-
-    def counted(fan, cone_index):
-        calls.append(cone_index)
-        return quotient_fan(fan, cone_index)
-
-    monkeypatch.setattr(fanifold, "quotient_fan", counted)
-    monkeypatch.setattr(fans, "quotient_fan", counted)
+    constructed = len(built)
     assert len(boundary.arrows) == 26
     assert boundary.validate().valid
-    assert calls == []
+    assert len(built) == constructed
+    assert _no_star_quotient_twice(built)
 
 
-def test_quotients_handed_to_the_diagram_equal_fresh_ones():
-    """``quotient_fan`` reads each cone's cached lattice quotient, so the
-    projection, section and torsion are checked against one built afresh."""
+def test_arrow_quotients_equal_fresh_ones():
+    """Each arrow's star quotient is the one its source fan keeps, and equals
+    one built afresh; ``quotient_fan`` reads each cone's cached lattice
+    quotient, so the projection, section and torsion are also checked
+    against a fresh ``quotient_with_torsion``."""
     for phi in _constructed_diagrams():
-        assert set(phi._fq_cache) == {(a.source, a.cone_index) for a in phi.arrows}
-        for (name, index), fq in phi._fq_cache.items():
-            fan = phi.stratum(name).plain_fan
-            fresh = quotient_fan(fan, index)
-            lattice = quotient_with_torsion(fan.rank, fan.cones[index].gens)
+        for a in phi.arrows:
+            fan = phi.stratum(a.source).plain_fan
+            fq = phi.arrow_quotient(a)
+            assert fq is quotient_fan(fan, a.cone_index)
+            fresh = fans._star_quotient(fan, a.cone_index)
+            lattice = quotient_with_torsion(fan.rank, fan.cones[a.cone_index].gens)
             assert fq.projection == fresh.projection == lattice.projection
             assert fq.section == fresh.section == lattice.section
             assert fq.star == fresh.star
             assert fq.torsion == fresh.torsion == lattice.torsion
             assert [c.key for c in fq.fan.cones] == [c.key for c in fresh.fan.cones]
+
+
+def test_sphere_section_shares_the_charts_quotient_fans(monkeypatch):
+    """After ``from_fan(f)``, ``sphere_section(f)`` builds no star quotient:
+    its strata hold the chart's quotient fans, with their cached tables."""
+    built = _count_star_quotients(monkeypatch)
+    for fan in _random_basis_fans():
+        chart = from_fan(fan)
+        before = len(built)
+        section = sphere_section(fan)
+        assert section.validate().valid
+        assert len(built) == before
+        assert section.strata
+        for s in section.strata:
+            assert s.plain_fan is chart.stratum(s.name).plain_fan
+        for a in section.arrows:
+            assert section.arrow_quotient(a) is chart.arrow_quotient(a)
 
 
 def test_arrow_isos_satisfy_their_defining_identity():

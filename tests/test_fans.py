@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from fanifolds.cones import Cone, product_cone, zero_cone
 from fanifolds.examples import (
     EXAMPLES,
@@ -16,6 +18,7 @@ from fanifolds.examples import (
 from fanifolds.fans import (
     Fan,
     StackyFan,
+    _star_quotient,
     cones_cover,
     face_closure,
     fan_from_ray_indices,
@@ -279,6 +282,35 @@ def test_quotient_fan_star_indices_align():
     for qi, si in enumerate(fq.star):
         assert fan.cones[si].contains_cone(sigma)
         assert fan.cones[si].image(fq.projection) == fq.fan.cones[qi]
+
+
+def test_quotient_fan_is_kept_on_the_fan():
+    """One star quotient per (fan, cone index), handed out on every call."""
+    for build in EXAMPLES.values():
+        for st in build().strata:
+            fan = st.plain_fan
+            for k in range(len(fan.cones)):
+                assert quotient_fan(fan, k) is quotient_fan(fan, k)
+
+
+def test_a_failing_quotient_raises_on_every_call(monkeypatch):
+    """Errors are not kept: a bad cone is built, and raises, each time."""
+    built = []
+
+    def counted(fan, cone_index):
+        built.append(cone_index)
+        return _star_quotient(fan, cone_index)
+
+    monkeypatch.setattr("fanifolds.fans._star_quotient", counted)
+    # not a fan: the two 2-cones over the ray (1, 0) meet only in it, but
+    # both project onto the one ray of its quotient
+    bad = Fan([Cone([(1, 0)], 2), Cone([(1, 0), (1, 1)], 2), Cone([(1, 0), (2, 1)], 2)], 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="same image"):
+            quotient_fan(bad, 0)
+    assert built == [0, 0]
+    assert quotient_fan(bad, 1) is quotient_fan(bad, 1)
+    assert built == [0, 0, 1]
 
 
 def test_resolve_quadric():

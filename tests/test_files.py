@@ -1,6 +1,7 @@
 """fanifold/1 JSON round-trips and schema validation."""
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -10,8 +11,16 @@ from fanifolds import files
 from fanifolds.cli import run
 from fanifolds.cones import Cone
 from fanifolds.examples import EXAMPLES
-from fanifolds.fanifold import Fanifold, Stratum
+from fanifolds.fanifold import (
+    Fanifold,
+    Stratum,
+    empty_fanifold,
+    from_fan,
+    product,
+    sphere_section,
+)
 from fanifolds.fans import Fan
+from test_fanifold import _random_basis_fans
 
 DATA_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "fanifolds", "data"
@@ -48,6 +57,40 @@ def test_bundled_data_matches_builders():
         assert os.path.exists(path), name
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == files.dumps(build()), name
+
+
+def _renamed(phi, names):
+    """``phi`` with its strata renamed by ``names``."""
+    return Fanifold(
+        dimension=phi.dimension,
+        strata=[dataclasses.replace(s, name=names[s.name]) for s in phi.strata],
+        arrows=[
+            dataclasses.replace(a, source=names[a.source], target=names[a.target])
+            for a in phi.arrows
+        ],
+    )
+
+
+def test_dumps_writes_what_json_dumps_writes():
+    """The writer against ``json.dumps(d, indent=2)``, byte for byte: every
+    example, from_fan, sphere_section and product of plain, subdivided and
+    stacky fans in random lattice bases, the empty diagram, and ids that
+    need escaping."""
+    interval = EXAMPLES["interval"]()
+    diagrams = [build() for _, build in sorted(EXAMPLES.items())]
+    for fan in _random_basis_fans():
+        chart = from_fan(fan)
+        diagrams += [chart, sphere_section(fan), product(chart, interval)]
+    diagrams.append(empty_fanifold(2))
+    ids = ['a "quoted" \\ id', "caf\u00e9 \u2192 \u221e", "tab\there\nnewline", "\U0001d54f"]
+    square = EXAMPLES["square"]()
+    names = {s.name: f"{ids[k % 4]}{k}" for k, s in enumerate(square.strata)}
+    diagrams.append(_renamed(square, names))
+    for phi in diagrams:
+        text = files.dumps(phi)
+        assert text == json.dumps(files.fanifold_to_dict(phi), indent=2) + "\n"
+        assert files.dumps(files.loads(text)) == text
+    assert "\\u00e9" in files.dumps(diagrams[-1])
 
 
 def test_save_and_load_files(tmp_path):
