@@ -54,7 +54,6 @@ from .skeleton import (
     HandlePlan,
     SkeletonModel,
     SkeletonStratum,
-    canonical_section_check,
     euler_characteristic_c,
     fltz_pieces,
     handle_plan,

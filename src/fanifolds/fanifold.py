@@ -258,15 +258,14 @@ class Fanifold:
 
         coherent = True
         if not errors:
-            for a, b in itertools.product(self.arrows, self.arrows):
-                if a.target != b.source:
-                    continue
-                if not self._composite_exists(a, b):
-                    coherent = False
-                    errors.append(
-                        f"no coherent composite for {a.source}->{a.target}"
-                        f"->{b.target} (cones {a.cone_index}, {b.cone_index})"
-                    )
+            for a in self.arrows:
+                for b in self.out_arrows(a.target):
+                    if self._composite(a, b) is None:
+                        coherent = False
+                        errors.append(
+                            f"no coherent composite for {a.source}->{a.target}"
+                            f"->{b.target} (cones {a.cone_index}, {b.cone_index})"
+                        )
         else:
             coherent = False
 
@@ -280,16 +279,22 @@ class Fanifold:
             is_poset=not parallel, coherent=coherent, errors=tuple(errors)
         )
 
-    def _composite_exists(self, a: Arrow, b: Arrow) -> bool:
-        """Does an arrow c out of a's source, whose cone holds sigma_a and
-        goes onto sigma_b under a, equal b after a?  Needs valid fans."""
+    def _composite(self, a: Arrow, b: Arrow) -> Arrow | None:
+        """The arrow c out of a's source, whose cone holds sigma_a and goes
+        onto sigma_b under a, that equals b after a; None if there is none.
+        Needs valid fans.  On a valid diagram c is unique: no two arrows
+        share a cone, and the star map of a is injective."""
         star_a = self._star_map(a)
         composed = mat_mul(self.arrow_map(b).matrix, self.arrow_map(a).matrix)
-        return any(
-            c.target == b.target
-            and star_a.get(c.cone_index) == b.cone_index
-            and self.arrow_map(c).matrix == composed
-            for c in self.out_arrows(a.source)
+        return next(
+            (
+                c
+                for c in self.out_arrows(a.source)
+                if c.target == b.target
+                and star_a.get(c.cone_index) == b.cone_index
+                and self.arrow_map(c).matrix == composed
+            ),
+            None,
         )
 
 
@@ -588,7 +593,10 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
     Objects are the arrows into the chosen stratum plus an identity object;
     each object is a copy of its source stratum whose transverse fan is the
     face fan of the arrow's cone, re-expressed in the cone's span lattice.
+    Object a maps to object b along each arrow c with a = b . c, which
+    ``_composite`` finds; the diagram must be valid, so that it is unique.
     """
+    require_valid(phi)
     f = phi.stratum(f_name)
     objects: list[tuple[str, Arrow | None]] = [(f"{f_name}.top", None)]
     for k, a in enumerate(phi.in_arrows(f_name)):
@@ -630,29 +638,17 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
                 iso=lattice_map((), 0, 0),
             )
         )
-        # arrows to other boundary objects along factorizations
-        map_a = phi.arrow_map(a)
-        inside_a = phi.stratum(a.source).plain_fan._inside[a.cone_index] | {a.cone_index}
+        # arrows to other boundary objects along factorizations a = b . c
         for name_b, b in objects:
             if b is None or name_b == name_a:
                 continue
-            cone_b = phi.stratum(b.source).plain_fan.cone_index(phi.arrow_cone(b))
             for c in phi.out_arrows(a.source):
-                if c.target != b.source:
+                if c.target != b.source or phi._composite(c, b) is not a:
                     continue
-                sigma_c = phi.arrow_cone(c)
-                if c.cone_index not in inside_a or sigma_c.dim == 0:
-                    continue
-                # does b compose with c to give a?
                 map_c = phi.arrow_map(c)
-                map_b = phi.arrow_map(b)
-                if mat_mul(map_b.matrix, map_c.matrix) != map_a.matrix:
-                    continue
-                if phi._star_map(c).get(a.cone_index) != cone_b:
-                    continue
                 basis_a, basis_b = span_basis[name_a], span_basis[name_b]
                 local_c = Cone(
-                    [_coords_in_span(basis_a, g) for g in sigma_c.gens],
+                    [_coords_in_span(basis_a, g) for g in phi.arrow_cone(c).gens],
                     len(basis_a),
                 )
                 ci = face_fans[name_a].cone_index(local_c)

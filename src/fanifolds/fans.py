@@ -31,9 +31,7 @@ from .lattice import (
     LatticeMap,
     Mat,
     Vec,
-    mat,
     primitivize,
-    quotient_with_torsion,
     smith_normal_form,
     vec,
     vec_add,
@@ -523,8 +521,9 @@ class StackyFan:
         return tuple(self.stacky_generator(r) for r in cone.extremal_rays)
 
     def component_group(self, cone: Cone) -> tuple[int, ...]:
-        """Cokernel torsion of the stacky generators of the cone."""
-        return quotient_with_torsion(self.rank, self.stacky_gens(cone)).torsion
+        """Cokernel torsion of the stacky generators of the cone: the
+        invariant factors > 1 of their matrix, rows or columns alike."""
+        return smith_normal_form(self.stacky_gens(cone)).torsion
 
     def group_order(self, cone: Cone) -> int:
         out = 1
@@ -534,14 +533,12 @@ class StackyFan:
 
     @property
     def is_smooth(self) -> bool:
-        for c in self.fan.cones:
-            gens = self.stacky_gens(c)
-            if len(gens) != c.dim:
-                return False
-            snf = smith_normal_form(mat(gens))
-            if snf.rank != len(gens) or any(d != 1 for d in snf.invariant_factors):
-                return False
-        return True
+        """Every cone simplicial (its extremal rays, as many as its
+        dimension, are independent) with no component group."""
+        return all(
+            len(c.extremal_rays) == c.dim and not self.component_group(c)
+            for c in self.fan.cones
+        )
 
     def quotient(self, cone_index: int) -> tuple["StackyFan", FanQuotient, list[str]]:
         """Push the stacky data through a cone quotient.

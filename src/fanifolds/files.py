@@ -88,6 +88,15 @@ def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
     ]
 
 
+def _cone(idx, rays, rank: int, what: str) -> Cone:
+    """The cone on the extremal rays at the given indices of the file's ray
+    list; the empty list is the zero cone."""
+    for i in _list(idx, what):
+        if type(i) is not int or not 0 <= i < len(rays):
+            raise ValueError(f"{what} refers to missing ray {i!r}")
+    return Cone([rays[i] for i in idx], rank) if idx else zero_cone(rank)
+
+
 def _fan_from_dict(
     d, rank: int, what: str
 ) -> tuple[Fan | StackyFan, list[tuple[int, ...]]]:
@@ -96,29 +105,26 @@ def _fan_from_dict(
     rays = _int_rows(d.get("rays", []), f"{what}: fan rays")
     for r in rays:
         if len(r) != rank:
-            raise ValueError(f"ray {r} does not have {rank} entries")
-    cones = []
-    for idx in _list(d.get("cones", []), f"{what}: fan cones"):
-        for i in _list(idx, f"{what}: fan cones"):
-            if type(i) is not int or not 0 <= i < len(rays):
-                raise ValueError(f"cone refers to missing ray {i!r}")
-        if idx:
-            cones.append(Cone([rays[i] for i in idx], rank))
-        else:
-            cones.append(zero_cone(rank))
+            raise ValueError(f"{what}: ray {r} does not have {rank} entries")
+    cones = [
+        _cone(idx, rays, rank, f"{what}: fan cone {n}")
+        for n, idx in enumerate(_list(d.get("cones", []), f"{what}: fan cones"))
+    ]
     fan = Fan(cones, rank)
     beta = d.get("stacky_beta")
     if beta is None:
         return fan, rays
     beta = _int_rows(beta, f"{what}: stacky_beta")
     if len(beta) != len(rays):
-        raise ValueError("stacky_beta needs one row per ray")
+        raise ValueError(f"{what}: stacky_beta needs one row per ray")
     multiples = {}
     for r, b in zip(rays, beta):
         if len(b) != rank:
-            raise ValueError(f"stacky generator {b} does not have {rank} entries")
+            raise ValueError(
+                f"{what}: stacky generator {b} does not have {rank} entries"
+            )
         if not any(b):
-            raise ValueError(f"stacky generator for ray {r} is zero")
+            raise ValueError(f"{what}: stacky generator for ray {r} is zero")
         prim = tuple(primitivize(r))
         # positive multiple: b = k * primitive(r)
         k = None
@@ -127,7 +133,9 @@ def _fan_from_dict(
                 k = x // px
                 break
         if k is None or k <= 0 or tuple(px * k for px in prim) != b:
-            raise ValueError(f"stacky generator {b} is not a positive multiple of {r}")
+            raise ValueError(
+                f"{what}: stacky generator {b} is not a positive multiple of {r}"
+            )
         multiples[tuple(primitivize(r))] = k
     return StackyFan(fan, multiples), rays
 
@@ -210,14 +218,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
             raise ValueError(f"arrow references unknown stratum: {a}")
         plain = by_name[src_name].plain_fan
-        rays = file_rays[src_name]
-        for i in _list(a["cone"], f"{what}: cone"):
-            if type(i) is not int or not 0 <= i < len(rays):
-                raise ValueError(f"arrow cone refers to missing ray {i!r}")
-        if a["cone"]:
-            cone = Cone([rays[i] for i in a["cone"]], plain.rank)
-        else:
-            cone = zero_cone(plain.rank)
+        cone = _cone(a["cone"], file_rays[src_name], plain.rank, f"{what}: cone")
         idx = plain.cone_index(cone)
         if idx is None:
             raise ValueError(

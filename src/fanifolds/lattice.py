@@ -399,18 +399,11 @@ def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -
         if len(v) != ambient_rank:
             raise ValueError("vector length != ambient rank")
     n = ambient_rank
-    k = len(vectors)
-    if k == 0:
-        b: Mat = tuple((0,) * 0 for _ in range(n)) if n else ()
-        snf = SNFResult(identity_matrix(n), tuple(() for _ in range(n)), ())
-        rank = 0
-    else:
-        b = tuple(zip(*[vec(v) for v in vectors]))  # n x k, columns = vectors
-        snf = smith_normal_form(b)
-        rank = snf.rank
-    uinv = invert_unimodular(snf.U) if n else ()
+    # n x k, columns = vectors; n x 0 when there are none
+    snf = smith_normal_form([[v[i] for v in vectors] for i in range(n)])
+    rank = snf.rank
     free = n - rank
-    proj_rows = uinv[rank:] if n else ()
+    proj_rows = invert_unimodular(snf.U)[rank:]
     # section: columns rank..n of U, i.e. rows of U^T
     ucols = transpose(snf.U)
     sec_cols = ucols[rank:]

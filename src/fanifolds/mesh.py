@@ -155,24 +155,34 @@ def _fan_layout(model: SkeletonModel, resolution: int) -> _Layout:
     return lay
 
 
+def _incidence(phi, verts, edges):
+    """Each vertex's sorted edge targets, and each edge's vertices in vertex
+    order (a vertex twice for two arrows into one edge)."""
+    edge_set = set(edges)
+    out = {
+        v: sorted(a.target for a in phi.out_arrows(v) if a.target in edge_set)
+        for v in verts
+    }
+    ends: dict[str, list[str]] = {e: [] for e in edges}
+    for v in verts:
+        for e in out[v]:
+            ends[e].append(v)
+    return out, ends
+
+
 def _cycle_or_chain_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
+    """A cycle when every vertex and edge has two ends, else a chain.  In
+    a valid one-dimensional diagram every stratum is a vertex or an edge,
+    and a vertex exits only into edges."""
     phi = model.fanifold
     verts = sorted(s.name for s in phi.strata if s.dim == 0)
     edges = sorted(s.name for s in phi.strata if s.dim == 1)
-    if not edges or set(verts) | set(edges) != {s.name for s in phi.strata}:
+    if not edges:
         return None
-    out = {v: sorted(a.target for a in phi.out_arrows(v)) for v in verts}
-    if any(len(t) != 2 for t in out.values()):
-        return _chain_layout(model, resolution)
-    ins: dict[str, list[str]] = {e: [] for e in edges}
-    for v in verts:
-        for e in out[v]:
-            if e not in ins:
-                return None
-            ins[e].append(v)
-    if any(len(vs) != 2 for vs in ins.values()):
-        return _chain_layout(model, resolution)
-    order = _walk_cycle(out, ins, verts[0], out[verts[0]][0])
+    out, ends = _incidence(phi, verts, edges)
+    if any(len(x) != 2 for x in (*out.values(), *ends.values())):
+        return _chain_layout(phi, verts, edges, ends, resolution)
+    order = _walk_cycle(out, ends, verts[0], out[verts[0]][0])
     if order is None:
         return None
     lay = _Layout()
@@ -194,16 +204,7 @@ def _cycle_or_chain_layout(model: SkeletonModel, resolution: int) -> _Layout | N
     return lay
 
 
-def _chain_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
-    phi = model.fanifold
-    verts = sorted(s.name for s in phi.strata if s.dim == 0)
-    edges = sorted(s.name for s in phi.strata if s.dim == 1)
-    ends: dict[str, list[str]] = {e: [] for e in edges}
-    for v in verts:
-        for a in phi.out_arrows(v):
-            if a.target not in ends:
-                return None
-            ends[a.target].append(v)
+def _chain_layout(phi, verts, edges, ends, resolution: int) -> _Layout | None:
     if any(len(vs) > 2 for vs in ends.values()):
         return None
     # place edges left to right, sharing vertex positions when attached
@@ -276,33 +277,23 @@ def _polygon_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
                 lay.strip_dir[(e, kk)] = inward
         if v is not None:
             lay.point[v] = p
-            stv = phi.stratum(v)
-            for kk, c in enumerate(stv.plain_fan.cones):
-                if c.dim == 1:
-                    lay.fiber_dir[(v, kk)] = _unit(c.gens[0])
-                elif c.dim == 2:
-                    lay.fiber_sector[(v, kk)] = (
-                        _unit(c.gens[0]),
-                        _unit(c.gens[-1]),
-                    )
+            _point_fibers(lay, phi.stratum(v))
     return lay
+
+
+def _point_fibers(lay, st):
+    """A vertex's rays as germ directions and its 2-cones as sectors."""
+    for k, c in enumerate(st.plain_fan.cones):
+        if c.dim == 1:
+            lay.fiber_dir[(st.name, k)] = _unit(c.gens[0])
+        elif c.dim == 2:
+            lay.fiber_sector[(st.name, k)] = (_unit(c.gens[0]), _unit(c.gens[-1]))
 
 
 def _edge_cycle(phi, edges, corners):
     """Order edges and corners into one cycle: (corner entering, edge)."""
-    vert_edges = {}
-    for v in corners:
-        tgts = sorted(
-            a.target for a in phi.out_arrows(v) if a.target in set(edges)
-        )
-        if len(tgts) != 2:
-            return None
-        vert_edges[v] = tgts
-    edge_verts: dict[str, list[str]] = {e: [] for e in edges}
-    for v, (e1, e2) in vert_edges.items():
-        edge_verts[e1].append(v)
-        edge_verts[e2].append(v)
-    if any(len(vs) != 2 for vs in edge_verts.values()):
+    vert_edges, edge_verts = _incidence(phi, corners, edges)
+    if any(len(x) != 2 for x in (*vert_edges.values(), *edge_verts.values())):
         return None
     e = edges[0]
     return _walk_cycle(vert_edges, edge_verts, min(edge_verts[e]), e)
@@ -334,14 +325,7 @@ def _grid_layout(model: SkeletonModel, resolution: int) -> _Layout:
     for st in phi.strata:
         if st.dim == 0:
             lay.point[st.name] = (x, 0.0)
-            for k, c in enumerate(st.plain_fan.cones):
-                if c.dim == 1:
-                    lay.fiber_dir[(st.name, k)] = _unit(c.gens[0])
-                elif c.dim == 2:
-                    lay.fiber_sector[(st.name, k)] = (
-                        _unit(c.gens[0]),
-                        _unit(c.gens[-1]),
-                    )
+            _point_fibers(lay, st)
         elif st.dim == 1:
             lay.curve[st.name] = _sample_segment((x, 0.0), (x + 1.0, 0.0), resolution)
             lay.curve_ideal[st.name] = (True, True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .cones import Cone
 from .fans import Fan, StackyFan, require_valid_fan
 from .fanifold import Fanifold, require_valid
-from .lattice import identity_matrix, mat_mul
 
 
 # -- conic pieces of a single fan --------------------------------------------
@@ -299,35 +298,3 @@ def handle_plan(phi: Fanifold) -> HandlePlan:
         )
     handles.sort(key=lambda h: (h.index, h.stratum))
     return HandlePlan(handles=tuple(handles))
-
-
-# -- consistency certificates ------------------------------------------------
-
-
-def canonical_section_check(model: SkeletonModel) -> bool:
-    """Does picking the identity point of every fiber torus glue?
-
-    The identity character lies in every annihilator, so the only thing
-    that can go wrong is an arrow whose lattice identification fails to
-    carry fibers to fibers: its matrix must be unimodular and the induced
-    torus map must invert the quotient's section against its projection.
-    A corrupted identification makes this fail.
-    """
-    phi = model.fanifold
-    for a in phi.arrows:
-        try:
-            fq = phi.arrow_quotient(a)
-            amat = a.iso.matrix
-            c = fq.fan.rank
-            if c == 0:
-                continue
-            if len(amat) != c or any(len(r) != c for r in amat):
-                return False
-            forward, backward = phi._collapse_matrices(a)
-            if mat_mul(forward, backward) != identity_matrix(c):
-                return False
-            if None in phi._star_map(a).values():
-                return False
-        except (ValueError, IndexError):
-            return False
-    return True

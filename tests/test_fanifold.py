@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fanifolds import fans
-from fanifolds.cones import Cone
+from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import (
     EXAMPLES,
     a1_fan,
@@ -17,6 +17,9 @@ from fanifolds.examples import (
 )
 from fanifolds.fanifold import (
     Fanifold,
+    _coords_in_span,
+    _iso_through_section,
+    _span_basis,
     delete_strata,
     disjoint_union,
     empty_fanifold,
@@ -505,3 +508,121 @@ def test_star_maps_match_the_image_walk():
             assert phi._star_map(a) is phi._star_map(a)
             checked += len(want)
     assert checked > 4000
+
+
+# -- the composite search ------------------------------------------------------
+
+
+def _reference_unrolled_closure(phi, f_name):
+    """The strata and arrows of ``unrolled_closure`` by the search it ran
+    before ``Fanifold._composite``: object a maps to object b along each
+    arrow c out of a's source whose cone is a nonzero face of a's cone,
+    with b . c = a as maps and the star map of c sending a's cone to b's."""
+    objects = [(f"{a.source}.via{k}", a) for k, a in enumerate(phi.in_arrows(f_name))]
+    strata = [(f"{f_name}.top", phi.stratum(f_name).dim, (zero_cone(0),))]
+    basis, face_fan = {}, {}
+    for name, a in objects:
+        sigma = phi.arrow_cone(a)
+        span = basis[name] = _span_basis(sigma)
+        face_fan[name] = Fan(
+            [Cone([_coords_in_span(span, g) for g in f], len(span)) for f in sigma.faces()],
+            len(span),
+        )
+        strata.append((name, phi.stratum(a.source).dim, face_fan[name].cones))
+    arrows = []
+    for name_a, a in objects:
+        ffan = face_fan[name_a]
+        top = next(i for i, c in enumerate(ffan.cones) if c.dim == ffan.rank)
+        arrows.append((name_a, f"{f_name}.top", top, ()))
+        inside_a = phi.stratum(a.source).plain_fan._inside[a.cone_index] | {a.cone_index}
+        for name_b, b in objects:
+            if name_b == name_a:
+                continue
+            cone_b = phi.stratum(b.source).plain_fan.cone_index(phi.arrow_cone(b))
+            for c in phi.out_arrows(a.source):
+                sigma_c, map_c = phi.arrow_cone(c), phi.arrow_map(c)
+                if (
+                    c.target != b.source
+                    or c.cone_index not in inside_a
+                    or sigma_c.dim == 0
+                    or mat_mul(phi.arrow_map(b).matrix, map_c.matrix)
+                    != phi.arrow_map(a).matrix
+                    or phi._star_map(c).get(a.cone_index) != cone_b
+                ):
+                    continue
+                span_a, span_b = basis[name_a], basis[name_b]
+                ci = ffan.cone_index(
+                    Cone([_coords_in_span(span_a, g) for g in sigma_c.gens], len(span_a))
+                )
+                rows = [_coords_in_span(span_b, map_c(v)) for v in span_a]
+                span_map = tuple(tuple(r[i] for r in rows) for i in range(len(span_b)))
+                iso = _iso_through_section(span_map, quotient_fan(ffan, ci), len(span_b))
+                arrows.append((name_a, name_b, ci, iso.matrix))
+    return strata, arrows
+
+
+def test_unrolled_closure_matches_the_plain_factorization_search():
+    """Every stratum of every example and of every constructed diagram:
+    the same strata and fans, arrows, cone indices and iso matrices."""
+    diagrams = [build() for _, build in sorted(EXAMPLES.items())] + _constructed_diagrams()
+    factored = 0
+    for phi in diagrams:
+        for s in phi.strata:
+            uc = unrolled_closure(phi, s.name)
+            strata, arrows = _reference_unrolled_closure(phi, s.name)
+            assert [(t.name, t.dim, t.plain_fan.cones) for t in uc.strata] == strata
+            assert [
+                (a.source, a.target, a.cone_index, a.iso.matrix) for a in uc.arrows
+            ] == arrows, (phi, s.name)
+            factored += sum(1 for a in arrows if not a[1].endswith(".top"))
+    assert factored > 2500
+
+
+def test_composite_carries_the_composed_map():
+    """On every example and constructed diagram, each composable pair's
+    composite leaves a's source along a cone that a's star map sends onto
+    b's cone, and its map is b's after a's."""
+    diagrams = [build() for _, build in sorted(EXAMPLES.items())] + _constructed_diagrams()
+    pairs = 0
+    for phi in diagrams:
+        for a in phi.arrows:
+            for b in phi.out_arrows(a.target):
+                c = phi._composite(a, b)
+                assert (c.source, c.target) == (a.source, b.target)
+                assert phi._star_map(a)[c.cone_index] == b.cone_index
+                assert phi.arrow_map(c).matrix == mat_mul(
+                    phi.arrow_map(b).matrix, phi.arrow_map(a).matrix
+                )
+                pairs += 1
+    assert pairs > 2500
+
+
+def test_a_negated_iso_has_no_coherent_composite():
+    """proj3 with the iso of an arrow from the zero-cone stratum to a
+    2-cone stratum negated.  The quotient still matches the rank-1 target
+    fan, so only the composites see it: the two factorizations through ray
+    strata by their maps, the two composites onward by their star maps."""
+    phi = EXAMPLES["proj3"]()
+    k, a = next(
+        (k, a) for k, a in enumerate(phi.arrows)
+        if len(a.iso.matrix) == 1 and phi.stratum(a.source).dim == 0
+    )
+    negated = dataclasses.replace(
+        a, iso=lattice_map([[-x for x in r] for r in a.iso.matrix], 1, 1)
+    )
+    arrows = phi.arrows[:k] + (negated,) + phi.arrows[k + 1:]
+    report = Fanifold(phi.dimension, phi.strata, arrows).validate()
+    through = [
+        (x, y)
+        for x in phi.out_arrows(a.source)
+        for y in phi.out_arrows(x.target)
+        if y.target == a.target
+    ]
+    onward = [(a, y) for y in phi.out_arrows(a.target)]
+    assert len(through) == len(onward) == 2
+    assert report.is_poset and not report.coherent
+    assert sorted(report.errors) == sorted(
+        f"no coherent composite for {x.source}->{x.target}->{y.target}"
+        f" (cones {x.cone_index}, {y.cone_index})"
+        for x, y in through + onward
+    )

@@ -27,7 +27,7 @@ from fanifolds.fans import (
     resolve_to_smooth,
     stellar_subdivision,
 )
-from fanifolds.lattice import lattice_map, quotient_with_torsion
+from fanifolds.lattice import lattice_map, mat, quotient_with_torsion, smith_normal_form
 from test_properties import random_fan
 
 
@@ -367,6 +367,38 @@ def test_stacky_quadric_component_group():
         if c.dim < 2:
             assert sf.component_group(c) == ()
     assert not sf.is_smooth
+
+
+def _smooth_by_smith_form(sf):
+    """The per-cone Smith-form rule ``StackyFan.is_smooth`` ran before it
+    read the component groups."""
+    for c in sf.fan.cones:
+        gens = sf.stacky_gens(c)
+        if len(gens) != c.dim:
+            return False
+        snf = smith_normal_form(mat(gens))
+        if snf.rank != len(gens) or any(d != 1 for d in snf.invariant_factors):
+            return False
+    return True
+
+
+def test_component_groups_and_smoothness_match_their_old_definitions():
+    """On seeded random stacky fans: each cone's component group is the
+    torsion of the quotient by its stacky generators, and ``is_smooth``
+    agrees with the per-cone Smith-form rule."""
+    rng = random.Random(5150)
+    smooth, groups = set(), set()
+    for _ in range(120):
+        fan = random_fan(rng)
+        sf = StackyFan(fan, {r: rng.choice((1, 1, 1, 2, 3)) for r in fan.rays})
+        for c in fan.cones:
+            want = quotient_with_torsion(sf.rank, sf.stacky_gens(c)).torsion
+            assert sf.component_group(c) == want
+            groups.add(want)
+        assert sf.is_smooth == _smooth_by_smith_form(sf)
+        smooth.add(sf.is_smooth)
+    assert smooth == {True, False}
+    assert len(groups) > 4, groups
 
 
 def test_plain_fan_has_trivial_component_groups():

@@ -273,8 +273,8 @@ _S02 = ("strata", 1)  # the stratum '(s0,s2)' of square.json, of lattice rank 1
         ({("arrows", 3, "quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
         ({_S02 + ("interior",): "no"}, "stratum '(s0,s2)': interior 'no' is not true or false"),
         ({_S02 + ("interior",): 1}, "stratum '(s0,s2)': interior 1 is not true or false"),
-        ({_S02 + ("fan", "cones", 0, 0): False}, "cone refers to missing ray False"),
-        ({("arrows", 3, "cone", 0): True}, "arrow cone refers to missing ray True"),
+        ({_S02 + ("fan", "cones", 0, 0): False}, "stratum '(s0,s2)': fan cone 0 refers to missing ray False"),
+        ({("arrows", 3, "cone", 0): True}, "arrow 3: cone refers to missing ray True"),
         (
             {
                 _S02 + ("fan", "rays", 0, 0): 1.5,
@@ -283,12 +283,17 @@ _S02 = ("strata", 1)  # the stratum '(s0,s2)' of square.json, of lattice rank 1
             },
             "stratum '(s0,s2)': interior 'no' is not true or false",
         ),
+        ({_S02 + ("fan", "rays", 0): []}, "stratum '(s0,s2)': ray () does not have 1 entries"),
+        ({_S02 + ("fan", "stacky_beta"): [[]]}, "stratum '(s0,s2)': stacky generator () does not have 1 entries"),
+        ({_S02 + ("fan", "stacky_beta"): []}, "stratum '(s0,s2)': stacky_beta needs one row per ray"),
     ],
 )
 def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
     """A float, string or boolean where the schema has an integer, and
     anything but a boolean for ``interior``; each once loaded as a nearby
-    value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1."""
+    value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1.  A bad
+    ray index, a short ray and a short or missing ``stacky_beta`` row name
+    their stratum or arrow too."""
     with open(os.path.join(DATA_DIR, "square.json"), encoding="utf-8") as fh:
         d = json.load(fh)
     for path, value in edits.items():

@@ -84,9 +84,11 @@ def test_smith_normal_form_random_reconstruction():
 
 
 def test_quotient_with_torsion_basics():
-    q = quotient_with_torsion(2, [])
-    assert q.free_rank == 2 and q.torsion == ()
-    assert q.projection.matrix == identity_matrix(2)
+    for n in range(5):
+        q = quotient_with_torsion(n, [])
+        assert q.free_rank == n and q.torsion == ()
+        assert q.projection.matrix == identity_matrix(n)
+        assert q.section.matrix == identity_matrix(n)
 
     q = quotient_with_torsion(2, [(2, 0), (0, 3)])
     assert q.free_rank == 0

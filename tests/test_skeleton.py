@@ -1,4 +1,4 @@
-"""Conic Lagrangian skeleta: strata, Euler counts, handles, section checks."""
+"""Conic Lagrangian skeleta: strata, Euler counts, handles and refinements."""
 
 
 from fanifolds.examples import (
@@ -12,9 +12,7 @@ from fanifolds.examples import (
 )
 from fanifolds.fanifold import from_fan, sphere_section
 from fanifolds.fans import refines, resolve_to_smooth
-from fanifolds.lattice import lattice_map
 from fanifolds.skeleton import (
-    canonical_section_check,
     euler_characteristic_c,
     fltz_pieces,
     handle_plan,
@@ -132,27 +130,6 @@ def test_handles_sorted_by_index_then_name():
     plan = handle_plan(EXAMPLES["square"]())
     keys = [(h.index, h.stratum) for h in plan.handles]
     assert keys == sorted(keys)
-
-
-def test_canonical_section_check_examples():
-    for name in ("3a1", "square", "necklace2", "interval", "quadric_stacky"):
-        assert canonical_section_check(skeleton_model(EXAMPLES[name]())), name
-
-
-def test_canonical_section_check_rejects_corrupt_iso():
-    sq = EXAMPLES["square"]()
-    model = skeleton_model(sq)
-    # pick an arrow whose quotient keeps a direction (corner -> edge), then
-    # replace its identification by a non-unimodular map
-    bad = next(
-        a
-        for a in sq.arrows
-        if sq.stratum(a.source).lattice_rank
-        - sq.stratum(a.source).plain_fan.cones[a.cone_index].dim
-        == 1
-    )
-    object.__setattr__(bad, "iso", lattice_map(((2,),), 1, 1))
-    assert not canonical_section_check(model)
 
 
 def test_skeleton_refinement_check_quadric():
