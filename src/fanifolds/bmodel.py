@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import floordiv, mul, neg, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cones import Cone
 from .fanifold import Arrow, Fanifold, require_valid, unrolled_closure
@@ -52,14 +51,12 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class ChartObject:
+class ChartObject(NamedTuple):
     stratum: str
     cone_index: int
 
 
-@dataclass
-class DiagramArrow:
+class DiagramArrow(NamedTuple):
     source: int
     target: int
     kind: str  # "restrict" (face localization) or "collapse" (orbit closure)
@@ -311,14 +308,13 @@ class _UnionFind:
         self.zero[self.find(x)] = True
 
 
-@dataclass
-class SectionCensus:
+class SectionCensus(NamedTuple):
     degree: int
     dimension: int
     object_count: int
     arrow_count: int
     support_sizes: dict[ChartObject, int]
-    warnings: list[str] = field(default_factory=list)
+    warnings: Sequence[str] = ()
     basis: list[dict[tuple[ChartObject, Vec], int]] | None = None
 
 
@@ -514,8 +510,7 @@ def limit_census(
 # -- components --------------------------------------------------------------
 
 
-@dataclass
-class Component:
+class Component(NamedTuple):
     stratum: str
     toric_dim: int
     complete: bool
@@ -628,8 +623,7 @@ def _stratum_values(
     return values, problems
 
 
-@dataclass
-class SubalgebraReport:
+class SubalgebraReport(NamedTuple):
     degree: int
     census_dimension: int
     span_rank: int
@@ -744,8 +738,7 @@ def subalgebra_check(
 # -- open complements --------------------------------------------------------
 
 
-@dataclass
-class UFunctorDescriptor:
+class UFunctorDescriptor(NamedTuple):
     closed: tuple[str, ...]
     open_strata: tuple[str, ...]
     diagram: ToricDiagram

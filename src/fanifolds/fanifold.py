@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import Cone, product_cone, zero_cone
 from .fans import Fan, FanQuotient, StackyFan, quotient_fan, require_valid_fan
@@ -32,8 +31,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     name: str
     dim: int
     fan: Fan | StackyFan
@@ -57,16 +55,14 @@ class Stratum:
         return self.chi_c if self.chi_c is not None else (-1) ** self.dim
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: str
     target: str
     cone_index: int  # index into the source stratum's fan
     iso: LatticeMap  # free quotient of the source lattice by the cone's span -> target lattice
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     is_poset: bool
     coherent: bool
     errors: tuple[str, ...] = ()
@@ -94,7 +90,15 @@ class Fanifold:
         self.compact = compact
         self.provenance = provenance
         self.by_name = {s.name: s for s in self.strata}
+        out: dict[str, list[Arrow]] = {}
+        into: dict[str, list[Arrow]] = {}
+        for a in self.arrows:
+            out.setdefault(a.source, []).append(a)
+            into.setdefault(a.target, []).append(a)
+        self._out = {name: tuple(arrows) for name, arrows in out.items()}
+        self._in = {name: tuple(arrows) for name, arrows in into.items()}
         self._fq_cache: dict[tuple[str, int], FanQuotient] = {}
+        self._arrow_maps: dict[Arrow, LatticeMap] = {}
         self._star_maps: dict[Arrow, dict[int, int | None]] = {}
         self._collapses: dict[Arrow, tuple[Mat, Mat]] = {}
 
@@ -107,11 +111,11 @@ class Fanifold:
     def stratum(self, name: str) -> Stratum:
         return self.by_name[name]
 
-    def out_arrows(self, name: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == name]
+    def out_arrows(self, name: str) -> tuple[Arrow, ...]:
+        return self._out.get(name, ())
 
-    def in_arrows(self, name: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == name]
+    def in_arrows(self, name: str) -> tuple[Arrow, ...]:
+        return self._in.get(name, ())
 
     def arrow_cone(self, a: Arrow) -> Cone:
         return self.stratum(a.source).plain_fan.cones[a.cone_index]
@@ -125,8 +129,12 @@ class Fanifold:
         return self._fq_cache[key]
 
     def arrow_map(self, a: Arrow) -> LatticeMap:
-        """The composite lattice map source lattice -> target lattice."""
-        return a.iso.compose(self.arrow_quotient(a).projection)
+        """The composite lattice map source lattice -> target lattice, built
+        once per arrow."""
+        out = self._arrow_maps.get(a)
+        if out is None:
+            out = self._arrow_maps[a] = a.iso.compose(self.arrow_quotient(a).projection)
+        return out
 
     def _star_map(self, a: Arrow) -> dict[int, int | None]:
         """Each source cone containing the arrow's cone, in index order ->
@@ -505,8 +513,8 @@ def disjoint_union(a: Fanifold, b: Fanifold) -> Fanifold:
     strata: list[Stratum] = []
     arrows: list[Arrow] = []
     for pre, side in (("L.", a), ("R.", b)):
-        strata += [replace(s, name=pre + s.name) for s in side.strata]
-        arrows += [replace(x, source=pre + x.source, target=pre + x.target) for x in side.arrows]
+        strata += [s._replace(name=pre + s.name) for s in side.strata]
+        arrows += [x._replace(source=pre + x.source, target=pre + x.target) for x in side.arrows]
     return Fanifold(
         dimension=a.dimension,
         strata=strata,
@@ -547,9 +555,9 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
                 r: k for r, k in s.fan.multiples.items() if r in new_fan.rays
             }
             new_fan = StackyFan(new_fan, mm)
-        strata.append(replace(s, fan=new_fan))
+        strata.append(s._replace(fan=new_fan))
     arrows = [
-        replace(a, cone_index=index_maps[a.source][a.cone_index])
+        a._replace(cone_index=index_maps[a.source][a.cone_index])
         for a in phi.arrows
         if a.source not in doomed and a.target not in doomed
     ]

@@ -22,9 +22,8 @@ of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cones import Cone
 from .lattice import (
@@ -253,8 +252,7 @@ def fan_from_ray_indices(
 # -- quotients ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FanQuotient:
+class FanQuotient(NamedTuple):
     """Star of a cone pushed to the quotient lattice of its span."""
 
     fan: Fan
@@ -340,8 +338,7 @@ def stellar_subdivision(fan: Fan, point: Sequence[int]) -> Fan:
     return face_closure(result) if closed else result
 
 
-@dataclass(frozen=True)
-class ResolveResult:
+class ResolveResult(NamedTuple):
     fan: Fan
     added_rays: tuple[Vec, ...]
     steps: tuple[Vec, ...]  # subdivision points in order
@@ -459,8 +456,7 @@ def cones_cover(sigma: Cone, pieces: Sequence[Cone]) -> bool:
     return unpaired is None and connected
 
 
-@dataclass(frozen=True)
-class RefinesResult:
+class RefinesResult(NamedTuple):
     ok: bool
     problems: tuple[str, ...] = ()
 
@@ -504,6 +500,7 @@ class StackyFan:
                     raise ValueError("ray multiples must be positive")
                 mm[r] = k
         self.multiples = mm
+        self._quotients: dict[int, tuple[StackyFan, FanQuotient, tuple[str, ...]]] = {}
 
     @property
     def rank(self) -> int:
@@ -545,35 +542,46 @@ class StackyFan:
 
         Each quotient ray inherits the projected stacky generator of its
         unique preimage ray; if the preimage is ambiguous the multiple falls
-        back to 1 and a warning is recorded.
+        back to 1 and a warning is recorded.  Built once per cone index and
+        kept on the stacky fan, as ``quotient_fan`` keeps a fan's; each call
+        gets its own warnings list.
         """
-        fq = quotient_fan(self.fan, cone_index)
-        sigma = self.fan.cones[cone_index]
-        warnings: list[str] = []
-        multiples: dict[Vec, int] = {}
-        for rbar in fq.fan.rays:
-            pre = []
-            for c in (self.fan.cones[i] for i in fq.star):
-                for r in c.extremal_rays:
-                    im = fq.projection(r)
-                    if any(im) and primitivize(im) == rbar and r not in pre:
-                        pre.append(r)
-            if len(pre) != 1:
-                warnings.append(
-                    f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
-                )
-                continue
-            im = fq.projection(self.stacky_generator(pre[0]))
-            k = 0
-            prim = primitivize(im)
-            if prim == rbar:
-                nz = next(i for i, x in enumerate(im) if x)
-                k = im[nz] // rbar[nz]
-            if k < 1:
-                warnings.append(
-                    f"quotient ray {rbar}: stacky generator does not project to a "
-                    "positive multiple, keeping multiple 1"
-                )
-                continue
-            multiples[rbar] = k
-        return StackyFan(fq.fan, multiples), fq, warnings
+        out = self._quotients.get(cone_index)
+        if out is None:
+            out = self._quotients[cone_index] = _stacky_quotient(self, cone_index)
+        quotient, fq, warnings = out
+        return quotient, fq, list(warnings)
+
+
+def _stacky_quotient(
+    sfan: StackyFan, cone_index: int
+) -> tuple[StackyFan, FanQuotient, tuple[str, ...]]:
+    fq = quotient_fan(sfan.fan, cone_index)
+    warnings: list[str] = []
+    multiples: dict[Vec, int] = {}
+    for rbar in fq.fan.rays:
+        pre = []
+        for c in (sfan.fan.cones[i] for i in fq.star):
+            for r in c.extremal_rays:
+                im = fq.projection(r)
+                if any(im) and primitivize(im) == rbar and r not in pre:
+                    pre.append(r)
+        if len(pre) != 1:
+            warnings.append(
+                f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
+            )
+            continue
+        im = fq.projection(sfan.stacky_generator(pre[0]))
+        k = 0
+        prim = primitivize(im)
+        if prim == rbar:
+            nz = next(i for i, x in enumerate(im) if x)
+            k = im[nz] // rbar[nz]
+        if k < 1:
+            warnings.append(
+                f"quotient ray {rbar}: stacky generator does not project to a "
+                "positive multiple, keeping multiple 1"
+            )
+            continue
+        multiples[rbar] = k
+    return StackyFan(fq.fan, multiples), fq, tuple(warnings)

@@ -15,11 +15,10 @@ one list comprehension, which beats ``map`` with ``repeat`` on short vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -151,31 +150,21 @@ def is_unimodular(m: Mat) -> bool:
 # lattices and maps
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """A finitely generated free Z-module with a chosen basis."""
 
     rank: int
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("negative rank")
 
+class LatticeMap(NamedTuple):
+    """Z-linear map given by an integer matrix (source rank = #columns).
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """Z-linear map given by an integer matrix (source rank = #columns)."""
+    Built unchecked: ``lattice_map`` checks the ranks and the shape of maps
+    given from outside, and ``compose`` builds from two valid maps."""
 
     matrix: Mat
     source: Lattice
     target: Lattice
-
-    def __post_init__(self):
-        rows, cols = mat_shape(self.matrix)
-        if rows != self.target.rank and not (rows == 0 and self.target.rank == 0):
-            raise ValueError("matrix rows != target rank")
-        if rows and cols != self.source.rank:
-            raise ValueError("matrix cols != source rank")
 
     def __call__(self, v: Sequence[int]) -> Vec:
         if self.target.rank == 0:
@@ -200,6 +189,12 @@ def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: in
     m = mat(rows)
     if target_rank == 0:
         m = ()
+    if source_rank < 0 or target_rank < 0:
+        raise ValueError("negative rank")
+    if len(m) != target_rank:
+        raise ValueError("matrix rows != target rank")
+    if m and len(m[0]) != source_rank:
+        raise ValueError("matrix cols != source rank")
     return LatticeMap(m, Lattice(source_rank), Lattice(target_rank))
 
 
@@ -207,8 +202,7 @@ def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: in
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Decomposition A = U @ D @ V with U, V unimodular and D diagonal.
 
     The diagonal entries are nonnegative and satisfy d1 | d2 | ... ; trailing
@@ -378,8 +372,7 @@ def smith_normal_form(a: Mat | Iterable[Iterable[int]]) -> SNFResult:
 # quotients
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     """M / span(vectors): free part with projection, plus torsion invariants.
 
     ``projection`` maps M onto the free quotient Z^free_rank (kernel = the

@@ -20,7 +20,7 @@ interior strata outside the closed set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bmodel import ToricDiagram, UFunctorDescriptor, full_diagram, u_functor
 from .fanifold import Fanifold, delete_strata, require_valid
@@ -32,15 +32,13 @@ A_SIDE_CONVENTION = (
 )
 
 
-@dataclass(frozen=True)
-class StratumLabels:
+class StratumLabels(NamedTuple):
     stratum: str
     b_label: str
     a_label: str
 
 
-@dataclass(frozen=True)
-class ArrowLabels:
+class ArrowLabels(NamedTuple):
     source: str
     target: str
     cone_index: int
@@ -48,8 +46,7 @@ class ArrowLabels:
     a_label: str
 
 
-@dataclass(frozen=True)
-class ShapeCertificate:
+class ShapeCertificate(NamedTuple):
     """Whether the chart diagram and the skeleton model agree.
 
     On success ``matching`` pairs each stratum with itself: both sides are
@@ -60,8 +57,7 @@ class ShapeCertificate:
     matching: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class MirrorDictionary:
+class MirrorDictionary(NamedTuple):
     fanifold: Fanifold
     stratum_labels: tuple[StratumLabels, ...]
     arrow_labels: tuple[ArrowLabels, ...]
@@ -194,8 +190,7 @@ def mirror_dictionary(phi: Fanifold) -> MirrorDictionary:
 # -- restriction pairs -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionPair:
+class RestrictionPair(NamedTuple):
     """Matched chart-side and skeleton-side views of keeping a closed set."""
 
     closed: tuple[str, ...]

@@ -14,7 +14,7 @@ No geometry is constructed here; everything is exact bookkeeping on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cones import Cone
 from .fans import Fan, StackyFan, require_valid_fan
@@ -24,8 +24,7 @@ from .fanifold import Fanifold, require_valid
 # -- conic pieces of a single fan --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FLTZPiece:
+class FLTZPiece(NamedTuple):
     """One cone's contribution: annihilator subtorus times the cone."""
 
     cone_index: int
@@ -69,8 +68,7 @@ def fltz_pieces(fan: Fan | StackyFan) -> list[FLTZPiece]:
 # -- the glued skeleton model ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkeletonStratum:
+class SkeletonStratum(NamedTuple):
     """A stratum of the glued skeleton: a base stratum with a local cone.
 
     ``torus_rank`` is the rank of the fiber torus (corank of the cone in
@@ -92,8 +90,7 @@ class SkeletonStratum:
         return f"{self.base}.tau{self.cone_index}"
 
 
-@dataclass
-class SkeletonModel:
+class SkeletonModel(NamedTuple):
     """Stratification of the glued skeleton with its projection to the base.
 
     Strata are ordered by base stratum then cone index.  ``incidences``
@@ -242,8 +239,7 @@ def euler_characteristic_c(model: SkeletonModel | Fanifold) -> int:
 # -- Weinstein handle plans --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Handle:
+class Handle(NamedTuple):
     """One handle: thickened cotangent bundle of a stratum's interior."""
 
     index: int
@@ -254,8 +250,7 @@ class Handle:
     trivial: bool
 
 
-@dataclass(frozen=True)
-class HandlePlan:
+class HandlePlan(NamedTuple):
     handles: tuple[Handle, ...]
 
     def counts_by_index(self) -> dict[int, int]:
@@ -265,6 +260,7 @@ class HandlePlan:
         return out
 
     def __len__(self) -> int:
+        """The handle count, not the tuple's one field."""
         return len(self.handles)
 
 

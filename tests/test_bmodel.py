@@ -1,6 +1,5 @@
 """Section rings of glued toric spaces: diagrams, censuses, subalgebras."""
 
-import dataclasses
 import itertools
 import json
 import os
@@ -361,7 +360,7 @@ def _rebased(phi, rng):
         n = s.lattice_rank
         move = lattice_map(moves[s.name], n, n)
         fan = Fan([c.image(move) for c in s.plain_fan.cones], n)
-        strata.append(dataclasses.replace(s, fan=fan))
+        strata.append(s._replace(fan=fan))
     ranks = {s.name: s.lattice_rank for s in strata}
     arrows = []
     for a in phi.arrows:
@@ -375,7 +374,7 @@ def _rebased(phi, rng):
             )
             iso = mat_mul(moved_map, fq.section.matrix)
         iso = lattice_map(iso, fq.fan.rank, ranks[a.target])
-        arrows.append(dataclasses.replace(a, iso=iso))
+        arrows.append(a._replace(iso=iso))
     out = Fanifold(phi.dimension, strata, arrows)
     require_valid(out)
     return out

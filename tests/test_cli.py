@@ -88,6 +88,23 @@ def test_one_shot_entry_point_reads_sys_argv():
     assert proc.stdout == read_golden("bmodel-census-help.out")
 
 
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    """The records are ``NamedTuple``s: a one-shot call imports neither
+    ``dataclasses`` nor the ``inspect``/``ast``/``dis`` chain it pulls in.
+    Counts only what the imports add, not what site start-up loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import fanifolds, fanifolds.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_capture(capsys, ["validate", "--file", "nowhere.json"])
     assert code == 2

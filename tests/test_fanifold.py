@@ -1,11 +1,11 @@
 """Exit diagrams: construction, validation, order structure, surgery."""
 
-import dataclasses
 import random
 
 import pytest
 
 from fanifolds import fans
+from fanifolds.bmodel import components, full_diagram, limit_census, subalgebra_check, u_functor
 from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import (
     EXAMPLES,
@@ -30,14 +30,24 @@ from fanifolds.fanifold import (
     sphere_section,
     unrolled_closure,
 )
-from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
+from fanifolds.fans import (
+    Fan,
+    StackyFan,
+    quotient_fan,
+    refines,
+    resolve_to_smooth,
+    stellar_subdivision,
+)
 from fanifolds.lattice import (
     identity_matrix,
     lattice_map,
     mat_mul,
     mat_vec,
     quotient_with_torsion,
+    smith_normal_form,
 )
+from fanifolds.mirror import mirror_dictionary, restriction_pairs
+from fanifolds.skeleton import fltz_pieces, handle_plan, skeleton_model
 
 
 def test_from_fan_affine_line():
@@ -91,16 +101,55 @@ def test_validate_is_computed_once():
 
 
 def test_strata_arrows_and_reports_are_frozen():
+    """One instance of every record of the package: none takes a field
+    assignment, nor a new attribute."""
     phi = EXAMPLES["square"]()
     report = phi.validate()
     assert isinstance(report.errors, tuple)
-    for obj, field in (
-        (phi.strata[0], "dim"),
-        (phi.arrows[0], "cone_index"),
-        (report, "errors"),
-    ):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    fan = quadric_fan()
+    diagram = full_diagram(phi)
+    model = skeleton_model(phi)
+    plan = handle_plan(phi)
+    md = mirror_dictionary(phi)
+    closed = sorted(phi.down_closure([phi.strata[0].name]))
+    subalgebra = subalgebra_check(
+        EXAMPLES["3a1"](), [("t", {"a": {(1,): 1}, "b": {(1,): 1}, "c": {(1,): 1}})], degree=1
+    )
+    records = [
+        phi.arrows[0].iso.source,
+        phi.arrows[0].iso,
+        smith_normal_form(((2, 0), (0, 3))),
+        quotient_with_torsion(2, [(2, 0)]),
+        quotient_fan(fan, 1),
+        resolve_to_smooth(fan),
+        refines(fan, fan),
+        phi.strata[0],
+        phi.arrows[0],
+        report,
+        diagram.objects[0],
+        diagram.arrows[0],
+        limit_census(diagram, 1),
+        components(phi)[0],
+        subalgebra,
+        u_functor(phi, closed),
+        fltz_pieces(fan)[0],
+        model.strata[0],
+        model,
+        plan.handles[0],
+        plan,
+        md.stratum_labels[0],
+        md.arrow_labels[0],
+        md.certificate,
+        md,
+        restriction_pairs(phi, closed),
+    ]
+    assert len({type(r) for r in records}) == 26
+    for obj in records:
+        field = obj._fields[0]
+        with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            obj.extra = None
 
 
 def test_leq_and_down_closure_on_square():
@@ -245,9 +294,7 @@ def test_arrow_maps_compose_coherently_on_square():
 def test_validate_rejects_an_arrow_iso_that_is_not_unimodular():
     phi = EXAMPLES["affine2"]()
     k, a = next((k, a) for k, a in enumerate(phi.arrows) if a.iso.source.rank == 1)
-    doubled = dataclasses.replace(
-        a, iso=lattice_map(((2 * a.iso.matrix[0][0],),), 1, 1)
-    )
+    doubled = a._replace(iso=lattice_map(((2 * a.iso.matrix[0][0],),), 1, 1))
     arrows = phi.arrows[:k] + (doubled,) + phi.arrows[k + 1:]
     report = Fanifold(phi.dimension, phi.strata, arrows).validate()
     assert report.errors == (
@@ -268,8 +315,8 @@ def test_coherence_checks_where_the_composite_sends_the_cone():
     edge = phi.arrows[0].source
     k, m = [k for k, a in enumerate(phi.arrows) if a.source == edge]
     arrows = list(phi.arrows)
-    arrows[k] = dataclasses.replace(phi.arrows[k], target=phi.arrows[m].target)
-    arrows[m] = dataclasses.replace(phi.arrows[m], target=phi.arrows[k].target)
+    arrows[k] = phi.arrows[k]._replace(target=phi.arrows[m].target)
+    arrows[m] = phi.arrows[m]._replace(target=phi.arrows[k].target)
     report = Fanifold(phi.dimension, phi.strata, arrows).validate()
     (a,) = [a for a in phi.arrows if a.target == edge]
     assert report.is_poset and not report.coherent
@@ -434,6 +481,30 @@ def test_sphere_section_shares_the_charts_quotient_fans(monkeypatch):
             assert s.plain_fan is chart.stratum(s.name).plain_fan
         for a in section.arrows:
             assert section.arrow_quotient(a) is chart.arrow_quotient(a)
+
+
+def test_stacky_charts_and_sphere_section_push_each_cone_once(monkeypatch):
+    """``from_fan`` then ``sphere_section`` of a stacky fan push each cone's
+    multiples once: the stacky fan keeps its quotients, so the two diagrams
+    hold the same stratum fan objects."""
+    pushed = []
+    push = fans._stacky_quotient
+
+    def counted(sfan, cone_index):
+        pushed.append(cone_index)
+        return push(sfan, cone_index)
+
+    monkeypatch.setattr(fans, "_stacky_quotient", counted)
+    stacky = [f for f in _random_basis_fans() if isinstance(f, StackyFan)]
+    assert stacky
+    for fan in stacky:
+        pushed.clear()
+        chart, section = from_fan(fan), sphere_section(fan)
+        assert sorted(pushed) == list(range(len(fan.fan.cones)))
+        assert section.strata
+        for s in section.strata:
+            assert isinstance(s.fan, StackyFan)
+            assert s.fan is chart.stratum(s.name).fan
 
 
 def test_arrow_isos_satisfy_their_defining_identity():
@@ -607,9 +678,7 @@ def test_a_negated_iso_has_no_coherent_composite():
         (k, a) for k, a in enumerate(phi.arrows)
         if len(a.iso.matrix) == 1 and phi.stratum(a.source).dim == 0
     )
-    negated = dataclasses.replace(
-        a, iso=lattice_map([[-x for x in r] for r in a.iso.matrix], 1, 1)
-    )
+    negated = a._replace(iso=lattice_map([[-x for x in r] for r in a.iso.matrix], 1, 1))
     arrows = phi.arrows[:k] + (negated,) + phi.arrows[k + 1:]
     report = Fanifold(phi.dimension, phi.strata, arrows).validate()
     through = [

@@ -440,6 +440,16 @@ def test_stacky_rank_zero_quotient_drops_torsion_with_warning():
     assert quotient.fan.rays == ()
 
 
+def test_stacky_quotient_is_kept_and_its_warnings_list_is_the_callers():
+    sf = stacky_quadric_fan()
+    for k in range(len(sf.fan.cones)):
+        quotient, fq, warnings = sf.quotient(k)
+        warnings.append("changed by the caller")
+        again, fq_again, warnings_again = sf.quotient(k)
+        assert again is quotient and fq_again is fq
+        assert "changed by the caller" not in warnings_again
+
+
 def test_face_closure_lists_top_cone_first():
     fan = orthant_fan(2)
     assert fan.cones[0].dim == 2

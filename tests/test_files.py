@@ -1,7 +1,6 @@
 """fanifold/1 JSON round-trips and schema validation."""
 
 import copy
-import dataclasses
 import json
 import os
 
@@ -63,9 +62,9 @@ def _renamed(phi, names):
     """``phi`` with its strata renamed by ``names``."""
     return Fanifold(
         dimension=phi.dimension,
-        strata=[dataclasses.replace(s, name=names[s.name]) for s in phi.strata],
+        strata=[s._replace(name=names[s.name]) for s in phi.strata],
         arrows=[
-            dataclasses.replace(a, source=names[a.source], target=names[a.target])
+            a._replace(source=names[a.source], target=names[a.target])
             for a in phi.arrows
         ],
     )

@@ -1,6 +1,5 @@
 """Matched chart-side / skeleton-side labels and restriction pairs."""
 
-import dataclasses
 import gc
 import json
 import os
@@ -47,17 +46,15 @@ def test_dictionary_certificate_is_a_bijection():
 
 def _drop_incidence(phi):
     model = skeleton_model(phi)
-    return full_diagram(phi), dataclasses.replace(
-        model, incidences=model.incidences[1:]
-    )
+    return full_diagram(phi), model._replace(incidences=model.incidences[1:])
 
 
 def _bump_last_piece(phi, field):
     """Raise one field of the last skeleton piece by 1."""
     model = skeleton_model(phi)
     strata = list(model.strata)
-    strata[-1] = dataclasses.replace(strata[-1], **{field: getattr(strata[-1], field) + 1})
-    return full_diagram(phi), dataclasses.replace(model, strata=tuple(strata))
+    strata[-1] = strata[-1]._replace(**{field: getattr(strata[-1], field) + 1})
+    return full_diagram(phi), model._replace(strata=tuple(strata))
 
 
 def _move_collapse_target(phi):
@@ -72,7 +69,7 @@ def _move_collapse_target(phi):
         for t, o in enumerate(diagram.objects):
             if o.stratum == stratum and (a.source, t) not in reached:
                 arrows = list(diagram.arrows)
-                arrows[k] = dataclasses.replace(a, target=t)
+                arrows[k] = a._replace(target=t)
                 mutant = ToricDiagram(phi, diagram.objects, arrows)
                 return mutant, skeleton_model(phi)
     raise AssertionError("no collapse target to move")
