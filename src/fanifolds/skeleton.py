@@ -260,7 +260,9 @@ class HandlePlan(NamedTuple):
         return out
 
     def __len__(self) -> int:
-        """The handle count, not the tuple's one field."""
+        """The handle count, not the tuple's one field.  ``_replace`` and
+        ``_make`` check the field count with ``len``, so they refuse a plan:
+        build a changed one with ``HandlePlan(handles)``."""
         return len(self.handles)
 
 
