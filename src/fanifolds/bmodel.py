@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cones import Cone
 from .fanifold import Arrow, Fanifold, require_valid, unrolled_closure
-from .fans import StackyFan
 from .lattice import (
     Mat,
     Vec,
@@ -100,7 +99,7 @@ class ToricDiagram:
 
     def object_cone(self, i: int) -> Cone:
         o = self.objects[i]
-        return self.fanifold.stratum(o.stratum).plain_fan.cones[o.cone_index]
+        return self.fanifold.stratum(o.stratum).fan.cones[o.cone_index]
 
     def object_rank(self, i: int) -> int:
         return self.fanifold.stratum(self.objects[i].stratum).lattice_rank
@@ -193,7 +192,7 @@ def _restriction_arrows(
     for i, o in enumerate(objects):
         by_stratum.setdefault(o.stratum, []).append(i)
     for name, members in by_stratum.items():
-        inside = phi.stratum(name).plain_fan._inside
+        inside = phi.stratum(name).fan._inside
         for i, j in itertools.permutations(members, 2):
             big, small = objects[i].cone_index, objects[j].cone_index
             # a cone equal to a different one lies inside it both ways
@@ -245,7 +244,7 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
 def full_diagram(phi: Fanifold) -> ToricDiagram:
     """One chart per (stratum, cone) pair, with all induced monomial maps."""
     return _diagram(
-        phi, {s.name: range(len(s.plain_fan.cones)) for s in phi.strata}
+        phi, {s.name: range(len(s.fan.cones)) for s in phi.strata}
     )
 
 
@@ -269,7 +268,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     below = [s.name for s in phi.strata if phi.leq(s.name, f_name)]
     allowed: dict[str, set[int]] = {}
     for g in below:
-        fan = phi.stratum(g).plain_fan
+        fan = phi.stratum(g).fan
         keep = {i for i, c in enumerate(fan.cones) if c.dim == 0}
         # below holds f_name itself
         allowed[g] = keep | {a.cone_index for a in phi.out_arrows(g) if a.target in below}
@@ -525,8 +524,8 @@ def components(phi: Fanifold) -> list[Component]:
             Component(
                 stratum=s.name,
                 toric_dim=s.lattice_rank,
-                complete=s.plain_fan.is_complete,
-                stacky=isinstance(s.fan, StackyFan),
+                complete=s.fan.is_complete,
+                stacky=s.is_stacky,
             )
         )
     return out
@@ -607,7 +606,7 @@ def _stratum_values(
             values[s.name] = {}
     # regularity: the value must live in every chart's monoid
     for s in phi.strata:
-        fan = s.plain_fan
+        fan = s.fan
         for c in fan.cones:
             bad = [
                 u
@@ -747,12 +746,7 @@ class UFunctorDescriptor(NamedTuple):
 
 def u_functor(phi: Fanifold, closed: Iterable[str]) -> UFunctorDescriptor:
     """Descriptor of the open complement of a closed union of strata."""
-    closed = tuple(sorted(set(closed)))
-    unknown = set(closed) - set(phi.by_name)
-    if unknown:
-        raise ValueError(f"unknown strata: {sorted(unknown)}")
-    if not phi.is_down_closed(closed):
-        raise ValueError("the chosen strata are not closed (missing deeper strata)")
+    closed = phi.require_closed(closed)
     diagram = full_diagram(phi)
     marked = tuple(
         i for i, o in enumerate(diagram.objects) if o.stratum in closed

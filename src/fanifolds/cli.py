@@ -44,7 +44,7 @@ from .bmodel import (
 )
 from .cones import Cone, zero_cone
 from .fanifold import Fanifold, require_valid
-from .fans import StackyFan, quotient_fan, refines, resolve_to_smooth
+from .fans import Fan, StackyFan, quotient_fan, refines, resolve_to_smooth
 from .mesh import export_mesh
 from .mirror import mirror_dictionary, restriction_pairs
 from .skeleton import euler_characteristic_c, handle_plan, skeleton_model
@@ -315,7 +315,7 @@ def cmd_skeleton_handles(args) -> int:
         ],
         "counts_by_index": {str(k): v for k, v in sorted(plan.counts_by_index().items())},
     }
-    lines = [f"handles: {len(plan)}"]
+    lines = [f"handles: {len(plan.handles)}"]
     for k, v in sorted(plan.counts_by_index().items()):
         lines.append(f"  index {k}: {v}")
     for h in plan.handles:
@@ -367,20 +367,16 @@ def _stratum_fan(phi: Fanifold, name: str):
     return phi.stratum(name).fan
 
 
-def _fan_props(fan) -> dict:
-    if isinstance(fan, StackyFan):
-        out = fan.fan.properties()
-        out["stacky"] = True
-        out["smooth"] = fan.is_smooth
-        groups = []
-        for i, c in enumerate(fan.fan.cones):
-            g = fan.component_group(c)
-            if g:
-                groups.append({"cone": i, "invariants": list(g)})
-        out["component_groups"] = groups
-        return out
+def _fan_props(fan: Fan) -> dict:
     out = fan.properties()
-    out["stacky"] = False
+    out["stacky"] = isinstance(fan, StackyFan)
+    if out["stacky"]:
+        out["smooth"] = fan.is_smooth
+        out["component_groups"] = [
+            {"cone": i, "invariants": list(g)}
+            for i, g in enumerate(map(fan.component_group, fan.cones))
+            if g
+        ]
     return out
 
 
@@ -405,7 +401,6 @@ def cmd_fan_props(args) -> int:
 def cmd_fan_quotient(args) -> int:
     phi = _load(args)
     fan = _stratum_fan(phi, args.stratum)
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
     ray_idx = []
     for p in _split_ids(args.cone):
         try:
@@ -413,25 +408,19 @@ def cmd_fan_quotient(args) -> int:
         except ValueError:
             raise ValueError(f"--cone: {p!r} is not a ray index") from None
     for i in ray_idx:
-        if not 0 <= i < len(plain.rays):
+        if not 0 <= i < len(fan.rays):
             raise ValueError(f"no ray {i} in the fan at {args.stratum!r}")
     cone = (
-        Cone([plain.rays[i] for i in ray_idx], plain.rank)
+        Cone([fan.rays[i] for i in ray_idx], fan.rank)
         if ray_idx
-        else zero_cone(plain.rank)
+        else zero_cone(fan.rank)
     )
-    k = plain.cone_index(cone)
+    k = fan.cone_index(cone)
     if k is None:
         raise ValueError(
             f"rays {ray_idx} do not span a cone of the fan at {args.stratum!r}"
         )
-    if isinstance(fan, StackyFan):
-        quotient, fq, warnings = fan.quotient(k)
-        qdict = files._fan_to_dict(quotient)
-    else:
-        fq = quotient_fan(plain, k)
-        warnings = []
-        qdict = files._fan_to_dict(fq.fan)
+    fq = quotient_fan(fan, k)
     payload = {
         "stratum": args.stratum,
         "cone": sorted(ray_idx),
@@ -440,8 +429,8 @@ def cmd_fan_quotient(args) -> int:
         "section": [list(r) for r in fq.section.matrix],
         "torsion": list(fq.torsion),
         "star": list(fq.star),
-        "fan": qdict,
-        "warnings": list(warnings),
+        "fan": files._fan_to_dict(fq.fan),
+        "warnings": list(fq.warnings),
     }
     lines = [
         f"stratum: {args.stratum}",
@@ -450,7 +439,7 @@ def cmd_fan_quotient(args) -> int:
         f"quotient cones: {len(fq.fan.cones)}",
         f"torsion: {list(fq.torsion) if fq.torsion else 'none'}",
     ]
-    lines.extend(f"warning: {w}" for w in warnings)
+    lines.extend(f"warning: {w}" for w in fq.warnings)
     _render(args, payload, lines)
     return 0
 
@@ -458,9 +447,9 @@ def cmd_fan_quotient(args) -> int:
 def cmd_fan_resolve(args) -> int:
     phi = _load(args)
     fan = _stratum_fan(phi, args.stratum)
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    result = resolve_to_smooth(plain)
-    check = refines(result.fan, plain)
+    # the refinement is of the cones: a stacky fan's multiples do not carry
+    result = resolve_to_smooth(Fan(fan.cones, fan.rank))
+    check = refines(result.fan, fan)
     payload = {
         "stratum": args.stratum,
         "steps": [list(v) for v in result.steps],
@@ -485,11 +474,7 @@ def cmd_fan_refines(args) -> int:
     names = _split_ids(args.stratum or "")
     if len(names) != 2:
         raise ValueError("fan refines needs --stratum FINE,COARSE (two stratum ids)")
-    fans = []
-    for name in names:
-        fan = _stratum_fan(phi, name)
-        fans.append(fan.fan if isinstance(fan, StackyFan) else fan)
-    fine, coarse = fans
+    fine, coarse = (_stratum_fan(phi, name) for name in names)
     result = refines(fine, coarse)
     payload = {
         "fine": names[0],
@@ -517,7 +502,6 @@ class Command(NamedTuple):
     handler: str  # name of the ``cmd_*`` function, looked up when it runs
     args: tuple = ()  # (flag, ``add_argument`` keywords) beyond ``_COMMON_ARGS``
     help: str | None = None  # listed in the parent's help only when given
-    gated: bool = False  # refuses an invalid fanifold: one ``error:`` line, exit 2
 
 
 _COMMON_ARGS = (
@@ -541,24 +525,21 @@ COMMANDS = (
     Command(
         ("bmodel", "chart"), "cmd_bmodel_chart",
         (("--stratum", {"required": True, "help": "stratum id whose closure to chart"}),),
-        gated=True,
     ),
     Command(
         ("bmodel", "census"), "cmd_bmodel_census",
         (("--degree", {"type": int, "required": True, "help": "degree bound D"}),),
-        gated=True,
     ),
     Command(("bmodel", "ufunctor"), "cmd_bmodel_ufunctor", (_CLOSED,)),
-    Command(("skeleton", "report"), "cmd_skeleton_report", gated=True),
-    Command(("skeleton", "euler"), "cmd_skeleton_euler", gated=True),
-    Command(("skeleton", "handles"), "cmd_skeleton_handles", gated=True),
+    Command(("skeleton", "report"), "cmd_skeleton_report"),
+    Command(("skeleton", "euler"), "cmd_skeleton_euler"),
+    Command(("skeleton", "handles"), "cmd_skeleton_handles"),
     Command(
         ("skeleton", "mesh"), "cmd_skeleton_mesh",
         (("--resolution", {"type": int, "default": 16, "help": "segments per full circle"}),),
-        gated=True,
     ),
-    Command(("mirror", "dict"), "cmd_mirror_dict", gated=True),
-    Command(("mirror", "restrict"), "cmd_mirror_restrict", (_CLOSED,), gated=True),
+    Command(("mirror", "dict"), "cmd_mirror_dict"),
+    Command(("mirror", "restrict"), "cmd_mirror_restrict", (_CLOSED,)),
     Command(
         ("fan", "props"), "cmd_fan_props",
         (("--stratum", {"help": "stratum id (default: all strata)"}),),
@@ -645,10 +626,7 @@ def run(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return globals()[args.handler](args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -34,13 +34,14 @@ from .lattice import (
 class Stratum(NamedTuple):
     name: str
     dim: int
-    fan: Fan | StackyFan
+    fan: Fan  # a StackyFan carries the stacky data
     interior: bool = True
     chi_c: int | None = None  # None means the contractible default (-1)^dim
 
     @property
     def plain_fan(self) -> Fan:
-        return self.fan.fan if isinstance(self.fan, StackyFan) else self.fan
+        """The stratum's fan; the benchmark's workloads read this name."""
+        return self.fan
 
     @property
     def is_stacky(self) -> bool:
@@ -48,7 +49,7 @@ class Stratum(NamedTuple):
 
     @property
     def lattice_rank(self) -> int:
-        return self.plain_fan.rank
+        return self.fan.rank
 
     @property
     def chi(self) -> int:
@@ -83,7 +84,7 @@ class Fanifold:
     ):
         """An arrow's star quotient is ``quotient_fan`` of its cone, which
         the source fan keeps: a constructor that built it to take the
-        arrow's iso leaves it there for ``arrow_quotient`` and validation."""
+        arrow's iso leaves it there for validation and the arrow tables."""
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
@@ -97,7 +98,6 @@ class Fanifold:
             into.setdefault(a.target, []).append(a)
         self._out = {name: tuple(arrows) for name, arrows in out.items()}
         self._in = {name: tuple(arrows) for name, arrows in into.items()}
-        self._fq_cache: dict[tuple[str, int], FanQuotient] = {}
         self._arrow_maps: dict[Arrow, LatticeMap] = {}
         self._star_maps: dict[Arrow, dict[int, int | None]] = {}
         self._collapses: dict[Arrow, tuple[Mat, Mat]] = {}
@@ -118,22 +118,15 @@ class Fanifold:
         return self._in.get(name, ())
 
     def arrow_cone(self, a: Arrow) -> Cone:
-        return self.stratum(a.source).plain_fan.cones[a.cone_index]
-
-    def arrow_quotient(self, a: Arrow) -> FanQuotient:
-        key = (a.source, a.cone_index)
-        if key not in self._fq_cache:
-            self._fq_cache[key] = quotient_fan(
-                self.stratum(a.source).plain_fan, a.cone_index
-            )
-        return self._fq_cache[key]
+        return self.stratum(a.source).fan.cones[a.cone_index]
 
     def arrow_map(self, a: Arrow) -> LatticeMap:
         """The composite lattice map source lattice -> target lattice, built
         once per arrow."""
         out = self._arrow_maps.get(a)
         if out is None:
-            out = self._arrow_maps[a] = a.iso.compose(self.arrow_quotient(a).projection)
+            fq = quotient_fan(self.stratum(a.source).fan, a.cone_index)
+            out = self._arrow_maps[a] = a.iso.compose(fq.projection)
         return out
 
     def _star_map(self, a: Arrow) -> dict[int, int | None]:
@@ -142,7 +135,8 @@ class Fanifold:
         there), read off the star quotient's cones and the iso once."""
         out = self._star_maps.get(a)
         if out is None:
-            fq, tgt = self.arrow_quotient(a), self.stratum(a.target).plain_fan
+            fq = quotient_fan(self.stratum(a.source).fan, a.cone_index)
+            tgt = self.stratum(a.target).fan
             out = self._star_maps[a] = {
                 k: tgt.cone_index(c.image(a.iso)) for k, c in zip(fq.star, fq.fan.cones)
             }
@@ -153,7 +147,7 @@ class Fanifold:
         along an arrow, built once per arrow."""
         out = self._collapses.get(a)
         if out is None:
-            fq, m = self.arrow_quotient(a), a.iso.matrix
+            fq, m = quotient_fan(self.stratum(a.source).fan, a.cone_index), a.iso.matrix
             # a rank-0 target: forward has no rows, backward no columns
             out = self._collapses[a] = (
                 mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix)),
@@ -179,6 +173,17 @@ class Fanifold:
             a.source in names for a in self.arrows if a.target in names
         )
 
+    def require_closed(self, names: Iterable[str]) -> tuple[str, ...]:
+        """The distinct names, sorted; ValueError naming the unknown ones,
+        or when the set is not down-closed."""
+        closed = tuple(sorted(set(names)))
+        unknown = [z for z in closed if z not in self.by_name]
+        if unknown:
+            raise ValueError(f"unknown strata: {unknown}")
+        if not self.is_down_closed(closed):
+            raise ValueError("the chosen strata are not closed (missing deeper strata)")
+        return closed
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -199,12 +204,10 @@ class Fanifold:
                     f"stratum {s.name!r}: dim {s.dim} + fan rank {s.lattice_rank}"
                     f" != total dimension {self.dimension}"
                 )
-            fan_problems = s.plain_fan.validate()
+            fan_problems = s.fan.validate()
             for p in fan_problems:
                 errors.append(f"stratum {s.name!r} fan: {p}")
-            if not fan_problems and not any(
-                c.dim == 0 for c in s.plain_fan.cones
-            ):
+            if not fan_problems and not any(c.dim == 0 for c in s.fan.cones):
                 errors.append(f"stratum {s.name!r} fan: missing the zero cone")
         if errors:
             return ValidationReport(is_poset=False, coherent=False, errors=tuple(errors))
@@ -214,7 +217,7 @@ class Fanifold:
                 errors.append(f"arrow {k}: unknown stratum id")
                 continue
             src, tgt = self.stratum(a.source), self.stratum(a.target)
-            fan = src.plain_fan
+            fan = src.fan
             if not (0 <= a.cone_index < len(fan.cones)):
                 errors.append(f"arrow {k}: cone index {a.cone_index} out of range")
                 continue
@@ -228,7 +231,7 @@ class Fanifold:
                     f" != dim difference {tgt.dim - src.dim}"
                 )
                 continue
-            fq = self.arrow_quotient(a)
+            fq = quotient_fan(fan, a.cone_index)
             if a.iso.source.rank != fq.fan.rank or a.iso.target.rank != tgt.lattice_rank:
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso shape mismatch")
                 continue
@@ -239,7 +242,7 @@ class Fanifold:
                 continue
             # the target's cones are distinct: each must be hit exactly once
             images = Counter(self._star_map(a).values())
-            if images != Counter(range(len(tgt.plain_fan.cones))):
+            if images != Counter(range(len(tgt.fan.cones))):
                 errors.append(
                     f"arrow {k} ({a.source}->{a.target}): quotient fan does not"
                     " match the target fan"
@@ -250,9 +253,7 @@ class Fanifold:
             used = [a.cone_index for a in outs]
             if len(set(used)) != len(used):
                 errors.append(f"stratum {s.name!r}: two arrows share a cone")
-            nonzero = {
-                i for i, c in enumerate(s.plain_fan.cones) if c.dim > 0
-            }
+            nonzero = {i for i, c in enumerate(s.fan.cones) if c.dim > 0}
             missing = nonzero - set(used)
             extra = set(used) - nonzero
             if missing:
@@ -317,12 +318,6 @@ def require_valid(phi: Fanifold) -> ValidationReport:
 # -- constructors ------------------------------------------------------------
 
 
-def _stratum_fan_for_cone(fan: Fan | StackyFan, index: int) -> Fan | StackyFan:
-    if isinstance(fan, StackyFan):
-        return fan.quotient(index)[0]
-    return quotient_fan(fan, index).fan
-
-
 def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> LatticeMap:
     """The map ``iso`` with ``iso . fq.projection == numerator``.
 
@@ -336,10 +331,11 @@ def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> L
     )
 
 
-def _arrow_between_cones(plain: Fan, i: int, j: int) -> Arrow:
+def _arrow_between_cones(fan: Fan, i: int, j: int) -> Arrow:
     """Arrow from the stratum of cone i to that of cone j (i a face of j).
-    The iso is ``p_j @ s_i @ s_ij``: it satisfies ``iso . p_ij . p_i == p_j``."""
-    fq_i, fq_j = quotient_fan(plain, i), quotient_fan(plain, j)
+    The iso is ``p_j @ s_i @ s_ij``: it satisfies ``iso . p_ij . p_i == p_j``;
+    ``p_ij`` is the quotient on the stratum's own fan, which validation reads."""
+    fq_i, fq_j = quotient_fan(fan, i), quotient_fan(fan, j)
     sub_index = fq_i.star.index(j)
     fq_ij = quotient_fan(fq_i.fan, sub_index)
     p_j = fq_j.projection.matrix
@@ -350,33 +346,28 @@ def _arrow_between_cones(plain: Fan, i: int, j: int) -> Arrow:
 
 
 def _cone_strata(
-    fan: Fan | StackyFan,
-    plain: Fan,
-    keep: Sequence[int],
-    shift: int,
+    fan: Fan, keep: Sequence[int], shift: int
 ) -> tuple[list[Stratum], list[Arrow]]:
     """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
     and its face arrows."""
     strata = [
-        Stratum(
-            name=f"s{i}", dim=plain.cones[i].dim - shift, fan=_stratum_fan_for_cone(fan, i)
-        )
+        Stratum(name=f"s{i}", dim=fan.cones[i].dim - shift, fan=quotient_fan(fan, i).fan)
         for i in keep
     ]
     arrows = [
-        _arrow_between_cones(plain, i, j)
+        _arrow_between_cones(fan, i, j)
         for i in keep
         for j in keep
-        if i in plain._inside[j] and plain.cones[j].dim != plain.cones[i].dim
+        if i in fan._inside[j] and fan.cones[j].dim != fan.cones[i].dim
     ]
     return strata, arrows
 
 
-def from_fan(fan: Fan | StackyFan) -> Fanifold:
+def from_fan(fan: Fan) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
-    plain = require_valid_fan(fan)
-    n = plain.rank
-    strata, arrows = _cone_strata(fan, plain, range(len(plain.cones)), 0)
+    require_valid_fan(fan)
+    n = fan.rank
+    strata, arrows = _cone_strata(fan, range(len(fan.cones)), 0)
     return Fanifold(
         dimension=n,
         strata=strata,
@@ -386,16 +377,16 @@ def from_fan(fan: Fan | StackyFan) -> Fanifold:
     )
 
 
-def sphere_section(fan: Fan | StackyFan) -> Fanifold:
+def sphere_section(fan: Fan) -> Fanifold:
     """Fanifold structure on the unit-sphere slice of the fan's support."""
-    plain = require_valid_fan(fan)
-    keep = [i for i, c in enumerate(plain.cones) if c.dim > 0]
-    strata, arrows = _cone_strata(fan, plain, keep, 1)
+    require_valid_fan(fan)
+    keep = [i for i, c in enumerate(fan.cones) if c.dim > 0]
+    strata, arrows = _cone_strata(fan, keep, 1)
     return Fanifold(
-        dimension=plain.rank - 1,
+        dimension=fan.rank - 1,
         strata=strata,
         arrows=arrows,
-        compact=plain.is_face_closed,
+        compact=fan.is_face_closed,
         provenance=("sphere", fan),
     )
 
@@ -412,22 +403,20 @@ def manifold(k: int) -> Fanifold:
     )
 
 
-def _product_fan(f1: Fan | StackyFan, f2: Fan | StackyFan) -> Fan | StackyFan:
-    p1 = f1.fan if isinstance(f1, StackyFan) else f1
-    p2 = f2.fan if isinstance(f2, StackyFan) else f2
+def _product_fan(f1: Fan, f2: Fan) -> Fan:
     cones = [
-        product_cone(c1, c2) for c1 in p1.cones for c2 in p2.cones
+        product_cone(c1, c2) for c1 in f1.cones for c2 in f2.cones
     ]
-    prod = Fan(cones, p1.rank + p2.rank)
+    prod = Fan(cones, f1.rank + f2.rank)
     if not isinstance(f1, StackyFan) and not isinstance(f2, StackyFan):
         return prod
     multiples = {}
     if isinstance(f1, StackyFan):
         for r, k in f1.multiples.items():
-            multiples[r + (0,) * p2.rank] = k
+            multiples[r + (0,) * f2.rank] = k
     if isinstance(f2, StackyFan):
         for r, k in f2.multiples.items():
-            multiples[(0,) * p1.rank + r] = k
+            multiples[(0,) * f1.rank + r] = k
     return StackyFan(prod, multiples)
 
 
@@ -449,7 +438,7 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
     by_name = {s.name: s for s in strata}
 
     def zero_index(phi: Fanifold, name: str) -> int:
-        f = phi.stratum(name).plain_fan
+        f = phi.stratum(name).fan
         for i, c in enumerate(f.cones):
             if c.dim == 0:
                 return i
@@ -467,11 +456,11 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
             continue
         src = f"({g1},{g2})"
         tgt = f"({f1},{f2})"
-        len2 = len(phi2.stratum(g2).plain_fan.cones)
+        len2 = len(phi2.stratum(g2).fan.cones)
         i1 = a1.cone_index if a1 else zero_index(phi1, g1)
         i2 = a2.cone_index if a2 else zero_index(phi2, g2)
         cone_index = i1 * len2 + i2
-        fq = quotient_fan(by_name[src].plain_fan, cone_index)
+        fq = quotient_fan(by_name[src].fan, cone_index)
         m1 = (
             phi1.arrow_map(a1).matrix
             if a1
@@ -543,13 +532,12 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
             for a in phi.out_arrows(s.name)
             if a.target in doomed
         }
-        plain = s.plain_fan
-        keep = [i for i in range(len(plain.cones)) if i not in dropped]
+        keep = [i for i in range(len(s.fan.cones)) if i not in dropped]
         index_maps[s.name] = {old: new for new, old in enumerate(keep)}
         if not dropped:
             strata.append(s)
             continue
-        new_fan: Fan | StackyFan = Fan([plain.cones[i] for i in keep], plain.rank)
+        new_fan = Fan([s.fan.cones[i] for i in keep], s.fan.rank)
         if isinstance(s.fan, StackyFan):
             mm = {
                 r: k for r, k in s.fan.multiples.items() if r in new_fan.rays
@@ -682,7 +670,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
 # -- ideal boundary ----------------------------------------------------------
 
 
-def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
+def _suspension_boundary(sigma_fan: Fan) -> Fanifold:
     """Ideal boundary of (real line) x from_fan: two fan-decorated endpoints.
 
     The mid strata are the sphere section's, with its arrows.  Each endpoint
@@ -692,7 +680,6 @@ def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
     The star quotient of such an arrow is ``quotient_fan(fan, j)``, which
     the sphere section built the mid stratum from.
     """
-    plain = sigma_fan.fan if isinstance(sigma_fan, StackyFan) else sigma_fan
     mid = sphere_section(sigma_fan)
     strata = [
         Stratum(name="end0", dim=0, fan=sigma_fan),
@@ -702,16 +689,16 @@ def _suspension_boundary(sigma_fan: Fan | StackyFan) -> Fanifold:
         strata.append(Stratum(name=s.name, dim=s.dim + 1, fan=s.fan))
     arrows = list(mid.arrows)
     for end in ("end0", "end1"):
-        for j, c in enumerate(plain.cones):
+        for j, c in enumerate(sigma_fan.cones):
             if c.dim:
-                r = plain.rank - c.dim
+                r = sigma_fan.rank - c.dim
                 iso = lattice_map(identity_matrix(r), r, r)
                 arrows.append(Arrow(source=end, target=f"s{j}", cone_index=j, iso=iso))
     return Fanifold(
-        dimension=plain.rank,
+        dimension=sigma_fan.rank,
         strata=strata,
         arrows=arrows,
-        compact=plain.is_face_closed,
+        compact=sigma_fan.is_face_closed,
         provenance=None,
     )
 

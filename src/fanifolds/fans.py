@@ -3,7 +3,14 @@
 A fan here is an ordered list of cones (order matters to callers that index
 into it); it is *not* required to contain every face of every cone.  The
 pairwise condition -- any two cones meet in a common face -- is still enforced
-by ``Fan.validate``, which builds meets only between maximal cones:
+by ``Fan.validate``, which builds meets only between maximal cones (see the
+lemma below).
+
+A ``StackyFan`` is a ``Fan`` with a multiple on each ray.  ``quotient_fan``
+is the one star quotient and ``Fan._quotients`` its one cache: stacky in,
+stacky out, the quotient of a stacky fan carrying the pushed multiples and
+the push's ``warnings``.  ``Stratum.plain_fan`` is the stratum's fan itself,
+kept for the benchmark's workloads.
 
 Lemma.  Suppose every nested pair sigma in tau of distinct cones has sigma a
 face of tau, and every two distinct maximal cones meet in a common face.
@@ -227,13 +234,11 @@ class Fan:
         return out
 
 
-def require_valid_fan(fan: Fan | StackyFan) -> Fan:
-    """The plain fan under ``fan``; ValueError when it is not a fan."""
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    problems = plain.validate()
+def require_valid_fan(fan: Fan) -> None:
+    """ValueError when ``fan`` is not a fan."""
+    problems = fan.validate()
     if problems:
         raise ValueError("invalid fan: " + "; ".join(problems))
-    return plain
 
 
 def fan_from_ray_indices(
@@ -255,18 +260,20 @@ def fan_from_ray_indices(
 class FanQuotient(NamedTuple):
     """Star of a cone pushed to the quotient lattice of its span."""
 
-    fan: Fan
+    fan: Fan  # a StackyFan when the source fan is one
     projection: LatticeMap
     section: LatticeMap
     star: tuple[int, ...]  # source cone indices, aligned with fan.cones
     torsion: tuple[int, ...]
+    warnings: tuple[str, ...] = ()  # quotient rays that kept multiple 1
 
 
 def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
     """The star of cone ``cone_index`` pushed to the quotient lattice of its
-    span.  Built once per (fan, cone index) and kept on the fan, which
-    nothing mutates, so every diagram holding the fan shares it; a cone
-    whose star does not push to a fan raises on every call."""
+    span; on a stacky fan, a stacky fan carrying the pushed multiples.
+    Built once per (fan, cone index) and kept on the fan, which nothing
+    mutates, so every diagram holding the fan shares it; a cone whose star
+    does not push to a fan raises on every call."""
     fq = fan._quotients.get(cone_index)
     if fq is None:
         fq = fan._quotients[cone_index] = _star_quotient(fan, cone_index)
@@ -274,6 +281,10 @@ def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
 
 
 def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
+    """A stacky fan's multiples are pushed in one pass over the star's
+    extremal rays: each quotient ray inherits the projected stacky
+    generator of its unique preimage ray, and keeps multiple 1 with a
+    warning when its preimage is missing or ambiguous."""
     sigma = fan.cones[cone_index]
     if sigma.rank != fan.rank:
         raise ValueError("cone rank does not match the fan rank")
@@ -288,12 +299,40 @@ def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
     keys = [im.key for im in images]
     if len(set(keys)) != len(keys):
         raise ValueError("two star cones project to the same image")
+    quotient = Fan(images, q.free_rank)
+    warnings: list[str] = []
+    if isinstance(fan, StackyFan):
+        # primitive image -> (preimage ray, its image), in star order
+        preimages: dict[Vec, list[tuple[Vec, Vec]]] = {}
+        seen: set[Vec] = set()
+        for i in star:
+            for r in fan.cones[i].extremal_rays:
+                if r not in seen:
+                    seen.add(r)
+                    im = q.projection(r)
+                    if any(im):
+                        preimages.setdefault(primitivize(im), []).append((r, im))
+        multiples: dict[Vec, int] = {}
+        for rbar in quotient.rays:
+            pre = preimages.get(rbar, ())
+            if len(pre) != 1:
+                warnings.append(
+                    f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
+                )
+                continue
+            # the image is a positive multiple of rbar, so by linearity the
+            # stacky generator's image is one too
+            ((r, im),) = pre
+            nz = next(i for i, x in enumerate(rbar) if x)
+            multiples[rbar] = fan.multiples[r] * (im[nz] // rbar[nz])
+        quotient = StackyFan(quotient, multiples)
     return FanQuotient(
-        fan=Fan(images, q.free_rank),
+        fan=quotient,
         projection=q.projection,
         section=q.section,
         star=star,
         torsion=q.torsion,
+        warnings=tuple(warnings),
     )
 
 
@@ -479,17 +518,19 @@ def refines(fine: Fan, coarse: Fan) -> RefinesResult:
 # -- stacky fans -------------------------------------------------------------
 
 
-class StackyFan:
+class StackyFan(Fan):
     """A fan with a positive integer multiple attached to each ray.
 
-    The ray times its multiple is the distinguished lattice generator; the
-    cokernel torsion of those generators is the finite group datum carried by
-    each cone.
+    A stacky fan is its fan: its cones, rank, rays, cached tables and star
+    quotients are a ``Fan``'s, and ``quotient_fan`` pushes the multiples to
+    each quotient.  The ray times its multiple is the distinguished lattice
+    generator; the cokernel torsion of those generators is the finite group
+    datum carried by each cone.
     """
 
     def __init__(self, fan: Fan, multiples: Mapping[Sequence[int], int] | None = None):
-        self.fan = fan
-        mm: dict[Vec, int] = {r: 1 for r in fan.rays}
+        super().__init__(fan.cones, fan.rank)
+        mm: dict[Vec, int] = {r: 1 for r in self.rays}
         if multiples:
             for r, k in multiples.items():
                 r = vec(r)
@@ -500,15 +541,6 @@ class StackyFan:
                     raise ValueError("ray multiples must be positive")
                 mm[r] = k
         self.multiples = mm
-        self._quotients: dict[int, tuple[StackyFan, FanQuotient, tuple[str, ...]]] = {}
-
-    @property
-    def rank(self) -> int:
-        return self.fan.rank
-
-    @property
-    def rays(self) -> Mat:
-        return self.fan.rays
 
     def stacky_generator(self, ray: Sequence[int]) -> Vec:
         ray = vec(ray)
@@ -534,54 +566,5 @@ class StackyFan:
         dimension, are independent) with no component group."""
         return all(
             len(c.extremal_rays) == c.dim and not self.component_group(c)
-            for c in self.fan.cones
+            for c in self.cones
         )
-
-    def quotient(self, cone_index: int) -> tuple["StackyFan", FanQuotient, list[str]]:
-        """Push the stacky data through a cone quotient.
-
-        Each quotient ray inherits the projected stacky generator of its
-        unique preimage ray; if the preimage is ambiguous the multiple falls
-        back to 1 and a warning is recorded.  Built once per cone index and
-        kept on the stacky fan, as ``quotient_fan`` keeps a fan's; each call
-        gets its own warnings list.
-        """
-        out = self._quotients.get(cone_index)
-        if out is None:
-            out = self._quotients[cone_index] = _stacky_quotient(self, cone_index)
-        quotient, fq, warnings = out
-        return quotient, fq, list(warnings)
-
-
-def _stacky_quotient(
-    sfan: StackyFan, cone_index: int
-) -> tuple[StackyFan, FanQuotient, tuple[str, ...]]:
-    fq = quotient_fan(sfan.fan, cone_index)
-    warnings: list[str] = []
-    multiples: dict[Vec, int] = {}
-    for rbar in fq.fan.rays:
-        pre = []
-        for c in (sfan.fan.cones[i] for i in fq.star):
-            for r in c.extremal_rays:
-                im = fq.projection(r)
-                if any(im) and primitivize(im) == rbar and r not in pre:
-                    pre.append(r)
-        if len(pre) != 1:
-            warnings.append(
-                f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
-            )
-            continue
-        im = fq.projection(sfan.stacky_generator(pre[0]))
-        k = 0
-        prim = primitivize(im)
-        if prim == rbar:
-            nz = next(i for i, x in enumerate(im) if x)
-            k = im[nz] // rbar[nz]
-        if k < 1:
-            warnings.append(
-                f"quotient ray {rbar}: stacky generator does not project to a "
-                "positive multiple, keeping multiple 1"
-            )
-            continue
-        multiples[rbar] = k
-    return StackyFan(fq.fan, multiples), fq, tuple(warnings)

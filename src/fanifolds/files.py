@@ -38,19 +38,18 @@ from .lattice import lattice_map, primitivize
 FORMAT = "fanifold/1"
 
 
-def _fan_to_dict(fan: Fan | StackyFan) -> dict:
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
-    rays = [list(r) for r in plain.rays]
-    ray_index = {tuple(r): i for i, r in enumerate(plain.rays)}
+def _fan_to_dict(fan: Fan) -> dict:
+    rays = [list(r) for r in fan.rays]
+    ray_index = {tuple(r): i for i, r in enumerate(fan.rays)}
     cones = []
-    for c in plain.cones:
+    for c in fan.cones:
         if not c.is_strongly_convex:
             raise ValueError("cone is not recovered by its extremal rays")
         cones.append(sorted(ray_index[r] for r in c.extremal_rays))
     out = {"rays": rays, "cones": cones}
     if isinstance(fan, StackyFan):
         out["stacky_beta"] = [
-            list(fan.stacky_generator(r)) for r in plain.rays
+            list(fan.stacky_generator(r)) for r in fan.rays
         ]
     return out
 
@@ -99,7 +98,7 @@ def _cone(idx, rays, rank: int, what: str) -> Cone:
 
 def _fan_from_dict(
     d, rank: int, what: str
-) -> tuple[Fan | StackyFan, list[tuple[int, ...]]]:
+) -> tuple[Fan, list[tuple[int, ...]]]:
     """The fan, and the file's ray list its cone indices refer to."""
     d = _object(d, f"{what}: fan")
     rays = _int_rows(d.get("rays", []), f"{what}: fan rays")
@@ -156,9 +155,8 @@ def fanifold_to_dict(phi: Fanifold) -> dict:
     arrows = []
     for a in phi.arrows:
         src = phi.stratum(a.source)
-        plain = src.plain_fan
-        ray_index = {tuple(r): i for i, r in enumerate(plain.rays)}
-        cone = plain.cones[a.cone_index]
+        ray_index = {tuple(r): i for i, r in enumerate(src.fan.rays)}
+        cone = src.fan.cones[a.cone_index]
         arrows.append(
             {
                 "from": a.source,
@@ -217,14 +215,14 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         src_name, tgt_name = a["from"], a["to"]
         if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
             raise ValueError(f"arrow references unknown stratum: {a}")
-        plain = by_name[src_name].plain_fan
-        cone = _cone(a["cone"], file_rays[src_name], plain.rank, f"{what}: cone")
-        idx = plain.cone_index(cone)
+        fan = by_name[src_name].fan
+        cone = _cone(a["cone"], file_rays[src_name], fan.rank, f"{what}: cone")
+        idx = fan.cone_index(cone)
         if idx is None:
             raise ValueError(
                 f"arrow cone {a['cone']} is not a cone of the fan at {src_name!r}"
             )
-        q_rank = plain.rank - cone.dim
+        q_rank = fan.rank - cone.dim
         t_rank = by_name[tgt_name].lattice_rank
         matrix = tuple(_int_rows(a["quotient_matrix"], f"{what}: quotient_matrix"))
         if len(matrix) != t_rank or any(len(row) != q_rank for row in matrix):

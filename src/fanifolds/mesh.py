@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .fans import StackyFan, quotient_fan
+from .fans import quotient_fan
 from .skeleton import SkeletonModel
 
 _RADIUS = 1.0
@@ -110,11 +110,10 @@ def _sample_arc(center, radius, a0, a1, steps):
 def _fan_layout(model: SkeletonModel, resolution: int) -> _Layout:
     phi = model.fanifold
     fan = phi.provenance[1]
-    plain = fan.fan if isinstance(fan, StackyFan) else fan
     lay = _Layout()
     origin = (0.0, 0.0)
     for i, st in enumerate(phi.strata):
-        c = plain.cones[i]
+        c = fan.cones[i]
         if c.dim == 0:
             lay.point[st.name] = origin
         elif c.dim == 1:
@@ -127,10 +126,10 @@ def _fan_layout(model: SkeletonModel, resolution: int) -> _Layout:
             d2 = _unit(c.gens[-1])
             lay.cell[st.name] = ("sector", origin, d1, d2)
     for i, st in enumerate(phi.strata):
-        fq = quotient_fan(plain, i)
-        base = plain.cones[i]
-        for k in range(len(st.plain_fan.cones)):
-            orig = plain.cones[fq.star[k]]
+        fq = quotient_fan(fan, i)
+        base = fan.cones[i]
+        for k in range(len(st.fan.cones)):
+            orig = fan.cones[fq.star[k]]
             if orig.dim <= base.dim:
                 continue
             if base.dim == 0:
@@ -196,7 +195,7 @@ def _cycle_or_chain_layout(model: SkeletonModel, resolution: int) -> _Layout | N
         lay.curve[e] = _sample_arc((0.0, 0.0), _RADIUS, a0, a1, resolution)
         lay.curve_ideal[e] = (False, False)
         st = phi.stratum(v)
-        for k, c in enumerate(st.plain_fan.cones):
+        for k, c in enumerate(st.fan.cones):
             if c.dim == 1:
                 s = 1.0 if c.gens[0][0] > 0 else -1.0
                 tangent = (-math.sin(a0) * s, math.cos(a0) * s)
@@ -230,7 +229,7 @@ def _chain_layout(phi, verts, edges, ends, resolution: int) -> _Layout | None:
     for v in verts:
         lay.point.setdefault(v, (x, 0.0))
         st = phi.stratum(v)
-        for k, c in enumerate(st.plain_fan.cones):
+        for k, c in enumerate(st.fan.cones):
             if c.dim == 1:
                 s = 1.0 if c.gens[0][0] > 0 else -1.0
                 lay.fiber_dir[(v, k)] = (s, 0.0)
@@ -272,7 +271,7 @@ def _polygon_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
         mid = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
         inward = _unit((-mid[0], -mid[1]))
         st = phi.stratum(e)
-        for kk, c in enumerate(st.plain_fan.cones):
+        for kk, c in enumerate(st.fan.cones):
             if c.dim == 1:
                 lay.strip_dir[(e, kk)] = inward
         if v is not None:
@@ -283,7 +282,7 @@ def _polygon_layout(model: SkeletonModel, resolution: int) -> _Layout | None:
 
 def _point_fibers(lay, st):
     """A vertex's rays as germ directions and its 2-cones as sectors."""
-    for k, c in enumerate(st.plain_fan.cones):
+    for k, c in enumerate(st.fan.cones):
         if c.dim == 1:
             lay.fiber_dir[(st.name, k)] = _unit(c.gens[0])
         elif c.dim == 2:
@@ -329,7 +328,7 @@ def _grid_layout(model: SkeletonModel, resolution: int) -> _Layout:
         elif st.dim == 1:
             lay.curve[st.name] = _sample_segment((x, 0.0), (x + 1.0, 0.0), resolution)
             lay.curve_ideal[st.name] = (True, True)
-            for k, c in enumerate(st.plain_fan.cones):
+            for k, c in enumerate(st.fan.cones):
                 if c.dim == 1:
                     lay.strip_dir[(st.name, k)] = (0.0, 1.0)
         else:

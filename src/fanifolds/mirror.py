@@ -151,7 +151,7 @@ def mirror_dictionary(phi: Fanifold) -> MirrorDictionary:
                 stratum=st.name,
                 b_label=(
                     f"monoid-ring charts of the rank-{r} fan at {st.name} "
-                    f"({len(st.plain_fan.cones)} cone(s))"
+                    f"({len(st.fan.cones)} cone(s))"
                 ),
                 a_label=(
                     f"conic pieces of the same fan in the cotangent bundle "
@@ -233,15 +233,9 @@ def restriction_pairs(phi: Fanifold, closed) -> RestrictionPair:
     subdomain keeps the closed strata with their interior flags, so the
     removed handles are the interior strata outside the closed set.
     """
-    closed = tuple(sorted(set(closed)))
-    names = {s.name for s in phi.strata}
-    unknown = [z for z in closed if z not in names]
-    if unknown:
-        raise ValueError(f"unknown strata: {unknown}")
-    if not phi.is_down_closed(closed):
-        raise ValueError("the chosen strata are not closed (missing deeper strata)")
+    closed = phi.require_closed(closed)
     require_valid(phi)
-    sub = delete_strata(phi, [n for n in names if n not in closed])
+    sub = delete_strata(phi, [s.name for s in phi.strata if s.name not in closed])
     sub_plan = handle_plan(sub)
     removed = tuple(
         sorted(s.name for s in phi.strata if s.interior and s.name not in closed)

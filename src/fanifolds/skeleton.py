@@ -40,7 +40,7 @@ class FLTZPiece(NamedTuple):
         return n
 
 
-def fltz_pieces(fan: Fan | StackyFan) -> list[FLTZPiece]:
+def fltz_pieces(fan: Fan) -> list[FLTZPiece]:
     """One piece per cone.
 
     The torus rank is the corank of the cone; the component group is the
@@ -48,9 +48,9 @@ def fltz_pieces(fan: Fan | StackyFan) -> list[FLTZPiece]:
     generators.  Plain fans always give connected annihilators because the
     lattice points of a cone generate the saturation of its span.
     """
-    plain = require_valid_fan(fan)
+    require_valid_fan(fan)
     pieces = []
-    for i, c in enumerate(plain.cones):
+    for i, c in enumerate(fan.cones):
         group: tuple[int, ...] = ()
         if isinstance(fan, StackyFan):
             group = fan.component_group(c)
@@ -58,7 +58,7 @@ def fltz_pieces(fan: Fan | StackyFan) -> list[FLTZPiece]:
             FLTZPiece(
                 cone_index=i,
                 cone=c,
-                torus_rank=plain.rank - c.dim,
+                torus_rank=fan.rank - c.dim,
                 component_group=group,
             )
         )
@@ -158,7 +158,7 @@ def _piece_group_order(
             )
             g = max(lifted)
     elif st.is_stacky:
-        g = st.fan.group_order(st.plain_fan.cones[cone_index])
+        g = st.fan.group_order(st.fan.cones[cone_index])
     else:
         g = 1
     memo[key] = g
@@ -176,11 +176,11 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     (``Fan._inside``) and each arrow's star map (``Fanifold._star_map``).
     """
     require_valid(phi)
-    keys = ((st.name, k) for st in phi.strata for k in range(len(st.plain_fan.cones)))
+    keys = ((st.name, k) for st in phi.strata for k in range(len(st.fan.cones)))
     index = {key: i for i, key in enumerate(keys)}
     incidences: list[tuple[int, int]] = []
     for st in phi.strata:
-        for k, inside in enumerate(st.plain_fan._inside):
+        for k, inside in enumerate(st.fan._inside):
             incidences += [(index[(st.name, k2)], index[(st.name, k)]) for k2 in inside]
     # a valid arrow carries its star cones to distinct target cones
     lifts: dict[tuple[str, int], list[tuple[str, int]]] = {}
@@ -197,7 +197,7 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     notes: list[str] = []
     strata: list[SkeletonStratum] = []
     for st in phi.strata:
-        for k, c in enumerate(st.plain_fan.cones):
+        for k, c in enumerate(st.fan.cones):
             strata.append(
                 SkeletonStratum(
                     base=st.name,
@@ -258,12 +258,6 @@ class HandlePlan(NamedTuple):
         for h in self.handles:
             out[h.index] = out.get(h.index, 0) + 1
         return out
-
-    def __len__(self) -> int:
-        """The handle count, not the tuple's one field.  ``_replace`` and
-        ``_make`` check the field count with ``len``, so they refuse a plan:
-        build a changed one with ``HandlePlan(handles)``."""
-        return len(self.handles)
 
 
 def handle_plan(phi: Fanifold) -> HandlePlan:

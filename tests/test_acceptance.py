@@ -138,15 +138,15 @@ def test_stacky_quadric_isotropy_resolution_and_fltz():
     # resolves to a smooth refinement whose skeleton refines the original;
     # the Lagrangian piece over the 2-cone remembers the order-2 group.
     sf = stacky_quadric_fan()
-    two_cone = next(c for c in sf.fan.cones if c.dim == 2)
+    two_cone = next(c for c in sf.cones if c.dim == 2)
     assert sf.component_group(two_cone) == (2,)
     gens = [sf.stacky_generator(tuple(r)) for r in two_cone.extremal_rays]
-    assert quotient_with_torsion(sf.fan.rank, gens).torsion == (2,)
+    assert quotient_with_torsion(sf.rank, gens).torsion == (2,)
 
-    result = resolve_to_smooth(sf.fan)
+    result = resolve_to_smooth(sf)
     assert result.fan.is_smooth
-    assert refines(result.fan, sf.fan).ok
-    assert not refines(sf.fan, result.fan).ok
+    assert refines(result.fan, sf).ok
+    assert not refines(sf, result.fan).ok
 
     pieces = [p for p in fltz_pieces(sf) if p.cone.dim == 2]
     assert len(pieces) == 1

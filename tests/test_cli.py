@@ -194,11 +194,11 @@ def readme_rows() -> list[tuple[tuple, str]]:
 
 def test_readme_and_docstring_list_the_command_table():
     paths = [c.path for c in COMMANDS]
-    gated = {c.path for c in COMMANDS if c.gated}
     rows = readme_rows()
     assert [path for path, _ in rows] == paths
-    assert {path for path, cell in rows if cell == "exits 2"} == gated
-    assert {command_path(argv) for argv in GATED_COMMANDS.values()} == gated
+    assert {path for path, cell in rows if cell == "exits 2"} == {
+        command_path(argv) for argv in GATED_COMMANDS.values()
+    }
 
     listing = cli.__doc__.split("Subcommands::", 1)[1].split("\n\n", 2)[1]
     synopses = [re.split(r"\s{2,}", line.strip())[0] for line in listing.splitlines()]
@@ -311,6 +311,19 @@ def test_mirror_commands(capsys):
     )
     assert code == 2
     assert "not closed" in err
+
+
+@pytest.mark.parametrize(
+    "closed, error",
+    [
+        ("v1,nope", "error: unknown strata: ['nope']\n"),
+        ("e1", "error: the chosen strata are not closed (missing deeper strata)\n"),
+    ],
+)
+def test_ufunctor_and_restrict_refuse_a_bad_closed_set_alike(capsys, closed, error):
+    for command in (["bmodel", "ufunctor"], ["mirror", "restrict"]):
+        argv = command + ["--file", "necklace2.json", "--closed", closed]
+        assert run_capture(capsys, argv) == (2, "", error)
 
 
 def test_fan_commands(capsys):

@@ -287,7 +287,7 @@ def test_arrow_maps_compose_coherently_on_square():
     for a in sq.arrows:
         amap = sq.arrow_map(a)
         assert amap.matrix is not None
-        fq = sq.arrow_quotient(a)
+        fq = quotient_fan(sq.stratum(a.source).fan, a.cone_index)
         assert fq.fan.rank == sq.stratum(a.target).lattice_rank
 
 
@@ -454,9 +454,9 @@ def test_arrow_quotients_equal_fresh_ones():
     against a fresh ``quotient_with_torsion``."""
     for phi in _constructed_diagrams():
         for a in phi.arrows:
-            fan = phi.stratum(a.source).plain_fan
-            fq = phi.arrow_quotient(a)
-            assert fq is quotient_fan(fan, a.cone_index)
+            fan = phi.stratum(a.source).fan
+            fq = quotient_fan(fan, a.cone_index)
+            assert phi.arrow_map(a) == a.iso.compose(fq.projection)
             fresh = fans._star_quotient(fan, a.cone_index)
             lattice = quotient_with_torsion(fan.rank, fan.cones[a.cone_index].gens)
             assert fq.projection == fresh.projection == lattice.projection
@@ -477,30 +477,24 @@ def test_sphere_section_shares_the_charts_quotient_fans(monkeypatch):
         assert section.validate().valid
         assert len(built) == before
         assert section.strata
+        # the same fan objects, so the same cached arrow quotients
         for s in section.strata:
-            assert s.plain_fan is chart.stratum(s.name).plain_fan
-        for a in section.arrows:
-            assert section.arrow_quotient(a) is chart.arrow_quotient(a)
+            assert s.fan is chart.stratum(s.name).fan
 
 
 def test_stacky_charts_and_sphere_section_push_each_cone_once(monkeypatch):
     """``from_fan`` then ``sphere_section`` of a stacky fan push each cone's
     multiples once: the stacky fan keeps its quotients, so the two diagrams
     hold the same stratum fan objects."""
-    pushed = []
-    push = fans._stacky_quotient
-
-    def counted(sfan, cone_index):
-        pushed.append(cone_index)
-        return push(sfan, cone_index)
-
-    monkeypatch.setattr(fans, "_stacky_quotient", counted)
+    built = _count_star_quotients(monkeypatch)
     stacky = [f for f in _random_basis_fans() if isinstance(f, StackyFan)]
     assert stacky
     for fan in stacky:
-        pushed.clear()
+        built.clear()
         chart, section = from_fan(fan), sphere_section(fan)
-        assert sorted(pushed) == list(range(len(fan.fan.cones)))
+        assert sorted(i for f, i in built if f is fan) == list(range(len(fan.cones)))
+        assert _no_star_quotient_twice(built)
+        assert all(isinstance(f, StackyFan) for f, _ in built)
         assert section.strata
         for s in section.strata:
             assert isinstance(s.fan, StackyFan)
@@ -511,10 +505,9 @@ def test_arrow_isos_satisfy_their_defining_identity():
     # from_fan / sphere_section: the arrow s<i> -> s<j> carries p_i to p_j
     checked = 0
     for fan, phi in _from_fan_diagrams():
-        plain = fan.fan if isinstance(fan, StackyFan) else fan
         for a in phi.arrows:
-            p_i = quotient_fan(plain, int(a.source[1:])).projection
-            p_j = quotient_fan(plain, int(a.target[1:])).projection
+            p_i = quotient_fan(fan, int(a.source[1:])).projection
+            p_j = quotient_fan(fan, int(a.target[1:])).projection
             assert mat_mul(phi.arrow_map(a).matrix, p_i.matrix) == p_j.matrix
             checked += 1
     # product: the arrow map is block-diagonal in the factors' arrow maps,

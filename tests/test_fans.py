@@ -27,7 +27,13 @@ from fanifolds.fans import (
     resolve_to_smooth,
     stellar_subdivision,
 )
-from fanifolds.lattice import lattice_map, mat, quotient_with_torsion, smith_normal_form
+from fanifolds.lattice import (
+    lattice_map,
+    mat,
+    primitivize,
+    quotient_with_torsion,
+    smith_normal_form,
+)
 from test_properties import random_fan
 
 
@@ -359,11 +365,11 @@ def test_refines_randomized_subdivisions():
 
 def test_stacky_quadric_component_group():
     sf = stacky_quadric_fan()
-    two_cone = next(c for c in sf.fan.cones if c.dim == 2)
+    two_cone = next(c for c in sf.cones if c.dim == 2)
     assert sf.component_group(two_cone) == (2,)
     assert sf.group_order(two_cone) == 2
     # rays and the origin carry no isotropy
-    for c in sf.fan.cones:
+    for c in sf.cones:
         if c.dim < 2:
             assert sf.component_group(c) == ()
     assert not sf.is_smooth
@@ -372,7 +378,7 @@ def test_stacky_quadric_component_group():
 def _smooth_by_smith_form(sf):
     """The per-cone Smith-form rule ``StackyFan.is_smooth`` ran before it
     read the component groups."""
-    for c in sf.fan.cones:
+    for c in sf.cones:
         gens = sf.stacky_gens(c)
         if len(gens) != c.dim:
             return False
@@ -403,7 +409,7 @@ def test_component_groups_and_smoothness_match_their_old_definitions():
 
 def test_plain_fan_has_trivial_component_groups():
     sf = StackyFan(projective_fan(2), {r: 1 for r in projective_fan(2).rays})
-    for c in sf.fan.cones:
+    for c in sf.cones:
         assert sf.component_group(c) == ()
 
 
@@ -421,33 +427,109 @@ def test_stacky_quotient_propagates_multiples():
     fan = orthant_fan(2)
     sf = StackyFan(fan, {(1, 0): 1, (0, 1): 3})
     k = fan.cone_index(Cone([(1, 0)], 2))
-    quotient, fq, warnings = sf.quotient(k)
-    assert isinstance(quotient, StackyFan)
-    assert quotient.rank == 1
+    fq = quotient_fan(sf, k)
+    assert isinstance(fq.fan, StackyFan)
+    assert fq.fan.rank == 1
     # the surviving ray keeps its multiple in the quotient lattice
-    (ray,) = quotient.rays
-    assert quotient.multiples[ray] == 3
-    assert not warnings
+    (ray,) = fq.fan.rays
+    assert fq.fan.multiples[ray] == 3
+    assert fq.warnings == ()
 
 
 def test_stacky_rank_zero_quotient_drops_torsion_with_warning():
     sf = stacky_quadric_fan()
-    k = next(i for i, c in enumerate(sf.fan.cones) if c.dim == 2)
-    quotient, fq, warnings = sf.quotient(k)
-    assert quotient.rank == 0
+    k = next(i for i, c in enumerate(sf.cones) if c.dim == 2)
+    fq = quotient_fan(sf, k)
+    assert fq.fan.rank == 0
     # the rank-0 lattice cannot carry the Z/2: it survives only in fq.torsion
     assert fq.torsion == (2,)
-    assert quotient.fan.rays == ()
+    assert fq.fan.rays == ()
 
 
-def test_stacky_quotient_is_kept_and_its_warnings_list_is_the_callers():
+def test_stacky_quotient_is_kept_and_its_warnings_are_a_tuple():
     sf = stacky_quadric_fan()
-    for k in range(len(sf.fan.cones)):
-        quotient, fq, warnings = sf.quotient(k)
-        warnings.append("changed by the caller")
-        again, fq_again, warnings_again = sf.quotient(k)
-        assert again is quotient and fq_again is fq
-        assert "changed by the caller" not in warnings_again
+    for k in range(len(sf.cones)):
+        fq = quotient_fan(sf, k)
+        assert isinstance(fq.fan, StackyFan) and isinstance(fq.warnings, tuple)
+        assert quotient_fan(sf, k) is fq
+
+
+def test_stacky_fan_is_its_fan():
+    fan = quadric_fan()
+    sf = StackyFan(fan, {(1, 1): 2})
+    assert isinstance(sf, Fan)
+    assert sf.cones == fan.cones and sf.rank == fan.rank and sf.rays == fan.rays
+    assert not any(hasattr(StackyFan, name) for name in ("fan", "quotient"))
+    assert "_quotients" not in vars(StackyFan) and "rays" not in vars(StackyFan)
+    # a plain fan's quotient stays plain, with no warnings
+    assert type(quotient_fan(fan, 0).fan) is Fan
+    assert quotient_fan(fan, 0).warnings == ()
+
+
+def _pushed_by_scan(sfan, fq):
+    """The multiples push as a scan of every star ray per quotient ray: the
+    reference for ``quotient_fan``'s one pass."""
+    warnings = []
+    multiples = {}
+    for rbar in fq.fan.rays:
+        pre = []
+        for c in (sfan.cones[i] for i in fq.star):
+            for r in c.extremal_rays:
+                im = fq.projection(r)
+                if any(im) and primitivize(im) == rbar and r not in pre:
+                    pre.append(r)
+        if len(pre) != 1:
+            warnings.append(
+                f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
+            )
+            continue
+        im = fq.projection(sfan.stacky_generator(pre[0]))
+        k = 0
+        prim = primitivize(im)
+        if prim == rbar:
+            nz = next(i for i, x in enumerate(im) if x)
+            k = im[nz] // rbar[nz]
+        if k < 1:
+            warnings.append(
+                f"quotient ray {rbar}: stacky generator does not project to a "
+                "positive multiple, keeping multiple 1"
+            )
+            continue
+        multiples[rbar] = k
+    return {r: multiples.get(r, 1) for r in fq.fan.rays}, tuple(warnings)
+
+
+def _cube_face_fan():
+    """The fans over the faces of the cube [-1, 1]^3: six square cones, so a
+    quotient by an edge sends two rays to one ray."""
+    corners = list(itertools.product((-1, 1), repeat=3))
+    squares = [
+        Cone([v for v in corners if v[axis] == sign], 3)
+        for axis in range(3)
+        for sign in (-1, 1)
+    ]
+    return face_closure(Fan(squares, 3))
+
+
+def test_stacky_quotient_push_matches_the_scan():
+    rng = random.Random(5150)
+    stacky = [stacky_quadric_fan()] + [
+        st.fan for st in EXAMPLES["quadric_stacky"]().strata
+    ]
+    cube = _cube_face_fan()
+    stacky += [StackyFan(cube, {r: rng.choice((1, 2, 3)) for r in cube.rays}) for _ in range(3)]
+    for _ in range(120):
+        fan = random_fan(rng)
+        stacky.append(StackyFan(fan, {r: rng.choice((1, 1, 1, 2, 3)) for r in fan.rays}))
+    pushes = warned = 0
+    for sf in stacky:
+        assert isinstance(sf, StackyFan)
+        for k in range(len(sf.cones)):
+            fq = quotient_fan(sf, k)
+            assert (fq.fan.multiples, fq.warnings) == _pushed_by_scan(sf, fq)
+            pushes += 1
+            warned += bool(fq.warnings)
+    assert pushes > 500 and warned > 10, (pushes, warned)
 
 
 def test_face_closure_lists_top_cone_first():

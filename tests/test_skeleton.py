@@ -95,10 +95,18 @@ def test_euler_characteristic_stacky_quadric_doubles():
 def test_handle_plan_square():
     plan = handle_plan(EXAMPLES["square"]())
     assert plan.counts_by_index() == {0: 4, 1: 4, 2: 1}
-    assert len(plan) == 9
+    assert len(plan.handles) == 9
     top = [h for h in plan.handles if h.index == 2]
     assert top[0].stratum == "(s0,s0)"
     assert len(top[0].attaching) == 8  # four edges and four corners flow in
+
+
+def test_handle_plan_replace_and_make_work():
+    plan = handle_plan(EXAMPLES["square"]())
+    top = tuple(h for h in plan.handles if h.index == 2)
+    assert plan._replace(handles=top).handles == top
+    assert type(plan)._make([top]) == plan._replace(handles=top)
+    assert len(plan) == 1  # the record's one field
 
 
 def test_handle_plan_labels_and_attaching():
@@ -135,9 +143,9 @@ def test_handles_sorted_by_index_then_name():
 def test_skeleton_refinement_check_quadric():
     """A refinement only grows the skeleton, so ``refines`` certifies it."""
     coarse = stacky_quadric_fan()
-    fine = resolve_to_smooth(coarse.fan).fan
-    assert refines(fine, coarse.fan).ok
-    backwards = refines(coarse.fan, fine)  # not a refinement that way
+    fine = resolve_to_smooth(coarse).fan
+    assert refines(fine, coarse).ok
+    backwards = refines(coarse, fine)  # not a refinement that way
     assert not backwards.ok and backwards.problems
 
 
