@@ -15,8 +15,8 @@ bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
-of a point in one stratum, so a class id belongs to a stratum lattice point:
-only the points in the dual of every kept cone get one, and one zero sink
+of a point in one stratum, so a class belongs to a stratum lattice point:
+only the points in the dual of every kept cone survive, and one zero sink
 stands for the rest.  Each fanifold arrow is walked once, out of the chart
 of its own cone, whose collapse makes every identification the larger
 charts' collapses make; ``_census_classes`` gives the proof.
@@ -24,11 +24,17 @@ charts' collapses make; ``_census_classes`` gives the proof.
 Box points are walked as intervals of the last coordinate, one per prefix
 of the others.  Each gen's dot with a prefix of the first rank - 2
 coordinates is computed once, and the coordinate before the last steps by
-adding the gen's coefficient there (``_cut_rows``).  A chart's support size
-is counted from interval lengths in one such walk, and a zero-cone chart
-is counted as the whole box with none.  Each stratum keeps its surviving
-points as a cut list, so a collapse finds its points in sigma^perp with
-one dot per interval.  Chart points are built only for a basis.
+adding the gen's coefficient there (``_cut_rows``).  Each stratum keeps its
+surviving points as such a cut list, in a row map prefix -> (lo, hi, first
+id).  A collapse touches only the surviving points in sigma^perp of its
+source, found with one dot per interval, and the surviving points of its
+target, whose ids it finds through the row map.  Only touched points get
+an id; an untouched surviving point is a free class of its own, counted
+from interval lengths.  So the census costs the intervals plus the touched
+points, not the surviving-point volume.  A chart's support size is counted
+from interval lengths only when ``SectionCensus.support_sizes`` is read,
+and a zero-cone chart is counted as the whole box with no walk.  Chart
+points are listed only for a basis or a subalgebra check.
 """
 
 from __future__ import annotations
@@ -307,22 +313,66 @@ class _UnionFind:
         self.zero[self.find(x)] = True
 
 
+class _Support(NamedTuple):
+    """One stratum's surviving points, and the ids of those a collapse touches.
+
+    ``row`` maps each prefix of the first rank - 1 coordinates, in
+    lexicographic order, to (lo, hi, first): the surviving points with that
+    prefix are those whose last coordinate runs over lo..hi.  A rank-0
+    stratum's one point, (), is the interval 0..0 of the empty prefix.  In
+    a collapse target every surviving point has an id, first + x - lo, and
+    ``touched`` is None.  Elsewhere first is None, and ``touched`` maps each
+    point that a collapse out of the stratum reads to its id.
+    """
+
+    rank: int
+    row: dict[Vec, tuple[int, int, int | None]]
+    touched: dict[Vec, int] | None
+
+    def points(self) -> Iterator[tuple[Vec, int | None]]:
+        """Every surviving point in lexicographic order, with its id, or
+        None when no collapse touches it."""
+        touched = self.touched
+        for prefix, (lo, hi, first) in self.row.items():
+            for x in range(lo, hi + 1):
+                u = prefix + (x,) if self.rank else ()
+                yield u, touched.get(u) if first is None else first + x - lo
+
+    @property
+    def untouched(self) -> int:
+        """The surviving points no collapse touches, counted from the
+        interval lengths: each is a free class of its own."""
+        if self.touched is None:
+            return 0
+        return sum(hi - lo + 1 for lo, hi, _ in self.row.values()) - len(self.touched)
+
+
 class SectionCensus(NamedTuple):
     degree: int
     dimension: int
     object_count: int
     arrow_count: int
-    support_sizes: dict[ChartObject, int]
+    diagram: ToricDiagram
     warnings: Sequence[str] = ()
     basis: list[dict[tuple[ChartObject, Vec], int]] | None = None
+
+    @property
+    def support_sizes(self) -> dict[ChartObject, int]:
+        """Each chart's box points in the dual of its cone, in object order,
+        counted when read: the census itself never walks a chart."""
+        diagram = self.diagram
+        return {
+            obj: _box_count(diagram.object_cone(i).gens, diagram.object_rank(i), self.degree)
+            for i, obj in enumerate(diagram.objects)
+        }
 
 
 def _census_classes(
     diagram: ToricDiagram, degree: int
-) -> tuple[_UnionFind, dict[str, dict[Vec, int]]]:
+) -> tuple[_UnionFind, dict[str, _Support]]:
     """Union-find classes of the box coefficients under all compatibility maps.
 
-    A class id belongs to a stratum lattice point, not to a chart point.
+    A class belongs to a stratum lattice point, not to a chart point.
     Three facts about the diagrams ``full_diagram`` and ``chart_diagram``
     build make this exact:
 
@@ -330,8 +380,8 @@ def _census_classes(
       from each chart to the chart of every kept cone it contains, the zero
       cone included.  So the restrictions join all copies of u in one
       stratum, and they zero u unless it lies in the dual of every kept
-      cone.  Only those points, the surviving ones, get an id; every other
-      box point of the stratum reads the sink, id 0, zero from the start.
+      cone.  Only those points survive; every other box point of the
+      stratum reads the sink, id 0, zero from the start.
     * For a fanifold arrow with cone sigma, each kept chart tau >= sigma
       collapses onto the target's chart of the image of tau.  Its points in
       sigma^perp are those of the sigma chart cut down by the dual of tau,
@@ -345,16 +395,28 @@ def _census_classes(
       sigma^perp and the target lattice.  p s = I gives
       forward(backward(w)) = w.  backward(forward(u)) = (s p)^T u, and
       u . (v - s p v) = 0 for every v, since v - s p v lies in ker p, the
-      saturated span of sigma, on which u vanishes.  So the box walk joins
+      saturated span of sigma, on which u vanishes.  So the walk joins
       exactly the surviving u in sigma^perp whose image is a surviving
       target point; every other surviving u in sigma^perp, and every
       surviving target point that no such u reaches, is zero.
 
-    Each stratum keeps its surviving points as a cut list, one interval of
-    the last coordinate per prefix of the others, and their ids run
-    contiguously through each interval in lexicographic order.  A collapse
-    reads the surviving points in sigma^perp off that list, not off every
-    surviving point (``_perp_points``):
+    So a collapse touches only two sets of points: the surviving points in
+    sigma^perp of its source, and every surviving point of its target.  Only
+    touched points get an id.  An untouched surviving point is a free class
+    of its own, so the census counts it from interval lengths
+    (``_Support.untouched``) and never lists it.  Each stratum keeps its
+    surviving points as a cut list, one interval of the last coordinate per
+    prefix of the others, in a row map prefix -> (lo, hi, first id):
+
+    * In a collapse target, ids run contiguously through each interval in
+      lexicographic order, and a collapse finds the id of its image w by one
+      lookup, ``row[w[:-1]]``, and lo <= w[-1] <= hi.
+    * In a stratum that is only a source, the sigma^perp points that its
+      collapses read get an id each, on first read, so collapses that share
+      a point share its id.
+
+    A collapse reads the surviving points in sigma^perp off the cut list
+    (``_perp_points``):
 
     * Every surviving source point lies in the dual of sigma, whose chart
       is kept, so it lies in sigma^perp exactly when it is perpendicular to
@@ -365,9 +427,9 @@ def _census_classes(
       exactly when it is an integer in lo..hi.  When t_last = 0 the dot is
       s for every x, so the interval lies in sigma^perp when s = 0 and
       misses it otherwise.  Either way the interval costs one dot, plus the
-      points it keeps, whose ids are its first id plus x - lo.
+      points it keeps.
 
-    Returns the classes and, per stratum, each surviving point's id.
+    Returns the classes of the touched points and each stratum's support.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -375,92 +437,110 @@ def _census_classes(
         raise ValueError(f"degree {degree} is too large")
     uf = _UnionFind()
     uf.mark_zero(uf.extend(1))  # the sink, id 0
+    objects = diagram.objects
+    object_cones = [diagram.object_cone(i) for i in range(len(objects))]
     cones: dict[str, list[Cone]] = {}
     ranks: dict[str, int] = {}
-    for i, obj in enumerate(diagram.objects):
-        cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
+    for i, obj in enumerate(objects):
+        cones.setdefault(obj.stratum, []).append(object_cones[i])
         ranks[obj.stratum] = diagram.object_rank(i)
-    ids: dict[str, dict[Vec, int]] = {}
-    cuts: dict[str, list[tuple[Vec, int, int, int]]] = {}
+    walks = [
+        a
+        for a in diagram.arrows
+        if a.kind == "collapse" and not object_cones[a.target].gens
+    ]
+    targets = {objects[a.target].stratum for a in walks}
+    supports: dict[str, _Support] = {}
     for name, kept in cones.items():
         if all(c.gens for c in kept):
             raise ValueError(f"stratum {name!r} has no zero-cone chart")
-        gens = list(dict.fromkeys(g for c in kept for g in c.gens))
-        start = len(uf.parent)
-        points = ids[name] = {}
-        stratum_cuts = cuts[name] = []
-        if not ranks[name]:
-            points[()] = start
+        rank = ranks[name]
+        if rank:
+            gens = list(dict.fromkeys(g for c in kept for g in c.gens))
+            cuts: Iterable[tuple[Vec, int, int]] = _box_cuts(gens, rank, degree)
         else:
-            for prefix, lo, hi in _box_cuts(gens, ranks[name], degree):
-                stop = start + hi - lo + 1
-                stratum_cuts.append((prefix, lo, hi, start))
-                points.update(
-                    zip([prefix + (x,) for x in range(lo, hi + 1)], range(start, stop))
-                )
-                start = stop
-        uf.extend(len(points))
+            cuts = [((), 0, 0)]
+        if name in targets:
+            row, start = {}, len(uf.parent)
+            for prefix, lo, hi in cuts:
+                row[prefix] = (lo, hi, start)
+                start += hi - lo + 1
+            uf.extend(start - len(uf.parent))
+            supports[name] = _Support(rank, row, None)
+        else:
+            row = {prefix: (lo, hi, None) for prefix, lo, hi in cuts}
+            supports[name] = _Support(rank, row, {})
 
-    objects = diagram.objects
-    for arrow in diagram.arrows:
-        if arrow.kind == "collapse" and not diagram.object_cone(arrow.target).gens:
-            src = objects[arrow.source].stratum
-            _collapse(
-                uf,
-                _perp_points(cuts[src], ids[src], arrow.cone.gens),
-                ids[objects[arrow.target].stratum],
-                arrow,
-            )
-    return uf, ids
+    for arrow in walks:
+        source = supports[objects[arrow.source].stratum]
+        src = _perp_points(source, arrow.cone.gens)
+        touched = source.touched
+        if touched is not None:  # ids for the points read, shared by its collapses
+            new = [u for u, _ in src if u not in touched]
+            touched.update(zip(new, itertools.count(uf.extend(len(new)))))
+            src = [(u, touched[u]) for u, _ in src]
+        _collapse(uf, src, supports[objects[arrow.target].stratum].row, arrow)
+    return uf, supports
 
 
 def _perp_points(
-    cuts: Sequence[tuple[Vec, int, int, int]],
-    ids: Mapping[Vec, int],
-    gens: Sequence[Vec],
-) -> list[tuple[Vec, int]]:
+    support: _Support, gens: Sequence[Vec]
+) -> list[tuple[Vec, int | None]]:
     """The surviving points of one stratum perpendicular to the sum of
-    ``gens``, with their ids, read off the stratum's cut list interval by
-    interval; on the surviving points that is sigma^perp for the cone sigma
-    of ``gens`` (``_census_classes`` gives the proof)."""
+    ``gens``, with their ids (None where the stratum gives ids on first
+    read), read off the stratum's row map interval by interval; on the
+    surviving points that is sigma^perp for the cone sigma of ``gens``
+    (``_census_classes`` gives the proof)."""
     if not gens:  # every point is perpendicular to the zero cone
-        return list(ids.items())
+        return list(support.points())
     total = [sum(c) for c in zip(*gens)]
     head, last = total[:-1], total[-1]
     out = []
-    for prefix, lo, hi, start in cuts:
+    for prefix, (lo, hi, first) in support.row.items():
         s = sum(map(mul, prefix, head))
         if last:
             x, r = divmod(-s, last)
-            if not r and lo <= x <= hi:
-                out.append((prefix + (x,), start + x - lo))
-        elif not s:
-            out.extend((prefix + (x,), start + x - lo) for x in range(lo, hi + 1))
+            if r or not lo <= x <= hi:
+                continue
+            xs = range(x, x + 1)
+        elif s:
+            continue
+        else:
+            xs = range(lo, hi + 1)
+        if first is None:
+            out.extend((prefix + (x,), None) for x in xs)
+        else:
+            out.extend((prefix + (x,), first + x - lo) for x in xs)
     return out
 
 
 def _collapse(
     uf: _UnionFind,
     src: Iterable[tuple[Vec, int]],
-    tgt: dict[Vec, int],
+    row: Mapping[Vec, tuple[int, int, int]],
     arrow: DiagramArrow,
 ) -> None:
     """Walk one collapse from the chart of its cone sigma into the zero chart
     of the target stratum: ``src`` holds the surviving source points in
-    sigma^perp with their ids, ``tgt`` every surviving target point's id."""
-    forward = arrow.forward
+    sigma^perp with their ids, ``row`` the target's row map, in which every
+    surviving point has an id."""
+    # a rank-0 target's one point is the interval 0..0 of the empty prefix
+    forward = arrow.forward or [()]
     union, mark_zero = uf.union, uf.mark_zero
     hit = set()
     for u, x in src:
-        y = tgt.get(tuple([sum(map(mul, row, u)) for row in forward]))
-        if y is None:
-            mark_zero(x)
-        else:
+        w = [sum(map(mul, r, u)) for r in forward]
+        cut = row.get(tuple(w[:-1]))
+        if cut is not None and cut[0] <= w[-1] <= cut[1]:
+            y = cut[2] + w[-1] - cut[0]
             union(x, y)
             hit.add(y)
-    for y in tgt.values():
-        if y not in hit:
-            mark_zero(y)
+        else:
+            mark_zero(x)
+    for lo, hi, first in row.values():
+        for y in range(first, first + hi - lo + 1):
+            if y not in hit:
+                mark_zero(y)
 
 
 def _free_roots(uf: _UnionFind) -> list[int]:
@@ -478,29 +558,30 @@ def limit_census(
     its chart points; the classes come in the order of their first chart
     point, walking the objects in order and each chart in support order.
     """
-    uf, ids = _census_classes(diagram, degree)
-    sizes = {
-        obj: _box_count(diagram.object_cone(i).gens, diagram.object_rank(i), degree)
-        for i, obj in enumerate(diagram.objects)
-    }
+    uf, supports = _census_classes(diagram, degree)
     basis = None
     if with_basis:
         find, zero = uf.find, uf.zero
-        members: dict[int, dict[tuple[ChartObject, Vec], int]] = {}
+        members: dict[object, dict[tuple[ChartObject, Vec], int]] = {}
         # A chart's support holds every surviving point of its stratum, in
         # the same lexicographic order, and its other points read the sink.
+        # An untouched point is its own class, keyed by its stratum and u.
         for obj in diagram.objects:
-            for u, x in ids[obj.stratum].items():
-                r = find(x)
-                if not zero[r]:
-                    members.setdefault(r, {})[(obj, u)] = 1
+            for u, x in supports[obj.stratum].points():
+                if x is None:
+                    key: object = (obj.stratum, u)
+                else:
+                    key = find(x)
+                    if zero[key]:
+                        continue
+                members.setdefault(key, {})[(obj, u)] = 1
         basis = list(members.values())
     return SectionCensus(
         degree=degree,
-        dimension=len(_free_roots(uf)),
+        dimension=len(_free_roots(uf)) + sum(s.untouched for s in supports.values()),
         object_count=len(diagram.objects),
         arrow_count=len(diagram.arrows),
-        support_sizes=sizes,
+        diagram=diagram,
         warnings=list(diagram.warnings),
         basis=basis,
     )
@@ -666,20 +747,25 @@ def subalgebra_check(
                 holds = False
         rel_results.append((rel_name, holds))
 
-    uf, ids = _census_classes(full_diagram(phi), degree)
+    uf, supports = _census_classes(full_diagram(phi), degree)
     free = _free_roots(uf)
     free_pos = {r: i for i, r in enumerate(free)}
 
     def tuple_vector(values: dict[str, Laurent]) -> list[int] | None:
-        """The class coefficients of the chart points' values.  A chart
+        """The class coefficients of the chart points' values: those of the
+        free roots, then one per untouched point, its own class.  A chart
         point reads the class of its stratum point, or the zero sink; the
         values passed the regularity check, so every monomial in the box
         lies in the dual of every cone and none falls on the sink."""
         coeffs: dict[int, int] = {}
-        for name, points in ids.items():
+        untouched: list[int] = []
+        for name, support in supports.items():
             val = values[name]
-            for u, x in points.items():
+            for u, x in support.points():
                 c = val.get(u, 0)
+                if x is None:
+                    untouched.append(c)
+                    continue
                 r = uf.find(x)
                 if coeffs.setdefault(r, c) != c:
                     return None
@@ -689,7 +775,7 @@ def subalgebra_check(
                 vec[free_pos[x]] = c
             elif c:
                 return None  # nonzero value on a forced-zero class
-        return vec
+        return vec + untouched
 
     rows: list[list[int]] = []
     names = [g[0] for g in generators]
@@ -727,7 +813,7 @@ def subalgebra_check(
 
     return SubalgebraReport(
         degree=degree,
-        census_dimension=len(free),
+        census_dimension=len(free) + sum(s.untouched for s in supports.values()),
         span_rank=matrix_rank(rows),
         relations=rel_results,
         problems=problems,

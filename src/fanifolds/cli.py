@@ -195,20 +195,6 @@ def cmd_bmodel_census(args) -> int:
     phi = _load(args)
     require_valid(phi)
     census = limit_census(full_diagram(phi), args.degree)
-    supports = [
-        {"stratum": o.stratum, "cone": o.cone_index, "size": n}
-        for o, n in sorted(
-            census.support_sizes.items(), key=lambda kv: (kv[0].stratum, kv[0].cone_index)
-        )
-    ]
-    payload = {
-        "degree": census.degree,
-        "dimension": census.dimension,
-        "objects": census.object_count,
-        "arrows": census.arrow_count,
-        "supports": supports,
-        "warnings": list(census.warnings),
-    }
     lines = [
         f"degree: {census.degree}",
         f"dimension: {census.dimension}",
@@ -216,6 +202,22 @@ def cmd_bmodel_census(args) -> int:
         f"maps: {census.arrow_count}",
     ]
     lines.extend(f"warning: {w}" for w in census.warnings)
+    payload = {}
+    if args.format == "json":  # only the JSON report lists the supports
+        payload = {
+            "degree": census.degree,
+            "dimension": census.dimension,
+            "objects": census.object_count,
+            "arrows": census.arrow_count,
+            "supports": [
+                {"stratum": o.stratum, "cone": o.cone_index, "size": n}
+                for o, n in sorted(
+                    census.support_sizes.items(),
+                    key=lambda kv: (kv[0].stratum, kv[0].cone_index),
+                )
+            ],
+            "warnings": list(census.warnings),
+        }
     _render(args, payload, lines)
     return 0
 
@@ -447,8 +449,7 @@ def cmd_fan_quotient(args) -> int:
 def cmd_fan_resolve(args) -> int:
     phi = _load(args)
     fan = _stratum_fan(phi, args.stratum)
-    # the refinement is of the cones: a stacky fan's multiples do not carry
-    result = resolve_to_smooth(Fan(fan.cones, fan.rank))
+    result = resolve_to_smooth(fan)
     check = refines(result.fan, fan)
     payload = {
         "stratum": args.stratum,

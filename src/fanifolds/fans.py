@@ -418,9 +418,11 @@ def resolve_to_smooth(fan: Fan) -> ResolveResult:
 
     Non-simplicial cones are first split at the primitive sum of their rays;
     then simplicial cones of multiplicity > 1 are split at a lattice point of
-    the fundamental box, which strictly lowers the worst multiplicity.
+    the fundamental box, which strictly lowers the worst multiplicity.  The
+    refinement is of the cones: a stacky fan's multiples do not carry, so
+    it resolves as its plain fan, and the result is a plain ``Fan``.
     """
-    current = fan
+    current = Fan(fan.cones, fan.rank) if isinstance(fan, StackyFan) else fan
     steps: list[Vec] = []
     for _ in range(_RESOLVE_STEPS):
         target = next((c for c in current.cones if not c.is_simplicial), None)

@@ -313,12 +313,20 @@ def _reference_census(diagram, degree):
 
 def _kernel_classes(diagram, degree, points):
     """The kernel's class of each chart point (i, u), or None when zero: the
-    class of u in the chart's stratum, or the zero sink, id 0."""
-    uf, ids = _census_classes(diagram, degree)
+    class of u in the chart's stratum, u's own class when no collapse
+    touches it, or the zero sink when u does not survive."""
+    uf, supports = _census_classes(diagram, degree)
+    ids = {name: dict(support.points()) for name, support in supports.items()}
     out = {}
     for i, u in points:
-        r = uf.find(ids[diagram.objects[i].stratum].get(u, 0))
-        out[(i, u)] = None if uf.zero[r] else r
+        name = diagram.objects[i].stratum
+        if u not in ids[name]:
+            out[(i, u)] = None
+        elif ids[name][u] is None:
+            out[(i, u)] = (name, u)
+        else:
+            r = uf.find(ids[name][u])
+            out[(i, u)] = None if uf.zero[r] else r
     return out
 
 
@@ -424,26 +432,49 @@ def test_census_matches_the_box_walk_reference():
             assert census.basis == basis, (label, degree)
 
 
-def test_census_allocates_one_id_per_surviving_stratum_point(monkeypatch):
+def _touched_points(phi, degree):
+    """Every surviving point of a collapse target, and in a stratum that is
+    only a source the distinct sigma^perp points its collapses read; a
+    stratum point survives the restriction arrows when it lies in the dual
+    of every cone of the stratum's charts.  Returns the touched and the
+    untouched counts."""
+    box = range(-degree, degree + 1)
+    targets = {a.target for a in phi.arrows}
+    touched = untouched = 0
+    for s in phi.strata:
+        gens = [g for c in s.fan.cones for g in c.gens]
+        cones = [phi.arrow_cone(a) for a in phi.out_arrows(s.name)]
+        for u in itertools.product(box, repeat=s.lattice_rank):
+            if not all(dot(u, g) >= 0 for g in gens):
+                continue
+            if s.name in targets or any(
+                all(dot(u, g) == 0 for g in c.gens) for c in cones
+            ):
+                touched += 1
+            else:
+                untouched += 1
+    return touched, untouched
+
+
+def test_census_allocates_ids_only_to_touched_points(monkeypatch):
+    degree = 12
+    # affine3: of the rank-3 stratum's 13^3 surviving points, the 12^3 off
+    # the coordinate planes are untouched
+    for name, touched, untouched in [("proj3", 15, 0), ("affine3", 1016, 12**3)]:
+        phi = EXAMPLES[name]()
+        assert _touched_points(phi, degree) == (touched, untouched), name
+        uf, supports = _census_classes(full_diagram(phi), degree)
+        assert len(uf.parent) == touched + 1, name  # and the zero sink
+        assert sum(s.untouched for s in supports.values()) == untouched, name
+
     phi = EXAMPLES["proj3"]()
     diagram = full_diagram(phi)
-    degree = 12
-    # a stratum point survives the restriction arrows when it lies in the
-    # dual of every cone of the stratum's charts
-    surviving = 0
-    for s in phi.strata:
-        gens = [g for c in s.plain_fan.cones for g in c.gens]
-        box = itertools.product(range(-degree, degree + 1), repeat=s.lattice_rank)
-        surviving += sum(all(dot(u, g) >= 0 for g in gens) for u in box)
-    uf, _ = _census_classes(diagram, degree)
-    assert len(uf.parent) == surviving + 1  # and the zero sink
-
     walks = []
     collapse = bmodel._collapse
 
-    def counted(uf, src, tgt, arrow):
+    def counted(uf, src, row, arrow):
         walks.append(arrow)
-        collapse(uf, src, tgt, arrow)
+        collapse(uf, src, row, arrow)
 
     monkeypatch.setattr(bmodel, "_collapse", counted)
     _census_classes(diagram, degree)
@@ -454,6 +485,28 @@ def test_census_allocates_one_id_per_surviving_stratum_point(monkeypatch):
     census = limit_census(diagram, degree)
     assert census.dimension == 1
     assert sum(census.support_sizes.values()) == 80081
+
+
+def test_census_counts_support_sizes_only_when_read(monkeypatch):
+    """The census walks no chart for its support sizes; reading
+    ``support_sizes`` counts each chart once, in object order."""
+    calls = []
+    box_count = bmodel._box_count
+
+    def counted(gens, rank, degree):
+        calls.append((gens, rank, degree))
+        return box_count(gens, rank, degree)
+
+    monkeypatch.setattr(bmodel, "_box_count", counted)
+    diagram = full_diagram(EXAMPLES["affine3"]())
+    census = limit_census(diagram, 4, with_basis=True)
+    assert census.dimension == 125 and calls == []
+    sizes = census.support_sizes
+    assert list(sizes) == list(diagram.objects)
+    assert len(calls) == len(diagram.objects)
+    # the orthant's chart and the zero chart of the rank-3 stratum
+    assert sizes[ChartObject("s1", 0)] == 5**3
+    assert sizes[ChartObject("s1", 1)] == 9**3
 
 
 def test_census_rejects_a_stratum_without_its_zero_chart():
@@ -509,9 +562,19 @@ def test_census_closed_forms_up_to_degree_eight():
 
 
 def test_census_closed_forms_past_the_ladder_cap():
-    # the benchmark ladder stops the rank-3 examples at D = 12
-    assert limit_census(full_diagram(EXAMPLES["affine3"]()), 16).dimension == 17**3
-    assert limit_census(full_diagram(EXAMPLES["proj3"]()), 16).dimension == 1
+    # the benchmark ladder stops the rank-3 examples at D = 12 and the
+    # others at D = 16; the census cost follows the points collapses touch
+    rungs = [
+        ("affine3", 16, 17**3),
+        ("proj3", 16, 1),
+        ("affine3", 48, 49**3),
+        ("proj3", 48, 1),
+        ("square", 256, 513**2),
+        ("unigon", 256, 256**2 + 257),
+    ]
+    for name, degree, dimension in rungs:
+        census = limit_census(full_diagram(EXAMPLES[name]()), degree)
+        assert census.dimension == dimension, (name, degree)
 
 
 def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
@@ -523,9 +586,15 @@ def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
     perp = bmodel._perp_points
     walks, wrong = [], []
 
-    def checked(cuts, ids, gens):
-        got = perp(cuts, ids, gens)
-        want = [(u, x) for u, x in ids.items() if all(dot(u, g) == 0 for g in gens)]
+    def checked(support, gens):
+        got = perp(support, gens)
+        want = [
+            (u, x)
+            for u, x in support.points()
+            if all(dot(u, g) == 0 for g in gens)
+        ]
+        if support.touched is not None:  # ids come after the read
+            want = [(u, None) for u, _ in want]
         walks.append(sum(g[-1] for g in gens))
         if got != want:
             wrong.append((label, degree, gens))

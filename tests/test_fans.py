@@ -333,6 +333,19 @@ def test_resolve_smooth_fan_is_identity():
     assert result.fan is fan
 
 
+def test_resolve_a_smooth_stacky_fan_gives_its_plain_fan():
+    """Every cone of the orthant is smooth, so no step runs, and the result
+    is the plain fan, smooth, not the stacky one with its own meaning of
+    smooth."""
+    sf = StackyFan(orthant_fan(2), {(1, 0): 2})
+    assert not sf.is_smooth
+    result = resolve_to_smooth(sf)
+    assert type(result.fan) is Fan
+    assert result.fan.is_smooth
+    assert result.steps == () and result.added_rays == ()
+    assert result.fan.cones == sf.cones
+
+
 def test_stellar_subdivision_stays_face_closed():
     fan = orthant_fan(2)
     sub = stellar_subdivision(fan, (1, 1))
