@@ -15,12 +15,11 @@ from .fanifold import (
     ValidationReport,
     delete_strata,
     disjoint_union,
-    empty_fanifold,
     from_fan,
-    ideal_boundary,
     manifold,
     product,
     sphere_section,
+    suspension_boundary,
     unrolled_closure,
 )
 from .fans import (

@@ -193,17 +193,23 @@ def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
 def _restriction_arrows(
     phi: Fanifold, objects: Sequence[ChartObject]
 ) -> list[DiagramArrow]:
+    """One arrow from each chart to each kept chart of a cone inside it.
+
+    A stratum's charts are contiguous and in cone-index order, so reading
+    each chart's containment set (``Fan._inside``) in sorted order lists its
+    targets in object order."""
+    charts: dict[str, dict[int, int]] = {}
+    for i, (name, k) in enumerate(objects):
+        charts.setdefault(name, {})[k] = i
     arrows = []
-    by_stratum: dict[str, list[int]] = {}
-    for i, o in enumerate(objects):
-        by_stratum.setdefault(o.stratum, []).append(i)
-    for name, members in by_stratum.items():
+    for name, kept in charts.items():
         inside = phi.stratum(name).fan._inside
-        for i, j in itertools.permutations(members, 2):
-            big, small = objects[i].cone_index, objects[j].cone_index
-            # a cone equal to a different one lies inside it both ways
-            if small in inside[big] and big not in inside[small]:
-                arrows.append(DiagramArrow(source=i, target=j, kind="restrict"))
+        for big, i in kept.items():
+            for small in sorted(inside[big]):
+                j = kept.get(small)
+                # a cone equal to a different one lies inside it both ways
+                if j is not None and big not in inside[small]:
+                    arrows.append(DiagramArrow(i, j, "restrict"))
     return arrows
 
 

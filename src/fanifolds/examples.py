@@ -102,7 +102,7 @@ def three_a1() -> Fanifold:
         Arrow(source="b", target="u", cone_index=1, iso=empty),
         Arrow(source="c", target="u", cone_index=1, iso=empty),
     ]
-    return Fanifold(dimension=2, strata=strata, arrows=arrows, compact=False)
+    return Fanifold(dimension=2, strata=strata, arrows=arrows)
 
 
 def necklace(r: int) -> Fanifold:
@@ -127,7 +127,7 @@ def necklace(r: int) -> Fanifold:
         prev = r if i == 1 else i - 1
         arrows.append(Arrow(source=f"v{i}", target=f"e{i}", cone_index=1, iso=empty))
         arrows.append(Arrow(source=f"v{i}", target=f"e{prev}", cone_index=2, iso=empty))
-    return Fanifold(dimension=1, strata=strata, arrows=arrows, compact=True)
+    return Fanifold(dimension=1, strata=strata, arrows=arrows)
 
 
 def unigon() -> Fanifold:
@@ -156,7 +156,7 @@ def unigon() -> Fanifold:
         Arrow(source="v", target="u", cone_index=top, iso=empty),
         Arrow(source="e", target="u", cone_index=1, iso=empty),
     ]
-    return Fanifold(dimension=2, strata=strata, arrows=arrows, compact=False)
+    return Fanifold(dimension=2, strata=strata, arrows=arrows)
 
 
 EXAMPLES = {

@@ -5,6 +5,11 @@ the codimension.  An arrow from a deeper stratum G to a nearby stratum F
 records a cone of G's fan together with a unimodular identification of the
 quotient lattice with F's lattice.  Everything downstream (glued toric
 spaces, skeleta, mirrors) is computed from this diagram alone.
+
+The one record a diagram keeps beyond it is ``Fanifold.source_fan``: the fan
+a diagram built by ``from_fan`` came from, None for every other diagram and
+for every diagram read from a file.  Only ``skeleton.handle_plan`` and the
+fan layout of ``mesh.export_mesh`` read it.
 """
 
 from __future__ import annotations
@@ -74,13 +79,18 @@ class ValidationReport(NamedTuple):
 
 
 class Fanifold:
+    """An exit diagram of strata and arrows in total dimension ``dimension``.
+
+    ``source_fan`` is the fan a diagram built by ``from_fan`` came from, and
+    None otherwise; files do not carry it.
+    """
+
     def __init__(
         self,
         dimension: int,
         strata: Iterable[Stratum],
         arrows: Iterable[Arrow],
-        compact: bool | None = None,
-        provenance: tuple | None = None,
+        source_fan: Fan | None = None,
     ):
         """An arrow's star quotient is ``quotient_fan`` of its cone, which
         the source fan keeps: a constructor that built it to take the
@@ -88,8 +98,7 @@ class Fanifold:
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
-        self.compact = compact
-        self.provenance = provenance
+        self.source_fan = source_fan
         self.by_name = {s.name: s for s in self.strata}
         out: dict[str, list[Arrow]] = {}
         into: dict[str, list[Arrow]] = {}
@@ -366,15 +375,8 @@ def _cone_strata(
 def from_fan(fan: Fan) -> Fanifold:
     """One stratum per cone; the cone's dimension is the stratum's dimension."""
     require_valid_fan(fan)
-    n = fan.rank
     strata, arrows = _cone_strata(fan, range(len(fan.cones)), 0)
-    return Fanifold(
-        dimension=n,
-        strata=strata,
-        arrows=arrows,
-        compact=(n == 0),
-        provenance=("fan", fan),
-    )
+    return Fanifold(dimension=fan.rank, strata=strata, arrows=arrows, source_fan=fan)
 
 
 def sphere_section(fan: Fan) -> Fanifold:
@@ -382,25 +384,13 @@ def sphere_section(fan: Fan) -> Fanifold:
     require_valid_fan(fan)
     keep = [i for i, c in enumerate(fan.cones) if c.dim > 0]
     strata, arrows = _cone_strata(fan, keep, 1)
-    return Fanifold(
-        dimension=fan.rank - 1,
-        strata=strata,
-        arrows=arrows,
-        compact=fan.is_face_closed,
-        provenance=("sphere", fan),
-    )
+    return Fanifold(dimension=fan.rank - 1, strata=strata, arrows=arrows)
 
 
 def manifold(k: int) -> Fanifold:
     """A single k-dimensional stratum with trivial transverse data."""
     cell = Stratum(name="cell", dim=k, fan=Fan([zero_cone(0)], 0))
-    return Fanifold(
-        dimension=k,
-        strata=[cell],
-        arrows=[],
-        compact=(k == 0),
-        provenance=("manifold", k),
-    )
+    return Fanifold(dimension=k, strata=[cell], arrows=[])
 
 
 def _product_fan(f1: Fan, f2: Fan) -> Fan:
@@ -482,15 +472,7 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         iso = _iso_through_section(block, fq, r1 + r2)
         arrows.append(Arrow(source=src, target=tgt, cone_index=cone_index, iso=iso))
     return Fanifold(
-        dimension=phi1.dimension + phi2.dimension,
-        strata=strata,
-        arrows=arrows,
-        compact=(
-            None
-            if phi1.compact is None or phi2.compact is None
-            else phi1.compact and phi2.compact
-        ),
-        provenance=("product", phi1, phi2),
+        dimension=phi1.dimension + phi2.dimension, strata=strata, arrows=arrows
     )
 
 
@@ -504,16 +486,7 @@ def disjoint_union(a: Fanifold, b: Fanifold) -> Fanifold:
     for pre, side in (("L.", a), ("R.", b)):
         strata += [s._replace(name=pre + s.name) for s in side.strata]
         arrows += [x._replace(source=pre + x.source, target=pre + x.target) for x in side.arrows]
-    return Fanifold(
-        dimension=a.dimension,
-        strata=strata,
-        arrows=arrows,
-        compact=(
-            None
-            if a.compact is None or b.compact is None
-            else a.compact and b.compact
-        ),
-    )
+    return Fanifold(dimension=a.dimension, strata=strata, arrows=arrows)
 
 
 def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
@@ -549,13 +522,7 @@ def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
         for a in phi.arrows
         if a.source not in doomed and a.target not in doomed
     ]
-    out = Fanifold(
-        dimension=phi.dimension,
-        strata=strata,
-        arrows=arrows,
-        compact=None,
-        provenance=None,
-    )
+    out = Fanifold(dimension=phi.dimension, strata=strata, arrows=arrows)
     report = out.validate()
     if not report.valid:
         raise ValueError(
@@ -658,20 +625,16 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
                 arrows.append(
                     Arrow(source=name_a, target=name_b, cone_index=ci, iso=iso)
                 )
-    return Fanifold(
-        dimension=f.dim,
-        strata=strata,
-        arrows=arrows,
-        compact=None,
-        provenance=("unrolled", phi, f_name),
-    )
+    return Fanifold(dimension=f.dim, strata=strata, arrows=arrows)
 
 
-# -- ideal boundary ----------------------------------------------------------
+# -- suspension boundary -----------------------------------------------------
 
 
-def _suspension_boundary(sigma_fan: Fan) -> Fanifold:
-    """Ideal boundary of (real line) x from_fan: two fan-decorated endpoints.
+def suspension_boundary(sigma_fan: Fan) -> Fanifold:
+    """The boundary of (real line) x ``from_fan(sigma_fan)``: two
+    fan-decorated endpoints.  (``sphere_section(fan)`` is the boundary of
+    ``from_fan(fan)`` itself.)
 
     The mid strata are the sphere section's, with its arrows.  Each endpoint
     carries the fan itself and has the arrows out of the zero stratum of
@@ -694,53 +657,4 @@ def _suspension_boundary(sigma_fan: Fan) -> Fanifold:
                 r = sigma_fan.rank - c.dim
                 iso = lattice_map(identity_matrix(r), r, r)
                 arrows.append(Arrow(source=end, target=f"s{j}", cone_index=j, iso=iso))
-    return Fanifold(
-        dimension=sigma_fan.rank,
-        strata=strata,
-        arrows=arrows,
-        compact=sigma_fan.is_face_closed,
-        provenance=None,
-    )
-
-
-def empty_fanifold(dimension: int) -> Fanifold:
-    return Fanifold(dimension=dimension, strata=[], arrows=[], compact=True)
-
-
-def ideal_boundary(phi: Fanifold) -> Fanifold:
-    """The boundary at infinity, when the construction determines it."""
-    if phi.compact:
-        return empty_fanifold(max(phi.dimension - 1, 0))
-    prov = phi.provenance
-    if prov is None:
-        raise ValueError("boundary data required")
-    kind = prov[0]
-    if kind == "fan":
-        return sphere_section(prov[1])
-    if kind == "product":
-        a, b = prov[1], prov[2]
-        if a.compact:
-            return product(a, ideal_boundary(b))
-        if b.compact:
-            return product(ideal_boundary(a), b)
-        ka = a.provenance[0] if a.provenance else None
-        kb = b.provenance[0] if b.provenance else None
-        if ka == "manifold" and prov[1].dimension == 1 and kb == "fan":
-            return _suspension_boundary(b.provenance[1])
-        if kb == "manifold" and prov[2].dimension == 1 and ka == "fan":
-            return _suspension_boundary(a.provenance[1])
-        raise ValueError("boundary data required")
-    if kind == "manifold":
-        k = prov[1]
-        if k == 1:
-            return Fanifold(
-                dimension=0,
-                strata=[
-                    Stratum(name="end0", dim=0, fan=Fan([zero_cone(0)], 0)),
-                    Stratum(name="end1", dim=0, fan=Fan([zero_cone(0)], 0)),
-                ],
-                arrows=[],
-                compact=True,
-            )
-        raise ValueError("boundary data required")
-    raise ValueError("boundary data required")
+    return Fanifold(dimension=sigma_fan.rank, strata=strata, arrows=arrows)

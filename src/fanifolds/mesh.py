@@ -12,8 +12,8 @@ pieces were trimmed.  Group names carry a geometric kind suffix:
     triangle / quad / <k>gon   a two-cell, named by its corner count
     circle / segment / ray / point   the one- and zero-dimensional kinds
 
-Base geometry is laid out by simple schematic rules: diagrams coming from
-a single fan are drawn literally (rays and wedges from the origin,
+Base geometry is laid out by simple schematic rules: diagrams built by
+``from_fan`` are drawn literally (rays and wedges from the origin,
 trimmed at unit radius); one-dimensional diagrams are drawn as a chain or
 a cycle; diagrams with a single two-cell bounded by its edge strata
 become a regular polygon; anything else falls back to a disconnected
@@ -109,7 +109,7 @@ def _sample_arc(center, radius, a0, a1, steps):
 
 def _fan_layout(model: SkeletonModel, resolution: int) -> _Layout:
     phi = model.fanifold
-    fan = phi.provenance[1]
+    fan = phi.source_fan
     lay = _Layout()
     origin = (0.0, 0.0)
     for i, st in enumerate(phi.strata):
@@ -473,9 +473,8 @@ def export_mesh(model: SkeletonModel, resolution: int) -> str:
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     phi = model.fanifold
-    prov = phi.provenance
     lay: _Layout | None = None
-    if prov is not None and prov[0] == "fan" and n >= 1:
+    if phi.source_fan is not None and n >= 1:
         lay = _fan_layout(model, resolution)
     elif n == 1:
         lay = _cycle_or_chain_layout(model, resolution)

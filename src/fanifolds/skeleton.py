@@ -266,12 +266,12 @@ def handle_plan(phi: Fanifold) -> HandlePlan:
     Handles are ordered by stratum dimension (the attachment stage) then
     name.  The attaching list records the strata whose handles the new one
     is glued along, one entry per incoming arrow; it is empty exactly for
-    minimal strata.  Handles of positive-dimensional strata of a fan's own
-    exit diagram are marked trivial: the radial scaling flow retracts
-    them, so attaching adds nothing new.
+    minimal strata.  Handles of positive-dimensional strata of a diagram
+    built by ``from_fan`` are marked trivial: the radial scaling flow
+    retracts them, so attaching adds nothing new.
     """
     require_valid(phi)
-    conical = phi.provenance is not None and phi.provenance[0] == "fan"
+    conical = phi.source_fan is not None
     handles = []
     for st in phi.strata:
         if not st.interior:

@@ -15,8 +15,8 @@ from fanifolds.bmodel import (
     limit_census,
     subalgebra_check,
 )
-from fanifolds.examples import EXAMPLES, orthant_fan, p1_fan, stacky_quadric_fan
-from fanifolds.fanifold import ideal_boundary, sphere_section
+from fanifolds.examples import EXAMPLES, a1_fan, orthant_fan, p1_fan, stacky_quadric_fan
+from fanifolds.fanifold import sphere_section, suspension_boundary
 from fanifolds.fans import refines, resolve_to_smooth
 from fanifolds.lattice import quotient_with_torsion
 from fanifolds.mesh import export_mesh
@@ -162,7 +162,7 @@ def test_boundary_sphere_census_two_lines_glued():
     oracle = [2 * (d + 1) - 1 for d in range(9)]
     section = sphere_section(orthant_fan(2))
     assert census_dims(section, range(9)) == oracle
-    boundary = ideal_boundary(EXAMPLES["halfplane"]())
+    boundary = suspension_boundary(a1_fan())
     assert census_dims(boundary, range(9)) == oracle
 
 

@@ -27,10 +27,9 @@ from fanifolds.fanifold import (
     Fanifold,
     Stratum,
     from_fan,
-    ideal_boundary,
-    manifold,
     product,
     require_valid,
+    suspension_boundary,
 )
 from fanifolds.fans import Fan, quotient_fan
 from fanifolds.lattice import dot, invert_unimodular, lattice_map, mat_mul, mat_vec
@@ -409,7 +408,7 @@ def _oracle_diagrams():
         phi = product(EXAMPLES[left](), EXAMPLES[right]())
         yield f"{left} x {right}", full_diagram(phi)
     for fan in (orthant_fan(2), projective_fan(2)):
-        phi = ideal_boundary(product(manifold(1), from_fan(fan)))
+        phi = suspension_boundary(fan)
         yield f"boundary of R x {fan!r}", full_diagram(phi)
     for k in range(8):
         fan = random_fan(rng, allow_rank3=k % 4 == 0)

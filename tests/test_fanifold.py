@@ -14,6 +14,7 @@ from fanifolds.examples import (
     p1_fan,
     projective_fan,
     quadric_fan,
+    stacky_quadric_fan,
 )
 from fanifolds.fanifold import (
     Fanifold,
@@ -22,12 +23,11 @@ from fanifolds.fanifold import (
     _span_basis,
     delete_strata,
     disjoint_union,
-    empty_fanifold,
     from_fan,
-    ideal_boundary,
     manifold,
     product,
     sphere_section,
+    suspension_boundary,
     unrolled_closure,
 )
 from fanifolds.fans import (
@@ -231,7 +231,7 @@ def test_manifold_and_empty():
     m = manifold(3)
     assert m.dimension == 3
     assert len(m.strata) == 1 and not m.arrows
-    e = empty_fanifold(2)
+    e = Fanifold(2, [], [])
     assert not e.strata
     assert e.validate().valid
 
@@ -266,17 +266,11 @@ def test_unrolled_closure_of_necklace1_edge():
 
 
 def test_ideal_boundary_of_halfplane():
-    bd = ideal_boundary(EXAMPLES["halfplane"]())
+    bd = suspension_boundary(a1_fan())
     report = bd.validate()
     assert report.valid and report.is_poset
     assert sorted(s.dim for s in bd.strata) == [0, 0, 1]
     assert len(bd.arrows) == 2
-
-
-def test_compact_flags():
-    assert EXAMPLES["necklace2"]().compact
-    assert not EXAMPLES["3a1"]().compact
-    assert from_fan(p1_fan()).compact is False  # non-trivial fan direction
 
 
 def test_arrow_maps_compose_coherently_on_square():
@@ -362,11 +356,13 @@ def _random_basis_fans(seed=9091):
 
 
 def _from_fan_diagrams():
-    """from_fan and sphere_section on the examples' fans and the random fans."""
+    """from_fan and sphere_section on the examples' fans (interval's, then
+    quadric_stacky's, affine1-3's and proj1-3's) and the random fans."""
     fans_ = [
-        phi.provenance[1]
-        for phi in (build() for build in EXAMPLES.values())
-        if phi.provenance and phi.provenance[0] in ("fan", "sphere")
+        orthant_fan(2),
+        stacky_quadric_fan(),
+        *(orthant_fan(n) for n in (1, 2, 3)),
+        *(projective_fan(n) for n in (1, 2, 3)),
     ] + _random_basis_fans()
     return [(fan, build(fan)) for fan in fans_ for build in (from_fan, sphere_section)]
 
@@ -383,9 +379,9 @@ def _boundary_diagrams():
     """Ideal boundaries of R x from_fan, each glued from a sphere section and
     the zero stratum of a from_fan diagram."""
     return [
-        ideal_boundary(product(manifold(1), phi))
-        for _, phi in _from_fan_diagrams()
-        if phi.provenance[0] == "fan"
+        suspension_boundary(fan)
+        for fan, phi in _from_fan_diagrams()
+        if phi.source_fan is not None
     ]
 
 
@@ -427,6 +423,9 @@ def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch)
     diagrams = _constructed_diagrams()
     constructed = len(built)
     reports = [phi.validate() for phi in diagrams]
+    # 30 from_fan and sphere_section, 22 products, 15 boundaries and 76
+    # unrolled closures
+    assert len(diagrams) == 143
     assert constructed > 1000
     assert len(built) - constructed == sum(
         a.target.endswith(".top") for phi in diagrams for a in phi.arrows
@@ -439,7 +438,7 @@ def test_validating_an_ideal_boundary_builds_no_quotient(monkeypatch):
     """The endpoints' arrows read the quotients the sphere section's strata
     were built from."""
     built = _count_star_quotients(monkeypatch)
-    boundary = ideal_boundary(product(manifold(1), from_fan(orthant_fan(3))))
+    boundary = suspension_boundary(orthant_fan(3))
     constructed = len(built)
     assert len(boundary.arrows) == 26
     assert boundary.validate().valid
