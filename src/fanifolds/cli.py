@@ -18,7 +18,13 @@ Subcommands::
     fan resolve --stratum S       stellar resolution to a smooth refinement
     fan refines --stratum FINE,COARSE     refinement check between two strata
 
-Every one is a row of ``COMMANDS``, which the parser is built from.
+Every one is a row of ``COMMANDS``.  A plain command line (a command path,
+then ``--flag value`` or ``--flag=value`` pairs with the row's exact flags,
+valid values, every required flag) is read straight off the row, with no
+parser built and no ``argparse`` imported.  Any other line (help, ``--``,
+an abbreviated or unknown flag, a value starting with ``-``, a missing or
+invalid value) goes to the argparse tree ``build_parser`` builds from the
+same table, so every help text and usage error is argparse's.
 
 Files are looked up literally first, then among the bundled examples, so
 ``--file unigon.json`` works from anywhere.  Exit codes: 0 success, 1 for
@@ -28,10 +34,9 @@ it needs more memory than is available.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import files
@@ -59,7 +64,7 @@ def resolve_input(name: str) -> str:
     stem = os.path.basename(name)
     for cand in (stem, stem + ".json"):
         path = os.path.join(_DATA_DIR, cand)
-        if os.path.exists(path):
+        if os.path.isfile(path):
             return path
     raise ValueError(f"cannot find fanifold file {name!r}")
 
@@ -76,9 +81,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` plus a newline, by the file writer."""
+    return files._indented(payload, "") + "\n"
+
+
 def _render(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json(payload))
     else:
         _emit(args, "\n".join(text_lines) + "\n")
 
@@ -347,7 +357,7 @@ def cmd_mirror_dict(args) -> int:
     phi = _load(args)
     md = mirror_dictionary(phi)
     if args.format == "json":
-        _emit(args, json.dumps(md.to_json_dict(), indent=2) + "\n")
+        _emit(args, _json(md.to_json_dict()))
     else:
         _emit(args, md.to_text() + "\n")
     return 0
@@ -357,7 +367,7 @@ def cmd_mirror_restrict(args) -> int:
     phi = _load(args)
     pair = restriction_pairs(phi, _split_ids(args.closed))
     if args.format == "json":
-        _emit(args, json.dumps(pair.to_json_dict(), indent=2) + "\n")
+        _emit(args, _json(pair.to_json_dict()))
     else:
         _emit(args, pair.to_text() + "\n")
     return 0
@@ -501,7 +511,9 @@ class Command(NamedTuple):
 
     path: tuple[str, ...]
     handler: str  # name of the ``cmd_*`` function, looked up when it runs
-    args: tuple = ()  # (flag, ``add_argument`` keywords) beyond ``_COMMON_ARGS``
+    # (flag, ``add_argument`` keywords) beyond ``_COMMON_ARGS``; ``_read``
+    # understands only required, type, choices, default and help
+    args: tuple = ()
     help: str | None = None  # listed in the parent's help only when given
 
 
@@ -559,40 +571,20 @@ COMMANDS = (
     ),
 )
 
-_PATHS = frozenset(c.path for c in COMMANDS)
+# -- reading a command line ---------------------------------------------------
 
 
-# -- parser ------------------------------------------------------------------
+def build_parser():
+    """The argparse tree of every command in ``COMMANDS``: it prints every
+    help and usage text, and reads every command line ``_read`` leaves."""
+    import argparse
 
-
-class _Unparsed(Exception):
-    """A parser built along one path would have printed help or an error."""
-
-
-class _PathParser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        raise _Unparsed
-
-    def error(self, message):
-        raise _Unparsed
-
-
-def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
-    """The parser of every command in ``COMMANDS``, or only of ``path``'s.
-
-    Given a path, only the parsers along it are built (top level, group,
-    leaf), and they print nothing: where one would print help or a usage
-    error it raises ``_Unparsed`` instead, so ``run`` can parse again with
-    the full tree and print the full tree's text.
-    """
-    parser = (argparse.ArgumentParser if path is None else _PathParser)(
+    parser = argparse.ArgumentParser(
         prog="fanifolds", description="Exact toolkit for fanifold exit diagrams."
     )
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for cmd in COMMANDS:
-        if path is not None and cmd.path != path:
-            continue
         *group, leaf = cmd.path
         sub = top
         for name in group:
@@ -608,16 +600,54 @@ def build_parser(path: tuple[str, ...] | None = None) -> argparse.ArgumentParser
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parsers along the command ``argv`` names, falling back
-    to the full tree when it names none, asks for help or fails to parse."""
-    path = next((p for p in (tuple(argv[:1]), tuple(argv[:2])) if p in _PATHS), None)
-    if path is not None:
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser()`` would give for a plain command line,
+    or None for any other.
+
+    Plain means: a command path of ``COMMANDS``, then ``--flag value`` or
+    ``--flag=value`` pairs with the row's exact flags, where no value starts
+    with ``-``, every value converts and is among its choices, and every
+    required flag is given.  Whatever argparse would abbreviate, show help
+    for or refuse is left to it.
+    """
+    cmd = next((c for c in COMMANDS if tuple(argv[: len(c.path)]) == c.path), None)
+    if cmd is None:
+        return None
+    specs = dict(_COMMON_ARGS + cmd.args)
+    given = {}
+    words = iter(argv[len(cmd.path):])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        if not eq:
+            value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
         try:
-            return build_parser(path).parse_args(argv)
-        except _Unparsed:
-            pass
-    return build_parser().parse_args(argv)
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    ns = SimpleNamespace(command=cmd.path[0])
+    if len(cmd.path) > 1:
+        ns.subcommand = cmd.path[1]
+    for flag, spec in specs.items():
+        if flag not in given and spec.get("required"):
+            return None
+        setattr(ns, flag[2:], given.get(flag, spec.get("default")))
+    ns.handler = cmd.handler
+    return ns
+
+
+def _parse(argv: list[str]):
+    """Read a plain command line off ``COMMANDS``; hand any other to the
+    full argparse tree, which prints its help or usage error."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:

@@ -249,10 +249,10 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _indented(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for the values a document holds
-    (dicts with string keys, lists, strings, ints and booleans), nested
-    ``indent`` deep, without the pure-Python encoder's per-item dispatch; a
-    list of ints is one join."""
+    """``json.dumps(value, indent=2)`` for the values a document or a CLI
+    report holds (dicts with string keys, lists, strings, ints, booleans and
+    None), nested ``indent`` deep, without the pure-Python encoder's
+    per-item dispatch; a list of ints is one join."""
     if type(value) is dict:
         if not value:
             return "{}"
@@ -274,6 +274,8 @@ def _indented(value, indent: str) -> str:
         return "true" if value else "false"
     if type(value) is int:
         return str(value)
+    if value is None:
+        return "null"
     raise TypeError(f"cannot write {type(value).__name__} {value!r}")
 
 

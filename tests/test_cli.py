@@ -1,8 +1,11 @@
 """Command-line behaviour: exit codes, reports, goldens, mesh output."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -90,25 +93,42 @@ def test_one_shot_entry_point_reads_sys_argv():
 
 def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
     """The records are ``NamedTuple``s: a one-shot call imports neither
-    ``dataclasses`` nor the ``inspect``/``ast``/``dis`` chain it pulls in.
-    Counts only what the imports add, not what site start-up loaded."""
+    ``dataclasses`` nor the ``inspect``/``ast``/``dis`` chain it pulls in,
+    and a plain command line is read without ``argparse``.  Counts only what
+    the imports and the run add, not what site start-up loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     code = (
-        "import sys; before = set(sys.modules); import fanifolds, fanifolds.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "import os, sys; before = set(sys.modules); import fanifolds, fanifolds.cli; "
+        "code = fanifolds.cli.run(['validate', '--file', 'proj3.json', '--out', os.devnull]); "
+        "print(code, sorted({'dataclasses', 'inspect', 'argparse'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 []\n"
 
 
 def test_missing_file_exits_2(capsys):
     code, _, err = run_capture(capsys, ["validate", "--file", "nowhere.json"])
     assert code == 2
     assert "nowhere.json" in err
+
+
+@pytest.mark.parametrize("name", ["", "nothere/"])
+def test_a_name_without_a_stem_is_not_the_bundled_directory(capsys, name):
+    """A name whose base name is empty must not resolve to the bundled
+    ``data/`` directory itself."""
+    code, out, err = run_capture(capsys, ["validate", "--file", name])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot find fanifold file {name!r}\n"
+
+
+def test_a_literal_directory_keeps_its_os_error(tmp_path, capsys):
+    code, out, err = run_capture(capsys, ["validate", "--file", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 21] Is a directory")
 
 
 def test_validate_unigon_is_a_report_not_an_error(capsys):
@@ -427,3 +447,173 @@ def test_literal_paths_still_work(tmp_path, capsys):
     code, out, _ = run_capture(capsys, ["validate", "--file", str(path)])
     assert code == 0
     assert "valid: true" in out
+
+
+# -- reading a command line without argparse ----------------------------------
+
+OPTION_KEYWORDS = {"required", "type", "choices", "default", "help"}
+
+
+def full_tree_parse(parser, argv):
+    """``vars`` of the full tree's parse, or the exit code it stops with."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+def test_option_specs_use_only_keywords_the_reader_understands():
+    """A new ``add_argument`` keyword fails here instead of being misread
+    by ``cli._read``."""
+    for cmd in COMMANDS:
+        for flag, options in cli._COMMON_ARGS + cmd.args:
+            assert flag.startswith("--"), (cmd.path, flag)
+            assert set(options) <= OPTION_KEYWORDS, (cmd.path, flag, options)
+
+
+def fuzz_argv(rng):
+    """A command line near the table: a command path (now and then a
+    group, an unknown word or nothing), then flags of this command or of
+    another, abbreviated, ``-h``, ``--`` and ``=`` forms, with empty,
+    negative, non-integer and out-of-choice values."""
+    paths = [c.path for c in COMMANDS]
+    every = sorted({flag for c in COMMANDS for flag, _ in cli._COMMON_ARGS + c.args})
+    values = [
+        "unigon.json", "", "3", "-1", "-3", "0", "x", "1.5", " 3", "٣", "json",
+        "text", "xml", "(s0,s0)", "0,1", "-", "a=b", "--file",
+    ]
+    roll = rng.random()
+    if roll < 0.85:
+        argv = list(rng.choice(paths))
+    elif roll < 0.9:
+        argv = [rng.choice(paths)[0]]
+    elif roll < 0.95:
+        argv = [rng.choice(["no-such-command", "--file", "-h"])]
+    else:
+        argv = []
+    cmd = next((c for c in COMMANDS if c.path == tuple(argv)), None)
+    own = [flag for flag, _ in cli._COMMON_ARGS + (cmd or rng.choice(COMMANDS)).args]
+    for _ in range(rng.randrange(6)):
+        kind = rng.random()
+        if kind < 0.7:
+            flag = rng.choice(own)
+        elif kind < 0.8:
+            flag = rng.choice(every)
+        elif kind < 0.9:
+            flag = rng.choice(own)[: rng.randrange(3, 7)]
+        else:
+            flag = rng.choice(["-h", "--help", "--", "--he"])
+        value = rng.choice(values)
+        if flag == "--format" and rng.random() < 0.7:
+            value = rng.choice(["json", "text"])
+        if flag in ("--degree", "--resolution") and rng.random() < 0.7:
+            value = str(rng.randrange(0, 40))
+        if rng.random() < 0.3:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(own))  # a trailing flag with no value
+    if cmd is not None and rng.random() < 0.7:
+        # most command lines give every required flag first, so that
+        # many of them are plain
+        for flag, options in cli._COMMON_ARGS + cmd.args:
+            if options.get("required"):
+                argv[len(cmd.path):len(cmd.path)] = [flag, "1"]
+    return argv
+
+
+def test_the_reader_agrees_with_the_full_tree_on_fuzzed_command_lines():
+    """Whenever ``cli._read`` returns a namespace, it is the full tree's."""
+    rng = random.Random(23)
+    parser = cli.build_parser()
+    read = fell_back = 0
+    for _ in range(10000):
+        argv = fuzz_argv(rng)
+        ns = cli._read(argv)
+        if ns is None:
+            fell_back += 1
+            continue
+        read += 1
+        assert vars(ns) == full_tree_parse(parser, argv), argv
+    assert read > 2000 and fell_back > 2000, (read, fell_back)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bmodel", "census", "--file", "unigon.json", "--deg", "3"],
+        ["fan", "quotient", "--file", "proj2.json", "--stratum", "s3", "--cone", "-1"],
+        ["bmodel", "census", "--file", "unigon.json", "--degree=-1"],
+        ["skeleton", "mesh", "--file", "3a1.json", "--resolution", "-3"],
+        ["validate", "--file"],
+        ["validate", "--file", "unigon.json", "--format", "xml"],
+    ],
+    ids=["abbreviated", "negative-cone", "negative-degree-eq", "negative-resolution",
+         "trailing-file", "format-xml"],
+)
+def test_the_full_tree_reads_what_the_reader_leaves(argv):
+    """Abbreviations, values starting with ``-``, a missing value and a
+    value outside the choices are argparse's to read or refuse."""
+    assert cli._read(argv) is None
+    expected = full_tree_parse(cli.build_parser(), argv)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = vars(cli._parse(argv))
+    except SystemExit as e:
+        got = e.code
+    assert got == expected
+
+
+def json_oracle_argvs(name: str) -> list[list[str]]:
+    """Every command on one bundled example, with ``--format json``."""
+    phi = files.load_fanifold(cli.resolve_input(f"{name}.json"))
+    ids = [s.name for s in phi.strata]
+    per_stratum = {
+        ("bmodel", "chart"): lambda s: ["--stratum", s],
+        ("fan", "quotient"): lambda s: ["--stratum", s, "--cone", ""],
+        ("fan", "resolve"): lambda s: ["--stratum", s],
+        ("fan", "refines"): lambda s: ["--stratum", f"{s},{s}"],
+    }
+    extra = {
+        ("bmodel", "census"): ["--degree", "2"],
+        ("bmodel", "ufunctor"): ["--closed", ",".join(ids)],
+        ("mirror", "restrict"): ["--closed", ",".join(ids)],
+    }
+    argvs = []
+    for cmd in COMMANDS:
+        if cmd.path == ("skeleton", "mesh"):  # writes OBJ whatever the format
+            continue
+        tails = (
+            [per_stratum[cmd.path](s) for s in ids]
+            if cmd.path in per_stratum
+            else [extra.get(cmd.path, [])]
+        )
+        argvs += [[*cmd.path, "--file", f"{name}.json", *t, "--format", "json"] for t in tails]
+    return argvs
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_json_reports_are_the_standard_encoders_text(monkeypatch, capsys, name):
+    """Every JSON report goes through the file writer, whose text is
+    ``json.dumps(payload, indent=2)``'s on every command and example."""
+    payloads = []
+    writer = cli._json
+
+    def spy(payload):
+        payloads.append(payload)
+        return writer(payload)
+
+    monkeypatch.setattr(cli, "_json", spy)
+    for argv in json_oracle_argvs(name):
+        before = len(payloads)
+        code, out, _ = run_capture(capsys, argv)
+        if code == 0:
+            assert len(payloads) == before + 1, argv
+            assert out == json.dumps(payloads[-1], indent=2) + "\n", argv
+        else:
+            assert (code, out) == (2, ""), argv
+    assert len(payloads) >= len(COMMANDS) - 1, name

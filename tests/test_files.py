@@ -156,6 +156,15 @@ def test_dumps_writes_what_json_dumps_writes():
     assert "\\u00e9" in files.dumps(diagrams[-1])
 
 
+def test_the_writer_writes_none_as_json_dumps_does():
+    """CLI reports go through the same writer; ``None`` is ``null``, alone,
+    as a value and in a list, and nothing outside JSON is written."""
+    for value in (None, {"a": None, "b": [None, 1, True]}, [[None], {}, []]):
+        assert files._indented(value, "") == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        files._indented({"x": 1.5}, "")
+
+
 def test_save_and_load_files(tmp_path):
     phi = EXAMPLES["interval"]()
     path = tmp_path / "interval.json"
