@@ -454,12 +454,12 @@ def test_literal_paths_still_work(tmp_path, capsys):
 OPTION_KEYWORDS = {"required", "type", "choices", "default", "help"}
 
 
-def full_tree_parse(parser, argv):
-    """``vars`` of the full tree's parse, or the exit code it stops with."""
+def parsed(parse, argv):
+    """``vars`` of ``parse(argv)``, or the exit code it stops with."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return vars(parser.parse_args(argv))
+            return vars(parse(argv))
     except SystemExit as e:
         return e.code
 
@@ -537,7 +537,7 @@ def test_the_reader_agrees_with_the_full_tree_on_fuzzed_command_lines():
             fell_back += 1
             continue
         read += 1
-        assert vars(ns) == full_tree_parse(parser, argv), argv
+        assert vars(ns) == parsed(parser.parse_args, argv), argv
     assert read > 2000 and fell_back > 2000, (read, fell_back)
 
 
@@ -558,14 +558,7 @@ def test_the_full_tree_reads_what_the_reader_leaves(argv):
     """Abbreviations, values starting with ``-``, a missing value and a
     value outside the choices are argparse's to read or refuse."""
     assert cli._read(argv) is None
-    expected = full_tree_parse(cli.build_parser(), argv)
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            got = vars(cli._parse(argv))
-    except SystemExit as e:
-        got = e.code
-    assert got == expected
+    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
 
 
 def json_oracle_argvs(name: str) -> list[list[str]]:
