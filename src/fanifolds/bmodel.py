@@ -3,15 +3,17 @@
 Every stratum contributes one affine chart per cone of its fan.  Charts are
 tied together by two kinds of monomial maps: face localizations inside one
 stratum, and collapse maps along fanifold arrows (the monomials not
-perpendicular to the collapsed cone are sent to zero).  Both are read off
-tables built at most once, exact without validation and shared with
-``skeleton_model``: each fan's containment table (``Fan._inside``) and each
-arrow's star map (``Fanifold._star_map``).  An arrow's collapse matrices
+perpendicular to the collapsed cone are sent to zero).  A diagram is its
+charts: the maps are read off the fanifold, from tables built at most once,
+exact without validation and shared with ``skeleton_model``: each fan's
+containment table (``Fan._inside``) and each arrow's star map
+(``Fanifold._star_map``).  The list of maps, ``ToricDiagram.arrows``, is
+built on its first read and kept; the census never reads it, and walks the
+fanifold's arrows instead.  An arrow's collapse matrices
 (``Fanifold._collapse_matrices``) are built on the first read of a collapse
-arrow's ``forward`` or ``backward``, not with the diagram: the census reads
-``forward`` only on the collapses it walks.  A global section is a
-coefficient tuple compatible with every map, so censuses are exact linear
-bookkeeping.
+arrow's ``forward`` or ``backward``, or by the census for the collapses it
+walks, not with the diagram.  A global section is a coefficient tuple
+compatible with every map, so censuses are exact linear bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from functools import cached_property
 from itertools import repeat
 from operator import floordiv, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -87,18 +90,42 @@ class DiagramArrow(NamedTuple):
 
 
 class ToricDiagram:
+    """The charts of a fanifold's (stratum, cone) pairs, in object order.
+
+    A diagram is its charts: its maps are read off the fanifold's tables.
+    ``arrows`` lists them, restrictions then collapses, built on the first
+    read and kept; the census reads the collapses it walks straight off the
+    fanifold's arrows and never builds the list.
+    """
+
     def __init__(
         self,
         fanifold: Fanifold,
         objects: Sequence[ChartObject],
-        arrows: Sequence[DiagramArrow],
         warnings: Sequence[str] = (),
     ):
         self.fanifold = fanifold
         self.objects = tuple(objects)
-        self.arrows = tuple(arrows)
         self.warnings = list(warnings)
         self.index = {o: i for i, o in enumerate(self.objects)}
+
+    @cached_property
+    def arrows(self) -> tuple[DiagramArrow, ...]:
+        """Every restriction, from each chart to each kept chart of a cone
+        inside it, then every collapse, along each fanifold arrow from each
+        kept chart of its star to the kept chart of its image.  A kept
+        chart whose image is missing from the target fan, on a diagram
+        nothing validated, raises ValueError here."""
+        phi, index = self.fanifold, self.index
+        arrows = _restriction_arrows(phi, self.objects)
+        for fa, star in _charted_arrows(self):
+            sigma = phi.arrow_cone(fa)
+            for k, tk in star.items():
+                source = index.get((fa.source, k))
+                target = index.get((fa.target, tk))
+                if source is not None and target is not None:
+                    arrows.append(DiagramArrow(source, target, "collapse", sigma, (phi, fa)))
+        return tuple(arrows)
 
     def __repr__(self) -> str:
         return f"ToricDiagram(objects={len(self.objects)}, arrows={len(self.arrows)})"
@@ -213,44 +240,36 @@ def _restriction_arrows(
     return arrows
 
 
-def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagram:
-    """Charts of the allowed cones of each stratum, with their monomial maps.
+def _charted_arrows(diagram: ToricDiagram) -> Iterator[tuple[Arrow, dict[int, int | None]]]:
+    """The fanifold arrows between strata with charts, in order, each with
+    its star map.
 
-    Restrictions come from each fan's containment table.  Collapse arrows
-    run along the fanifold arrows between allowed strata, from each allowed
-    cone of the arrow's star map to the chart of its image when that is
-    allowed too.  The image must be a cone of the target fan: validation
-    checks it.
+    Raises ValueError when the image of a kept chart's cone is no cone of
+    the target fan, which validation rules out.  A target whose fan has no
+    cones has no chart, yet counts: every image is missing there.
     """
-    kept = {g: sorted(ks) for g, ks in allowed.items()}
-    objects = [ChartObject(g, k) for g, ks in kept.items() for k in ks]
-    index = {o: i for i, o in enumerate(objects)}
-    arrows = _restriction_arrows(phi, objects)
+    phi, index = diagram.fanifold, diagram.index
+    charted = {o.stratum for o in diagram.objects}
     for fa in phi.arrows:
-        if fa.source not in kept or fa.target not in kept:
+        if fa.source not in charted or (
+            fa.target not in charted and phi.stratum(fa.target).fan.cones
+        ):
             continue
-        sigma = phi.arrow_cone(fa)
-        for k, tk in phi._star_map(fa).items():
-            source = index.get(ChartObject(fa.source, k))
-            if source is None:
-                continue
-            if tk is None:
-                raise ValueError(
-                    f"image of cone {k} of {fa.source!r} missing from {fa.target!r}"
-                )
-            target = index.get(ChartObject(fa.target, tk))
-            if target is None:
-                continue
-            arrows.append(
-                DiagramArrow(
-                    source=source,
-                    target=target,
-                    kind="collapse",
-                    cone=sigma,
-                    along=(phi, fa),
-                )
-            )
-    return ToricDiagram(phi, objects, arrows)
+        star = phi._star_map(fa)
+        if None in star.values():
+            for k, tk in star.items():
+                if tk is None and (fa.source, k) in index:
+                    raise ValueError(
+                        f"image of cone {k} of {fa.source!r} missing from {fa.target!r}"
+                    )
+        yield fa, star
+
+
+def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagram:
+    """The charts of the allowed cones of each stratum, in cone-index order."""
+    return ToricDiagram(
+        phi, [ChartObject(g, k) for g, ks in allowed.items() for k in sorted(ks)]
+    )
 
 
 def full_diagram(phi: Fanifold) -> ToricDiagram:
@@ -357,10 +376,15 @@ class SectionCensus(NamedTuple):
     degree: int
     dimension: int
     object_count: int
-    arrow_count: int
     diagram: ToricDiagram
     warnings: Sequence[str] = ()
     basis: list[dict[tuple[ChartObject, Vec], int]] | None = None
+
+    @property
+    def arrow_count(self) -> int:
+        """The diagram's maps, counted when read: the census walks the
+        fanifold's arrows and never builds the diagram's map list."""
+        return len(self.diagram.arrows)
 
     @property
     def support_sizes(self) -> dict[ChartObject, int]:
@@ -395,7 +419,8 @@ def _census_classes(
       dual of the image, and u lies in the one dual exactly when its image
       lies in the other.  So the collapse of the sigma chart into the zero
       chart makes every union and mark the others make, and it is the one
-      collapse walked per arrow.
+      collapse walked per arrow.  The walks are read off the fanifold's
+      arrows and star maps (``_walks``), not off the diagram's map list.
     * ``forward`` = a^-T s^T and ``backward`` = p^T a^T, for the iso a, the
       projection p and its section s, are inverse bijections between
       sigma^perp and the target lattice.  p s = I gives
@@ -437,25 +462,20 @@ def _census_classes(
 
     Returns the classes of the touched points and each stratum's support.
     """
+    # a diagram with a missing image is refused whatever the degree
+    walks = _walks(diagram)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if 2 * degree + 1 > sys.maxsize:
         raise ValueError(f"degree {degree} is too large")
     uf = _UnionFind()
     uf.mark_zero(uf.extend(1))  # the sink, id 0
-    objects = diagram.objects
-    object_cones = [diagram.object_cone(i) for i in range(len(objects))]
     cones: dict[str, list[Cone]] = {}
     ranks: dict[str, int] = {}
-    for i, obj in enumerate(objects):
-        cones.setdefault(obj.stratum, []).append(object_cones[i])
+    for i, obj in enumerate(diagram.objects):
+        cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
         ranks[obj.stratum] = diagram.object_rank(i)
-    walks = [
-        a
-        for a in diagram.arrows
-        if a.kind == "collapse" and not object_cones[a.target].gens
-    ]
-    targets = {objects[a.target].stratum for a in walks}
+    targets = {fa.target for fa, _, _ in walks}
     supports: dict[str, _Support] = {}
     for name, kept in cones.items():
         if all(c.gens for c in kept):
@@ -477,16 +497,33 @@ def _census_classes(
             row = {prefix: (lo, hi, None) for prefix, lo, hi in cuts}
             supports[name] = _Support(rank, row, {})
 
-    for arrow in walks:
-        source = supports[objects[arrow.source].stratum]
-        src = _perp_points(source, arrow.cone.gens)
+    for fa, gens, forward in walks:
+        source = supports[fa.source]
+        src = _perp_points(source, gens)
         touched = source.touched
         if touched is not None:  # ids for the points read, shared by its collapses
             new = [u for u, _ in src if u not in touched]
             touched.update(zip(new, itertools.count(uf.extend(len(new)))))
             src = [(u, touched[u]) for u, _ in src]
-        _collapse(uf, src, supports[objects[arrow.target].stratum].row, arrow)
+        _collapse(uf, src, supports[fa.target].row, forward)
     return uf, supports
+
+
+def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
+    """The collapses the census walks, read off the fanifold's arrows: one
+    per arrow whose own cone's chart is kept and whose image of that cone
+    is a kept zero-cone chart, as (arrow, the cone's gens, forward)."""
+    phi, index = diagram.fanifold, diagram.index
+    walks = []
+    for fa, star in _charted_arrows(diagram):
+        target = index.get((fa.target, star[fa.cone_index]))
+        if (
+            (fa.source, fa.cone_index) in index
+            and target is not None
+            and not diagram.object_cone(target).gens
+        ):
+            walks.append((fa, phi.arrow_cone(fa).gens, phi._collapse_matrices(fa)[0]))
+    return walks
 
 
 def _perp_points(
@@ -524,14 +561,14 @@ def _collapse(
     uf: _UnionFind,
     src: Iterable[tuple[Vec, int]],
     row: Mapping[Vec, tuple[int, int, int]],
-    arrow: DiagramArrow,
+    forward: Mat,
 ) -> None:
-    """Walk one collapse from the chart of its cone sigma into the zero chart
-    of the target stratum: ``src`` holds the surviving source points in
-    sigma^perp with their ids, ``row`` the target's row map, in which every
-    surviving point has an id."""
+    """Walk one collapse, by its ``forward`` matrix, from the chart of its
+    cone sigma into the zero chart of the target stratum: ``src`` holds the
+    surviving source points in sigma^perp with their ids, ``row`` the
+    target's row map, in which every surviving point has an id."""
     # a rank-0 target's one point is the interval 0..0 of the empty prefix
-    forward = arrow.forward or [()]
+    forward = forward or [()]
     union, mark_zero = uf.union, uf.mark_zero
     hit = set()
     for u, x in src:
@@ -586,7 +623,6 @@ def limit_census(
         degree=degree,
         dimension=len(_free_roots(uf)) + sum(s.untouched for s in supports.values()),
         object_count=len(diagram.objects),
-        arrow_count=len(diagram.arrows),
         diagram=diagram,
         warnings=list(diagram.warnings),
         basis=basis,

@@ -26,10 +26,11 @@ an abbreviated or unknown flag, a value starting with ``-``, a missing or
 invalid value) goes to the argparse tree ``build_parser`` builds from the
 same table, so every help text and usage error is argparse's.
 
-Files are looked up literally first, then among the bundled examples, so
-``--file unigon.json`` works from anywhere.  Exit codes: 0 success, 1 for
-usage errors, 2 when the input fails validation, a computation rejects it or
-it needs more memory than is available.
+Files are looked up literally first, then, for a bare name with no
+directory part, among the bundled examples, so ``--file unigon.json`` works
+from anywhere; any other missing path is an error.  Exit codes: 0 success,
+1 for usage errors, 2 when the input fails validation, a computation rejects
+it or it needs more memory than is available.
 """
 
 from __future__ import annotations
@@ -58,14 +59,15 @@ _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def resolve_input(name: str) -> str:
-    """Literal path if it exists, else a bundled example file."""
+    """Literal path if it exists, else, for a bare name with no directory
+    part, a bundled example file."""
     if os.path.exists(name):
         return name
-    stem = os.path.basename(name)
-    for cand in (stem, stem + ".json"):
-        path = os.path.join(_DATA_DIR, cand)
-        if os.path.isfile(path):
-            return path
+    if not os.path.dirname(name):
+        for cand in (name, name + ".json"):
+            path = os.path.join(_DATA_DIR, cand)
+            if os.path.isfile(path):
+                return path
     raise ValueError(f"cannot find fanifold file {name!r}")
 
 

@@ -471,16 +471,17 @@ def test_census_allocates_ids_only_to_touched_points(monkeypatch):
     walks = []
     collapse = bmodel._collapse
 
-    def counted(uf, src, row, arrow):
-        walks.append(arrow)
-        collapse(uf, src, row, arrow)
+    def counted(uf, src, row, forward):
+        walks.append(forward)
+        collapse(uf, src, row, forward)
 
     monkeypatch.setattr(bmodel, "_collapse", counted)
     _census_classes(diagram, degree)
-    # one walk per fanifold arrow, out of the chart of the arrow's cone
+    # one walk per fanifold arrow, in order, out of the chart of the arrow's
+    # cone by the arrow's own collapse
     assert len(walks) == len(phi.arrows) == 50
     assert sum(a.kind == "collapse" for a in diagram.arrows) == 110
-    assert all(diagram.object_cone(a.source) == a.cone for a in walks)
+    assert walks == [phi._collapse_matrices(fa)[0] for fa in phi.arrows]
     census = limit_census(diagram, degree)
     assert census.dimension == 1
     assert sum(census.support_sizes.values()) == 80081
@@ -512,7 +513,7 @@ def test_census_rejects_a_stratum_without_its_zero_chart():
     phi = EXAMPLES["affine1"]()
     s = next(s for s in phi.strata if s.lattice_rank)
     ray = next(k for k, c in enumerate(s.plain_fan.cones) if c.gens)
-    diagram = ToricDiagram(phi, [ChartObject(s.name, ray)], [])
+    diagram = ToricDiagram(phi, [ChartObject(s.name, ray)])
     with pytest.raises(ValueError, match="has no zero-cone chart"):
         limit_census(diagram, 1)
 
@@ -645,8 +646,11 @@ def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypa
 def test_collapse_matrices_are_built_only_where_read():
     """``full_diagram`` and ``chart_diagram`` build no collapse matrix.  The
     census builds those of the arrows it walks, each out of the chart of
-    its own cone into a zero-cone chart, and no others.  A collapse arrow's
-    ``forward`` and ``backward`` are its fanifold arrow's matrices."""
+    its own cone into a zero-cone chart, and no others.  Its walks, read
+    off the fanifold's arrows, are the diagram's collapses into a zero-cone
+    chart, in order: the same fanifold arrow, cone gens and ``forward``.  A
+    collapse arrow's ``forward`` and ``backward`` are its fanifold arrow's
+    matrices."""
     for name, build in sorted(EXAMPLES.items()):
         phi = build()
         diagrams = [full_diagram(phi)]
@@ -656,17 +660,71 @@ def test_collapse_matrices_are_built_only_where_read():
         walked = set()
         for diagram in diagrams:
             limit_census(diagram, 2)
-            walked |= {
-                a.along[1]
+            walks = [
+                a
                 for a in diagram.arrows
                 if a.kind == "collapse" and not diagram.object_cone(a.target).gens
-            }
+            ]
+            walked |= {a.along[1] for a in walks}
+            assert bmodel._walks(diagram) == [
+                (a.along[1], a.cone.gens, a.forward) for a in walks
+            ], name
         assert set(phi._collapses) == walked == set(phi.arrows), name
         for a in diagrams[0].arrows:
             if a.kind == "collapse":
                 assert (a.forward, a.backward) == phi._collapse_matrices(a.along[1])
             else:
                 assert a.along is a.forward is a.backward is None
+
+
+def test_the_census_builds_no_map_list(monkeypatch):
+    """A diagram's map list is built on its first read, and the census does
+    not read it: ``arrow_count`` builds it once, when read."""
+    builds = []
+    restriction_arrows = bmodel._restriction_arrows
+
+    def counted(phi, objects):
+        builds.append(objects)
+        return restriction_arrows(phi, objects)
+
+    monkeypatch.setattr(bmodel, "_restriction_arrows", counted)
+    counts = {}
+    for name, build in sorted(EXAMPLES.items()):
+        for with_basis in (False, True):
+            diagram = full_diagram(build())
+            census = limit_census(diagram, 3, with_basis=with_basis)
+            assert "arrows" not in vars(diagram) and builds == [], name
+            counts[name] = census.arrow_count
+            assert census.arrow_count == len(diagram.arrows) == counts[name], name
+            assert vars(diagram)["arrows"] is diagram.arrows, name
+            assert builds == [diagram.objects], name
+            builds.clear()
+    assert counts["proj3"] == 220 and counts["affine3"] == 74
+
+
+def test_a_missing_star_image_is_refused_by_the_map_list_and_the_census():
+    """On an unvalidated diagram whose target fan lacks the image of a star
+    cone, reading the map list and taking a census, at any degree, raise
+    one error naming the cone, its stratum and the target.  A target fan
+    with no cones has no chart, and lacks every image."""
+    phi = EXAMPLES["affine2"]()
+    fa = next(a for a in phi.arrows if phi.stratum(a.target).lattice_rank == 1)
+    target = phi.stratum(fa.target)
+    # the opposite ray: the image of the source's full cone is missing
+    flipped = Fan(
+        [Cone([tuple(-x for x in g) for g in c.gens], 1) for c in target.fan.cones], 1
+    )
+    for fan in (flipped, Fan([], 1)):
+        strata = [s._replace(fan=fan) if s is target else s for s in phi.strata]
+        mutant = Fanifold(phi.dimension, strata, phi.arrows)
+        assert not mutant.validate().valid
+        message = "image of cone 0 of 's1' missing from 's2'"
+        with pytest.raises(ValueError, match=message):
+            full_diagram(mutant).arrows
+        with pytest.raises(ValueError, match=message):
+            limit_census(full_diagram(mutant), 1)
+        with pytest.raises(ValueError, match=message):  # before the degree check
+            limit_census(full_diagram(mutant), -1)
 
 
 def test_restriction_arrows_skip_a_duplicated_cone():

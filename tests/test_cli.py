@@ -125,6 +125,28 @@ def test_a_name_without_a_stem_is_not_the_bundled_directory(capsys, name):
     assert err == f"error: cannot find fanifold file {name!r}\n"
 
 
+@pytest.mark.parametrize("name", ["/no/such/dir/square.json", "nothere/square"])
+def test_a_missing_path_with_a_directory_is_not_a_bundled_example(capsys, name):
+    """Only a bare name reaches the bundled examples: a missing path to a
+    user's own file is an error, not the bundled file of the same name."""
+    code, out, err = run_capture(capsys, ["validate", "--file", name])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot find fanifold file {name!r}\n"
+
+
+def test_bare_names_and_existing_paths_still_load(tmp_path, capsys):
+    mine = tmp_path / "mine.json"
+    with open(cli.resolve_input("square.json"), encoding="utf-8") as fh:
+        mine.write_text(fh.read(), encoding="utf-8")
+    reports = []
+    for name in ("square", "square.json", str(mine)):
+        code, out, err = run_capture(capsys, ["validate", "--file", name])
+        assert (code, err) == (0, ""), name
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+    assert "strata: 9" in reports[0]
+
+
 def test_a_literal_directory_keeps_its_os_error(tmp_path, capsys):
     code, out, err = run_capture(capsys, ["validate", "--file", str(tmp_path)])
     assert (code, out) == (2, "")

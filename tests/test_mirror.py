@@ -70,7 +70,8 @@ def _move_collapse_target(phi):
             if o.stratum == stratum and (a.source, t) not in reached:
                 arrows = list(diagram.arrows)
                 arrows[k] = a._replace(target=t)
-                mutant = ToricDiagram(phi, diagram.objects, arrows)
+                mutant = ToricDiagram(phi, diagram.objects)
+                mutant.arrows = tuple(arrows)
                 return mutant, skeleton_model(phi)
     raise AssertionError("no collapse target to move")
 
