@@ -9,11 +9,13 @@ exact without validation and shared with ``skeleton_model``: each fan's
 containment table (``Fan._inside``) and each arrow's star map
 (``Fanifold._star_map``).  The list of maps, ``ToricDiagram.arrows``, is
 built on its first read and kept; the census never reads it, and walks the
-fanifold's arrows instead.  An arrow's collapse matrices
-(``Fanifold._collapse_matrices``) are built on the first read of a collapse
-arrow's ``forward`` or ``backward``, or by the census for the collapses it
-walks, not with the diagram.  A global section is a coefficient tuple
-compatible with every map, so censuses are exact linear bookkeeping.
+fanifold's arrows instead.  A map is a plain value: a collapse
+(``DiagramArrow``) names the fanifold arrow it collapses along, and its cone
+and collapse matrices are read off the fanifold (``Fanifold.arrow_cone``,
+``Fanifold._collapse_matrices``), the matrices built on their first read, or
+by the census for the collapses it walks, not with the diagram.  A global
+section is a coefficient tuple compatible with every map, so censuses are
+exact linear bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
@@ -65,28 +67,14 @@ class ChartObject(NamedTuple):
 
 
 class DiagramArrow(NamedTuple):
+    """A map between two charts, by object index.  A collapse names the
+    fanifold arrow it collapses along; its cone and monomial matrices are
+    that arrow's (``Fanifold.arrow_cone``, ``Fanifold._collapse_matrices``)."""
+
     source: int
     target: int
     kind: str  # "restrict" (face localization) or "collapse" (orbit closure)
-    cone: Cone | None = None  # for collapse: the cone being collapsed
-    along: tuple[Fanifold, Arrow] | None = None  # collapse: the fanifold arrow
-
-    @property
-    def forward(self) -> Mat | None:
-        """Collapse: the monomial matrix on the perp sublattice."""
-        return self._collapse_matrices()[0]
-
-    @property
-    def backward(self) -> Mat | None:
-        """Collapse: the preimage matrix, a right inverse of ``forward``."""
-        return self._collapse_matrices()[1]
-
-    def _collapse_matrices(self) -> tuple[Mat | None, Mat | None]:
-        """Built by the fanifold on the first read, not with the diagram."""
-        if self.along is None:
-            return None, None
-        phi, arrow = self.along
-        return phi._collapse_matrices(arrow)
+    arrow: Arrow | None = None  # collapse: the fanifold arrow
 
 
 class ToricDiagram:
@@ -95,7 +83,8 @@ class ToricDiagram:
     A diagram is its charts: its maps are read off the fanifold's tables.
     ``arrows`` lists them, restrictions then collapses, built on the first
     read and kept; the census reads the collapses it walks straight off the
-    fanifold's arrows and never builds the list.
+    fanifold's arrows and never builds the list.  ``warnings`` is a tuple,
+    set when the diagram is built.
     """
 
     def __init__(
@@ -106,7 +95,7 @@ class ToricDiagram:
     ):
         self.fanifold = fanifold
         self.objects = tuple(objects)
-        self.warnings = list(warnings)
+        self.warnings = tuple(warnings)
         self.index = {o: i for i, o in enumerate(self.objects)}
 
     @cached_property
@@ -119,12 +108,11 @@ class ToricDiagram:
         phi, index = self.fanifold, self.index
         arrows = _restriction_arrows(phi, self.objects)
         for fa, star in _charted_arrows(self):
-            sigma = phi.arrow_cone(fa)
             for k, tk in star.items():
                 source = index.get((fa.source, k))
                 target = index.get((fa.target, tk))
                 if source is not None and target is not None:
-                    arrows.append(DiagramArrow(source, target, "collapse", sigma, (phi, fa)))
+                    arrows.append(DiagramArrow(source, target, "collapse", fa))
         return tuple(arrows)
 
     def __repr__(self) -> str:
@@ -282,28 +270,22 @@ def full_diagram(phi: Fanifold) -> ToricDiagram:
 def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     """Diagram of the closure of one stratum.
 
-    For poset fanifolds this restricts each deeper stratum's cone list to the
-    cones pointing at the chosen stratum or its intermediaries.  Otherwise the
+    For poset fanifolds the charts are the cones the closure keeps
+    (``Fanifold.kept_cones``): each deeper stratum's cones whose arrow, if
+    any, points at the chosen stratum or its intermediaries.  Otherwise the
     closure is unrolled first.
     """
     if f_name not in phi.by_name:
         raise ValueError(f"unknown stratum {f_name!r}")
     if not require_valid(phi).is_poset:
-        diagram = full_diagram(unrolled_closure(phi, f_name))
-        diagram.warnings.append(
+        closure = unrolled_closure(phi, f_name)
+        warning = (
             f"stratum {f_name!r} has an unrolled closure"
             " (the exit diagram is not a poset)"
         )
-        return diagram
-
+        return ToricDiagram(closure, full_diagram(closure).objects, (warning,))
     below = [s.name for s in phi.strata if phi.leq(s.name, f_name)]
-    allowed: dict[str, set[int]] = {}
-    for g in below:
-        fan = phi.stratum(g).fan
-        keep = {i for i, c in enumerate(fan.cones) if c.dim == 0}
-        # below holds f_name itself
-        allowed[g] = keep | {a.cone_index for a in phi.out_arrows(g) if a.target in below}
-    return _diagram(phi, allowed)
+    return _diagram(phi, phi.kept_cones(below))
 
 
 # -- census ------------------------------------------------------------------
@@ -377,7 +359,7 @@ class SectionCensus(NamedTuple):
     dimension: int
     object_count: int
     diagram: ToricDiagram
-    warnings: Sequence[str] = ()
+    warnings: tuple[str, ...] = ()
     basis: list[dict[tuple[ChartObject, Vec], int]] | None = None
 
     @property
@@ -624,7 +606,7 @@ def limit_census(
         dimension=len(_free_roots(uf)) + sum(s.untouched for s in supports.values()),
         object_count=len(diagram.objects),
         diagram=diagram,
-        warnings=list(diagram.warnings),
+        warnings=diagram.warnings,
         basis=basis,
     )
 

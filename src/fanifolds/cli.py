@@ -182,8 +182,8 @@ def cmd_bmodel_chart(args) -> int:
     arrows = []
     for a in diagram.arrows:
         entry = {"source": a.source, "target": a.target, "kind": a.kind}
-        if a.cone is not None:
-            entry["cone_dim"] = a.cone.dim
+        if a.arrow is not None:
+            entry["cone_dim"] = diagram.fanifold.arrow_cone(a.arrow).dim
         arrows.append(entry)
     payload = {
         "stratum": args.stratum,

@@ -352,9 +352,9 @@ class Cone:
         return Cone(gens, self.rank)
 
     def image(self, lmap: LatticeMap) -> "Cone":
-        if lmap.source.rank != self.rank:
+        if lmap.source_rank != self.rank:
             raise ValueError("map source does not match ambient rank")
-        return Cone([lmap(g) for g in self.gens], lmap.target.rank)
+        return Cone([lmap(g) for g in self.gens], lmap.target_rank)
 
 
 def zero_cone(rank: int) -> Cone:

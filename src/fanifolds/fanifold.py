@@ -193,6 +193,21 @@ class Fanifold:
             raise ValueError("the chosen strata are not closed (missing deeper strata)")
         return closed
 
+    def kept_cones(self, closed: Iterable[str]) -> dict[str, tuple[int, ...]]:
+        """The cones a closed set of strata keeps: for each of its strata, in
+        diagram order, the indices of the cones whose arrow, if any, stays
+        inside the set.  ``chart_diagram`` charts these cones of a closure,
+        and ``delete_strata`` keeps them."""
+        closed = set(closed)
+        kept = {}
+        for s in self.strata:
+            if s.name in closed:
+                dropped = {
+                    a.cone_index for a in self.out_arrows(s.name) if a.target not in closed
+                }
+                kept[s.name] = tuple(i for i in range(len(s.fan.cones)) if i not in dropped)
+        return kept
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -241,7 +256,7 @@ class Fanifold:
                 )
                 continue
             fq = quotient_fan(fan, a.cone_index)
-            if a.iso.source.rank != fq.fan.rank or a.iso.target.rank != tgt.lattice_rank:
+            if a.iso.source_rank != fq.fan.rank or a.iso.target_rank != tgt.lattice_rank:
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso shape mismatch")
                 continue
             if tgt.lattice_rank != fq.fan.rank or (
@@ -490,24 +505,21 @@ def disjoint_union(a: Fanifold, b: Fanifold) -> Fanifold:
 
 
 def delete_strata(phi: Fanifold, names: Iterable[str]) -> Fanifold:
-    """Remove strata, their incident arrows, and the cones that pointed at them."""
+    """Remove strata, their incident arrows, and the cones that pointed at
+    them: the others keep ``kept_cones`` of the strata left."""
     doomed = set(names)
     unknown = doomed - set(phi.by_name)
     if unknown:
         raise ValueError(f"unknown strata: {sorted(unknown)}")
+    kept = phi.kept_cones(s.name for s in phi.strata if s.name not in doomed)
     strata = []
     index_maps: dict[str, dict[int, int]] = {}
     for s in phi.strata:
         if s.name in doomed:
             continue
-        dropped = {
-            a.cone_index
-            for a in phi.out_arrows(s.name)
-            if a.target in doomed
-        }
-        keep = [i for i in range(len(s.fan.cones)) if i not in dropped]
+        keep = kept[s.name]
         index_maps[s.name] = {old: new for new, old in enumerate(keep)}
-        if not dropped:
+        if len(keep) == len(s.fan.cones):
             strata.append(s)
             continue
         new_fan = Fan([s.fan.cones[i] for i in keep], s.fan.rank)

@@ -147,42 +147,37 @@ def is_unimodular(m: Mat) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# lattices and maps
-
-
-class Lattice(NamedTuple):
-    """A finitely generated free Z-module with a chosen basis."""
-
-    rank: int
+# lattice maps
 
 
 class LatticeMap(NamedTuple):
-    """Z-linear map given by an integer matrix (source rank = #columns).
+    """Z-linear map given by an integer matrix (source rank = #columns)
+    between lattices of the given ranks, each with its chosen basis.
 
     Built unchecked: ``lattice_map`` checks the ranks and the shape of maps
     given from outside, and ``compose`` builds from two valid maps."""
 
     matrix: Mat
-    source: Lattice
-    target: Lattice
+    source_rank: int
+    target_rank: int
 
     def __call__(self, v: Sequence[int]) -> Vec:
-        if self.target.rank == 0:
+        if self.target_rank == 0:
             return ()
         return mat_vec(self.matrix, v)
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         """self after other."""
-        if other.target.rank != self.source.rank:
+        if other.target_rank != self.source_rank:
             raise ValueError("composition rank mismatch")
-        if self.target.rank == 0 or other.source.rank == 0:
-            m = tuple(() for _ in range(self.target.rank))
+        if self.target_rank == 0 or other.source_rank == 0:
+            m = tuple(() for _ in range(self.target_rank))
         else:
             m = mat_mul(self.matrix, other.matrix)
-        return LatticeMap(m, other.source, self.target)
+        return LatticeMap(m, other.source_rank, self.target_rank)
 
     def is_unimodular(self) -> bool:
-        return self.source.rank == self.target.rank and is_unimodular(self.matrix)
+        return self.source_rank == self.target_rank and is_unimodular(self.matrix)
 
 
 def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: int) -> LatticeMap:
@@ -195,7 +190,7 @@ def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: in
         raise ValueError("matrix rows != target rank")
     if m and len(m[0]) != source_rank:
         raise ValueError("matrix cols != source rank")
-    return LatticeMap(m, Lattice(source_rank), Lattice(target_rank))
+    return LatticeMap(m, source_rank, target_rank)
 
 
 # ---------------------------------------------------------------------------

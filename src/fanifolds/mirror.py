@@ -14,8 +14,9 @@ the chart side carries none.
 
 Restriction pairs track what happens when a down-closed set of strata is
 kept: the chart side restricts section data to the closed set, the
-skeleton side removes the handles of the complement, which are the
-interior strata outside the closed set.
+skeleton side splits the full handle plan, keeping the handles of the
+closed strata and removing the others (the interior strata outside the
+closed set).  No diagram is built for the closed set.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bmodel import ToricDiagram, UFunctorDescriptor, full_diagram, u_functor
-from .fanifold import Fanifold, delete_strata, require_valid
+from .fanifold import Fanifold, require_valid
 from .skeleton import HandlePlan, SkeletonModel, handle_plan, skeleton_model
 
 A_SIDE_CONVENTION = (
@@ -227,19 +228,15 @@ def restriction_pairs(phi: Fanifold, closed) -> RestrictionPair:
     """Restriction data for a down-closed set of strata.
 
     Chart side: the section functor supported on the closed set, with its
-    three-term exactness label.  Skeleton side: the handle plan of the
-    subdomain cut out by the closed set, plus the handles removed from the
-    full plan.  The full plan has one handle per interior stratum and the
-    subdomain keeps the closed strata with their interior flags, so the
-    removed handles are the interior strata outside the closed set.
+    three-term exactness label.  Skeleton side: the handles of ``phi``'s
+    plan (``handle_plan``, one handle per interior stratum) split in two.
+    The subdomain cut out by the closed set keeps the handles of its
+    strata, in plan order; the others, sorted by stratum, are removed.
     """
     closed = phi.require_closed(closed)
-    require_valid(phi)
-    sub = delete_strata(phi, [s.name for s in phi.strata if s.name not in closed])
-    sub_plan = handle_plan(sub)
-    removed = tuple(
-        sorted(s.name for s in phi.strata if s.interior and s.name not in closed)
-    )
+    plan = handle_plan(phi)
+    sub_plan = HandlePlan(tuple(h for h in plan.handles if h.stratum in closed))
+    removed = tuple(sorted(h.stratum for h in plan.handles if h.stratum not in closed))
     b_descriptor = u_functor(phi, closed) if closed else None
     zset = ",".join(closed) if closed else "(empty)"
     b_sequence = (

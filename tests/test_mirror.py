@@ -10,7 +10,7 @@ import pytest
 from fanifolds import mirror
 from fanifolds.bmodel import ToricDiagram, full_diagram
 from fanifolds.examples import EXAMPLES
-from fanifolds.fanifold import Fanifold
+from fanifolds.fanifold import Fanifold, delete_strata
 from fanifolds.files import load_fanifold
 from fanifolds.mirror import (
     A_SIDE_CONVENTION,
@@ -19,6 +19,7 @@ from fanifolds.mirror import (
     restriction_pairs,
 )
 from fanifolds.skeleton import handle_plan, skeleton_model
+from test_fanifold import built_and_loaded, closed_sets
 
 
 def test_dictionary_labels_every_stratum_and_arrow():
@@ -197,9 +198,57 @@ def test_restriction_pairs_validates_each_diagram_once(monkeypatch):
     monkeypatch.setattr(Fanifold._report, "func", counted)
     sq = EXAMPLES["square"]()
     restriction_pairs(sq, ["(s2,s2)", "(s2,s3)", "(s2,s0)"])
-    # the square itself, then the diagram left after deleting strata
-    assert len(runs) == 2
-    assert runs[0] is sq and runs[1] is not sq
+    # the square itself: the restriction builds no diagram of the closed set
+    assert runs == [sq]
+
+
+def _reference_pair(phi, pair):
+    """``pair`` with its skeleton side read off the subdomain's own diagram:
+    the plan of ``delete_strata`` of the complement, and as removed the
+    handles of the full plan missing from it."""
+    closed = pair.closed
+    sub = delete_strata(phi, [s.name for s in phi.strata if s.name not in closed])
+    sub_plan = handle_plan(sub)
+    kept = {h.stratum for h in sub_plan.handles}
+    removed = tuple(sorted(h.stratum for h in handle_plan(phi).handles if h.stratum not in kept))
+    zset = ",".join(closed) if closed else "(empty)"
+    return pair._replace(
+        a_subdomain=sub_plan,
+        a_removed=removed,
+        a_sequence=(
+            f"subdomain of the skeleton over [{zset}]; removed cocores: "
+            f"{list(removed)}"
+        ),
+    )
+
+
+def test_restriction_pairs_match_the_subdomain_diagram():
+    """On every closed set of every example, built and loaded, the pair
+    split off the full handle plan prints what the subdomain's own diagram
+    gives; its plan differs at most in the trivial marks, which only a
+    ``from_fan`` diagram carries."""
+    count = 0
+    for label, phi in built_and_loaded():
+        for closed in closed_sets(phi):
+            pair = restriction_pairs(phi, closed)
+            ref = _reference_pair(phi, pair)
+            assert pair.to_json_dict() == ref.to_json_dict(), (label, closed)
+            assert pair.to_text() == ref.to_text(), (label, closed)
+            assert pair.a_removed == ref.a_removed, (label, closed)
+            assert [h._replace(trivial=False) for h in pair.a_subdomain.handles] == [
+                h._replace(trivial=False) for h in ref.a_subdomain.handles
+            ], (label, closed)
+            count += 1
+    assert count == 452
+
+
+def test_the_subdomain_of_every_stratum_is_the_full_plan():
+    """Keeping every stratum keeps every handle as the full plan has it,
+    trivial marks included."""
+    phi = EXAMPLES["affine2"]()
+    plan = handle_plan(phi)
+    assert [h.trivial for h in plan.handles] == [False, True, True, True]
+    assert restriction_pairs(phi, [s.name for s in phi.strata]).a_subdomain == plan
 
 
 def test_restriction_pair_json_round_trip():
