@@ -28,7 +28,6 @@ from .fans import (
     RefinesResult,
     ResolveResult,
     StackyFan,
-    fan_from_ray_indices,
     face_closure,
     quotient_fan,
     refines,
@@ -48,13 +47,11 @@ from .bmodel import (
     u_identities_hold,
 )
 from .skeleton import (
-    FLTZPiece,
     Handle,
     HandlePlan,
     SkeletonModel,
     SkeletonStratum,
     euler_characteristic_c,
-    fltz_pieces,
     handle_plan,
     skeleton_model,
 )

@@ -311,19 +311,6 @@ class Cone:
             found |= {tuple(r for r in g if r in f) for g in found}
         return sorted(found, key=lambda f: (matrix_rank(f), f))
 
-    def is_face_of(self, other: "Cone") -> bool:
-        """True when this cone is a face of the strongly convex ``other``.
-
-        ``_has_face`` is true on every face, so when it says no the
-        containment test is not needed.  Nothing in the package calls this:
-        ``Fan.validate`` settles nested pairs with ``_has_face`` alone, by
-        the lemma in ``fans``.  It stays public as the plain definition that
-        the meet-rule tests and the face suites check the faster paths
-        against."""
-        if self.rank != other.rank:
-            return False
-        return other._has_face(self) and other.contains_cone(self)
-
     def _has_face(self, inner: "Cone") -> bool:
         """Is ``inner`` a face of this strongly convex cone, given that it
         lies in it?  (On any ``inner``, true when it is a face.)

@@ -259,9 +259,7 @@ class Fanifold:
             if a.iso.source_rank != fq.fan.rank or a.iso.target_rank != tgt.lattice_rank:
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso shape mismatch")
                 continue
-            if tgt.lattice_rank != fq.fan.rank or (
-                tgt.lattice_rank and not a.iso.is_unimodular()
-            ):
+            if not a.iso.is_unimodular():
                 errors.append(f"arrow {k} ({a.source}->{a.target}): iso not unimodular")
                 continue
             # the target's cones are distinct: each must be hit exactly once

@@ -241,19 +241,6 @@ def require_valid_fan(fan: Fan) -> None:
         raise ValueError("invalid fan: " + "; ".join(problems))
 
 
-def fan_from_ray_indices(
-    rays: Sequence[Sequence[int]],
-    cone_ray_indices: Sequence[Sequence[int]],
-    rank: int,
-) -> Fan:
-    """Build a fan from a ray table plus cones given as ray index lists."""
-    rays = [vec(r) for r in rays]
-    cones = []
-    for idx in cone_ray_indices:
-        cones.append(Cone([rays[i] for i in idx], rank))
-    return Fan(cones, rank)
-
-
 # -- quotients ---------------------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 Everything works on plain Python ints (arbitrary precision), vectors are
 tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
-the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Three exact routines do all the
-elimination: the Smith normal form, the integer Hermite reduction ``_echelon``
-(rank, kernels, unimodular inverses, canonical bases) and the Bareiss ``det``.
+the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Two exact routines do all the
+elimination: the Smith normal form and the integer Hermite reduction
+``_echelon`` (rank, kernels, unimodular tests and inverses, canonical bases).
 
 The vector kernels (products, row operations, gcds) run no Python frame per
 vector entry: a product, a row operation or an entrywise sum is one pass of
@@ -16,7 +16,7 @@ one list comprehension, which beats ``map`` with ``repeat`` on short vectors.
 from __future__ import annotations
 
 from itertools import repeat
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -95,33 +95,6 @@ def primitivize(v: Sequence[int]) -> Vec:
     return tuple([a // g for a in v])
 
 
-def det(m: Mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    a = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def matrix_rank(m: Mat) -> int:
     """Rank over Q: the pivot count of the integer Hermite reduction."""
     return _echelon([list(r) for r in m], len(m[0]) if m else 0)
@@ -130,20 +103,31 @@ def matrix_rank(m: Mat) -> int:
 def invert_unimodular(m: Mat) -> Mat:
     """Inverse of an integer matrix with determinant +-1.
 
-    Hermite-reduces [M | I].  M is unimodular exactly when the reduction
-    leaves n pivots that all equal 1; the left block is then I and the right
-    block, the row transform, is M^-1.
+    Hermite-reduces [M | I]: when M is unimodular the left block becomes I
+    and the right block, the row transform, is M^-1.
     """
     n = len(m)
-    if all(len(r) == n for r in m):
-        work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-        if _echelon(work, n) == n and all(work[i][i] == 1 for i in range(n)):
-            return tuple(tuple(r[n:]) for r in work)
-    raise ValueError(f"matrix is not unimodular (det = {det(m)})")
+    if any(len(r) != n for r in m):
+        raise ValueError(f"matrix is not unimodular (shape {mat_shape(m)})")
+    work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    d = _abs_det(work, n)
+    if d != 1:
+        raise ValueError(f"matrix is not unimodular (|det| = {d})")
+    return tuple(tuple(r[n:]) for r in work)
 
 
 def is_unimodular(m: Mat) -> bool:
-    return len(m) == (len(m[0]) if m else 0) and det(m) in (1, -1)
+    n = len(m)
+    return all(len(r) == n for r in m) and _abs_det([list(r) for r in m], n) == 1
+
+
+def _abs_det(work: list[list[int]], n: int) -> int:
+    """|det| of the square matrix in the first n columns of ``work``, which
+    is Hermite-reduced in place.  Row operations are unimodular, so it is
+    the product of the n pivots, and 0 when one is missing."""
+    if _echelon(work, n) < n:
+        return 0
+    return prod(work[i][i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

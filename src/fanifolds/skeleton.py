@@ -16,53 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cones import Cone
-from .fans import Fan, StackyFan, require_valid_fan
 from .fanifold import Fanifold, require_valid
-
-
-# -- conic pieces of a single fan --------------------------------------------
-
-
-class FLTZPiece(NamedTuple):
-    """One cone's contribution: annihilator subtorus times the cone."""
-
-    cone_index: int
-    cone: Cone
-    torus_rank: int
-    component_group: tuple[int, ...] = ()
-
-    @property
-    def group_order(self) -> int:
-        n = 1
-        for k in self.component_group:
-            n *= k
-        return n
-
-
-def fltz_pieces(fan: Fan) -> list[FLTZPiece]:
-    """One piece per cone.
-
-    The torus rank is the corank of the cone; the component group is the
-    torsion of the lattice modulo the span of the cone's (stacky)
-    generators.  Plain fans always give connected annihilators because the
-    lattice points of a cone generate the saturation of its span.
-    """
-    require_valid_fan(fan)
-    pieces = []
-    for i, c in enumerate(fan.cones):
-        group: tuple[int, ...] = ()
-        if isinstance(fan, StackyFan):
-            group = fan.component_group(c)
-        pieces.append(
-            FLTZPiece(
-                cone_index=i,
-                cone=c,
-                torus_rank=fan.rank - c.dim,
-                component_group=group,
-            )
-        )
-    return pieces
 
 
 # -- the glued skeleton model ------------------------------------------------

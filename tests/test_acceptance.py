@@ -22,7 +22,6 @@ from fanifolds.lattice import quotient_with_torsion
 from fanifolds.mesh import export_mesh
 from fanifolds.skeleton import (
     euler_characteristic_c,
-    fltz_pieces,
     handle_plan,
     skeleton_model,
 )
@@ -37,6 +36,7 @@ from test_properties import (
     run_snf_suite,
     run_u_identity_suite,
 )
+from test_skeleton import fan_pieces
 
 
 def census_dims(phi, degrees):
@@ -148,10 +148,10 @@ def test_stacky_quadric_isotropy_resolution_and_fltz():
     assert refines(result.fan, sf).ok
     assert not refines(sf, result.fan).ok
 
-    pieces = [p for p in fltz_pieces(sf) if p.cone.dim == 2]
+    pieces = [p for p in fan_pieces(sf) if p.cone_dim == 2]
     assert len(pieces) == 1
     assert pieces[0].group_order == 2
-    assert pieces[0].component_group == (2,)
+    assert sf.cones[pieces[0].cone_index] == two_cone
 
 
 def test_boundary_sphere_census_two_lines_glued():

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,16 @@ def test_census_interval_two_lines():
     assert census_dims(EXAMPLES["interval"](), range(6)) == [
         2 * d + 1 for d in range(6)
     ]
+
+
+def test_census_overflow_guard_sits_at_its_boundary():
+    # the largest degree whose box side 2D + 1 is still an index: the two
+    # lines glued at a point count exactly sys.maxsize sections there
+    interval = full_diagram(EXAMPLES["interval"]())
+    top = (sys.maxsize - 1) // 2
+    assert limit_census(interval, top).dimension == sys.maxsize
+    with pytest.raises(ValueError, match=rf"^degree {top + 1} is too large$"):
+        limit_census(interval, top + 1)
 
 
 def test_census_unigon_nodal_cubic_pattern():

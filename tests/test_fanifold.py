@@ -50,7 +50,7 @@ from fanifolds.lattice import (
     smith_normal_form,
 )
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
-from fanifolds.skeleton import fltz_pieces, handle_plan, skeleton_model
+from fanifolds.skeleton import handle_plan, skeleton_model
 
 
 def test_from_fan_affine_line():
@@ -134,7 +134,6 @@ def test_strata_arrows_and_reports_are_frozen():
         components(phi)[0],
         subalgebra,
         u_functor(phi, closed),
-        fltz_pieces(fan)[0],
         model.strata[0],
         model,
         plan.handles[0],
@@ -145,7 +144,7 @@ def test_strata_arrows_and_reports_are_frozen():
         md,
         restriction_pairs(phi, closed),
     ]
-    assert len({type(r) for r in records}) == 25
+    assert len({type(r) for r in records}) == 24
     for obj in records:
         field = obj._fields[0]
         with pytest.raises(AttributeError):
@@ -357,6 +356,34 @@ def test_validate_rejects_an_arrow_iso_that_is_not_unimodular():
     )
 
 
+def test_validate_names_the_first_fault_of_one_replaced_arrow():
+    """One arrow of square replaced at a time: an unknown endpoint is
+    reported before anything else, a cone index one past the fan is out of
+    range, and an iso with one rank off is a shape mismatch, not a
+    unimodularity failure."""
+    sq = EXAMPLES["square"]()
+    a = sq.arrows[0]  # corner (s2,s2) -> face (s0,s0) on the 2-cone
+    k, b = next((k, b) for k, b in enumerate(sq.arrows) if b.iso.source_rank == 1)
+    ab = f"arrow {k} ({b.source}->{b.target})"
+    corner = f"stratum {a.source!r}"
+    table = [
+        (0, a._replace(target="nowhere"), ("arrow 0: unknown stratum id",)),
+        (0, a._replace(source="nowhere"), (
+            "arrow 0: unknown stratum id", f"{corner}: cones [0] have no arrow",
+        )),
+        (0, a._replace(cone_index=len(sq.stratum(a.source).fan.cones)), (
+            "arrow 0: cone index 4 out of range",
+            f"{corner}: cones [0] have no arrow",
+            f"{corner}: arrows on non-cone indices [4]",
+        )),
+        (k, b._replace(iso=lattice_map(((1,), (0,)), 1, 2)), (f"{ab}: iso shape mismatch",)),
+        (k, b._replace(iso=lattice_map(((1, 0),), 2, 1)), (f"{ab}: iso shape mismatch",)),
+    ]
+    for i, replaced, errors in table:
+        arrows = sq.arrows[:i] + (replaced,) + sq.arrows[i + 1:]
+        assert Fanifold(sq.dimension, sq.strata, arrows).validate().errors == errors, replaced
+
+
 def test_coherence_checks_where_the_composite_sends_the_cone():
     """from_fan of the fan of P1 x P1, with the two arrows out of one edge
     stratum sent to each other's corner.  Every fan, arrow and iso still
@@ -365,7 +392,8 @@ def test_coherence_checks_where_the_composite_sends_the_cone():
     quadrant whose image is b's cone goes to the other corner."""
     rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     quadrants = [[0, 1], [1, 2], [2, 3], [3, 0]]
-    fan = fans.fan_from_ray_indices(rays, quadrants + [[0], [1], [2], [3], []], 2)
+    cones = quadrants + [[0], [1], [2], [3], []]
+    fan = Fan([Cone([rays[i] for i in c], 2) for c in cones], 2)
     phi = from_fan(fan)
     edge = phi.arrows[0].source
     k, m = [k for k, a in enumerate(phi.arrows) if a.source == edge]

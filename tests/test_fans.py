@@ -21,7 +21,6 @@ from fanifolds.fans import (
     _star_quotient,
     cones_cover,
     face_closure,
-    fan_from_ray_indices,
     quotient_fan,
     refines,
     resolve_to_smooth,
@@ -34,6 +33,7 @@ from fanifolds.lattice import (
     quotient_with_torsion,
     smith_normal_form,
 )
+from test_cones import is_face_of
 from test_properties import random_fan
 
 
@@ -102,7 +102,7 @@ def meet_rule(fan):
     return [
         f"cones {i} and {j} do not intersect in a common face"
         for (i, ci), (j, cj) in itertools.combinations(enumerate(fan.cones), 2)
-        if not all(ci.intersection(cj).is_face_of(c) for c in (ci, cj))
+        if not all(is_face_of(ci.intersection(cj), c) for c in (ci, cj))
     ]
 
 
@@ -155,13 +155,13 @@ def test_validate_matches_the_meet_rule_on_random_fans():
         seen["invalid" if fan.validate() else "valid"] += 1
         for ci, cj in itertools.permutations(fan.cones, 2):
             if ci.gens and cj.contains_cone(ci):
-                seen["face" if ci.is_face_of(cj) else "not a face"] += 1
+                seen["face" if is_face_of(ci, cj) else "not a face"] += 1
     assert min(seen.values()) >= 20, seen
 
 
 def test_fan_validate_runs_once(monkeypatch):
     """Counted by meets: validation builds one per pair of maximal cones
-    and tests faces without ``Cone.is_face_of``."""
+    and tests nested pairs with ``Cone._has_face`` alone."""
     calls = []
     intersection = Cone.intersection
 
@@ -258,12 +258,6 @@ def test_cones_cover_both_ways():
     assert not cones_cover(ray, [])
     assert cones_cover(zero_cone(2), [zero_cone(2)])
     assert not cones_cover(zero_cone(2), [])
-
-
-def test_fan_from_ray_indices():
-    fan = fan_from_ray_indices([(1, 0), (0, 1)], [[], [0], [1], [0, 1]], 2)
-    assert len(fan.cones) == 4
-    assert fan.is_face_closed
 
 
 def test_quotient_fan_star_of_projective_ray():

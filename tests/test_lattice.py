@@ -1,4 +1,7 @@
-"""Integer linear algebra: Smith form, quotients, kernels, Hermite form."""
+"""Integer linear algebra: Smith form, quotients, kernels, Hermite form.
+
+``det`` here is the Bareiss determinant, a third elimination kept outside the
+package as the oracle for its unimodular tests and Smith transforms."""
 
 import itertools
 import math
@@ -9,7 +12,6 @@ import pytest
 from fanifolds.lattice import (
     LatticeMap,
     content,
-    det,
     identity_matrix,
     integer_kernel,
     invert_unimodular,
@@ -26,6 +28,33 @@ from fanifolds.lattice import (
     solve_integer,
     transpose,
 )
+
+
+def det(m):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -160,6 +189,7 @@ def test_invert_unimodular_on_products_of_elementary_matrices():
             m = identity_matrix(n)
             for _ in range(rng.randint(0, 3 * n)):
                 m = mat_mul(m, _elementary(rng, n))
+            assert is_unimodular(m)
             inv = invert_unimodular(m)
             assert mat_mul(m, inv) == identity_matrix(n)
             assert mat_mul(inv, m) == identity_matrix(n)
@@ -175,13 +205,27 @@ def test_invert_unimodular_rejects_non_unimodular():
             m = random_matrix(rng, n, n, 3)
             if det(m) != target:
                 continue
-            with pytest.raises(ValueError, match=rf"\(det = {det(m)}\)"):
+            with pytest.raises(ValueError, match=rf"\(\|det\| = {abs(det(m))}\)"):
                 invert_unimodular(m)
             found += 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(shape \(2, 3\)\)"):
         invert_unimodular(((1, 0, 0), (0, 1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(shape \(3, 2\)\)"):
         invert_unimodular(((1, 0), (0, 1), (0, 0)))
+
+
+def test_is_unimodular_matches_the_bareiss_determinant():
+    """Square with n pivots all equal to 1, against det in {1, -1}, on
+    random matrices of every shape up to 4 x 5."""
+    rng = random.Random(5519)
+    verdicts = set()
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 2, 5)))
+        expected = rows in (0, cols) and det(m) in (1, -1)
+        assert is_unimodular(m) == expected, m
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_integer_kernel_saturated():
@@ -382,11 +426,12 @@ def _ref_integer_kernel(a, rows, cols):
 
 def _ref_invert_unimodular(m):
     n = len(m)
-    if all(len(r) == n for r in m):
-        work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-        if _ref_echelon(work, n) == n and all(work[i][i] == 1 for i in range(n)):
-            return tuple(tuple(r[n:]) for r in work)
-    raise ValueError(f"matrix is not unimodular (det = {det(m)})")
+    if any(len(r) != n for r in m):
+        raise ValueError(f"matrix is not unimodular (shape {mat_shape(m)})")
+    work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    if _ref_echelon(work, n) == n and all(work[i][i] == 1 for i in range(n)):
+        return tuple(tuple(r[n:]) for r in work)
+    raise ValueError(f"matrix is not unimodular (|det| = {abs(det(m))})")
 
 
 def _ref_smith_normal_form(a):
@@ -575,5 +620,5 @@ def test_eliminations_match_their_generator_definitions():
             snf = smith_normal_form(a)
             assert (snf.U, snf.D, snf.V) == _ref_smith_normal_form(a)
         n = rng.randint(1, 4)
-        for m in (_unimodular(rng, n), _matrix(rng, n, n)):
+        for m in (_unimodular(rng, n), _matrix(rng, n, n), _matrix(rng, n, n + 1)):
             assert _outcome(invert_unimodular, m) == _outcome(_ref_invert_unimodular, m)

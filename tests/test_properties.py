@@ -20,7 +20,6 @@ from fanifolds.examples import (
 from fanifolds.fanifold import from_fan, sphere_section
 from fanifolds.fans import StackyFan, quotient_fan, stellar_subdivision
 from fanifolds.lattice import (
-    det,
     is_unimodular,
     mat_mul,
     matrix_rank,
@@ -29,6 +28,7 @@ from fanifolds.lattice import (
 )
 from fanifolds.mirror import restriction_pairs
 from fanifolds.skeleton import euler_characteristic_c
+from test_lattice import det
 
 SEED = 9157
 CASES = 200

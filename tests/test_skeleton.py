@@ -1,5 +1,6 @@
 """Conic Lagrangian skeleta: strata, Euler counts, handles and refinements."""
 
+import math
 
 from fanifolds.examples import (
     EXAMPLES,
@@ -14,26 +15,43 @@ from fanifolds.fanifold import from_fan, sphere_section
 from fanifolds.fans import refines, resolve_to_smooth
 from fanifolds.skeleton import (
     euler_characteristic_c,
-    fltz_pieces,
     handle_plan,
     skeleton_model,
 )
 
 
+def fan_pieces(fan):
+    """The skeleton's FLTZ pieces over the fan itself: the strata of
+    ``skeleton_model(from_fan(fan))`` over its stratum of full lattice rank."""
+    phi = from_fan(fan)
+    (base,) = [s.name for s in phi.strata if s.lattice_rank == fan.rank]
+    model = skeleton_model(phi)
+    return [model.strata[i] for i in model.strata_over(base)]
+
+
 def test_fltz_pieces_plain_fan():
-    pieces = fltz_pieces(projective_fan(2))
-    assert len(pieces) == 7
-    for p in pieces:
-        assert p.torus_rank == 2 - p.cone.dim
-        assert p.component_group == ()
-        assert p.group_order == 1
+    # one piece per cone on every named plain fan: the annihilator subtorus
+    # of rank = corank, connected
+    assert len(fan_pieces(projective_fan(2))) == 7
+    for fan in (a1_fan(), p1_fan(), orthant_fan(3), projective_fan(2), projective_fan(3),
+                quadric_fan()):
+        assert [(p.cone_index, p.cone_dim, p.torus_rank, p.group_order)
+                for p in fan_pieces(fan)] == [
+            (i, c.dim, fan.rank - c.dim, 1) for i, c in enumerate(fan.cones)
+        ], fan
 
 
 def test_fltz_pieces_stacky_quadric():
-    pieces = fltz_pieces(stacky_quadric_fan())
-    two = [p for p in pieces if p.cone.dim == 2]
+    fan = stacky_quadric_fan()
+    pieces = fan_pieces(fan)
+    # one component per element of the cone's group
+    assert [(p.cone_index, p.cone_dim, p.torus_rank, p.group_order) for p in pieces] == [
+        (i, c.dim, fan.rank - c.dim, math.prod(fan.component_group(c)))
+        for i, c in enumerate(fan.cones)
+    ]
+    two = [p for p in pieces if p.cone_dim == 2]
     assert len(two) == 1
-    assert two[0].component_group == (2,)
+    assert fan.component_group(fan.cones[two[0].cone_index]) == (2,)
     assert two[0].group_order == 2
     assert two[0].torus_rank == 0
 
