@@ -23,7 +23,8 @@ Cones are stored by the indices of their extremal rays, so only pointed
 cones round-trip; the zero cone is the empty list.  Serialization is
 deterministic and loading re-validates everything it can check locally
 (shapes, ids, ray references); diagram-level coherence stays with
-``Fanifold.validate``.
+``Fanifold.validate``.  Equal fan entries of one document load as one
+``Fan``, and an arrow's cone is matched to its fan entry by ray indices.
 """
 
 from __future__ import annotations
@@ -87,32 +88,40 @@ def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
     ]
 
 
-def _cone(idx, rays, rank: int, what: str) -> Cone:
-    """The cone on the extremal rays at the given indices of the file's ray
-    list; the empty list is the zero cone."""
+def _ray_indices(idx, rays, what: str) -> list:
     for i in _list(idx, what):
         if type(i) is not int or not 0 <= i < len(rays):
             raise ValueError(f"{what} refers to missing ray {i!r}")
+    return idx
+
+
+def _cone(idx, rays, rank: int) -> Cone:
+    """The cone on the rays at the given (checked) indices of the file's ray
+    list; the empty list is the zero cone."""
     return Cone([rays[i] for i in idx], rank) if idx else zero_cone(rank)
 
 
 def _fan_from_dict(
     d, rank: int, what: str
-) -> tuple[Fan, list[tuple[int, ...]]]:
-    """The fan, and the file's ray list its cone indices refer to."""
+) -> tuple[Fan, list[tuple[int, ...]], dict[frozenset, int]]:
+    """The fan, the file's ray list its cone indices refer to, and the
+    position of the first cone entry on each set of ray indices."""
     d = _object(d, f"{what}: fan")
     rays = _int_rows(d.get("rays", []), f"{what}: fan rays")
     for r in rays:
         if len(r) != rank:
             raise ValueError(f"{what}: ray {r} does not have {rank} entries")
-    cones = [
-        _cone(idx, rays, rank, f"{what}: fan cone {n}")
+    entries = [
+        _ray_indices(idx, rays, f"{what}: fan cone {n}")
         for n, idx in enumerate(_list(d.get("cones", []), f"{what}: fan cones"))
     ]
-    fan = Fan(cones, rank)
+    first: dict[frozenset, int] = {}
+    for n, idx in enumerate(entries):
+        first.setdefault(frozenset(idx), n)
+    fan = Fan([_cone(idx, rays, rank) for idx in entries], rank)
     beta = d.get("stacky_beta")
     if beta is None:
-        return fan, rays
+        return fan, rays, first
     beta = _int_rows(beta, f"{what}: stacky_beta")
     if len(beta) != len(rays):
         raise ValueError(f"{what}: stacky_beta needs one row per ray")
@@ -136,7 +145,7 @@ def _fan_from_dict(
                 f"{what}: stacky generator {b} is not a positive multiple of {r}"
             )
         multiples[tuple(primitivize(r))] = k
-    return StackyFan(fan, multiples), rays
+    return StackyFan(fan, multiples), rays, first
 
 
 def fanifold_to_dict(phi: Fanifold) -> dict:
@@ -181,6 +190,10 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     dimension = _int(d["dimension"], "dimension")
     strata = []
     file_rays = {}
+    # Equal fan entries load as one Fan, so its checks, containment table
+    # and star quotients are computed once per file.  Cones are interned by
+    # (rank, gens), so equal keys mean the same cones and multiples.
+    fans: dict[tuple, Fan] = {}
     seen = set()
     for k, s in enumerate(_list(d.get("strata", []), "strata")):
         s = _object(s, f"stratum {k}")
@@ -196,7 +209,12 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         interior = s.get("interior", True)
         if type(interior) is not bool:
             raise ValueError(f"{what}: interior {interior!r} is not true or false")
-        fan, file_rays[name] = _fan_from_dict(s.get("fan", {}), rank, what)
+        fan, rays, first = _fan_from_dict(s.get("fan", {}), rank, what)
+        file_rays[name] = rays, first
+        multiples = (
+            tuple(sorted(fan.multiples.items())) if isinstance(fan, StackyFan) else None
+        )
+        fan = fans.setdefault((rank, tuple(c.gens for c in fan.cones), multiples), fan)
         strata.append(
             Stratum(
                 name=name,
@@ -216,13 +234,17 @@ def fanifold_from_dict(d: dict) -> Fanifold:
         if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
             raise ValueError(f"arrow references unknown stratum: {a}")
         fan = by_name[src_name].fan
-        cone = _cone(a["cone"], file_rays[src_name], fan.rank, f"{what}: cone")
-        idx = fan.cone_index(cone)
+        rays, first = file_rays[src_name]
+        ids = _ray_indices(a["cone"], rays, f"{what}: cone")
+        idx = first.get(frozenset(ids))
+        if idx is None:
+            # named through other rays than its fan entry: compare as cones
+            idx = fan.cone_index(_cone(ids, rays, fan.rank))
         if idx is None:
             raise ValueError(
                 f"arrow cone {a['cone']} is not a cone of the fan at {src_name!r}"
             )
-        q_rank = fan.rank - cone.dim
+        q_rank = fan.rank - fan.cones[idx].dim
         t_rank = by_name[tgt_name].lattice_rank
         matrix = tuple(_int_rows(a["quotient_matrix"], f"{what}: quotient_matrix"))
         if len(matrix) != t_rank or any(len(row) != q_rank for row in matrix):

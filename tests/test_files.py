@@ -9,7 +9,7 @@ import pytest
 from fanifolds import files
 from fanifolds.bmodel import chart_diagram, components, full_diagram, limit_census
 from fanifolds.cli import run
-from fanifolds.cones import Cone
+from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import EXAMPLES
 from fanifolds.fanifold import (
     Fanifold,
@@ -18,7 +18,7 @@ from fanifolds.fanifold import (
     product,
     sphere_section,
 )
-from fanifolds.fans import Fan
+from fanifolds.fans import Fan, StackyFan
 from fanifolds.mesh import export_mesh
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import euler_characteristic_c, handle_plan, skeleton_model
@@ -322,6 +322,89 @@ def test_arrow_cones_index_the_file_ray_list(name, stratum, order):
         (a.source, a.target, a.cone_index, a.iso.matrix) for a in permuted.arrows
     ] == [(a.source, a.target, a.cone_index, a.iso.matrix) for a in bundled.arrows]
     assert files.dumps(permuted) == text
+
+
+def _bundled(name: str) -> dict:
+    with open(os.path.join(DATA_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_arrow_cones_are_found_by_the_cone_rule(name):
+    """The loader matches an arrow's cone to a fan entry by its ray indices;
+    the rule it replaces builds the cone and compares it with every cone of
+    the fan, and both give each arrow the same cone index."""
+    d = _bundled(name)
+    phi = files.fanifold_from_dict(d)
+    rays = {s["id"]: s["fan"]["rays"] for s in d["strata"]}
+    for a, entry in zip(phi.arrows, d["arrows"]):
+        fan = phi.stratum(a.source).fan
+        idx, r = entry["cone"], rays[a.source]
+        cone = Cone([r[i] for i in idx], fan.rank) if idx else zero_cone(fan.rank)
+        assert a.cone_index == fan.cone_index(cone), (name, entry)
+
+
+def test_an_arrow_cone_listed_twice_in_its_fan_takes_the_first_entry():
+    """A fan entry listed twice makes the fan invalid, yet the file loads,
+    and its arrow takes the first entry, as ``Fan.cone_index`` does."""
+    d = _bundled("square")
+    arrow = d["arrows"][0]
+    src = next(s for s in d["strata"] if s["id"] == arrow["from"])
+    src["fan"]["cones"].append(list(arrow["cone"]))
+    phi = files.fanifold_from_dict(d)
+    assert phi.arrows[0].cone_index == src["fan"]["cones"].index(arrow["cone"]) == 0
+    assert not phi.validate().valid
+
+
+@pytest.mark.parametrize(
+    "name, fans, strata",
+    [("proj3", 7, 15), ("affine3", 5, 8), ("square", 3, 9), ("necklace3", 2, 6)],
+)
+def test_equal_fan_entries_load_as_one_fan(name, fans, strata):
+    d = _bundled(name)
+    entries = {(s["lattice_rank"], json.dumps(s["fan"], sort_keys=True)) for s in d["strata"]}
+    phi = files.fanifold_from_dict(d)
+    assert len(phi.strata) == strata
+    assert len({id(s.fan) for s in phi.strata}) == len(entries) == fans
+
+
+def test_a_stacky_fan_entry_never_shares_with_a_plain_one():
+    """(s0,s2), (s0,s3) and (s2,s0) of square.json list one plain fan; with
+    trivial multiples on (s0,s3), it loads as a stacky fan of its own."""
+    d = _bundled("square")
+    by_id = {s["id"]: s for s in d["strata"]}
+    by_id["(s0,s3)"]["fan"]["stacky_beta"] = [[1]]
+    fan = {s.name: s.fan for s in files.fanifold_from_dict(d).strata}
+    assert fan["(s0,s2)"] is fan["(s2,s0)"]
+    assert isinstance(fan["(s0,s3)"], StackyFan)
+    assert not isinstance(fan["(s0,s2)"], StackyFan)
+    assert fan["(s0,s3)"].cones == fan["(s0,s2)"].cones
+    by_id["(s2,s0)"]["fan"]["stacky_beta"] = [[1]]
+    fan = {s.name: s.fan for s in files.fanifold_from_dict(d).strata}
+    assert fan["(s0,s3)"] is fan["(s2,s0)"] is not fan["(s0,s2)"]
+
+
+def test_an_arrow_cone_named_through_a_repeated_ray_loads(tmp_path, capsys):
+    """Arrow 0 of square.json names its cone through a second copy of a ray
+    of its source fan, which no fan entry uses: the ray indices match no
+    entry, so the loader compares it as a cone and finds the same one."""
+    d = _bundled("square")
+    src = next(s for s in d["strata"] if s["id"] == d["arrows"][0]["from"])
+    rays = src["fan"]["rays"]
+    rays.append(rays[0])
+    assert d["arrows"][0]["cone"] == [0, 1]
+    d["arrows"][0]["cone"] = [1, len(rays) - 1]
+    phi = files.fanifold_from_dict(d)
+    bundled = files.load_fanifold(os.path.join(DATA_DIR, "square.json"))
+    assert phi.validate().valid
+    assert [(a.cone_index, a.iso.matrix) for a in phi.arrows] == [
+        (a.cone_index, a.iso.matrix) for a in bundled.arrows
+    ]
+    assert files.dumps(phi) == files.dumps(bundled)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert run(["validate", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "valid: true"
 
 
 
