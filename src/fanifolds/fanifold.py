@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .cones import Cone, product_cone, zero_cone
-from .fans import Fan, FanQuotient, StackyFan, quotient_fan, require_valid_fan
+from .fans import Fan, FanQuotient, StackyFan, fan_key, quotient_fan, require_valid_fan
 from .lattice import (
     LatticeMap,
     Mat,
@@ -92,8 +92,10 @@ class Fanifold:
         arrows: Iterable[Arrow],
         source_fan: Fan | None = None,
     ):
-        """An arrow's star quotient is ``quotient_fan`` of its cone, which
-        the source fan keeps: a constructor that built it to take the
+        """Strata may hold one ``Fan`` between them: the loader and the
+        constructors give equal stratum fans (``fans.fan_key``) one object.
+        An arrow's star quotient is ``quotient_fan`` of its cone, which the
+        source stratum's fan keeps: a constructor that built it to take the
         arrow's iso leaves it there for validation and the arrow tables."""
         self.dimension = dimension
         self.strata = tuple(strata)
@@ -353,13 +355,16 @@ def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> L
     )
 
 
-def _arrow_between_cones(fan: Fan, i: int, j: int) -> Arrow:
-    """Arrow from the stratum of cone i to that of cone j (i a face of j).
-    The iso is ``p_j @ s_i @ s_ij``: it satisfies ``iso . p_ij . p_i == p_j``;
-    ``p_ij`` is the quotient on the stratum's own fan, which validation reads."""
-    fq_i, fq_j = quotient_fan(fan, i), quotient_fan(fan, j)
+def _arrow_between_cones(
+    i: int, j: int, fq_i: FanQuotient, fq_j: FanQuotient, fan_i: Fan
+) -> Arrow:
+    """Arrow from the stratum of cone i to that of cone j (i a face of j),
+    given both cones' star quotients and ``fan_i``, the fan of i's stratum,
+    which has ``fq_i``'s cones.  The iso is ``p_j @ s_i @ s_ij``: it
+    satisfies ``iso . p_ij . p_i == p_j``; ``p_ij`` is the quotient on
+    ``fan_i``, which validation reads."""
     sub_index = fq_i.star.index(j)
-    fq_ij = quotient_fan(fq_i.fan, sub_index)
+    fq_ij = quotient_fan(fan_i, sub_index)
     p_j = fq_j.projection.matrix
     iso = _iso_through_section(
         mat_mul(p_j, fq_i.section.matrix), fq_ij, len(p_j)
@@ -371,13 +376,21 @@ def _cone_strata(
     fan: Fan, keep: Sequence[int], shift: int
 ) -> tuple[list[Stratum], list[Arrow]]:
     """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
-    and its face arrows."""
+    and its face arrows.
+
+    A stratum's fan is its cone's star quotient, and stratum fans with equal
+    ``fan_key`` are one ``Fan``, so each distinct fan is validated and
+    star-quotiented once.  The table starts with ``fan`` itself: the zero
+    cone's quotient is ``fan`` again (identity projection, same cones), so
+    its stratum holds the source fan and reads the quotients built here."""
+    fqs = {i: quotient_fan(fan, i) for i in keep}
+    shared = {fan_key(fan): fan}
+    fans = {i: shared.setdefault(fan_key(fq.fan), fq.fan) for i, fq in fqs.items()}
     strata = [
-        Stratum(name=f"s{i}", dim=fan.cones[i].dim - shift, fan=quotient_fan(fan, i).fan)
-        for i in keep
+        Stratum(name=f"s{i}", dim=fan.cones[i].dim - shift, fan=fans[i]) for i in keep
     ]
     arrows = [
-        _arrow_between_cones(fan, i, j)
+        _arrow_between_cones(i, j, fqs[i], fqs[j], fans[i])
         for i in keep
         for j in keep
         if i in fan._inside[j] and fan.cones[j].dim != fan.cones[i].dim
@@ -424,11 +437,15 @@ def _product_fan(f1: Fan, f2: Fan) -> Fan:
 
 
 def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
-    """Stratum pairs with product fans; arrow pairs (either side may stand still)."""
+    """Stratum pairs with product fans; arrow pairs (either side may stand
+    still).  Equal product fans (``fan_key``) are one ``Fan``, so each
+    distinct one is validated and star-quotiented once."""
     strata = []
+    shared: dict[tuple, Fan] = {}
     for s1 in phi1.strata:
         for s2 in phi2.strata:
             pf = _product_fan(s1.fan, s2.fan)
+            pf = shared.setdefault(fan_key(pf), pf)
             strata.append(
                 Stratum(
                     name=f"({s1.name},{s2.name})",

@@ -10,7 +10,10 @@ A ``StackyFan`` is a ``Fan`` with a multiple on each ray.  ``quotient_fan``
 is the one star quotient and ``Fan._quotients`` its one cache: stacky in,
 stacky out, the quotient of a stacky fan carrying the pushed multiples and
 the push's ``warnings``.  ``Stratum.plain_fan`` is the stratum's fan itself,
-kept for the benchmark's workloads.
+kept for the benchmark's workloads.  ``fan_key`` is the one rule for when two
+fans are interchangeable; the file loader and the constructors give equal
+stratum fans of one diagram one ``Fan`` by it, so its checks, containment
+table and star quotients are computed once.
 
 Lemma.  Suppose every nested pair sigma in tau of distinct cones has sigma a
 face of tau, and every two distinct maximal cones meet in a common face.
@@ -180,7 +183,8 @@ class Fan:
 
     def completeness_witness(self) -> str | None:
         """None when the support of this valid fan is everything, else a
-        short reason."""
+        short reason.  A fan with cones but no maximal cone lists one cone
+        twice: ValueError with its problems."""
         if not self.is_face_closed:
             return "not closed under taking faces"
         if not self.cones:
@@ -188,6 +192,8 @@ class Fan:
         if self.rank == 0:
             return None
         tops = [self.cones[i] for i in self.maximal_cone_indices()]
+        if not tops:
+            require_valid_fan(self)
         bad = next((c for c in tops if c.dim != self.rank), None)
         if bad is not None:
             return f"maximal cone {list(bad.gens)} has dimension {bad.dim} < {self.rank}"
@@ -232,6 +238,15 @@ class Fan:
         if witness is not None:
             out["completeness_witness"] = witness
         return out
+
+
+def fan_key(fan: Fan) -> tuple:
+    """Two fans with equal keys are interchangeable: the rank, each cone's
+    gens in order, and a stacky fan's sorted multiples (None for a plain
+    fan).  Cones are interned by (rank, gens), so equal keys mean the same
+    cones in the same order."""
+    multiples = tuple(sorted(fan.multiples.items())) if isinstance(fan, StackyFan) else None
+    return fan.rank, tuple(c.gens for c in fan.cones), multiples
 
 
 def require_valid_fan(fan: Fan) -> None:

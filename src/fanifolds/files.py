@@ -23,8 +23,9 @@ Cones are stored by the indices of their extremal rays, so only pointed
 cones round-trip; the zero cone is the empty list.  Serialization is
 deterministic and loading re-validates everything it can check locally
 (shapes, ids, ray references); diagram-level coherence stays with
-``Fanifold.validate``.  Equal fan entries of one document load as one
-``Fan``, and an arrow's cone is matched to its fan entry by ray indices.
+``Fanifold.validate``.  Fan entries of one document with equal
+``fans.fan_key`` load as one ``Fan``, and an arrow's cone is matched to its
+fan entry by ray indices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 
 from .cones import Cone, zero_cone
 from .fanifold import Arrow, Fanifold, Stratum
-from .fans import Fan, StackyFan
+from .fans import Fan, StackyFan, fan_key
 from .lattice import lattice_map, primitivize
 
 FORMAT = "fanifold/1"
@@ -191,8 +192,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     strata = []
     file_rays = {}
     # Equal fan entries load as one Fan, so its checks, containment table
-    # and star quotients are computed once per file.  Cones are interned by
-    # (rank, gens), so equal keys mean the same cones and multiples.
+    # and star quotients are computed once per file.
     fans: dict[tuple, Fan] = {}
     seen = set()
     for k, s in enumerate(_list(d.get("strata", []), "strata")):
@@ -211,10 +211,7 @@ def fanifold_from_dict(d: dict) -> Fanifold:
             raise ValueError(f"{what}: interior {interior!r} is not true or false")
         fan, rays, first = _fan_from_dict(s.get("fan", {}), rank, what)
         file_rays[name] = rays, first
-        multiples = (
-            tuple(sorted(fan.multiples.items())) if isinstance(fan, StackyFan) else None
-        )
-        fan = fans.setdefault((rank, tuple(c.gens for c in fan.cones), multiples), fan)
+        fan = fans.setdefault(fan_key(fan), fan)
         strata.append(
             Stratum(
                 name=name,

@@ -292,6 +292,20 @@ def test_bmodel_chart_and_components(capsys):
     assert "charts: 5" in out
 
 
+def test_components_refuses_a_fan_with_a_duplicated_cone_in_one_line(tmp_path, capsys):
+    """halfplane.json with its ray listed twice in ``(cell,s0)``: no cone is
+    maximal, so the fan's problems are raised, not an IndexError."""
+    doc = json.loads(files.dumps(EXAMPLES["halfplane"]()))
+    fan = next(s for s in doc["strata"] if s["id"] == "(cell,s0)")["fan"]
+    fan["cones"].append(list(fan["cones"][-1]))
+    path = tmp_path / "halfplane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_capture(capsys, ["bmodel", "components", "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid fan: cone 2 duplicates cone 1\n"
+
+
 def test_skeleton_commands(capsys):
     code, out, _ = run_capture(capsys, ["skeleton", "euler", "--file", "3a1.json"])
     assert code == 0 and "chi_c: 1" in out

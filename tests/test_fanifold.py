@@ -1,7 +1,9 @@
 """Exit diagrams: construction, validation, order structure, surgery."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from fanifolds.files import load_fanifold
 from fanifolds.fans import (
     Fan,
     StackyFan,
+    fan_key,
     quotient_fan,
     refines,
     resolve_to_smooth,
@@ -444,16 +447,22 @@ def _random_basis_fans(seed=9091):
     return out
 
 
-def _from_fan_diagrams():
-    """from_fan and sphere_section on the examples' fans (interval's, then
-    quadric_stacky's, affine1-3's and proj1-3's) and the random fans."""
-    fans_ = [
+def _example_fans():
+    """The examples' fans (interval's, then quadric_stacky's, affine1-3's
+    and proj1-3's) and the random fans, built afresh."""
+    return [
         orthant_fan(2),
         stacky_quadric_fan(),
         *(orthant_fan(n) for n in (1, 2, 3)),
         *(projective_fan(n) for n in (1, 2, 3)),
     ] + _random_basis_fans()
-    return [(fan, build(fan)) for fan in fans_ for build in (from_fan, sphere_section)]
+
+
+def _from_fan_diagrams():
+    """from_fan and sphere_section on ``_example_fans``."""
+    return [
+        (fan, build(fan)) for fan in _example_fans() for build in (from_fan, sphere_section)
+    ]
 
 
 def _product_diagrams():
@@ -587,6 +596,136 @@ def test_stacky_charts_and_sphere_section_push_each_cone_once(monkeypatch):
         for s in section.strata:
             assert isinstance(s.fan, StackyFan)
             assert s.fan is chart.stratum(s.name).fan
+
+
+# -- equal stratum fans are one Fan ---------------------------------------------
+
+
+def _content(fan):
+    """What makes two fans interchangeable, spelled out without ``fan_key``."""
+    return (
+        isinstance(fan, StackyFan),
+        fan.rank,
+        [c.gens for c in fan.cones],
+        fan.multiples if isinstance(fan, StackyFan) else None,
+    )
+
+
+def test_from_fan_holds_the_source_fan_at_its_zero_cone():
+    for fan in _example_fans():
+        zero = next(i for i, c in enumerate(fan.cones) if c.dim == 0)
+        assert from_fan(fan).stratum(f"s{zero}").fan is fan
+
+
+def test_stratum_fans_are_one_object_exactly_when_their_content_agrees():
+    diagrams = [phi for _, phi in _from_fan_diagrams()]
+    diagrams += [p for _, _, p in _product_diagrams()]
+    diagrams += [
+        product(EXAMPLES[name](), EXAMPLES[name]()) for name in ("square", "proj2", "necklace3")
+    ]
+    shared = 0
+    for phi in diagrams:
+        for s, t in itertools.combinations(phi.strata, 2):
+            same = _content(s.fan) == _content(t.fan)
+            assert (s.fan is t.fan) == same, (phi, s.name, t.name)
+            assert (fan_key(s.fan) == fan_key(t.fan)) == same
+            shared += same
+    assert shared > 1000
+
+
+def test_validation_checks_each_distinct_fan_once(monkeypatch):
+    """Construction and validation run ``Fan._problems`` once per distinct
+    fan: the stratum fans and the fan a diagram was built from."""
+    calls = []
+    problems = Fan.__dict__["_problems"]
+    check = problems.func
+
+    def counted(fan):
+        calls.append(fan)
+        return check(fan)
+
+    monkeypatch.setattr(problems, "func", counted)
+    checked = strata = 0
+    for build in (from_fan, sphere_section):
+        for fan in _example_fans():
+            calls.clear()
+            phi = build(fan)
+            assert phi.validate().valid
+            distinct = {fan_key(s.fan) for s in phi.strata} | {fan_key(fan)}
+            assert len(calls) == len(distinct)
+            assert {id(f) for f in calls} == {id(s.fan) for s in phi.strata} | {id(fan)}
+            checked += len(calls)
+            strata += len(phi.strata)
+    assert checked < strata
+    for name in ("square", "proj2", "necklace3"):
+        phi1, phi2 = EXAMPLES[name](), EXAMPLES[name]()
+        for s in phi1.strata + phi2.strata:
+            s.fan.validate()
+        calls.clear()
+        phi = product(phi1, phi2)
+        assert phi.validate().valid
+        assert len(calls) == len({id(s.fan) for s in phi.strata}) < len(phi.strata)
+
+
+@pytest.mark.parametrize(
+    "name, strata, built, loaded",
+    [("square", 81, 5, 7), ("proj2", 49, 13, 13), ("necklace3", 36, 3, 3)],
+)
+def test_product_shares_equal_product_fans(name, strata, built, loaded):
+    """The square of an example holds one ``Fan`` per distinct product
+    fan.  The built square is itself interval x interval, so its face fan
+    is the product of its edge fans and its square has fewer distinct fans
+    than the loaded one's, whose face fan lists its rays in another order."""
+    for phi, distinct in (
+        (EXAMPLES[name](), built),
+        (load_fanifold(resolve_input(f"{name}.json")), loaded),
+    ):
+        sq = product(phi, phi)
+        assert len(sq.strata) == strata
+        assert len({id(s.fan) for s in sq.strata}) == distinct
+        assert len({fan_key(s.fan) for s in sq.strata}) == distinct
+        assert sq.validate().valid
+
+
+def _fan_refs(phi):
+    """Weak references to every fan a diagram reaches: its strata's, its
+    source fan, and the star quotients kept on them, recursively."""
+    todo = [s.fan for s in phi.strata] + [phi.source_fan] * (phi.source_fan is not None)
+    seen = {}
+    while todo:
+        fan = todo.pop()
+        if id(fan) not in seen:
+            seen[id(fan)] = weakref.ref(fan)
+            todo += [fq.fan for fq in fan._quotients.values()]
+    return list(seen.values())
+
+
+def test_no_fan_outlives_its_diagram():
+    """With the collector off, every fan of ``from_fan(f)``,
+    ``sphere_section(f)`` and ``product(phi, psi)`` dies with the diagram
+    and its inputs: no fan holds itself and no table outlives a call."""
+
+    gc.collect()
+    gc.disable()
+    try:
+        refs = []
+        for fan in _example_fans():
+            refs.append(weakref.ref(fan))
+            for build in (from_fan, sphere_section):
+                phi = build(fan)
+                assert phi.validate().valid
+                refs += _fan_refs(phi)
+        for phi in (
+            product(EXAMPLES["square"](), EXAMPLES["proj2"]()),
+            product(from_fan(stacky_quadric_fan()), EXAMPLES["necklace3"]()),
+        ):
+            assert phi.validate().valid
+            refs += _fan_refs(phi)
+        del fan, phi
+        assert len(refs) > 100
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_arrow_isos_satisfy_their_defining_identity():

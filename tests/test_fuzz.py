@@ -23,6 +23,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "da
 COMMANDS = (
     ["validate"],
     ["bmodel", "census", "--degree", "1"],
+    ["bmodel", "components"],
     ["skeleton", "report"],
     ["fan", "props"],
 )
