@@ -44,7 +44,6 @@ from .bmodel import (
     limit_census,
     subalgebra_check,
     u_functor,
-    u_identities_hold,
 )
 from .skeleton import (
     Handle,

@@ -11,9 +11,9 @@ containment table (``Fan._inside``) and each arrow's star map
 built on its first read and kept; the census never reads it, and walks the
 fanifold's arrows instead.  A map is a plain value: a collapse
 (``DiagramArrow``) names the fanifold arrow it collapses along, and its cone
-and collapse matrices are read off the fanifold (``Fanifold.arrow_cone``,
-``Fanifold._collapse_matrices``), the matrices built on their first read, or
-by the census for the collapses it walks, not with the diagram.  A global
+and collapse matrix are read off the fanifold (``Fanifold.arrow_cone``,
+``Fanifold._collapse_forward``), the matrix built on its first read, by the
+census for the collapses it walks, not with the diagram.  A global
 section is a coefficient tuple compatible with every map, so censuses are
 exact linear bookkeeping.
 
@@ -68,8 +68,8 @@ class ChartObject(NamedTuple):
 
 class DiagramArrow(NamedTuple):
     """A map between two charts, by object index.  A collapse names the
-    fanifold arrow it collapses along; its cone and monomial matrices are
-    that arrow's (``Fanifold.arrow_cone``, ``Fanifold._collapse_matrices``)."""
+    fanifold arrow it collapses along; its cone and monomial matrix are
+    that arrow's (``Fanifold.arrow_cone``, ``Fanifold._collapse_forward``)."""
 
     source: int
     target: int
@@ -229,19 +229,18 @@ def _restriction_arrows(
 
 
 def _charted_arrows(diagram: ToricDiagram) -> Iterator[tuple[Arrow, dict[int, int | None]]]:
-    """The fanifold arrows between strata with charts, in order, each with
-    its star map.
+    """The fanifold arrows out of strata with charts, in order, each with
+    its star map.  An arrow into a stratum without charts gives no map and
+    no walk.
 
     Raises ValueError when the image of a kept chart's cone is no cone of
     the target fan, which validation rules out.  A target whose fan has no
-    cones has no chart, yet counts: every image is missing there.
+    cones has no chart, and every image is missing there.
     """
     phi, index = diagram.fanifold, diagram.index
     charted = {o.stratum for o in diagram.objects}
     for fa in phi.arrows:
-        if fa.source not in charted or (
-            fa.target not in charted and phi.stratum(fa.target).fan.cones
-        ):
+        if fa.source not in charted:
             continue
         star = phi._star_map(fa)
         if None in star.values():
@@ -403,9 +402,11 @@ def _census_classes(
       chart makes every union and mark the others make, and it is the one
       collapse walked per arrow.  The walks are read off the fanifold's
       arrows and star maps (``_walks``), not off the diagram's map list.
-    * ``forward`` = a^-T s^T and ``backward`` = p^T a^T, for the iso a, the
-      projection p and its section s, are inverse bijections between
-      sigma^perp and the target lattice.  p s = I gives
+    * ``forward`` = a^-T s^T (``Fanifold._collapse_forward``) and
+      ``backward`` = p^T a^T, the transpose of ``Fanifold.arrow_map``, for
+      the iso a, the projection p and its section s, are inverse bijections
+      between sigma^perp and the target lattice; only the census oracle in
+      the tests builds ``backward``.  p s = I gives
       forward(backward(w)) = w.  backward(forward(u)) = (s p)^T u, and
       u . (v - s p v) = 0 for every v, since v - s p v lies in ker p, the
       saturated span of sigma, on which u vanishes.  So the walk joins
@@ -493,18 +494,16 @@ def _census_classes(
 
 def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
     """The collapses the census walks, read off the fanifold's arrows: one
-    per arrow whose own cone's chart is kept and whose image of that cone
-    is a kept zero-cone chart, as (arrow, the cone's gens, forward)."""
+    per arrow whose image of its own cone is a kept zero-cone chart, as
+    (arrow, the cone's gens, forward).  The chart of the arrow's own cone is
+    then kept too: every cone has a chart in a full diagram, and a closed
+    set keeps an arrow's cone exactly when it keeps the arrow's target."""
     phi, index = diagram.fanifold, diagram.index
     walks = []
     for fa, star in _charted_arrows(diagram):
         target = index.get((fa.target, star[fa.cone_index]))
-        if (
-            (fa.source, fa.cone_index) in index
-            and target is not None
-            and not diagram.object_cone(target).gens
-        ):
-            walks.append((fa, phi.arrow_cone(fa).gens, phi._collapse_matrices(fa)[0]))
+        if target is not None and not diagram.object_cone(target).gens:
+            walks.append((fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)))
     return walks
 
 
@@ -748,7 +747,7 @@ def subalgebra_check(
     """Check relations exactly, and whether the products of at most
     ``degree`` generators span the census space."""
     problems: list[str] = []
-    forwards = [phi._collapse_matrices(a)[0] for a in phi.arrows]
+    forwards = [phi._collapse_forward(a) for a in phi.arrows]
     gen_values: list[dict[str, Laurent]] = []
     for name, seed in generators:
         vals, errs = _stratum_values(phi, seed, forwards)
@@ -866,23 +865,3 @@ def u_functor(phi: Fanifold, closed: Iterable[str]) -> UFunctorDescriptor:
         closed=closed, open_strata=open_strata, diagram=diagram, marked=marked
     )
 
-
-def u_identities_hold(phi: Fanifold, c: Iterable[str], d: Iterable[str]) -> bool:
-    """Union/intersection compatibility of open-complement descriptors."""
-    c, d = set(c), set(d)
-    for z in (c, d, c | d, c & d):
-        if not phi.is_down_closed(z):
-            return False
-    uc = u_functor(phi, c)
-    ud = u_functor(phi, d)
-    u_union = u_functor(phi, c | d)
-    u_inter = u_functor(phi, c & d)
-    if set(u_union.marked) != set(uc.marked) | set(ud.marked):
-        return False
-    if set(u_inter.marked) != set(uc.marked) & set(ud.marked):
-        return False
-    if set(u_union.open_strata) != set(uc.open_strata) & set(ud.open_strata):
-        return False
-    if set(u_inter.open_strata) != set(uc.open_strata) | set(ud.open_strata):
-        return False
-    return True

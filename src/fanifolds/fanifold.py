@@ -31,8 +31,9 @@ from .lattice import (
     lattice_map,
     mat,
     mat_mul,
-    solve_integer,
     transpose,
+    vec_scale,
+    vec_sub,
 )
 
 
@@ -111,7 +112,7 @@ class Fanifold:
         self._in = {name: tuple(arrows) for name, arrows in into.items()}
         self._arrow_maps: dict[Arrow, LatticeMap] = {}
         self._star_maps: dict[Arrow, dict[int, int | None]] = {}
-        self._collapses: dict[Arrow, tuple[Mat, Mat]] = {}
+        self._collapses: dict[Arrow, Mat] = {}
 
     def __repr__(self) -> str:
         return (
@@ -153,17 +154,17 @@ class Fanifold:
             }
         return out
 
-    def _collapse_matrices(self, a: Arrow) -> tuple[Mat, Mat]:
-        """Monomial matrices (forward, backward) of the orbit-closure co-map
-        along an arrow, built once per arrow."""
+    def _collapse_forward(self, a: Arrow) -> Mat:
+        """Monomial matrix of the orbit-closure co-map along an arrow, from
+        the source lattice's sigma^perp to the target lattice (no rows for a
+        rank-0 target), built once per arrow."""
         out = self._collapses.get(a)
         if out is None:
             fq, m = quotient_fan(self.stratum(a.source).fan, a.cone_index), a.iso.matrix
-            # a rank-0 target: forward has no rows, backward no columns
             out = self._collapses[a] = (
-                mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix)),
-                mat_mul(transpose(fq.projection.matrix), transpose(m)),
-            ) if m else ((), ((),) * self.stratum(a.source).lattice_rank)
+                mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix))
+                if m else ()
+            )
         return out
 
     def minimal_strata(self) -> list[Stratum]:
@@ -567,14 +568,21 @@ def _span_basis(cone: Cone) -> Mat:
 
 
 def _coords_in_span(basis: Mat, v: Vec) -> Vec:
-    d = len(basis)
-    if d == 0:
-        return ()
-    cols = tuple(tuple(row[i] for row in basis) for i in range(len(basis[0])))
-    sol = solve_integer(cols, v)
-    if sol is None:
+    """Coordinates of v in a canonical (row-style Hermite) basis, such as
+    ``_span_basis`` returns.  Each row's leading entry is zero in every row
+    below it, so reading the rows from the top down, each coordinate is one
+    exact division of what is left of v."""
+    rest, coords = v, []
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(rest[lead], row[lead])
+        if r:
+            raise ValueError("vector not in saturated span")
+        coords.append(q)
+        rest = vec_sub(rest, vec_scale(q, row))
+    if any(rest):
         raise ValueError("vector not in saturated span")
-    return sol
+    return tuple(coords)
 
 
 def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:

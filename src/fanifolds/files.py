@@ -151,30 +151,28 @@ def _fan_from_dict(
 
 def fanifold_to_dict(phi: Fanifold) -> dict:
     strata = []
+    fans = {}  # stratum name -> its fan entry; the last one wins, as in by_name
     for st in phi.strata:
+        fans[st.name] = fan = _fan_to_dict(st.fan)
         entry = {
             "id": st.name,
             "dim": st.dim,
             "interior": st.interior,
             "lattice_rank": st.lattice_rank,
-            "fan": _fan_to_dict(st.fan),
+            "fan": fan,
         }
         if st.chi_c is not None:
             entry["chi_c"] = st.chi_c
         strata.append(entry)
-    arrows = []
-    for a in phi.arrows:
-        src = phi.stratum(a.source)
-        ray_index = {tuple(r): i for i, r in enumerate(src.fan.rays)}
-        cone = src.fan.cones[a.cone_index]
-        arrows.append(
-            {
-                "from": a.source,
-                "to": a.target,
-                "cone": sorted(ray_index[tuple(r)] for r in cone.extremal_rays),
-                "quotient_matrix": [list(row) for row in a.iso.matrix],
-            }
-        )
+    arrows = [
+        {
+            "from": a.source,
+            "to": a.target,
+            "cone": list(fans[a.source]["cones"][a.cone_index]),
+            "quotient_matrix": [list(row) for row in a.iso.matrix],
+        }
+        for a in phi.arrows
+    ]
     return {
         "format": FORMAT,
         "dimension": phi.dimension,

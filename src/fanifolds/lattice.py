@@ -3,8 +3,9 @@
 Everything works on plain Python ints (arbitrary precision), vectors are
 tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
 the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Two exact routines do all the
-elimination: the Smith normal form and the integer Hermite reduction
-``_echelon`` (rank, kernels, unimodular tests and inverses, canonical bases).
+elimination: the Smith normal form (torsion and quotients) and the integer
+Hermite reduction ``_echelon`` (rank, kernels, unimodular tests and
+inverses, canonical bases).
 
 The vector kernels (products, row operations, gcds) run no Python frame per
 vector entry: a product, a row operation or an entrywise sum is one pass of
@@ -386,30 +387,6 @@ def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -
         projection=lattice_map(proj_rows, n, free),
         section=lattice_map(sec, free, n),
     )
-
-
-def solve_integer(a: Mat, b: Sequence[int]) -> Vec | None:
-    """One integer solution x of A x = b, or None if none exists."""
-    m, n = mat_shape(a)
-    if len(b) != m:
-        raise ValueError("rhs length mismatch")
-    if m == 0:
-        return (0,) * n
-    snf = smith_normal_form(a)
-    c = mat_vec(invert_unimodular(snf.U), b)
-    diag = snf.diagonal
-    y = [0] * n
-    for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < n:
-                y[i] = c[i] // d
-    return mat_vec(invert_unimodular(snf.V), y) if n else ()
 
 
 def integer_kernel(a: Mat, rows: int, cols: int) -> tuple[Vec, ...]:

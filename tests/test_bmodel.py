@@ -20,7 +20,6 @@ from fanifolds.bmodel import (
     limit_census,
     subalgebra_check,
     u_functor,
-    u_identities_hold,
 )
 from fanifolds.cones import Cone, zero_cone
 from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan
@@ -33,11 +32,19 @@ from fanifolds.fanifold import (
     suspension_boundary,
 )
 from fanifolds.fans import Fan, quotient_fan
-from fanifolds.lattice import dot, invert_unimodular, lattice_map, mat_mul, mat_vec
+from fanifolds.lattice import (
+    dot,
+    identity_matrix,
+    invert_unimodular,
+    lattice_map,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
 from fanifolds.cli import resolve_input
 from fanifolds.files import load_fanifold
 from fanifolds.skeleton import skeleton_model
-from test_properties import random_fan
+from test_properties import kept_charts_count_as_deletion, random_fan
 
 
 def census_dims(phi, degrees):
@@ -189,20 +196,70 @@ def test_u_functor_empty_and_everything():
     assert len(every.marked) == len(every.diagram.objects)
 
 
-def test_u_identities_on_examples():
-    sq = EXAMPLES["square"]()
-    assert u_identities_hold(sq, ["(s2,s2)"], ["(s3,s3)"])
-    # two full edges (each with both corners), overlapping in one corner
-    assert u_identities_hold(
-        sq,
-        ["(s2,s2)", "(s2,s3)", "(s2,s0)"],
-        ["(s2,s3)", "(s3,s3)", "(s0,s3)"],
-    )
-    tri = EXAMPLES["3a1"]()
-    assert u_identities_hold(tri, ["a"], ["a", "b"])
+def _closed_sets(phi):
+    """Every non-empty down-closed set of a diagram of at most 14 strata;
+    on a larger one, the closures of one or two strata."""
+    names = [s.name for s in phi.strata]
+    if len(names) <= 14:
+        sets = (
+            z
+            for k in range(1, len(names) + 1)
+            for z in itertools.combinations(names, k)
+            if phi.is_down_closed(z)
+        )
+    else:
+        sets = (phi.down_closure(z) for k in (1, 2) for z in itertools.combinations(names, k))
+    return sorted({tuple(sorted(z)) for z in sets})
+
+
+def test_kept_charts_count_as_the_deleted_complement_on_every_closed_set():
+    """On every closed set of every poset example, built and loaded, at
+    D = 1 and 2: the census of the charts the set keeps has the dimension,
+    chart count and map count of the full census with the rest deleted."""
+    sets = 0
+    for name, build in sorted(EXAMPLES.items()):
+        for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
+            if phi.validate().is_poset:
+                for z in _closed_sets(phi):
+                    kept_charts_count_as_deletion(phi, z)
+                    sets += 1
+    assert sets == 414
 
 
 # -- oracles for the census kernel -------------------------------------------
+
+
+def _collapse_pair(phi, a):
+    """The monomial matrices (forward, backward) of the collapse along a
+    fanifold arrow, from its iso a, its star quotient's projection p and
+    section s: forward = a^-T s^T and backward = p^T a^T.  A rank-0 target
+    gives forward no rows and backward no columns."""
+    m = a.iso.matrix
+    if not m:
+        return (), ((),) * phi.stratum(a.source).lattice_rank
+    fq = quotient_fan(phi.stratum(a.source).fan, a.cone_index)
+    return (
+        mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix)),
+        mat_mul(transpose(fq.projection.matrix), transpose(m)),
+    )
+
+
+def test_collapse_forward_is_the_oracles_and_inverts_backward():
+    """On every arrow of every example, built and loaded, the fanifold's
+    ``forward`` is the one built from the iso and the section, and it
+    inverts ``backward``, which is the transpose of the arrow's map."""
+    checked = 0
+    for name, build in sorted(EXAMPLES.items()):
+        for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
+            for a in phi.arrows:
+                forward, backward = _collapse_pair(phi, a)
+                assert phi._collapse_forward(a) == forward, (name, a)
+                rank = phi.stratum(a.target).lattice_rank
+                if rank:
+                    assert mat_mul(forward, backward) == identity_matrix(rank), (name, a)
+                    assert backward == transpose(phi.arrow_map(a).matrix), (name, a)
+                checked += 1
+    assert checked == 2 * sum(len(build().arrows) for build in EXAMPLES.values())
 
 
 def _box_support(cone, degree):
@@ -294,7 +351,7 @@ def _reference_census(diagram, degree):
         src, tgt = arrow.source, arrow.target
         if arrow.kind == "collapse":
             cone = phi.arrow_cone(arrow.arrow)
-            forward, backward = phi._collapse_matrices(arrow.arrow)
+            forward, backward = _collapse_pair(phi, arrow.arrow)
         for u in supports[src]:
             if arrow.kind == "restrict":
                 w = u
@@ -497,7 +554,7 @@ def test_census_allocates_ids_only_to_touched_points(monkeypatch):
     # cone by the arrow's own collapse
     assert len(walks) == len(phi.arrows) == 50
     assert sum(a.kind == "collapse" for a in diagram.arrows) == 110
-    assert walks == [phi._collapse_matrices(fa)[0] for fa in phi.arrows]
+    assert walks == [phi._collapse_forward(fa) for fa in phi.arrows]
     census = limit_census(diagram, degree)
     assert census.dimension == 1
     assert sum(census.support_sizes.values()) == 80081
@@ -628,25 +685,25 @@ def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
 # -- incidence tables: one per fan and per arrow ----------------------------------
 
 
-def _arrow_rows(diagram):
-    """Each map with the collapse matrices of its fanifold arrow, if any."""
+def _arrows_with_forward(diagram):
+    """Each map with the collapse matrix of its fanifold arrow, if any."""
     phi = diagram.fanifold
     return [
-        (a, a.arrow and phi._collapse_matrices(a.arrow))
+        (a, a.arrow and phi._collapse_forward(a.arrow))
         for a in diagram.arrows
     ]
 
 
 def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypatch):
     """The first pass builds each fan's containment table and each arrow's
-    star map and collapse matrices; a second pass with every cone test and
+    star map and collapse matrix; a second pass with every cone test and
     cone image refused gives the same diagrams and skeleton models."""
     phis = [build() for _, build in sorted(EXAMPLES.items())]
 
     def outputs(phi):
-        out = [_arrow_rows(full_diagram(phi))]
+        out = [_arrows_with_forward(full_diagram(phi))]
         if phi.validate().is_poset:
-            out += [_arrow_rows(chart_diagram(phi, s.name)) for s in phi.strata]
+            out += [_arrows_with_forward(chart_diagram(phi, s.name)) for s in phi.strata]
         model = skeleton_model(phi)
         out.append((model.strata, model.incidences, model.warnings))
         return out
@@ -661,7 +718,7 @@ def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypa
     assert [outputs(phi) for phi in phis] == before
 
 
-def test_collapse_matrices_are_built_only_where_read():
+def test_collapse_forward_is_built_only_where_read():
     """``full_diagram`` and ``chart_diagram`` build no collapse matrix.  The
     census builds those of the arrows it walks, each out of the chart of
     its own cone into a zero-cone chart, and no others.  Its walks, read
@@ -685,7 +742,7 @@ def test_collapse_matrices_are_built_only_where_read():
             ]
             walked |= set(walks)
             assert bmodel._walks(diagram) == [
-                (fa, phi.arrow_cone(fa).gens, phi._collapse_matrices(fa)[0])
+                (fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa))
                 for fa in walks
             ], name
         assert set(phi._collapses) == walked == set(phi.arrows), name

@@ -46,6 +46,7 @@ from fanifolds.fans import (
 )
 from fanifolds.lattice import (
     identity_matrix,
+    integer_kernel,
     lattice_map,
     mat_mul,
     mat_vec,
@@ -799,6 +800,34 @@ def test_star_maps_match_the_image_walk():
             assert phi._star_map(a) is phi._star_map(a)
             checked += len(want)
     assert checked > 4000
+
+
+def test_coords_in_span_round_trip_on_saturated_sublattices():
+    """On kernel bases of random integer matrices: the coordinates of a
+    combination of the rows are its coefficients, and a vector off the span
+    raises, whether the leading entry leaves a remainder or the residue
+    stays nonzero."""
+    rng = random.Random(20261019)
+    spans = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 3), rng.randint(1, 5)
+        a = tuple(tuple(rng.randint(-4, 4) for _ in range(cols)) for _ in range(rows))
+        basis = integer_kernel(a, rows, cols)
+        coeffs = tuple(rng.randint(-6, 6) for _ in basis)
+        v = tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols))
+        assert _coords_in_span(basis, v) == coeffs
+        spans += bool(basis)
+        off = tuple(rng.randint(-6, 6) for _ in range(cols))
+        if any(sum(x * y for x, y in zip(row, off)) for row in a):
+            with pytest.raises(ValueError, match="not in saturated span"):
+                _coords_in_span(basis, off)
+    assert spans > 200
+    basis = integer_kernel(((1, -2),), 1, 2)
+    assert basis == ((2, 1),)
+    assert _coords_in_span(basis, (4, 2)) == (2,)
+    for off in ((1, 1), (2, 0)):  # a remainder, then a nonzero residue
+        with pytest.raises(ValueError, match="not in saturated span"):
+            _coords_in_span(basis, off)
 
 
 # -- the composite search ------------------------------------------------------

@@ -1,7 +1,9 @@
 """Integer linear algebra: Smith form, quotients, kernels, Hermite form.
 
 ``det`` here is the Bareiss determinant, a third elimination kept outside the
-package as the oracle for its unimodular tests and Smith transforms."""
+package as the oracle for its unimodular tests and Smith transforms;
+``solve_integer``, a solver through the Smith form, is the span oracle for
+its Hermite bases."""
 
 import itertools
 import math
@@ -25,7 +27,6 @@ from fanifolds.lattice import (
     quotient_with_torsion,
     row_hermite,
     smith_normal_form,
-    solve_integer,
     transpose,
 )
 
@@ -55,6 +56,31 @@ def det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve_integer(a, b):
+    """One integer solution x of A x = b through the Smith form, or None if
+    none exists."""
+    m, n = mat_shape(a)
+    if len(b) != m:
+        raise ValueError("rhs length mismatch")
+    if m == 0:
+        return (0,) * n
+    snf = smith_normal_form(a)
+    c = mat_vec(invert_unimodular(snf.U), b)
+    diag = snf.diagonal
+    y = [0] * n
+    for i in range(m):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d != 0:
+                return None
+            if i < n:
+                y[i] = c[i] // d
+    return mat_vec(invert_unimodular(snf.V), y) if n else ()
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -159,13 +185,6 @@ def test_annihilator():
     assert q.free_rank == len(basis)
     assert q.torsion == (2,)
     assert math.prod(q.torsion) == 2
-
-
-def test_solve_integer():
-    a = ((2, 0), (0, 3))
-    assert solve_integer(a, (4, 9)) == (2, 3)
-    assert solve_integer(a, (1, 0)) is None
-    assert solve_integer(identity_matrix(0), ()) == ()
 
 
 def _elementary(rng, n):
