@@ -494,15 +494,15 @@ def _census_classes(
 
 def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
     """The collapses the census walks, read off the fanifold's arrows: one
-    per arrow whose image of its own cone is a kept zero-cone chart, as
-    (arrow, the cone's gens, forward).  The chart of the arrow's own cone is
+    per arrow whose image of its own cone is a kept chart, as (arrow, the
+    cone's gens, forward).  That image is always the target's zero cone, so
+    the chart is a zero-cone chart.  The chart of the arrow's own cone is
     then kept too: every cone has a chart in a full diagram, and a closed
     set keeps an arrow's cone exactly when it keeps the arrow's target."""
     phi, index = diagram.fanifold, diagram.index
     walks = []
     for fa, star in _charted_arrows(diagram):
-        target = index.get((fa.target, star[fa.cone_index]))
-        if target is not None and not diagram.object_cone(target).gens:
+        if (fa.target, star[fa.cone_index]) in index:
             walks.append((fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)))
     return walks
 

@@ -440,13 +440,17 @@ def _product_fan(f1: Fan, f2: Fan) -> Fan:
 def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
     """Stratum pairs with product fans; arrow pairs (either side may stand
     still).  Equal product fans (``fan_key``) are one ``Fan``, so each
-    distinct one is validated and star-quotiented once."""
+    distinct one is validated and star-quotiented once; each pair of factor
+    ``Fan`` objects has its product built once."""
     strata = []
     shared: dict[tuple, Fan] = {}
+    by_pair: dict[tuple[Fan, Fan], Fan] = {}
     for s1 in phi1.strata:
         for s2 in phi2.strata:
-            pf = _product_fan(s1.fan, s2.fan)
-            pf = shared.setdefault(fan_key(pf), pf)
+            pf = by_pair.get((s1.fan, s2.fan))
+            if pf is None:
+                pf = _product_fan(s1.fan, s2.fan)
+                pf = by_pair[s1.fan, s2.fan] = shared.setdefault(fan_key(pf), pf)
             strata.append(
                 Stratum(
                     name=f"({s1.name},{s2.name})",

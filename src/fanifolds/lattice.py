@@ -5,7 +5,10 @@ tuples, matrices are tuples of row tuples.  A matrix M maps column vectors on
 the right: (M @ v)[i] = sum_j M[i][j] * v[j].  Two exact routines do all the
 elimination: the Smith normal form (torsion and quotients) and the integer
 Hermite reduction ``_echelon`` (rank, kernels, unimodular tests and
-inverses, canonical bases).
+inverses, canonical bases).  The Smith form tracks only the row transform U
+and its inverse, through the row operations; its column transform V is read
+by no caller, so it is not kept.  A quotient reads both maps off one Smith
+form and inverts nothing.
 
 The vector kernels (products, row operations, gcds) run no Python frame per
 vector entry: a product, a row operation or an entrywise sum is one pass of
@@ -185,13 +188,15 @@ def lattice_map(rows: Iterable[Iterable[int]], source_rank: int, target_rank: in
 class SNFResult(NamedTuple):
     """Decomposition A = U @ D @ V with U, V unimodular and D diagonal.
 
-    The diagonal entries are nonnegative and satisfy d1 | d2 | ... ; trailing
-    entries may be zero.
+    Carries U, its inverse ``Uinv`` and D, the parts callers read; V is not
+    kept.  So ``Uinv @ A = D @ V``: row i of ``Uinv @ A`` is d_i times row i
+    of V.  The diagonal entries are nonnegative and satisfy d1 | d2 | ... ;
+    trailing entries may be zero.
     """
 
     U: Mat
+    Uinv: Mat
     D: Mat
-    V: Mat
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -211,24 +216,26 @@ class SNFResult(NamedTuple):
 
 
 class _SNFWork:
-    """Mutable state for the SNF reduction, maintaining A = U @ D @ V.
+    """Mutable state for the SNF reduction, maintaining U^-1 @ A = D @ V for
+    a V that is not kept.
 
     U is kept transposed, as ``Ut``, so its column operations are row
-    operations too."""
+    operations too.  Each row operation E on D acts on U as U <- U @ E^-1
+    and on ``Uinv`` as U^-1 <- E @ U^-1; column operations touch only D."""
 
     def __init__(self, a: Mat):
         self.m, self.n = mat_shape(a)
+        eye = identity_matrix(self.m)
         self.D = [list(r) for r in a]
-        self.Ut = [list(r) for r in identity_matrix(self.m)]
-        self.V = [list(r) for r in identity_matrix(self.n)]
+        self.Ut = [list(r) for r in eye]
+        self.Uinv = [list(r) for r in eye]
 
-    # Row ops act as D <- E @ D, so U <- U @ E^-1 (column ops on U, row ops
-    # on Ut).
     def swap_rows(self, i, j):
         if i == j:
             return
         self.D[i], self.D[j] = self.D[j], self.D[i]
         self.Ut[i], self.Ut[j] = self.Ut[j], self.Ut[i]
+        self.Uinv[i], self.Uinv[j] = self.Uinv[j], self.Uinv[i]
 
     def add_row(self, i, j, q):
         """row i += q * row j."""
@@ -236,18 +243,18 @@ class _SNFWork:
             return
         self.D[i] = list(map(add, self.D[i], map(mul, repeat(q), self.D[j])))
         self.Ut[j] = list(map(sub, self.Ut[j], map(mul, repeat(q), self.Ut[i])))
+        self.Uinv[i] = list(map(add, self.Uinv[i], map(mul, repeat(q), self.Uinv[j])))
 
     def negate_row(self, i):
         self.D[i] = list(map(neg, self.D[i]))
         self.Ut[i] = list(map(neg, self.Ut[i]))
+        self.Uinv[i] = list(map(neg, self.Uinv[i]))
 
-    # Column ops act as D <- D @ F, so V <- F^-1 @ V (row ops on V).
     def swap_cols(self, i, j):
         if i == j:
             return
         for r in self.D:
             r[i], r[j] = r[j], r[i]
-        self.V[i], self.V[j] = self.V[j], self.V[i]
 
     def add_col(self, i, j, q):
         """col i += q * col j."""
@@ -255,7 +262,6 @@ class _SNFWork:
             return
         for r in self.D:
             r[i] += q * r[j]
-        self.V[j] = list(map(sub, self.V[j], map(mul, repeat(q), self.V[i])))
 
     def find_pivot(self, s):
         """Smallest-absolute-value nonzero entry of D[s:, s:], row-major ties."""
@@ -313,7 +319,7 @@ class _SNFWork:
 
 
 def smith_normal_form(a: Mat | Iterable[Iterable[int]]) -> SNFResult:
-    """Smith normal form A = U @ D @ V over Z.
+    """Smith normal form A = U @ D @ V over Z, returned as U, U^-1 and D.
 
     The reduction repeatedly moves the smallest-absolute-value entry of the
     remaining block to the pivot position and eliminates its row and column
@@ -340,12 +346,17 @@ def smith_normal_form(a: Mat | Iterable[Iterable[int]]) -> SNFResult:
             break
         w.add_col(bad, bad + 1, 1)
         w.clear_pair(bad)
-    U = transpose(w.Ut)
-    D = mat(w.D)
-    V = mat(w.V)
-    result = SNFResult(U, D, V)
-    assert mat_mul(mat_mul(U, D), V) == a, "SNF reconstruction failed"
-    return result
+    # U^-1 @ [A | U] = [D @ V | I] for some V: row i of U^-1 @ A is d_i
+    # times an integer row, and zero past the rank.
+    cols = [*zip(*a), *w.Ut]  # the columns of A, then those of U
+    for i, ui in enumerate(w.Uinv):
+        row = [sum(map(mul, ui, c)) for c in cols]
+        head, tail = row[: w.n], row[w.n :]
+        assert tail[i] == 1 and sum(map(abs, tail)) == 1, "SNF inverse failed"
+        assert (
+            gcd(w.D[i][i], *head) == w.D[i][i] if i < r else not any(head)
+        ), "SNF reconstruction failed"
+    return SNFResult(transpose(w.Ut), tuple(map(tuple, w.Uinv)), tuple(map(tuple, w.D)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +378,27 @@ class QuotientResult(NamedTuple):
 
 
 def quotient_with_torsion(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> QuotientResult:
-    """Quotient of Z^ambient_rank by the integer span of the given vectors."""
+    """Quotient of Z^ambient_rank by the integer span of the given vectors.
+
+    With A (columns = the vectors) = U @ D @ V of rank r, the projection is
+    rows r.. of U^-1 and the section columns r.. of U, both read off one
+    Smith form; they are valid maps by construction, so built unchecked.
+    """
     for v in vectors:
         if len(v) != ambient_rank:
             raise ValueError("vector length != ambient rank")
     n = ambient_rank
     # n x k, columns = vectors; n x 0 when there are none
     snf = smith_normal_form([[v[i] for v in vectors] for i in range(n)])
-    rank = snf.rank
+    factors = snf.invariant_factors
+    rank = len(factors)
     free = n - rank
-    proj_rows = invert_unimodular(snf.U)[rank:]
-    # section: columns rank..n of U, i.e. rows of U^T
-    ucols = transpose(snf.U)
-    sec_cols = ucols[rank:]
-    sec = transpose(sec_cols) if free else tuple(() for _ in range(n))
+    sec = transpose(transpose(snf.U)[rank:]) if free else ((),) * n
     return QuotientResult(
         free_rank=free,
-        torsion=snf.torsion,
-        projection=lattice_map(proj_rows, n, free),
-        section=lattice_map(sec, free, n),
+        torsion=tuple(d for d in factors if d > 1),
+        projection=LatticeMap(snf.Uinv[rank:], n, free),
+        section=LatticeMap(sec, free, n),
     )
 
 
@@ -399,12 +412,10 @@ def integer_kernel(a: Mat, rows: int, cols: int) -> tuple[Vec, ...]:
     a second reduction of those rows makes it the canonical one that
     ``row_hermite`` returns for the same lattice.
     """
-    work = [
-        [a[i][j] for i in range(rows)] + [int(k == j) for k in range(cols)]
-        for j in range(cols)
-    ]
+    columns = zip(*a) if rows else repeat(())
+    work = [[*col, *e] for col, e in zip(columns, identity_matrix(cols))]
     kernel = [row[rows:] for row in work[_echelon(work, rows):]]
-    return mat(kernel[: _echelon(kernel, cols)])
+    return tuple(map(tuple, kernel[: _echelon(kernel, cols)]))
 
 
 def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:
@@ -417,7 +428,7 @@ def row_hermite(vectors: Sequence[Sequence[int]], rank: int) -> Mat:
     for v in work:
         if len(v) != rank:
             raise ValueError("vector length does not match rank")
-    return mat(work[: _echelon(work, rank)])
+    return tuple(map(tuple, work[: _echelon(work, rank)]))
 
 
 def _echelon(work: list[list[int]], ncols: int) -> int:
@@ -427,31 +438,43 @@ def _echelon(work: list[list[int]], ncols: int) -> int:
     carried along.  Returns the number r of pivot rows: afterwards work[:r]
     is in reduced row-style Hermite form on the first ncols entries and
     work[r:] is zero there.
+
+    The pivot of column c is the row with the smallest nonzero |entry|, the
+    first such row on a tie.  Each elimination pass leaves remainders
+    smaller than the pivot, so the pass itself finds the next pivot.
     """
     r = 0
+    nrows = len(work)
     for c in range(ncols):
-        while True:
-            live = [(abs(row[c]), i) for i, row in enumerate(work[r:], r) if row[c]]
-            if not live:
-                break
-            i0 = min(live)[1]
+        if r == nrows:
+            break
+        i0, best = -1, 0
+        for i in range(r, nrows):
+            x = work[i][c]
+            if x:
+                if x < 0:
+                    x = -x
+                if i0 < 0 or x < best:
+                    i0, best = i, x
+        if i0 < 0:
+            continue
+        while i0 >= 0:
             work[r], work[i0] = work[i0], work[r]
             if work[r][c] < 0:
                 work[r] = list(map(neg, work[r]))
             pivot = work[r]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][c] != 0:
-                    q = work[i][c] // pivot[c]
-                    work[i] = list(map(sub, work[i], map(mul, repeat(q), pivot)))
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c] != 0:
-            pivot = work[r]
-            for i in range(r):
-                q = work[i][c] // pivot[c]
+            p = pivot[c]
+            i0 = -1
+            for i in range(r + 1, nrows):
+                if work[i][c]:
+                    row = list(map(sub, work[i], map(mul, repeat(work[i][c] // p), pivot)))
+                    work[i] = row
+                    x = row[c]
+                    if x and (i0 < 0 or x < best):
+                        i0, best = i, x
+        for i in range(r):
+            q = work[i][c] // p
+            if q:
                 work[i] = list(map(sub, work[i], map(mul, repeat(q), pivot)))
-            r += 1
+        r += 1
     return r

@@ -53,6 +53,14 @@ def _unit(v):
 
 
 class _Writer:
+    """OBJ text, a batch of lines at a time.  Vertices are numbered from 1 in
+    the order they are emitted.
+
+    A coordinate prints as ``%.6f``: its exact binary value rounded half to
+    even at six digits, the digits that rounding it to six places and then
+    printing them gives for any |c| below 2**32.  A negative zero prints as
+    ``0.000000``."""
+
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.count = 0
@@ -60,11 +68,19 @@ class _Writer:
     def group(self, name: str) -> None:
         self.lines.append(f"g {name}")
 
-    def vertex(self, x: float, y: float, z: float) -> int:
-        coords = " ".join(f"{round(c, 6) + 0.0:.6f}" for c in (x, y, z))
-        self.lines.append(f"v {coords}")
-        self.count += 1
-        return self.count
+    def vertices(self, points) -> range:
+        """One ``v`` line per (x, y, z) point; returns their ids in order."""
+        first = self.count + 1
+        if points:
+            block = "\n".join(["v %.6f %.6f %.6f" % p for p in points])
+            self.lines.append(block.replace(" -0.000000", " 0.000000"))
+            self.count += len(points)
+        return range(first, self.count + 1)
+
+    def quads(self, quads) -> None:
+        """One ``f`` line per quadruple of vertex ids."""
+        if quads:
+            self.lines.append("\n".join(["f %d %d %d %d" % q for q in quads]))
 
     def face(self, ids) -> None:
         self.lines.append("f " + " ".join(str(i) for i in ids))
@@ -341,93 +357,91 @@ def _grid_layout(model: SkeletonModel, resolution: int) -> _Layout:
 # -- piece renderers ---------------------------------------------------------
 
 
-def _emit_torus(w, center, res):
-    ids = []
-    for i in range(res):
-        u = 2 * math.pi * i / res
-        cx = center[0] + _TORUS_MAJOR * math.cos(u)
-        cy = center[1] + _TORUS_MAJOR * math.sin(u)
-        for j in range(res):
-            vv = 2 * math.pi * j / res
-            rr = _TORUS_MINOR * math.cos(vv)
-            ids.append(
-                w.vertex(
-                    cx + rr * math.cos(u), cy + rr * math.sin(u),
-                    _TORUS_MINOR * math.sin(vv),
-                )
-            )
-    for i in range(res):
-        for j in range(res):
-            a = ids[i * res + j]
-            b = ids[((i + 1) % res) * res + j]
-            c = ids[((i + 1) % res) * res + (j + 1) % res]
-            d = ids[i * res + (j + 1) % res]
-            w.face((a, b, c, d))
-
-
-def _ring(w, center, normal, res):
-    """Circle of fiber radius around a planar point, in the plane spanned
-    by the given planar normal direction and the z axis."""
-    ids = []
+def _circle(radius, res):
+    """``radius`` times the cosine and the sine of each of ``res`` equally
+    spaced angles, from 0."""
+    out = []
     for j in range(res):
         t = 2 * math.pi * j / res
-        ids.append(
-            w.vertex(
-                center[0] + _FIBER_RADIUS * math.cos(t) * normal[0],
-                center[1] + _FIBER_RADIUS * math.cos(t) * normal[1],
-                _FIBER_RADIUS * math.sin(t),
-            )
-        )
-    return ids
+        out.append((radius * math.cos(t), radius * math.sin(t)))
+    return out
 
 
-def _emit_tube_along(w, start, direction, length, res, boundary):
+def _emit_torus(w, center, res):
+    minor = _circle(_TORUS_MINOR, res)
+    circles = []
+    for cu, su in _circle(1.0, res):
+        cx = center[0] + _TORUS_MAJOR * cu
+        cy = center[1] + _TORUS_MAJOR * su
+        circles.append([(cx + rr * cu, cy + rr * su, z) for rr, z in minor])
+    rings = _rings(w, circles)
+    _quads_between(w, [*rings, rings[0]])
+
+
+def _ring(center, normal, offsets):
+    """Circle around a planar point, in the plane spanned by the given
+    planar normal direction and the z axis, as points; ``offsets`` is the
+    fiber circle's ``_circle``."""
+    cx, cy = center
+    nx, ny = normal
+    return [(cx + c * nx, cy + c * ny, z) for c, z in offsets]
+
+
+def _rings(w, rings):
+    """Emit equally long lists of points, one after another; their ids, list
+    by list."""
+    ids = w.vertices([p for ring in rings for p in ring])
+    k = len(rings[0])
+    return [ids[i * k:(i + 1) * k] for i in range(len(rings))]
+
+
+def _emit_tube_along(w, start, direction, length, offsets, boundary):
     """Cylinder from a point along a planar direction; far ring is ideal."""
     normal = (-direction[1], direction[0])
-    rings = []
-    for s in (0.0, length):
-        center = (start[0] + direction[0] * s, start[1] + direction[1] * s)
-        rings.append(_ring(w, center, normal, res))
-    _quads_between(w, rings, res, wrap=True)
+    rings = _rings(w, [
+        _ring((start[0] + direction[0] * s, start[1] + direction[1] * s), normal, offsets)
+        for s in (0.0, length)
+    ])
+    _quads_between(w, rings)
     boundary.append([*rings[-1], rings[-1][0]])
 
 
-def _emit_cylinder(w, curve, ideal, res, boundary):
-    rings = []
+def _emit_cylinder(w, curve, ideal, offsets, boundary):
+    circles = []
     for i, p in enumerate(curve):
         if i + 1 < len(curve):
             t = _unit((curve[i + 1][0] - p[0], curve[i + 1][1] - p[1]))
         else:
             t = _unit((p[0] - curve[i - 1][0], p[1] - curve[i - 1][1]))
-        normal = (-t[1], t[0])
-        rings.append(_ring(w, p, normal, res))
-    _quads_between(w, rings, res, wrap=True)
+        circles.append(_ring(p, (-t[1], t[0]), offsets))
+    rings = _rings(w, circles)
+    _quads_between(w, rings)
     if ideal[0]:
         boundary.append([*rings[0], rings[0][0]])
     if ideal[1]:
         boundary.append([*rings[-1], rings[-1][0]])
 
 
-def _quads_between(w, rings, res, wrap):
-    for i in range(len(rings) - 1):
-        r0, r1 = rings[i], rings[i + 1]
-        for j in range(res if wrap else res - 1):
-            jn = (j + 1) % res
-            w.face((r0[j], r1[j], r1[jn], r0[jn]))
+def _quads_between(w, rings):
+    """The quads joining each ring of ids to the next, around the ring."""
+    k = len(rings[0])
+    steps = [(j, (j + 1) % k) for j in range(k)]
+    w.quads([
+        (r0[j], r1[j], r1[jn], r0[jn])
+        for r0, r1 in zip(rings, rings[1:])
+        for j, jn in steps
+    ])
 
 
 def _emit_strip(w, curve, direction, boundary):
-    inner = [w.vertex(p[0], p[1], 0.0) for p in curve]
-    outer = [
-        w.vertex(
-            p[0] + direction[0] * _STRIP_WIDTH,
-            p[1] + direction[1] * _STRIP_WIDTH,
-            0.0,
-        )
-        for p in curve
-    ]
-    for i in range(len(curve) - 1):
-        w.face((inner[i], inner[i + 1], outer[i + 1], outer[i]))
+    inner, outer = _rings(w, [
+        [(p[0], p[1], 0.0) for p in curve],
+        [
+            (p[0] + direction[0] * _STRIP_WIDTH, p[1] + direction[1] * _STRIP_WIDTH, 0.0)
+            for p in curve
+        ],
+    ])
+    w.quads([(inner[i], inner[i + 1], outer[i + 1], outer[i]) for i in range(len(curve) - 1)])
     boundary.append(list(outer))
 
 
@@ -437,8 +451,7 @@ def _emit_sector(w, apex, d1, d2, radius, res, boundary):
     while a1 <= a0:
         a1 += 2 * math.pi
     arc = _sample_arc(apex, radius, a0, a1, res)
-    top = w.vertex(apex[0], apex[1], 0.0)
-    ids = [w.vertex(p[0], p[1], 0.0) for p in arc]
+    top, *ids = w.vertices([(apex[0], apex[1], 0.0), *((p[0], p[1], 0.0) for p in arc)])
     for i in range(len(ids) - 1):
         w.face((top, ids[i], ids[i + 1]))
     boundary.append(list(ids))
@@ -447,8 +460,7 @@ def _emit_sector(w, apex, d1, d2, radius, res, boundary):
 def _emit_cell(w, loop):
     cx = sum(p[0] for p in loop) / len(loop)
     cy = sum(p[1] for p in loop) / len(loop)
-    center = w.vertex(cx, cy, 0.0)
-    ids = [w.vertex(p[0], p[1], 0.0) for p in loop]
+    center, *ids = w.vertices([(cx, cy, 0.0), *((p[0], p[1], 0.0) for p in loop)])
     for i in range(len(ids)):
         w.face((center, ids[i], ids[(i + 1) % len(ids)]))
 
@@ -483,13 +495,14 @@ def export_mesh(model: SkeletonModel, resolution: int) -> str:
     if lay is None:
         lay = _grid_layout(model, resolution)
     w = _Writer()
+    offsets = _circle(_FIBER_RADIUS, resolution)
     boundary: list[list[int]] = []
     for s in model.strata:
         b, t, c = s.base_dim, s.torus_rank, s.cone_dim
         key = (s.base, s.cone_index)
         if b == 0 and t == 0 and c == 0:
             w.group(f"{s.ident}.point")
-            w.vertex(*lay.point[s.base], 0.0)
+            w.vertices([(*lay.point[s.base], 0.0)])
         elif b == 0 and t == 2:
             w.group(f"{s.ident}.torus")
             _emit_torus(w, lay.point[s.base], resolution)
@@ -497,23 +510,23 @@ def export_mesh(model: SkeletonModel, resolution: int) -> str:
             w.group(f"{s.ident}.tube")
             _emit_tube_along(
                 w, lay.point[s.base], lay.fiber_dir[key], _RADIUS / 2,
-                resolution, boundary,
+                offsets, boundary,
             )
         elif b == 0 and t == 1 and c == 0:
             # a flat circle unless a cycle layout turned it to face outward
             w.group(f"{s.ident}.circle")
-            ids = _ring(
-                w, lay.point[s.base],
-                lay.circle_normal.get(s.base, (0.0, 1.0)), resolution,
-            )
+            ids = w.vertices(_ring(
+                lay.point[s.base], lay.circle_normal.get(s.base, (0.0, 1.0)), offsets,
+            ))
             w.line([*ids, ids[0]])
         elif b == 0 and t == 0 and c == 1:
             w.group(f"{s.ident}.ray")
             d = lay.fiber_dir[key]
             p = lay.point[s.base]
-            i1 = w.vertex(p[0], p[1], 0.0)
-            i2 = w.vertex(p[0] + d[0] * _GERM_LENGTH, p[1] + d[1] * _GERM_LENGTH, 0.0)
-            w.line((i1, i2))
+            w.line(w.vertices([
+                (p[0], p[1], 0.0),
+                (p[0] + d[0] * _GERM_LENGTH, p[1] + d[1] * _GERM_LENGTH, 0.0),
+            ]))
         elif b == 0 and t == 0 and c == 2:
             w.group(f"{s.ident}.sector")
             d1, d2 = lay.fiber_sector[key]
@@ -523,15 +536,14 @@ def export_mesh(model: SkeletonModel, resolution: int) -> str:
         elif b == 1 and t == 1:
             w.group(f"{s.ident}.cylinder")
             _emit_cylinder(
-                w, lay.curve[s.base], lay.curve_ideal[s.base], resolution, boundary
+                w, lay.curve[s.base], lay.curve_ideal[s.base], offsets, boundary
             )
         elif b == 1 and t == 0 and c == 1:
             w.group(f"{s.ident}.strip")
             _emit_strip(w, lay.curve[s.base], lay.strip_dir[key], boundary)
         elif b == 1 and t == 0 and c == 0:
             w.group(f"{s.ident}.segment")
-            ids = [w.vertex(p[0], p[1], 0.0) for p in lay.curve[s.base]]
-            w.line(ids)
+            w.line(w.vertices([(p[0], p[1], 0.0) for p in lay.curve[s.base]]))
         elif b == 2:
             cell = lay.cell[s.base]
             w.group(f"{s.ident}.{_cell_kind(cell)}")

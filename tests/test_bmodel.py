@@ -750,6 +750,31 @@ def test_collapse_forward_is_built_only_where_read():
             assert (a.arrow in phi.arrows) == (a.kind == "collapse"), name
 
 
+def test_every_walked_target_is_a_zero_cone_chart():
+    """The image of an arrow's own cone is the target's zero cone, so each
+    collapse the census walks lands on a zero-cone chart: on every example's
+    full diagram and on the kept charts of every closed set of the poset
+    examples, built and loaded."""
+    diagrams = 0
+    for name, build in sorted(EXAMPLES.items()):
+        for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
+            kept = [full_diagram(phi)]
+            if phi.validate().is_poset:
+                kept += [bmodel._diagram(phi, phi.kept_cones(z)) for z in _closed_sets(phi)]
+            for diagram in kept:
+                walked = [fa for fa, _, _ in bmodel._walks(diagram)]
+                for fa in walked:
+                    star = phi._star_map(fa)
+                    target = diagram.index[(fa.target, star[fa.cone_index])]
+                    assert not diagram.object_cone(target).gens, (name, fa)
+                charted = {o.stratum for o in diagram.objects}
+                assert walked == [
+                    fa for fa in phi.arrows if fa.source in charted and fa.target in charted
+                ], name
+                diagrams += 1
+    assert diagrams == 30 + 414
+
+
 def test_a_diagrams_maps_are_plain_values():
     """A map names its charts by index and a collapse its fanifold arrow, so
     an example's maps are equal whether it is built or loaded."""

@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from fanifolds import fanifold as fanifold_module
 from fanifolds import fans
 from fanifolds.bmodel import components, full_diagram, limit_census, subalgebra_check, u_functor
 from fanifolds.cli import resolve_input
@@ -686,6 +687,25 @@ def test_product_shares_equal_product_fans(name, strata, built, loaded):
         assert len({id(s.fan) for s in sq.strata}) == distinct
         assert len({fan_key(s.fan) for s in sq.strata}) == distinct
         assert sq.validate().valid
+
+
+def test_product_builds_each_pair_of_factor_fans_once(monkeypatch):
+    """``product`` builds one product fan per pair of factor ``Fan``
+    objects, not one per stratum pair: on square^2 x square, 15 of 729 for
+    the built square (5 x 3 fans) and 21 for the loaded one (7 x 3)."""
+    calls = []
+    build = fanifold_module._product_fan
+    monkeypatch.setattr(
+        fanifold_module, "_product_fan", lambda f1, f2: calls.append((f1, f2)) or build(f1, f2)
+    )
+    loaded = load_fanifold(resolve_input("square.json"))
+    for sq, builds in ((EXAMPLES["square"](), 15), (loaded, 21)):
+        phi1 = product(sq, sq)
+        calls.clear()
+        phi = product(phi1, sq)
+        pairs = {(id(s1.fan), id(s2.fan)) for s1 in phi1.strata for s2 in sq.strata}
+        assert len(phi.strata) == 729
+        assert len(calls) == len(pairs) == len({(id(f1), id(f2)) for f1, f2 in calls}) == builds
 
 
 def _fan_refs(phi):

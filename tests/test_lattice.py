@@ -3,7 +3,8 @@
 ``det`` here is the Bareiss determinant, a third elimination kept outside the
 package as the oracle for its unimodular tests and Smith transforms;
 ``solve_integer``, a solver through the Smith form, is the span oracle for
-its Hermite bases."""
+its Hermite bases.  The package's Smith form keeps no V, so the tests take
+V from ``_ref_smith_normal_form`` and check A = U D V in full."""
 
 import itertools
 import math
@@ -80,7 +81,7 @@ def solve_integer(a, b):
                 return None
             if i < n:
                 y[i] = c[i] // d
-    return mat_vec(invert_unimodular(snf.V), y) if n else ()
+    return mat_vec(invert_unimodular(_ref_smith_normal_form(a)[2]), y) if n else ()
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -129,9 +130,12 @@ def test_smith_normal_form_random_reconstruction():
         cols = rng.randint(0, 4)
         a = random_matrix(rng, rows, cols)
         snf = smith_normal_form(a)
-        assert mat_mul(mat_mul(snf.U, snf.D), snf.V) == a
+        U, D, V = _ref_smith_normal_form(a)
+        assert (snf.U, snf.D) == (U, D)
+        assert mat_mul(mat_mul(snf.U, snf.D), V) == a
+        assert mat_mul(snf.U, snf.Uinv) == identity_matrix(rows)
         assert abs(det(snf.U)) == 1 or rows == 0
-        assert abs(det(snf.V)) == 1 or cols == 0
+        assert abs(det(V)) == 1 or cols == 0
         diag = snf.diagonal
         assert all(x >= 0 for x in diag)
         nz = [x for x in diag if x]
@@ -282,9 +286,10 @@ def test_integer_kernel_saturated():
 
 
 def _snf_kernel(a, cols):
-    """Second algorithm: the last columns of V^-1 from A = U D V."""
+    """Second algorithm: the last columns of V^-1 from A = U D V, with V
+    from the reference Smith form."""
     snf = smith_normal_form(a)
-    vinv = invert_unimodular(snf.V)
+    vinv = invert_unimodular(_ref_smith_normal_form(a)[2])
     return tuple(tuple(row[j] for row in vinv) for j in range(snf.rank, cols))
 
 
@@ -637,7 +642,10 @@ def test_eliminations_match_their_generator_definitions():
         if rows:
             assert integer_kernel(a, rows, cols) == _ref_integer_kernel(a, rows, cols)
             snf = smith_normal_form(a)
-            assert (snf.U, snf.D, snf.V) == _ref_smith_normal_form(a)
+            U, D, V = _ref_smith_normal_form(a)
+            assert (snf.U, snf.D) == (U, D)
+            assert snf.Uinv == invert_unimodular(U)
+            assert mat_mul(mat_mul(U, D), V) == a
         n = rng.randint(1, 4)
         for m in (_unimodular(rng, n), _matrix(rng, n, n), _matrix(rng, n, n + 1)):
             assert _outcome(invert_unimodular, m) == _outcome(_ref_invert_unimodular, m)

