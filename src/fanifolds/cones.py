@@ -9,7 +9,9 @@ keeps.
 Cones are interned: equal normalized generator tuples in the same rank share
 one live, immutable ``Cone``, so its dual description, extremal rays, key and
 span quotient are computed once for every caller that holds it.  The table
-holds cones weakly, so a cone lives only while some caller holds it.
+holds cones weakly, so a cone lives only while some caller holds it.  Gens
+that are already a live cone's normalized tuple find it without being
+normalized again.
 """
 
 from __future__ import annotations
@@ -136,6 +138,15 @@ class Cone:
     _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def __new__(cls, generators: Iterable[Sequence[int]], rank: int):
+        # a key is a normalized gens tuple, so a hit is exactly the cone
+        # normalizing would give; unhashable gens (lists) normalize first
+        generators = tuple(generators)
+        try:
+            self = cls._live.get((rank, generators))
+        except TypeError:
+            self = None
+        if self is not None:
+            return self
         gens: list[Vec] = []
         seen: set[Vec] = set()
         for g in generators:

@@ -15,12 +15,19 @@ fan layout of ``mesh.export_mesh`` read it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .cones import Cone, product_cone, zero_cone
-from .fans import Fan, FanQuotient, StackyFan, fan_key, quotient_fan, require_valid_fan
+from .fans import (
+    Fan,
+    FanQuotient,
+    StackyFan,
+    _set_valid,
+    fan_key,
+    quotient_fan,
+    require_valid_fan,
+)
 from .lattice import (
     LatticeMap,
     Mat,
@@ -95,9 +102,10 @@ class Fanifold:
     ):
         """Strata may hold one ``Fan`` between them: the loader and the
         constructors give equal stratum fans (``fans.fan_key``) one object.
-        An arrow's star quotient is ``quotient_fan`` of its cone, which the
-        source stratum's fan keeps: a constructor that built it to take the
-        arrow's iso leaves it there for validation and the arrow tables."""
+        The arrow tables (``arrow_map``, ``_star_map``, ``_collapse_forward``)
+        read the span quotient of the arrow's cone (``Cone.quotient``) and
+        build no star quotient fan; a constructor builds that fan to take
+        an arrow's iso, and it stays on the source fan."""
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
@@ -133,24 +141,27 @@ class Fanifold:
         return self.stratum(a.source).fan.cones[a.cone_index]
 
     def arrow_map(self, a: Arrow) -> LatticeMap:
-        """The composite lattice map source lattice -> target lattice, built
-        once per arrow."""
+        """The composite lattice map source lattice -> target lattice, the
+        iso after the cone's span quotient, built once per arrow."""
         out = self._arrow_maps.get(a)
         if out is None:
-            fq = quotient_fan(self.stratum(a.source).fan, a.cone_index)
-            out = self._arrow_maps[a] = a.iso.compose(fq.projection)
+            out = self._arrow_maps[a] = a.iso.compose(self.arrow_cone(a).quotient.projection)
         return out
 
     def _star_map(self, a: Arrow) -> dict[int, int | None]:
         """Each source cone containing the arrow's cone, in index order ->
-        the index of its image in the target fan (None when it is no cone
-        there), read off the star quotient's cones and the iso once."""
+        the index of its image under ``arrow_map`` in the target fan (None
+        when it is no cone there).  The map is linear, so the image's gens
+        are those of the iso's image of the cone's star quotient image, and
+        no star quotient fan is built."""
         out = self._star_maps.get(a)
         if out is None:
-            fq = quotient_fan(self.stratum(a.source).fan, a.cone_index)
-            tgt = self.stratum(a.target).fan
+            fan, i = self.stratum(a.source).fan, a.cone_index
+            lmap, tgt = self.arrow_map(a), self.stratum(a.target).fan
             out = self._star_maps[a] = {
-                k: tgt.cone_index(c.image(a.iso)) for k, c in zip(fq.star, fq.fan.cones)
+                k: tgt.cone_index(c.image(lmap))
+                for k, (c, inside) in enumerate(zip(fan.cones, fan._inside))
+                if k == i or i in inside
             }
         return out
 
@@ -160,9 +171,9 @@ class Fanifold:
         rank-0 target), built once per arrow."""
         out = self._collapses.get(a)
         if out is None:
-            fq, m = quotient_fan(self.stratum(a.source).fan, a.cone_index), a.iso.matrix
+            section, m = self.arrow_cone(a).quotient.section, a.iso.matrix
             out = self._collapses[a] = (
-                mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix))
+                mat_mul(transpose(invert_unimodular(m)), transpose(section.matrix))
                 if m else ()
             )
         return out
@@ -220,6 +231,8 @@ class Fanifold:
     @cached_property
     def _report(self) -> ValidationReport:
         errors: list[str] = []
+        unimodular: dict[LatticeMap, bool] = {}
+        checked = self._carry_valid_fans(unimodular)
         seen: set[str] = set()
         for s in self.strata:
             if s.name in seen:
@@ -240,38 +253,9 @@ class Fanifold:
             return ValidationReport(is_poset=False, coherent=False, errors=tuple(errors))
 
         for k, a in enumerate(self.arrows):
-            if a.source not in self.by_name or a.target not in self.by_name:
-                errors.append(f"arrow {k}: unknown stratum id")
-                continue
-            src, tgt = self.stratum(a.source), self.stratum(a.target)
-            fan = src.fan
-            if not (0 <= a.cone_index < len(fan.cones)):
-                errors.append(f"arrow {k}: cone index {a.cone_index} out of range")
-                continue
-            cone = fan.cones[a.cone_index]
-            if cone.dim == 0:
-                errors.append(f"arrow {k} ({a.source}->{a.target}): zero cone")
-                continue
-            if cone.dim != tgt.dim - src.dim:
-                errors.append(
-                    f"arrow {k} ({a.source}->{a.target}): cone dim {cone.dim}"
-                    f" != dim difference {tgt.dim - src.dim}"
-                )
-                continue
-            fq = quotient_fan(fan, a.cone_index)
-            if a.iso.source_rank != fq.fan.rank or a.iso.target_rank != tgt.lattice_rank:
-                errors.append(f"arrow {k} ({a.source}->{a.target}): iso shape mismatch")
-                continue
-            if not a.iso.is_unimodular():
-                errors.append(f"arrow {k} ({a.source}->{a.target}): iso not unimodular")
-                continue
-            # the target's cones are distinct: each must be hit exactly once
-            images = Counter(self._star_map(a).values())
-            if images != Counter(range(len(tgt.fan.cones))):
-                errors.append(
-                    f"arrow {k} ({a.source}->{a.target}): quotient fan does not"
-                    " match the target fan"
-                )
+            error = checked[k] if k in checked else self._arrow_error(k, a, unimodular)
+            if error is not None:
+                errors.append(error)
 
         for s in self.strata:
             outs = self.out_arrows(s.name)
@@ -312,6 +296,60 @@ class Fanifold:
         return ValidationReport(
             is_poset=not parallel, coherent=coherent, errors=tuple(errors)
         )
+
+    def _carry_valid_fans(self, unimodular: dict[LatticeMap, bool]) -> dict[int, str | None]:
+        """Check the arrows out of each stratum whose fan is valid, sources
+        before targets (by dim), and record the target fan of each arrow
+        that passes as valid unchecked (the star lemma in ``fans``).  Returns
+        arrow index -> ``_arrow_error`` for the arrows checked.  A stratum
+        another one of its name hides is skipped: its arrows read the
+        other's fan."""
+        out_k: dict[str, list[int]] = {}
+        for k, a in enumerate(self.arrows):
+            out_k.setdefault(a.source, []).append(k)
+        checked: dict[int, str | None] = {}
+        for s in sorted(self.strata, key=lambda s: s.dim):
+            if self.by_name[s.name] is not s or s.fan._problems:
+                continue
+            for k in out_k.get(s.name, ()):
+                a = self.arrows[k]
+                checked[k] = self._arrow_error(k, a, unimodular)
+                if checked[k] is None:
+                    _set_valid(self.stratum(a.target).fan)
+        return checked
+
+    def _arrow_error(
+        self, k: int, a: Arrow, unimodular: dict[LatticeMap, bool]
+    ) -> str | None:
+        """The error arrow k reports, or None when it passes every check;
+        its source fan must be valid.  A passing arrow's star map hits each
+        target cone once.  ``unimodular`` holds ``is_unimodular`` per
+        distinct iso, filled as isos are met: the matrix alone does not
+        decide it, since ``()`` is the iso of every rank-0 target."""
+        if a.source not in self.by_name or a.target not in self.by_name:
+            return f"arrow {k}: unknown stratum id"
+        src, tgt = self.stratum(a.source), self.stratum(a.target)
+        if not (0 <= a.cone_index < len(src.fan.cones)):
+            return f"arrow {k}: cone index {a.cone_index} out of range"
+        cone = src.fan.cones[a.cone_index]
+        name = f"arrow {k} ({a.source}->{a.target})"
+        if cone.dim == 0:
+            return f"{name}: zero cone"
+        if cone.dim != tgt.dim - src.dim:
+            return f"{name}: cone dim {cone.dim} != dim difference {tgt.dim - src.dim}"
+        if a.iso.source_rank != cone.quotient.free_rank or a.iso.target_rank != tgt.lattice_rank:
+            return f"{name}: iso shape mismatch"
+        ok = unimodular.get(a.iso)
+        if ok is None:
+            ok = unimodular[a.iso] = a.iso.is_unimodular()
+        if not ok:
+            return f"{name}: iso not unimodular"
+        # the target's cones are distinct: each must be hit exactly once
+        images = list(self._star_map(a).values())
+        n = len(tgt.fan.cones)
+        if len(images) != n or set(images) != set(range(n)):
+            return f"{name}: quotient fan does not match the target fan"
+        return None
 
     def _composite(self, a: Arrow, b: Arrow) -> Arrow | None:
         """The arrow c out of a's source, whose cone holds sigma_a and goes
@@ -362,8 +400,8 @@ def _arrow_between_cones(
     """Arrow from the stratum of cone i to that of cone j (i a face of j),
     given both cones' star quotients and ``fan_i``, the fan of i's stratum,
     which has ``fq_i``'s cones.  The iso is ``p_j @ s_i @ s_ij``: it
-    satisfies ``iso . p_ij . p_i == p_j``; ``p_ij`` is the quotient on
-    ``fan_i``, which validation reads."""
+    satisfies ``iso . p_ij . p_i == p_j``; ``p_ij`` is the span quotient
+    of the cone of ``fan_i``, which validation reads."""
     sub_index = fq_i.star.index(j)
     fq_ij = quotient_fan(fan_i, sub_index)
     p_j = fq_j.projection.matrix

@@ -13,7 +13,7 @@ the push's ``warnings``.  ``Stratum.plain_fan`` is the stratum's fan itself,
 kept for the benchmark's workloads.  ``fan_key`` is the one rule for when two
 fans are interchangeable; the file loader and the constructors give equal
 stratum fans of one diagram one ``Fan`` by it, so its checks, containment
-table and star quotients are computed once.
+table and star quotients are computed at most once.
 
 Lemma.  Suppose every nested pair sigma in tau of distinct cones has sigma a
 face of tau, and every two distinct maximal cones meet in a common face.
@@ -27,6 +27,31 @@ hyperplane supporting F in sigma' cuts it out of sigma, so it is a face of
 sigma.  The same holds for tau meet F.  Now sigma meet tau = (sigma meet F) meet (tau meet
 F), a meet of two faces of F, so a face of F; lying in the face sigma meet F
 of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
+
+Star lemma.  Let sigma be a cone of a valid fan and p the projection to the
+free quotient of the lattice by its span.  The images under p of the cones
+holding sigma (its star) are distinct and form a valid fan (Cox, Little and
+Schenck, Toric Varieties, 3.2), and so do their images under a unimodular
+map.  So when a fan is valid, an arrow out of it that passes every check of
+``Fanifold._arrow_error`` (its unimodular iso maps the star of its cone one
+to one onto the target fan's cones) proves the target fan valid, and
+``Fanifold.validate`` records it so unchecked (``_set_valid``).
+
+Proof.  Every tau in the star has sigma as a face.  So some u >= 0 on tau
+cuts sigma out of it, and tau meet span(sigma) lies in tau meet u-perp =
+sigma.  If p(tau) held a line through y, then y = p(x1), -y = p(x2) with
+x1, x2 in tau and x1 + x2 in tau meet span(sigma) = sigma; u(x1) + u(x2) = 0
+with both terms >= 0 puts x1 and x2 in sigma, so y = 0: p(tau) is strongly
+convex.  For tau1, tau2 in the star, rho = tau1 meet tau2 is a face of both
+holding sigma, so they are separated by a u >= 0 on tau1, <= 0 on tau2, with
+tau1 meet u-perp = rho = tau2 meet u-perp (Cox, Little and Schenck, 1.2.13).
+This u vanishes on rho, so on sigma, and is ubar . p for a ubar on the
+quotient.  Then p(tau1) meet ubar-perp = p(tau1 meet u-perp) = p(rho), and
+likewise for tau2; since ubar >= 0 on p(tau1) and <= 0 on p(tau2), the two
+images meet inside ubar-perp, in p(rho), which ubar cuts out of each as a
+face.  If p(tau1) = p(tau2), that is p(rho), of dimension dim rho - dim
+sigma, so rho has the dimension of tau1 and of tau2 and is both.  A
+unimodular map keeps cones, lines, faces and distinctness.
 """
 
 from __future__ import annotations
@@ -113,7 +138,8 @@ class Fan:
         (a face test each, no meet) and the pairs of maximal cones (a meet
         each); only a fan this rejects scans every pair, so its problem list
         names each pair that fails.  Computed once per fan: nothing
-        reassigns a fan's cones or rank.
+        reassigns a fan's cones or rank.  A fan that diagram validation
+        proved valid by the star lemma is recorded so, unchecked.
         """
         return list(self._problems)
 
@@ -247,6 +273,12 @@ def fan_key(fan: Fan) -> tuple:
     cones in the same order."""
     multiples = tuple(sorted(fan.multiples.items())) if isinstance(fan, StackyFan) else None
     return fan.rank, tuple(c.gens for c in fan.cones), multiples
+
+
+def _set_valid(fan: Fan) -> None:
+    """Record ``fan`` as valid without checking it: the caller has proved
+    it a fan (the star lemma).  A problem list already computed stays."""
+    fan.__dict__.setdefault("_problems", [])
 
 
 def require_valid_fan(fan: Fan) -> None:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanifolds import cones
 from fanifolds.cones import Cone, dual_description, zero_cone
 from fanifolds.files import load_fanifold
 from fanifolds.lattice import dot, integer_kernel, mat, smith_normal_form
@@ -215,6 +216,33 @@ def test_equal_normalized_gens_share_one_live_cone():
     assert permuted is not c
     assert permuted == c
     assert permuted.gens == ((0, 1), (1, 0))
+
+
+def test_interning_finds_normalized_gens_without_normalizing(monkeypatch):
+    """Gens as lists, or with non-primitive, duplicate or zero entries, give
+    the cone normalizing gives; gens that are already a live cone's
+    normalized tuple find it and call no ``primitivize``."""
+    c = Cone([(1, -2, 0), (0, 1, 1)], 3)
+    calls = []
+    primitivize = cones.primitivize
+    monkeypatch.setattr(cones, "primitivize", lambda v: calls.append(v) or primitivize(v))
+    for gens in (
+        c.gens, list(c.gens), iter(c.gens), [(True, -2, False), (0, 1.0, 1)],
+    ):
+        assert Cone(gens, 3) is c
+    assert calls == []
+    for gens in (
+        [[1, -2, 0], [0, 1, 1]],
+        [(2, -4, 0), (0, 3, 3)],
+        [(1, -2, 0), (1, -2, 0), (0, 1, 1)],
+        [(0, 0, 0), (1, -2, 0), (0, 0, 0), (0, 1, 1)],
+        [[3, -6, 0], (0, 1, 1), [0, 2, 2]],
+    ):
+        calls.clear()
+        assert Cone(gens, 3) is c, gens
+        assert calls
+    with pytest.raises(ValueError, match="generator length"):
+        Cone([[1, 0]], 3)
 
 
 def test_a_cone_lives_only_while_someone_holds_it():

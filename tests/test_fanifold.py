@@ -22,7 +22,9 @@ from fanifolds.examples import (
     stacky_quadric_fan,
 )
 from fanifolds.fanifold import (
+    Arrow,
     Fanifold,
+    Stratum,
     _coords_in_span,
     _iso_through_section,
     _span_basis,
@@ -48,11 +50,13 @@ from fanifolds.fans import (
 from fanifolds.lattice import (
     identity_matrix,
     integer_kernel,
+    invert_unimodular,
     lattice_map,
     mat_mul,
     mat_vec,
     quotient_with_torsion,
     smith_normal_form,
+    transpose,
 )
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import handle_plan, skeleton_model
@@ -515,10 +519,9 @@ def _no_star_quotient_twice(built):
 
 
 def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch):
-    """Across construction and validation each star quotient is built once:
-    the constructors leave on each fan the quotients they took the isos
-    from, and validation reads them.  Validation builds only those no iso
-    needed (an unrolled closure's arrows to its top object)."""
+    """Construction builds each star quotient once: the constructors leave
+    on each fan the quotients they took the isos from.  Validation builds
+    none: its arrow tables map the star cones through ``arrow_map``."""
     built = _count_star_quotients(monkeypatch)
     diagrams = _constructed_diagrams()
     constructed = len(built)
@@ -527,9 +530,7 @@ def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch)
     # unrolled closures
     assert len(diagrams) == 143
     assert constructed > 1000
-    assert len(built) - constructed == sum(
-        a.target.endswith(".top") for phi in diagrams for a in phi.arrows
-    )
+    assert len(built) == constructed
     assert _no_star_quotient_twice(built)
     assert all(r.valid for r in reports)
 
@@ -635,9 +636,20 @@ def test_stratum_fans_are_one_object_exactly_when_their_content_agrees():
     assert shared > 1000
 
 
+def _uncarried_fans(phi):
+    """Ids of the stratum fans no arrow carries: those of strata no arrow
+    enters.  On a valid diagram every other stratum fan is an arrow's star
+    quotient image, valid by the star lemma."""
+    targets = {a.target for a in phi.arrows}
+    return {id(s.fan) for s in phi.strata if s.name not in targets}
+
+
 def test_validation_checks_each_distinct_fan_once(monkeypatch):
-    """Construction and validation run ``Fan._problems`` once per distinct
-    fan: the stratum fans and the fan a diagram was built from."""
+    """Construction and validation run ``Fan._problems`` at most once per
+    distinct fan, and only on fans no checked arrow carries: the fan a
+    diagram was built from and the fans of strata no arrow enters.  A
+    ``from_fan`` diagram checks its source fan alone: its zero stratum
+    holds it, and an arrow from there carries every other fan."""
     calls = []
     problems = Fan.__dict__["_problems"]
     check = problems.func
@@ -653,12 +665,17 @@ def test_validation_checks_each_distinct_fan_once(monkeypatch):
             calls.clear()
             phi = build(fan)
             assert phi.validate().valid
-            distinct = {fan_key(s.fan) for s in phi.strata} | {fan_key(fan)}
-            assert len(calls) == len(distinct)
-            assert {id(f) for f in calls} == {id(s.fan) for s in phi.strata} | {id(fan)}
+            ids = [id(f) for f in calls]
+            assert len(set(ids)) == len(ids)
+            assert set(ids) <= _uncarried_fans(phi) | {id(fan)}
+            assert id(fan) in ids
+            if build is from_fan:
+                assert calls == [fan]
             checked += len(calls)
             strata += len(phi.strata)
-    assert checked < strata
+    # the 15 source fans and 29 fans of sphere-section rays; checking each
+    # distinct fan of each diagram would take 126
+    assert (checked, strata) == (59, 175)
     for name in ("square", "proj2", "necklace3"):
         phi1, phi2 = EXAMPLES[name](), EXAMPLES[name]()
         for s in phi1.strata + phi2.strata:
@@ -666,7 +683,10 @@ def test_validation_checks_each_distinct_fan_once(monkeypatch):
         calls.clear()
         phi = product(phi1, phi2)
         assert phi.validate().valid
-        assert len(calls) == len({id(s.fan) for s in phi.strata}) < len(phi.strata)
+        ids = [id(f) for f in calls]
+        assert len(set(ids)) == len(ids)
+        assert set(ids) <= _uncarried_fans(phi)
+        assert len(ids) == 1 < len({id(s.fan) for s in phi.strata})
 
 
 @pytest.mark.parametrize(
@@ -964,3 +984,198 @@ def test_a_negated_iso_has_no_coherent_composite():
         f" (cones {x.cone_index}, {y.cone_index})"
         for x, y in through + onward
     )
+
+
+# -- carried fans and quotient-free arrow tables ---------------------------------
+
+
+def _fresh_fan(fan):
+    """A new fan object with ``fan``'s cones, rank and multiples and nothing
+    cached, so nothing about it was checked or carried."""
+    plain = Fan(fan.cones, fan.rank)
+    return StackyFan(plain, fan.multiples) if isinstance(fan, StackyFan) else plain
+
+
+def _reference_report(phi):
+    """``phi``'s report with every stratum fan checked first: each distinct
+    fan is replaced by a fresh copy and validated before the diagram is, so
+    validation takes no fan as carried."""
+    fresh = {}
+    for s in phi.strata:
+        if id(s.fan) not in fresh:
+            fresh[id(s.fan)] = _fresh_fan(s.fan)
+            fresh[id(s.fan)].validate()
+    strata = [s._replace(fan=fresh[id(s.fan)]) for s in phi.strata]
+    return Fanifold(phi.dimension, strata, phi.arrows).validate()
+
+
+def _assert_carried_fans_change_no_report(phi):
+    """The report equals the reference, and each stratum fan's recorded
+    problems, checked or carried, equal a fresh check's."""
+    report = phi.validate()
+    assert report == _reference_report(phi), phi
+    for s in phi.strata:
+        assert s.fan.validate() == Fan._problems.func(s.fan), (phi, s.name)
+    return report
+
+
+def _mutant_fan(fan, rng):
+    """One random edit of a copy of ``fan``: a ray moved, negated or nudged
+    in every cone holding it, a gen dropped from or added to a cone, a cone
+    dropped or duplicated, or two cones swapped.  A stacky fan keeps the
+    multiples of the rays it keeps."""
+    cones = [list(c.gens) for c in fan.cones]
+    gens = sorted({g for c in cones for g in c})
+    kind = rng.choice((
+        "ray moved", "ray negated", "ray nudged", "gen dropped", "gen added",
+        "cone dropped", "cone duplicated", "cones swapped",
+    ))
+    if kind.startswith("ray") and gens:
+        old = rng.choice(gens)
+        if kind == "ray moved":
+            new = tuple(rng.randint(-2, 2) for _ in old)
+        elif kind == "ray negated":
+            new = tuple(-x for x in old)
+        else:
+            i = rng.randrange(len(old))
+            new = old[:i] + (old[i] + rng.choice((-1, 1)),) + old[i + 1:]
+        cones = [[new if g == old else g for g in c] for c in cones]
+    elif kind == "gen dropped" and any(cones):
+        c = rng.choice([c for c in cones if c])
+        c.pop(rng.randrange(len(c)))
+    elif kind == "gen added" and cones and gens:
+        rng.choice(cones).append(rng.choice(gens))
+    elif kind == "cone dropped" and cones:
+        cones.pop(rng.randrange(len(cones)))
+    elif kind == "cone duplicated" and cones:
+        cones.append(list(rng.choice(cones)))
+    elif kind == "cones swapped" and len(cones) >= 2:
+        i, j = rng.sample(range(len(cones)), 2)
+        cones[i], cones[j] = cones[j], cones[i]
+    out = Fan([Cone(c, fan.rank) for c in cones], fan.rank)
+    if isinstance(fan, StackyFan):
+        out = StackyFan(out, {r: k for r, k in fan.multiples.items() if r in out.rays})
+    return out
+
+
+def test_carried_fans_change_no_report():
+    """Validation checks no fan a checked arrow carries (the star lemma in
+    ``fans``).  Its report equals the one checking every fan first, and
+    every fan it did not check is valid when checked afresh: on every
+    example built and loaded, the constructed diagrams, and seeded mutants
+    that edit one fan of any stratum of an example."""
+    examples = [phi for _, phi in built_and_loaded()]
+    for phi in examples + _constructed_diagrams():
+        assert _assert_carried_fans_change_no_report(phi).valid
+    rng = random.Random(3203)
+    invalid = carried_invalid = 0
+    for _ in range(600):
+        phi = rng.choice(examples)
+        target = rng.choice(phi.strata)
+        fan = _mutant_fan(target.fan, rng)
+        strata = [s._replace(fan=fan) if s is target else s for s in phi.strata]
+        mutant = Fanifold(phi.dimension, strata, phi.arrows)
+        report = _assert_carried_fans_change_no_report(mutant)
+        invalid += not report.valid
+        # an invalid fan in a stratum arrows enter: no arrow may carry it
+        carried_invalid += bool(Fan._problems.func(fan)) and any(
+            a.target == target.name for a in phi.arrows
+        )
+    assert invalid > 300 and carried_invalid > 75, (invalid, carried_invalid)
+
+
+def _quotient_tables(phi, a):
+    """An arrow's star map and arrow map in two steps, through its star
+    quotient fan and then the iso, and the star quotient itself."""
+    fq = quotient_fan(phi.stratum(a.source).fan, a.cone_index)
+    tgt = phi.stratum(a.target).fan
+    star = {k: tgt.cone_index(c.image(a.iso)) for k, c in zip(fq.star, fq.fan.cones)}
+    return star, a.iso.compose(fq.projection), fq
+
+
+def test_arrow_tables_equal_their_star_quotient_forms():
+    """``_star_map``, ``arrow_map`` and ``_collapse_forward`` map the star
+    cones through the cone's span quotient and the iso in one step, and
+    equal the tables read off the star quotient fan: on every example built
+    and loaded, the constructed diagrams, and from_fan and sphere_section of
+    200 seeded random fans."""
+    diagrams = [phi for _, phi in built_and_loaded()] + _constructed_diagrams()
+    random_fans = [f for seed in range(29) for f in _random_basis_fans(seed)][:200]
+    diagrams += [build(f) for f in random_fans for build in (from_fan, sphere_section)]
+    checked = 0
+    for phi in diagrams:
+        assert phi.validate().valid
+        for a in phi.arrows:
+            star, amap, fq = _quotient_tables(phi, a)
+            m = a.iso.matrix
+            collapse = (
+                mat_mul(transpose(invert_unimodular(m)), transpose(fq.section.matrix))
+                if m else ()
+            )
+            assert phi._star_map(a) == star, (phi, a)
+            assert (phi.arrow_map(a), phi._collapse_forward(a)) == (amap, collapse), (phi, a)
+            checked += 1
+    assert checked > 6000
+    # a linear map sends the normalized gens to the same normalized gens in
+    # one step or two, so the star maps agree with isos that are not
+    # unimodular too, on diagrams that fail validation
+    for _, phi in built_and_loaded():
+        doubled = []
+        for a in phi.arrows:
+            m = tuple(tuple(2 * x for x in r) for r in a.iso.matrix)
+            doubled.append(a._replace(iso=a.iso._replace(matrix=m)))
+        bad = Fanifold(phi.dimension, phi.strata, doubled)
+        assert bad.validate().valid == all(not a.iso.matrix for a in phi.arrows)
+        for a in bad.arrows:
+            star, amap, _ = _quotient_tables(bad, a)
+            assert (bad._star_map(a), bad.arrow_map(a)) == (star, amap), (phi, a)
+
+
+def test_unimodularity_is_decided_once_per_iso():
+    """The table an arrow check fills agrees with ``is_unimodular``: on
+    every example's arrows, and on the iso ``()`` of a rank-0 target, which
+    is unimodular from a rank-0 quotient and not from a rank-1 one, in
+    either order."""
+    for _, phi in built_and_loaded():
+        table = {}
+        for k, a in enumerate(phi.arrows):
+            assert phi._arrow_error(k, a, table) is None
+        assert table == {a.iso: a.iso.is_unimodular() for a in phi.arrows}
+        assert all(table.values())
+    # the corner arrow along the quadrant of from_fan(orthant 2) has a
+    # rank-0 target and quotient; an arrow along a ray to a point stratum
+    # has a rank-0 target and a rank-1 quotient
+    chart = from_fan(orthant_fan(2))
+    corner = next(a for a in chart.arrows if chart.arrow_cone(a).dim == 2)
+    ray = next(a for a in chart.out_arrows(corner.source) if chart.arrow_cone(a).dim == 1)
+    edge = ray._replace(target="point", iso=lattice_map((), 1, 0))
+    assert corner.iso.matrix == edge.iso.matrix == ()
+    assert corner.iso.is_unimodular() and not edge.iso.is_unimodular()
+    point = Stratum("point", 1, Fan([zero_cone(0)], 0))
+    phi = Fanifold(2, chart.strata + (point,), ())
+    for order in ((corner, edge), (edge, corner)):
+        table = {}
+        errors = [phi._arrow_error(k, a, table) for k, a in enumerate(order)]
+        assert table == {corner.iso: True, edge.iso: False}
+        k = order.index(edge)
+        expected = [None, None]
+        expected[k] = f"arrow {k} ({edge.source}->point): iso not unimodular"
+        assert errors == expected
+
+
+def test_a_hidden_stratum_carries_no_fan():
+    """Two strata named g: arrows out of g read the last one's fan, which
+    is invalid, so the valid fan of the first carries nothing.  The arrow's
+    star pushes to an invalid target fan h; its errors stay reported."""
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    sigma = Cone([e3], 3)
+    tau1, tau2 = Cone([e3, e1, e2], 3), Cone([e3, (1, 1, 0), (-1, 1, 0)], 3)
+    bad = Fan([sigma, tau1, tau2, zero_cone(3)], 3)
+    arrow = Arrow("g", "h", 0, lattice_map(identity_matrix(2), 2, 2))
+    amap = Fanifold(3, [Stratum("g", 0, bad)], ()).arrow_map(arrow)
+    h = Fan([c.image(amap) for c in bad.cones[:3]], 2)  # the star's images
+    strata = [Stratum("g", 0, Fan([zero_cone(3)], 3)), Stratum("g", 0, bad), Stratum("h", 1, h)]
+    phi = Fanifold(3, strata, [arrow])
+    assert phi._arrow_error(0, arrow, {}) is None
+    report = _assert_carried_fans_change_no_report(phi)
+    assert "stratum 'h' fan: cones 1 and 2 do not intersect in a common face" in report.errors
