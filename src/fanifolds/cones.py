@@ -107,9 +107,10 @@ def dual_description(
 ) -> tuple[Mat, Mat]:
     """Minimal generators of {x : <a, x> >= 0, <b, x> = 0}.
 
-    Returns (lineality_basis, rays); the lineality part is in canonical
-    Hermite form and the rays are primitive, deduplicated and sorted so the
-    output is reproducible.
+    Returns (lineality, rays): the lineality part spans the largest linear
+    subspace inside the set, in no canonical form (``Cone.intersection``
+    puts it in Hermite form, the one reader that needs it), and the rays
+    are primitive, deduplicated and sorted so the output is reproducible.
     """
     lineality = [vec(r) for r in identity_matrix(rank)]
     rays: list[Vec] = []
@@ -123,7 +124,7 @@ def dual_description(
     for a in todo:
         lineality, rays = _step(lineality, rays, a, processed)
         processed.append(a)
-    return row_hermite(lineality, rank), tuple(sorted(rays))
+    return tuple(lineality), tuple(sorted(rays))
 
 
 class Cone:
@@ -184,16 +185,12 @@ class Cone:
     @cached_property
     def dual_rays(self) -> Mat:
         """Extremal rays of the dual cone (facet data modulo the perp lattice)."""
-        return self._dual[1]
+        return dual_description(self.gens, (), self.rank)[1]
 
     @cached_property
     def perp_basis(self) -> Mat:
         """Saturated basis of {u : <u, v> = 0 for all v in the cone}."""
         return integer_kernel(mat(self.gens), len(self.gens), self.rank)
-
-    @cached_property
-    def _dual(self) -> tuple[Mat, Mat]:
-        return dual_description(self.gens, (), self.rank)
 
     @cached_property
     def extremal_rays(self) -> Mat:
@@ -336,6 +333,9 @@ class Cone:
         return all(r in gens for r in self._cut(inner.gens))
 
     def intersection(self, other: "Cone") -> "Cone":
+        """The meet, dualized from both cones' dual data; its gens list
+        the lineality in Hermite form, a basis that depends only on the
+        lattice the double description's lineality spans."""
         if self.rank != other.rank:
             raise ValueError("ambient ranks differ")
         lin, rays = dual_description(
@@ -344,7 +344,7 @@ class Cone:
             self.rank,
         )
         gens = list(rays)
-        for l in lin:
+        for l in row_hermite(lin, self.rank):
             gens.append(l)
             gens.append(vec_scale(-1, l))
         return Cone(gens, self.rank)

@@ -21,7 +21,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .cones import Cone, product_cone, zero_cone
 from .fans import (
     Fan,
-    FanQuotient,
     StackyFan,
     _set_valid,
     fan_key,
@@ -31,6 +30,7 @@ from .fans import (
 from .lattice import (
     LatticeMap,
     Mat,
+    QuotientResult,
     Vec,
     identity_matrix,
     integer_kernel,
@@ -104,8 +104,9 @@ class Fanifold:
         constructors give equal stratum fans (``fans.fan_key``) one object.
         The arrow tables (``arrow_map``, ``_star_map``, ``_collapse_forward``)
         read the span quotient of the arrow's cone (``Cone.quotient``) and
-        build no star quotient fan; a constructor builds that fan to take
-        an arrow's iso, and it stays on the source fan."""
+        build no star quotient fan; the constructors take each arrow's iso
+        from that same span quotient, and build star quotient fans only as
+        the stratum fans of ``from_fan`` and ``sphere_section``."""
         self.dimension = dimension
         self.strata = tuple(strata)
         self.arrows = tuple(arrows)
@@ -172,9 +173,8 @@ class Fanifold:
         out = self._collapses.get(a)
         if out is None:
             section, m = self.arrow_cone(a).quotient.section, a.iso.matrix
-            out = self._collapses[a] = (
-                mat_mul(transpose(invert_unimodular(m)), transpose(section.matrix))
-                if m else ()
+            out = self._collapses[a] = mat_mul(
+                transpose(invert_unimodular(m)), transpose(section.matrix)
             )
         return out
 
@@ -381,34 +381,18 @@ def require_valid(phi: Fanifold) -> ValidationReport:
 # -- constructors ------------------------------------------------------------
 
 
-def _iso_through_section(numerator: Mat, fq: FanQuotient, target_rank: int) -> LatticeMap:
-    """The map ``iso`` with ``iso . fq.projection == numerator``.
+def _iso_through_section(numerator: Mat, q: QuotientResult, target_rank: int) -> LatticeMap:
+    """The map ``iso`` with ``iso . q.projection == numerator``, where ``q``
+    is the span quotient of the arrow's cone (``Cone.quotient``).
 
     ``numerator`` must vanish on the kernel of the projection.  Then the iso
     is unique, and since the quotient's section is a right inverse of the
     projection, it is ``numerator @ section``.
     """
-    free = fq.fan.rank
+    free = q.free_rank
     return lattice_map(
-        mat_mul(numerator, fq.section.matrix) if free else (), free, target_rank
+        mat_mul(numerator, q.section.matrix) if free else (), free, target_rank
     )
-
-
-def _arrow_between_cones(
-    i: int, j: int, fq_i: FanQuotient, fq_j: FanQuotient, fan_i: Fan
-) -> Arrow:
-    """Arrow from the stratum of cone i to that of cone j (i a face of j),
-    given both cones' star quotients and ``fan_i``, the fan of i's stratum,
-    which has ``fq_i``'s cones.  The iso is ``p_j @ s_i @ s_ij``: it
-    satisfies ``iso . p_ij . p_i == p_j``; ``p_ij`` is the span quotient
-    of the cone of ``fan_i``, which validation reads."""
-    sub_index = fq_i.star.index(j)
-    fq_ij = quotient_fan(fan_i, sub_index)
-    p_j = fq_j.projection.matrix
-    iso = _iso_through_section(
-        mat_mul(p_j, fq_i.section.matrix), fq_ij, len(p_j)
-    )
-    return Arrow(source=f"s{i}", target=f"s{j}", cone_index=sub_index, iso=iso)
 
 
 def _cone_strata(
@@ -421,19 +405,29 @@ def _cone_strata(
     ``fan_key`` are one ``Fan``, so each distinct fan is validated and
     star-quotiented once.  The table starts with ``fan`` itself: the zero
     cone's quotient is ``fan`` again (identity projection, same cones), so
-    its stratum holds the source fan and reads the quotients built here."""
+    its stratum holds the source fan and reads the quotients built here.
+
+    The arrow from the stratum of cone i to that of cone j (i a face of j)
+    leaves along the cone k of i's stratum fan that j goes to.  With p and
+    s the projection and section of a span quotient, its iso is
+    ``p_j @ s_i @ s_k``: it satisfies ``iso . p_k . p_i == p_j``, and
+    ``p_k`` is the span quotient of cone k, which validation reads too."""
     fqs = {i: quotient_fan(fan, i) for i in keep}
     shared = {fan_key(fan): fan}
     fans = {i: shared.setdefault(fan_key(fq.fan), fq.fan) for i, fq in fqs.items()}
     strata = [
         Stratum(name=f"s{i}", dim=fan.cones[i].dim - shift, fan=fans[i]) for i in keep
     ]
-    arrows = [
-        _arrow_between_cones(i, j, fqs[i], fqs[j], fans[i])
-        for i in keep
-        for j in keep
-        if i in fan._inside[j] and fan.cones[j].dim != fan.cones[i].dim
-    ]
+    arrows = []
+    for i in keep:
+        for j in keep:
+            if i in fan._inside[j]:
+                k = fqs[i].star.index(j)
+                p_j = fqs[j].projection.matrix
+                iso = _iso_through_section(
+                    mat_mul(p_j, fqs[i].section.matrix), fans[i].cones[k].quotient, len(p_j)
+                )
+                arrows.append(Arrow(source=f"s{i}", target=f"s{j}", cone_index=k, iso=iso))
     return strata, arrows
 
 
@@ -478,8 +472,10 @@ def _product_fan(f1: Fan, f2: Fan) -> Fan:
 def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
     """Stratum pairs with product fans; arrow pairs (either side may stand
     still).  Equal product fans (``fan_key``) are one ``Fan``, so each
-    distinct one is validated and star-quotiented once; each pair of factor
-    ``Fan`` objects has its product built once."""
+    distinct one is validated once; each pair of factor ``Fan`` objects has
+    its product built once.  Each iso is read off the span quotient of its
+    product cone (``Cone.quotient``), so a factor whose star pushes to no
+    fan gives a diagram whose validation says so."""
     strata = []
     shared: dict[tuple, Fan] = {}
     by_pair: dict[tuple[Fan, Fan], Fan] = {}
@@ -523,7 +519,6 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         i1 = a1.cone_index if a1 else zero_index(phi1, g1)
         i2 = a2.cone_index if a2 else zero_index(phi2, g2)
         cone_index = i1 * len2 + i2
-        fq = quotient_fan(by_name[src].fan, cone_index)
         m1 = (
             phi1.arrow_map(a1).matrix
             if a1
@@ -542,7 +537,8 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         ] + [
             (0,) * c1 + tuple(m2[i]) for i in range(r2)
         ]
-        iso = _iso_through_section(block, fq, r1 + r2)
+        q = by_name[src].fan.cones[cone_index].quotient
+        iso = _iso_through_section(block, q, r1 + r2)
         arrows.append(Arrow(source=src, target=tgt, cone_index=cone_index, iso=iso))
     return Fanifold(
         dimension=phi1.dimension + phi2.dimension, strata=strata, arrows=arrows
@@ -692,13 +688,14 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
                     len(basis_a),
                 )
                 ci = face_fans[name_a].cone_index(local_c)
-                fq = quotient_fan(face_fans[name_a], ci)
                 # span(sigma_a) -> span(sigma_b) through the original arrow c
                 rows = [_coords_in_span(basis_b, map_c(v)) for v in basis_a]
                 span_map = tuple(
                     tuple(r[i] for r in rows) for i in range(len(basis_b))
                 )  # matrix dim_b x dim_a acting on coordinates
-                iso = _iso_through_section(span_map, fq, len(basis_b))
+                iso = _iso_through_section(
+                    span_map, face_fans[name_a].cones[ci].quotient, len(basis_b)
+                )
                 arrows.append(
                     Arrow(source=name_a, target=name_b, cone_index=ci, iso=iso)
                 )
@@ -716,9 +713,9 @@ def suspension_boundary(sigma_fan: Fan) -> Fanifold:
     The mid strata are the sphere section's, with its arrows.  Each endpoint
     carries the fan itself and has the arrows out of the zero stratum of
     ``from_fan``: one along each nonzero cone j to the mid stratum of j,
-    whose lattice is the quotient lattice of j, so the iso is the identity.
-    The star quotient of such an arrow is ``quotient_fan(fan, j)``, which
-    the sphere section built the mid stratum from.
+    whose lattice is the quotient lattice of j, so the iso is the identity:
+    the mid stratum's fan is the star quotient ``quotient_fan(fan, j)``,
+    whose projection is the span quotient of cone j (``Cone.quotient``).
     """
     mid = sphere_section(sigma_fan)
     strata = [

@@ -262,13 +262,13 @@ def test_a_cone_lives_only_while_someone_holds_it():
 def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
     data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
     dualized = collections.Counter()
-    dual = Cone._dual.func
+    dual = Cone.dual_rays.func
 
     def counted(self):
         dualized[self.rank, self.gens] += 1
         return dual(self)
 
-    monkeypatch.setattr(Cone._dual, "func", counted)
+    monkeypatch.setattr(Cone.dual_rays, "func", counted)
     total = 0
     for name in sorted(os.listdir(data)):
         dualized.clear()
@@ -276,6 +276,51 @@ def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
         assert max(dualized.values(), default=1) == 1, (name, dualized.most_common(3))
         total += len(dualized)
     assert total > 50
+
+
+def test_a_cone_dual_puts_no_lattice_in_hermite_form(monkeypatch):
+    """A cone's dual rays run one double description and no ``row_hermite``;
+    a meet puts its lineality in Hermite form itself, so meets of cones
+    with lines keep their gens (about a third of these lineality bases do
+    not come out of the double description in Hermite form)."""
+    calls = []
+    hermite = cones.row_hermite
+
+    def counted(vectors, rank):
+        calls.append(rank)
+        return hermite(vectors, rank)
+
+    monkeypatch.setattr(cones, "row_hermite", counted)
+    rng = random.Random(5)
+    dualized = meets = reordered = 0
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        pair = []
+        for _ in range(2):
+            gens = [
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(1, rank + 1))
+            ]
+            gens.append(tuple(-x for x in gens[0]))  # a line when gens[0] != 0
+            c = Cone(gens, rank)
+            dualized += "dual_rays" not in c.__dict__
+            c.dual_rays
+            pair.append(c)
+        assert calls == []
+        a, b = pair
+        lin, rays = dual_description(
+            list(a.dual_rays) + list(b.dual_rays),
+            list(a.perp_basis) + list(b.perp_basis),
+            rank,
+        )
+        want = hermite(lin, rank)
+        lines = [v for l in want for v in (l, tuple(-x for x in l))]
+        assert a.intersection(b).gens == Cone(list(rays) + lines, rank).gens
+        assert calls == [rank]
+        calls.clear()
+        meets += bool(lin)
+        reordered += want != lin
+    assert dualized > 300 and meets > 30 and reordered > 10, (dualized, meets, reordered)
 
 
 def _solve(cols, v):

@@ -519,9 +519,10 @@ def _no_star_quotient_twice(built):
 
 
 def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch):
-    """Construction builds each star quotient once: the constructors leave
-    on each fan the quotients they took the isos from.  Validation builds
-    none: its arrow tables map the star cones through ``arrow_map``."""
+    """Construction builds each star quotient once, and only as a stratum
+    fan of ``from_fan`` or ``sphere_section`` (the random factors of the
+    products are ``from_fan`` diagrams too).  Validation builds none: its
+    arrow tables map the star cones through ``arrow_map``."""
     built = _count_star_quotients(monkeypatch)
     diagrams = _constructed_diagrams()
     constructed = len(built)
@@ -529,10 +530,61 @@ def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch)
     # 30 from_fan and sphere_section, 22 products, 15 boundaries and 76
     # unrolled closures
     assert len(diagrams) == 143
-    assert constructed > 1000
+    assert constructed == 349
     assert len(built) == constructed
     assert _no_star_quotient_twice(built)
     assert all(r.valid for r in reports)
+
+
+def test_only_stratum_fans_build_star_quotients(monkeypatch):
+    """An arrow's iso is read off the span quotient of its cone, so
+    ``product`` and ``unrolled_closure`` build no star quotient; ``from_fan``
+    of a fresh fan builds one per cone, its stratum fans, and
+    ``sphere_section`` after it builds none."""
+    built = _count_star_quotients(monkeypatch)
+    pairs = [(phi, other) for phi, other, _ in _product_diagrams()]
+    examples = [build() for _, build in sorted(EXAMPLES.items())]
+    built.clear()
+    products = [product(phi, other) for phi, other in pairs]
+    closures = [unrolled_closure(phi, s.name) for phi in examples for s in phi.strata]
+    assert (len(products), len(closures)) == (22, 76)
+    assert built == []
+    fresh = _example_fans()
+    assert len(fresh) == 15
+    for fan in fresh:
+        from_fan(fan)
+        assert [(id(f), i) for f, i in built] == [(id(fan), i) for i in range(len(fan.cones))]
+        built.clear()
+        sphere_section(fan)
+        assert built == []
+
+
+def test_a_product_of_a_factor_whose_star_is_no_fan_reports_it():
+    """Construction takes no star quotient fan, so a factor whose fan's
+    star does not push to a fan (a cone inside another, not as a face)
+    gives a product diagram, and its validation names the bad fan."""
+    bad = Fan(
+        [zero_cone(2), Cone([(1, 0)], 2), Cone([(1, 0), (0, 1)], 2), Cone([(1, 0), (1, 1)], 2)],
+        2,
+    )
+    line = Fan([zero_cone(1), Cone([(1,)], 1)], 1)
+    phi = Fanifold(
+        2,
+        [Stratum("g", 0, bad), Stratum("f", 1, line)],
+        [Arrow("g", "f", 1, lattice_map(((1,),), 1, 1))],
+    )
+    with pytest.raises(ValueError, match="same image"):
+        quotient_fan(bad, 1)
+    assert phi.validate().errors == (
+        "stratum 'g' fan: cones 2 and 3 do not intersect in a common face",
+    )
+    p = product(phi, manifold(1))
+    assert [(a.source, a.target, a.cone_index) for a in p.arrows] == [
+        ("(g,cell)", "(f,cell)", 1)
+    ]
+    assert p.validate().errors == (
+        "stratum '(g,cell)' fan: cones 2 and 3 do not intersect in a common face",
+    )
 
 
 def test_validating_an_ideal_boundary_builds_no_quotient(monkeypatch):
@@ -916,7 +968,7 @@ def _reference_unrolled_closure(phi, f_name):
                 )
                 rows = [_coords_in_span(span_b, map_c(v)) for v in span_a]
                 span_map = tuple(tuple(r[i] for r in rows) for i in range(len(span_b)))
-                iso = _iso_through_section(span_map, quotient_fan(ffan, ci), len(span_b))
+                iso = _iso_through_section(span_map, ffan.cones[ci].quotient, len(span_b))
                 arrows.append((name_a, name_b, ci, iso.matrix))
     return strata, arrows
 

@@ -4,10 +4,14 @@ Each mutant is one small edit of a bundled document: a ray entry, a cone's
 ray list, a stratum's fields, an arrow's ends, cone or matrix, the
 dimension, or a value of the wrong type.  Every mutant must make the CLI
 exit 0 or 2 with no traceback, and every stratum fan of a mutant whose
-strata load must validate exactly as the meet rule does.
+strata load must validate exactly as the meet rule does.  A second run
+with its own seed sends each mutant through the other ten commands, and
+each exit 2 there must print exactly one line on stderr.
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
 import random
@@ -27,6 +31,25 @@ COMMANDS = (
     ["skeleton", "report"],
     ["fan", "props"],
 )
+MORE_SEED = 1204
+MORE_MUTANTS = 200
+
+
+def _more_commands(sid):
+    """The commands ``COMMANDS`` leaves out; ``sid`` is the stratum id the
+    ones that take ``--stratum`` or ``--closed`` read."""
+    return (
+        ["bmodel", "chart", "--stratum", sid],
+        ["bmodel", "ufunctor", "--closed", sid],
+        ["skeleton", "euler"],
+        ["skeleton", "handles"],
+        ["skeleton", "mesh", "--resolution", "3"],
+        ["mirror", "dict"],
+        ["mirror", "restrict", "--closed", sid],
+        ["fan", "quotient", "--stratum", sid, "--cone", "0"],
+        ["fan", "resolve", "--stratum", sid],
+        ["fan", "refines", "--stratum", f"{sid},{sid}"],
+    )
 
 
 def _documents():
@@ -148,4 +171,47 @@ def test_mutated_files_exit_0_or_2_under_budget(tmp_path, capsys):
     # most bundled fans are orthants or rank <= 1, where an edit gives a
     # line or a duplicate before any pair can overlap
     assert loaded >= MUTANTS // 2 and invalid >= 5, (loaded, invalid)
+    assert time.monotonic() - t0 < 60.0
+
+
+def _first_stratum_id(doc):
+    """The mutant's first stratum id, or "s0" when an edit took it away."""
+    strata = doc.get("strata")
+    first = strata[0] if isinstance(strata, list) and strata else None
+    sid = first.get("id") if isinstance(first, dict) else None
+    return sid if isinstance(sid, str) else "s0"
+
+
+def run_more_fuzz(seed=MORE_SEED, mutants=MORE_MUTANTS, tmp_dir="."):
+    """Exit codes seen per command (by its first two words) over the
+    mutants; an exit 2 that prints other than one stderr line fails."""
+    rng = random.Random(seed)
+    docs = _documents()
+    names = sorted(docs)
+    codes = {}
+    for k in range(mutants):
+        name = names[k % len(names)]
+        doc, kind = _mutate(docs[name], rng)
+        path = os.path.join(tmp_dir, f"mutant{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        for cmd in _more_commands(_first_stratum_id(doc)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(cmd + ["--file", path])
+            assert code in (0, 2), (name, kind, cmd, code, err.getvalue())
+            lines = err.getvalue().splitlines()
+            if code == 2:
+                assert len(lines) == 1, (name, kind, cmd, lines)
+            assert "Traceback" not in err.getvalue(), (name, kind, cmd)
+            seen = codes.setdefault(" ".join(cmd[:2]), {0: 0, 2: 0})
+            seen[code] += 1
+    return codes
+
+
+def test_mutated_files_exit_0_or_2_in_one_line_on_every_other_command(tmp_path):
+    t0 = time.monotonic()
+    codes = run_more_fuzz(tmp_dir=str(tmp_path))
+    assert len(codes) == 10
+    assert all(c[0] and c[2] for c in codes.values()), codes
     assert time.monotonic() - t0 < 60.0
