@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import itertools
 import sys
-from functools import cached_property
 from itertools import repeat
 from operator import floordiv, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .cones import Cone
+from .cones import Cone, cached_property
 from .fanifold import Arrow, Fanifold, require_valid, unrolled_closure
 from .lattice import (
     Mat,

@@ -16,9 +16,9 @@ normalized again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
-from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -40,6 +40,40 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
+
+
+_MISSING = object()
+
+
+class cached_property(functools.cached_property):
+    """``functools.cached_property`` without its lock: the one caching
+    descriptor of the package (``fans``, ``fanifold`` and ``bmodel`` import
+    it from here).
+
+    On Python 3.11 the standard ``__get__`` takes one lock per property on
+    every first access.  Nothing here shares an object between threads, and
+    every cached value is a deterministic function of an immutable object,
+    so the lock guards nothing (Python 3.12 dropped it).  A hit never gets
+    here: the value sits in the instance ``__dict__``, which a non-data
+    descriptor yields to.  It stays a ``functools.cached_property`` and
+    calls ``self.func`` on each miss, so a tracer that finds properties by
+    that class and replaces ``func`` still sees every first access.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        cache = instance.__dict__
+        val = cache.get(self.attrname, _MISSING)
+        if val is _MISSING:
+            val = cache[self.attrname] = self.func(instance)
+        return val
+
+
+def cone_key(rank: int, rays: Iterable[Vec], lineality: Mat = ()) -> tuple:
+    """The equality key of the cone with these extremal rays and lineality
+    basis: ``Cone.key``, ``Cone.face_key`` and the star maps build it here."""
+    return (rank, frozenset(rays), lineality)
 
 
 def _dedup(vectors: Iterable[Vec]) -> list[Vec]:
@@ -196,12 +230,17 @@ class Cone:
     def extremal_rays(self) -> Mat:
         """Minimal generating rays (unique for a strongly convex cone), sorted.
 
-        For a strongly convex cone the dual rays vanishing on a gen cut out
-        the smallest face holding it, and that face is a ray exactly when no
-        gen vanishes on a strictly larger set of dual rays (Fukuda and
-        Prodon, "Double description method revisited", 1996).  A cone with a
-        line runs the double description back from its dual.
+        A cone with as many gens as its dimension is simplicial: its gens
+        are linearly independent, so each spans a ray of the cone, and no
+        double description runs.  Otherwise, for a strongly convex cone the
+        dual rays vanishing on a gen cut out the smallest face holding it,
+        and that face is a ray exactly when no gen vanishes on a strictly
+        larger set of dual rays (Fukuda and Prodon, "Double description
+        method revisited", 1996).  A cone with a line runs the double
+        description back from its dual.
         """
+        if len(self.gens) == self.dim:
+            return tuple(sorted(self.gens))
         if self.lineality_basis:
             return dual_description(self.dual_rays, self.perp_basis, self.rank)[1]
         zeros = [
@@ -218,8 +257,11 @@ class Cone:
 
         The sum of the dual rays lies in the relative interior of the dual, so
         it vanishes on the cone exactly along that subspace, and a cone whose
-        gens it is positive on holds no line.
+        gens it is positive on holds no line.  Linearly independent gens
+        (as many as the dimension) span no line, so no dual is read then.
         """
+        if len(self.gens) == self.dim:
+            return ()
         s = [sum(u[i] for u in self.dual_rays) for i in range(self.rank)]
         if all(dot(s, g) > 0 for g in self.gens):
             return ()
@@ -270,11 +312,11 @@ class Cone:
     @cached_property
     def key(self) -> tuple:
         """Equality key: two cones agree iff they agree as point sets."""
-        return (self.rank, frozenset(self.extremal_rays), self.lineality_basis)
+        return cone_key(self.rank, self.extremal_rays, self.lineality_basis)
 
     def face_key(self, face: Mat) -> tuple:
         """The key of the cone a face of this cone spans."""
-        return (self.rank, frozenset(face), ())
+        return cone_key(self.rank, face)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cone) and self.key == other.key

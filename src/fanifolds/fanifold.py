@@ -15,10 +15,9 @@ fan layout of ``mesh.export_mesh`` read it.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .cones import Cone, product_cone, zero_cone
+from .cones import Cone, cached_property, cone_key, product_cone, zero_cone
 from .fans import (
     Fan,
     StackyFan,
@@ -38,6 +37,7 @@ from .lattice import (
     lattice_map,
     mat,
     mat_mul,
+    primitivize,
     transpose,
     vec_scale,
     vec_sub,
@@ -152,18 +152,39 @@ class Fanifold:
     def _star_map(self, a: Arrow) -> dict[int, int | None]:
         """Each source cone containing the arrow's cone, in index order ->
         the index of its image under ``arrow_map`` in the target fan (None
-        when it is no cone there).  The map is linear, so the image's gens
-        are those of the iso's image of the cone's star quotient image, and
-        no star quotient fan is built."""
+        when it is no cone there), as ``tgt.cone_index(c.image(lmap))``
+        gives it.  No star quotient fan is built.
+
+        Each distinct gen of the star is mapped once.  The image of a cone c
+        is the cone on the images of its gens (not of its extremal rays: a
+        cone with a line is not spanned by those).  When the primitive
+        nonzero images are exactly the extremal rays of a strongly convex
+        target cone, the image is that cone, for any linear map, unimodular
+        or not; so looking their set up in the target's ``_first_index``
+        gives the index ``cone_index`` would.  A miss (a non-simplicial star
+        cone, where a ray's image can fall inside the image cone, or a
+        diagram nothing validated) builds the image cone and keys it."""
         out = self._star_maps.get(a)
         if out is None:
             fan, i = self.stratum(a.source).fan, a.cone_index
             lmap, tgt = self.arrow_map(a), self.stratum(a.target).fan
-            out = self._star_maps[a] = {
-                k: tgt.cone_index(c.image(lmap))
-                for k, (c, inside) in enumerate(zip(fan.cones, fan._inside))
-                if k == i or i in inside
-            }
+            ray_of: dict[Vec, Vec | None] = {}  # gen -> primitive image, None if 0
+            out = self._star_maps[a] = {}
+            for k, (c, inside) in enumerate(zip(fan.cones, fan._inside)):
+                if k != i and i not in inside:
+                    continue
+                j = None
+                # a cone of another rank than the map's source (an invalid
+                # fan) goes to ``Cone.image``, which raises on it
+                if c.rank == lmap.source_rank:
+                    for g in c.gens:
+                        if g not in ray_of:
+                            im = lmap(g)
+                            ray_of[g] = primitivize(im) if any(im) else None
+                    rays = {ray_of[g] for g in c.gens}
+                    rays.discard(None)
+                    j = tgt._first_index.get(cone_key(lmap.target_rank, rays))
+                out[k] = tgt.cone_index(c.image(lmap)) if j is None else j
         return out
 
     def _collapse_forward(self, a: Arrow) -> Mat:

@@ -57,10 +57,9 @@ unimodular map keeps cones, lines, faces and distinctness.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cones import Cone
+from .cones import Cone, cached_property
 from .lattice import (
     LatticeMap,
     Mat,

@@ -22,7 +22,7 @@ from fanifolds.bmodel import (
     u_functor,
 )
 from fanifolds.cones import Cone, zero_cone
-from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan
+from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan, quadric_fan
 from fanifolds.fanifold import (
     Fanifold,
     Stratum,
@@ -31,7 +31,7 @@ from fanifolds.fanifold import (
     require_valid,
     suspension_boundary,
 )
-from fanifolds.fans import Fan, quotient_fan
+from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
 from fanifolds.lattice import (
     dot,
     identity_matrix,
@@ -487,6 +487,55 @@ def _oracle_diagrams():
         m = lattice_map(tuple(map(tuple, _unimodular(rng, fan.rank))), fan.rank, fan.rank)
         moved = Fan([c.image(m) for c in fan.cones], fan.rank)
         yield f"random fan {k}", full_diagram(from_fan(moved))
+
+
+def drawn_fan(rng):
+    """A fan drawn as the benchmark's random-fans workload draws one: a base
+    fan (the 2-orthant, the quadric, P2 or the 3-orthant) moved to a random
+    basis in GL(n, Z), then 0-2 stellar subdivisions (at the sum of a cone's
+    gens, then beside one of its gens), plain or with multiples 1-3 on its
+    rays.  Returns the fan and the raw generator rows it was built from."""
+    base = rng.choice([lambda: orthant_fan(2), quadric_fan, lambda: projective_fan(2),
+                       lambda: orthant_fan(3)])()
+    n = base.rank
+    m = _unimodular(rng, n)
+    gens = [[tuple(dot(r, g) for r in m) for g in c.gens] for c in base.cones]
+    fan = Fan([Cone(g, n) for g in gens], n)
+    big = [g for g in gens if len(g) >= 2]
+    pick = big[rng.randrange(len(big))]
+    p = tuple(map(sum, zip(*pick)))
+    points = [p, tuple(map(sum, zip(p, rng.choice(pick))))][: rng.randint(0, 2)]
+    for point in points:
+        fan = stellar_subdivision(fan, point)
+    if rng.random() < 0.5:
+        fan = StackyFan(fan, {r: rng.randint(1, 3) for r in fan.rays})
+    return fan, [g for c in gens for g in c] + points
+
+
+def test_census_of_a_fan_counts_its_dual_in_the_box():
+    """The glued space of ``from_fan(fan)`` is its toric variety, whose
+    functions are the characters in the dual of the support: at degree D
+    the census is the number of u in the box [-D, D]^n with u . g >= 0 for
+    every generator g the fan was built from (subdivision points lie in the
+    support, so they add no condition).  A recount that shares no code with
+    the package's cones, on the seven fan examples and on 40 fans drawn as
+    the random-fans workload draws them, at D = 1 and 2."""
+    cases = []
+    for name in ("affine1", "affine2", "affine3", "proj1", "proj2", "proj3", "quadric_stacky"):
+        fan = EXAMPLES[name]().source_fan
+        cases.append((fan, [g for c in fan.cones for g in c.gens]))
+    rng = random.Random(3403)
+    cases += [drawn_fan(rng) for _ in range(40)]
+    stacky = rank3 = 0
+    for fan, gens in cases:
+        diagram = full_diagram(from_fan(fan))
+        for degree in (1, 2):
+            box = itertools.product(range(-degree, degree + 1), repeat=fan.rank)
+            want = sum(all(sum(a * b for a, b in zip(u, g)) >= 0 for g in gens) for u in box)
+            assert limit_census(diagram, degree).dimension == want, (fan, degree)
+        stacky += isinstance(fan, StackyFan)
+        rank3 += fan.rank == 3
+    assert stacky > 10 and rank3 > 5, (stacky, rank3)
 
 
 def test_census_matches_the_box_walk_reference():

@@ -5,6 +5,7 @@ cone per normalized generator tuple."""
 
 import collections
 import copy
+import functools
 import gc
 import itertools
 import os
@@ -204,6 +205,117 @@ def test_extremal_rays_match_the_double_description_of_the_dual():
             seen["full"] += 0 < c.dim == rank
             seen["line"] += not c.is_strongly_convex
     assert all(seen.values()), seen
+
+
+def _dd_values(c):
+    """Extremal rays, lineality basis, key and simpliciality as the double
+    description gives them: the rays dualized back from the dual, and the
+    lineality as the kernel of the dual rays and the perp lattice."""
+    dual = dual_description(c.gens, (), c.rank)[1]
+    perp = integer_kernel(mat(c.gens), len(c.gens), c.rank)
+    rays = dual_description(dual, perp, c.rank)[1]
+    rows = list(dual) + list(perp)
+    lineality = integer_kernel(mat(rows), len(rows), c.rank)
+    key = (c.rank, frozenset(rays), lineality)
+    return rays, lineality, key, not lineality and len(rays) == c.rank - len(perp)
+
+
+def test_simplicial_cones_are_keyed_without_a_double_description(monkeypatch):
+    """On 300 seeded cones (simplicial, with more gens than their dimension,
+    with a line, and zero) the key's parts equal the double description's.
+    Once its dimension is known, keying a simplicial cone runs no double
+    description, and a cone without a line reads its lineality off its dual
+    rays with no kernel."""
+    calls = collections.Counter()
+    for name in ("dual_description", "integer_kernel"):
+        def counted(*args, _name=name, _func=getattr(cones, name)):
+            calls[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(cones, name, counted)
+    rng = random.Random(3402)
+    seen = collections.Counter()
+    for k in range(300):
+        rank = rng.randint(1, 4)
+        dim = rng.randint(1, rank)
+        basis = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(dim)]
+        count = (0, dim, dim + rng.randint(1, 3), dim)[k % 4]
+        gens = [
+            [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(rank)]
+            for _ in range(count)
+        ]
+        if k % 4 == 2 and rank >= 3:  # a cone over a polygon or polytope
+            gens = [
+                [rng.randint(-2, 2) for _ in range(rank - 1)] + [1]
+                for _ in range(rng.randint(rank + 1, rank + 3))
+            ]
+        if k % 4 == 3 and gens:
+            gens.append([-x for x in gens[0]])  # often a line
+        c = Cone(gens, rank)
+        fresh = "key" not in vars(c)
+        simplicial = len(c.gens) == c.dim
+        calls.clear()
+        key = c.key
+        if fresh and simplicial:
+            assert not calls, (c, calls)
+        if fresh and c.is_strongly_convex:
+            assert not calls["integer_kernel"], (c, calls)
+        want = _dd_values(c)
+        assert (c.extremal_rays, c.lineality_basis, key, c.is_simplicial) == want, c
+        seen["zero"] += not c.gens
+        seen["fresh simplicial"] += simplicial and fresh and bool(c.gens)
+        seen["non-simplicial"] += c.is_strongly_convex and not c.is_simplicial
+        seen["line"] += not c.is_strongly_convex
+    assert min(seen.values()) > 20, seen
+
+
+def test_the_package_caches_through_one_lock_free_descriptor():
+    """Every cached property of the package is ``cones.cached_property``, a
+    ``functools.cached_property`` computed once per instance without taking
+    a lock; replacing its ``func``, as the benchmark's tracer does, sees
+    each first access."""
+    from fanifolds import bmodel, fanifold, fans
+
+    assert issubclass(cones.cached_property, functools.cached_property)
+    found = [
+        (f"{cls.__name__}.{name}", type(attr))
+        for mod in (cones, fans, fanifold, bmodel)
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == mod.__name__
+        for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)
+    ]
+    assert len(found) > 15, found
+    assert all(t is cones.cached_property for _, t in found), found
+
+    class Probe:
+        def __init__(self, v):
+            self.v = v
+
+        @cones.cached_property
+        def double(self):
+            calls.append(self.v)
+            return 2 * self.v
+
+    class NoLock:
+        def __enter__(self):
+            raise AssertionError("a first access took the lock")
+
+        def __exit__(self, *exc):
+            return False
+
+    Probe.double.lock = NoLock()  # the lock Python 3.11 takes
+    calls = []
+    probes = [Probe(1), Probe(2)]
+    assert [p.double for p in probes * 2] == [2, 4, 2, 4]
+    assert calls == [1, 2] and Probe.double.attrname == "double"
+    assert isinstance(vars(Probe)["double"], functools.cached_property)
+    first = []
+    func = Probe.double.func
+    Probe.double.func = functools.wraps(func)(lambda self: first.append(self) or func(self))
+    probes += [Probe(3), Probe(4)]
+    assert [p.double for p in probes * 2] == [2, 4, 6, 8] * 2
+    assert first == probes[2:] and calls == [1, 2, 3, 4]
 
 
 def test_equal_normalized_gens_share_one_live_cone():

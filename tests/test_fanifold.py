@@ -60,6 +60,7 @@ from fanifolds.lattice import (
 )
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import handle_plan, skeleton_model
+from test_bmodel import drawn_fan
 
 
 def test_from_fan_affine_line():
@@ -870,28 +871,123 @@ def _move_index(phi, a, name):
     return next(i for i, c in enumerate(phi.stratum(name).plain_fan.cones) if c.dim == 0)
 
 
+def _image_walk(phi, a):
+    """The star map as a walk: every source cone containing the arrow's
+    cone, mapped by ``arrow_map`` and looked up in the target fan."""
+    sigma = phi.arrow_cone(a)
+    amap = phi.arrow_map(a)
+    tgt = phi.stratum(a.target).plain_fan
+    return [
+        (k, tgt.cone_index(tau.image(amap)))
+        for k, tau in enumerate(phi.stratum(a.source).plain_fan.cones)
+        if tau.contains_cone(sigma)
+    ]
+
+
 def test_star_maps_match_the_image_walk():
-    """Each arrow's star map against the walk it replaces: every source cone
-    containing the arrow's cone, mapped by ``arrow_map`` and looked up in
-    the target fan.  Every example, and the from_fan, sphere_section,
-    product, boundary and unrolled diagrams built from the examples and from
-    random fans in random lattice bases."""
+    """Each arrow's star map against the walk it replaces.  Every example,
+    and the from_fan, sphere_section, product, boundary and unrolled
+    diagrams built from the examples and from random fans in random lattice
+    bases."""
     diagrams = [build() for _, build in sorted(EXAMPLES.items())] + _constructed_diagrams()
     checked = 0
     for phi in diagrams:
         for a in phi.arrows:
-            sigma = phi.arrow_cone(a)
-            amap = phi.arrow_map(a)
-            tgt = phi.stratum(a.target).plain_fan
-            want = [
-                (k, tgt.cone_index(tau.image(amap)))
-                for k, tau in enumerate(phi.stratum(a.source).plain_fan.cones)
-                if tau.contains_cone(sigma)
-            ]
+            want = _image_walk(phi, a)
             assert list(phi._star_map(a).items()) == want, (phi, a)
             assert phi._star_map(a) is phi._star_map(a)
             checked += len(want)
     assert checked > 4000
+
+
+def _images_from_star_maps(monkeypatch):
+    """Record each ``Cone.image`` made while a star map is built."""
+    images, depth = [], []
+    image, star_map = Cone.image, Fanifold._star_map
+
+    def counted_image(self, lmap):
+        if depth:
+            images.append(self)
+        return image(self, lmap)
+
+    def counted_star_map(self, a):
+        depth.append(a)
+        try:
+            return star_map(self, a)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Cone, "image", counted_image)
+    monkeypatch.setattr(Fanifold, "_star_map", counted_star_map)
+    return images
+
+
+def test_a_star_map_builds_the_image_of_a_cone_it_cannot_key_by_rays(monkeypatch):
+    """Over a cone on a square, the star of one of its rays holds the square,
+    whose opposite ray goes inside the image of the square: the four images
+    are not the extremal rays of any cone, so the star map builds the image
+    cone and keys it, and agrees with the walk."""
+    square = Cone([(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)], 3)
+    phi = from_fan(fans.face_closure(Fan([square], 3)))
+    images = _images_from_star_maps(monkeypatch)
+    assert phi.validate().valid
+    # the star map of each ray builds the image of the square, and nothing
+    # else; a 2-face's star map keys the square by the rays it maps to
+    assert images == [square] * 4, images
+    for a in phi.arrows:
+        assert list(phi._star_map(a).items()) == _image_walk(phi, a), a
+
+
+def test_star_maps_match_the_image_walk_off_valid_diagrams_and_on_random_fans():
+    """With every iso doubled (not unimodular, so validation fails where the
+    target is not a point) a star map still equals the walk: a ray set names
+    the image cone for any linear map.  Also on from_fan of 200 seeded fans
+    drawn as the random-fans workload draws them."""
+    checked = 0
+    for label, phi in built_and_loaded():
+        doubled = []
+        for a in phi.arrows:
+            m = tuple(tuple(2 * x for x in r) for r in a.iso.matrix)
+            doubled.append(a._replace(iso=a.iso._replace(matrix=m)))
+        bad = Fanifold(phi.dimension, phi.strata, doubled)
+        for a in bad.arrows:
+            want = _image_walk(bad, a)
+            assert list(bad._star_map(a).items()) == want, (label, a)
+            checked += len(want)
+    rng = random.Random(3401)
+    for _ in range(200):
+        phi = from_fan(drawn_fan(rng)[0])
+        for a in phi.arrows:
+            want = _image_walk(phi, a)
+            assert list(phi._star_map(a).items()) == want, (phi, a)
+            checked += len(want)
+    assert checked > 6000, checked
+
+
+def test_a_star_cone_of_another_rank_raises_as_its_image_does():
+    """A fan holding a cone of another rank is no fan, and a star map on it
+    raises the error ``Cone.image`` gives, even where the map's images
+    (all zero, into a rank-0 target) would name a cone."""
+    fan = Fan([zero_cone(1), Cone([(1,)], 1), Cone([(1, 0)], 2)], 1)
+    point = Fan([zero_cone(0)], 0)
+    phi = Fanifold(
+        1,
+        [Stratum("a", 0, fan), Stratum("b", 1, point)],
+        [Arrow("a", "b", 1, lattice_map((), 0, 0))],
+    )
+    with pytest.raises(ValueError, match="map source does not match ambient rank"):
+        phi._star_map(phi.arrows[0])
+
+
+def test_loading_and_validating_the_examples_builds_no_image_cone(monkeypatch):
+    """Every star cone of a valid example is simplicial or keyed by its ray
+    images, so no star map builds an image cone, built or loaded."""
+    images = _images_from_star_maps(monkeypatch)
+    checked = 0
+    for label, phi in built_and_loaded():
+        assert phi.validate().valid, label
+        checked += len(phi._star_maps)
+    assert images == [] and checked > 100, (images, checked)
 
 
 def test_coords_in_span_round_trip_on_saturated_sublattices():
