@@ -25,6 +25,21 @@ stands for the rest.  Each fanifold arrow is walked once, out of the chart
 of its own cone, whose collapse makes every identification the larger
 charts' collapses make; ``_census_classes`` gives the proof.
 
+A census has a part that does not depend on the degree, its plan
+(``_Plan``): each charted stratum's rank, the distinct gens of its kept
+cones and whether a collapse targets it, and each walk's arrow, cone gens
+and collapse matrix.  The plan is built at the first census of a chart set
+and kept with the chart tuple and its index (``_ChartSet``) in the
+fanifold's ``_chart_sets`` table, so every later census of that chart set,
+at any degree and on any diagram of it, pays only for its box walk;
+``full_diagram`` shares the fanifold's full chart tuple and index.  That
+table holds plain data only, names, tuples and matrices, and never a
+diagram: a diagram refers to its fanifold, so a diagram in the table would
+make a reference cycle, and a fanifold of a one-shot command would outlive
+the command, with its interned cones and their cached duals and quotients,
+until the garbage collector ran.  A build that raises keeps nothing, so a
+faulty chart set raises on every call, before any degree check.
+
 Box points are walked as intervals of the last coordinate, one per prefix
 of the others.  Each gen's dot with a prefix of the first rank - 2
 coordinates is computed once, and the coordinate before the last steps by
@@ -76,14 +91,39 @@ class DiagramArrow(NamedTuple):
     arrow: Arrow | None = None  # collapse: the fanifold arrow
 
 
+class _Plan(NamedTuple):
+    """The degree-independent part of a census of one chart set.
+
+    ``strata`` holds, for each charted stratum in object order, its name,
+    its lattice rank, the distinct gens of its kept cones and whether a
+    collapse targets it.  ``walks`` holds each collapse the census walks as
+    (fanifold arrow, the arrow cone's gens, forward)."""
+
+    strata: tuple[tuple[str, int, tuple[Vec, ...], bool], ...]
+    walks: list[tuple[Arrow, Sequence[Vec], Mat]]
+
+
+class _ChartSet:
+    """One chart tuple of a fanifold, its index and its census plan, built
+    on the first census; kept in ``Fanifold._chart_sets``."""
+
+    __slots__ = ("objects", "index", "plan")
+
+    def __init__(self, objects: tuple[ChartObject, ...]):
+        self.objects = objects
+        self.index = {o: i for i, o in enumerate(objects)}
+        self.plan: _Plan | None = None
+
+
 class ToricDiagram:
     """The charts of a fanifold's (stratum, cone) pairs, in object order.
 
     A diagram is its charts: its maps are read off the fanifold's tables.
     ``arrows`` lists them, restrictions then collapses, built on the first
-    read and kept; the census reads the collapses it walks straight off the
-    fanifold's arrows and never builds the list.  ``warnings`` is a tuple,
-    set when the diagram is built.
+    read and kept; the census reads the collapses it walks off the chart
+    set's plan and never builds the list.  ``warnings`` is a tuple, set
+    when the diagram is built.  Diagrams of equal chart tuples on one
+    fanifold share its chart set: the tuple, its index and its plan.
     """
 
     def __init__(
@@ -93,9 +133,13 @@ class ToricDiagram:
         warnings: Sequence[str] = (),
     ):
         self.fanifold = fanifold
-        self.objects = tuple(objects)
         self.warnings = tuple(warnings)
-        self.index = {o: i for i, o in enumerate(self.objects)}
+        objects = tuple(objects)
+        charts = fanifold._chart_sets.get(objects)
+        if charts is None:
+            charts = fanifold._chart_sets[objects] = _ChartSet(objects)
+        self._charts = charts
+        self.objects, self.index = charts.objects, charts.index
 
     @cached_property
     def arrows(self) -> tuple[DiagramArrow, ...]:
@@ -259,10 +303,14 @@ def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagra
 
 
 def full_diagram(phi: Fanifold) -> ToricDiagram:
-    """One chart per (stratum, cone) pair, with all induced monomial maps."""
-    return _diagram(
-        phi, {s.name: range(len(s.fan.cones)) for s in phi.strata}
-    )
+    """One chart per (stratum, cone) pair, with all induced monomial maps.
+    The chart tuple is built once per fanifold and shared."""
+    full = phi._chart_sets.get(None)
+    if full is not None:
+        return ToricDiagram(phi, full.objects)
+    diagram = _diagram(phi, {s.name: range(len(s.fan.cones)) for s in phi.strata})
+    phi._chart_sets[None] = diagram._charts
+    return diagram
 
 
 def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
@@ -400,7 +448,8 @@ def _census_classes(
       lies in the other.  So the collapse of the sigma chart into the zero
       chart makes every union and mark the others make, and it is the one
       collapse walked per arrow.  The walks are read off the fanifold's
-      arrows and star maps (``_walks``), not off the diagram's map list.
+      arrows and star maps (``_build_plan``), not off the diagram's map
+      list.
     * ``forward`` = a^-T s^T (``Fanifold._collapse_forward``) and
       ``backward`` = p^T a^T, the transpose of ``Fanifold.arrow_map``, for
       the iso a, the projection p and its section s, are inverse bijections
@@ -442,33 +491,27 @@ def _census_classes(
       misses it otherwise.  Either way the interval costs one dot, plus the
       points it keeps.
 
+    Everything above but the box is degree-independent: the kept gens of
+    each stratum, which strata are collapse targets, and the walks are the
+    chart set's plan (``_plan``), built once and kept on the fanifold.  The
+    per-degree part reads only the plan and walks the box.
+
     Returns the classes of the touched points and each stratum's support.
     """
-    # a diagram with a missing image is refused whatever the degree
-    walks = _walks(diagram)
+    plan = _plan(diagram)  # a chart set's faults are refused whatever the degree
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if 2 * degree + 1 > sys.maxsize:
         raise ValueError(f"degree {degree} is too large")
     uf = _UnionFind()
     uf.mark_zero(uf.extend(1))  # the sink, id 0
-    cones: dict[str, list[Cone]] = {}
-    ranks: dict[str, int] = {}
-    for i, obj in enumerate(diagram.objects):
-        cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
-        ranks[obj.stratum] = diagram.object_rank(i)
-    targets = {fa.target for fa, _, _ in walks}
     supports: dict[str, _Support] = {}
-    for name, kept in cones.items():
-        if all(c.gens for c in kept):
-            raise ValueError(f"stratum {name!r} has no zero-cone chart")
-        rank = ranks[name]
+    for name, rank, gens, target in plan.strata:
         if rank:
-            gens = list(dict.fromkeys(g for c in kept for g in c.gens))
             cuts: Iterable[tuple[Vec, int, int]] = _box_cuts(gens, rank, degree)
         else:
             cuts = [((), 0, 0)]
-        if name in targets:
+        if target:
             row, start = {}, len(uf.parent)
             for prefix, lo, hi in cuts:
                 row[prefix] = (lo, hi, start)
@@ -479,7 +522,7 @@ def _census_classes(
             row = {prefix: (lo, hi, None) for prefix, lo, hi in cuts}
             supports[name] = _Support(rank, row, {})
 
-    for fa, gens, forward in walks:
+    for fa, gens, forward in plan.walks:
         source = supports[fa.source]
         src = _perp_points(source, gens)
         touched = source.touched
@@ -491,19 +534,54 @@ def _census_classes(
     return uf, supports
 
 
-def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
-    """The collapses the census walks, read off the fanifold's arrows: one
-    per arrow whose image of its own cone is a kept chart, as (arrow, the
-    cone's gens, forward).  That image is always the target's zero cone, so
-    the chart is a zero-cone chart.  The chart of the arrow's own cone is
-    then kept too: every cone has a chart in a full diagram, and a closed
-    set keeps an arrow's cone exactly when it keeps the arrow's target."""
+def _plan(diagram: ToricDiagram) -> _Plan:
+    """The census plan of the diagram's chart set, built on its first
+    census and kept with the chart set; a build that raises keeps nothing,
+    so a faulty chart set raises on every call."""
+    charts = diagram._charts
+    if charts.plan is None:
+        charts.plan = _build_plan(diagram)
+    return charts.plan
+
+
+def _build_plan(diagram: ToricDiagram) -> _Plan:
+    """The walks and the charted strata of a census (``_Plan``).
+
+    A walk is one collapse per fanifold arrow whose image of its own cone
+    is a kept chart.  That image is always the target's zero cone, so the
+    chart is a zero-cone chart.  The chart of the arrow's own cone is then
+    kept too: every cone has a chart in a full diagram, and a closed set
+    keeps an arrow's cone exactly when it keeps the arrow's target.
+
+    Raises ValueError on a kept chart whose image is missing from a target
+    fan (``_charted_arrows``), then on a charted stratum without its
+    zero-cone chart, before any collapse matrix is built."""
     phi, index = diagram.fanifold, diagram.index
-    walks = []
-    for fa, star in _charted_arrows(diagram):
-        if (fa.target, star[fa.cone_index]) in index:
-            walks.append((fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)))
-    return walks
+    walked = [
+        fa
+        for fa, star in _charted_arrows(diagram)
+        if (fa.target, star[fa.cone_index]) in index
+    ]
+    targets = {fa.target for fa in walked}
+    cones: dict[str, list[Cone]] = {}
+    ranks: dict[str, int] = {}
+    for i, obj in enumerate(diagram.objects):
+        cones.setdefault(obj.stratum, []).append(diagram.object_cone(i))
+        ranks[obj.stratum] = diagram.object_rank(i)
+    strata = []
+    for name, kept in cones.items():
+        if all(c.gens for c in kept):
+            raise ValueError(f"stratum {name!r} has no zero-cone chart")
+        gens = tuple(dict.fromkeys(g for c in kept for g in c.gens))
+        strata.append((name, ranks[name], gens, name in targets))
+    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in walked]
+    return _Plan(tuple(strata), walks)
+
+
+def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
+    """The collapses the census walks, off the chart set's plan, as (arrow,
+    the cone's gens, forward)."""
+    return _plan(diagram).walks
 
 
 def _perp_points(

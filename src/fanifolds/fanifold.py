@@ -122,6 +122,10 @@ class Fanifold:
         self._arrow_maps: dict[Arrow, LatticeMap] = {}
         self._star_maps: dict[Arrow, dict[int, int | None]] = {}
         self._collapses: dict[Arrow, Mat] = {}
+        # bmodel's chart sets: each chart tuple -> its index and census
+        # plan, and None -> the full diagram's.  Plain data only, never a
+        # diagram: nothing in it refers back to this fanifold.
+        self._chart_sets: dict[tuple | None, object] = {}
 
     def __repr__(self) -> str:
         return (

@@ -22,10 +22,17 @@ from fanifolds.bmodel import (
     u_functor,
 )
 from fanifolds.cones import Cone, zero_cone
-from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan, quadric_fan
+from fanifolds.examples import (
+    EXAMPLES,
+    orthant_fan,
+    projective_fan,
+    quadric_fan,
+    stacky_quadric_fan,
+)
 from fanifolds.fanifold import (
     Fanifold,
     Stratum,
+    disjoint_union,
     from_fan,
     product,
     require_valid,
@@ -957,3 +964,194 @@ def test_diagram_arrow_order_matches_the_golden():
     assert len(golden) == 15 + sum(len(b().strata) for b in EXAMPLES.values())
     assert _arrow_orders(lambda n: load_fanifold(resolve_input(f"{n}.json"))) == golden
     assert _arrow_orders(lambda n: EXAMPLES[n]()) == golden
+
+
+# -- the census plan: built once per fanifold and chart set -----------------
+
+
+def _chart_set_diagrams():
+    """(label, a function making a fresh diagram) for every example: its full
+    diagram, built and loaded, and on a poset the kept charts of every
+    closed set of the built one."""
+    for name, build in sorted(EXAMPLES.items()):
+        phi, loaded = build(), load_fanifold(resolve_input(f"{name}.json"))
+        yield f"{name} loaded", lambda loaded=loaded: full_diagram(loaded)
+        yield name, lambda phi=phi: full_diagram(phi)
+        if phi.validate().is_poset:
+            for z in _closed_sets(phi):
+                kept = phi.kept_cones(z)
+                yield f"{name} {z}", lambda phi=phi, kept=kept: bmodel._diagram(phi, kept)
+
+
+def test_planned_censuses_in_any_degree_order_match_the_box_walk_reference():
+    """Censuses at D = 0..4, taken in a shuffled degree order, each on a
+    fresh diagram of the same chart set (so every degree after the first
+    reads the plan the first one built), equal the box-walk reference: the
+    dimension, the support sizes, the basis and every chart point's class."""
+    rng = random.Random(3501)
+    sets = 0
+    for label, diagram_of in _chart_set_diagrams():
+        degrees = list(range(5))
+        rng.shuffle(degrees)
+        for degree in degrees:
+            diagram = diagram_of()
+            census = limit_census(diagram, degree, with_basis=True)
+            dimension, sizes, basis, classes = _reference_census(diagram, degree)
+            assert census.dimension == dimension, (label, degree)
+            assert census.support_sizes == sizes, (label, degree)
+            assert census.basis == basis, (label, degree)
+            assert _same_partition(_kernel_classes(diagram, degree, classes), classes), (label, degree)
+        sets += 1
+    assert sets == 30 + 207
+
+
+def test_the_plan_is_built_once_per_fanifold_and_chart_set(monkeypatch):
+    """Over D = 1..16, each on a fresh diagram, a chart set's plan is built
+    at its first census and read by the others: once per fanifold and chart
+    set, for the full diagram and each stratum's chart diagram of every
+    example, built and loaded.  An unrolled closure is a fanifold of its
+    own, built afresh by each ``chart_diagram`` call."""
+    builds = []
+    build_plan = bmodel._build_plan
+
+    def counted(diagram):
+        builds.append((diagram.fanifold, diagram.objects))
+        return build_plan(diagram)
+
+    monkeypatch.setattr(bmodel, "_build_plan", counted)
+    censuses = 0
+    for name, build in sorted(EXAMPLES.items()):
+        for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
+            makers = [lambda: full_diagram(phi)]
+            if phi.validate().is_poset:
+                makers += [lambda s=s: chart_diagram(phi, s.name) for s in phi.strata]
+            for make in makers:
+                for degree in range(1, 17):
+                    limit_census(make(), degree)
+                    censuses += 1
+            # the closure of a top stratum can keep every chart
+            chart_tuples = {make().objects for make in makers}
+            assert sorted(objects for _, objects in builds) == sorted(chart_tuples), name
+            assert all(f is phi for f, _ in builds), name
+            builds.clear()
+    assert censuses == 16 * (30 + 2 * 71)  # 71 strata on the poset examples
+
+    uni = EXAMPLES["unigon"]()
+    for degree in (1, 2):
+        limit_census(chart_diagram(uni, "u"), degree)
+    assert len(builds) == 2 and builds[0][0] is not builds[1][0]
+    assert builds[0][1] == builds[1][1]
+
+
+def _faulty_diagrams():
+    """A diagram whose target fan lacks a star cone's image, and one whose
+    stratum lacks its zero-cone chart, with the message each raises."""
+    phi = EXAMPLES["affine2"]()
+    fa = next(a for a in phi.arrows if phi.stratum(a.target).lattice_rank == 1)
+    target = phi.stratum(fa.target)
+    flipped = Fan(
+        [Cone([tuple(-x for x in g) for g in c.gens], 1) for c in target.fan.cones], 1
+    )
+    strata = [s._replace(fan=flipped) if s is target else s for s in phi.strata]
+    mutant = Fanifold(phi.dimension, strata, phi.arrows)
+    yield full_diagram(mutant), "image of cone 0 of 's1' missing from 's2'"
+    line = EXAMPLES["affine1"]()
+    s = next(s for s in line.strata if s.lattice_rank)
+    ray = next(k for k, c in enumerate(s.fan.cones) if c.gens)
+    yield ToricDiagram(line, [ChartObject(s.name, ray)]), "has no zero-cone chart"
+
+
+def test_a_faulty_chart_set_raises_at_every_degree_on_every_call():
+    """The missing-image and the no-zero-chart errors come from the plan,
+    before the degree checks: at every degree, a negative one and one past
+    the box index included, on every call.  A build that raises keeps no
+    plan and no collapse matrix."""
+    for diagram, message in _faulty_diagrams():
+        for degree in (1, -1, 0, 16, 2**70, 3):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    limit_census(diagram, degree)
+                with pytest.raises(ValueError, match=message):
+                    limit_census(ToricDiagram(diagram.fanifold, diagram.objects), degree)
+        assert diagram._charts.plan is None, message
+        assert diagram.fanifold._collapses == {}, message
+
+
+# -- descent and product laws on fan diagrams ---------------------------------
+
+
+def _dual_points(rays, degree, rank):
+    """The box points u with u . g >= 0 for every ray g, as a set."""
+    box = itertools.product(range(-degree, degree + 1), repeat=rank)
+    return {u for u in box if all(sum(a * b for a, b in zip(u, g)) >= 0 for g in rays)}
+
+
+def _moved(fan, rng):
+    m = _unimodular(rng, fan.rank)
+    return Fan([Cone([tuple(dot(r, g) for r in m) for g in c.gens], fan.rank) for c in fan.cones], fan.rank)
+
+
+def test_mayer_vietoris_on_fan_diagrams():
+    """On ``from_fan`` of a fan, a closed set Z of strata is a subfan, and
+    the census of its kept charts counts the box points in the dual of the
+    subfan's rays.  For the closures C and D of two strata, of the cones a
+    and b, those rays are a's, b's, the common ones (C n D) and all of them
+    (C u D), read off the fan and not off the diagram.  Mayer-Vietoris for
+    X_C u X_D, degree by degree, gives dim(C u D) + dim(C n D) - dim C -
+    dim D = #{u in (C n D)^v, not in C^v, not in D^v}: one class of H^1 per
+    such u (Cox, Little and Schenck, Toric Varieties, Thm 9.1.3).  On every
+    pair of strata of P1-P3, the 2- and 3-orthants, the quadric, the stacky
+    quadric and four random lattice bases each of P2 and the 3-orthant, at
+    D = 1 and 2."""
+    rng = random.Random(3515)
+    fans = [projective_fan(n) for n in (1, 2, 3)]
+    fans += [orthant_fan(2), orthant_fan(3), quadric_fan(), stacky_quadric_fan()]
+    fans += [_moved(projective_fan(2), rng) for _ in range(4)]
+    fans += [_moved(orthant_fan(3), rng) for _ in range(4)]
+    squares = defects = 0
+    for fan in fans:
+        phi = from_fan(fan)
+        rays = {f"s{i}": set(c.gens) for i, c in enumerate(fan.cones)}
+        for a, b in itertools.combinations(sorted(rays), 2):
+            c, d = phi.down_closure([a]), phi.down_closure([b])
+            sets = {"C": (c, rays[a]), "D": (d, rays[b]), "C u D": (c | d, rays[a] | rays[b]),
+                    "C n D": (c & d, rays[a] & rays[b])}
+            for degree in (1, 2):
+                dims, duals = {}, {}
+                for key, (z, z_rays) in sets.items():
+                    duals[key] = _dual_points(z_rays, degree, fan.rank)
+                    kept = bmodel._diagram(phi, phi.kept_cones(z))
+                    dims[key] = limit_census(kept, degree).dimension
+                    assert dims[key] == len(duals[key]), (fan, a, b, key, degree)
+                defect = dims["C u D"] + dims["C n D"] - dims["C"] - dims["D"]
+                assert defect == len(duals["C n D"] - duals["C"] - duals["D"]), (fan, a, b, degree)
+                squares += 1
+                defects += defect != 0
+    assert (squares, defects) == (742, 258)  # the naive identity fails on 258
+
+
+def test_census_is_multiplicative_on_products_and_additive_on_disjoint_unions():
+    """Kuenneth, census(product(phi, psi), D) = census(phi, D) *
+    census(psi, D), and the census of a disjoint union is the sum of the
+    two, at D = 1 and 2: on the fan examples and on fans drawn as the
+    random-fans workload draws them, over pairs of total rank at most 4
+    (products) and of equal rank (disjoint unions)."""
+    rng = random.Random(3502)
+    phis = [EXAMPLES[n]() for n in ("affine1", "affine2", "affine3", "proj1", "proj2", "proj3", "quadric_stacky")]
+    phis += [from_fan(drawn_fan(rng)[0]) for _ in range(6)]
+
+    def censuses(phi):
+        diagram = full_diagram(phi)
+        return [limit_census(diagram, degree).dimension for degree in (1, 2)]
+
+    factors = [censuses(phi) for phi in phis]
+    products = unions = 0
+    for (i, left), (j, right) in itertools.combinations_with_replacement(enumerate(phis), 2):
+        pairs = list(zip(factors[i], factors[j]))
+        if left.dimension + right.dimension <= 4:
+            assert censuses(product(left, right)) == [a * b for a, b in pairs], (left, right)
+            products += 1
+        if left.dimension == right.dimension:
+            assert censuses(disjoint_union(left, right)) == [a + b for a, b in pairs], (left, right)
+            unions += 1
+    assert (products, unions) == (61, 45)

@@ -646,3 +646,42 @@ def test_json_reports_are_the_standard_encoders_text(monkeypatch, capsys, name):
         else:
             assert (code, out) == (2, ""), argv
     assert len(payloads) >= len(COMMANDS) - 1, name
+
+
+def test_no_cli_op_keeps_its_fanifold_alive(monkeypatch):
+    """Every op of the benchmark's cli-sweep workload (seed 1), with the
+    cyclic collector off: each fanifold the op loads is freed by reference
+    counting once ``run`` returns, so no table it holds (interned cones,
+    their duals and quotients, star maps, chart sets) outlives the op."""
+    import gc
+    import weakref
+
+    import fanifolds
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    ops = workloads.build_cli_sweep(fanifolds, 1, root)
+    load, loaded = files.load_fanifold, []
+
+    def tracked(path):
+        phi = load(path)
+        loaded.append(weakref.ref(phi))
+        return phi
+
+    monkeypatch.setattr(files, "load_fanifold", tracked)
+    kept = []
+    gc.collect()
+    gc.disable()
+    try:
+        for op in ops:
+            loaded.clear()
+            code, _ = op.run()
+            assert code == 0 and loaded, op.label
+            if any(ref() is not None for ref in loaded):
+                kept.append(op.label)
+    finally:
+        gc.enable()
+    assert len(ops) == 335
+    assert kept == [], f"{len(kept)} ops keep a fanifold alive, such as {kept[:3]}"
