@@ -21,24 +21,29 @@ The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
 of a point in one stratum, so a class belongs to a stratum lattice point:
 only the points in the dual of every kept cone survive, and one zero sink
-stands for the rest.  Each fanifold arrow is walked once, out of the chart
-of its own cone, whose collapse makes every identification the larger
-charts' collapses make; ``_census_classes`` gives the proof.
+stands for the rest.  Each fanifold arrow is walked at most once, out of
+the chart of its own cone, whose collapse makes every identification the
+larger charts' collapses make.  An arrow c that is b after a, by one
+witness the plan checks (``_factors``), is not walked at all: the walks of
+a and b make every identification c's would, so the census walks only the
+arrows that do not factor, which on a valid diagram are the arrows along a
+ray.  ``_census_classes`` gives both proofs.
 
 A census has a part that does not depend on the degree, its plan
 (``_Plan``): each charted stratum's rank, the distinct gens of its kept
 cones and whether a collapse targets it, and each walk's arrow, cone gens
-and collapse matrix.  The plan is built at the first census of a chart set
-and kept with the chart tuple and its index (``_ChartSet``) in the
-fanifold's ``_chart_sets`` table, so every later census of that chart set,
-at any degree and on any diagram of it, pays only for its box walk;
-``full_diagram`` shares the fanifold's full chart tuple and index.  That
-table holds plain data only, names, tuples and matrices, and never a
-diagram: a diagram refers to its fanifold, so a diagram in the table would
-make a reference cycle, and a fanifold of a one-shot command would outlive
-the command, with its interned cones and their cached duals and quotients,
-until the garbage collector ran.  A build that raises keeps nothing, so a
-faulty chart set raises on every call, before any degree check.
+and collapse matrix, for the arrows that do not factor.  The plan is built
+at the first census of a chart set and kept with the chart tuple and its
+index (``_ChartSet``) in the fanifold's ``_chart_sets`` table, so every
+later census of that chart set, at any degree and on any diagram of it,
+pays only for its box walk; ``full_diagram`` shares the fanifold's full
+chart tuple and index.  That table holds plain data only, names, tuples and
+matrices, and never a diagram: a diagram refers to its fanifold, so a
+diagram in the table would make a reference cycle, and a fanifold of a
+one-shot command would outlive the command, with its interned cones and
+their cached duals and quotients, until the garbage collector ran.  A build
+that raises keeps nothing, so a faulty chart set raises on every call,
+before any degree check.
 
 Box points are walked as intervals of the last coordinate, one per prefix
 of the others.  Each gen's dot with a prefix of the first rank - 2
@@ -96,8 +101,10 @@ class _Plan(NamedTuple):
 
     ``strata`` holds, for each charted stratum in object order, its name,
     its lattice rank, the distinct gens of its kept cones and whether a
-    collapse targets it.  ``walks`` holds each collapse the census walks as
-    (fanifold arrow, the arrow cone's gens, forward)."""
+    collapse targets it.  ``walks`` holds each collapse the census walks,
+    one per charted arrow that does not factor through two others
+    (``_factors``), in arrow order, as (fanifold arrow, the arrow cone's
+    gens, forward)."""
 
     strata: tuple[tuple[str, int, tuple[Vec, ...], bool], ...]
     walks: list[tuple[Arrow, Sequence[Vec], Mat]]
@@ -447,9 +454,9 @@ def _census_classes(
       dual of the image, and u lies in the one dual exactly when its image
       lies in the other.  So the collapse of the sigma chart into the zero
       chart makes every union and mark the others make, and it is the one
-      collapse walked per arrow.  The walks are read off the fanifold's
-      arrows and star maps (``_build_plan``), not off the diagram's map
-      list.
+      collapse walked per arrow, unless the arrow factors (below).  The
+      walks are read off the fanifold's arrows and star maps
+      (``_build_plan``), not off the diagram's map list.
     * ``forward`` = a^-T s^T (``Fanifold._collapse_forward``) and
       ``backward`` = p^T a^T, the transpose of ``Fanifold.arrow_map``, for
       the iso a, the projection p and its section s, are inverse bijections
@@ -490,6 +497,40 @@ def _census_classes(
       s for every x, so the interval lies in sigma^perp when s = 0 and
       misses it otherwise.  Either way the interval costs one dot, plus the
       points it keeps.
+
+    A walk along an arrow c: S -> T that factors through walks a: S -> R
+    and b: R -> T, by the witness ``_factors`` finds, makes no union and no
+    zero mark that theirs do not, so the plan drops it.  Write F_x for an
+    arrow's ``forward`` and A_x for its ``arrow_map``; as above,
+    F_x(u) . A_x(y) = u . y for u in sigma_x^perp and every y, and F_x is
+    one to one on sigma_x^perp.  The witness gives sigma_a inside sigma_c,
+    sigma_b = A_a(sigma_c) (the star map), A_c = A_b A_a, and kept charts of
+    sigma_c and sigma_b, so the surviving points of S and R lie in their
+    duals.  When the walks' matrices build, each iso is unimodular and
+    each A_x onto.  "Joined" below means one class, or both zero.
+
+    * For u in sigma_a^perp and v = F_a(u), v . A_a(y) = u . y, so v lies
+      in sigma_b^perp exactly when u lies in sigma_c^perp, and then
+      F_b(v) . A_c(y) = u . y = F_c(u) . A_c(y), so F_b(v) = F_c(u).
+    * Let u be a surviving point of S in sigma_c^perp, so in sigma_a^perp,
+      and v = F_a(u).  If v is a surviving point of R, walk a joins u to v,
+      and walk b joins v to F_c(u), or zeroes v when F_c(u) is no
+      surviving point of T.  If v is not (outside R's box, or outside a
+      kept dual), walk a zeroes u, and walk b zeroes F_c(u) if it is a
+      surviving point of T: v is its only preimage in sigma_b^perp.
+    * Let w be a surviving point of T that c's walk reaches from no
+      point, so c's walk zeroes it.  If walk b reaches w from no point, it
+      zeroes w.  If it reaches w from v, walk a reaches v from no point,
+      since from u it would put u in sigma_c^perp with F_c(u) = w; so walk
+      a zeroes v, which walk b joins to w.
+
+    sigma_a and sigma_b are smaller than sigma_c, so by induction on the
+    cone's dimension this holds when every walk that factors is dropped at
+    once.  A dropped walk's matrix builds whenever a's and b's do: A_c is
+    onto, and c's iso is square, since dim sigma_b = dim sigma_c -
+    dim sigma_a.  So the plan raises exactly when a plan of every walk
+    would, on any diagram, validated or not; only which arrow's matrix the
+    error comes from can differ.
 
     Everything above but the box is degree-independent: the kept gens of
     each stratum, which strata are collapse targets, and the walks are the
@@ -548,10 +589,12 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
     """The walks and the charted strata of a census (``_Plan``).
 
     A walk is one collapse per fanifold arrow whose image of its own cone
-    is a kept chart.  That image is always the target's zero cone, so the
+    is a kept chart, unless the arrow factors through two others
+    (``_factors``).  That image is always the target's zero cone, so the
     chart is a zero-cone chart.  The chart of the arrow's own cone is then
     kept too: every cone has a chart in a full diagram, and a closed set
-    keeps an arrow's cone exactly when it keeps the arrow's target.
+    keeps an arrow's cone exactly when it keeps the arrow's target.  A
+    dropped walk builds no collapse matrix.
 
     Raises ValueError on a kept chart whose image is missing from a target
     fan (``_charted_arrows``), then on a charted stratum without its
@@ -562,7 +605,11 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
         for fa, star in _charted_arrows(diagram)
         if (fa.target, star[fa.cone_index]) in index
     ]
-    targets = {fa.target for fa in walked}
+    by_cone: dict[tuple[str, int], Arrow] = {}
+    for fa in walked:
+        by_cone.setdefault((fa.source, fa.cone_index), fa)
+    generating = [fa for fa in walked if not _factors(phi, index, by_cone, fa)]
+    targets = {fa.target for fa in generating}
     cones: dict[str, list[Cone]] = {}
     ranks: dict[str, int] = {}
     for i, obj in enumerate(diagram.objects):
@@ -574,14 +621,41 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
             raise ValueError(f"stratum {name!r} has no zero-cone chart")
         gens = tuple(dict.fromkeys(g for c in kept for g in c.gens))
         strata.append((name, ranks[name], gens, name in targets))
-    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in walked]
+    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in generating]
     return _Plan(tuple(strata), walks)
 
 
-def _walks(diagram: ToricDiagram) -> list[tuple[Arrow, Sequence[Vec], Mat]]:
-    """The collapses the census walks, off the chart set's plan, as (arrow,
-    the cone's gens, forward)."""
-    return _plan(diagram).walks
+def _factors(
+    phi: Fanifold,
+    index: Mapping[ChartObject, int],
+    walked: Mapping[tuple[str, int], Arrow],
+    c: Arrow,
+) -> bool:
+    """Whether the walk along c: S -> T is the walks along a and b after
+    each other, by one witness and no search (``_census_classes`` gives the
+    proof).  ``walked`` maps (source, cone index) to a walked arrow.
+
+    a is the walk out of S on the first nonzero face of sigma_c in index
+    order, and b the walk out of a's target on the image of sigma_c under
+    a (``Fanifold._star_map``), into T.  sigma_a and sigma_b are nonzero
+    and smaller than sigma_c, the charts of sigma_c and sigma_b are kept,
+    and ``arrow_map(b) . arrow_map(a) == arrow_map(c)``.
+    Validation asks the same of every composite (``Fanifold._composite``),
+    but the witness needs no valid diagram."""
+    fan, k = phi.stratum(c.source).fan, c.cone_index
+    cones = fan.cones
+    dim = cones[k].dim
+    f = min((f for f in fan._inside[k] if cones[f].dim), default=None)
+    a = walked.get((c.source, f))
+    if a is None or cones[f].dim >= dim:
+        return False
+    b = walked.get((a.target, phi._star_map(a).get(k)))
+    if b is None or b.target != c.target or not 0 < phi.arrow_cone(b).dim < dim:
+        return False
+    if (c.source, k) not in index or (b.source, b.cone_index) not in index:
+        return False
+    map_a, map_b = phi.arrow_map(a), phi.arrow_map(b)
+    return map_b.source_rank == map_a.target_rank and map_b.compose(map_a) == phi.arrow_map(c)
 
 
 def _perp_points(

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -49,9 +50,10 @@ from fanifolds.lattice import (
     transpose,
 )
 from fanifolds.cli import resolve_input
-from fanifolds.files import load_fanifold
+from fanifolds.files import dumps, fanifold_from_dict, load_fanifold, loads
 from fanifolds.skeleton import skeleton_model
 from test_properties import kept_charts_count_as_deletion, random_fan
+import test_fuzz
 
 
 def census_dims(phi, degrees):
@@ -320,12 +322,40 @@ def test_support_is_the_box_filter_in_product_order():
                 assert cuts == _product_cuts(box), (cone, degree)
 
 
+_REFERENCES = {}
+_TEXTS = weakref.WeakKeyDictionary()  # fanifold -> its dumps
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _references_last_one_module():
+    """The references are read by this module's tests only, so the table
+    is emptied after them and later modules do not carry it."""
+    yield
+    _REFERENCES.clear()
+
+
 def _reference_census(diagram, degree):
     """The box walk the census used to do: every box point of every chart,
     with restriction and collapse maps applied point by point.  Returns the
     dimension, support sizes, basis (classes in the order of their first
     chart point) and the class of every chart point (i, u): its root, or
-    None when the class is zero."""
+    None when the class is zero.
+
+    Computed once for each fanifold (by its ``dumps``, found once per
+    fanifold object), chart tuple and degree while this module runs;
+    callers only read what it returns."""
+    phi = diagram.fanifold
+    text = _TEXTS.get(phi)
+    if text is None:
+        text = _TEXTS[phi] = dumps(phi)
+    key = (text, diagram.objects, degree)
+    out = _REFERENCES.get(key)
+    if out is None:
+        out = _REFERENCES[key] = _box_walk_census(diagram, degree)
+    return out
+
+
+def _box_walk_census(diagram, degree):
     supports, var, parent, zero = [], {}, [], []
 
     def find(x):
@@ -584,6 +614,14 @@ def _touched_points(phi, degree):
     return touched, untouched
 
 
+def _generating(phi, arrows):
+    """The arrows of ``arrows``, in order, that are no coherent composite
+    of two of them, found by a search over every pair of them
+    (``Fanifold._composite``, which needs a valid diagram)."""
+    composites = {phi._composite(a, b) for a in arrows for b in arrows if b.source == a.target}
+    return [c for c in arrows if c not in composites]
+
+
 def test_census_allocates_ids_only_to_touched_points(monkeypatch):
     degree = 12
     # affine3: of the rank-3 stratum's 13^3 surviving points, the 12^3 off
@@ -606,11 +644,13 @@ def test_census_allocates_ids_only_to_touched_points(monkeypatch):
 
     monkeypatch.setattr(bmodel, "_collapse", counted)
     _census_classes(diagram, degree)
-    # one walk per fanifold arrow, in order, out of the chart of the arrow's
-    # cone by the arrow's own collapse
-    assert len(walks) == len(phi.arrows) == 50
+    # one walk per generating arrow, in order, out of the chart of the
+    # arrow's cone by the arrow's own collapse: 28 of proj3's 50 arrows are
+    # no composite of two others
+    generating = _generating(phi, phi.arrows)
+    assert len(walks) == len(generating) == 28 and len(phi.arrows) == 50
     assert sum(a.kind == "collapse" for a in diagram.arrows) == 110
-    assert walks == [phi._collapse_forward(fa) for fa in phi.arrows]
+    assert walks == [phi._collapse_forward(fa) for fa in generating]
     census = limit_census(diagram, degree)
     assert census.dimension == 1
     assert sum(census.support_sizes.values()) == 80081
@@ -779,9 +819,10 @@ def test_collapse_forward_is_built_only_where_read():
     census builds those of the arrows it walks, each out of the chart of
     its own cone into a zero-cone chart, and no others.  Its walks, read
     off the fanifold's arrows, are the diagram's collapses into a zero-cone
-    chart, in order: the same fanifold arrow, cone gens and ``forward``,
-    read through the fanifold.  A collapse names a fanifold arrow, and a
-    restriction none."""
+    chart whose arrows are no composite of two others', in order: the same
+    fanifold arrow, cone gens and ``forward``, read through the fanifold.
+    So the collapse matrices built are the generating arrows'.  A collapse
+    names a fanifold arrow, and a restriction none."""
     for name, build in sorted(EXAMPLES.items()):
         phi = build()
         diagrams = [full_diagram(phi)]
@@ -796,12 +837,13 @@ def test_collapse_forward_is_built_only_where_read():
                 for a in diagram.arrows
                 if a.kind == "collapse" and not diagram.object_cone(a.target).gens
             ]
+            walks = _generating(phi, walks)
             walked |= set(walks)
-            assert bmodel._walks(diagram) == [
+            assert bmodel._plan(diagram).walks == [
                 (fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa))
                 for fa in walks
             ], name
-        assert set(phi._collapses) == walked == set(phi.arrows), name
+        assert set(phi._collapses) == walked == set(_generating(phi, phi.arrows)), name
         for a in diagrams[0].arrows:
             assert (a.arrow in phi.arrows) == (a.kind == "collapse"), name
 
@@ -810,7 +852,9 @@ def test_every_walked_target_is_a_zero_cone_chart():
     """The image of an arrow's own cone is the target's zero cone, so each
     collapse the census walks lands on a zero-cone chart: on every example's
     full diagram and on the kept charts of every closed set of the poset
-    examples, built and loaded."""
+    examples, built and loaded.  The walks are the arrows between charted
+    strata that are no composite of two of them, and on these valid
+    diagrams those are the arrows along a ray."""
     diagrams = 0
     for name, build in sorted(EXAMPLES.items()):
         for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
@@ -818,15 +862,17 @@ def test_every_walked_target_is_a_zero_cone_chart():
             if phi.validate().is_poset:
                 kept += [bmodel._diagram(phi, phi.kept_cones(z)) for z in _closed_sets(phi)]
             for diagram in kept:
-                walked = [fa for fa, _, _ in bmodel._walks(diagram)]
+                walked = [fa for fa, _, _ in bmodel._plan(diagram).walks]
                 for fa in walked:
                     star = phi._star_map(fa)
                     target = diagram.index[(fa.target, star[fa.cone_index])]
                     assert not diagram.object_cone(target).gens, (name, fa)
                 charted = {o.stratum for o in diagram.objects}
-                assert walked == [
+                between = [
                     fa for fa in phi.arrows if fa.source in charted and fa.target in charted
-                ], name
+                ]
+                assert walked == _generating(phi, between), name
+                assert walked == [fa for fa in between if phi.arrow_cone(fa).dim == 1], name
                 diagrams += 1
     assert diagrams == 30 + 414
 
@@ -1075,6 +1121,122 @@ def test_a_faulty_chart_set_raises_at_every_degree_on_every_call():
                     limit_census(ToricDiagram(diagram.fanifold, diagram.objects), degree)
         assert diagram._charts.plan is None, message
         assert diagram.fanifold._collapses == {}, message
+
+
+def _every_walk_plan(diagram):
+    """The census plan with a walk along every charted arrow whose own
+    cone's image is a kept chart, composites included, built as
+    ``bmodel._build_plan`` builds its plan but with no witness."""
+    phi, index = diagram.fanifold, diagram.index
+    walked = [
+        fa
+        for fa, star in bmodel._charted_arrows(diagram)
+        if (fa.target, star[fa.cone_index]) in index
+    ]
+    gens, ranks = {}, {}
+    for i, obj in enumerate(diagram.objects):
+        gens.setdefault(obj.stratum, []).append(diagram.object_cone(i).gens)
+        ranks[obj.stratum] = diagram.object_rank(i)
+    strata = []
+    for name, kept in gens.items():
+        if all(kept):
+            raise ValueError(f"stratum {name!r} has no zero-cone chart")
+        distinct = tuple(dict.fromkeys(g for c in kept for g in c))
+        strata.append((name, ranks[name], distinct, any(fa.target == name for fa in walked)))
+    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in walked]
+    return bmodel._Plan(tuple(strata), walks)
+
+
+def _censuses_or_error(diagram, degrees):
+    """Each degree's dimension and basis, or the error the census raised
+    (an unvalidated diagram can raise anything), as type and text."""
+    out = []
+    for degree in degrees:
+        try:
+            census = limit_census(diagram, degree, with_basis=True)
+        except Exception as e:
+            out.append(f"{type(e).__name__}: {e}")
+        else:
+            out.append((census.dimension, census.basis))
+    return out
+
+
+def _walk_law_cases():
+    """(label, a function making a fresh fanifold, its chart sets: None for
+    the full diagram, else kept cones): every example, built and loaded,
+    its full diagram, on a poset the kept charts of every closed set, and
+    four random chart sets that keep each zero chart;
+    ``from_fan`` of drawn fans, and products of examples and of drawn fans;
+    and every one-edit fuzz mutant of the bundled files
+    (``tests/test_fuzz.py``'s seed) that loads, unvalidated."""
+    rng = random.Random(3601)
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        charts = [None]
+        if phi.validate().is_poset:
+            charts += [phi.kept_cones(z) for z in _closed_sets(phi)]
+        # charts that no closed set keeps: each zero chart and a random half
+        # of the others, so a walk's own chart or its witness's can be gone
+        charts += [
+            {s.name: [k for k, c in enumerate(s.fan.cones) if not c.dim or rng.random() < 0.5]
+             for s in phi.strata}
+            for _ in range(4)
+        ]
+        text = dumps(phi)
+        yield name, build, charts
+        yield f"{name} loaded", lambda text=text: loads(text), charts
+    fans = [drawn_fan(rng)[0] for _ in range(24)]
+    for k, fan in enumerate(fans):
+        yield f"drawn fan {k}", lambda fan=fan: from_fan(fan), [None]
+    pairs = [(EXAMPLES[x], EXAMPLES[y]) for x, y in
+             [("proj1", "proj2"), ("square", "interval"), ("unigon", "interval"), ("affine2", "proj1")]]
+    pairs += [(lambda f=f: from_fan(f), lambda g=g: from_fan(g))
+              for f, g in zip(fans, fans[1:]) if f.rank == g.rank == 2][:4]
+    for k, (left, right) in enumerate(pairs):
+        yield f"product {k}", lambda left=left, right=right: product(left(), right()), [None]
+    rng = random.Random(test_fuzz.SEED)
+    docs = test_fuzz._documents()
+    names = sorted(docs)
+    for k in range(test_fuzz.MUTANTS):
+        name = names[k % len(names)]
+        doc, kind = test_fuzz._mutate(docs[name], rng)
+        try:
+            fanifold_from_dict(doc)
+        except ValueError:
+            continue
+        yield f"mutant {k} of {name} ({kind})", lambda doc=doc: fanifold_from_dict(doc), [None]
+
+
+def test_the_planned_census_equals_the_census_that_walks_every_charted_arrow(monkeypatch):
+    """Dropping the walks that factor changes no census: at D = 0..2 the
+    dimension and the basis, or the error raised, equal those of a plan
+    that walks every charted arrow, which is built on a fanifold of its
+    own.  On every example with its chart sets, on ``from_fan`` of drawn
+    fans and on products, and on the fuzz mutants that load, which nothing
+    validated: the witness that drops a walk needs no valid diagram."""
+    degrees = (0, 1, 2)
+    cases = dropped = mutants = invalid_dropped = raised = 0
+    for label, make, charts in _walk_law_cases():
+        phis = make(), make()
+        for kept in charts:
+            diagrams = [full_diagram(phi) if kept is None else bmodel._diagram(phi, kept) for phi in phis]
+            planned = _censuses_or_error(diagrams[0], degrees)
+            with monkeypatch.context() as m:
+                m.setattr(bmodel, "_build_plan", _every_walk_plan)
+                every = _censuses_or_error(diagrams[1], degrees)
+            assert planned == every, (label, kept)
+            cases += 1
+            raised += isinstance(planned[0], str)
+            # a plan is kept once built, and a plan that raised keeps nothing
+            plans = [d._charts.plan for d in diagrams]
+            fewer = None not in plans and len(plans[0].walks) < len(plans[1].walks)
+            dropped += fewer
+            if label.startswith("mutant"):
+                mutants += 1
+                invalid_dropped += fewer and not phis[0].validate().valid
+    # 296 chart sets drop a walk, 51 of them on invalid mutants, and 47
+    # raise on both sides
+    assert (cases, dropped, mutants, invalid_dropped, raised) == (848, 296, 252, 51, 47)
 
 
 # -- descent and product laws on fan diagrams ---------------------------------
