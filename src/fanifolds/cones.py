@@ -353,9 +353,18 @@ class Cone:
     def faces(self) -> list[Mat]:
         """All faces, the cone itself included, ordered by (dimension, rays).
 
-        Every proper face is a meet of facets (Ziegler, Lectures on Polytopes,
+        A simplicial cone's faces are exactly the subsets of its rays (Cox,
+        Little and Schenck, Toric Varieties, 1.2): its rays are independent,
+        so for each subset S some u is 0 on S and 1 on the other rays, and u
+        cuts out the face spanned by S, of dimension |S|; every face is
+        spanned by the rays it holds.  ``combinations`` of the sorted rays
+        meets the subsets in (dimension, rays) order.  Otherwise every
+        proper face is a meet of facets (Ziegler, Lectures on Polytopes,
         ch. 2), and a meet keeps the rays both faces keep.
         """
+        if self.is_simplicial:
+            rays = self.extremal_rays
+            return [f for k in range(len(rays) + 1) for f in itertools.combinations(rays, k)]
         found = {self.extremal_rays}
         for f in self.facets():
             found |= {tuple(r for r in g if r in f) for g in found}

@@ -100,17 +100,12 @@ class Fan:
 
     @cached_property
     def _inside(self) -> tuple[frozenset[int], ...]:
-        """For each cone, the indices of the other cones it contains.
-
-        A cone is the conic hull of its gens, so tau contains sigma exactly
-        when tau holds every gen of sigma: one ``Cone.contains`` per (cone,
-        distinct gen of the fan) gives ``Cone.contains_cone`` on every pair,
-        on any fan, valid or not."""
-        gens = dict.fromkeys(g for c in self.cones for g in c.gens)
-        held = [frozenset(g for g in gens if c.contains(g)) for c in self.cones]
+        """For each cone, the indices of the other cones it contains, read
+        off the containment table ``_held(self.cones, self.cones)``, on any
+        fan, valid or not."""
         return tuple(
             frozenset(j for j, c in enumerate(self.cones) if j != i and h.issuperset(c.gens))
-            for i, h in enumerate(held)
+            for i, h in enumerate(_held(self.cones, self.cones))
         )
 
     def cone_index(self, cone: Cone) -> int | None:
@@ -263,6 +258,17 @@ class Fan:
         if witness is not None:
             out["completeness_witness"] = witness
         return out
+
+
+def _held(holders: Sequence[Cone], cones: Sequence[Cone]) -> list[frozenset[Vec]]:
+    """For each holder, the distinct gens of ``cones`` it contains.
+
+    A cone is the conic hull of its gens, so a holder contains a cone of
+    ``cones`` exactly when its entry is a superset of that cone's gens:
+    one ``Cone.contains`` per (holder, distinct gen) answers
+    ``Cone.contains_cone`` on every pair."""
+    gens = dict.fromkeys(g for c in cones for g in c.gens)
+    return [frozenset(g for g in gens if h.contains(g)) for h in holders]
 
 
 def fan_key(fan: Fan) -> tuple:
@@ -536,15 +542,22 @@ class RefinesResult(NamedTuple):
 
 
 def refines(fine: Fan, coarse: Fan) -> RefinesResult:
-    """Is every fine cone inside a coarse cone, with equal total support?"""
+    """Is every fine cone inside a coarse cone, with equal total support?
+
+    Both checks read one containment table, ``_held(coarse.cones,
+    fine.cones)``: a coarse cone contains a fine cone exactly when its
+    entry holds the fine cone's gens, so no pair of cones is tested twice.
+    The problems come in order: the fine cones inside no coarse cone, then
+    the coarse cones their fine cones do not tile."""
     problems: list[str] = []
     if fine.rank != coarse.rank:
         return RefinesResult(False, ("ambient ranks differ",))
+    held = _held(coarse.cones, fine.cones)
     for i, c in enumerate(fine.cones):
-        if not any(big.contains_cone(c) for big in coarse.cones):
+        if not any(h.issuperset(c.gens) for h in held):
             problems.append(f"fine cone {i} is not inside any coarse cone")
-    for i, big in enumerate(coarse.cones):
-        pieces = [c for c in fine.cones if big.contains_cone(c)]
+    for i, (big, h) in enumerate(zip(coarse.cones, held)):
+        pieces = [c for c in fine.cones if h.issuperset(c.gens)]
         if not cones_cover(big, pieces):
             problems.append(f"coarse cone {i} is not tiled by its fine cones")
     return RefinesResult(not problems, tuple(problems))

@@ -21,11 +21,12 @@ The document shape:
 
 Cones are stored by the indices of their extremal rays, so only pointed
 cones round-trip; the zero cone is the empty list.  Serialization is
-deterministic and loading re-validates everything it can check locally
-(shapes, ids, ray references); diagram-level coherence stays with
-``Fanifold.validate``.  Fan entries of one document with equal
-``fans.fan_key`` load as one ``Fan``, and an arrow's cone is matched to its
-fan entry by ray indices.
+deterministic: ``dumps`` writes the document in one pass, and
+``fanifold_to_dict`` is the same document as a dict.  Loading re-validates
+everything it can check locally (shapes, ids, ray references);
+diagram-level coherence stays with ``Fanifold.validate``.  Fan entries of
+one document with equal ``fans.fan_key`` load as one ``Fan``, and an
+arrow's cone is matched to its fan entry by ray indices.
 """
 
 from __future__ import annotations
@@ -40,15 +41,20 @@ from .lattice import lattice_map, primitivize
 FORMAT = "fanifold/1"
 
 
-def _fan_to_dict(fan: Fan) -> dict:
-    rays = [list(r) for r in fan.rays]
-    ray_index = {tuple(r): i for i, r in enumerate(fan.rays)}
+def _cone_indices(fan: Fan) -> list[list[int]]:
+    """Each cone of ``fan`` as the sorted indices of its extremal rays in
+    ``fan.rays``: the ``cones`` entry of a fan in the schema."""
+    ray_index = {r: i for i, r in enumerate(fan.rays)}
     cones = []
     for c in fan.cones:
         if not c.is_strongly_convex:
             raise ValueError("cone is not recovered by its extremal rays")
         cones.append(sorted(ray_index[r] for r in c.extremal_rays))
-    out = {"rays": rays, "cones": cones}
+    return cones
+
+
+def _fan_to_dict(fan: Fan) -> dict:
+    out = {"rays": [list(r) for r in fan.rays], "cones": _cone_indices(fan)}
     if isinstance(fan, StackyFan):
         out["stacky_beta"] = [
             list(fan.stacky_generator(r)) for r in fan.rays
@@ -258,18 +264,102 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     return Fanifold(dimension=dimension, strata=strata, arrows=arrows)
 
 
-def dumps(phi: Fanifold) -> str:
-    return _indented(fanifold_to_dict(phi), "") + "\n"
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _row(row, indent: str) -> str:
+    """A list of ints, ``indent`` deep, as ``json.dumps(indent=2)`` writes
+    it: one join."""
+    if not row:
+        return "[]"
+    sep = ",\n" + indent + "  "
+    return "[" + sep[1:] + sep.join(map(str, row)) + "\n" + indent + "]"
+
+
+def _items(items: list[str], indent: str) -> str:
+    """A list of written values, ``indent`` deep."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
+
+
+def _members(fields: list[str], indent: str) -> str:
+    """An object of written ``"key": value`` fields, ``indent`` deep."""
+    sep = ",\n" + indent + "  "
+    return "{" + sep[1:] + sep.join(fields) + "\n" + indent + "}"
+
+
+def _rows(rows, indent: str) -> str:
+    """A list of int rows."""
+    inner = indent + "  "
+    return _items([_row(r, inner) for r in rows], indent)
+
+
+# the indents of a document's strata and arrows, of their keys, of a fan's keys
+_ITEM, _KEY, _FAN_KEY = " " * 4, " " * 6, " " * 8
+
+
+def _fan_text(fan: Fan) -> tuple[str, list[list[int]]]:
+    """A stratum's written ``fan`` value and its cones as ray indices."""
+    cones = _cone_indices(fan)
+    fields = ['"rays": ' + _rows(fan.rays, _FAN_KEY), '"cones": ' + _rows(cones, _FAN_KEY)]
+    if isinstance(fan, StackyFan):
+        beta = [fan.stacky_generator(r) for r in fan.rays]
+        fields.append('"stacky_beta": ' + _rows(beta, _FAN_KEY))
+    return _members(fields, _KEY), cones
+
+
+def dumps(phi: Fanifold) -> str:
+    """The ``fanifold/1`` document of ``phi``: byte for byte what
+    ``json.dumps(..., indent=2)`` writes of ``fanifold_to_dict``'s dict,
+    and a newline.
+
+    Written in one pass over the diagram in the schema's key order, with
+    each integer row one join and each empty list ``[]``; a fan that
+    several strata hold is written once.  As in the dict, an arrow names
+    its cone by the ray indices of the last stratum entry with its
+    source's name."""
+    written: dict[Fan, tuple[str, list[list[int]]]] = {}  # fans hash by identity
+    cones_of: dict[str, list[list[int]]] = {}
+    strata = []
+    for st in phi.strata:
+        entry = written.get(st.fan)
+        if entry is None:
+            entry = written[st.fan] = _fan_text(st.fan)
+        text, cones_of[st.name] = entry
+        fields = [
+            '"id": ' + _encode_str(st.name),
+            '"dim": ' + str(st.dim),
+            '"interior": ' + ("true" if st.interior else "false"),
+            '"lattice_rank": ' + str(st.lattice_rank),
+            '"fan": ' + text,
+        ]
+        if st.chi_c is not None:
+            fields.append('"chi_c": ' + str(st.chi_c))
+        strata.append(_members(fields, _ITEM))
+    arrows = [
+        _members([
+            '"from": ' + _encode_str(a.source),
+            '"to": ' + _encode_str(a.target),
+            '"cone": ' + _row(cones_of[a.source][a.cone_index], _KEY),
+            '"quotient_matrix": ' + _rows(a.iso.matrix, _KEY),
+        ], _ITEM)
+        for a in phi.arrows
+    ]
+    return _members([
+        '"format": ' + _encode_str(FORMAT),
+        '"dimension": ' + str(phi.dimension),
+        '"strata": ' + _items(strata, "  "),
+        '"arrows": ' + _items(arrows, "  "),
+    ], "") + "\n"
+
+
 def _indented(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for the values a document or a CLI
-    report holds (dicts with string keys, lists, strings, ints, booleans and
-    None), nested ``indent`` deep, without the pure-Python encoder's
-    per-item dispatch; a list of ints is one join."""
+    """``json.dumps(value, indent=2)`` for the values a CLI report holds
+    (dicts with string keys, lists, strings, ints, booleans and None),
+    nested ``indent`` deep, without the pure-Python encoder's per-item
+    dispatch; a list of ints is one join."""
     if type(value) is dict:
         if not value:
             return "{}"

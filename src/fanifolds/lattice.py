@@ -158,8 +158,10 @@ class LatticeMap(NamedTuple):
         """self after other."""
         if other.target_rank != self.source_rank:
             raise ValueError("composition rank mismatch")
-        if self.target_rank == 0 or other.source_rank == 0:
-            m = tuple(() for _ in range(self.target_rank))
+        if 0 in (self.target_rank, self.source_rank, other.source_rank):
+            # the zero map, written out: an empty factor hides from
+            # ``mat_mul`` how many columns the product has
+            m = ((0,) * other.source_rank,) * self.target_rank
         else:
             m = mat_mul(self.matrix, other.matrix)
         return LatticeMap(m, other.source_rank, self.target_rank)

@@ -45,7 +45,6 @@ from fanifolds.fans import (
     quotient_fan,
     refines,
     resolve_to_smooth,
-    stellar_subdivision,
 )
 from fanifolds.lattice import (
     identity_matrix,
@@ -53,7 +52,6 @@ from fanifolds.lattice import (
     invert_unimodular,
     lattice_map,
     mat_mul,
-    mat_vec,
     quotient_with_torsion,
     smith_normal_form,
     transpose,
@@ -61,6 +59,7 @@ from fanifolds.lattice import (
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import handle_plan, skeleton_model
 from test_bmodel import drawn_fan
+from test_fans import _random_basis_fans
 
 
 def test_from_fan_affine_line():
@@ -428,30 +427,6 @@ def test_arrow_check_ignores_the_order_of_the_target_cones():
 
 
 # -- arrow quotients and isos from the constructors -----------------------------
-
-
-def _random_basis_fans(seed=9091):
-    """Plain, subdivided and stacky fans, each in a random lattice basis."""
-    rng = random.Random(seed)
-    out = []
-    for k, base in enumerate(
-        [orthant_fan(2), quadric_fan(), projective_fan(2)] * 2 + [orthant_fan(3)]
-    ):
-        n = base.rank
-        m = [list(r) for r in identity_matrix(n)]
-        for _ in range(2 * n):
-            i, j = rng.sample(range(n), 2)
-            t = rng.choice((-2, -1, 1, 2))
-            m[i] = [x + t * y for x, y in zip(m[i], m[j])]
-        rng.shuffle(m)
-        fan = Fan([Cone([mat_vec(m, g) for g in c.gens], n) for c in base.cones], n)
-        if k % 2 or k == 6:
-            cone = rng.choice([c for c in fan.cones if c.dim >= 2])
-            fan = stellar_subdivision(fan, tuple(map(sum, zip(*cone.gens))))
-        if k >= 3:
-            fan = StackyFan(fan, {r: rng.randint(1, 3) for r in fan.rays})
-        out.append(fan)
-    return out
 
 
 def _example_fans():

@@ -17,6 +17,7 @@ from fanifolds.examples import (
 )
 from fanifolds.fans import (
     Fan,
+    RefinesResult,
     StackyFan,
     _star_quotient,
     cones_cover,
@@ -27,8 +28,10 @@ from fanifolds.fans import (
     stellar_subdivision,
 )
 from fanifolds.lattice import (
+    identity_matrix,
     lattice_map,
     mat,
+    mat_vec,
     primitivize,
     quotient_with_torsion,
     smith_normal_form,
@@ -368,6 +371,74 @@ def test_refines_randomized_subdivisions():
             point = tuple(sum(g[i] for g in c.gens) for i in range(2))
             cur = stellar_subdivision(cur, point)
         assert refines(cur, fan).ok
+
+
+def _random_basis_fans(seed=9091):
+    """Plain, subdivided and stacky fans, each in a random lattice basis."""
+    rng = random.Random(seed)
+    out = []
+    for k, base in enumerate(
+        [orthant_fan(2), quadric_fan(), projective_fan(2)] * 2 + [orthant_fan(3)]
+    ):
+        n = base.rank
+        m = [list(r) for r in identity_matrix(n)]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            t = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+        rng.shuffle(m)
+        fan = Fan([Cone([mat_vec(m, g) for g in c.gens], n) for c in base.cones], n)
+        if k % 2 or k == 6:
+            cone = rng.choice([c for c in fan.cones if c.dim >= 2])
+            fan = stellar_subdivision(fan, tuple(map(sum, zip(*cone.gens))))
+        if k >= 3:
+            fan = StackyFan(fan, {r: rng.randint(1, 3) for r in fan.rays})
+        out.append(fan)
+    return out
+
+
+def _refines_by_pairs(fine, coarse):
+    """The oracle for ``refines``: ``contains_cone`` on every (coarse,
+    fine) pair, once in each of its two checks."""
+    if fine.rank != coarse.rank:
+        return RefinesResult(False, ("ambient ranks differ",))
+    problems = [
+        f"fine cone {i} is not inside any coarse cone"
+        for i, c in enumerate(fine.cones)
+        if not any(big.contains_cone(c) for big in coarse.cones)
+    ]
+    problems += [
+        f"coarse cone {i} is not tiled by its fine cones"
+        for i, big in enumerate(coarse.cones)
+        if not cones_cover(big, [c for c in fine.cones if big.contains_cone(c)])
+    ]
+    return RefinesResult(not problems, tuple(problems))
+
+
+def test_refines_matches_the_pairwise_containment_reference():
+    """Seeded pairs in random lattice bases, plain and stacky: each fan's
+    stellar subdivisions and resolution refine it; swapped pairs, unrelated
+    fans of one rank and fans of unequal rank do not.  ``refines`` gives
+    the reference's verdict and problem list, in order."""
+    fans = [f for seed in (9091, 17, 23) for f in _random_basis_fans(seed)]
+    rng = random.Random(3607)
+    pairs = []
+    for k, fan in enumerate(fans):
+        cone = rng.choice([c for c in fan.cones if c.dim >= 2])
+        sub = stellar_subdivision(fan, tuple(map(sum, zip(*cone.gens))))
+        resolved = resolve_to_smooth(fan).fan
+        other = fans[(k + 1) % len(fans)]
+        pairs += [(sub, fan), (resolved, fan), (fan, sub), (fan, resolved), (fan, other)]
+    pairs += [(orthant_fan(2), orthant_fan(3)), (Fan([], 2), orthant_fan(2)), (orthant_fan(2), Fan([], 2))]
+    seen = {"ok": 0, "fine": 0, "coarse": 0, "rank": 0}
+    for fine, coarse in pairs:
+        got = refines(fine, coarse)
+        assert got == _refines_by_pairs(fine, coarse), (fine.cones, coarse.cones)
+        seen["ok"] += got.ok
+        seen["fine"] += any(p.startswith("fine") for p in got.problems)
+        seen["coarse"] += any(p.startswith("coarse") for p in got.problems)
+        seen["rank"] += got.problems == ("ambient ranks differ",)
+    assert all(seen.values()), seen
 
 
 def test_stacky_quadric_component_group():

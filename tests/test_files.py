@@ -10,8 +10,9 @@ from fanifolds import files
 from fanifolds.bmodel import chart_diagram, components, full_diagram, limit_census
 from fanifolds.cli import run
 from fanifolds.cones import Cone, zero_cone
-from fanifolds.examples import EXAMPLES
+from fanifolds.examples import EXAMPLES, orthant_fan, projective_fan
 from fanifolds.fanifold import (
+    Arrow,
     Fanifold,
     Stratum,
     from_fan,
@@ -19,10 +20,11 @@ from fanifolds.fanifold import (
     sphere_section,
 )
 from fanifolds.fans import Fan, StackyFan
+from fanifolds.lattice import lattice_map
 from fanifolds.mesh import export_mesh
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import euler_characteristic_c, handle_plan, skeleton_model
-from test_fanifold import _random_basis_fans
+from test_fans import _random_basis_fans
 
 DATA_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "fanifolds", "data"
@@ -132,14 +134,31 @@ def _renamed(phi, names):
 def test_dumps_writes_what_json_dumps_writes():
     """The writer against ``json.dumps(d, indent=2)``, byte for byte: every
     example, from_fan, sphere_section and product of plain, subdivided and
-    stacky fans in random lattice bases, the empty diagram, and ids that
-    need escaping."""
+    stacky fans in random lattice bases, the empty diagram, ids that need
+    escaping, and an unvalidated diagram with a stratum's ``chi_c``, a
+    stacky fan entry, a fan with no rays and no cones, a rank-0 target iso
+    (``"quotient_matrix": []``) and a matrix of zero-length rows.  A
+    diagram whose ids repeat is written too (an arrow names its cone by the
+    last entry of its source's id), but does not load."""
     interval = EXAMPLES["interval"]()
     diagrams = [build() for _, build in sorted(EXAMPLES.items())]
     for fan in _random_basis_fans():
         chart = from_fan(fan)
         diagrams += [chart, sphere_section(fan), product(chart, interval)]
     diagrams.append(Fanifold(2, [], []))
+    plane = orthant_fan(2)  # cone 0 is the quadrant
+    strata = [
+        Stratum(name="p", dim=0, fan=plane, chi_c=5),
+        Stratum(name="q", dim=1, fan=StackyFan(plane, {(1, 0): 3}), interior=False),
+        Stratum(name="empty", dim=2, fan=Fan([], 2)),
+        Stratum(name="pt", dim=2, fan=Fan([zero_cone(0)], 0), chi_c=-2),
+    ]
+    arrows = [
+        Arrow("p", "pt", 0, lattice_map((), 0, 0)),
+        Arrow("q", "empty", 0, lattice_map(((), ()), 0, 2)),
+    ]
+    hand = Fanifold(2, strata, arrows)
+    diagrams.append(hand)
     ids = ['a "quoted" \\ id', "caf\u00e9 \u2192 \u221e", "tab\there\nnewline", "\U0001d54f"]
     square = EXAMPLES["square"]()
     names = {s.name: f"{ids[k % 4]}{k}" for k, s in enumerate(square.strata)}
@@ -149,10 +168,20 @@ def test_dumps_writes_what_json_dumps_writes():
         assert text == json.dumps(files.fanifold_to_dict(phi), indent=2) + "\n"
         assert files.dumps(files.loads(text)) == text
     assert "\\u00e9" in files.dumps(diagrams[-1])
+    repeated = Fanifold(
+        2,
+        [*strata, Stratum(name="p", dim=0, fan=projective_fan(2))],
+        [Arrow("p", "pt", 2, lattice_map((), 1, 0))],
+    )
+    text = files.dumps(repeated)
+    assert text == json.dumps(files.fanifold_to_dict(repeated), indent=2) + "\n"
+    text = files.dumps(hand)
+    for needle in ('"chi_c": 5', '"stacky_beta": [', '"rays": [],', '"quotient_matrix": []', "[],\n        []"):
+        assert needle in text, needle
 
 
 def test_the_writer_writes_none_as_json_dumps_does():
-    """CLI reports go through the same writer; ``None`` is ``null``, alone,
+    """CLI reports go through ``_indented``; ``None`` is ``null``, alone,
     as a value and in a list, and nothing outside JSON is written."""
     for value in (None, {"a": None, "b": [None, 1, True]}, [[None], {}, []]):
         assert files._indented(value, "") == json.dumps(value, indent=2)

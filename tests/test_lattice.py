@@ -350,6 +350,19 @@ def test_lattice_map_compose_and_call():
         f.compose(g)  # ranks do not line up
 
 
+def test_lattice_map_composes_through_a_rank_zero_lattice():
+    """Through rank 0 the composite is the zero map between the outer
+    ranks, one row per target coordinate and one column per source
+    coordinate: with a zero outer rank on either side, on both, or on
+    neither."""
+    for n, m in [(0, 2), (2, 0), (0, 0), (1, 1), (2, 3), (3, 2)]:
+        into = lattice_map((), n, 0)
+        out_of = lattice_map([()] * m, 0, m)
+        gf = out_of.compose(into)
+        assert gf == lattice_map([[0] * n] * m, n, m), (n, m)
+        assert gf(tuple(range(1, n + 1))) == (0,) * m
+
+
 def test_lattice_map_validates_shape():
     with pytest.raises(ValueError):
         lattice_map(((1, 0),), 3, 1)
