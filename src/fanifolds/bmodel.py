@@ -21,9 +21,11 @@ The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
 of a point in one stratum, so a class belongs to a stratum lattice point:
 only the points in the dual of every kept cone survive, and one zero sink
-stands for the rest.  Each fanifold arrow is walked at most once, out of
-the chart of its own cone, whose collapse makes every identification the
-larger charts' collapses make.  An arrow c that is b after a, by one
+stands for the rest.  A walk zeroes a point by a union with the sink, so
+the zero class is the sink's class and no other zero mark is kept.  Each
+fanifold arrow is walked at most once, out of the chart of its own cone,
+whose collapse makes every identification the larger charts' collapses
+make.  An arrow c that is b after a, by one
 witness the plan checks (``_factors``), is not walked at all: the walks of
 a and b make every identification c's would, so the census walks only the
 arrows that do not factor, which on a valid diagram are the arrows along a
@@ -56,8 +58,9 @@ target, whose ids it finds through the row map.  Only touched points get
 an id; an untouched surviving point is a free class of its own, counted
 from interval lengths.  So the census costs the intervals plus the touched
 points, not the surviving-point volume.  A chart's support size is counted
-from interval lengths only when ``SectionCensus.support_sizes`` is read,
-and a zero-cone chart is counted as the whole box with no walk.  Chart
+from the lengths of the intervals ``_box_cuts`` yields, which owns the
+rank-0 point too, only when ``SectionCensus.support_sizes`` is read, and a
+zero-cone chart is counted as the whole box with no walk.  Chart
 points are listed only for a basis or a subalgebra check.
 """
 
@@ -66,7 +69,7 @@ from __future__ import annotations
 import itertools
 import sys
 from itertools import repeat
-from operator import floordiv, mul, neg, sub
+from operator import floordiv, mul, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cones import Cone, cached_property
@@ -166,7 +169,7 @@ class ToricDiagram:
         return tuple(arrows)
 
     def __repr__(self) -> str:
-        return f"ToricDiagram(objects={len(self.objects)}, arrows={len(self.arrows)})"
+        return f"ToricDiagram(objects={len(self.objects)})"
 
     def object_cone(self, i: int) -> Cone:
         o = self.objects[i]
@@ -229,9 +232,13 @@ def _box_cuts(
 
     Only the first rank - 1 coordinates walk the box, in lexicographic
     order; for each such prefix the inequalities cut the last coordinate
-    down to one integer interval lo..hi, yielded when it is not empty.
-    Needs rank >= 1.
+    down to one integer interval lo..hi, yielded when it is not empty.  A
+    rank-0 lattice's one point, (), is the interval 0..0 of the empty
+    prefix.
     """
+    if rank == 0:
+        yield (), 0, 0
+        return
     if rank == 1:  # the empty prefix, at which every dot is 0
         lo = 0 if any(g[0] > 0 for g in gens) else -degree
         hi = 0 if any(g[0] < 0 for g in gens) else degree
@@ -246,13 +253,7 @@ def _box_cuts(
 def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
     if not gens:  # the zero cone's chart is the whole box
         return (2 * degree + 1) ** rank
-    if rank == 1:
-        return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
-    # max(hi - lo, -1) + 1 points at each value of the window
-    return sum(
-        sum(map(max, map(sub, his, los), repeat(-1))) + len(los)
-        for _, _, los, his in _cut_rows(gens, rank, degree)
-    )
+    return sum(hi - lo + 1 for _, lo, hi in _box_cuts(gens, rank, degree))
 
 
 def _restriction_arrows(
@@ -345,15 +346,17 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
 
 
 class _UnionFind:
+    """Classes of ids, by parent links.  The zero class is the class of the
+    sink, id 0: a walk zeroes an id by joining it to the sink, so a class
+    is zero exactly when its root is ``find(0)``."""
+
     def __init__(self):
         self.parent: list[int] = []
-        self.zero: list[bool] = []
 
     def extend(self, n: int) -> int:
         """Add n singleton classes; return the id of the first."""
         start = len(self.parent)
         self.parent.extend(range(start, start + n))
-        self.zero.extend([False] * n)
         return start
 
     def find(self, x: int) -> int:
@@ -364,13 +367,8 @@ class _UnionFind:
 
     def union(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        self.parent[ry] = rx
-        self.zero[rx] = self.zero[rx] or self.zero[ry]
-
-    def mark_zero(self, x: int) -> None:
-        self.zero[self.find(x)] = True
+        if rx != ry:
+            self.parent[ry] = rx
 
 
 class _Support(NamedTuple):
@@ -378,9 +376,9 @@ class _Support(NamedTuple):
 
     ``row`` maps each prefix of the first rank - 1 coordinates, in
     lexicographic order, to (lo, hi, first): the surviving points with that
-    prefix are those whose last coordinate runs over lo..hi.  A rank-0
-    stratum's one point, (), is the interval 0..0 of the empty prefix.  In
-    a collapse target every surviving point has an id, first + x - lo, and
+    prefix are those whose last coordinate runs over lo..hi; a rank-0
+    stratum's one point is the interval ``_box_cuts`` gives it.  In a
+    collapse target every surviving point has an id, first + x - lo, and
     ``touched`` is None.  Elsewhere first is None, and ``touched`` maps each
     point that a collapse out of the stratum reads to its id.
     """
@@ -453,7 +451,7 @@ def _census_classes(
       the image chart's points are those of the zero chart cut down by the
       dual of the image, and u lies in the one dual exactly when its image
       lies in the other.  So the collapse of the sigma chart into the zero
-      chart makes every union and mark the others make, and it is the one
+      chart makes every union the others make, and it is the one
       collapse walked per arrow, unless the arrow factors (below).  The
       walks are read off the fanifold's arrows and star maps
       (``_build_plan``), not off the diagram's map list.
@@ -467,7 +465,7 @@ def _census_classes(
       saturated span of sigma, on which u vanishes.  So the walk joins
       exactly the surviving u in sigma^perp whose image is a surviving
       target point; every other surviving u in sigma^perp, and every
-      surviving target point that no such u reaches, is zero.
+      surviving target point that no such u reaches, it joins to the sink.
 
     So a collapse touches only two sets of points: the surviving points in
     sigma^perp of its source, and every surviving point of its target.  Only
@@ -499,15 +497,16 @@ def _census_classes(
       points it keeps.
 
     A walk along an arrow c: S -> T that factors through walks a: S -> R
-    and b: R -> T, by the witness ``_factors`` finds, makes no union and no
-    zero mark that theirs do not, so the plan drops it.  Write F_x for an
-    arrow's ``forward`` and A_x for its ``arrow_map``; as above,
-    F_x(u) . A_x(y) = u . y for u in sigma_x^perp and every y, and F_x is
-    one to one on sigma_x^perp.  The witness gives sigma_a inside sigma_c,
+    and b: R -> T, by the witness ``_factors`` finds, makes no union that
+    theirs do not, with the sink or between points, so the plan drops it.
+    Write F_x for an arrow's ``forward`` and A_x for its ``arrow_map``; as
+    above, F_x(u) . A_x(y) = u . y for u in sigma_x^perp and every y, and
+    F_x is one to one on sigma_x^perp.  The witness gives sigma_a inside sigma_c,
     sigma_b = A_a(sigma_c) (the star map), A_c = A_b A_a, and kept charts of
     sigma_c and sigma_b, so the surviving points of S and R lie in their
     duals.  When the walks' matrices build, each iso is unimodular and
-    each A_x onto.  "Joined" below means one class, or both zero.
+    each A_x onto.  "Joined" below means in one class, and "zeroes x"
+    means joins x to the sink, whose class is the zero class.
 
     * For u in sigma_a^perp and v = F_a(u), v . A_a(y) = u . y, so v lies
       in sigma_b^perp exactly when u lies in sigma_c^perp, and then
@@ -545,13 +544,10 @@ def _census_classes(
     if 2 * degree + 1 > sys.maxsize:
         raise ValueError(f"degree {degree} is too large")
     uf = _UnionFind()
-    uf.mark_zero(uf.extend(1))  # the sink, id 0
+    uf.extend(1)  # the sink, id 0
     supports: dict[str, _Support] = {}
     for name, rank, gens, target in plan.strata:
-        if rank:
-            cuts: Iterable[tuple[Vec, int, int]] = _box_cuts(gens, rank, degree)
-        else:
-            cuts = [((), 0, 0)]
+        cuts = _box_cuts(gens, rank, degree)
         if target:
             row, start = {}, len(uf.parent)
             for prefix, lo, hi in cuts:
@@ -701,7 +697,7 @@ def _collapse(
     target's row map, in which every surviving point has an id."""
     # a rank-0 target's one point is the interval 0..0 of the empty prefix
     forward = forward or [()]
-    union, mark_zero = uf.union, uf.mark_zero
+    union = uf.union
     hit = set()
     for u, x in src:
         w = [sum(map(mul, r, u)) for r in forward]
@@ -711,17 +707,17 @@ def _collapse(
             union(x, y)
             hit.add(y)
         else:
-            mark_zero(x)
+            union(0, x)
     for lo, hi, first in row.values():
         for y in range(first, first + hi - lo + 1):
             if y not in hit:
-                mark_zero(y)
+                union(0, y)
 
 
 def _free_roots(uf: _UnionFind) -> list[int]:
-    """Class representatives not forced to zero, in increasing order."""
-    zero = uf.zero
-    return [x for x, p in enumerate(uf.parent) if p == x and not zero[x]]
+    """Class representatives other than the sink's, in increasing order."""
+    zero = uf.find(0)
+    return [x for x, p in enumerate(uf.parent) if p == x and x != zero]
 
 
 def limit_census(
@@ -736,7 +732,7 @@ def limit_census(
     uf, supports = _census_classes(diagram, degree)
     basis = None
     if with_basis:
-        find, zero = uf.find, uf.zero
+        find, zero = uf.find, uf.find(0)
         members: dict[object, dict[tuple[ChartObject, Vec], int]] = {}
         # A chart's support holds every surviving point of its stratum, in
         # the same lexicographic order, and its other points read the sink.
@@ -747,7 +743,7 @@ def limit_census(
                     key: object = (obj.stratum, u)
                 else:
                     key = find(x)
-                    if zero[key]:
+                    if key == zero:
                         continue
                 members.setdefault(key, {})[(obj, u)] = 1
         basis = list(members.values())
@@ -827,12 +823,11 @@ def _push_stratum(sigma: Cone, forward: Mat, value: Laurent) -> Laurent:
 
 
 def _stratum_values(
-    phi: Fanifold, seed: Mapping[str, Laurent], forwards: Sequence[Mat]
+    phi: Fanifold, seed: Mapping[str, Laurent]
 ) -> tuple[dict[str, Laurent], list[str]]:
-    """Propagate per-stratum Laurent values up the exit diagram.
-
-    ``forwards[k]`` is the collapse forward matrix of ``phi.arrows[k]``.
-    """
+    """Propagate per-stratum Laurent values up the exit diagram, along each
+    stratum's out arrows by their collapse matrices
+    (``Fanifold._collapse_forward``)."""
     problems: list[str] = []
     minimal = {s.name for s in phi.minimal_strata()}
     missing = minimal - set(seed)
@@ -844,10 +839,11 @@ def _stratum_values(
     values: dict[str, Laurent] = {k: dict(v) for k, v in seed.items() if k in minimal}
     order = sorted(phi.strata, key=lambda s: s.dim)
     for s in order:
-        for a, forward in zip(phi.arrows, forwards):
-            if a.source != s.name or s.name not in values:
-                continue
-            pushed = _push_stratum(phi.arrow_cone(a), forward, values[s.name])
+        value = values.get(s.name)
+        if value is None:
+            continue
+        for a in phi.out_arrows(s.name):
+            pushed = _push_stratum(phi.arrow_cone(a), phi._collapse_forward(a), value)
             if a.target in values:
                 if values[a.target] != pushed:
                     problems.append(
@@ -898,10 +894,9 @@ def subalgebra_check(
     """Check relations exactly, and whether the products of at most
     ``degree`` generators span the census space."""
     problems: list[str] = []
-    forwards = [phi._collapse_forward(a) for a in phi.arrows]
     gen_values: list[dict[str, Laurent]] = []
     for name, seed in generators:
-        vals, errs = _stratum_values(phi, seed, forwards)
+        vals, errs = _stratum_values(phi, seed)
         gen_values.append(vals)
         problems.extend(f"generator {name!r}: {e}" for e in errs)
 
@@ -964,9 +959,7 @@ def subalgebra_check(
                 for m in list(values):
                     values[m] = _laurent_mul(values[m], gen_values[gi][m])
             # extend to every stratum by pushing forward
-            full_vals, errs = _stratum_values(
-                phi, {m: values[m] for m in minimal}, forwards
-            )
+            full_vals, errs = _stratum_values(phi, {m: values[m] for m in minimal})
             if errs:
                 problems.append(
                     "product "

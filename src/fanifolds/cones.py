@@ -72,7 +72,8 @@ class cached_property(functools.cached_property):
 
 def cone_key(rank: int, rays: Iterable[Vec], lineality: Mat = ()) -> tuple:
     """The equality key of the cone with these extremal rays and lineality
-    basis: ``Cone.key``, ``Cone.face_key`` and the star maps build it here."""
+    basis: ``Cone.key``, ``Fan._missing_faces`` and the star maps build it
+    here."""
     return (rank, frozenset(rays), lineality)
 
 
@@ -313,10 +314,6 @@ class Cone:
     def key(self) -> tuple:
         """Equality key: two cones agree iff they agree as point sets."""
         return cone_key(self.rank, self.extremal_rays, self.lineality_basis)
-
-    def face_key(self, face: Mat) -> tuple:
-        """The key of the cone a face of this cone spans."""
-        return cone_key(self.rank, face)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cone) and self.key == other.key

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .cones import Cone, cached_property
+from .cones import Cone, cached_property, cone_key
 from .lattice import (
     LatticeMap,
     Mat,
@@ -184,7 +184,7 @@ class Fan:
         out: dict[tuple, Mat] = {}
         for c in self.cones:
             for f in c.faces():
-                key = c.face_key(f)
+                key = cone_key(c.rank, f)
                 if key not in self._first_index:
                     out.setdefault(key, f)
         return out

@@ -168,6 +168,19 @@ def test_subalgebra_proper_subalgebra_does_not_span():
     assert not report.spans
 
 
+def test_subalgebra_names_the_first_three_irregular_monomials():
+    """A value that is not regular on a chart is reported once, by the chart's
+    cone, with its three smallest offending monomials in sorted order."""
+    tri = EXAMPLES["3a1"]()
+    a = {(-1,): 1, (-2,): 1, (-3,): 1, (-4,): 1}
+    gens = [("t", {"a": a, "b": {(1,): 1}, "c": {(1,): 1}})]
+    report = subalgebra_check(tri, gens, degree=1)
+    assert report.problems[0] == (
+        "generator 't': value on 'a' is not regular on the chart of cone 1"
+        " (monomials [(-4,), (-3,), (-2,)])"
+    )
+
+
 def test_chart_diagram_restricts_to_closure():
     neck = EXAMPLES["necklace2"]()
     diagram = chart_diagram(neck, "e1")
@@ -434,7 +447,7 @@ def _kernel_classes(diagram, degree, points):
             out[(i, u)] = (name, u)
         else:
             r = uf.find(ids[name][u])
-            out[(i, u)] = None if uf.zero[r] else r
+            out[(i, u)] = None if r == uf.find(0) else r
     return out
 
 
@@ -936,6 +949,22 @@ def test_a_missing_star_image_is_refused_by_the_map_list_and_the_census():
             limit_census(full_diagram(mutant), 1)
         with pytest.raises(ValueError, match=message):  # before the degree check
             limit_census(full_diagram(mutant), -1)
+
+
+def test_diagram_repr_reads_only_the_chart_tuple():
+    """repr names the chart count and builds no map list, so it neither
+    pays for the maps nor raises on a diagram whose map list would."""
+    diagram = full_diagram(EXAMPLES["proj3"]())
+    assert repr(diagram) == f"ToricDiagram(objects={len(diagram.objects)})"
+    assert "arrows" not in diagram.__dict__
+    phi = EXAMPLES["affine2"]()
+    target = phi.stratum("s2")
+    strata = [s._replace(fan=Fan([], 1)) if s is target else s for s in phi.strata]
+    mutant = full_diagram(Fanifold(phi.dimension, strata, phi.arrows))
+    assert repr(mutant) == f"ToricDiagram(objects={len(mutant.objects)})"
+    assert "arrows" not in mutant.__dict__
+    with pytest.raises(ValueError, match="image of cone 0 of 's1' missing from 's2'"):
+        mutant.arrows
 
 
 def test_restriction_arrows_skip_a_duplicated_cone():

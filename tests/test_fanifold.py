@@ -393,6 +393,31 @@ def test_validate_names_the_first_fault_of_one_replaced_arrow():
         assert Fanifold(sq.dimension, sq.strata, arrows).validate().errors == errors, replaced
 
 
+def test_validate_names_a_valid_fan_without_its_zero_cone():
+    """A stratum fan that validates but lacks the zero cone is reported as
+    that alone, and the report stops before the arrows."""
+    strata = [
+        Stratum("v", 0, Fan([Cone([(1,)], 1)], 1)),
+        Stratum("e", 1, Fan([zero_cone(0)], 0)),
+    ]
+    arrows = [Arrow("v", "e", 0, lattice_map((), 0, 0))]
+    assert Fanifold(1, strata, arrows).validate().errors == (
+        "stratum 'v' fan: missing the zero cone",
+    )
+
+
+def test_validate_reports_the_dimension_difference_an_arrow_needs():
+    """An arrow of the octant's exit diagram retargeted two strata up names
+    its cone's dimension and the difference of its strata's dimensions."""
+    phi = from_fan(orthant_fan(3))
+    a = phi.arrows[8]
+    assert (a.source, a.target) == ("s2", "s5")
+    arrows = phi.arrows[:8] + (a._replace(target="s0"),) + phi.arrows[9:]
+    assert Fanifold(phi.dimension, phi.strata, arrows).validate().errors == (
+        "arrow 8 (s2->s0): cone dim 1 != dim difference 2",
+    )
+
+
 def test_coherence_checks_where_the_composite_sends_the_cone():
     """from_fan of the fan of P1 x P1, with the two arrows out of one edge
     stratum sent to each other's corner.  Every fan, arrow and iso still

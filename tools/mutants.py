@@ -14,7 +14,8 @@ makes one mutant per site in its body, with the standard library's ``ast``:
 - ``and``/``or`` swapped;
 - a ``not`` dropped;
 - the two branches of an ``if`` expression swapped;
-- an integer constant raised by one.
+- an integer constant raised by one, labelled by the expression around it
+  (past a sign), so that a label, and an allow-list line, names one site.
 
 Annotations and docstrings are not mutated.  Each mutant is written into a
 copy of the repository in a temporary directory, and the tests run
@@ -47,7 +48,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (target, "old -> new") -> why the mutant is equivalent to the original
 ALLOWED: dict[tuple[str, str], str] = {
-    ("cones.py:Cone.faces", "1 -> 2"): "a simplicial cone has no ray subset larger than its rays",
+    ("cones.py:Cone.faces", "len(rays) + 1 -> len(rays) + 2"):
+        "a simplicial cone has no ray subset larger than its rays",
+    ("bmodel.py:_box_cuts", "g[0] < 0 -> g[0] < 1"):
+        "a rank-1 gen is primitive and nonzero, so it is 1 or -1",
 }
 
 _FLIP = {
@@ -148,6 +152,7 @@ def mutants(target: str) -> list[Mutant]:
     tree = ast.parse(source)
     func = _find(tree, qualname)
     skip = _skipped(func)
+    parents = {id(c): n for n in ast.walk(func) for c in ast.iter_child_nodes(n)}
     out = []
     sites = [n for n in ast.walk(func) if id(n) not in skip and hasattr(n, "lineno")]
     sites.sort(key=lambda n: (n.lineno, n.col_offset))
@@ -173,8 +178,28 @@ def mutants(target: str) -> list[Mutant]:
         else:
             print(f"skipped {path}:{node.lineno}: cannot splice {new!r}", file=sys.stderr)
             continue
+        if isinstance(node, ast.Constant):
+            # a bare "0 -> 1" names no site: name the expression around it,
+            # past a sign
+            around, grown = node, mutated
+            while around is node or isinstance(around, ast.UnaryOp):
+                grown = _with_child(parents[id(around)], around, grown)
+                around = parents[id(around)]
+            old = ast.get_source_segment(source, around)
+            new = ast.unparse(grown)
         label = f"{' '.join(old.split())} -> {new}"
         out.append(Mutant(f"{os.path.basename(path)}:{qualname}", path, node.lineno, label, candidate))
+    return out
+
+
+def _with_child(parent: ast.AST, child: ast.AST, new: ast.AST) -> ast.AST:
+    """A copy of ``parent`` with ``child`` replaced by ``new``."""
+    out = copy.deepcopy(parent)
+    for field, value in ast.iter_fields(parent):
+        if value is child:
+            setattr(out, field, new)
+        elif isinstance(value, list) and any(v is child for v in value):
+            getattr(out, field)[[i for i, v in enumerate(value) if v is child][0]] = new
     return out
 
 
