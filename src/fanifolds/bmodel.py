@@ -33,9 +33,11 @@ ray.  ``_census_classes`` gives both proofs.
 
 A census has a part that does not depend on the degree, its plan
 (``_Plan``): each charted stratum's rank, the distinct gens of its kept
-cones and whether a collapse targets it, and each walk's arrow, cone gens
-and collapse matrix, for the arrows that do not factor.  The plan is built
-at the first census of a chart set and kept with the chart tuple and its
+cones and whether a collapse targets it, and for each arrow that does not
+factor its walk (``_Walk``): the arrow, the sum of its cone's gens split
+at the last coordinate, its collapse matrix and whether it is the last walk
+into its target; the walks into one target come together.  The plan is built at the first census of a chart set
+and kept with the chart tuple and its
 index (``_ChartSet``) in the fanifold's ``_chart_sets`` table, so every
 later census of that chart set, at any degree and on any diagram of it,
 pays only for its box walk; ``full_diagram`` shares the fanifold's full
@@ -52,16 +54,20 @@ of the others.  Each gen's dot with a prefix of the first rank - 2
 coordinates is computed once, and the coordinate before the last steps by
 adding the gen's coefficient there (``_cut_rows``).  Each stratum keeps its
 surviving points as such a cut list, in a row map prefix -> (lo, hi, first
-id).  A collapse touches only the surviving points in sigma^perp of its
-source, found with one dot per interval, and the surviving points of its
-target, whose ids it finds through the row map.  Only touched points get
-an id; an untouched surviving point is a free class of its own, counted
-from interval lengths.  So the census costs the intervals plus the touched
-points, not the surviving-point volume.  A chart's support size is counted
-from the lengths of the intervals ``_box_cuts`` yields, which owns the
-rank-0 point too, only when ``SectionCensus.support_sizes`` is read, and a
-zero-cone chart is counted as the whole box with no walk.  Chart
-points are listed only for a basis or a subalgebra check.
+id).  A walk reads the surviving points in sigma^perp of its source, found
+with one dot per interval, each once, and joins each to its image in the
+target, found through the row map, or to the sink.  A target's surviving
+points that some walk into it missed are joined to the sink once, after
+its last walk.  Only a collapse target's points get ids of their own: a
+point of a stratum that is only a source takes, on its first read, its
+image's id or the sink's.  An untouched surviving point is a free class
+of its own, counted from interval lengths.  So the census costs the
+intervals plus the touched points, not the surviving-point volume.  A
+chart's support size is counted from the lengths of the intervals
+``_box_cuts`` yields, which owns the rank-0 point too, only when
+``SectionCensus.support_sizes`` is read, and a zero-cone chart is counted
+as the whole box with no walk.  Chart points are listed only for a basis
+or a subalgebra check.
 """
 
 from __future__ import annotations
@@ -99,6 +105,22 @@ class DiagramArrow(NamedTuple):
     arrow: Arrow | None = None  # collapse: the fanifold arrow
 
 
+class _Walk(NamedTuple):
+    """One collapse the census walks, with the numbers of it that do not
+    depend on the degree: the fanifold arrow, t = the sum of the arrow
+    cone's gens split into its first rank - 1 coordinates ``head`` and its
+    last one, the collapse matrix (``Fanifold._collapse_forward``) in the
+    rank-0 convention of ``_box_cuts``, and whether it is the last walk
+    into its target, after which the target's unreached points are
+    zeroed (``_census_classes``)."""
+
+    arrow: Arrow
+    head: Vec
+    last: int
+    forward: Mat
+    closes: bool
+
+
 class _Plan(NamedTuple):
     """The degree-independent part of a census of one chart set.
 
@@ -106,11 +128,11 @@ class _Plan(NamedTuple):
     its lattice rank, the distinct gens of its kept cones and whether a
     collapse targets it.  ``walks`` holds each collapse the census walks,
     one per charted arrow that does not factor through two others
-    (``_factors``), in arrow order, as (fanifold arrow, the arrow cone's
-    gens, forward)."""
+    (``_factors``), grouped by target in order of each target's first
+    arrow, and in arrow order within a target (``_Walk``)."""
 
     strata: tuple[tuple[str, int, tuple[Vec, ...], bool], ...]
-    walks: list[tuple[Arrow, Sequence[Vec], Mat]]
+    walks: list[_Walk]
 
 
 class _ChartSet:
@@ -234,7 +256,9 @@ def _box_cuts(
     order; for each such prefix the inequalities cut the last coordinate
     down to one integer interval lo..hi, yielded when it is not empty.  A
     rank-0 lattice's one point, (), is the interval 0..0 of the empty
-    prefix.
+    prefix: its last coordinate reads as 0 and is no coordinate of the
+    point.  ``_cut_points`` builds an interval's points by this rule, and
+    ``_walk`` reads a rank-0 lattice's sums and images by it.
     """
     if rank == 0:
         yield (), 0, 0
@@ -248,6 +272,15 @@ def _box_cuts(
         for y, lo, hi in zip(itertools.count(ylo), los, his):
             if lo <= hi:
                 yield outer + (y,), lo, hi
+
+
+def _cut_points(prefix: Vec, lo: int, hi: int, rank: int) -> list[Vec]:
+    """The points of the interval lo..hi of ``prefix`` in a cut list, in
+    order: prefix + (x,) for each x, or a rank-0 lattice's one point, ()
+    (``_box_cuts``)."""
+    if not rank:
+        return [()]
+    return [prefix + (x,) for x in range(lo, hi + 1)]
 
 
 def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
@@ -380,7 +413,8 @@ class _Support(NamedTuple):
     stratum's one point is the interval ``_box_cuts`` gives it.  In a
     collapse target every surviving point has an id, first + x - lo, and
     ``touched`` is None.  Elsewhere first is None, and ``touched`` maps each
-    point that a collapse out of the stratum reads to its id.
+    point that a collapse out of the stratum reads to an id of its class:
+    that of the image the first such collapse found, or the sink's.
     """
 
     rank: int
@@ -392,9 +426,11 @@ class _Support(NamedTuple):
         None when no collapse touches it."""
         touched = self.touched
         for prefix, (lo, hi, first) in self.row.items():
-            for x in range(lo, hi + 1):
-                u = prefix + (x,) if self.rank else ()
-                yield u, touched.get(u) if first is None else first + x - lo
+            points = _cut_points(prefix, lo, hi, self.rank)
+            if first is None:
+                yield from zip(points, map(touched.get, points))
+            else:
+                yield from zip(points, itertools.count(first))
 
     @property
     def untouched(self) -> int:
@@ -469,7 +505,7 @@ def _census_classes(
 
     So a collapse touches only two sets of points: the surviving points in
     sigma^perp of its source, and every surviving point of its target.  Only
-    touched points get an id.  An untouched surviving point is a free class
+    touched points have an id.  An untouched surviving point is a free class
     of its own, so the census counts it from interval lengths
     (``_Support.untouched``) and never lists it.  Each stratum keeps its
     surviving points as a cut list, one interval of the last coordinate per
@@ -478,12 +514,22 @@ def _census_classes(
     * In a collapse target, ids run contiguously through each interval in
       lexicographic order, and a collapse finds the id of its image w by one
       lookup, ``row[w[:-1]]``, and lo <= w[-1] <= hi.
-    * In a stratum that is only a source, the sigma^perp points that its
-      collapses read get an id each, on first read, so collapses that share
-      a point share its id.
+    * In a stratum that is only a source, a point is read only by the
+      walks out of it, and each joins it to its image or to the sink.  So
+      the first walk that reads it gives it the id of that image, or the
+      sink's, where a fresh id joined to that image would make the same
+      class; every later walk that reads it joins its own image, or the
+      sink, to that id.  A read point of such a stratum is thus never a
+      class of its own, with a fresh id or without one, and only target
+      points and the sink have ids.
 
-    A collapse reads the surviving points in sigma^perp off the cut list
-    (``_perp_points``):
+    A walk makes one pass over its source's cut list.  For each interval
+    that meets sigma^perp it builds each point there (``_cut_points``),
+    finds its id, maps it by ``forward``, and joins it to its image or to
+    the sink, or on a source-only point's first read gives it that id, so
+    it reads each of its points once.  It finds the surviving points in
+    sigma^perp by the sum t of sigma's gens, split in the plan into t' and
+    t_last (``_walk``):
 
     * Every surviving source point lies in the dual of sigma, whose chart
       is kept, so it lies in sigma^perp exactly when it is perpendicular to
@@ -495,6 +541,19 @@ def _census_classes(
       s for every x, so the interval lies in sigma^perp when s = 0 and
       misses it otherwise.  Either way the interval costs one dot, plus the
       points it keeps.
+
+    A walk zeroes each surviving point of its target that it reaches from
+    no point.  The census makes the same unions with one pass per target:
+    a surviving target point is zeroed exactly when some walk into its
+    stratum misses it, that is, when it lies outside the intersection of
+    those walks' hit sets, the target ids they reach.  The plan puts the
+    walks into one target together, so each walk intersects its hit set
+    with that of the walks before it into the same target, and the last of
+    them (``_Walk.closes``) joins every surviving target point outside the
+    intersection to the sink, with no pass when the intersection is the
+    whole target: one hit set is alive at a time.
+    Unions make the same classes in any order, so these are the classes of
+    walks that each zero their own misses.
 
     A walk along an arrow c: S -> T that factors through walks a: S -> R
     and b: R -> T, by the witness ``_factors`` finds, makes no union that
@@ -536,7 +595,8 @@ def _census_classes(
     chart set's plan (``_plan``), built once and kept on the fanifold.  The
     per-degree part reads only the plan and walks the box.
 
-    Returns the classes of the touched points and each stratum's support.
+    Returns the classes of the target points and the sink, and each
+    stratum's support.
     """
     plan = _plan(diagram)  # a chart set's faults are refused whatever the degree
     if degree < 0:
@@ -546,6 +606,7 @@ def _census_classes(
     uf = _UnionFind()
     uf.extend(1)  # the sink, id 0
     supports: dict[str, _Support] = {}
+    ids: dict[str, range] = {}  # a collapse target's ids
     for name, rank, gens, target in plan.strata:
         cuts = _box_cuts(gens, rank, degree)
         if target:
@@ -553,21 +614,54 @@ def _census_classes(
             for prefix, lo, hi in cuts:
                 row[prefix] = (lo, hi, start)
                 start += hi - lo + 1
-            uf.extend(start - len(uf.parent))
+            ids[name] = range(uf.extend(start - len(uf.parent)), start)
             supports[name] = _Support(rank, row, None)
         else:
             row = {prefix: (lo, hi, None) for prefix, lo, hi in cuts}
             supports[name] = _Support(rank, row, {})
 
-    for fa, gens, forward in plan.walks:
-        source = supports[fa.source]
-        src = _perp_points(source, gens)
+    union = uf.union
+    before = None  # the target points every walk so far into this target hit
+    for fa, head, last, forward, closes in plan.walks:
+        source, row = supports[fa.source], supports[fa.target].row
         touched = source.touched
-        if touched is not None:  # ids for the points read, shared by its collapses
-            new = [u for u, _ in src if u not in touched]
-            touched.update(zip(new, itertools.count(uf.extend(len(new)))))
-            src = [(u, touched[u]) for u, _ in src]
-        _collapse(uf, src, supports[fa.target].row, forward)
+        *above, top = forward
+        hit = set()
+        for prefix, (lo, hi, first) in source.row.items():
+            s = sum(map(mul, prefix, head))
+            if last:
+                x, r = divmod(-s, last)
+                if r or not lo <= x <= hi:
+                    continue
+                a = b = x
+            elif s:
+                continue
+            else:
+                a, b = lo, hi
+            for k, u in enumerate(_cut_points(prefix, a, b, source.rank)):
+                # None: a source-only point's first read, which gives it the
+                # id of its image, or the sink's
+                i = touched.get(u) if first is None else first + a - lo + k
+                cut = row.get(tuple([sum(map(mul, v, u)) for v in above]))
+                z = sum(map(mul, top, u))
+                if cut is not None and cut[0] <= z <= cut[1]:
+                    y = cut[2] + z - cut[0]
+                    hit.add(y)
+                    if i is None:
+                        touched[u] = y
+                    else:
+                        union(i, y)
+                elif i is None:
+                    touched[u] = 0
+                else:
+                    union(0, i)
+        if before is not None:
+            hit &= before
+        before = None if closes else hit
+        if closes and len(hit) < len(ids[fa.target]):
+            for y in ids[fa.target]:
+                if y not in hit:
+                    union(0, y)
     return uf, supports
 
 
@@ -617,8 +711,25 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
             raise ValueError(f"stratum {name!r} has no zero-cone chart")
         gens = tuple(dict.fromkeys(g for c in kept for g in c.gens))
         strata.append((name, ranks[name], gens, name in targets))
-    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in generating]
+    into: dict[str, list[Arrow]] = {}
+    for fa in generating:
+        into.setdefault(fa.target, []).append(fa)
+    walks = [
+        _walk(phi, fa, k == len(arrows) - 1) for arrows in into.values() for k, fa in enumerate(arrows)
+    ]
     return _Plan(tuple(strata), walks)
+
+
+def _walk(phi: Fanifold, fa: Arrow, closes: bool) -> _Walk:
+    """The degree-independent numbers of the walk along ``fa`` (``_Walk``).
+
+    A rank-0 lattice's one point reads as 0 in the interval 0..0 of the
+    empty prefix (``_box_cuts``): so t at rank 0 reads as t_last = 0, and
+    a rank-0 target's collapse matrix, which has no rows, as one empty row,
+    whose image of every point is that 0."""
+    cone = phi.arrow_cone(fa)
+    t = [sum(g[i] for g in cone.gens) for i in range(cone.rank)]
+    return _Walk(fa, tuple(t[:-1]), sum(t[-1:]), phi._collapse_forward(fa) or ((),), closes)
 
 
 def _factors(
@@ -652,66 +763,6 @@ def _factors(
         return False
     map_a, map_b = phi.arrow_map(a), phi.arrow_map(b)
     return map_b.source_rank == map_a.target_rank and map_b.compose(map_a) == phi.arrow_map(c)
-
-
-def _perp_points(
-    support: _Support, gens: Sequence[Vec]
-) -> list[tuple[Vec, int | None]]:
-    """The surviving points of one stratum perpendicular to the sum of
-    ``gens``, with their ids (None where the stratum gives ids on first
-    read), read off the stratum's row map interval by interval; on the
-    surviving points that is sigma^perp for the cone sigma of ``gens``
-    (``_census_classes`` gives the proof)."""
-    if not gens:  # every point is perpendicular to the zero cone
-        return list(support.points())
-    total = [sum(c) for c in zip(*gens)]
-    head, last = total[:-1], total[-1]
-    out = []
-    for prefix, (lo, hi, first) in support.row.items():
-        s = sum(map(mul, prefix, head))
-        if last:
-            x, r = divmod(-s, last)
-            if r or not lo <= x <= hi:
-                continue
-            xs = range(x, x + 1)
-        elif s:
-            continue
-        else:
-            xs = range(lo, hi + 1)
-        if first is None:
-            out.extend((prefix + (x,), None) for x in xs)
-        else:
-            out.extend((prefix + (x,), first + x - lo) for x in xs)
-    return out
-
-
-def _collapse(
-    uf: _UnionFind,
-    src: Iterable[tuple[Vec, int]],
-    row: Mapping[Vec, tuple[int, int, int]],
-    forward: Mat,
-) -> None:
-    """Walk one collapse, by its ``forward`` matrix, from the chart of its
-    cone sigma into the zero chart of the target stratum: ``src`` holds the
-    surviving source points in sigma^perp with their ids, ``row`` the
-    target's row map, in which every surviving point has an id."""
-    # a rank-0 target's one point is the interval 0..0 of the empty prefix
-    forward = forward or [()]
-    union = uf.union
-    hit = set()
-    for u, x in src:
-        w = [sum(map(mul, r, u)) for r in forward]
-        cut = row.get(tuple(w[:-1]))
-        if cut is not None and cut[0] <= w[-1] <= cut[1]:
-            y = cut[2] + w[-1] - cut[0]
-            union(x, y)
-            hit.add(y)
-        else:
-            union(0, x)
-    for lo, hi, first in row.values():
-        for y in range(first, first + hi - lo + 1):
-            if y not in hit:
-                union(0, y)
 
 
 def _free_roots(uf: _UnionFind) -> list[int]:

@@ -607,11 +607,11 @@ def _touched_points(phi, degree):
     """Every surviving point of a collapse target, and in a stratum that is
     only a source the distinct sigma^perp points its collapses read; a
     stratum point survives the restriction arrows when it lies in the dual
-    of every cone of the stratum's charts.  Returns the touched and the
-    untouched counts."""
+    of every cone of the stratum's charts.  Returns the touched, the
+    untouched and the collapse targets' counts."""
     box = range(-degree, degree + 1)
     targets = {a.target for a in phi.arrows}
-    touched = untouched = 0
+    touched = untouched = targeted = 0
     for s in phi.strata:
         gens = [g for c in s.fan.cones for g in c.gens]
         cones = [phi.arrow_cone(a) for a in phi.out_arrows(s.name)]
@@ -622,9 +622,10 @@ def _touched_points(phi, degree):
                 all(dot(u, g) == 0 for g in c.gens) for c in cones
             ):
                 touched += 1
+                targeted += s.name in targets
             else:
                 untouched += 1
-    return touched, untouched
+    return touched, untouched, targeted
 
 
 def _generating(phi, arrows):
@@ -635,35 +636,110 @@ def _generating(phi, arrows):
     return [c for c in arrows if c not in composites]
 
 
+def _planned_walks(phi, arrows):
+    """The plan's walks along ``arrows``, read off the fanifold independently
+    of the plan, in plan order: sorted by the position of each target's
+    first arrow, stably, so the walks into one target come together in
+    arrow order.  Each holds t, the sum of the arrow cone's gens, split
+    into its first rank - 1 coordinates and its last (0 at rank 0); the
+    collapse matrix, or one empty row into a rank-0 target; and whether no
+    later walk shares the walk's target."""
+    first = {}
+    for k, fa in enumerate(arrows):
+        first.setdefault(fa.target, k)
+    arrows = sorted(arrows, key=lambda fa: first[fa.target])
+    out = []
+    for k, fa in enumerate(arrows):
+        cone = phi.arrow_cone(fa)
+        t = [sum(g[i] for g in cone.gens) for i in range(cone.rank)]
+        forward = phi._collapse_forward(fa)
+        if not phi.stratum(fa.target).lattice_rank:
+            assert forward == (), fa  # no rows
+            forward = ((),)
+        closes = all(b.target != fa.target for b in arrows[k + 1:])
+        out.append(bmodel._Walk(fa, tuple(t[:-1]), t[-1] if t else 0, forward, closes))
+    return out
+
+
+class _WalkLog(list):
+    """A plan's walk list that logs each walk when the census reads it,
+    with the points built and the unions made until the next one."""
+
+    def __init__(self, walks, log):
+        super().__init__(walks)
+        self.log = log
+
+    def __iter__(self):
+        for walk in super().__iter__():
+            self.log.append((walk, [], []))
+            yield walk
+
+
+def _log_walks(monkeypatch):
+    """Log every walk a census reads off its plan (``_WalkLog``), the
+    points it builds (``bmodel._cut_points``) and the unions it makes,
+    while ``live[0]`` is true.  Returns (log, live)."""
+    log, live = [], [True]
+    plan, cut_points, union = bmodel._plan, bmodel._cut_points, bmodel._UnionFind.union
+
+    def logged_plan(diagram):
+        got = plan(diagram)
+        return got._replace(walks=_WalkLog(got.walks, log))
+
+    def logged_points(prefix, lo, hi, rank):
+        points = cut_points(prefix, lo, hi, rank)
+        if live[0]:
+            log[-1][1].extend(points)
+        return points
+
+    def logged_union(uf, x, y):
+        if live[0]:
+            log[-1][2].append((x, y))
+        union(uf, x, y)
+
+    monkeypatch.setattr(bmodel, "_plan", logged_plan)
+    monkeypatch.setattr(bmodel, "_cut_points", logged_points)
+    monkeypatch.setattr(bmodel._UnionFind, "union", logged_union)
+    return log, live
+
+
 def test_census_allocates_ids_only_to_touched_points(monkeypatch):
+    """Only touched points have ids, and of those only the collapse
+    targets' points have ids of their own: a read point of a stratum that
+    is only a source takes its image's id or the sink's."""
     degree = 12
     # affine3: of the rank-3 stratum's 13^3 surviving points, the 12^3 off
-    # the coordinate planes are untouched
-    for name, touched, untouched in [("proj3", 15, 0), ("affine3", 1016, 12**3)]:
+    # the coordinate planes are untouched, and the other 13^3 - 12^3 are
+    # read; of proj3's 15 touched points only the rank-3 stratum's origin
+    # is in no collapse target
+    for name, touched, untouched, targeted in [
+        ("proj3", 15, 0, 14), ("affine3", 1016, 12**3, 1016 - (13**3 - 12**3))
+    ]:
         phi = EXAMPLES[name]()
-        assert _touched_points(phi, degree) == (touched, untouched), name
+        assert _touched_points(phi, degree) == (touched, untouched, targeted), name
         uf, supports = _census_classes(full_diagram(phi), degree)
-        assert len(uf.parent) == touched + 1, name  # and the zero sink
+        assert len(uf.parent) == targeted + 1, name  # and the zero sink
+        read = [s.touched for s in supports.values() if s.touched is not None]
+        assert sum(map(len, read)) == touched - targeted, name
+        assert all(0 <= x < len(uf.parent) for t in read for x in t.values()), name
         assert sum(s.untouched for s in supports.values()) == untouched, name
 
     phi = EXAMPLES["proj3"]()
     diagram = full_diagram(phi)
-    walks = []
-    collapse = bmodel._collapse
-
-    def counted(uf, src, row, forward):
-        walks.append(forward)
-        collapse(uf, src, row, forward)
-
-    monkeypatch.setattr(bmodel, "_collapse", counted)
+    log, live = _log_walks(monkeypatch)
     _census_classes(diagram, degree)
-    # one walk per generating arrow, in order, out of the chart of the
-    # arrow's cone by the arrow's own collapse: 28 of proj3's 50 arrows are
-    # no composite of two others
+    live[0] = False
+    # one walk per generating arrow, grouped by target, out of the chart of
+    # the arrow's cone by the arrow's own collapse: 28 of proj3's 50 arrows
+    # are no composite of two others
     generating = _generating(phi, phi.arrows)
-    assert len(walks) == len(generating) == 28 and len(phi.arrows) == 50
+    assert len(log) == len(generating) == 28 and len(phi.arrows) == 50
     assert sum(a.kind == "collapse" for a in diagram.arrows) == 110
-    assert walks == [phi._collapse_forward(fa) for fa in generating]
+    assert [walk for walk, _, _ in log] == _planned_walks(phi, generating)
+    assert sorted(walk.arrow for walk, _, _ in log) == sorted(generating)
+    assert [walk.forward for walk, _, _ in log] == [
+        phi._collapse_forward(walk.arrow) or ((),) for walk, _, _ in log
+    ]
     census = limit_census(diagram, degree)
     assert census.dimension == 1
     assert sum(census.support_sizes.values()) == 80081
@@ -762,33 +838,65 @@ def test_census_closed_forms_past_the_ladder_cap():
 def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
     monkeypatch,
 ):
-    """On every collapse walk of the oracle diagrams, the points read off
-    the source stratum's cut list are its surviving points in sigma^perp,
-    in id order."""
-    perp = bmodel._perp_points
-    walks, wrong = [], []
-
-    def checked(support, gens):
-        got = perp(support, gens)
-        want = [
-            (u, x)
-            for u, x in support.points()
-            if all(dot(u, g) == 0 for g in gens)
-        ]
-        if support.touched is not None:  # ids come after the read
-            want = [(u, None) for u, _ in want]
-        walks.append(sum(g[-1] for g in gens))
-        if got != want:
-            wrong.append((label, degree, gens))
-        return got
-
-    monkeypatch.setattr(bmodel, "_perp_points", checked)
+    """On every collapse walk of the oracle diagrams, the points the walk
+    reads off the source stratum's cut list are its surviving points in
+    sigma^perp, in id order, each read once.  Each point makes one union,
+    with its image's id when that is a surviving target point and with the
+    sink otherwise, except a point of a stratum that is only a source, on
+    its first read: it makes none, and takes that id.  After them only the
+    last walk into a target makes unions, one with the sink per surviving
+    target point that some walk into the target reached from no point."""
+    log, live = _log_walks(monkeypatch)
+    lasts, wrong = [], []
+    closing = zeroed = 0
     for label, diagram in _oracle_diagrams():
+        phi = diagram.fanifold
         for degree in range(6):
-            _census_classes(diagram, degree)
+            log.clear()
+            live[0] = True
+            _, supports = _census_classes(diagram, degree)
+            live[0] = False
+            ids = {name: dict(s.points()) for name, s in supports.items()}
+            missed = {}  # target -> surviving points some walk missed
+            read = set()  # (stratum, point) read so far
+            for walk, points, unions in log:
+                fa = walk.arrow
+                gens = phi.arrow_cone(fa).gens
+                source, target = ids[fa.source], ids[fa.target]
+                want = [u for u in source if all(dot(u, g) == 0 for g in gens)]
+                expected = []
+                images = set()
+                for u in want:
+                    w = mat_vec(phi._collapse_forward(fa), u)
+                    y = target.get(w, 0)  # the sink's id when w is no target point
+                    if w in target:
+                        images.add(w)
+                    if supports[fa.source].touched is None or (fa.source, u) in read:
+                        expected.append(sorted((source[u], y)))
+                    elif source[u] != y:  # a first read takes the image's id
+                        wrong.append((label, degree, fa, u))
+                    read.add((fa.source, u))
+                missed.setdefault(fa.target, set()).update(set(target) - images)
+                n = len(expected)
+                if walk.closes:
+                    expected += [[0, target[w]] for w in sorted(missed.pop(fa.target))]
+                    closing += 1
+                    zeroed += len(expected) - n
+                # one union per point read, in order; then the zeroes, in any order
+                got = [sorted(pair) for pair in unions]
+                if points != want or got[:n] != expected[:n] or sorted(got[n:]) != sorted(expected[n:]):
+                    wrong.append((label, degree, fa))
+                lasts.append(walk.last)
+            # in a collapse target ids run through the points in order
+            for name, target in ids.items():
+                if supports[name].touched is None and list(target.values()) != sorted(target.values()):
+                    wrong.append((label, degree, name))
+            assert not missed, (label, degree)
     assert not wrong
-    # both cases of the cut: the gens' summed last coordinate zero or not
-    assert 0 in walks and any(walks)
+    # both cases of the cut, t_last zero or not, and targets both zeroed
+    # and not
+    assert 0 in lasts and any(lasts)
+    assert closing and zeroed
 
 
 # -- incidence tables: one per fan and per arrow ----------------------------------
@@ -832,7 +940,8 @@ def test_collapse_forward_is_built_only_where_read():
     census builds those of the arrows it walks, each out of the chart of
     its own cone into a zero-cone chart, and no others.  Its walks, read
     off the fanifold's arrows, are the diagram's collapses into a zero-cone
-    chart whose arrows are no composite of two others', in order: the same
+    chart whose arrows are no composite of two others', in plan order
+    (``_planned_walks``, which puts the walks into one target together): the same
     fanifold arrow, cone gens and ``forward``, read through the fanifold.
     So the collapse matrices built are the generating arrows'.  A collapse
     names a fanifold arrow, and a restriction none."""
@@ -852,10 +961,7 @@ def test_collapse_forward_is_built_only_where_read():
             ]
             walks = _generating(phi, walks)
             walked |= set(walks)
-            assert bmodel._plan(diagram).walks == [
-                (fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa))
-                for fa in walks
-            ], name
+            assert bmodel._plan(diagram).walks == _planned_walks(phi, walks), name
         assert set(phi._collapses) == walked == set(_generating(phi, phi.arrows)), name
         for a in diagrams[0].arrows:
             assert (a.arrow in phi.arrows) == (a.kind == "collapse"), name
@@ -875,7 +981,7 @@ def test_every_walked_target_is_a_zero_cone_chart():
             if phi.validate().is_poset:
                 kept += [bmodel._diagram(phi, phi.kept_cones(z)) for z in _closed_sets(phi)]
             for diagram in kept:
-                walked = [fa for fa, _, _ in bmodel._plan(diagram).walks]
+                walked = [walk.arrow for walk in bmodel._plan(diagram).walks]
                 for fa in walked:
                     star = phi._star_map(fa)
                     target = diagram.index[(fa.target, star[fa.cone_index])]
@@ -884,8 +990,9 @@ def test_every_walked_target_is_a_zero_cone_chart():
                 between = [
                     fa for fa in phi.arrows if fa.source in charted and fa.target in charted
                 ]
-                assert walked == _generating(phi, between), name
-                assert walked == [fa for fa in between if phi.arrow_cone(fa).dim == 1], name
+                generating = _generating(phi, between)
+                assert walked == [w.arrow for w in _planned_walks(phi, generating)], name
+                assert generating == [fa for fa in between if phi.arrow_cone(fa).dim == 1], name
                 diagrams += 1
     assert diagrams == 30 + 414
 
@@ -1172,8 +1279,7 @@ def _every_walk_plan(diagram):
             raise ValueError(f"stratum {name!r} has no zero-cone chart")
         distinct = tuple(dict.fromkeys(g for c in kept for g in c))
         strata.append((name, ranks[name], distinct, any(fa.target == name for fa in walked)))
-    walks = [(fa, phi.arrow_cone(fa).gens, phi._collapse_forward(fa)) for fa in walked]
-    return bmodel._Plan(tuple(strata), walks)
+    return bmodel._Plan(tuple(strata), _planned_walks(phi, walked))
 
 
 def _censuses_or_error(diagram, degrees):
