@@ -35,10 +35,11 @@ A census has a part that does not depend on the degree, its plan
 (``_Plan``): each charted stratum's rank, the distinct gens of its kept
 cones and whether a collapse targets it, and for each arrow that does not
 factor its walk (``_Walk``): the arrow, the sum of its cone's gens split
-at the last coordinate, its collapse matrix and whether it is the last walk
-into its target; the walks into one target come together.  The plan is built at the first census of a chart set
-and kept with the chart tuple and its
-index (``_ChartSet``) in the fanifold's ``_chart_sets`` table, so every
+at the last coordinate, its collapse matrix and that matrix's last column,
+and whether it is the last walk into its target; the walks into one target
+come together.  The plan is built at the first census of a chart set and
+kept with the chart tuple and its index (``_ChartSet``) in the fanifold's
+``_chart_sets`` table, so every
 later census of that chart set, at any degree and on any diagram of it,
 pays only for its box walk; ``full_diagram`` shares the fanifold's full
 chart tuple and index.  That table holds plain data only, names, tuples and
@@ -55,8 +56,13 @@ coordinates is computed once, and the coordinate before the last steps by
 adding the gen's coefficient there (``_cut_rows``).  Each stratum keeps its
 surviving points as such a cut list, in a row map prefix -> (lo, hi, first
 id).  A walk reads the surviving points in sigma^perp of its source, found
-with one dot per interval, each once, and joins each to its image in the
-target, found through the row map, or to the sink.  A target's surviving
+with one dot per interval (or solved for, when the last coordinate of the
+cone's gen sum is 0), each once, and joins each to its image in the
+target, found through the row map, or to the sink.  It maps intervals,
+not points: the image of an interval's start is computed once, and along
+the interval it moves by the collapse matrix's last column, which on the
+bundled examples moves no target row, so the row is looked up once per
+interval.  A target's surviving
 points that some walk into it missed are joined to the sink once, after
 its last walk.  Only a collapse target's points get ids of their own: a
 point of a stratum that is only a source takes, on its first read, its
@@ -109,15 +115,20 @@ class _Walk(NamedTuple):
     """One collapse the census walks, with the numbers of it that do not
     depend on the degree: the fanifold arrow, t = the sum of the arrow
     cone's gens split into its first rank - 1 coordinates ``head`` and its
-    last one, the collapse matrix (``Fanifold._collapse_forward``) in the
-    rank-0 convention of ``_box_cuts``, and whether it is the last walk
-    into its target, after which the target's unreached points are
-    zeroed (``_census_classes``)."""
+    last one, the collapse matrix F (``Fanifold._collapse_forward``) in the
+    rank-0 convention of ``_box_cuts``, F's last column split into the
+    entries of its rows but the last, ``col``, and that of its last row,
+    ``step``, and whether it is the last walk into its target, after which
+    the target's unreached points are zeroed (``_census_classes``).  The
+    last column is what an image moves by as the source point steps along
+    its interval: ``col`` moves the target row, ``step`` the point in it."""
 
     arrow: Arrow
     head: Vec
     last: int
     forward: Mat
+    col: Vec
+    step: int
     closes: bool
 
 
@@ -257,8 +268,9 @@ def _box_cuts(
     down to one integer interval lo..hi, yielded when it is not empty.  A
     rank-0 lattice's one point, (), is the interval 0..0 of the empty
     prefix: its last coordinate reads as 0 and is no coordinate of the
-    point.  ``_cut_points`` builds an interval's points by this rule, and
-    ``_walk`` reads a rank-0 lattice's sums and images by it.
+    point.  ``_cut_points`` builds an interval's points by this rule, the
+    census walk the key of a source-only point's id by it, and ``_walk``
+    reads a rank-0 lattice's sums and images by it.
     """
     if rank == 0:
         yield (), 0, 0
@@ -281,6 +293,47 @@ def _cut_points(prefix: Vec, lo: int, hi: int, rank: int) -> list[Vec]:
     if not rank:
         return [()]
     return [prefix + (x,) for x in range(lo, hi + 1)]
+
+
+def _perp_cuts(
+    row: Mapping[Vec, tuple[int, int, int | None]], head: Vec, last: int, degree: int
+) -> Iterator[tuple[Vec, int, int, int | None]]:
+    """The intervals of a cut list ``row`` (``_Support``) that meet the
+    points u with u . t = 0, for t split into ``head`` and ``last`` as in
+    ``_Walk``, in lexicographic order (``_census_classes`` gives the cut).
+    For each yields (prefix, a, b, i): the points there are prefix + (x,)
+    for x in a..b, and i is the id of the one at a, or None in a stratum
+    that is only a source.
+
+    When t_last = 0 an interval meets them whole or not at all, and the
+    prefixes p with p . t' = 0 are solved for, not scanned, unless the row
+    holds no more intervals than the (2 degree + 1)^(rank - 2) prefixes a
+    solve looks up: for the last j with t'_j != 0,
+    p_j = -(sum over k < j of p_k t'_k) / t'_j, and the other coordinates
+    run over the box in lexicographic order, so the prefixes come in the
+    row's order.  A t' of 0 keeps every interval.
+    """
+    if last or not any(head) or len(row) <= (2 * degree + 1) ** (len(head) - 1):
+        for prefix, (lo, hi, first) in row.items():
+            s = sum(map(mul, prefix, head))
+            if last:
+                x, r = divmod(-s, last)
+                if not r and lo <= x <= hi:
+                    yield prefix, x, x, None if first is None else first + x - lo
+            elif not s:
+                yield prefix, lo, hi, first
+        return
+    j = max(k for k, c in enumerate(head) if c)
+    box = range(-degree, degree + 1)
+    for before in itertools.product(box, repeat=j):
+        y, r = divmod(-sum(map(mul, before, head)), head[j])
+        if r or not -degree <= y <= degree:
+            continue
+        for after in itertools.product(box, repeat=len(head) - j - 1):
+            prefix = before + (y,) + after
+            cut = row.get(prefix)
+            if cut is not None:
+                yield prefix, cut[0], cut[1], cut[2]
 
 
 def _box_count(gens: Sequence[Vec], rank: int, degree: int) -> int:
@@ -415,11 +468,13 @@ class _Support(NamedTuple):
     ``touched`` is None.  Elsewhere first is None, and ``touched`` maps each
     point that a collapse out of the stratum reads to an id of its class:
     that of the image the first such collapse found, or the sink's.
+    ``size`` counts the surviving points, summed as the row is built.
     """
 
     rank: int
     row: dict[Vec, tuple[int, int, int | None]]
     touched: dict[Vec, int] | None
+    size: int
 
     def points(self) -> Iterator[tuple[Vec, int | None]]:
         """Every surviving point in lexicographic order, with its id, or
@@ -435,10 +490,11 @@ class _Support(NamedTuple):
     @property
     def untouched(self) -> int:
         """The surviving points no collapse touches, counted from the
-        interval lengths: each is a free class of its own."""
+        interval lengths as the row was built: each is a free class of its
+        own."""
         if self.touched is None:
             return 0
-        return sum(hi - lo + 1 for lo, hi, _ in self.row.values()) - len(self.touched)
+        return self.size - len(self.touched)
 
 
 class SectionCensus(NamedTuple):
@@ -523,11 +579,11 @@ def _census_classes(
       class of its own, with a fresh id or without one, and only target
       points and the sink have ids.
 
-    A walk makes one pass over its source's cut list.  For each interval
-    that meets sigma^perp it builds each point there (``_cut_points``),
-    finds its id, maps it by ``forward``, and joins it to its image or to
-    the sink, or on a source-only point's first read gives it that id, so
-    it reads each of its points once.  It finds the surviving points in
+    A walk makes one pass over the intervals of its source's cut list that
+    meet sigma^perp (``_perp_cuts``), and maps intervals, not points.  For
+    each point there it finds its id and joins it to its image or to the
+    sink, or on a source-only point's first read gives it that id, so it
+    reads each of its points once.  It finds the surviving points in
     sigma^perp by the sum t of sigma's gens, split in the plan into t' and
     t_last (``_walk``):
 
@@ -537,10 +593,24 @@ def _census_classes(
     * On the interval of a prefix p, u . t = s + x t_last with s = p . t'
       for the first rank - 1 coordinates t' of t.  When t_last != 0 only
       x = -s / t_last can vanish it, and it is a point of the interval
-      exactly when it is an integer in lo..hi.  When t_last = 0 the dot is
-      s for every x, so the interval lies in sigma^perp when s = 0 and
-      misses it otherwise.  Either way the interval costs one dot, plus the
-      points it keeps.
+      exactly when it is an integer in lo..hi: one dot per interval.  When
+      t_last = 0 the dot is s for every x, so the interval lies in
+      sigma^perp when s = 0 and misses it otherwise, and the prefixes with
+      s = 0 are solved for, not scanned.
+
+    The image of u = p + (x,) under F = ``forward`` is, row by row,
+    (F u)_i = F_i[:-1] . p + F_i[-1] x, in exact integers.  So the walk
+    dots p with F's rows once per interval, which gives the image of
+    p + (0,): the key of its target row from the rows but the last, and z0
+    from the last.  Along the interval the key moves by x ``col`` and the
+    last coordinate by x ``step``, F's last column (``_Walk``).  When
+    ``col`` is zero, as on every bundled example in its own basis, every
+    point of the interval lands in one target row, looked up once;
+    otherwise the row is looked up per point, in the same loop.  Per point
+    what is left is z = z0 + x step, the row's range test, the ids and one
+    union, and a point tuple is built only as the key of a source-only
+    stratum's ``touched`` map.  Unions make the same classes in any order,
+    and target ids are still given in row order.
 
     A walk zeroes each surviving point of its target that it reaches from
     no point.  The census makes the same unions with one pass per target:
@@ -608,53 +678,54 @@ def _census_classes(
     supports: dict[str, _Support] = {}
     ids: dict[str, range] = {}  # a collapse target's ids
     for name, rank, gens, target in plan.strata:
-        cuts = _box_cuts(gens, rank, degree)
+        row, size, start = {}, 0, len(uf.parent)
+        for prefix, lo, hi in _box_cuts(gens, rank, degree):
+            row[prefix] = (lo, hi, start + size if target else None)
+            size += hi - lo + 1
         if target:
-            row, start = {}, len(uf.parent)
-            for prefix, lo, hi in cuts:
-                row[prefix] = (lo, hi, start)
-                start += hi - lo + 1
-            ids[name] = range(uf.extend(start - len(uf.parent)), start)
-            supports[name] = _Support(rank, row, None)
-        else:
-            row = {prefix: (lo, hi, None) for prefix, lo, hi in cuts}
-            supports[name] = _Support(rank, row, {})
+            ids[name] = range(uf.extend(size), start + size)
+        supports[name] = _Support(rank, row, None if target else {}, size)
 
     union = uf.union
     before = None  # the target points every walk so far into this target hit
-    for fa, head, last, forward, closes in plan.walks:
+    for fa, head, last, forward, col, step, closes in plan.walks:
         source, row = supports[fa.source], supports[fa.target].row
-        touched = source.touched
+        touched, rank = source.touched, source.rank
         *above, top = forward
+        moving = any(col)
+        # a target of rank 0 or 1 has one row, that of the empty prefix
+        cut = None if above else row.get(())
         hit = set()
-        for prefix, (lo, hi, first) in source.row.items():
-            s = sum(map(mul, prefix, head))
-            if last:
-                x, r = divmod(-s, last)
-                if r or not lo <= x <= hi:
-                    continue
-                a = b = x
-            elif s:
-                continue
-            else:
-                a, b = lo, hi
-            for k, u in enumerate(_cut_points(prefix, a, b, source.rank)):
-                # None: a source-only point's first read, which gives it the
-                # id of its image, or the sink's
-                i = touched.get(u) if first is None else first + a - lo + k
-                cut = row.get(tuple([sum(map(mul, v, u)) for v in above]))
-                z = sum(map(mul, top, u))
+        for prefix, a, b, i in _perp_cuts(source.row, head, last, degree):
+            # the image of prefix + (x,) is the target row key + x col, at
+            # z0 + x step in it
+            if above:
+                key = [sum(map(mul, prefix, v)) for v in above]
+                if not moving:
+                    cut = row.get(tuple(key))
+            z = sum(map(mul, prefix, top)) + a * step
+            for x in range(a, b + 1):
+                if moving:
+                    cut = row.get(tuple([k + x * c for k, c in zip(key, col)]))
+                if i is None:
+                    # a source-only point: its first read gives it the id
+                    # of its image, or the sink's
+                    u = prefix + (x,) if rank else ()
+                    j = touched.get(u)
+                else:
+                    j = i + x - a
                 if cut is not None and cut[0] <= z <= cut[1]:
                     y = cut[2] + z - cut[0]
                     hit.add(y)
-                    if i is None:
+                    if j is None:
                         touched[u] = y
                     else:
-                        union(i, y)
-                elif i is None:
+                        union(j, y)
+                elif j is None:
                     touched[u] = 0
                 else:
-                    union(0, i)
+                    union(0, j)
+                z += step
         if before is not None:
             hit &= before
         before = None if closes else hit
@@ -726,10 +797,13 @@ def _walk(phi: Fanifold, fa: Arrow, closes: bool) -> _Walk:
     A rank-0 lattice's one point reads as 0 in the interval 0..0 of the
     empty prefix (``_box_cuts``): so t at rank 0 reads as t_last = 0, and
     a rank-0 target's collapse matrix, which has no rows, as one empty row,
-    whose image of every point is that 0."""
+    whose image of every point is that 0; an empty row's last entry, out
+    of a rank-0 source or in that one row, reads as 0 too."""
     cone = phi.arrow_cone(fa)
     t = [sum(g[i] for g in cone.gens) for i in range(cone.rank)]
-    return _Walk(fa, tuple(t[:-1]), sum(t[-1:]), phi._collapse_forward(fa) or ((),), closes)
+    forward = phi._collapse_forward(fa) or ((),)
+    col = tuple(sum(v[-1:]) for v in forward[:-1])
+    return _Walk(fa, tuple(t[:-1]), sum(t[-1:]), forward, col, sum(forward[-1][-1:]), closes)
 
 
 def _factors(
@@ -819,7 +893,9 @@ class Component(NamedTuple):
 
 
 def components(phi: Fanifold) -> list[Component]:
-    """Irreducible pieces of the glued space: one per minimal stratum."""
+    """Irreducible pieces of the glued space: one per minimal stratum.
+    Raises ValueError on an invalid fanifold (``require_valid``)."""
+    require_valid(phi)
     out = []
     for s in phi.minimal_strata():
         out.append(

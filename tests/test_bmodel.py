@@ -589,7 +589,9 @@ def test_census_of_a_fan_counts_its_dual_in_the_box():
 
 
 def test_census_matches_the_box_walk_reference():
+    cols = []  # whether each walk's image row moves along its interval
     for label, diagram in _oracle_diagrams():
+        cols += [any(walk.col) for walk in bmodel._plan(diagram).walks]
         for degree in range(6):
             census = limit_census(diagram, degree, with_basis=True)
             dimension, sizes, basis, classes = _reference_census(diagram, degree)
@@ -601,6 +603,9 @@ def test_census_matches_the_box_walk_reference():
             assert census.warnings is diagram.warnings, (label, degree)
             assert isinstance(census.warnings, tuple), (label, degree)
             assert census.basis == basis, (label, degree)
+    # walks whose image row is fixed along an interval and walks whose row
+    # moves with the last coordinate (re-based affine3 and proj3)
+    assert (cols.count(False), cols.count(True)) == (491, 5)
 
 
 def _touched_points(phi, degree):
@@ -642,8 +647,10 @@ def _planned_walks(phi, arrows):
     first arrow, stably, so the walks into one target come together in
     arrow order.  Each holds t, the sum of the arrow cone's gens, split
     into its first rank - 1 coordinates and its last (0 at rank 0); the
-    collapse matrix, or one empty row into a rank-0 target; and whether no
-    later walk shares the walk's target."""
+    collapse matrix, or one empty row into a rank-0 target; its last
+    column (0 in an empty row), split into the entries of the rows but the
+    last and that of the last row; and whether no later walk shares the
+    walk's target."""
     first = {}
     for k, fa in enumerate(arrows):
         first.setdefault(fa.target, k)
@@ -657,13 +664,16 @@ def _planned_walks(phi, arrows):
             assert forward == (), fa  # no rows
             forward = ((),)
         closes = all(b.target != fa.target for b in arrows[k + 1:])
-        out.append(bmodel._Walk(fa, tuple(t[:-1]), t[-1] if t else 0, forward, closes))
+        col = [v[-1] if v else 0 for v in forward]
+        out.append(
+            bmodel._Walk(fa, tuple(t[:-1]), t[-1] if t else 0, forward, tuple(col[:-1]), col[-1], closes)
+        )
     return out
 
 
 class _WalkLog(list):
     """A plan's walk list that logs each walk when the census reads it,
-    with the points built and the unions made until the next one."""
+    with the intervals it reads and the unions made until the next one."""
 
     def __init__(self, walks, log):
         super().__init__(walks)
@@ -677,20 +687,21 @@ class _WalkLog(list):
 
 def _log_walks(monkeypatch):
     """Log every walk a census reads off its plan (``_WalkLog``), the
-    points it builds (``bmodel._cut_points``) and the unions it makes,
-    while ``live[0]`` is true.  Returns (log, live)."""
+    intervals of its source it reads (``bmodel._perp_cuts``: prefix, the
+    part a..b of its interval, and the id of the point at a or None) and
+    the unions it makes, while ``live[0]`` is true.  Returns (log, live)."""
     log, live = [], [True]
-    plan, cut_points, union = bmodel._plan, bmodel._cut_points, bmodel._UnionFind.union
+    plan, perp_cuts, union = bmodel._plan, bmodel._perp_cuts, bmodel._UnionFind.union
 
     def logged_plan(diagram):
         got = plan(diagram)
         return got._replace(walks=_WalkLog(got.walks, log))
 
-    def logged_points(prefix, lo, hi, rank):
-        points = cut_points(prefix, lo, hi, rank)
-        if live[0]:
-            log[-1][1].extend(points)
-        return points
+    def logged_cuts(row, head, last, degree):
+        for cut in perp_cuts(row, head, last, degree):
+            if live[0]:
+                log[-1][1].append(cut)
+            yield cut
 
     def logged_union(uf, x, y):
         if live[0]:
@@ -698,7 +709,7 @@ def _log_walks(monkeypatch):
         union(uf, x, y)
 
     monkeypatch.setattr(bmodel, "_plan", logged_plan)
-    monkeypatch.setattr(bmodel, "_cut_points", logged_points)
+    monkeypatch.setattr(bmodel, "_perp_cuts", logged_cuts)
     monkeypatch.setattr(bmodel._UnionFind, "union", logged_union)
     return log, live
 
@@ -845,11 +856,18 @@ def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
     sink otherwise, except a point of a stratum that is only a source, on
     its first read: it makes none, and takes that id.  After them only the
     last walk into a target makes unions, one with the sink per surviving
-    target point that some walk into the target reached from no point."""
+    target point that some walk into the target reached from no point.
+    Besides the oracle diagrams, affine3 and proj3 in the random bases of
+    seed 0, where the target row of a walk moves by 2 or 3 per step along
+    an interval."""
     log, live = _log_walks(monkeypatch)
     lasts, wrong = [], []
     closing = zeroed = 0
-    for label, diagram in _oracle_diagrams():
+    steep = [
+        (f"{name} rebased by seed 0", full_diagram(_rebased(EXAMPLES[name](), random.Random(0))))
+        for name in ("affine3", "proj3")
+    ]
+    for label, diagram in itertools.chain(_oracle_diagrams(), steep):
         phi = diagram.fanifold
         for degree in range(6):
             log.clear()
@@ -859,10 +877,17 @@ def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
             ids = {name: dict(s.points()) for name, s in supports.items()}
             missed = {}  # target -> surviving points some walk missed
             read = set()  # (stratum, point) read so far
-            for walk, points, unions in log:
+            for walk, cuts, unions in log:
                 fa = walk.arrow
                 gens = phi.arrow_cone(fa).gens
                 source, target = ids[fa.source], ids[fa.target]
+                rank = supports[fa.source].rank
+                points = [p + (x,) if rank else () for p, a, b, _ in cuts for x in range(a, b + 1)]
+                # each interval names the id of the point at its start, or
+                # None where the source is no collapse target
+                for p, a, b, i in cuts:
+                    if i != (None if supports[fa.source].touched is not None else source[p + (a,) if rank else ()]):
+                        wrong.append((label, degree, fa, p, a))
                 want = [u for u in source if all(dot(u, g) == 0 for g in gens)]
                 expected = []
                 images = set()
@@ -886,17 +911,79 @@ def test_perp_points_are_the_surviving_points_perpendicular_to_the_cone(
                 got = [sorted(pair) for pair in unions]
                 if points != want or got[:n] != expected[:n] or sorted(got[n:]) != sorted(expected[n:]):
                     wrong.append((label, degree, fa))
-                lasts.append(walk.last)
+                lasts.append((walk.last, any(walk.head)))
             # in a collapse target ids run through the points in order
             for name, target in ids.items():
                 if supports[name].touched is None and list(target.values()) != sorted(target.values()):
                     wrong.append((label, degree, name))
             assert not missed, (label, degree)
     assert not wrong
-    # both cases of the cut, t_last zero or not, and targets both zeroed
-    # and not
-    assert 0 in lasts and any(lasts)
+    # both cases of the cut, t_last zero (with t' solved for) or not, and
+    # targets both zeroed and not; t = 0 would need a zero arrow cone
+    assert {(bool(last), solved) for last, solved in lasts} >= {(True, True), (False, True)}
     assert closing and zeroed
+    assert max(abs(c) for _, diagram in steep for walk in bmodel._plan(diagram).walks for c in walk.col) == 3
+
+
+class _LoggedRow(dict):
+    """A cut list's row map that logs each prefix looked up and each scan."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.looked_up, self.scans = [], 0
+
+    def get(self, prefix, default=None):
+        self.looked_up.append(prefix)
+        return super().get(prefix, default)
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+
+def test_a_walk_with_t_last_zero_reads_only_the_prefixes_it_solves_for():
+    """With t_last = 0 and t' != 0, ``_perp_cuts`` looks up exactly the box
+    prefixes p with p . t' = 0, in lexicographic order, and scans no
+    interval, unless the row holds no more intervals than that solve
+    would look up, (2D + 1)^(rank - 2), when it scans the row and looks
+    nothing up.  Either way it yields the intervals a scan of every prefix
+    would keep, whole.  With t = 0 every interval is kept.  On the whole
+    box and on cut lists of random gens in rank 3 and 4, with targets' ids
+    and a source's None, for t' whose last nonzero entry is 1, -2 or 3 and
+    is followed by zeros or not."""
+    rng = random.Random(4040)
+    heads = [(1, 0), (0, 1), (2, -1), (1, -2), (3, 0), (0, 3, 0), (1, 0, 0), (2, 0, -3), (0, -2, 0)]
+    ways = {"solved": 0, "scanned": 0}
+    for head in heads:
+        rank, degree = len(head) + 1, 3
+        box = range(-degree, degree + 1)
+        solve = [p for p in itertools.product(box, repeat=rank - 1) if not dot(p, head)]
+        for k in range(6):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(k)]
+            gens = [g for g in gens if any(g)]
+            row, start = {}, 1
+            for prefix, lo, hi in bmodel._box_cuts(gens, rank, degree):
+                row[prefix] = (lo, hi, start if k % 2 else None)
+                start += hi - lo + 1
+            logged = _LoggedRow(row)
+            got = list(bmodel._perp_cuts(logged, head, 0, degree))
+            want = [(p, lo, hi, first) for p, (lo, hi, first) in row.items() if not dot(p, head)]
+            assert got == want, (head, gens)
+            if len(row) > (2 * degree + 1) ** (rank - 2):
+                assert (logged.scans, logged.looked_up) == (0, solve), (head, gens)
+                ways["solved"] += 1
+            else:
+                assert (logged.scans, logged.looked_up) == (1, []), (head, gens)
+                ways["scanned"] += 1
+            everything = list(bmodel._perp_cuts(row, (0,) * len(head), 0, degree))
+            assert everything == [(p, lo, hi, first) for p, (lo, hi, first) in row.items()]
+    # both ways; at D = 3 in rank 3 a row of 7 intervals is scanned, and
+    # one of 8 solved for
+    assert ways["solved"] > 10 and ways["scanned"] > 3, ways
+    for n, way in [(7, (1, [])), (8, (0, [(0, y) for y in range(-3, 4)]))]:
+        row = _LoggedRow({(x, y): (0, 0, None) for x, y in itertools.islice(itertools.product(range(-1, 2), repeat=2), n)})
+        assert list(bmodel._perp_cuts(row, (1, 0), 0, 3)) == [((0, y), 0, 0, None) for y in (-1, 0, 1)]
+        assert (row.scans, row.looked_up) == way, n
 
 
 # -- incidence tables: one per fan and per arrow ----------------------------------

@@ -195,6 +195,7 @@ def test_census_refuses_a_degree_past_the_box_index(capsys, example):
 GATED_COMMANDS = {
     "bmodel-chart": ["bmodel", "chart", "--stratum", "(s0,s0)"],
     "bmodel-census": ["bmodel", "census", "--degree", "2"],
+    "bmodel-components": ["bmodel", "components"],
     "skeleton-report": ["skeleton", "report"],
     "skeleton-euler": ["skeleton", "euler"],
     "skeleton-handles": ["skeleton", "handles"],
@@ -294,7 +295,8 @@ def test_bmodel_chart_and_components(capsys):
 
 def test_components_refuses_a_fan_with_a_duplicated_cone_in_one_line(tmp_path, capsys):
     """halfplane.json with its ray listed twice in ``(cell,s0)``: no cone is
-    maximal, so the fan's problems are raised, not an IndexError."""
+    maximal, and validation names the fan's problem in the one error line,
+    not an IndexError."""
     doc = json.loads(files.dumps(EXAMPLES["halfplane"]()))
     fan = next(s for s in doc["strata"] if s["id"] == "(cell,s0)")["fan"]
     fan["cones"].append(list(fan["cones"][-1]))
@@ -303,7 +305,7 @@ def test_components_refuses_a_fan_with_a_duplicated_cone_in_one_line(tmp_path, c
     code, out, err = run_capture(capsys, ["bmodel", "components", "--file", str(path)])
     assert code == 2
     assert out == ""
-    assert err == "error: invalid fan: cone 2 duplicates cone 1\n"
+    assert err == "error: invalid fanifold: stratum '(cell,s0)' fan: cone 2 duplicates cone 1\n"
 
 
 def test_skeleton_commands(capsys):

@@ -3,8 +3,9 @@
 Each mutant is one small edit of a bundled document: a ray entry, a cone's
 ray list, a stratum's fields, an arrow's ends, cone or matrix, the
 dimension, or a value of the wrong type.  Every mutant must make the CLI
-exit 0 or 2 with no traceback, and every stratum fan of a mutant whose
-strata load must validate exactly as the meet rule does.  A second run
+exit 0 or 2 with no traceback, ``bmodel components`` must exit 2 on every
+mutant that ``validate`` exits 2 on, and every stratum fan of a mutant
+whose strata load must validate exactly as the meet rule does.  A second run
 with its own seed sends each mutant through the other ten commands, and
 each exit 2 there must print exactly one line on stderr.
 """
@@ -140,10 +141,14 @@ def run_fuzz(seed=SEED, mutants=MUTANTS, tmp_dir="."):
         path = os.path.join(tmp_dir, f"mutant{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        got = {}
         for cmd in COMMANDS:
-            code = run(cmd + ["--file", path])
+            code = got[" ".join(cmd)] = run(cmd + ["--file", path])
             assert code in (0, 2), (name, kind, cmd, code)
             codes[" ".join(cmd)][code] += 1
+        # components answers only on a valid fanifold
+        if got["validate"] == 2:
+            assert got["bmodel components"] == 2, (name, kind)
         # arrows name their cones by rays, so a moved ray often stops the
         # file loading; the strata alone load far more often
         try:
