@@ -4,18 +4,17 @@ Every stratum contributes one affine chart per cone of its fan.  Charts are
 tied together by two kinds of monomial maps: face localizations inside one
 stratum, and collapse maps along fanifold arrows (the monomials not
 perpendicular to the collapsed cone are sent to zero).  A diagram is its
-charts: the maps are read off the fanifold, from tables built at most once,
-exact without validation and shared with ``skeleton_model``: each fan's
-containment table (``Fan._inside``) and each arrow's star map
-(``Fanifold._star_map``).  The list of maps, ``ToricDiagram.arrows``, is
-built on its first read and kept; the census never reads it, and walks the
-fanifold's arrows instead.  A map is a plain value: a collapse
-(``DiagramArrow``) names the fanifold arrow it collapses along, and its cone
-and collapse matrix are read off the fanifold (``Fanifold.arrow_cone``,
-``Fanifold._collapse_forward``), the matrix built on its first read, by the
-census for the collapses it walks, not with the diagram.  A global
-section is a coefficient tuple compatible with every map, so censuses are
-exact linear bookkeeping.
+charts: the maps are read off the fanifold, from tables built at most once
+and shared with ``skeleton_model``: each fan's containment table
+(``Fan._inside``) and each arrow's star map (``Fanifold._star_map``).  The
+list of maps, ``ToricDiagram.arrows``, is built on its first read and kept;
+the census never reads it, and walks the fanifold's arrows instead.  A map
+is a plain value: a collapse (``DiagramArrow``) names the fanifold arrow it
+collapses along, and its cone and collapse matrix are read off the fanifold
+(``Fanifold.arrow_cone``, ``Fanifold._collapse_forward``), the matrix built
+on its first read, by the census for the collapses it walks, not with the
+diagram.  A global section is a coefficient tuple compatible with every
+map, so censuses are exact linear bookkeeping.
 
 The census counts classes of box points under these maps.  Since every
 stratum keeps its zero-cone chart, the face localizations join all copies
@@ -28,7 +27,7 @@ whose collapse makes every identification the larger charts' collapses
 make.  An arrow c that is b after a, by one
 witness the plan checks (``_factors``), is not walked at all: the walks of
 a and b make every identification c's would, so the census walks only the
-arrows that do not factor, which on a valid diagram are the arrows along a
+arrows that do not factor, which in a full diagram are the arrows along a
 ray.  ``_census_classes`` gives both proofs.
 
 A census has a part that does not depend on the degree, its plan
@@ -46,9 +45,13 @@ chart tuple and index.  That table holds plain data only, names, tuples and
 matrices, and never a diagram: a diagram refers to its fanifold, so a
 diagram in the table would make a reference cycle, and a fanifold of a
 one-shot command would outlive the command, with its interned cones and
-their cached duals and quotients, until the garbage collector ran.  A build
-that raises keeps nothing, so a faulty chart set raises on every call,
-before any degree check.
+their cached duals and quotients, until the garbage collector ran.
+
+Validity is checked once, where a diagram is born: ``ToricDiagram`` refuses
+an invalid fanifold, so the census meets none.  What it still checks is the
+chart set, which a caller may choose freely: a charted stratum must keep
+its zero-cone chart.  A plan build that raises keeps nothing, so such a
+chart set raises on every call, before any degree check.
 
 Box points are walked as intervals of the last coordinate, one per prefix
 of the others.  Each gen's dot with a prefix of the first rank - 2
@@ -167,6 +170,10 @@ class ToricDiagram:
     set's plan and never builds the list.  ``warnings`` is a tuple, set
     when the diagram is built.  Diagrams of equal chart tuples on one
     fanifold share its chart set: the tuple, its index and its plan.
+
+    A diagram exists only for a valid fanifold: building one on any other
+    raises ValueError (``require_valid``), whatever its chart tuple.  The
+    chart tuple is the caller's choice, and the census checks its shape.
     """
 
     def __init__(
@@ -175,6 +182,7 @@ class ToricDiagram:
         objects: Sequence[ChartObject],
         warnings: Sequence[str] = (),
     ):
+        require_valid(fanifold)
         self.fanifold = fanifold
         self.warnings = tuple(warnings)
         objects = tuple(objects)
@@ -188,9 +196,7 @@ class ToricDiagram:
     def arrows(self) -> tuple[DiagramArrow, ...]:
         """Every restriction, from each chart to each kept chart of a cone
         inside it, then every collapse, along each fanifold arrow from each
-        kept chart of its star to the kept chart of its image.  A kept
-        chart whose image is missing from the target fan, on a diagram
-        nothing validated, raises ValueError here."""
+        kept chart of its star to the kept chart of its image."""
         phi, index = self.fanifold, self.index
         arrows = _restriction_arrows(phi, self.objects)
         for fa, star in _charted_arrows(self):
@@ -359,34 +365,19 @@ def _restriction_arrows(
         for big, i in kept.items():
             for small in sorted(inside[big]):
                 j = kept.get(small)
-                # a cone equal to a different one lies inside it both ways
-                if j is not None and big not in inside[small]:
+                if j is not None:
                     arrows.append(DiagramArrow(i, j, "restrict"))
     return arrows
 
 
-def _charted_arrows(diagram: ToricDiagram) -> Iterator[tuple[Arrow, dict[int, int | None]]]:
+def _charted_arrows(diagram: ToricDiagram) -> Iterator[tuple[Arrow, dict[int, int]]]:
     """The fanifold arrows out of strata with charts, in order, each with
-    its star map.  An arrow into a stratum without charts gives no map and
-    no walk.
-
-    Raises ValueError when the image of a kept chart's cone is no cone of
-    the target fan, which validation rules out.  A target whose fan has no
-    cones has no chart, and every image is missing there.
-    """
-    phi, index = diagram.fanifold, diagram.index
+    its star map, which on a valid fanifold maps every star cone onto a
+    cone of the target fan.  An arrow into a stratum without charts gives
+    no map and no walk."""
+    phi = diagram.fanifold
     charted = {o.stratum for o in diagram.objects}
-    for fa in phi.arrows:
-        if fa.source not in charted:
-            continue
-        star = phi._star_map(fa)
-        if None in star.values():
-            for k, tk in star.items():
-                if tk is None and (fa.source, k) in index:
-                    raise ValueError(
-                        f"image of cone {k} of {fa.source!r} missing from {fa.target!r}"
-                    )
-        yield fa, star
+    return ((fa, phi._star_map(fa)) for fa in phi.arrows if fa.source in charted)
 
 
 def _diagram(phi: Fanifold, allowed: Mapping[str, Iterable[int]]) -> ToricDiagram:
@@ -631,10 +622,10 @@ def _census_classes(
     Write F_x for an arrow's ``forward`` and A_x for its ``arrow_map``; as
     above, F_x(u) . A_x(y) = u . y for u in sigma_x^perp and every y, and
     F_x is one to one on sigma_x^perp.  The witness gives sigma_a inside sigma_c,
-    sigma_b = A_a(sigma_c) (the star map), A_c = A_b A_a, and kept charts of
-    sigma_c and sigma_b, so the surviving points of S and R lie in their
-    duals.  When the walks' matrices build, each iso is unimodular and
-    each A_x onto.  "Joined" below means in one class, and "zeroes x"
+    sigma_b = A_a(sigma_c) (the star map), and kept charts of sigma_c and
+    sigma_b, so the surviving points of S and R lie in their duals.  The
+    fanifold is valid, so A_c = A_b A_a (``_factors``), each iso is
+    unimodular and each A_x onto.  "Joined" below means in one class, and "zeroes x"
     means joins x to the sink, whose class is the zero class.
 
     * For u in sigma_a^perp and v = F_a(u), v . A_a(y) = u . y, so v lies
@@ -654,11 +645,9 @@ def _census_classes(
 
     sigma_a and sigma_b are smaller than sigma_c, so by induction on the
     cone's dimension this holds when every walk that factors is dropped at
-    once.  A dropped walk's matrix builds whenever a's and b's do: A_c is
-    onto, and c's iso is square, since dim sigma_b = dim sigma_c -
-    dim sigma_a.  So the plan raises exactly when a plan of every walk
-    would, on any diagram, validated or not; only which arrow's matrix the
-    error comes from can differ.
+    once.  Every collapse matrix of a valid fanifold builds, so the plan
+    raises exactly when a plan of every walk would: on a fault of the
+    chart set, before any matrix is built.
 
     Everything above but the box is degree-independent: the kept gens of
     each stratum, which strata are collapse targets, and the walks are the
@@ -739,7 +728,7 @@ def _census_classes(
 def _plan(diagram: ToricDiagram) -> _Plan:
     """The census plan of the diagram's chart set, built on its first
     census and kept with the chart set; a build that raises keeps nothing,
-    so a faulty chart set raises on every call."""
+    so a chart set without a zero-cone chart raises on every call."""
     charts = diagram._charts
     if charts.plan is None:
         charts.plan = _build_plan(diagram)
@@ -757,9 +746,8 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
     keeps an arrow's cone exactly when it keeps the arrow's target.  A
     dropped walk builds no collapse matrix.
 
-    Raises ValueError on a kept chart whose image is missing from a target
-    fan (``_charted_arrows``), then on a charted stratum without its
-    zero-cone chart, before any collapse matrix is built."""
+    Raises ValueError on a charted stratum without its zero-cone chart,
+    before any collapse matrix is built."""
     phi, index = diagram.fanifold, diagram.index
     walked = [
         fa
@@ -817,26 +805,21 @@ def _factors(
     proof).  ``walked`` maps (source, cone index) to a walked arrow.
 
     a is the walk out of S on the first nonzero face of sigma_c in index
-    order, and b the walk out of a's target on the image of sigma_c under
-    a (``Fanifold._star_map``), into T.  sigma_a and sigma_b are nonzero
-    and smaller than sigma_c, the charts of sigma_c and sigma_b are kept,
-    and ``arrow_map(b) . arrow_map(a) == arrow_map(c)``.
-    Validation asks the same of every composite (``Fanifold._composite``),
-    but the witness needs no valid diagram."""
+    order, and b the arrow out of a's target on the image of sigma_c under
+    a (``Fanifold._star_map``); the charts of sigma_c and sigma_b must be
+    kept.  On a valid fanifold the rest holds whenever a is walked:
+    validation's coherence loop (``Fanifold._composite``) finds b after a
+    on sigma_c, and since a's star map is one to one and no two arrows
+    share a cone, that composite is c.  So b goes into T and is walked,
+    sigma_a is a proper face of sigma_c, dim sigma_b = dim sigma_c -
+    dim sigma_a, and ``arrow_map(b) . arrow_map(a) == arrow_map(c)``."""
     fan, k = phi.stratum(c.source).fan, c.cone_index
-    cones = fan.cones
-    dim = cones[k].dim
-    f = min((f for f in fan._inside[k] if cones[f].dim), default=None)
+    f = min((f for f in fan._inside[k] if fan.cones[f].dim), default=None)
     a = walked.get((c.source, f))
-    if a is None or cones[f].dim >= dim:
+    if a is None:
         return False
-    b = walked.get((a.target, phi._star_map(a).get(k)))
-    if b is None or b.target != c.target or not 0 < phi.arrow_cone(b).dim < dim:
-        return False
-    if (c.source, k) not in index or (b.source, b.cone_index) not in index:
-        return False
-    map_a, map_b = phi.arrow_map(a), phi.arrow_map(b)
-    return map_b.source_rank == map_a.target_rank and map_b.compose(map_a) == phi.arrow_map(c)
+    b = walked[(a.target, phi._star_map(a)[k])]
+    return (c.source, k) in index and (b.source, b.cone_index) in index
 
 
 def _free_roots(uf: _UnionFind) -> list[int]:
@@ -1019,7 +1002,9 @@ def subalgebra_check(
     degree: int = 4,
 ) -> SubalgebraReport:
     """Check relations exactly, and whether the products of at most
-    ``degree`` generators span the census space."""
+    ``degree`` generators span the census space.  Raises ValueError on an
+    invalid fanifold before reading any generator."""
+    diagram = full_diagram(phi)
     problems: list[str] = []
     gen_values: list[dict[str, Laurent]] = []
     for name, seed in generators:
@@ -1043,7 +1028,7 @@ def subalgebra_check(
                 holds = False
         rel_results.append((rel_name, holds))
 
-    uf, supports = _census_classes(full_diagram(phi), degree)
+    uf, supports = _census_classes(diagram, degree)
     free = _free_roots(uf)
     free_pos = {r: i for i, r in enumerate(free)}
 
@@ -1125,9 +1110,10 @@ class UFunctorDescriptor(NamedTuple):
 
 
 def u_functor(phi: Fanifold, closed: Iterable[str]) -> UFunctorDescriptor:
-    """Descriptor of the open complement of a closed union of strata."""
-    closed = phi.require_closed(closed)
+    """Descriptor of the open complement of a closed union of strata.
+    Raises ValueError on an invalid fanifold before reading ``closed``."""
     diagram = full_diagram(phi)
+    closed = phi.require_closed(closed)
     marked = tuple(
         i for i, o in enumerate(diagram.objects) if o.stratum in closed
     )

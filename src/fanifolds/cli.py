@@ -49,7 +49,7 @@ from .bmodel import (
     u_functor,
 )
 from .cones import Cone, zero_cone
-from .fanifold import Fanifold, require_valid
+from .fanifold import Fanifold
 from .fans import Fan, StackyFan, quotient_fan, refines, resolve_to_smooth
 from .mesh import export_mesh
 from .mirror import mirror_dictionary, restriction_pairs
@@ -205,7 +205,6 @@ def cmd_bmodel_chart(args) -> int:
 
 def cmd_bmodel_census(args) -> int:
     phi = _load(args)
-    require_valid(phi)
     census = limit_census(full_diagram(phi), args.degree)
     lines = [
         f"degree: {census.degree}",

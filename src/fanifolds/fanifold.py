@@ -380,9 +380,9 @@ class Fanifold:
         """The arrow c out of a's source, whose cone holds sigma_a and goes
         onto sigma_b under a, that equals b after a; None if there is none.
         Needs valid fans.  On a valid diagram c is unique: no two arrows
-        share a cone, and the star map of a is injective.  The census asks
-        the converse, whether a given c is b after a, of one candidate pair
-        (``bmodel._factors``), and needs no valid diagram for it."""
+        share a cone, and the star map of a is injective.  So validation,
+        which finds this c for every pair, is what lets the census drop c
+        by reading one candidate pair (``bmodel._factors``)."""
         star_a = self._star_map(a)
         composed = mat_mul(self.arrow_map(b).matrix, self.arrow_map(a).matrix)
         return next(

@@ -38,6 +38,7 @@ from fanifolds.fanifold import (
     product,
     require_valid,
     suspension_boundary,
+    unrolled_closure,
 )
 from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
 from fanifolds.lattice import (
@@ -1121,10 +1122,10 @@ def test_the_census_builds_no_map_list(monkeypatch):
 
 
 def test_a_missing_star_image_is_refused_by_the_map_list_and_the_census():
-    """On an unvalidated diagram whose target fan lacks the image of a star
-    cone, reading the map list and taking a census, at any degree, raise
-    one error naming the cone, its stratum and the target.  A target fan
-    with no cones has no chart, and lacks every image."""
+    """A fanifold whose target fan lacks the image of a star cone gets no
+    diagram, so neither a map list nor a census: every way of building one
+    raises validation's error, and keeps no chart set.  A target fan with no
+    cones lacks every image, and the zero cone first."""
     phi = EXAMPLES["affine2"]()
     fa = next(a for a in phi.arrows if phi.stratum(a.target).lattice_rank == 1)
     target = phi.stratum(fa.target)
@@ -1132,48 +1133,101 @@ def test_a_missing_star_image_is_refused_by_the_map_list_and_the_census():
     flipped = Fan(
         [Cone([tuple(-x for x in g) for g in c.gens], 1) for c in target.fan.cones], 1
     )
-    for fan in (flipped, Fan([], 1)):
+    messages = (
+        r"arrow 1 \(s1->s2\): quotient fan does not match the target fan",
+        "stratum 's2' fan: missing the zero cone",
+    )
+    for fan, message in zip((flipped, Fan([], 1)), messages):
         strata = [s._replace(fan=fan) if s is target else s for s in phi.strata]
         mutant = Fanifold(phi.dimension, strata, phi.arrows)
-        assert not mutant.validate().valid
-        message = "image of cone 0 of 's1' missing from 's2'"
-        with pytest.raises(ValueError, match=message):
-            full_diagram(mutant).arrows
-        with pytest.raises(ValueError, match=message):
-            limit_census(full_diagram(mutant), 1)
-        with pytest.raises(ValueError, match=message):  # before the degree check
-            limit_census(full_diagram(mutant), -1)
+        builds = (
+            lambda: full_diagram(mutant),
+            lambda: chart_diagram(mutant, fa.target),
+            lambda: ToricDiagram(mutant, [ChartObject(fa.source, 0)]),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^invalid fanifold: {message}$"):
+                build()
+        assert mutant._chart_sets == {}
+
+
+def _negative_dimension_square():
+    """square.json with ``"dimension": -1``: it loads, and every stratum
+    fails the dimension check."""
+    doc = json.loads(dumps(EXAMPLES["square"]()))
+    doc["dimension"] = -1
+    return fanifold_from_dict(doc)
+
+
+LIBRARY_ENTRY_POINTS = {
+    "full_diagram": full_diagram,
+    "chart_diagram": lambda phi: chart_diagram(phi, "(s0,s0)"),
+    "u_functor": lambda phi: u_functor(phi, ["(s2,s2)"]),
+    "subalgebra_check": lambda phi: subalgebra_check(
+        phi, [("x", {"(s2,s2)": {(1, 0): 1}})], degree=1
+    ),
+    "ToricDiagram": lambda phi: ToricDiagram(phi, [ChartObject("(s2,s2)", 0)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIBRARY_ENTRY_POINTS))
+def test_every_library_entry_point_refuses_an_invalid_fanifold(entry):
+    """Each public way to a diagram raises validation's error on the
+    ``"dimension": -1`` square, and keeps no chart set: the census never
+    sees an invalid fanifold."""
+    phi = _negative_dimension_square()
+    with pytest.raises(ValueError) as refused:
+        LIBRARY_ENTRY_POINTS[entry](phi)
+    assert str(refused.value).startswith("invalid fanifold: stratum '(s0,s0)': dim 2")
+    assert phi._chart_sets == {}
+
+
+def test_every_unrolled_closure_of_a_bundled_example_validates():
+    """The gate on a closure's diagram never refuses ``chart_diagram`` on a
+    valid file: every unrolled closure of every stratum of every bundled
+    example that is not a poset, built and loaded, validates."""
+    closures = 0
+    for name, build in sorted(EXAMPLES.items()):
+        for phi in (build(), load_fanifold(resolve_input(f"{name}.json"))):
+            if require_valid(phi).is_poset:
+                continue
+            for s in phi.strata:
+                assert unrolled_closure(phi, s.name).validate().valid, (name, s.name)
+                assert chart_diagram(phi, s.name).warnings, (name, s.name)
+                closures += 1
+    assert closures == 10  # necklace1 and unigon, 5 closures each way
 
 
 def test_diagram_repr_reads_only_the_chart_tuple():
-    """repr names the chart count and builds no map list, so it neither
-    pays for the maps nor raises on a diagram whose map list would."""
+    """repr names the chart count and builds no map list, so it does not
+    pay for the maps.  A fanifold whose map list would lack a star image
+    gets no diagram to print: building one raises."""
     diagram = full_diagram(EXAMPLES["proj3"]())
     assert repr(diagram) == f"ToricDiagram(objects={len(diagram.objects)})"
     assert "arrows" not in diagram.__dict__
     phi = EXAMPLES["affine2"]()
     target = phi.stratum("s2")
     strata = [s._replace(fan=Fan([], 1)) if s is target else s for s in phi.strata]
-    mutant = full_diagram(Fanifold(phi.dimension, strata, phi.arrows))
-    assert repr(mutant) == f"ToricDiagram(objects={len(mutant.objects)})"
-    assert "arrows" not in mutant.__dict__
-    with pytest.raises(ValueError, match="image of cone 0 of 's1' missing from 's2'"):
-        mutant.arrows
+    mutant = Fanifold(phi.dimension, strata, phi.arrows)
+    with pytest.raises(ValueError, match="^invalid fanifold: stratum 's2' fan: missing the zero cone$"):
+        full_diagram(mutant)
 
 
-def test_restriction_arrows_skip_a_duplicated_cone():
-    """Two equal cones contain each other, and no restriction joins them,
-    on a diagram nothing validated."""
+def test_a_fan_with_a_duplicated_cone_gets_no_restriction_arrows():
+    """Two equal cones contain each other, so they would restrict to each
+    other; validation rejects the fan, and no diagram of it, full or of
+    both cones' charts, is built."""
     fan = Fan(
         [Cone([(1, 0), (0, 1)], 2), Cone([(0, 1), (1, 0)], 2), Cone([(1, 0)], 2), zero_cone(2)],
         2,
     )
     phi = Fanifold(2, [Stratum("s", 0, fan)], [])
-    assert not phi.validate().valid
-    assert [(a.source, a.target, a.kind) for a in full_diagram(phi).arrows] == [
-        (0, 2, "restrict"), (0, 3, "restrict"), (1, 2, "restrict"),
-        (1, 3, "restrict"), (2, 3, "restrict"),
-    ]
+    message = "^invalid fanifold: stratum 's' fan: cone 1 duplicates cone 0$"
+    with pytest.raises(ValueError, match=message):
+        full_diagram(phi)
+    with pytest.raises(ValueError, match=message):
+        ToricDiagram(phi, [ChartObject("s", 0), ChartObject("s", 1)])
+    assert phi._chart_sets == {}
 
 
 def test_skeleton_incidences_are_the_diagram_arrow_pairs():
@@ -1313,8 +1367,10 @@ def test_the_plan_is_built_once_per_fanifold_and_chart_set(monkeypatch):
 
 
 def _faulty_diagrams():
-    """A diagram whose target fan lacks a star cone's image, and one whose
-    stratum lacks its zero-cone chart, with the message each raises."""
+    """A fanifold whose target fan lacks a star cone's image, which gets no
+    diagram, and a diagram whose stratum lacks its zero-cone chart, whose
+    census raises: each with its fanifold, two ways to make the diagram,
+    and the message each raises."""
     phi = EXAMPLES["affine2"]()
     fa = next(a for a in phi.arrows if phi.stratum(a.target).lattice_rank == 1)
     target = phi.stratum(fa.target)
@@ -1323,27 +1379,32 @@ def _faulty_diagrams():
     )
     strata = [s._replace(fan=flipped) if s is target else s for s in phi.strata]
     mutant = Fanifold(phi.dimension, strata, phi.arrows)
-    yield full_diagram(mutant), "image of cone 0 of 's1' missing from 's2'"
+    objects = [ChartObject(s.name, k) for s in mutant.strata for k in range(len(s.fan.cones))]
+    yield mutant, (lambda: full_diagram(mutant), lambda: ToricDiagram(mutant, objects)), (
+        r"^invalid fanifold: arrow 1 \(s1->s2\): quotient fan does not match the target fan$"
+    )
     line = EXAMPLES["affine1"]()
     s = next(s for s in line.strata if s.lattice_rank)
     ray = next(k for k, c in enumerate(s.fan.cones) if c.gens)
-    yield ToricDiagram(line, [ChartObject(s.name, ray)]), "has no zero-cone chart"
+    diagram = ToricDiagram(line, [ChartObject(s.name, ray)])
+    yield line, (lambda: diagram, lambda: ToricDiagram(line, diagram.objects)), (
+        "has no zero-cone chart"
+    )
 
 
 def test_a_faulty_chart_set_raises_at_every_degree_on_every_call():
-    """The missing-image and the no-zero-chart errors come from the plan,
-    before the degree checks: at every degree, a negative one and one past
-    the box index included, on every call.  A build that raises keeps no
-    plan and no collapse matrix."""
-    for diagram, message in _faulty_diagrams():
+    """The invalid fanifold's error comes from the diagram, and the
+    no-zero-chart error from the plan, before the degree checks: at every
+    degree, a negative one and one past the box index included, on every
+    call.  A build that raises keeps no plan and no collapse matrix."""
+    for phi, makers, message in _faulty_diagrams():
         for degree in (1, -1, 0, 16, 2**70, 3):
             for _ in range(2):
-                with pytest.raises(ValueError, match=message):
-                    limit_census(diagram, degree)
-                with pytest.raises(ValueError, match=message):
-                    limit_census(ToricDiagram(diagram.fanifold, diagram.objects), degree)
-        assert diagram._charts.plan is None, message
-        assert diagram.fanifold._collapses == {}, message
+                for make in makers:
+                    with pytest.raises(ValueError, match=message):
+                        limit_census(make(), degree)
+        assert all(charts.plan is None for charts in phi._chart_sets.values()), message
+        assert phi._collapses == {}, message
 
 
 def _every_walk_plan(diagram):
@@ -1370,8 +1431,8 @@ def _every_walk_plan(diagram):
 
 
 def _censuses_or_error(diagram, degrees):
-    """Each degree's dimension and basis, or the error the census raised
-    (an unvalidated diagram can raise anything), as type and text."""
+    """Each degree's dimension and basis, or the error the census raised,
+    as type and text."""
     out = []
     for degree in degrees:
         try:
@@ -1390,7 +1451,7 @@ def _walk_law_cases():
     four random chart sets that keep each zero chart;
     ``from_fan`` of drawn fans, and products of examples and of drawn fans;
     and every one-edit fuzz mutant of the bundled files
-    (``tests/test_fuzz.py``'s seed) that loads, unvalidated."""
+    (``tests/test_fuzz.py``'s seed) that loads, valid or not."""
     rng = random.Random(3601)
     for name, build in sorted(EXAMPLES.items()):
         phi = build()
@@ -1434,12 +1495,19 @@ def test_the_planned_census_equals_the_census_that_walks_every_charted_arrow(mon
     dimension and the basis, or the error raised, equal those of a plan
     that walks every charted arrow, which is built on a fanifold of its
     own.  On every example with its chart sets, on ``from_fan`` of drawn
-    fans and on products, and on the fuzz mutants that load, which nothing
-    validated: the witness that drops a walk needs no valid diagram."""
+    fans and on products, and on the valid fuzz mutants that load.  A
+    mutant that validation rejects gets no diagram, so no census on either
+    side: the witness that drops a walk reads validation's coherence."""
     degrees = (0, 1, 2)
-    cases = dropped = mutants = invalid_dropped = raised = 0
+    cases = dropped = mutants = refused = raised = 0
     for label, make, charts in _walk_law_cases():
         phis = make(), make()
+        if not phis[0].validate().valid:
+            for phi in phis:
+                with pytest.raises(ValueError, match="^invalid fanifold: "):
+                    full_diagram(phi)
+            refused += 1
+            continue
         for kept in charts:
             diagrams = [full_diagram(phi) if kept is None else bmodel._diagram(phi, kept) for phi in phis]
             planned = _censuses_or_error(diagrams[0], degrees)
@@ -1453,12 +1521,10 @@ def test_the_planned_census_equals_the_census_that_walks_every_charted_arrow(mon
             plans = [d._charts.plan for d in diagrams]
             fewer = None not in plans and len(plans[0].walks) < len(plans[1].walks)
             dropped += fewer
-            if label.startswith("mutant"):
-                mutants += 1
-                invalid_dropped += fewer and not phis[0].validate().valid
-    # 296 chart sets drop a walk, 51 of them on invalid mutants, and 47
-    # raise on both sides
-    assert (cases, dropped, mutants, invalid_dropped, raised) == (848, 296, 252, 51, 47)
+            mutants += label.startswith("mutant")
+    # 245 of 660 chart sets drop a walk, 64 of them on valid mutants, none
+    # raises, and 188 invalid mutants are refused
+    assert (cases, dropped, mutants, refused, raised) == (660, 245, 64, 188, 0)
 
 
 # -- descent and product laws on fan diagrams ---------------------------------

@@ -196,6 +196,7 @@ GATED_COMMANDS = {
     "bmodel-chart": ["bmodel", "chart", "--stratum", "(s0,s0)"],
     "bmodel-census": ["bmodel", "census", "--degree", "2"],
     "bmodel-components": ["bmodel", "components"],
+    "bmodel-ufunctor": ["bmodel", "ufunctor", "--closed", "(s2,s2)"],
     "skeleton-report": ["skeleton", "report"],
     "skeleton-euler": ["skeleton", "euler"],
     "skeleton-handles": ["skeleton", "handles"],

@@ -7,7 +7,8 @@ exit 0 or 2 with no traceback, ``bmodel components`` must exit 2 on every
 mutant that ``validate`` exits 2 on, and every stratum fan of a mutant
 whose strata load must validate exactly as the meet rule does.  A second run
 with its own seed sends each mutant through the other ten commands, and
-each exit 2 there must print exactly one line on stderr.
+each exit 2 there must print exactly one line on stderr; ``bmodel
+ufunctor`` must exit 2 on every mutant that ``validate`` exits 2 on.
 """
 
 import contextlib
@@ -189,7 +190,8 @@ def _first_stratum_id(doc):
 
 def run_more_fuzz(seed=MORE_SEED, mutants=MORE_MUTANTS, tmp_dir="."):
     """Exit codes seen per command (by its first two words) over the
-    mutants; an exit 2 that prints other than one stderr line fails."""
+    mutants; an exit 2 that prints other than one stderr line fails, and
+    so does a ``bmodel ufunctor`` answer on a mutant ``validate`` rejects."""
     rng = random.Random(seed)
     docs = _documents()
     names = sorted(docs)
@@ -200,6 +202,8 @@ def run_more_fuzz(seed=MORE_SEED, mutants=MORE_MUTANTS, tmp_dir="."):
         path = os.path.join(tmp_dir, f"mutant{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            invalid = run(["validate", "--file", path]) == 2
         for cmd in _more_commands(_first_stratum_id(doc)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -208,6 +212,9 @@ def run_more_fuzz(seed=MORE_SEED, mutants=MORE_MUTANTS, tmp_dir="."):
             lines = err.getvalue().splitlines()
             if code == 2:
                 assert len(lines) == 1, (name, kind, cmd, lines)
+            # ufunctor answers only on a valid fanifold
+            if invalid and cmd[:2] == ["bmodel", "ufunctor"]:
+                assert code == 2, (name, kind)
             assert "Traceback" not in err.getvalue(), (name, kind, cmd)
             seen = codes.setdefault(" ".join(cmd[:2]), {0: 0, 2: 0})
             seen[code] += 1
