@@ -415,8 +415,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
             " (the exit diagram is not a poset)"
         )
         return ToricDiagram(closure, full_diagram(closure).objects, (warning,))
-    below = [s.name for s in phi.strata if phi.leq(s.name, f_name)]
-    return _diagram(phi, phi.kept_cones(below))
+    return _diagram(phi, phi.kept_cones(phi.down_closure([f_name])))
 
 
 # -- census ------------------------------------------------------------------
@@ -754,10 +753,8 @@ def _build_plan(diagram: ToricDiagram) -> _Plan:
         for fa, star in _charted_arrows(diagram)
         if (fa.target, star[fa.cone_index]) in index
     ]
-    by_cone: dict[tuple[str, int], Arrow] = {}
-    for fa in walked:
-        by_cone.setdefault((fa.source, fa.cone_index), fa)
-    generating = [fa for fa in walked if not _factors(phi, index, by_cone, fa)]
+    walked_set = set(walked)
+    generating = [fa for fa in walked if not _factors(phi, index, walked_set, fa)]
     targets = {fa.target for fa in generating}
     cones: dict[str, list[Cone]] = {}
     ranks: dict[str, int] = {}
@@ -797,28 +794,29 @@ def _walk(phi: Fanifold, fa: Arrow, closes: bool) -> _Walk:
 def _factors(
     phi: Fanifold,
     index: Mapping[ChartObject, int],
-    walked: Mapping[tuple[str, int], Arrow],
+    walked: set[Arrow],
     c: Arrow,
 ) -> bool:
     """Whether the walk along c: S -> T is the walks along a and b after
     each other, by one witness and no search (``_census_classes`` gives the
-    proof).  ``walked`` maps (source, cone index) to a walked arrow.
+    proof).  ``walked`` is the set of walked arrows.
 
-    a is the walk out of S on the first nonzero face of sigma_c in index
+    a is the arrow out of S on the first nonzero face of sigma_c in index
     order, and b the arrow out of a's target on the image of sigma_c under
-    a (``Fanifold._star_map``); the charts of sigma_c and sigma_b must be
-    kept.  On a valid fanifold the rest holds whenever a is walked:
-    validation's coherence loop (``Fanifold._composite``) finds b after a
-    on sigma_c, and since a's star map is one to one and no two arrows
-    share a cone, that composite is c.  So b goes into T and is walked,
-    sigma_a is a proper face of sigma_c, dim sigma_b = dim sigma_c -
-    dim sigma_a, and ``arrow_map(b) . arrow_map(a) == arrow_map(c)``."""
+    a (``Fanifold._star_map``), both read off ``Fanifold._arrow_on``; a
+    must be walked, and the charts of sigma_c and sigma_b kept.  On a valid
+    fanifold the rest holds whenever a is walked: validation's coherence
+    loop finds b after a as the arrow on the one cone that a's star map
+    sends onto sigma_b, and that cone is sigma_c, so the composite is c.
+    So b goes into T and is walked, sigma_a is a proper face of sigma_c,
+    dim sigma_b = dim sigma_c - dim sigma_a, and ``arrow_map(b) .
+    arrow_map(a) == arrow_map(c)``."""
     fan, k = phi.stratum(c.source).fan, c.cone_index
     f = min((f for f in fan._inside[k] if fan.cones[f].dim), default=None)
-    a = walked.get((c.source, f))
-    if a is None:
+    a = phi._arrow_on.get((c.source, f))
+    if a not in walked:
         return False
-    b = walked[(a.target, phi._star_map(a)[k])]
+    b = phi._arrow_on[a.target, phi._star_map(a)[k]]
     return (c.source, k) in index and (b.source, b.cone_index) in index
 
 
@@ -989,10 +987,6 @@ class SubalgebraReport(NamedTuple):
     span_rank: int
     relations: list[tuple[str, bool]]
     problems: list[str]
-
-    @property
-    def spans(self) -> bool:
-        return self.span_rank == self.census_dimension and not self.problems
 
 
 def subalgebra_check(

@@ -6,6 +6,10 @@ records a cone of G's fan together with a unimodular identification of the
 quotient lattice with F's lattice.  Everything downstream (glued toric
 spaces, skeleta, mirrors) is computed from this diagram alone.
 
+A composite is looked up, not searched for: on a valid diagram, b after a
+is the arrow on the cone that a's star map sends onto b's cone
+(``Fanifold._arrow_on``), as validation's coherence loop proves.
+
 The one record a diagram keeps beyond it is ``Fanifold.source_fan``: the fan
 a diagram built by ``from_fan`` came from, None for every other diagram and
 for every diagram read from a file.  Only ``skeleton.handle_plan`` and the
@@ -247,6 +251,11 @@ class Fanifold:
                 kept[s.name] = tuple(i for i in range(len(s.fan.cones)) if i not in dropped)
         return kept
 
+    @cached_property
+    def _arrow_on(self) -> dict[tuple[str, int], Arrow]:
+        """(stratum, cone index) -> the arrow on that cone (one, if valid)."""
+        return {(a.source, a.cone_index): a for a in self.arrows}
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -255,6 +264,8 @@ class Fanifold:
 
     @cached_property
     def _report(self) -> ValidationReport:
+        """Strata and fans, then arrows and cones, then, if all of that
+        passes, coherence: each composable pair's composite, looked up."""
         errors: list[str] = []
         unimodular: dict[LatticeMap, bool] = {}
         checked = self._carry_valid_fans(unimodular)
@@ -301,9 +312,18 @@ class Fanifold:
 
         coherent = True
         if not errors:
+            # Each nonzero cone has exactly one arrow, and each star map is
+            # one to one onto the target's cones (both checked above).  So
+            # the only arrow that can be b after a is the arrow on the one
+            # cone that a's star map sends onto sigma_b.
+            arrow_on = self._arrow_on
             for a in self.arrows:
+                onto = {j: i for i, j in self._star_map(a).items()}
+                a_map = self.arrow_map(a).matrix
                 for b in self.out_arrows(a.target):
-                    if self._composite(a, b) is None:
+                    c = arrow_on[a.source, onto[b.cone_index]]
+                    composed = mat_mul(self.arrow_map(b).matrix, a_map)
+                    if c.target != b.target or self.arrow_map(c).matrix != composed:
                         coherent = False
                         errors.append(
                             f"no coherent composite for {a.source}->{a.target}"
@@ -375,26 +395,6 @@ class Fanifold:
         if len(images) != n or set(images) != set(range(n)):
             return f"{name}: quotient fan does not match the target fan"
         return None
-
-    def _composite(self, a: Arrow, b: Arrow) -> Arrow | None:
-        """The arrow c out of a's source, whose cone holds sigma_a and goes
-        onto sigma_b under a, that equals b after a; None if there is none.
-        Needs valid fans.  On a valid diagram c is unique: no two arrows
-        share a cone, and the star map of a is injective.  So validation,
-        which finds this c for every pair, is what lets the census drop c
-        by reading one candidate pair (``bmodel._factors``)."""
-        star_a = self._star_map(a)
-        composed = mat_mul(self.arrow_map(b).matrix, self.arrow_map(a).matrix)
-        return next(
-            (
-                c
-                for c in self.out_arrows(a.source)
-                if c.target == b.target
-                and star_a.get(c.cone_index) == b.cone_index
-                and self.arrow_map(c).matrix == composed
-            ),
-            None,
-        )
 
 
 def require_valid(phi: Fanifold) -> ValidationReport:
@@ -656,8 +656,10 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
     Objects are the arrows into the chosen stratum plus an identity object;
     each object is a copy of its source stratum whose transverse fan is the
     face fan of the arrow's cone, re-expressed in the cone's span lattice.
-    Object a maps to object b along each arrow c with a = b . c, which
-    ``_composite`` finds; the diagram must be valid, so that it is unique.
+    Object a maps to object b along each arrow c with a = b . c.  The
+    diagram must be valid: then b after c is the one arrow on the cone that
+    c's star map sends onto sigma_b (validation's coherence loop), so c
+    qualifies exactly when that cone is sigma_a.
     """
     require_valid(phi)
     f = phi.stratum(f_name)
@@ -706,7 +708,7 @@ def unrolled_closure(phi: Fanifold, f_name: str) -> Fanifold:
             if b is None or name_b == name_a:
                 continue
             for c in phi.out_arrows(a.source):
-                if c.target != b.source or phi._composite(c, b) is not a:
+                if c.target != b.source or phi._star_map(c).get(a.cone_index) != b.cone_index:
                     continue
                 map_c = phi.arrow_map(c)
                 basis_a, basis_b = span_basis[name_a], span_basis[name_b]

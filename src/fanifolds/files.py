@@ -359,22 +359,19 @@ def _indented(value, indent: str) -> str:
     """``json.dumps(value, indent=2)`` for the values a CLI report holds
     (dicts with string keys, lists, strings, ints, booleans and None),
     nested ``indent`` deep, without the pure-Python encoder's per-item
-    dispatch; a list of ints is one join."""
+    dispatch, through the document writer's ``_row``, ``_items`` and
+    ``_members``; a list of ints is one join."""
     if type(value) is dict:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return _members(
+            [_encode_str(k) + ": " + _indented(v, inner) for k, v in value.items()], indent
+        )
     if type(value) is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
         if all(type(x) is int for x in value):
-            items = map(str, value)
-        else:
-            items = [_indented(x, inner) for x in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+            return _row(value, indent)
+        return _items([_indented(x, indent + "  ") for x in value], indent)
     if type(value) is str:
         return _encode_str(value)
     if type(value) is bool:

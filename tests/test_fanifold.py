@@ -33,11 +33,12 @@ from fanifolds.fanifold import (
     from_fan,
     manifold,
     product,
+    require_valid,
     sphere_section,
     suspension_boundary,
     unrolled_closure,
 )
-from fanifolds.files import load_fanifold
+from fanifolds.files import dumps, fanifold_from_dict, load_fanifold
 from fanifolds.fans import (
     Fan,
     StackyFan,
@@ -60,6 +61,8 @@ from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import handle_plan, skeleton_model
 from test_bmodel import drawn_fan
 from test_fans import _random_basis_fans
+from test_properties import composite_by_search
+import test_fuzz
 
 
 def test_from_fan_affine_line():
@@ -404,6 +407,14 @@ def test_validate_names_a_valid_fan_without_its_zero_cone():
     assert Fanifold(1, strata, arrows).validate().errors == (
         "stratum 'v' fan: missing the zero cone",
     )
+
+
+def test_validate_names_a_duplicate_stratum_id_and_stops():
+    """A diagram with two strata of one name is reported as that alone,
+    before the arrows: neither a poset nor coherent."""
+    phi = from_fan(a1_fan())
+    report = Fanifold(phi.dimension, phi.strata + phi.strata[:1], phi.arrows).validate()
+    assert report == (False, False, ("duplicate stratum id 's0'",))
 
 
 def test_validate_reports_the_dimension_difference_an_arrow_needs():
@@ -1022,10 +1033,10 @@ def test_coords_in_span_round_trip_on_saturated_sublattices():
 
 
 def _reference_unrolled_closure(phi, f_name):
-    """The strata and arrows of ``unrolled_closure`` by the search it ran
-    before ``Fanifold._composite``: object a maps to object b along each
-    arrow c out of a's source whose cone is a nonzero face of a's cone,
-    with b . c = a as maps and the star map of c sending a's cone to b's."""
+    """The strata and arrows of ``unrolled_closure`` by a plain search that
+    finds no composite: object a maps to object b along each arrow c out of
+    a's source whose cone is a nonzero face of a's cone, with b . c = a as
+    maps and the star map of c sending a's cone to b's."""
     objects = [(f"{a.source}.via{k}", a) for k, a in enumerate(phi.in_arrows(f_name))]
     strata = [(f"{f_name}.top", phi.stratum(f_name).dim, (zero_cone(0),))]
     basis, face_fan = {}, {}
@@ -1088,14 +1099,17 @@ def test_unrolled_closure_matches_the_plain_factorization_search():
 
 def test_composite_carries_the_composed_map():
     """On every example and constructed diagram, each composable pair's
-    composite leaves a's source along a cone that a's star map sends onto
-    b's cone, and its map is b's after a's."""
+    composite, found by the search, is the arrow on the cone that a's star
+    map sends onto b's cone; it goes from a's source to b's target, and
+    its map is b's after a's."""
     diagrams = [build() for _, build in sorted(EXAMPLES.items())] + _constructed_diagrams()
     pairs = 0
     for phi in diagrams:
         for a in phi.arrows:
+            onto = {j: i for i, j in phi._star_map(a).items()}
             for b in phi.out_arrows(a.target):
-                c = phi._composite(a, b)
+                c = composite_by_search(phi, a, b)
+                assert c is phi._arrow_on[a.source, onto[b.cone_index]]
                 assert (c.source, c.target) == (a.source, b.target)
                 assert phi._star_map(a)[c.cone_index] == b.cone_index
                 assert phi.arrow_map(c).matrix == mat_mul(
@@ -1132,6 +1146,144 @@ def test_a_negated_iso_has_no_coherent_composite():
         f" (cones {x.cone_index}, {y.cone_index})"
         for x, y in through + onward
     )
+
+
+# -- composites by lookup against the search -----------------------------------
+
+
+def _report_by_search(phi):
+    """``phi``'s validation report with its coherence loop run by the
+    reference search (``composite_by_search``), over the same pairs in the
+    same order; the checks before that loop are validation's own."""
+    report = phi.validate()
+    errors = [e for e in report.errors if not e.startswith("no coherent composite")]
+    if errors:
+        return report._replace(coherent=False, errors=tuple(errors))
+    for a in phi.arrows:
+        for b in phi.out_arrows(a.target):
+            if composite_by_search(phi, a, b) is None:
+                errors.append(
+                    f"no coherent composite for {a.source}->{a.target}"
+                    f"->{b.target} (cones {a.cone_index}, {b.cone_index})"
+                )
+    return report._replace(coherent=not errors, errors=tuple(errors))
+
+
+def _closure_by_search(phi, f_name):
+    """``unrolled_closure`` with the reference search picking its
+    factorizations: object a maps to object b along each arrow c into b's
+    source whose composite with b is a (``composite_by_search``)."""
+    require_valid(phi)
+    f = phi.stratum(f_name)
+    objects = [(f"{f_name}.top", None)]
+    for k, a in enumerate(phi.in_arrows(f_name)):
+        objects.append((f"{a.source}.via{k}", a))
+    strata, span_basis, face_fans = [], {}, {}
+    for name, a in objects:
+        if a is None:
+            strata.append(Stratum(name=name, dim=f.dim, fan=Fan([zero_cone(0)], 0)))
+            continue
+        sigma = phi.arrow_cone(a)
+        basis = span_basis[name] = _span_basis(sigma)
+        face_fans[name] = Fan(
+            [Cone([_coords_in_span(basis, g) for g in face], len(basis)) for face in sigma.faces()],
+            len(basis),
+        )
+        strata.append(Stratum(name=name, dim=phi.stratum(a.source).dim, fan=face_fans[name]))
+    arrows = []
+    for name_a, a in objects:
+        if a is None:
+            continue
+        ffan = face_fans[name_a]
+        top = next(i for i, c in enumerate(ffan.cones) if c.dim == ffan.rank)
+        arrows.append(Arrow(name_a, f"{f_name}.top", top, lattice_map((), 0, 0)))
+        for name_b, b in objects:
+            if b is None or name_b == name_a:
+                continue
+            for c in phi.out_arrows(a.source):
+                if c.target != b.source or composite_by_search(phi, c, b) is not a:
+                    continue
+                map_c = phi.arrow_map(c)
+                basis_a, basis_b = span_basis[name_a], span_basis[name_b]
+                ci = ffan.cone_index(
+                    Cone([_coords_in_span(basis_a, g) for g in phi.arrow_cone(c).gens], len(basis_a))
+                )
+                rows = [_coords_in_span(basis_b, map_c(v)) for v in basis_a]
+                span_map = tuple(tuple(r[i] for r in rows) for i in range(len(basis_b)))
+                iso = _iso_through_section(span_map, ffan.cones[ci].quotient, len(basis_b))
+                arrows.append(Arrow(name_a, name_b, ci, iso))
+    return Fanifold(dimension=f.dim, strata=strata, arrows=arrows)
+
+
+def _coherence_law_inputs():
+    """Labelled diagrams: every example built and loaded, the constructed
+    diagrams (small products among them), from_fan and sphere_section of
+    fans drawn as the random-fans workload draws them, the mutants of both
+    fuzz runs that load, and every built example with one arrow's iso
+    negated, or with two arrows out of one stratum into strata of one
+    dimension swapping targets (fuzzing alone seldom reaches the
+    coherence loop)."""
+    yield from built_and_loaded()
+    for k, phi in enumerate(_constructed_diagrams()):
+        yield f"constructed {k}", phi
+    rng = random.Random(4207)
+    for k in range(20):
+        fan, _ = drawn_fan(rng)
+        yield f"from_fan of drawn fan {k}", from_fan(fan)
+        yield f"sphere_section of drawn fan {k}", sphere_section(fan)
+    docs = test_fuzz._documents()
+    names = sorted(docs)
+    for seed, count in (
+        (test_fuzz.SEED, test_fuzz.MUTANTS), (test_fuzz.MORE_SEED, test_fuzz.MORE_MUTANTS)
+    ):
+        rng = random.Random(seed)  # the fuzz runs' own mutants, in order
+        for k in range(count):
+            doc, kind = test_fuzz._mutate(docs[names[k % len(names)]], rng)
+            try:
+                phi = fanifold_from_dict(doc)
+            except ValueError:
+                continue
+            yield f"fuzz seed {seed} mutant {k} ({kind})", phi
+    for name, build in sorted(EXAMPLES.items()):
+        phi = build()
+        arrows = phi.arrows
+        for k, a in enumerate(arrows):
+            if a.iso.matrix:
+                m = [[-x for x in r] for r in a.iso.matrix]
+                negated = a._replace(iso=lattice_map(m, a.iso.source_rank, a.iso.target_rank))
+                yield f"{name}: arrow {k} negated", Fanifold(
+                    phi.dimension, phi.strata, arrows[:k] + (negated,) + arrows[k + 1:]
+                )
+        for k, m in itertools.combinations(range(len(arrows)), 2):
+            a, b = arrows[k], arrows[m]
+            if a.source == b.source and a.target != b.target and (
+                phi.stratum(a.target).dim == phi.stratum(b.target).dim
+            ):
+                swapped = list(arrows)
+                swapped[k], swapped[m] = a._replace(target=b.target), b._replace(target=a.target)
+                yield f"{name}: arrows {k}, {m} swap targets", Fanifold(
+                    phi.dimension, phi.strata, swapped
+                )
+
+
+def test_composites_by_lookup_match_the_reference_search():
+    """Validation's coherence loop and ``unrolled_closure`` look composites
+    up (``Fanifold._arrow_on`` and the star maps).  On every law input the
+    report (errors in order, ``is_poset`` and ``coherent``) equals the one
+    the reference search gives, and on every valid input each stratum's
+    unrolled closure dumps byte for byte as the closure the search builds."""
+    reports = incoherent = closures = 0
+    for label, phi in _coherence_law_inputs():
+        report = phi.validate()
+        assert report == _report_by_search(phi), label
+        reports += 1
+        incoherent += any(e.startswith("no coherent composite") for e in report.errors)
+        if report.valid:
+            for s in phi.strata:
+                want = dumps(_closure_by_search(phi, s.name))
+                assert dumps(unrolled_closure(phi, s.name)) == want, (label, s.name)
+                closures += 1
+    assert (reports, incoherent, closures) == (734, 97, 1814)
 
 
 # -- carried fans and quotient-free arrow tables ---------------------------------

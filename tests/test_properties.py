@@ -68,6 +68,29 @@ def random_down_closed(rng, phi):
     return sorted(phi.down_closure(picked))
 
 
+# -- shared oracles ----------------------------------------------------------
+
+
+def composite_by_search(phi, a, b):
+    """The arrow c out of a's source, whose cone holds sigma_a and goes
+    onto sigma_b under a, that equals b after a; None if there is none.
+    Needs valid fans.  A search over a's out-arrows with one ``mat_mul``
+    per candidate: the tests' reference for the composites the package
+    looks up (``Fanifold._arrow_on``)."""
+    star_a = phi._star_map(a)
+    composed = mat_mul(phi.arrow_map(b).matrix, phi.arrow_map(a).matrix)
+    return next(
+        (
+            c
+            for c in phi.out_arrows(a.source)
+            if c.target == b.target
+            and star_a.get(c.cone_index) == b.cone_index
+            and phi.arrow_map(c).matrix == composed
+        ),
+        None,
+    )
+
+
 # -- suite 1: quotient composition vs brute force ----------------------------
 
 

@@ -14,6 +14,8 @@ makes one mutant per site in its body, with the standard library's ``ast``:
 - ``and``/``or`` swapped;
 - a ``not`` dropped;
 - the two branches of an ``if`` expression swapped;
+- an ``if`` statement's test, and a comprehension's filter, replaced by
+  ``True`` and by ``False``, so that a guard no input reaches shows;
 - an integer constant raised by one, labelled by the expression around it
   (past a sign), so that a label, and an allow-list line, names one site.
 
@@ -69,7 +71,8 @@ _SWAP = {
 
 
 def _mutate(node: ast.AST) -> ast.AST | None:
-    """The one mutant of this site, or None when it is no site."""
+    """The one operator or constant mutant of this site, or None when it
+    is no such site."""
     if isinstance(node, ast.Compare) and type(node.ops[0]) in _FLIP:
         out = copy.deepcopy(node)
         out.ops[0] = _FLIP[type(node.ops[0])]()
@@ -89,6 +92,17 @@ def _mutate(node: ast.AST) -> ast.AST | None:
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return ast.Constant(node.value + 1)
     return None
+
+
+def _conditions(func: ast.FunctionDef) -> set[int]:
+    """Ids of the ``if`` statement tests and comprehension filters."""
+    out = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.If):
+            out.add(id(node.test))
+        elif isinstance(node, ast.comprehension):
+            out.update(id(c) for c in node.ifs)
+    return out
 
 
 def _find(tree: ast.AST, qualname: str) -> ast.FunctionDef:
@@ -152,44 +166,55 @@ def mutants(target: str) -> list[Mutant]:
     tree = ast.parse(source)
     func = _find(tree, qualname)
     skip = _skipped(func)
+    conditions = _conditions(func)
     parents = {id(c): n for n in ast.walk(func) for c in ast.iter_child_nodes(n)}
     out = []
     sites = [n for n in ast.walk(func) if id(n) not in skip and hasattr(n, "lineno")]
     sites.sort(key=lambda n: (n.lineno, n.col_offset))
     for node in sites:
-        mutated = _mutate(node)
-        if mutated is None:
-            continue
-        # the function the mutant should parse to, to check the splice
-        want_tree = ast.parse(source)
-        want_func = _find(want_tree, qualname)
-        twin = next(
-            n for n in ast.walk(want_func)
-            if ast.dump(n, include_attributes=True) == ast.dump(node, include_attributes=True)
-        )
-        _replace(want_func, twin, copy.deepcopy(mutated))
-        want = ast.dump(want_func)
-        old = ast.get_source_segment(source, node)
-        new = ast.unparse(mutated)
-        for text in (new, f"({new})"):
-            candidate = _splice(source, node, text)
-            if ast.dump(_find(ast.parse(candidate), qualname)) == want:
-                break
-        else:
-            print(f"skipped {path}:{node.lineno}: cannot splice {new!r}", file=sys.stderr)
-            continue
-        if isinstance(node, ast.Constant):
-            # a bare "0 -> 1" names no site: name the expression around it,
-            # past a sign
-            around, grown = node, mutated
-            while around is node or isinstance(around, ast.UnaryOp):
-                grown = _with_child(parents[id(around)], around, grown)
-                around = parents[id(around)]
-            old = ast.get_source_segment(source, around)
-            new = ast.unparse(grown)
-        label = f"{' '.join(old.split())} -> {new}"
-        out.append(Mutant(f"{os.path.basename(path)}:{qualname}", path, node.lineno, label, candidate))
+        changes = [_mutate(node)]
+        if id(node) in conditions:
+            changes += [ast.Constant(True), ast.Constant(False)]
+        for mutated in filter(None, changes):
+            m = _mutant(path, qualname, source, node, mutated, parents)
+            if m is not None:
+                out.append(m)
     return out
+
+
+def _mutant(
+    path: str, qualname: str, source: str, node: ast.AST, mutated: ast.AST, parents: dict
+) -> Mutant | None:
+    """The mutant with ``node`` replaced by ``mutated``, or None when the
+    source cannot be spliced to it."""
+    # the function the mutant should parse to, to check the splice
+    want_func = _find(ast.parse(source), qualname)
+    twin = next(
+        n for n in ast.walk(want_func)
+        if ast.dump(n, include_attributes=True) == ast.dump(node, include_attributes=True)
+    )
+    _replace(want_func, twin, copy.deepcopy(mutated))
+    want = ast.dump(want_func)
+    old = ast.get_source_segment(source, node)
+    new = ast.unparse(mutated)
+    for text in (new, f"({new})"):
+        candidate = _splice(source, node, text)
+        if ast.dump(_find(ast.parse(candidate), qualname)) == want:
+            break
+    else:
+        print(f"skipped {path}:{node.lineno}: cannot splice {new!r}", file=sys.stderr)
+        return None
+    if isinstance(node, ast.Constant):
+        # a bare "0 -> 1" names no site: name the expression around it,
+        # past a sign
+        around, grown = node, mutated
+        while around is node or isinstance(around, ast.UnaryOp):
+            grown = _with_child(parents[id(around)], around, grown)
+            around = parents[id(around)]
+        old = ast.get_source_segment(source, around)
+        new = ast.unparse(grown)
+    label = f"{' '.join(old.split())} -> {new}"
+    return Mutant(f"{os.path.basename(path)}:{qualname}", path, node.lineno, label, candidate)
 
 
 def _with_child(parent: ast.AST, child: ast.AST, new: ast.AST) -> ast.AST:
