@@ -27,6 +27,7 @@ from .lattice import (
     Mat,
     QuotientResult,
     Vec,
+    _abs_det,
     dot,
     identity_matrix,
     integer_kernel,
@@ -285,9 +286,15 @@ class Cone:
 
     @cached_property
     def multiplicity(self) -> int:
-        """Index of Z(rays) inside the lattice of the spanned subspace."""
+        """Index of Z(rays) inside the lattice of the spanned subspace: the
+        product of the rays' invariant factors (their Smith form).  A
+        full-dimensional cone spans Z^rank, so there the index is |det| of
+        its rays, which ``_abs_det`` reads off a Hermite form, as
+        ``is_unimodular`` does, and no Smith form runs."""
         if not self.is_simplicial:
             raise ValueError("multiplicity needs a simplicial cone")
+        if self.dim == self.rank:
+            return _abs_det([list(r) for r in self.extremal_rays], self.rank)
         out = 1
         for d in smith_normal_form(mat(self.extremal_rays)).invariant_factors:
             out *= d
@@ -371,13 +378,18 @@ class Cone:
         """Is ``inner`` a face of this strongly convex cone, given that it
         lies in it?  (On any ``inner``, true when it is a face.)
 
-        ``inner`` is a face exactly when it holds every extremal ray r of
-        the smallest face holding it.  Such an r is extremal here, so if it
-        lies in the smaller ``inner`` it is extremal there too, hence a
-        positive multiple of a gen of ``inner``; gens are primitive, so r is
-        one of them.  No dual description of ``inner`` is needed.
+        On a simplicial cone, gens of ``inner`` that are all among its rays
+        span a face, since its faces are its ray subsets (``faces``), and
+        no cut runs.  Otherwise ``inner`` is a face exactly when it holds
+        every extremal ray r of the smallest face holding it.  Such an r is
+        extremal here, so if it lies in the smaller ``inner`` it is extremal
+        there too, hence a positive multiple of a gen of ``inner``; gens are
+        primitive, so r is one of them.  No dual description of ``inner`` is
+        needed.
         """
         gens = set(inner.gens)
+        if self.is_simplicial and gens.issubset(self.extremal_rays):
+            return True
         return all(r in gens for r in self._cut(inner.gens))
 
     def intersection(self, other: "Cone") -> "Cone":

@@ -178,10 +178,8 @@ class Fanifold:
             lmap, tgt = self.arrow_map(a), self.stratum(a.target).fan
             ray_of: dict[Vec, Vec | None] = {}  # gen -> primitive image, None if 0
             out = self._star_maps[a] = {}
-            for k, (c, inside) in enumerate(zip(fan.cones, fan._inside)):
-                if k != i and i not in inside:
-                    continue
-                j = None
+            for k in fan._stars[i]:
+                c, j = fan.cones[k], None
                 # a cone of another rank than the map's source (an invalid
                 # fan) goes to ``Cone.image``, which raises on it
                 if c.rank == lmap.source_rank:
@@ -360,7 +358,7 @@ class Fanifold:
                 a = self.arrows[k]
                 checked[k] = self._arrow_error(k, a, unimodular)
                 if checked[k] is None:
-                    _set_valid(self.stratum(a.target).fan)
+                    _set_valid(self.stratum(a.target).fan, s.fan, self._star_map(a))
         return checked
 
     def _arrow_error(
@@ -426,7 +424,7 @@ def _cone_strata(
     fan: Fan, keep: Sequence[int], shift: int
 ) -> tuple[list[Stratum], list[Arrow]]:
     """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
-    and its face arrows.
+    and its face arrows.  ``keep`` holds every cone holding a kept cone.
 
     A stratum's fan is its cone's star quotient, and stratum fans with equal
     ``fan_key`` are one ``Fan``, so each distinct fan is validated and
@@ -447,9 +445,8 @@ def _cone_strata(
     ]
     arrows = []
     for i in keep:
-        for j in keep:
-            if i in fan._inside[j]:
-                k = fqs[i].star.index(j)
+        for k, j in enumerate(fqs[i].star):
+            if j != i:
                 p_j = fqs[j].projection.matrix
                 iso = _iso_through_section(
                     mat_mul(p_j, fqs[i].section.matrix), fans[i].cones[k].quotient, len(p_j)

@@ -30,12 +30,15 @@ of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
 
 Star lemma.  Let sigma be a cone of a valid fan and p the projection to the
 free quotient of the lattice by its span.  The images under p of the cones
-holding sigma (its star) are distinct and form a valid fan (Cox, Little and
-Schenck, Toric Varieties, 3.2), and so do their images under a unimodular
-map.  So when a fan is valid, an arrow out of it that passes every check of
-``Fanifold._arrow_error`` (its unimodular iso maps the star of its cone one
-to one onto the target fan's cones) proves the target fan valid, and
-``Fanifold.validate`` records it so unchecked (``_set_valid``).
+holding sigma (its star) are distinct, nest as the cones do, and form a
+valid fan (Cox, Little and Schenck, Toric Varieties, 3.2), and so do their
+images under a unimodular map.  So when a fan is valid, an arrow out of it
+that passes every check of ``Fanifold._arrow_error`` (its unimodular iso
+maps the star of its cone one to one onto the target fan's cones) proves
+the target fan valid, and ``Fanifold.validate`` records it so unchecked
+(``_set_valid``).  Validation carries the containment table along with
+validity: the target's ``_inside`` is the star's, read through the arrow's
+star map, so validation runs no ``Cone.contains`` on a carried fan.
 
 Proof.  Every tau in the star has sigma as a face.  So some u >= 0 on tau
 cuts sigma out of it, and tau meet span(sigma) lies in tau meet u-perp =
@@ -49,9 +52,10 @@ This u vanishes on rho, so on sigma, and is ubar . p for a ubar on the
 quotient.  Then p(tau1) meet ubar-perp = p(tau1 meet u-perp) = p(rho), and
 likewise for tau2; since ubar >= 0 on p(tau1) and <= 0 on p(tau2), the two
 images meet inside ubar-perp, in p(rho), which ubar cuts out of each as a
-face.  If p(tau1) = p(tau2), that is p(rho), of dimension dim rho - dim
-sigma, so rho has the dimension of tau1 and of tau2 and is both.  A
-unimodular map keeps cones, lines, faces and distinctness.
+face.  If p(tau1) lies in p(tau2), it is p(rho), of dimension dim rho - dim
+sigma, so rho, a face of tau1 of its dimension, is tau1: tau1 lies in tau2,
+and equal images come from equal cones.  A unimodular map keeps cones,
+lines, faces, containment and distinctness.
 """
 
 from __future__ import annotations
@@ -107,6 +111,17 @@ class Fan:
             frozenset(j for j, c in enumerate(self.cones) if j != i and h.issuperset(c.gens))
             for i, h in enumerate(_held(self.cones, self.cones))
         )
+
+    @cached_property
+    def _stars(self) -> tuple[tuple[int, ...], ...]:
+        """For each cone, in index order, the indices of the cones holding
+        it, itself included: the reverse of ``_inside``."""
+        stars: list[list[int]] = [[] for _ in self.cones]
+        for j, inside in enumerate(self._inside):
+            stars[j].append(j)
+            for i in inside:
+                stars[i].append(j)
+        return tuple(map(tuple, stars))
 
     def cone_index(self, cone: Cone) -> int | None:
         """Index of the first cone equal to ``cone``, or None."""
@@ -280,10 +295,19 @@ def fan_key(fan: Fan) -> tuple:
     return fan.rank, tuple(c.gens for c in fan.cones), multiples
 
 
-def _set_valid(fan: Fan) -> None:
-    """Record ``fan`` as valid without checking it: the caller has proved
-    it a fan (the star lemma).  A problem list already computed stays."""
-    fan.__dict__.setdefault("_problems", [])
+def _set_valid(fan: Fan, source: Fan, star: Mapping[int, int]) -> None:
+    """Record ``fan`` as valid without checking it, and its containment
+    table with it: the caller has proved that ``star`` maps the star of a
+    cone of the valid fan ``source`` one to one onto ``fan``'s cones, so
+    ``fan`` is a fan whose cones nest as their preimages do (the star
+    lemma).  A problem list or a table already computed stays."""
+    cache = fan.__dict__
+    cache.setdefault("_problems", [])
+    if "_inside" not in cache:
+        inside = [frozenset()] * len(fan.cones)
+        for k, j in star.items():
+            inside[j] = frozenset(star[m] for m in source._inside[k] if m in star)
+        cache["_inside"] = tuple(inside)
 
 
 def require_valid_fan(fan: Fan) -> None:
@@ -328,9 +352,7 @@ def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
     if sigma.rank != fan.rank:
         raise ValueError("cone rank does not match the fan rank")
     q = sigma.quotient
-    star = tuple(
-        i for i, inside in enumerate(fan._inside) if i == cone_index or cone_index in inside
-    )
+    star = fan._stars[cone_index]
     images = [fan.cones[i].image(q.projection) for i in star]
     for im in images:
         if not im.is_strongly_convex:

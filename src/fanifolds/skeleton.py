@@ -119,6 +119,17 @@ def _piece_group_order(
     return g
 
 
+def _lifts(phi: Fanifold) -> dict[tuple[str, int], list[tuple[str, int]]]:
+    """(target, cone index) -> the (source, cone index) each arrow's star
+    map sends onto it, in arrow order.  Validation checks that each star map
+    hits every target cone once, so no image is None."""
+    lifts: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for a in phi.arrows:
+        for k, j in phi._star_map(a).items():
+            lifts.setdefault((a.target, j), []).append((a.source, k))
+    return lifts
+
+
 def skeleton_model(phi: Fanifold) -> SkeletonModel:
     """Build the stratification of the glued skeleton of ``phi``.
 
@@ -136,13 +147,9 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     for st in phi.strata:
         for k, inside in enumerate(st.fan._inside):
             incidences += [(index[(st.name, k2)], index[(st.name, k)]) for k2 in inside]
-    # validation checks that each arrow's star map hits every target cone
-    # once, so no image is None
-    lifts: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a in phi.arrows:
-        for k, j in phi._star_map(a).items():
-            incidences.append((index[(a.source, k)], index[(a.target, j)]))
-            lifts.setdefault((a.target, j), []).append((a.source, k))
+    lifts = _lifts(phi)
+    for key, sources in lifts.items():
+        incidences += [(index[src], index[key]) for src in sources]
     memo: dict = {}
     notes: list[str] = []
     strata: list[SkeletonStratum] = []
@@ -171,19 +178,23 @@ def euler_characteristic_c(model: SkeletonModel | Fanifold) -> int:
     """Compactly-supported Euler characteristic of the glued skeleton.
 
     Over each base stratum the fiber is a torus (times a finite component
-    group), and a torus of positive rank contributes zero, so only strata
-    of full dimension survive; each contributes its own chi_c times the
-    order of its fiber's component group.
+    group), and a torus of positive rank contributes zero, so only the
+    full-rank sheets survive: the lattice-rank-0 strata, whose valid fan is
+    the zero cone alone.  Each contributes its chi_c times the order of its
+    fiber's component group, lifted through the star maps as
+    ``skeleton_model`` lifts it; no model is built.  A model is read
+    through its fanifold.
     """
-    if isinstance(model, Fanifold):
-        model = skeleton_model(model)
-    total = 0
-    for s in model.strata:
-        if s.torus_rank == 0 and s.cone_dim == 0:
-            st = model.fanifold.stratum(s.base)
-            if st.lattice_rank == 0:
-                total += st.chi * s.group_order
-    return total
+    phi = model.fanifold if isinstance(model, SkeletonModel) else model
+    require_valid(phi)
+    lifts = _lifts(phi)
+    memo: dict = {}
+    notes: list[str] = []
+    return sum(
+        st.chi * _piece_group_order(phi, (st.name, 0), lifts, memo, notes)
+        for st in phi.strata
+        if st.lattice_rank == 0
+    )
 
 
 # -- Weinstein handle plans --------------------------------------------------

@@ -8,6 +8,7 @@ import copy
 import functools
 import gc
 import itertools
+import math
 import os
 import random
 import weakref
@@ -539,3 +540,88 @@ def test_contains_and_cut_match_a_brute_reference():
             if brute_contains(c.gens, [10**6 * x - y for x, y in zip(p, r)])
         )
         assert c._cut(vectors) == expected, (c, vectors)
+
+
+def _unimodular(rng, n):
+    """A random matrix in GL(n, Z): a signed permutation times shears."""
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        m[i][j] = rng.choice((-1, 1))
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + t * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def multiplicity_by_smith(c):
+    """The product of the invariant factors of a simplicial cone's rays
+    (their Smith form): the rule ``Cone.multiplicity`` follows in every
+    dimension but the full one, kept as its reference."""
+    return math.prod(smith_normal_form(mat(c.extremal_rays)).invariant_factors)
+
+
+def random_simplicial_cones(seed, count=15):
+    """``count`` simplicial cones of each dimension up to their rank, for
+    ranks 1-4, each in a random basis of GL(n, Z).  The rows of a
+    triangular matrix with diagonal 1-3 span a sublattice of that
+    dimension, and the basis change moves it off the coordinate axes."""
+    rng = random.Random(seed)
+    out = []
+    for rank in range(1, 5):
+        for dim in range(rank + 1):
+            for _ in range(count):
+                rows = [
+                    [rng.randint(-3, 3) for _ in range(i)] + [rng.randint(1, 3)]
+                    + [0] * (rank - i - 1)
+                    for i in range(dim)
+                ]
+                m = _unimodular(rng, rank)
+                c = Cone([[dot(r, g) for r in m] for g in rows], rank)
+                assert c.is_simplicial and c.dim == dim, c
+                out.append(c)
+    return out
+
+
+def test_multiplicity_is_the_product_of_the_smith_invariant_factors(monkeypatch):
+    """``Cone.multiplicity`` equals ``multiplicity_by_smith`` on random
+    simplicial cones of every dimension up to their rank, for ranks 1-4:
+    a full-dimensional cone reads |det| of its rays, with no Smith form."""
+    smith = []
+    monkeypatch.setattr(
+        cones, "smith_normal_form", lambda m: smith.append(m) or smith_normal_form(m)
+    )
+    seen = collections.Counter()
+    for c in random_simplicial_cones(4313):
+        before = len(smith)
+        assert c.multiplicity == multiplicity_by_smith(c), c
+        full = c.dim == c.rank
+        assert not (full and len(smith) > before), c
+        seen["full" if full else "lower", c.multiplicity > 1] += 1
+    assert all(seen[k, big] > 5 for k in ("full", "lower") for big in (False, True)), seen
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    for c in (Cone(square, 3), Cone([g + (0,) for g in square], 4)):
+        with pytest.raises(ValueError, match="simplicial"):
+            c.multiplicity
+
+
+def test_a_simplicial_cone_takes_its_ray_subsets_as_faces_without_a_cut(monkeypatch):
+    """``_has_face`` of a simplicial cone on a cone spanned by some of its
+    rays is true and runs no cut; on any other cone it is ``is_face_of``."""
+    cases = random_simplicial_cones(4317, count=4)
+    keys = [face_keys(c) for c in cases]
+    others = [
+        Cone([tuple(map(sum, zip(g, h))) for g, h in zip(c.gens, c.gens[1:])], c.rank)
+        for c in cases
+    ]
+    monkeypatch.setattr(Cone, "_cut", lambda self, vectors: pytest.fail("a cut ran"))
+    for c in cases:
+        rays = c.extremal_rays
+        for size in range(len(rays) + 1):
+            for sub in itertools.combinations(rays, size):
+                assert c._has_face(Cone(sub, c.rank))
+    monkeypatch.undo()
+    verdicts = set()
+    for c, other, k in zip(cases, others, keys):
+        verdicts.add(check(other, c, k))
+    assert verdicts == {True, False}

@@ -1358,15 +1358,53 @@ def _mutant_fan(fan, rng):
     return out
 
 
-def test_carried_fans_change_no_report():
+def _record_carried_tables(monkeypatch):
+    """The fans validation gives a containment table by carrying it: each
+    fan ``_set_valid`` meets with no table yet, in the order met."""
+    carried = []
+    carry = fanifold_module._set_valid
+
+    def recording(fan, source, star):
+        if "_inside" not in fan.__dict__:
+            carried.append(fan)
+        carry(fan, source, star)
+
+    monkeypatch.setattr(fanifold_module, "_set_valid", recording)
+    return carried
+
+
+def _assert_carried_tables_are_fresh(carried):
+    """Each carried ``_inside`` equals the table of a fresh fan on the same
+    cones, and ``_stars`` is its reverse."""
+    for fan in carried:
+        fresh = Fan(fan.cones, fan.rank)._inside
+        assert fan._inside == fresh, fan.cones
+        n = len(fan.cones)
+        assert fan._stars == tuple(
+            tuple(j for j in range(n) if j == i or i in fresh[j]) for i in range(n)
+        ), fan.cones
+
+
+def test_carried_fans_change_no_report(monkeypatch):
     """Validation checks no fan a checked arrow carries (the star lemma in
-    ``fans``).  Its report equals the one checking every fan first, and
-    every fan it did not check is valid when checked afresh: on every
-    example built and loaded, the constructed diagrams, and seeded mutants
-    that edit one fan of any stratum of an example."""
+    ``fans``), and carries its containment table with it.  Its report
+    equals the one checking every fan first, every fan it did not check is
+    valid when checked afresh, and every carried table is a fresh fan's: on
+    every example built and loaded, the constructed diagrams (small products
+    among them), from_fan and sphere_section of 40 fans drawn as the
+    random-fans workload draws them, and seeded mutants that edit one fan
+    of any stratum of an example."""
+    carried = _record_carried_tables(monkeypatch)
+    rng = random.Random(4303)
+    drawn = [drawn_fan(rng)[0] for _ in range(40)]
+    assert any(isinstance(f, StackyFan) for f in drawn)
     examples = [phi for _, phi in built_and_loaded()]
-    for phi in examples + _constructed_diagrams():
+    diagrams = examples + _constructed_diagrams()
+    diagrams += [build(f) for f in drawn for build in (from_fan, sphere_section)]
+    for phi in diagrams:
         assert _assert_carried_fans_change_no_report(phi).valid
+    _assert_carried_tables_are_fresh(carried)
+    assert len(carried) > 500, len(carried)
     rng = random.Random(3203)
     invalid = carried_invalid = 0
     for _ in range(600):
@@ -1382,6 +1420,30 @@ def test_carried_fans_change_no_report():
             a.target == target.name for a in phi.arrows
         )
     assert invalid > 300 and carried_invalid > 75, (invalid, carried_invalid)
+    _assert_carried_tables_are_fresh(carried)
+
+
+def test_from_fan_runs_cone_contains_on_its_source_fan_alone(monkeypatch):
+    """Every stratum fan of ``from_fan(fan)`` but ``fan`` itself is carried,
+    with its containment table: building and validating the diagram runs
+    ``Cone.contains`` only on cones of ``fan``'s rank, on the example fans
+    and on 20 fans drawn as the random-fans workload draws them."""
+    rng = random.Random(4319)
+    fans_ = [EXAMPLES[name]().source_fan for name in ("proj2", "proj3", "quadric_stacky")]
+    fans_ += [drawn_fan(rng)[0] for _ in range(20)]
+    ranks = []
+    contains = Cone.contains
+
+    def recording(self, v):
+        ranks.append(self.rank)
+        return contains(self, v)
+
+    monkeypatch.setattr(Cone, "contains", recording)
+    for fan in fans_:
+        del ranks[:]
+        phi = from_fan(fan)
+        assert phi.validate().valid and len(phi.strata) > 1
+        assert set(ranks) <= {fan.rank}, (fan, sorted(set(ranks)))
 
 
 def _quotient_tables(phi, a):

@@ -19,6 +19,7 @@ from fanifolds.fans import (
     Fan,
     RefinesResult,
     StackyFan,
+    _set_valid,
     _star_quotient,
     cones_cover,
     face_closure,
@@ -127,6 +128,62 @@ def test_validate_matches_the_meet_rule_on_the_bundled_examples():
                     assert bad.validate() == meet_rule(bad) != [], (name, st.name, c)
                     broken += 1
     assert broken > 20
+
+
+def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
+    """``Fan.validate`` builds no meet for a nested pair, which meets in its
+    smaller cone whichever comes first: on a valid fan it meets the pairs of
+    maximal cones alone, and on an invalid one, whose scan reads every pair,
+    no pair of which one cone holds the other.  On each bundled stratum fan,
+    and on it with a ray through the interior of a cone added first or
+    last."""
+    met = []
+    intersection = Cone.intersection
+
+    def recording(self, other):
+        met.append((self, other))
+        return intersection(self, other)
+
+    monkeypatch.setattr(Cone, "intersection", recording)
+    seen = {"valid": 0, "invalid": 0}
+    for name, build in sorted(EXAMPLES.items()):
+        for st in build().strata:
+            fan = st.fan
+            cases = [fan.cones]
+            for c in fan.cones:
+                if c.dim >= 2:
+                    ray = Cone([[sum(x) for x in zip(*c.extremal_rays)]], fan.rank)
+                    cases += [(ray,) + fan.cones, fan.cones + (ray,)]
+            for cones in cases:
+                del met[:]
+                fresh = Fan(cones, fan.rank)
+                valid = not fresh.validate()
+                seen["valid" if valid else "invalid"] += 1
+                assert not any(a.contains_cone(b) or b.contains_cone(a) for a, b in met), (
+                    name, st.name, len(cones)
+                )
+                if valid:
+                    tops = len(fresh.maximal_cone_indices())
+                    assert len(met) == tops * (tops - 1) // 2, (name, st.name)
+    assert seen["valid"] > 50 and seen["invalid"] > 20, seen
+
+
+def test_set_valid_keeps_what_was_checked():
+    """``_set_valid`` records a fan valid, with the containment table carried
+    from the source's through the star map, only where nothing was
+    computed: a problem list and a table a check already made stay."""
+    quadrant = Cone([(1, 0), (0, 1)], 2)
+    inner = Cone([(1, 0), (1, 1)], 2)  # inside the quadrant, not a face
+    source = Fan([Cone([(1, 0)], 2), Cone([(0, 1)], 2)], 2)
+    star = {0: 0, 1: 1}
+    checked = Fan([quadrant, inner], 2)
+    problems, inside = checked.validate(), checked._inside
+    assert problems and inside == (frozenset({1}), frozenset())
+    _set_valid(checked, source, star)
+    assert checked.validate() == problems and checked._inside is inside
+    carried = Fan([quadrant, inner], 2)
+    _set_valid(carried, source, star)
+    assert carried.validate() == [] and carried._inside == source._inside
 
 
 def test_validate_matches_the_meet_rule_on_random_fans():

@@ -8,7 +8,11 @@ mutant that ``validate`` exits 2 on, and every stratum fan of a mutant
 whose strata load must validate exactly as the meet rule does.  A second run
 with its own seed sends each mutant through the other ten commands, and
 each exit 2 there must print exactly one line on stderr; ``bmodel
-ufunctor`` must exit 2 on every mutant that ``validate`` exits 2 on.
+ufunctor`` must exit 2 on every mutant that ``validate`` exits 2 on.  A
+third run, with its own seed, edits one arrow and no fan (an iso negated,
+or two arrows' targets swapped), so that many mutants reach the coherence
+check; each report must equal the report of the same file with every
+stratum fan checked on its own first, so that no fan is carried.
 """
 
 import contextlib
@@ -35,6 +39,8 @@ COMMANDS = (
 )
 MORE_SEED = 1204
 MORE_MUTANTS = 200
+ARROW_SEED = 1205
+ARROW_MUTANTS = 300
 
 
 def _more_commands(sid):
@@ -226,4 +232,58 @@ def test_mutated_files_exit_0_or_2_in_one_line_on_every_other_command(tmp_path):
     codes = run_more_fuzz(tmp_dir=str(tmp_path))
     assert len(codes) == 10
     assert all(c[0] and c[2] for c in codes.values()), codes
+    assert time.monotonic() - t0 < 60.0
+
+
+def _mutate_arrow(doc, rng):
+    """One edit of one arrow of a copy of ``doc``, which keeps every fan:
+    its iso negated, or its target swapped with another arrow's."""
+    doc = copy.deepcopy(doc)
+    arrows = doc["arrows"]
+    kind = rng.choice(("iso negated", "targets swapped"))
+    if kind == "iso negated" and any(a["quotient_matrix"] for a in arrows):
+        a = rng.choice([a for a in arrows if a["quotient_matrix"]])
+        a["quotient_matrix"] = [[-x for x in row] for row in a["quotient_matrix"]]
+    elif kind == "targets swapped" and len(arrows) >= 2:
+        a, b = rng.sample(arrows, 2)
+        a["to"], b["to"] = b["to"], a["to"]
+    return doc, kind
+
+
+def run_arrow_fuzz(seed=ARROW_SEED, mutants=ARROW_MUTANTS):
+    """How many mutants loaded, how many of those reached the coherence
+    check (every error, if any, a coherence error), and how many failed
+    it.  Each report must equal the one of a second load whose stratum
+    fans are all checked before the diagram is, and each fan's containment
+    table, carried or checked, must equal the second load's."""
+    rng = random.Random(seed)
+    docs = _documents()
+    names = sorted(docs)
+    loaded = reached = incoherent = 0
+    for k in range(mutants):
+        name = names[k % len(names)]
+        doc, kind = _mutate_arrow(docs[name], rng)
+        try:
+            phi = files.fanifold_from_dict(doc)
+        except ValueError:
+            continue
+        loaded += 1
+        checked = files.fanifold_from_dict(doc)
+        for st in checked.strata:
+            st.fan.validate()
+        report = phi.validate()
+        assert report == checked.validate(), (name, kind)
+        for st, st_checked in zip(phi.strata, checked.strata):
+            assert st.fan._inside == st_checked.fan._inside, (name, kind, st.name)
+        if all(e.startswith("no coherent composite") for e in report.errors):
+            reached += 1
+            incoherent += not report.coherent
+    return loaded, reached, incoherent
+
+
+def test_arrow_mutants_validate_as_with_every_fan_checked_first():
+    t0 = time.monotonic()
+    loaded, reached, incoherent = run_arrow_fuzz()
+    assert loaded >= ARROW_MUTANTS // 2, loaded
+    assert reached >= 50 and incoherent >= 20, (reached, incoherent)
     assert time.monotonic() - t0 < 60.0

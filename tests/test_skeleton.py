@@ -1,7 +1,10 @@
 """Conic Lagrangian skeleta: strata, Euler counts, handles and refinements."""
 
 import math
+import random
 
+from fanifolds import skeleton
+from fanifolds.cli import resolve_input
 from fanifolds.examples import (
     EXAMPLES,
     a1_fan,
@@ -12,12 +15,14 @@ from fanifolds.examples import (
     stacky_quadric_fan,
 )
 from fanifolds.fanifold import from_fan, sphere_section
-from fanifolds.fans import refines, resolve_to_smooth
+from fanifolds.files import load_fanifold
+from fanifolds.fans import Fan, StackyFan, refines, resolve_to_smooth
 from fanifolds.skeleton import (
     euler_characteristic_c,
     handle_plan,
     skeleton_model,
 )
+from test_bmodel import drawn_fan
 
 
 def fan_pieces(fan):
@@ -102,6 +107,50 @@ def test_euler_characteristic_oracles():
     assert euler_characteristic_c(EXAMPLES["unigon"]()) == 1
     for r in (1, 2, 3):
         assert euler_characteristic_c(EXAMPLES[f"necklace{r}"]()) == -r
+
+
+def chi_by_model(phi):
+    """chi_c summed over the whole skeleton model: each stratum of torus
+    rank 0 and cone dimension 0 over a lattice-rank-0 base stratum counts
+    the base's chi_c times its group order.  The rule
+    ``euler_characteristic_c`` followed before it stopped building the
+    model, kept as its reference."""
+    total = 0
+    for s in skeleton_model(phi).strata:
+        if s.torus_rank == 0 and s.cone_dim == 0:
+            st = phi.stratum(s.base)
+            if st.lattice_rank == 0:
+                total += st.chi * s.group_order
+    return total
+
+
+def test_euler_characteristic_builds_no_model_and_equals_the_model_sum(monkeypatch):
+    """``euler_characteristic_c`` builds no skeleton model, from a fanifold
+    or from a model, and equals ``chi_by_model``: on every example built and
+    loaded, and on from_fan and sphere_section of 40 fans drawn as the
+    random-fans workload draws them (stacky ones among them)."""
+    rng = random.Random(4311)
+    drawn = [drawn_fan(rng)[0] for _ in range(40)]
+    diagrams = [build() for _, build in sorted(EXAMPLES.items())]
+    diagrams += [load_fanifold(resolve_input(f"{name}.json")) for name in sorted(EXAMPLES)]
+    diagrams += [build(f) for f in drawn for build in (from_fan, sphere_section)]
+    models = [skeleton_model(phi) for phi in diagrams[::2]]
+    built = []
+    monkeypatch.setattr(skeleton, "skeleton_model", built.append)
+    chis = [euler_characteristic_c(phi) for phi in diagrams]
+    from_models = [euler_characteristic_c(model) for model in models]
+    monkeypatch.undo()
+    assert built == []
+    expected = [chi_by_model(phi) for phi in diagrams]
+    assert chis == expected
+    assert from_models == expected[::2]
+    # stacky multiples reach the sum: a stacky fan's chi_c is not its
+    # plain fan's
+    assert any(
+        euler_characteristic_c(from_fan(f)) != euler_characteristic_c(from_fan(Fan(f.cones, f.rank)))
+        for f in drawn
+        if isinstance(f, StackyFan)
+    )
 
 
 def test_euler_characteristic_stacky_quadric_doubles():
