@@ -3,8 +3,8 @@
 A fan here is an ordered list of cones (order matters to callers that index
 into it); it is *not* required to contain every face of every cone.  The
 pairwise condition -- any two cones meet in a common face -- is still enforced
-by ``Fan.validate``, which builds meets only between maximal cones (see the
-lemma below).
+by ``Fan.validate``, which nests cones by their extremal rays and builds meets
+only between maximal cones (see the lemma below).
 
 A ``StackyFan`` is a ``Fan`` with a multiple on each ray.  ``quotient_fan``
 is the one star quotient and ``Fan._quotients`` its one cache: stacky in,
@@ -15,18 +15,31 @@ fans are interchangeable; the file loader and the constructors give equal
 stratum fans of one diagram one ``Fan`` by it, so its checks, containment
 table and star quotients are computed at most once.
 
-Lemma.  Suppose every nested pair sigma in tau of distinct cones has sigma a
-face of tau, and every two distinct maximal cones meet in a common face.
-Then any two cones meet in a common face.  (Face-closedness is not needed.)
+Write sigma <= tau when every extremal ray of sigma is one of tau, for
+distinct strongly convex cones; distinct such cones have distinct rays, so
+this orders them.
 
-Proof.  Take maximal sigma' containing sigma and tau' containing tau.  If
-sigma' = tau', put F = sigma'; otherwise F = sigma' meet tau', a face of both.
-Either way F is a face of sigma' and of tau'.  As sigma and F are faces of
-sigma', so is sigma meet F; it lies in F, so it is a face of F, and a
-hyperplane supporting F in sigma' cuts it out of sigma, so it is a face of
-sigma.  The same holds for tau meet F.  Now sigma meet tau = (sigma meet F) meet (tau meet
-F), a meet of two faces of F, so a face of F; lying in the face sigma meet F
-of F, it is a face of sigma meet F, hence of sigma.  Likewise of tau.
+Lemma.  Suppose every pair sigma < tau has sigma a face of tau, and every
+two distinct <=-maximal cones meet in a common face.  Then any two cones
+meet in a common face, and <= is containment.  Conversely, on a valid fan
+both hold.  (Face-closedness is not needed.)
+
+Proof.  (i) sigma <= tau puts sigma in tau: a strongly convex cone is
+spanned by its extremal rays.  (ii) On a valid fan, sigma in tau makes
+sigma = sigma meet tau a face of tau, and a face keeps only extremal rays
+of its cone (Cox, Little and Schenck, Toric Varieties, 1.2), so sigma <=
+tau.  So <= is containment there, its maximal cones are the maximal cones,
+and both conditions hold.  (iii) The conditions give any two cones a
+common face.  Take <=-maximal sigma' >= sigma and tau' >= tau; sigma is a
+face of sigma', and tau of tau'.  If sigma' = tau', put F = sigma';
+otherwise F = sigma' meet tau', a face of both.  Either way F is a face of
+sigma' and of tau'.  As sigma and F are faces of sigma', so is sigma meet
+F; it lies in F, so it is a face of F, and a hyperplane supporting F in
+sigma' cuts it out of sigma, so it is a face of sigma.  The same holds for
+tau meet F.  Now sigma meet tau = (sigma meet F) meet (tau meet F), a meet
+of two faces of F, so a face of F; lying in the face sigma meet F of F, it
+is a face of sigma meet F, hence of sigma.  Likewise of tau.  The fan is
+then valid, so by (ii) <= is containment.
 
 Star lemma.  Let sigma be a cone of a valid fan and p the projection to the
 free quotient of the lattice by its span.  The images under p of the cones
@@ -99,14 +112,15 @@ class Fan:
         return tuple(sorted(seen))
 
     def maximal_cone_indices(self) -> list[int]:
-        inside = set().union(*self._inside)
-        return [i for i in range(len(self.cones)) if i not in inside]
+        return _uncovered(self._inside)
 
     @cached_property
     def _inside(self) -> tuple[frozenset[int], ...]:
-        """For each cone, the indices of the other cones it contains, read
-        off the containment table ``_held(self.cones, self.cones)``, on any
-        fan, valid or not."""
+        """For each cone, the indices of the other cones it contains, on any
+        fan, valid or not.  Read off the containment table ``_held(self.cones,
+        self.cones)``, unless validation proved the fan valid first and
+        recorded the table off the extremal rays (the lemma in the module
+        docstring), or a carried fan took it from its source (``_set_valid``)."""
         return tuple(
             frozenset(j for j, c in enumerate(self.cones) if j != i and h.issuperset(c.gens))
             for i, h in enumerate(_held(self.cones, self.cones))
@@ -143,12 +157,15 @@ class Fan:
         """Problems that make this not a fan; empty when valid.
 
         A bad rank, a line or a duplicate is reported first.  Otherwise the
-        lemma in the module docstring decides validity from the nested pairs
-        (a face test each, no meet) and the pairs of maximal cones (a meet
-        each); only a fan this rejects scans every pair, so its problem list
-        names each pair that fails.  Computed once per fan: nothing
-        reassigns a fan's cones or rank.  A fan that diagram validation
-        proved valid by the star lemma is recorded so, unchecked.
+        lemma in the module docstring decides validity from the pairs nested
+        by extremal rays (a face test each, no meet) and the pairs of
+        maximal cones (a meet each), with no membership test; a fan that
+        passes records that nesting as its containment table ``_inside``.
+        Only a fan this rejects scans every pair, nested as ``_inside``
+        says, so its problem list names each pair that fails.  Computed
+        once per fan: nothing reassigns a fan's cones or rank.  A fan that
+        diagram validation proved valid by the star lemma is recorded so,
+        unchecked.
         """
         return list(self._problems)
 
@@ -167,23 +184,30 @@ class Fan:
                 problems.append(f"cone {i} duplicates cone {first}")
         if problems:
             return problems
-        nested = [(i, j) for j, inside in enumerate(self._inside) for i in inside]
-        tops = itertools.combinations(self.maximal_cone_indices(), 2)
-        if all(self._meet_is_a_face(i, j) for i, j in itertools.chain(nested, tops)):
+        rays = [frozenset(c.extremal_rays) for c in self.cones]
+        by_rays = tuple(
+            frozenset(j for j, r in enumerate(rays) if j != i and r <= s)
+            for i, s in enumerate(rays)
+        )
+        nested = [(i, j) for j, inside in enumerate(by_rays) for i in inside]
+        tops = itertools.combinations(_uncovered(by_rays), 2)
+        if all(self._meet_is_a_face(i, j, by_rays) for i, j in itertools.chain(nested, tops)):
+            self.__dict__.setdefault("_inside", by_rays)
             return problems
         return [
             f"cones {i} and {j} do not intersect in a common face"
             for i, j in itertools.combinations(range(len(self.cones)), 2)
-            if not self._meet_is_a_face(i, j)
+            if not self._meet_is_a_face(i, j, self._inside)
         ]
 
-    def _meet_is_a_face(self, i: int, j: int) -> bool:
-        """Do cones i and j meet in a common face?  A nested pair meets in
-        the smaller cone, so only its face test runs."""
+    def _meet_is_a_face(self, i: int, j: int, inside: Sequence[frozenset[int]]) -> bool:
+        """Do cones i and j meet in a common face?  ``inside`` lists, for
+        each cone, cones it holds: such a nested pair meets in the smaller
+        cone, so only its face test runs."""
         ci, cj = self.cones[i], self.cones[j]
-        if i in self._inside[j]:
+        if i in inside[j]:
             return cj._has_face(ci)
-        if j in self._inside[i]:
+        if j in inside[i]:
             return ci._has_face(cj)
         meet = ci.intersection(cj)
         return ci._has_face(meet) and cj._has_face(meet)
@@ -273,6 +297,12 @@ class Fan:
         if witness is not None:
             out["completeness_witness"] = witness
         return out
+
+
+def _uncovered(inside: Sequence[frozenset[int]]) -> list[int]:
+    """The indices in no entry of ``inside``: the cones no other cone holds."""
+    held = set().union(*inside)
+    return [i for i in range(len(inside)) if i not in held]
 
 
 def _held(holders: Sequence[Cone], cones: Sequence[Cone]) -> list[frozenset[Vec]]:

@@ -405,6 +405,10 @@ def test_a_cone_lives_only_while_someone_holds_it():
 
 
 def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
+    """No cone is dualized twice, and only 15 are dualized in all: fan
+    validation nests cones by their extremal rays, so a simplicial cone is
+    dualized only for a meet of two maximal cones (51 when each cone's
+    containment was read off ``Cone.contains``)."""
     data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
     dualized = collections.Counter()
     dual = Cone.dual_rays.func
@@ -420,7 +424,7 @@ def test_loading_and_validating_an_example_dualizes_each_cone_once(monkeypatch):
         assert load_fanifold(os.path.join(data, name)).validate().coherent, name
         assert max(dualized.values(), default=1) == 1, (name, dualized.most_common(3))
         total += len(dualized)
-    assert total > 50
+    assert total == 15
 
 
 def test_a_cone_dual_puts_no_lattice_in_hermite_form(monkeypatch):

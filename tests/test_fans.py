@@ -1,6 +1,7 @@
 """Cones, fans, quotients, subdivisions, and stacky structure."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -15,10 +16,12 @@ from fanifolds.examples import (
     quadric_fan,
     stacky_quadric_fan,
 )
+from fanifolds.fanifold import from_fan
 from fanifolds.fans import (
     Fan,
     RefinesResult,
     StackyFan,
+    _held,
     _set_valid,
     _star_quotient,
     cones_cover,
@@ -28,6 +31,7 @@ from fanifolds.fans import (
     resolve_to_smooth,
     stellar_subdivision,
 )
+from fanifolds.files import load_fanifold
 from fanifolds.lattice import (
     identity_matrix,
     lattice_map,
@@ -89,14 +93,14 @@ def test_product_cone():
 def test_fan_validate_catches_overlap():
     problem = ["cones 0 and 1 do not intersect in a common face"]
     bad = Fan([Cone([(1, 0), (0, 1)], 2), Cone([(1, 1), (1, -1)], 2)], 2)
-    assert bad.validate() == problem  # interiors overlap
+    assert bad.validate() == problem == problems_by_containment(bad)  # interiors overlap
     # the meet is all of cone 1, which is not a face of cone 0
     bad = Fan([Cone([(1, 0), (0, 1)], 2), Cone([(1, 0), (1, 1)], 2)], 2)
-    assert bad.validate() == problem
+    assert bad.validate() == problem == problems_by_containment(bad)
     # the meet is the ray (1,1,0), inside a facet of the orthant
     orthant = Cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     bad = Fan([orthant, Cone([(1, 1, 0), (1, 1, -1)], 3)], 3)
-    assert bad.validate() == problem
+    assert bad.validate() == problem == problems_by_containment(bad)
 
 
 def meet_rule(fan):
@@ -107,6 +111,52 @@ def meet_rule(fan):
         f"cones {i} and {j} do not intersect in a common face"
         for (i, ci), (j, cj) in itertools.combinations(enumerate(fan.cones), 2)
         if not all(is_face_of(ci.intersection(cj), c) for c in (ci, cj))
+    ]
+
+
+def problems_by_containment(fan):
+    """``Fan.validate``'s problem list by the rule it used before it nested
+    cones by their extremal rays: the reference for that shortcut.  Nesting
+    is read off the containment table ``_held`` (one ``Cone.contains`` per
+    cone and distinct gen); a nested pair gets a face test, the pairs of
+    maximal cones a meet, and a fan that fails either has every pair
+    scanned.  Reads none of the fan's cached tables but ``_first_index``."""
+    problems = []
+    for i, c in enumerate(fan.cones):
+        if c.rank != fan.rank:
+            return problems + [f"cone {i}: ambient rank {c.rank} != {fan.rank}"]
+        if not c.is_strongly_convex:
+            problems.append(f"cone {i}: contains a line")
+    for i, c in enumerate(fan.cones):
+        first = fan._first_index[c.key]
+        if first != i:
+            problems.append(f"cone {i} duplicates cone {first}")
+    if problems:
+        return problems
+    inside = [
+        {j for j, c in enumerate(fan.cones) if j != i and h.issuperset(c.gens)}
+        for i, h in enumerate(_held(fan.cones, fan.cones))
+    ]
+
+    def meets_in_a_face(i, j):
+        ci, cj = fan.cones[i], fan.cones[j]
+        if i in inside[j]:
+            return cj._has_face(ci)
+        if j in inside[i]:
+            return ci._has_face(cj)
+        meet = ci.intersection(cj)
+        return ci._has_face(meet) and cj._has_face(meet)
+
+    held = set().union(*inside)
+    tops = [i for i in range(len(fan.cones)) if i not in held]
+    nested = [(i, j) for j, ins in enumerate(inside) for i in ins]
+    pairs = itertools.chain(nested, itertools.combinations(tops, 2))
+    if all(meets_in_a_face(i, j) for i, j in pairs):
+        return []
+    return [
+        f"cones {i} and {j} do not intersect in a common face"
+        for i, j in itertools.combinations(range(len(fan.cones)), 2)
+        if not meets_in_a_face(i, j)
     ]
 
 
@@ -126,16 +176,18 @@ def test_validate_matches_the_meet_rule_on_the_bundled_examples():
                 for cones in ((ray,) + fan.cones, fan.cones + (ray,)):
                     bad = Fan(cones, fan.rank)
                     assert bad.validate() == meet_rule(bad) != [], (name, st.name, c)
+                    assert bad.validate() == problems_by_containment(bad), (name, st.name, c)
                     broken += 1
     assert broken > 20
 
 
 def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
-    """``Fan.validate`` builds no meet for a nested pair, which meets in its
-    smaller cone whichever comes first: on a valid fan it meets the pairs of
-    maximal cones alone, and on an invalid one, whose scan reads every pair,
-    no pair of which one cone holds the other.  On each bundled stratum fan,
-    and on it with a ray through the interior of a cone added first or
+    """``Fan.validate`` builds no meet for a pair nested by extremal rays,
+    which meets in its smaller cone whichever comes first: on a valid fan it
+    meets the pairs of maximal cones alone, and on an invalid one no pair of
+    which one cone's rays hold the other's.  (On an invalid fan, two cones
+    maximal by rays may still nest, and are met.)  On each bundled stratum
+    fan, and on it with a ray through the interior of a cone added first or
     last."""
     met = []
     intersection = Cone.intersection
@@ -159,10 +211,15 @@ def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
                 fresh = Fan(cones, fan.rank)
                 valid = not fresh.validate()
                 seen["valid" if valid else "invalid"] += 1
-                assert not any(a.contains_cone(b) or b.contains_cone(a) for a, b in met), (
-                    name, st.name, len(cones)
-                )
+                assert not any(
+                    set(a.extremal_rays) <= set(b.extremal_rays)
+                    or set(b.extremal_rays) <= set(a.extremal_rays)
+                    for a, b in met
+                ), (name, st.name, len(cones))
                 if valid:
+                    assert not any(a.contains_cone(b) or b.contains_cone(a) for a, b in met), (
+                        name, st.name, len(cones)
+                    )
                     tops = len(fresh.maximal_cone_indices())
                     assert len(met) == tops * (tops - 1) // 2, (name, st.name)
     assert seen["valid"] > 50 and seen["invalid"] > 20, seen
@@ -178,6 +235,7 @@ def test_set_valid_keeps_what_was_checked():
     star = {0: 0, 1: 1}
     checked = Fan([quadrant, inner], 2)
     problems, inside = checked.validate(), checked._inside
+    assert problems == problems_by_containment(checked)
     assert problems and inside == (frozenset({1}), frozenset())
     _set_valid(checked, source, star)
     assert checked.validate() == problems and checked._inside is inside
@@ -211,7 +269,7 @@ def test_validate_matches_the_meet_rule_on_random_fans():
         for c in rng.sample(pool, rng.randint(2, 5)):
             picked.setdefault(c.key, c)
         fan = Fan(picked.values(), rank)
-        assert fan.validate() == meet_rule(fan), fan.cones
+        assert fan.validate() == meet_rule(fan) == problems_by_containment(fan), fan.cones
         seen["invalid" if fan.validate() else "valid"] += 1
         for ci, cj in itertools.permutations(fan.cones, 2):
             if ci.gens and cj.contains_cone(ci):
@@ -243,6 +301,7 @@ def test_cone_index_returns_the_first_equal_cone():
     # cone 2 is cone 0 again, spanned by other gens
     fan = Fan([a, b, Cone([(1, 0), (1, 1), (0, 1)], 2), zero_cone(2), b], 2)
     assert fan.validate() == ["cone 2 duplicates cone 0", "cone 4 duplicates cone 1"]
+    assert fan.validate() == problems_by_containment(fan)
     assert fan.cone_index(Cone([(0, 1), (2, 1), (1, 0)], 2)) == 0
     assert fan.cone_index(b) == 1
     assert fan.cone_index(zero_cone(2)) == 3
@@ -688,9 +747,8 @@ def test_small_fans_shapes():
     assert not a1_fan().is_complete
     assert orthant_fan(3).rank == 3
     assert len(orthant_fan(3).cones) == 8
-    assert Fan([Cone([(1, 0)], 2), Cone([(1,)], 1)], 2).validate() == [
-        "cone 1: ambient rank 1 != 2"
-    ]
+    mixed = Fan([Cone([(1, 0)], 2), Cone([(1,)], 1)], 2)
+    assert mixed.validate() == ["cone 1: ambient rank 1 != 2"] == problems_by_containment(mixed)
 
 
 # -- the containment table ----------------------------------------------------
@@ -787,7 +845,7 @@ def test_containment_table_matches_contains_cone_on_invalid_fans():
     for cones, problems, maximal in cases:
         fan = Fan(cones, 2)
         assert fan._inside == _inside_by_pairs(fan)
-        assert fan.validate() == problems
+        assert fan.validate() == problems == problems_by_containment(fan)
         assert fan.maximal_cone_indices() == _maximal_by_pairs(fan) == maximal
 
 
@@ -846,7 +904,7 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
         mutant = Fan(fan.cones[:at] + (sigma,) + fan.cones[at:], fan.rank)
         assert at not in mutant.maximal_cone_indices()
         problems = mutant.validate()
-        assert problems == meet_rule(mutant) != [], mutant.cones
+        assert problems == meet_rule(mutant) == problems_by_containment(mutant) != [], mutant.cones
         seen["mutants"] += 1
         for p in problems:
             i, j = (int(w) for w in p.split()[1:4:2])
@@ -855,3 +913,82 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
             if other not in mutant._inside[at] and at not in mutant._inside[other]:
                 seen["bad non-nested pairs"] += 1
     assert seen["mutants"] >= 150 and seen["bad non-nested pairs"] >= 8, seen
+
+
+# -- validation by extremal rays -------------------------------------------------
+
+
+def _checked_fresh(fan):
+    """A fresh copy of ``fan`` (stacky if it is), validated: its problems
+    equal ``problems_by_containment``'s, and a valid copy records its
+    containment table, which equals ``_inside_by_pairs``."""
+    fresh = Fan(fan.cones, fan.rank)
+    if isinstance(fan, StackyFan):
+        fresh = StackyFan(fresh, fan.multiples)
+    problems = fresh.validate()
+    assert problems == problems_by_containment(fresh), fresh.cones
+    if not problems:
+        assert fresh.__dict__["_inside"] == _inside_by_pairs(fresh), fresh.cones
+    return problems
+
+
+def test_validation_matches_the_containment_rule_on_bundled_and_drawn_fans():
+    """Every stratum fan of every bundled example, built and loaded, and
+    fans drawn as ``random-fans`` draws them (base fans in random lattice
+    bases, subdivided, stacky or not) with each of their star quotients:
+    all valid, each with the problem list and, once validated, the
+    containment table of the rule that reads nesting off ``_held``."""
+    fans = [st.fan for build in EXAMPLES.values() for st in build().strata]
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
+    for name in sorted(os.listdir(data)):
+        fans += [st.fan for st in load_fanifold(os.path.join(data, name)).strata]
+    rng = random.Random(1244)
+    drawn = [f for seed in range(1244, 1249) for f in _random_basis_fans(seed)]
+    drawn += [_moved(random_fan(rng), rng) for _ in range(30)]
+    for fan in drawn:
+        fans += [fan] + [quotient_fan(fan, k).fan for k in range(len(fan.cones))]
+    assert sum(isinstance(f, StackyFan) for f in fans) >= 100
+    for fan in fans:
+        assert _checked_fresh(fan) == [], fan.cones
+
+
+def test_a_ray_subset_that_is_no_face_is_rejected_by_the_face_test():
+    """The cone over a square with the cone on two of its opposite rays:
+    those rays are extremal rays of the square cone, so the pair nests by
+    rays, but the diagonal cuts through the interior.  The face test of the
+    nested pair must say no, on its own and with every face of the square
+    cone added."""
+    square = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    diagonal = Cone([(1, 0, 1), (-1, 0, 1)], 3)
+    assert set(diagonal.extremal_rays) <= set(square.extremal_rays)
+    assert not square._has_face(diagonal)
+    faces = [Cone(f, 3) for f in square.faces()[:-1]]
+    for cones in ([square, diagonal], [diagonal, square], [square] + faces + [diagonal]):
+        fan = Fan(cones, 3)
+        at = cones.index(diagonal)
+        i, j = sorted((cones.index(square), at))
+        assert fan.validate() == [f"cones {i} and {j} do not intersect in a common face"]
+        assert _checked_fresh(fan) != []
+        assert fan._inside == _inside_by_pairs(fan)
+
+
+def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
+    """Each bundled file loaded and validated, and ``from_fan`` of each fan
+    example, call no ``Cone.contains``: every fan they validate is valid,
+    so its nesting is read off its extremal rays."""
+    calls = []
+    contains = Cone.contains
+
+    def counted(self, v):
+        calls.append(self)
+        return contains(self, v)
+
+    monkeypatch.setattr(Cone, "contains", counted)
+    data = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds", "data")
+    for name in sorted(os.listdir(data)):
+        assert load_fanifold(os.path.join(data, name)).validate().coherent, name
+    fans = [a1_fan(), p1_fan(), quadric_fan(), stacky_quadric_fan()]
+    fans += [orthant_fan(n) for n in (1, 2, 3)] + [projective_fan(n) for n in (1, 2, 3)]
+    for fan in fans:
+        assert from_fan(fan).validate().coherent, fan
+    assert not calls

@@ -5,7 +5,8 @@ ray list, a stratum's fields, an arrow's ends, cone or matrix, the
 dimension, or a value of the wrong type.  Every mutant must make the CLI
 exit 0 or 2 with no traceback, ``bmodel components`` must exit 2 on every
 mutant that ``validate`` exits 2 on, and every stratum fan of a mutant
-whose strata load must validate exactly as the meet rule does.  A second run
+whose strata load must validate exactly as the meet rule and the
+containment rule do.  A second run
 with its own seed sends each mutant through the other ten commands, and
 each exit 2 there must print exactly one line on stderr; ``bmodel
 ufunctor`` must exit 2 on every mutant that ``validate`` exits 2 on.  A
@@ -25,7 +26,7 @@ import time
 
 from fanifolds import files
 from fanifolds.cli import run
-from test_fans import meet_rule
+from test_fans import meet_rule, problems_by_containment
 
 SEED = 1203
 MUTANTS = 400
@@ -165,10 +166,11 @@ def run_fuzz(seed=SEED, mutants=MUTANTS, tmp_dir="."):
         loaded += 1
         for st in phi.strata:
             fan = st.plain_fan
+            problems = fan.validate()
+            assert problems == problems_by_containment(fan), (name, kind, st.name)
             if all(c.is_strongly_convex for c in fan.cones) and len(
                 fan._first_index
             ) == len(fan.cones):
-                problems = fan.validate()
                 assert problems == meet_rule(fan), (name, kind, st.name)
                 invalid += bool(problems)
     return codes, loaded, invalid
