@@ -161,11 +161,10 @@ class Fan:
         by extremal rays (a face test each, no meet) and the pairs of
         maximal cones (a meet each), with no membership test; a fan that
         passes records that nesting as its containment table ``_inside``.
-        Only a fan this rejects scans every pair, nested as ``_inside``
-        says, so its problem list names each pair that fails.  Computed
-        once per fan: nothing reassigns a fan's cones or rank.  A fan that
-        diagram validation proved valid by the star lemma is recorded so,
-        unchecked.
+        Only a fan this rejects scans every pair, by the same rule, so its
+        problem list names each pair that fails.  Computed once per fan:
+        nothing reassigns a fan's cones or rank.  A fan that diagram
+        validation proved valid by the star lemma is recorded so, unchecked.
         """
         return list(self._problems)
 
@@ -197,17 +196,20 @@ class Fan:
         return [
             f"cones {i} and {j} do not intersect in a common face"
             for i, j in itertools.combinations(range(len(self.cones)), 2)
-            if not self._meet_is_a_face(i, j, self._inside)
+            if not self._meet_is_a_face(i, j, by_rays)
         ]
 
-    def _meet_is_a_face(self, i: int, j: int, inside: Sequence[frozenset[int]]) -> bool:
-        """Do cones i and j meet in a common face?  ``inside`` lists, for
-        each cone, cones it holds: such a nested pair meets in the smaller
-        cone, so only its face test runs."""
+    def _meet_is_a_face(self, i: int, j: int, by_rays: Sequence[frozenset[int]]) -> bool:
+        """Do cones i and j meet in a common face?  ``by_rays`` lists, for
+        each cone, the cones whose extremal rays are among its own: such a
+        nested pair meets in the smaller cone, so only its face test runs.
+        A pair nested otherwise (only on an invalid fan) is met and answers
+        no, as a face test would: its meet is the smaller cone, no face of
+        the larger, since a face keeps only extremal rays of its cone."""
         ci, cj = self.cones[i], self.cones[j]
-        if i in inside[j]:
+        if i in by_rays[j]:
             return cj._has_face(ci)
-        if j in inside[i]:
+        if j in by_rays[i]:
             return ci._has_face(cj)
         meet = ci.intersection(cj)
         return ci._has_face(meet) and cj._has_face(meet)

@@ -185,10 +185,10 @@ def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
     """``Fan.validate`` builds no meet for a pair nested by extremal rays,
     which meets in its smaller cone whichever comes first: on a valid fan it
     meets the pairs of maximal cones alone, and on an invalid one no pair of
-    which one cone's rays hold the other's.  (On an invalid fan, two cones
-    maximal by rays may still nest, and are met.)  On each bundled stratum
-    fan, and on it with a ray through the interior of a cone added first or
-    last."""
+    which one cone's rays hold the other's.  (On an invalid fan, a pair
+    nested otherwise is met: two cones maximal by rays, or any pair the scan
+    reaches.)  On each bundled stratum fan, and on it with a ray through the
+    interior of a cone added first or last."""
     met = []
     intersection = Cone.intersection
 
@@ -975,7 +975,23 @@ def test_a_ray_subset_that_is_no_face_is_rejected_by_the_face_test():
 def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
     """Each bundled file loaded and validated, and ``from_fan`` of each fan
     example, call no ``Cone.contains``: every fan they validate is valid,
-    so its nesting is read off its extremal rays."""
+    so its nesting is read off its extremal rays.  Neither does validating
+    an invalid fan, which is scanned by that same nesting, and its problems
+    are the containment rule's.  Each invalid case holds a cone inside
+    another whose rays do not hold its own: that pair is met, and its meet,
+    the smaller cone, is no face of the larger, as that rule's face test
+    says."""
+    quadrant = Cone([(1, 0), (0, 1)], 2)
+    inner = Cone([(1, 0), (1, 1)], 2)  # inside the quadrant, not a face
+    square = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    invalid = [
+        ([quadrant, inner], 2),
+        ([inner, quadrant], 2),
+        ([Cone([(1, 1)], 2), quadrant, Cone([(0, 1)], 2)], 2),
+        ([square, Cone([(1, 0, 1), (0, 0, 1)], 3)] + [Cone(f, 3) for f in square.faces()[:-1]], 3),
+    ]
+    expected = [problems_by_containment(Fan(cones, rank)) for cones, rank in invalid]
+    assert all(expected)
     calls = []
     contains = Cone.contains
 
@@ -991,4 +1007,5 @@ def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
     fans += [orthant_fan(n) for n in (1, 2, 3)] + [projective_fan(n) for n in (1, 2, 3)]
     for fan in fans:
         assert from_fan(fan).validate().coherent, fan
+    assert [Fan(cones, rank).validate() for cones, rank in invalid] == expected
     assert not calls
