@@ -4,7 +4,9 @@ A cone is stored by integer ray generators.  The dual description (facet
 normals plus the perpendicular lattice) is computed with a double-description
 pass, so membership and faces are exact -- no floating point anywhere.  A
 face of a strongly convex cone is the sorted tuple of the extremal rays it
-keeps.
+keeps.  A cone's dimension is the rank of its gens (one Hermite pass), so
+it needs no dual data, and a full-dimensional cone has no perp basis to
+build.
 
 Cones are interned: equal normalized generator tuples in the same rank share
 one live, immutable ``Cone``, so its dual description, extremal rays, key and
@@ -225,7 +227,10 @@ class Cone:
 
     @cached_property
     def perp_basis(self) -> Mat:
-        """Saturated basis of {u : <u, v> = 0 for all v in the cone}."""
+        """Saturated basis of {u : <u, v> = 0 for all v in the cone}: none
+        for a full-dimensional cone, which ``dim`` tells without a kernel."""
+        if self.dim == self.rank:
+            return ()
         return integer_kernel(mat(self.gens), len(self.gens), self.rank)
 
     @cached_property
@@ -274,7 +279,15 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        return self.rank - len(self.perp_basis)
+        """The rank of the gens, from one Hermite pass: the span of the
+        cone is the span of its gens.  No perp basis is built (its kernel
+        takes two reductions), so a reader that needs only the dimension,
+        such as the file loader, pays for no dual data.  The rank of the
+        gens is at most the rank; a negative rank (only a malformed file
+        gives one) has no gens, and ``min`` keeps the rank as its
+        dimension, as rank minus the perp basis size gives, so that
+        validation reports on such a file do not change."""
+        return min(self.rank, matrix_rank(self.gens))
 
     @cached_property
     def is_strongly_convex(self) -> bool:

@@ -9,11 +9,15 @@ only between maximal cones (see the lemma below).
 A ``StackyFan`` is a ``Fan`` with a multiple on each ray.  ``quotient_fan``
 is the one star quotient and ``Fan._quotients`` its one cache: stacky in,
 stacky out, the quotient of a stacky fan carrying the pushed multiples and
-the push's ``warnings``.  ``Stratum.plain_fan`` is the stratum's fan itself,
-kept for the benchmark's workloads.  ``fan_key`` is the one rule for when two
-fans are interchangeable; the file loader and the constructors give equal
-stratum fans of one diagram one ``Fan`` by it, so its checks, containment
-table and star quotients are computed at most once.
+the push's ``warnings``.  A stacky fan keeps no table of its own: its
+checks, containment table, stars and cone index are its plain fan's
+(``Fan._owner``), and its star quotients push the multiples onto the plain
+fan's, so a stacky fan and its plain fan compute each of these once.
+``Stratum.plain_fan`` is the stratum's fan itself, kept for the benchmark's
+workloads.  ``fan_key`` is the one rule for when two fans are
+interchangeable; the file loader and the constructors give equal stratum
+fans of one diagram one ``Fan`` by it, so its checks, containment table and
+star quotients are computed at most once.
 
 Write sigma <= tau when every extremal ray of sigma is one of tau, for
 distinct strongly convex cones; distinct such cones have distinct rays, so
@@ -103,6 +107,12 @@ class Fan:
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, n_cones={len(self.cones)})"
 
+    @property
+    def _owner(self) -> "Fan":
+        """The fan that keeps this fan's tables: itself (a stacky fan's are
+        its plain fan's)."""
+        return self
+
     @cached_property
     def rays(self) -> Mat:
         """All extremal rays appearing in the fan, sorted."""
@@ -162,7 +172,8 @@ class Fan:
         maximal cones (a meet each), with no membership test; a fan that
         passes records that nesting as its containment table ``_inside``.
         Only a fan this rejects scans every pair, by the same rule, so its
-        problem list names each pair that fails.  Computed once per fan:
+        problem list names each pair that fails; the scan reads the answers
+        the pairs already checked got, so no pair is met twice.  Computed once per fan:
         nothing reassigns a fan's cones or rank.  A fan that diagram
         validation proved valid by the star lemma is recorded so, unchecked.
         """
@@ -188,15 +199,23 @@ class Fan:
             frozenset(j for j, r in enumerate(rays) if j != i and r <= s)
             for i, s in enumerate(rays)
         )
-        nested = [(i, j) for j, inside in enumerate(by_rays) for i in inside]
+        nested = [(min(i, j), max(i, j)) for j, inside in enumerate(by_rays) for i in inside]
         tops = itertools.combinations(_uncovered(by_rays), 2)
-        if all(self._meet_is_a_face(i, j, by_rays) for i, j in itertools.chain(nested, tops)):
-            self.__dict__.setdefault("_inside", by_rays)
+        met: dict[tuple[int, int], bool] = {}  # (i, j), i < j -> the pair's answer
+        for i, j in itertools.chain(nested, tops):
+            met[i, j] = self._meet_is_a_face(i, j, by_rays)
+            if not met[i, j]:
+                break
+        else:
+            self._owner.__dict__.setdefault("_inside", by_rays)
             return problems
+        for i, j in itertools.combinations(range(len(self.cones)), 2):
+            if (i, j) not in met:
+                met[i, j] = self._meet_is_a_face(i, j, by_rays)
         return [
             f"cones {i} and {j} do not intersect in a common face"
-            for i, j in itertools.combinations(range(len(self.cones)), 2)
-            if not self._meet_is_a_face(i, j, by_rays)
+            for (i, j), ok in sorted(met.items())
+            if not ok
         ]
 
     def _meet_is_a_face(self, i: int, j: int, by_rays: Sequence[frozenset[int]]) -> bool:
@@ -333,7 +352,7 @@ def _set_valid(fan: Fan, source: Fan, star: Mapping[int, int]) -> None:
     cone of the valid fan ``source`` one to one onto ``fan``'s cones, so
     ``fan`` is a fan whose cones nest as their preimages do (the star
     lemma).  A problem list or a table already computed stays."""
-    cache = fan.__dict__
+    cache = fan._owner.__dict__
     cache.setdefault("_problems", [])
     if "_inside" not in cache:
         inside = [frozenset()] * len(fan.cones)
@@ -376,10 +395,22 @@ def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
 
 
 def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
-    """A stacky fan's multiples are pushed in one pass over the star's
-    extremal rays: each quotient ray inherits the projected stacky
-    generator of its unique preimage ray, and keeps multiple 1 with a
-    warning when its preimage is missing or ambiguous."""
+    """The star quotient ``quotient_fan`` keeps for ``fan``.  A stacky
+    fan's is its plain fan's with the multiples pushed (``_pushed``); the
+    plain one is read from, or added to, the plain fan's cache, so a stacky
+    fan and its plain fan build the star's images once."""
+    if not isinstance(fan, StackyFan):
+        return _star_images(fan, cone_index)
+    plain = fan._owner
+    fq = plain._quotients.get(cone_index)
+    if fq is None:
+        fq = plain._quotients[cone_index] = _star_images(plain, cone_index)
+    return _pushed(fan, fq)
+
+
+def _star_images(fan: Fan, cone_index: int) -> FanQuotient:
+    """The plain star quotient: the images of the star's cones under the
+    projection of the cone's span quotient."""
     sigma = fan.cones[cone_index]
     if sigma.rank != fan.rank:
         raise ValueError("cone rank does not match the fan rank")
@@ -392,41 +423,45 @@ def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
     keys = [im.key for im in images]
     if len(set(keys)) != len(keys):
         raise ValueError("two star cones project to the same image")
-    quotient = Fan(images, q.free_rank)
-    warnings: list[str] = []
-    if isinstance(fan, StackyFan):
-        # primitive image -> (preimage ray, its image), in star order
-        preimages: dict[Vec, list[tuple[Vec, Vec]]] = {}
-        seen: set[Vec] = set()
-        for i in star:
-            for r in fan.cones[i].extremal_rays:
-                if r not in seen:
-                    seen.add(r)
-                    im = q.projection(r)
-                    if any(im):
-                        preimages.setdefault(primitivize(im), []).append((r, im))
-        multiples: dict[Vec, int] = {}
-        for rbar in quotient.rays:
-            pre = preimages.get(rbar, ())
-            if len(pre) != 1:
-                warnings.append(
-                    f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
-                )
-                continue
-            # the image is a positive multiple of rbar, so by linearity the
-            # stacky generator's image is one too
-            ((r, im),) = pre
-            nz = next(i for i, x in enumerate(rbar) if x)
-            multiples[rbar] = fan.multiples[r] * (im[nz] // rbar[nz])
-        quotient = StackyFan(quotient, multiples)
     return FanQuotient(
-        fan=quotient,
+        fan=Fan(images, q.free_rank),
         projection=q.projection,
         section=q.section,
         star=star,
         torsion=q.torsion,
-        warnings=tuple(warnings),
     )
+
+
+def _pushed(fan: StackyFan, fq: FanQuotient) -> FanQuotient:
+    """The plain star quotient ``fq`` of ``fan`` with the multiples pushed
+    in one pass over the star's extremal rays: each quotient ray inherits
+    the projected stacky generator of its unique preimage ray, and keeps
+    multiple 1 with a warning when its preimage is missing or ambiguous."""
+    # primitive image -> (preimage ray, its image), in star order; the
+    # cone's own rays land on the zero image, which no quotient ray reads
+    preimages: dict[Vec, list[tuple[Vec, Vec]]] = {}
+    seen: set[Vec] = set()
+    for i in fq.star:
+        for r in fan.cones[i].extremal_rays:
+            if r not in seen:
+                seen.add(r)
+                im = fq.projection(r)
+                preimages.setdefault(primitivize(im), []).append((r, im))
+    multiples: dict[Vec, int] = {}
+    warnings: list[str] = []
+    for rbar in fq.fan.rays:
+        pre = preimages.get(rbar, ())
+        if len(pre) != 1:
+            warnings.append(
+                f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
+            )
+            continue
+        # the image is a positive multiple of rbar, so by linearity the
+        # stacky generator's image is one too
+        ((r, im),) = pre
+        nz = next(i for i, x in enumerate(rbar) if x)
+        multiples[rbar] = fan.multiples[r] * (im[nz] // rbar[nz])
+    return fq._replace(fan=StackyFan(fq.fan, multiples), warnings=tuple(warnings))
 
 
 # -- subdivision and resolution ----------------------------------------------
@@ -515,7 +550,7 @@ def resolve_to_smooth(fan: Fan) -> ResolveResult:
     refinement is of the cones: a stacky fan's multiples do not carry, so
     it resolves as its plain fan, and the result is a plain ``Fan``.
     """
-    current = Fan(fan.cones, fan.rank) if isinstance(fan, StackyFan) else fan
+    current = fan._owner
     steps: list[Vec] = []
     for _ in range(_RESOLVE_STEPS):
         target = next((c for c in current.cones if not c.is_simplicial), None)
@@ -598,20 +633,30 @@ class RefinesResult(NamedTuple):
 def refines(fine: Fan, coarse: Fan) -> RefinesResult:
     """Is every fine cone inside a coarse cone, with equal total support?
 
-    Both checks read one containment table, ``_held(coarse.cones,
+    Both checks read one containment table: for each coarse cone, the
+    fine cones inside it.  It comes from ``_held(coarse.cones,
     fine.cones)``: a coarse cone contains a fine cone exactly when its
     entry holds the fine cone's gens, so no pair of cones is tested twice.
+    A fan against itself (or its stacky twin) reads its own ``_inside``
+    instead, each cone with itself added, and runs no membership test.
     The problems come in order: the fine cones inside no coarse cone, then
     the coarse cones their fine cones do not tile."""
     problems: list[str] = []
     if fine.rank != coarse.rank:
         return RefinesResult(False, ("ambient ranks differ",))
-    held = _held(coarse.cones, fine.cones)
-    for i, c in enumerate(fine.cones):
-        if not any(h.issuperset(c.gens) for h in held):
+    if fine._owner is coarse._owner:
+        inside = [{i, *js} for i, js in enumerate(coarse._inside)]
+    else:
+        inside = [
+            {j for j, c in enumerate(fine.cones) if h.issuperset(c.gens)}
+            for h in _held(coarse.cones, fine.cones)
+        ]
+    covered = set().union(*inside)
+    for i in range(len(fine.cones)):
+        if i not in covered:
             problems.append(f"fine cone {i} is not inside any coarse cone")
-    for i, (big, h) in enumerate(zip(coarse.cones, held)):
-        pieces = [c for c in fine.cones if h.issuperset(c.gens)]
+    for i, (big, js) in enumerate(zip(coarse.cones, inside)):
+        pieces = [c for j, c in enumerate(fine.cones) if j in js]
         if not cones_cover(big, pieces):
             problems.append(f"coarse cone {i} is not tiled by its fine cones")
     return RefinesResult(not problems, tuple(problems))
@@ -620,18 +665,38 @@ def refines(fine: Fan, coarse: Fan) -> RefinesResult:
 # -- stacky fans -------------------------------------------------------------
 
 
+def _plain_table(name: str) -> cached_property:
+    """A stacky fan's table ``name``: its plain fan's.  When the plain fan
+    has none yet, ``Fan``'s rule fills it with the stacky fan as ``self``;
+    the two share cones and rank, all a table reads.  So a stacky fan and
+    its plain fan compute each table once between them."""
+    rule = vars(Fan)[name]
+
+    def read(fan: "StackyFan"):
+        cache = fan._plain.__dict__
+        if name not in cache:
+            cache[name] = rule.func(fan)
+        return cache[name]
+
+    return cached_property(read)
+
+
 class StackyFan(Fan):
     """A fan with a positive integer multiple attached to each ray.
 
     A stacky fan is its fan: its cones, rank, rays, cached tables and star
     quotients are a ``Fan``'s, and ``quotient_fan`` pushes the multiples to
-    each quotient.  The ray times its multiple is the distinguished lattice
-    generator; the cokernel torsion of those generators is the finite group
-    datum carried by each cone.
+    each quotient.  Its tables are its plain fan's (``_plain_table``), and
+    its star quotients push the multiples onto the plain fan's, so a stacky
+    fan and its plain fan compute each table and each star once.  The ray
+    times its multiple is the distinguished lattice generator; the
+    cokernel torsion of those generators is the finite group datum carried
+    by each cone.
     """
 
     def __init__(self, fan: Fan, multiples: Mapping[Sequence[int], int] | None = None):
         super().__init__(fan.cones, fan.rank)
+        self._plain = fan._owner
         mm: dict[Vec, int] = {r: 1 for r in self.rays}
         if multiples:
             for r, k in multiples.items():
@@ -643,6 +708,17 @@ class StackyFan(Fan):
                     raise ValueError("ray multiples must be positive")
                 mm[r] = k
         self.multiples = mm
+
+    _inside = _plain_table("_inside")
+    _stars = _plain_table("_stars")
+    _first_index = _plain_table("_first_index")
+    _problems = _plain_table("_problems")
+    _missing_faces = _plain_table("_missing_faces")
+
+    @property
+    def _owner(self) -> Fan:
+        """The plain fan whose tables this stacky fan reads and fills."""
+        return self._plain
 
     def stacky_generator(self, ray: Sequence[int]) -> Vec:
         ray = vec(ray)

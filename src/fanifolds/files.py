@@ -27,6 +27,11 @@ everything it can check locally (shapes, ids, ray references);
 diagram-level coherence stays with ``Fanifold.validate``.  Fan entries of
 one document with equal ``fans.fan_key`` load as one ``Fan``, and an
 arrow's cone is matched to its fan entry by ray indices.
+
+An arrow entry is checked in place, in one pass in schema order: type and
+shape tests only, with the cone's dimension read off one Hermite pass
+(``Cone.dim``).  Error text is built only when a check fails, and names
+the entry's first fault.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import json
 from .cones import Cone, zero_cone
 from .fanifold import Arrow, Fanifold, Stratum
 from .fans import Fan, StackyFan, fan_key
-from .lattice import lattice_map, primitivize
+from .lattice import LatticeMap, primitivize
 
 FORMAT = "fanifold/1"
 
@@ -187,6 +192,54 @@ def fanifold_to_dict(phi: Fanifold) -> dict:
     }
 
 
+def _arrow(k: int, a, ends: dict[str, tuple]) -> Arrow:
+    """Arrow entry ``k``, checked in schema order: an object with the four
+    keys, string endpoints of known strata, a list of in-range ``int`` ray
+    indices naming a cone of the source fan, then a list of ``int`` rows of
+    shape ``t_rank x q_rank``.  Error text is built only in the branch that
+    raises.  The ``LatticeMap`` is built from the checked rows, which
+    imply ``lattice_map``'s rank and shape tests."""
+    if not isinstance(a, dict):
+        raise ValueError(f"arrow {k} must be a JSON object")
+    try:
+        src, tgt, ids, rows = a["from"], a["to"], a["cone"], a["quotient_matrix"]
+    except KeyError:
+        _require(a, ("from", "to", "cone", "quotient_matrix"), f"arrow {k}")
+        raise
+    if not (isinstance(src, str) and src in ends and isinstance(tgt, str) and tgt in ends):
+        raise ValueError(f"arrow references unknown stratum: {a}")
+    fan, rays, first = ends[src]
+    if not isinstance(ids, list):
+        raise ValueError(f"arrow {k}: cone must be a JSON list")
+    n = len(rays)
+    for i in ids:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"arrow {k}: cone refers to missing ray {i!r}")
+    idx = first.get(frozenset(ids))
+    if idx is None:
+        # named through other rays than its fan entry: compare as cones
+        idx = fan.cone_index(_cone(ids, rays, fan.rank))
+        if idx is None:
+            raise ValueError(f"arrow cone {ids} is not a cone of the fan at {src!r}")
+    q_rank = fan.rank - fan.cones[idx].dim
+    t_rank = ends[tgt][0].rank
+    if not isinstance(rows, list):
+        raise ValueError(f"arrow {k}: quotient_matrix must be a JSON list")
+    shaped = len(rows) == t_rank
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"arrow {k}: quotient_matrix must be a JSON list")
+        for x in row:
+            if type(x) is not int:
+                raise ValueError(f"arrow {k}: quotient_matrix: {x!r} is not an integer")
+        shaped = shaped and len(row) == q_rank
+    if not shaped:
+        raise ValueError(
+            f"quotient matrix of arrow {src!r} -> {tgt!r} must be {t_rank} x {q_rank}"
+        )
+    return Arrow(src, tgt, idx, LatticeMap(tuple(map(tuple, rows)), q_rank, t_rank))
+
+
 def fanifold_from_dict(d: dict) -> Fanifold:
     d = _object(d, "the document")
     if d.get("format") != FORMAT:
@@ -194,28 +247,27 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     _require(d, ("dimension",), "the document")
     dimension = _int(d["dimension"], "dimension")
     strata = []
-    file_rays = {}
+    # stratum name -> its fan, the file's ray list and first cone entries
+    ends: dict[str, tuple] = {}
     # Equal fan entries load as one Fan, so its checks, containment table
     # and star quotients are computed once per file.
     fans: dict[tuple, Fan] = {}
-    seen = set()
     for k, s in enumerate(_list(d.get("strata", []), "strata")):
         s = _object(s, f"stratum {k}")
         _require(s, ("id", "dim", "lattice_rank"), f"stratum {k}")
         name = s["id"]
         if not isinstance(name, str):
             raise ValueError(f"stratum {k}: id {name!r} is not a string")
-        if name in seen:
+        if name in ends:
             raise ValueError(f"duplicate stratum id {name!r}")
-        seen.add(name)
         what = f"stratum {name!r}"
         rank = _int(s["lattice_rank"], f"{what}: lattice_rank")
         interior = s.get("interior", True)
         if type(interior) is not bool:
             raise ValueError(f"{what}: interior {interior!r} is not true or false")
         fan, rays, first = _fan_from_dict(s.get("fan", {}), rank, what)
-        file_rays[name] = rays, first
         fan = fans.setdefault(fan_key(fan), fan)
+        ends[name] = fan, rays, first
         strata.append(
             Stratum(
                 name=name,
@@ -225,42 +277,10 @@ def fanifold_from_dict(d: dict) -> Fanifold:
                 chi_c=_int(s["chi_c"], f"{what}: chi_c") if "chi_c" in s else None,
             )
         )
-    by_name = {s.name: s for s in strata}
-    arrows = []
-    for k, a in enumerate(_list(d.get("arrows", []), "arrows")):
-        what = f"arrow {k}"
-        a = _object(a, what)
-        _require(a, ("from", "to", "cone", "quotient_matrix"), what)
-        src_name, tgt_name = a["from"], a["to"]
-        if not all(isinstance(n, str) and n in by_name for n in (src_name, tgt_name)):
-            raise ValueError(f"arrow references unknown stratum: {a}")
-        fan = by_name[src_name].fan
-        rays, first = file_rays[src_name]
-        ids = _ray_indices(a["cone"], rays, f"{what}: cone")
-        idx = first.get(frozenset(ids))
-        if idx is None:
-            # named through other rays than its fan entry: compare as cones
-            idx = fan.cone_index(_cone(ids, rays, fan.rank))
-        if idx is None:
-            raise ValueError(
-                f"arrow cone {a['cone']} is not a cone of the fan at {src_name!r}"
-            )
-        q_rank = fan.rank - fan.cones[idx].dim
-        t_rank = by_name[tgt_name].lattice_rank
-        matrix = tuple(_int_rows(a["quotient_matrix"], f"{what}: quotient_matrix"))
-        if len(matrix) != t_rank or any(len(row) != q_rank for row in matrix):
-            raise ValueError(
-                f"quotient matrix of arrow {src_name!r} -> {tgt_name!r} must be "
-                f"{t_rank} x {q_rank}"
-            )
-        arrows.append(
-            Arrow(
-                source=src_name,
-                target=tgt_name,
-                cone_index=idx,
-                iso=lattice_map(matrix, q_rank, t_rank),
-            )
-        )
+    arrows = [
+        _arrow(k, a, ends)
+        for k, a in enumerate(_list(d.get("arrows", []), "arrows"))
+    ]
     return Fanifold(dimension=dimension, strata=strata, arrows=arrows)
 
 

@@ -209,6 +209,63 @@ def test_dim_matches_the_smith_rank_of_the_generators():
     assert seen_zero and seen_line
 
 
+def perp_by_kernel(c):
+    """The integer kernel of the gens: the perp basis with no shortcut."""
+    return integer_kernel(mat(c.gens), len(c.gens), c.rank)
+
+
+def dim_by_perp(c):
+    """The rank minus the size of the perp basis, from the kernel: the rule
+    ``Cone.dim`` followed before it read the rank of the gens, kept as its
+    reference."""
+    return c.rank - len(perp_by_kernel(c))
+
+
+def test_dim_equals_the_perp_rule_in_random_bases(monkeypatch):
+    """``Cone.dim``, one Hermite pass over the gens, equals the perp rule
+    on random cones of every rank up to 4, each moved by a random matrix
+    in GL(n, Z): cones with a line, lower-dimensional cones, full cones and
+    the zero cone; and ``perp_basis``, which skips the kernel on a full
+    cone, is the kernel.  A zero cone of negative rank, which only a
+    malformed file gives, keeps the rank as its dimension under both
+    rules."""
+    kernels = []
+    kernel = cones.integer_kernel
+
+    def counted(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cones, "integer_kernel", counted)
+    rng = random.Random(4501)
+    seen = collections.Counter()
+    for rank in range(5):
+        for _ in range(80):
+            span = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, rank))]
+            gens = [
+                [sum(rng.randint(-1, 2) * b[i] for b in span) for i in range(rank)]
+                for _ in range(rng.randint(0, rank + 2))
+            ]
+            if gens and rng.random() < 0.3:
+                gens.append([-x for x in gens[0]])
+            m = _unimodular(rng, rank)
+            c = Cone([[dot(r, g) for r in m] for g in gens], rank)
+            assert c.dim == dim_by_perp(c), c
+            before = len(kernels)
+            assert c.perp_basis == perp_by_kernel(c), c
+            if c.dim == rank:
+                assert len(kernels) == before, c  # a full cone needs no kernel
+            if not c.gens:
+                seen["zero"] += 1
+            elif not c.is_strongly_convex:
+                seen["line"] += 1
+            else:
+                seen["full" if c.dim == rank else "lower"] += 1
+    assert min(seen.values()) >= 30, seen
+    negative = Cone((), -1)
+    assert negative.dim == dim_by_perp(negative) == -1
+
+
 def test_extremal_rays_match_the_double_description_of_the_dual():
     """The combinatorial rule against the rays a double description recovers
     from the dual: rank 0-4, lower-dimensional cones, gens that are sums of

@@ -921,14 +921,15 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
 def _checked_fresh(fan):
     """A fresh copy of ``fan`` (stacky if it is), validated: its problems
     equal ``problems_by_containment``'s, and a valid copy records its
-    containment table, which equals ``_inside_by_pairs``."""
+    containment table on the fan that keeps its tables (a stacky copy's
+    plain fan), which equals ``_inside_by_pairs``."""
     fresh = Fan(fan.cones, fan.rank)
     if isinstance(fan, StackyFan):
         fresh = StackyFan(fresh, fan.multiples)
     problems = fresh.validate()
     assert problems == problems_by_containment(fresh), fresh.cones
     if not problems:
-        assert fresh.__dict__["_inside"] == _inside_by_pairs(fresh), fresh.cones
+        assert fresh._owner.__dict__["_inside"] == _inside_by_pairs(fresh), fresh.cones
     return problems
 
 
@@ -972,24 +973,29 @@ def test_a_ray_subset_that_is_no_face_is_rejected_by_the_face_test():
         assert fan._inside == _inside_by_pairs(fan)
 
 
-def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
-    """Each bundled file loaded and validated, and ``from_fan`` of each fan
-    example, call no ``Cone.contains``: every fan they validate is valid,
-    so its nesting is read off its extremal rays.  Neither does validating
-    an invalid fan, which is scanned by that same nesting, and its problems
-    are the containment rule's.  Each invalid case holds a cone inside
-    another whose rays do not hold its own: that pair is met, and its meet,
-    the smaller cone, is no face of the larger, as that rule's face test
-    says."""
+def _nested_otherwise():
+    """Invalid fans, as (cones, rank), each holding a cone inside another
+    whose rays do not hold its own: that pair is met, and its meet, the
+    smaller cone, is no face of the larger, as the containment rule's face
+    test says."""
     quadrant = Cone([(1, 0), (0, 1)], 2)
     inner = Cone([(1, 0), (1, 1)], 2)  # inside the quadrant, not a face
     square = Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
-    invalid = [
+    return [
         ([quadrant, inner], 2),
         ([inner, quadrant], 2),
         ([Cone([(1, 1)], 2), quadrant, Cone([(0, 1)], 2)], 2),
         ([square, Cone([(1, 0, 1), (0, 0, 1)], 3)] + [Cone(f, 3) for f in square.faces()[:-1]], 3),
     ]
+
+
+def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
+    """Each bundled file loaded and validated, and ``from_fan`` of each fan
+    example, call no ``Cone.contains``: every fan they validate is valid,
+    so its nesting is read off its extremal rays.  Neither does validating
+    an invalid fan (``_nested_otherwise``), which is scanned by that same
+    nesting, and its problems are the containment rule's."""
+    invalid = _nested_otherwise()
     expected = [problems_by_containment(Fan(cones, rank)) for cones, rank in invalid]
     assert all(expected)
     calls = []
@@ -1009,3 +1015,79 @@ def test_loading_validating_and_from_fan_run_no_membership_test(monkeypatch):
         assert from_fan(fan).validate().coherent, fan
     assert [Fan(cones, rank).validate() for cones, rank in invalid] == expected
     assert not calls
+
+
+def test_a_rejected_fan_meets_each_pair_once(monkeypatch):
+    """Validation answers each pair of cones once: the scan of a fan the
+    fast path rejects reads the answers the fast path already got, so no
+    pair goes through ``Fan._meet_is_a_face`` twice in one validation, and
+    the problems stay the containment rule's.  On the invalid cases of the
+    membership count law, and the bundled stratum fans with a ray through
+    the interior of a cone of dim >= 2 added first or last."""
+    cases = [Fan(cones, rank) for cones, rank in _nested_otherwise()]
+    for build in EXAMPLES.values():
+        for fan in {id(st.fan): st.fan for st in build().strata}.values():
+            for c in fan.cones:
+                if c.dim >= 2:
+                    ray = Cone([tuple(map(sum, zip(*c.gens)))], fan.rank)
+                    cases += [Fan((ray,) + fan.cones, fan.rank), Fan(fan.cones + (ray,), fan.rank)]
+                    break
+    expected = [problems_by_containment(Fan(f.cones, f.rank)) for f in cases]
+    met = []
+    meet = Fan._meet_is_a_face
+
+    def counted(fan, i, j, by_rays):
+        met.append((id(fan), min(i, j), max(i, j)))
+        return meet(fan, i, j, by_rays)
+
+    monkeypatch.setattr(Fan, "_meet_is_a_face", counted)
+    for fan, problems in zip(cases, expected):
+        met.clear()
+        assert fan.validate() == problems != [], fan.cones
+        assert len(set(met)) == len(met), (fan.cones, sorted(met))
+    assert len(cases) >= 20, len(cases)
+
+
+def test_a_stacky_fan_and_its_plain_fan_share_their_tables(monkeypatch):
+    """A stacky fan keeps its tables on its plain fan: after ``from_fan``
+    of ``StackyFan(f, m)`` validates the stacky fan and builds its star
+    quotients, the plain ``f`` is valid with the same containment table,
+    its star quotients are the plain halves of the stacky ones (a second
+    stacky twin pushes its multiples onto those same plain quotients), and
+    ``quotient_fan``, ``resolve_to_smooth`` and ``refines`` on it run no
+    ``Cone.contains``.  Smooth fans in random lattice bases, so that the
+    resolution adds no ray (a subdivision tests membership by design)."""
+    rng = random.Random(4502)
+    bases = [orthant_fan(2), orthant_fan(3), projective_fan(2), projective_fan(3)] * 3
+    calls = []
+    contains = Cone.contains
+
+    def counted(self, v):
+        calls.append(self)
+        return contains(self, v)
+
+    monkeypatch.setattr(Cone, "contains", counted)
+    for base in bases:
+        n = base.rank
+        m = [list(r) for r in identity_matrix(n)]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            t = rng.choice((-1, 1))
+            m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+        f = Fan([Cone([mat_vec(m, g) for g in c.gens], n) for c in base.cones], n)
+        sf = StackyFan(f, {r: rng.randint(1, 3) for r in f.rays})
+        phi = from_fan(sf)
+        assert phi.validate().valid
+        assert f._problems is sf._problems == [] and f._inside is sf._inside
+        assert f._stars is sf._stars and f._first_index is sf._first_index
+        for k in range(len(f.cones)):
+            fq, sq = quotient_fan(f, k), quotient_fan(sf, k)
+            assert sq.fan._owner is fq.fan and sq.star is fq.star
+        images = [quotient_fan(f, k).fan for k in range(len(f.cones))]
+        twin = StackyFan(f, sf.multiples)  # finds the star images on f
+        for k, image in enumerate(images):
+            assert quotient_fan(twin, k).fan._owner is image is quotient_fan(f, k).fan
+        resolved = resolve_to_smooth(f)
+        assert resolved.fan is f and resolved.steps == ()
+        assert refines(resolved.fan, f).ok and refines(f, sf).ok
+        assert not calls, (f.cones, len(calls))

@@ -481,3 +481,143 @@ def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
             entry = entry[key]
         entry[path[-1]] = value
     assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+
+
+_A3 = ("arrows", 3)  # square.json's arrow (s2,s2) -> (s0,s2) on cone [1], matrix [[1]]
+_DROP = object()  # delete the key instead of setting it
+
+
+@pytest.mark.parametrize(
+    "edits, line",
+    [
+        ({_A3: ["(s2,s2)", "(s0,s2)"]}, "arrow 3 must be a JSON object"),
+        ({_A3: None}, "arrow 3 must be a JSON object"),
+        ({_A3 + ("from",): _DROP}, "arrow 3 lacks 'from'"),
+        ({_A3 + ("to",): _DROP}, "arrow 3 lacks 'to'"),
+        ({_A3 + ("cone",): _DROP}, "arrow 3 lacks 'cone'"),
+        ({_A3 + ("quotient_matrix",): _DROP}, "arrow 3 lacks 'quotient_matrix'"),
+        (
+            {_A3 + ("from",): 4},
+            "arrow references unknown stratum: "
+            "{'from': 4, 'to': '(s0,s2)', 'cone': [1], 'quotient_matrix': [[1]]}",
+        ),
+        (
+            {_A3 + ("to",): None},
+            "arrow references unknown stratum: "
+            "{'from': '(s2,s2)', 'to': None, 'cone': [1], 'quotient_matrix': [[1]]}",
+        ),
+        (
+            {_A3 + ("to",): "(s9,s9)"},
+            "arrow references unknown stratum: "
+            "{'from': '(s2,s2)', 'to': '(s9,s9)', 'cone': [1], 'quotient_matrix': [[1]]}",
+        ),
+        ({_A3 + ("cone", 0): True}, "arrow 3: cone refers to missing ray True"),
+        ({_A3 + ("cone", 0): 1.0}, "arrow 3: cone refers to missing ray 1.0"),
+        ({_A3 + ("cone", 0): -1}, "arrow 3: cone refers to missing ray -1"),
+        ({_A3 + ("cone", 0): 2}, "arrow 3: cone refers to missing ray 2"),
+        ({_A3 + ("cone",): 1}, "arrow 3: cone must be a JSON list"),
+        ({_A3 + ("cone",): "1"}, "arrow 3: cone must be a JSON list"),
+        (
+            {_A3 + ("cone",): [0, 1]},
+            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 0",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): [[1], [0]]},
+            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): []},
+            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): [[1, 0]]},
+            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): [[]]},
+            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
+        ),
+        ({_A3 + ("quotient_matrix", 0, 0): True}, "arrow 3: quotient_matrix: True is not an integer"),
+        ({_A3 + ("quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
+        ({_A3 + ("quotient_matrix",): 1}, "arrow 3: quotient_matrix must be a JSON list"),
+        ({_A3 + ("quotient_matrix", 0): 1}, "arrow 3: quotient_matrix must be a JSON list"),
+        # two faults: the first in schema order is named
+        ({_A3 + ("from",): _DROP, _A3 + ("cone",): _DROP}, "arrow 3 lacks 'from', 'cone'"),
+        (
+            {_A3 + ("cone", 0): True, _A3 + ("quotient_matrix", 0, 0): 1.0},
+            "arrow 3: cone refers to missing ray True",
+        ),
+        (
+            {_A3 + ("to",): "x", _A3 + ("cone", 0): 1.0},
+            "arrow references unknown stratum: "
+            "{'from': '(s2,s2)', 'to': 'x', 'cone': [1.0], 'quotient_matrix': [[1]]}",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): [[1], [1.0]]},
+            "arrow 3: quotient_matrix: 1.0 is not an integer",
+        ),
+        (
+            {_A3 + ("quotient_matrix",): [[True, 1]]},
+            "arrow 3: quotient_matrix: True is not an integer",
+        ),
+    ],
+)
+def test_malformed_arrow_entries_exit_2_with_the_first_fault(tmp_path, capsys, edits, line):
+    """The loader checks an arrow entry in place and builds its error text
+    only when a check fails; a malformed entry is named by its first fault
+    in schema order (object, keys, endpoints, cone, matrix entries, matrix
+    shape), with the message each had before the in-place checks: ``true``
+    and ``1.0`` are no ray index or matrix entry, and a matrix of the wrong
+    shape names the shape its arrow needs."""
+    d = _bundled("square")
+    for path, value in edits.items():
+        entry = d
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is _DROP:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+    assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+
+
+def test_loading_runs_no_kernel(monkeypatch):
+    """Loading a bundled file reads each arrow cone's dimension off one
+    Hermite pass (``Cone.dim``), so it builds no perp basis and runs no
+    ``integer_kernel``.  The loaded diagram still dumps to the file."""
+    from fanifolds import cones, fanifold
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("integer_kernel ran while loading")
+
+    for mod in (cones, fanifold):
+        monkeypatch.setattr(mod, "integer_kernel", counted)
+    texts = {}
+    for name in sorted(os.listdir(DATA_DIR)):
+        with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+            texts[name] = fh.read()
+    loaded = {name: files.loads(text) for name, text in texts.items()}
+    assert len(loaded) == 15 and not calls
+    monkeypatch.undo()
+    for name, phi in loaded.items():
+        assert files.dumps(phi) == texts[name], name
+
+
+def test_an_arrow_takes_the_fan_entry_its_ray_indices_name():
+    """An arrow whose cone is a fan entry equal to an earlier one (its rays
+    and a ray through its interior) loads on the entry its ray indices
+    name, not on the first equal cone."""
+    d = _bundled("square")
+    arrow = d["arrows"][0]
+    src = next(s for s in d["strata"] if s["id"] == arrow["from"])
+    rays, cones = src["fan"]["rays"], src["fan"]["cones"]
+    rays.append([x + y for x, y in zip(*(rays[i] for i in arrow["cone"]))])
+    arrow["cone"] = arrow["cone"] + [len(rays) - 1]
+    cones.append(arrow["cone"])
+    phi = files.fanifold_from_dict(d)
+    fan = phi.stratum(src["id"]).fan
+    assert phi.arrows[0].cone_index == len(cones) - 1
+    assert fan.cone_index(fan.cones[-1]) < len(cones) - 1
