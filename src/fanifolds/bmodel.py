@@ -361,7 +361,7 @@ def _restriction_arrows(
         charts.setdefault(name, {})[k] = i
     arrows = []
     for name, kept in charts.items():
-        inside = phi.stratum(name).fan._inside
+        inside = phi.stratum(name).plain_fan._inside
         for big, i in kept.items():
             for small in sorted(inside[big]):
                 j = kept.get(small)
@@ -811,7 +811,7 @@ def _factors(
     So b goes into T and is walked, sigma_a is a proper face of sigma_c,
     dim sigma_b = dim sigma_c - dim sigma_a, and ``arrow_map(b) .
     arrow_map(a) == arrow_map(c)``."""
-    fan, k = phi.stratum(c.source).fan, c.cone_index
+    fan, k = phi.stratum(c.source).plain_fan, c.cone_index
     f = min((f for f in fan._inside[k] if fan.cones[f].dim), default=None)
     a = phi._arrow_on.get((c.source, f))
     if a not in walked:
@@ -883,7 +883,7 @@ def components(phi: Fanifold) -> list[Component]:
             Component(
                 stratum=s.name,
                 toric_dim=s.lattice_rank,
-                complete=s.fan.is_complete,
+                complete=s.plain_fan.is_complete,
                 stacky=s.is_stacky,
             )
         )
@@ -965,7 +965,7 @@ def _stratum_values(
             values[s.name] = {}
     # regularity: the value must live in every chart's monoid
     for s in phi.strata:
-        fan = s.fan
+        fan = s.plain_fan
         for c in fan.cones:
             bad = [
                 u

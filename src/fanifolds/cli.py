@@ -49,8 +49,8 @@ from .bmodel import (
     u_functor,
 )
 from .cones import Cone, zero_cone
-from .fanifold import Fanifold
-from .fans import Fan, StackyFan, quotient_fan, refines, resolve_to_smooth
+from .fanifold import Fanifold, Stratum
+from .fans import quotient_fan, refines, resolve_to_smooth
 from .mesh import export_mesh
 from .mirror import mirror_dictionary, restriction_pairs
 from .skeleton import euler_characteristic_c, handle_plan, skeleton_model
@@ -374,16 +374,17 @@ def cmd_mirror_restrict(args) -> int:
     return 0
 
 
-def _stratum_fan(phi: Fanifold, name: str):
+def _stratum(phi: Fanifold, name: str) -> Stratum:
     if name not in phi.by_name:
         raise ValueError(f"unknown stratum {name!r}")
-    return phi.stratum(name).fan
+    return phi.stratum(name)
 
 
-def _fan_props(fan: Fan) -> dict:
-    out = fan.properties()
-    out["stacky"] = isinstance(fan, StackyFan)
+def _fan_props(st: Stratum) -> dict:
+    out = st.plain_fan.properties()
+    out["stacky"] = st.is_stacky
     if out["stacky"]:
+        fan = st.fan
         out["smooth"] = fan.is_smooth
         out["component_groups"] = [
             {"cone": i, "invariants": list(g)}
@@ -399,7 +400,7 @@ def cmd_fan_props(args) -> int:
     payload = {"strata": {}}
     lines = []
     for name in names:
-        props = _fan_props(_stratum_fan(phi, name))
+        props = _fan_props(_stratum(phi, name))
         payload["strata"][name] = props
         lines.append(f"{name}:")
         for k in sorted(props):
@@ -413,7 +414,8 @@ def cmd_fan_props(args) -> int:
 
 def cmd_fan_quotient(args) -> int:
     phi = _load(args)
-    fan = _stratum_fan(phi, args.stratum)
+    st = _stratum(phi, args.stratum)
+    fan = st.plain_fan
     ray_idx = []
     for p in _split_ids(args.cone):
         try:
@@ -433,7 +435,7 @@ def cmd_fan_quotient(args) -> int:
         raise ValueError(
             f"rays {ray_idx} do not span a cone of the fan at {args.stratum!r}"
         )
-    fq = quotient_fan(fan, k)
+    fq = quotient_fan(st.fan, k)
     payload = {
         "stratum": args.stratum,
         "cone": sorted(ray_idx),
@@ -459,7 +461,7 @@ def cmd_fan_quotient(args) -> int:
 
 def cmd_fan_resolve(args) -> int:
     phi = _load(args)
-    fan = _stratum_fan(phi, args.stratum)
+    fan = _stratum(phi, args.stratum).plain_fan
     result = resolve_to_smooth(fan)
     check = refines(result.fan, fan)
     payload = {
@@ -486,7 +488,7 @@ def cmd_fan_refines(args) -> int:
     names = _split_ids(args.stratum or "")
     if len(names) != 2:
         raise ValueError("fan refines needs --stratum FINE,COARSE (two stratum ids)")
-    fine, coarse = (_stratum_fan(phi, name) for name in names)
+    fine, coarse = (_stratum(phi, name).plain_fan for name in names)
     result = refines(fine, coarse)
     payload = {
         "fine": names[0],

@@ -25,6 +25,7 @@ from .cones import Cone, cached_property, cone_key, product_cone, zero_cone
 from .fans import (
     Fan,
     StackyFan,
+    _plain_fan,
     _set_valid,
     fan_key,
     quotient_fan,
@@ -51,14 +52,16 @@ from .lattice import (
 class Stratum(NamedTuple):
     name: str
     dim: int
-    fan: Fan  # a StackyFan carries the stacky data
+    fan: Fan | StackyFan  # stacky data as a StackyFan; tables on ``plain_fan``
     interior: bool = True
     chi_c: int | None = None  # None means the contractible default (-1)^dim
 
     @property
     def plain_fan(self) -> Fan:
-        """The stratum's fan; the benchmark's workloads read this name."""
-        return self.fan
+        """The fan that computes: ``fan``, or a stacky ``fan``'s plain fan.
+        Read it for ``Fan`` methods and tables; ``fan`` for the cones, the
+        rank, the rays and the multiples."""
+        return _plain_fan(self.fan)
 
     @property
     def is_stacky(self) -> bool:
@@ -174,8 +177,8 @@ class Fanifold:
         diagram nothing validated) builds the image cone and keys it."""
         out = self._star_maps.get(a)
         if out is None:
-            fan, i = self.stratum(a.source).fan, a.cone_index
-            lmap, tgt = self.arrow_map(a), self.stratum(a.target).fan
+            fan, i = self.stratum(a.source).plain_fan, a.cone_index
+            lmap, tgt = self.arrow_map(a), self.stratum(a.target).plain_fan
             ray_of: dict[Vec, Vec | None] = {}  # gen -> primitive image, None if 0
             out = self._star_maps[a] = {}
             for k in fan._stars[i]:
@@ -278,7 +281,7 @@ class Fanifold:
                     f"stratum {s.name!r}: dim {s.dim} + fan rank {s.lattice_rank}"
                     f" != total dimension {self.dimension}"
                 )
-            fan_problems = s.fan.validate()
+            fan_problems = s.plain_fan.validate()
             for p in fan_problems:
                 errors.append(f"stratum {s.name!r} fan: {p}")
             if not fan_problems and not any(c.dim == 0 for c in s.fan.cones):
@@ -352,13 +355,14 @@ class Fanifold:
             out_k.setdefault(a.source, []).append(k)
         checked: dict[int, str | None] = {}
         for s in sorted(self.strata, key=lambda s: s.dim):
-            if self.by_name[s.name] is not s or s.fan._problems:
+            fan = s.plain_fan
+            if self.by_name[s.name] is not s or fan._problems:
                 continue
             for k in out_k.get(s.name, ()):
                 a = self.arrows[k]
                 checked[k] = self._arrow_error(k, a, unimodular)
                 if checked[k] is None:
-                    _set_valid(self.stratum(a.target).fan, s.fan, self._star_map(a))
+                    _set_valid(self.stratum(a.target).plain_fan, fan, self._star_map(a))
         return checked
 
     def _arrow_error(
@@ -427,7 +431,7 @@ def _cone_strata(
     and its face arrows.  ``keep`` holds every cone holding a kept cone.
 
     A stratum's fan is its cone's star quotient, and stratum fans with equal
-    ``fan_key`` are one ``Fan``, so each distinct fan is validated and
+    ``fan_key`` are one object, so each distinct fan is validated and
     star-quotiented once.  The table starts with ``fan`` itself: the zero
     cone's quotient is ``fan`` again (identity projection, same cones), so
     its stratum holds the source fan and reads the quotients built here.

@@ -6,17 +6,16 @@ pairwise condition -- any two cones meet in a common face -- is still enforced
 by ``Fan.validate``, which nests cones by their extremal rays and builds meets
 only between maximal cones (see the lemma below).
 
-A ``StackyFan`` is a ``Fan`` with a multiple on each ray.  ``quotient_fan``
-is the one star quotient and ``Fan._quotients`` its one cache: stacky in,
-stacky out, the quotient of a stacky fan carrying the pushed multiples and
-the push's ``warnings``.  A stacky fan keeps no table of its own: its
-checks, containment table, stars and cone index are its plain fan's
-(``Fan._owner``), and its star quotients push the multiples onto the plain
-fan's, so a stacky fan and its plain fan compute each of these once.
-``Stratum.plain_fan`` is the stratum's fan itself, kept for the benchmark's
-workloads.  ``fan_key`` is the one rule for when two fans are
+A ``StackyFan`` is not a ``Fan``: it is a plain ``Fan`` (its ``fan``) and a
+multiple on each ray.  The plain fan computes and keeps every table (checks,
+containment table, stars, cone index) and every plain star quotient, so one
+object owns each table.  ``quotient_fan`` is the one star quotient and the
+``_quotients`` of its argument its one cache: stacky in, stacky out, a
+stacky fan's quotient being its plain fan's with the multiples pushed and
+the push's ``warnings``.  ``Stratum.plain_fan`` reaches the fan that
+computes.  ``fan_key`` is the one rule for when two fans are
 interchangeable; the file loader and the constructors give equal stratum
-fans of one diagram one ``Fan`` by it, so its checks, containment table and
+fans of one diagram one object by it, so its checks, containment table and
 star quotients are computed at most once.
 
 Write sigma <= tau when every extremal ray of sigma is one of tau, for
@@ -106,12 +105,6 @@ class Fan:
 
     def __repr__(self) -> str:
         return f"Fan(rank={self.rank}, n_cones={len(self.cones)})"
-
-    @property
-    def _owner(self) -> "Fan":
-        """The fan that keeps this fan's tables: itself (a stacky fan's are
-        its plain fan's)."""
-        return self
 
     @cached_property
     def rays(self) -> Mat:
@@ -207,7 +200,7 @@ class Fan:
             if not met[i, j]:
                 break
         else:
-            self._owner.__dict__.setdefault("_inside", by_rays)
+            self.__dict__.setdefault("_inside", by_rays)
             return problems
         for i, j in itertools.combinations(range(len(self.cones)), 2):
             if (i, j) not in met:
@@ -337,7 +330,7 @@ def _held(holders: Sequence[Cone], cones: Sequence[Cone]) -> list[frozenset[Vec]
     return [frozenset(g for g in gens if h.contains(g)) for h in holders]
 
 
-def fan_key(fan: Fan) -> tuple:
+def fan_key(fan: Fan | StackyFan) -> tuple:
     """Two fans with equal keys are interchangeable: the rank, each cone's
     gens in order, and a stacky fan's sorted multiples (None for a plain
     fan).  Cones are interned by (rank, gens), so equal keys mean the same
@@ -346,13 +339,18 @@ def fan_key(fan: Fan) -> tuple:
     return fan.rank, tuple(c.gens for c in fan.cones), multiples
 
 
+def _plain_fan(fan: Fan | StackyFan) -> Fan:
+    """The fan that computes: a stacky fan's plain fan, or ``fan`` itself."""
+    return fan.fan if isinstance(fan, StackyFan) else fan
+
+
 def _set_valid(fan: Fan, source: Fan, star: Mapping[int, int]) -> None:
     """Record ``fan`` as valid without checking it, and its containment
     table with it: the caller has proved that ``star`` maps the star of a
     cone of the valid fan ``source`` one to one onto ``fan``'s cones, so
     ``fan`` is a fan whose cones nest as their preimages do (the star
     lemma).  A problem list or a table already computed stays."""
-    cache = fan._owner.__dict__
+    cache = fan.__dict__
     cache.setdefault("_problems", [])
     if "_inside" not in cache:
         inside = [frozenset()] * len(fan.cones)
@@ -361,9 +359,9 @@ def _set_valid(fan: Fan, source: Fan, star: Mapping[int, int]) -> None:
         cache["_inside"] = tuple(inside)
 
 
-def require_valid_fan(fan: Fan) -> None:
-    """ValueError when ``fan`` is not a fan."""
-    problems = fan.validate()
+def require_valid_fan(fan: Fan | StackyFan) -> None:
+    """ValueError when ``fan`` (a stacky fan: its plain fan) is not a fan."""
+    problems = _plain_fan(fan).validate()
     if problems:
         raise ValueError("invalid fan: " + "; ".join(problems))
 
@@ -374,7 +372,7 @@ def require_valid_fan(fan: Fan) -> None:
 class FanQuotient(NamedTuple):
     """Star of a cone pushed to the quotient lattice of its span."""
 
-    fan: Fan  # a StackyFan when the source fan is one
+    fan: Fan | StackyFan  # stacky when the source fan is
     projection: LatticeMap
     section: LatticeMap
     star: tuple[int, ...]  # source cone indices, aligned with fan.cones
@@ -382,7 +380,7 @@ class FanQuotient(NamedTuple):
     warnings: tuple[str, ...] = ()  # quotient rays that kept multiple 1
 
 
-def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
+def quotient_fan(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
     """The star of cone ``cone_index`` pushed to the quotient lattice of its
     span; on a stacky fan, a stacky fan carrying the pushed multiples.
     Built once per (fan, cone index) and kept on the fan, which nothing
@@ -394,23 +392,13 @@ def quotient_fan(fan: Fan, cone_index: int) -> FanQuotient:
     return fq
 
 
-def _star_quotient(fan: Fan, cone_index: int) -> FanQuotient:
-    """The star quotient ``quotient_fan`` keeps for ``fan``.  A stacky
-    fan's is its plain fan's with the multiples pushed (``_pushed``); the
-    plain one is read from, or added to, the plain fan's cache, so a stacky
-    fan and its plain fan build the star's images once."""
-    if not isinstance(fan, StackyFan):
-        return _star_images(fan, cone_index)
-    plain = fan._owner
-    fq = plain._quotients.get(cone_index)
-    if fq is None:
-        fq = plain._quotients[cone_index] = _star_images(plain, cone_index)
-    return _pushed(fan, fq)
-
-
-def _star_images(fan: Fan, cone_index: int) -> FanQuotient:
-    """The plain star quotient: the images of the star's cones under the
-    projection of the cone's span quotient."""
+def _star_quotient(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
+    """The star quotient ``quotient_fan`` keeps for ``fan``: the images of
+    the star's cones under the projection of the cone's span quotient.  A
+    stacky fan's is its plain fan's, read through ``quotient_fan``, with the
+    multiples pushed (``_pushed``), so the star's images are built once."""
+    if isinstance(fan, StackyFan):
+        return _pushed(fan, quotient_fan(fan.fan, cone_index))
     sigma = fan.cones[cone_index]
     if sigma.rank != fan.rank:
         raise ValueError("cone rank does not match the fan rank")
@@ -541,16 +529,16 @@ def _parallelepiped_point(cone: Cone) -> Vec | None:
 _RESOLVE_STEPS = 1000  # subdivisions before resolve_to_smooth gives up
 
 
-def resolve_to_smooth(fan: Fan) -> ResolveResult:
+def resolve_to_smooth(fan: Fan | StackyFan) -> ResolveResult:
     """Refine until every cone is smooth, by repeated stellar subdivision.
 
     Non-simplicial cones are first split at the primitive sum of their rays;
     then simplicial cones of multiplicity > 1 are split at a lattice point of
     the fundamental box, which strictly lowers the worst multiplicity.  The
     refinement is of the cones: a stacky fan's multiples do not carry, so
-    it resolves as its plain fan, and the result is a plain ``Fan``.
+    its plain fan ``fan`` is resolved, and the result is a plain ``Fan``.
     """
-    current = fan._owner
+    current = _plain_fan(fan)
     steps: list[Vec] = []
     for _ in range(_RESOLVE_STEPS):
         target = next((c for c in current.cones if not c.is_simplicial), None)
@@ -637,14 +625,14 @@ def refines(fine: Fan, coarse: Fan) -> RefinesResult:
     fine cones inside it.  It comes from ``_held(coarse.cones,
     fine.cones)``: a coarse cone contains a fine cone exactly when its
     entry holds the fine cone's gens, so no pair of cones is tested twice.
-    A fan against itself (or its stacky twin) reads its own ``_inside``
-    instead, each cone with itself added, and runs no membership test.
-    The problems come in order: the fine cones inside no coarse cone, then
-    the coarse cones their fine cones do not tile."""
+    A fan against itself reads its own ``_inside`` instead, each cone with
+    itself added, and runs no membership test.  The problems come in order:
+    the fine cones inside no coarse cone, then the coarse cones their fine
+    cones do not tile."""
     problems: list[str] = []
     if fine.rank != coarse.rank:
         return RefinesResult(False, ("ambient ranks differ",))
-    if fine._owner is coarse._owner:
+    if fine is coarse:
         inside = [{i, *js} for i, js in enumerate(coarse._inside)]
     else:
         inside = [
@@ -665,38 +653,22 @@ def refines(fine: Fan, coarse: Fan) -> RefinesResult:
 # -- stacky fans -------------------------------------------------------------
 
 
-def _plain_table(name: str) -> cached_property:
-    """A stacky fan's table ``name``: its plain fan's.  When the plain fan
-    has none yet, ``Fan``'s rule fills it with the stacky fan as ``self``;
-    the two share cones and rank, all a table reads.  So a stacky fan and
-    its plain fan compute each table once between them."""
-    rule = vars(Fan)[name]
+class StackyFan:
+    """A fan with a positive integer multiple attached to each ray: the
+    plain ``Fan`` ``fan`` and its ``multiples``, not a ``Fan`` itself.
 
-    def read(fan: "StackyFan"):
-        cache = fan._plain.__dict__
-        if name not in cache:
-            cache[name] = rule.func(fan)
-        return cache[name]
-
-    return cached_property(read)
-
-
-class StackyFan(Fan):
-    """A fan with a positive integer multiple attached to each ray.
-
-    A stacky fan is its fan: its cones, rank, rays, cached tables and star
-    quotients are a ``Fan``'s, and ``quotient_fan`` pushes the multiples to
-    each quotient.  Its tables are its plain fan's (``_plain_table``), and
-    its star quotients push the multiples onto the plain fan's, so a stacky
-    fan and its plain fan compute each table and each star once.  The ray
-    times its multiple is the distinguished lattice generator; the
-    cokernel torsion of those generators is the finite group datum carried
-    by each cone.
+    It reads ``cones``, ``rank`` and ``rays`` off ``fan``, and ``fan``
+    computes and keeps every table and every plain star quotient; a stacky
+    fan keeps only its own star quotients (``quotient_fan``), each the
+    plain fan's with the multiples pushed.  The ray times its multiple is
+    the distinguished lattice generator; the cokernel torsion of those
+    generators is the finite group datum carried by each cone.
     """
 
     def __init__(self, fan: Fan, multiples: Mapping[Sequence[int], int] | None = None):
-        super().__init__(fan.cones, fan.rank)
-        self._plain = fan._owner
+        self.fan = fan
+        self.cones, self.rank, self.rays = fan.cones, fan.rank, fan.rays
+        self._quotients: dict[int, FanQuotient] = {}  # see ``quotient_fan``
         mm: dict[Vec, int] = {r: 1 for r in self.rays}
         if multiples:
             for r, k in multiples.items():
@@ -709,16 +681,8 @@ class StackyFan(Fan):
                 mm[r] = k
         self.multiples = mm
 
-    _inside = _plain_table("_inside")
-    _stars = _plain_table("_stars")
-    _first_index = _plain_table("_first_index")
-    _problems = _plain_table("_problems")
-    _missing_faces = _plain_table("_missing_faces")
-
-    @property
-    def _owner(self) -> Fan:
-        """The plain fan whose tables this stacky fan reads and fills."""
-        return self._plain
+    def __repr__(self) -> str:
+        return f"StackyFan(rank={self.rank}, n_cones={len(self.cones)})"
 
     def stacky_generator(self, ray: Sequence[int]) -> Vec:
         ray = vec(ray)

@@ -25,7 +25,7 @@ deterministic: ``dumps`` writes the document in one pass, and
 ``fanifold_to_dict`` is the same document as a dict.  Loading re-validates
 everything it can check locally (shapes, ids, ray references);
 diagram-level coherence stays with ``Fanifold.validate``.  Fan entries of
-one document with equal ``fans.fan_key`` load as one ``Fan``, and an
+one document with equal ``fans.fan_key`` load as one fan, and an
 arrow's cone is matched to its fan entry by ray indices.
 
 An arrow entry is checked in place, in one pass in schema order: type and
@@ -46,7 +46,7 @@ from .lattice import LatticeMap, primitivize
 FORMAT = "fanifold/1"
 
 
-def _cone_indices(fan: Fan) -> list[list[int]]:
+def _cone_indices(fan: Fan | StackyFan) -> list[list[int]]:
     """Each cone of ``fan`` as the sorted indices of its extremal rays in
     ``fan.rays``: the ``cones`` entry of a fan in the schema."""
     ray_index = {r: i for i, r in enumerate(fan.rays)}
@@ -58,7 +58,7 @@ def _cone_indices(fan: Fan) -> list[list[int]]:
     return cones
 
 
-def _fan_to_dict(fan: Fan) -> dict:
+def _fan_to_dict(fan: Fan | StackyFan) -> dict:
     out = {"rays": [list(r) for r in fan.rays], "cones": _cone_indices(fan)}
     if isinstance(fan, StackyFan):
         out["stacky_beta"] = [
@@ -115,7 +115,7 @@ def _cone(idx, rays, rank: int) -> Cone:
 
 def _fan_from_dict(
     d, rank: int, what: str
-) -> tuple[Fan, list[tuple[int, ...]], dict[frozenset, int]]:
+) -> tuple[Fan | StackyFan, list[tuple[int, ...]], dict[frozenset, int]]:
     """The fan, the file's ray list its cone indices refer to, and the
     position of the first cone entry on each set of ray indices."""
     d = _object(d, f"{what}: fan")
@@ -247,11 +247,11 @@ def fanifold_from_dict(d: dict) -> Fanifold:
     _require(d, ("dimension",), "the document")
     dimension = _int(d["dimension"], "dimension")
     strata = []
-    # stratum name -> its fan, the file's ray list and first cone entries
+    # stratum name -> its plain fan, the file's ray list and first cone entries
     ends: dict[str, tuple] = {}
-    # Equal fan entries load as one Fan, so its checks, containment table
+    # Equal fan entries load as one fan, so its checks, containment table
     # and star quotients are computed once per file.
-    fans: dict[tuple, Fan] = {}
+    fans: dict[tuple, Fan | StackyFan] = {}
     for k, s in enumerate(_list(d.get("strata", []), "strata")):
         s = _object(s, f"stratum {k}")
         _require(s, ("id", "dim", "lattice_rank"), f"stratum {k}")
@@ -262,21 +262,21 @@ def fanifold_from_dict(d: dict) -> Fanifold:
             raise ValueError(f"duplicate stratum id {name!r}")
         what = f"stratum {name!r}"
         rank = _int(s["lattice_rank"], f"{what}: lattice_rank")
+        if rank < 0:
+            raise ValueError(f"{what}: lattice_rank {rank} is negative")
         interior = s.get("interior", True)
         if type(interior) is not bool:
             raise ValueError(f"{what}: interior {interior!r} is not true or false")
         fan, rays, first = _fan_from_dict(s.get("fan", {}), rank, what)
-        fan = fans.setdefault(fan_key(fan), fan)
-        ends[name] = fan, rays, first
-        strata.append(
-            Stratum(
-                name=name,
-                dim=_int(s["dim"], f"{what}: dim"),
-                fan=fan,
-                interior=interior,
-                chi_c=_int(s["chi_c"], f"{what}: chi_c") if "chi_c" in s else None,
-            )
+        st = Stratum(
+            name=name,
+            dim=_int(s["dim"], f"{what}: dim"),
+            fan=fans.setdefault(fan_key(fan), fan),
+            interior=interior,
+            chi_c=_int(s["chi_c"], f"{what}: chi_c") if "chi_c" in s else None,
         )
+        ends[name] = st.plain_fan, rays, first
+        strata.append(st)
     arrows = [
         _arrow(k, a, ends)
         for k, a in enumerate(_list(d.get("arrows", []), "arrows"))
@@ -320,7 +320,7 @@ def _rows(rows, indent: str) -> str:
 _ITEM, _KEY, _FAN_KEY = " " * 4, " " * 6, " " * 8
 
 
-def _fan_text(fan: Fan) -> tuple[str, list[list[int]]]:
+def _fan_text(fan: Fan | StackyFan) -> tuple[str, list[list[int]]]:
     """A stratum's written ``fan`` value and its cones as ray indices."""
     cones = _cone_indices(fan)
     fields = ['"rays": ' + _rows(fan.rays, _FAN_KEY), '"cones": ' + _rows(cones, _FAN_KEY)]
@@ -340,7 +340,7 @@ def dumps(phi: Fanifold) -> str:
     several strata hold is written once.  As in the dict, an arrow names
     its cone by the ray indices of the last stratum entry with its
     source's name."""
-    written: dict[Fan, tuple[str, list[list[int]]]] = {}  # fans hash by identity
+    written: dict[Fan | StackyFan, tuple[str, list[list[int]]]] = {}  # hashed by identity
     cones_of: dict[str, list[list[int]]] = {}
     strata = []
     for st in phi.strata:

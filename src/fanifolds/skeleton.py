@@ -145,7 +145,7 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     index = {key: i for i, key in enumerate(keys)}
     incidences: list[tuple[int, int]] = []
     for st in phi.strata:
-        for k, inside in enumerate(st.fan._inside):
+        for k, inside in enumerate(st.plain_fan._inside):
             incidences += [(index[(st.name, k2)], index[(st.name, k)]) for k2 in inside]
     lifts = _lifts(phi)
     for key, sources in lifts.items():

@@ -429,6 +429,30 @@ def test_fan_quotient_names_a_bad_cone_index(capsys, cone):
     assert err == "error: --cone: 'x' is not a ray index\n"
 
 
+def test_fan_quotient_refuses_rays_that_span_no_cone(capsys):
+    """proj1's stratum s2 is the complete fan of the line: its two rays
+    span no cone of it."""
+    code, out, err = run_capture(
+        capsys,
+        ["fan", "quotient", "--file", "proj1.json", "--stratum", "s2", "--cone", "0,1"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: rays [0, 1] do not span a cone of the fan at 's2'\n"
+
+
+@pytest.mark.parametrize(
+    "file, stratum, cone, line",
+    [("quadric_stacky.json", "s1", "0,1", "torsion: [2]"), ("proj2.json", "s3", "0", "torsion: none")],
+)
+def test_fan_quotient_text_names_its_torsion(capsys, file, stratum, cone, line):
+    """The quadric cone spans an index-2 sublattice, so its quotient keeps a
+    Z/2; a ray of proj2 leaves none."""
+    code, out, _ = run_capture(
+        capsys, ["fan", "quotient", "--file", file, "--stratum", stratum, "--cone", cone]
+    )
+    assert code == 0 and line in out.splitlines()
+
+
 def test_ufunctor_command(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -513,7 +513,9 @@ def _constructed_diagrams():
 
 def _count_star_quotients(monkeypatch):
     """Record each (fan, cone index) whose star quotient is built, not read
-    from the fan's cache; holding the fans keeps their ids apart."""
+    from the fan's cache; holding the fans keeps their ids apart.  An entry
+    on a stacky fan is a push of multiples; the entry on its plain fan, if
+    that fan had no such quotient yet, follows it and builds the images."""
     built = []
     build = fans._star_quotient
 
@@ -530,11 +532,20 @@ def _no_star_quotient_twice(built):
     return len(set(keys)) == len(keys)
 
 
+def _pushes_and_images(built):
+    """``built`` split into the pushes (stacky fans) and the star images
+    (plain fans), each as (fan id, cone index) in order."""
+    pushes = [(id(f), i) for f, i in built if isinstance(f, StackyFan)]
+    return pushes, [(id(f), i) for f, i in built if not isinstance(f, StackyFan)]
+
+
 def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch):
     """Construction builds each star quotient once, and only as a stratum
     fan of ``from_fan`` or ``sphere_section`` (the random factors of the
-    products are ``from_fan`` diagrams too).  Validation builds none: its
-    arrow tables map the star cones through ``arrow_map``."""
+    products are ``from_fan`` diagrams too): each star's images once on the
+    plain fan, and a stacky fan's pushes once on top of them.  Validation
+    builds none: its arrow tables map the star cones through
+    ``arrow_map``."""
     built = _count_star_quotients(monkeypatch)
     diagrams = _constructed_diagrams()
     constructed = len(built)
@@ -542,7 +553,8 @@ def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch)
     # 30 from_fan and sphere_section, 22 products, 15 boundaries and 76
     # unrolled closures
     assert len(diagrams) == 143
-    assert constructed == 349
+    pushes, images = _pushes_and_images(built)
+    assert (len(images), len(pushes)) == (349, 109)
     assert len(built) == constructed
     assert _no_star_quotient_twice(built)
     assert all(r.valid for r in reports)
@@ -551,8 +563,9 @@ def test_constructing_and_validating_builds_each_star_quotient_once(monkeypatch)
 def test_only_stratum_fans_build_star_quotients(monkeypatch):
     """An arrow's iso is read off the span quotient of its cone, so
     ``product`` and ``unrolled_closure`` build no star quotient; ``from_fan``
-    of a fresh fan builds one per cone, its stratum fans, and
-    ``sphere_section`` after it builds none."""
+    of a fresh fan builds one per cone, its stratum fans (the images on its
+    plain fan, and on a stacky fan a push of each), and ``sphere_section``
+    after it builds none."""
     built = _count_star_quotients(monkeypatch)
     pairs = [(phi, other) for phi, other, _ in _product_diagrams()]
     examples = [build() for _, build in sorted(EXAMPLES.items())]
@@ -565,7 +578,10 @@ def test_only_stratum_fans_build_star_quotients(monkeypatch):
     assert len(fresh) == 15
     for fan in fresh:
         from_fan(fan)
-        assert [(id(f), i) for f, i in built] == [(id(fan), i) for i in range(len(fan.cones))]
+        cones = range(len(fan.cones))
+        pushes, images = _pushes_and_images(built)
+        assert images == [(id(fans._plain_fan(fan)), i) for i in cones]
+        assert pushes == ([(id(fan), i) for i in cones] if isinstance(fan, StackyFan) else [])
         built.clear()
         sphere_section(fan)
         assert built == []
@@ -648,17 +664,19 @@ def test_sphere_section_shares_the_charts_quotient_fans(monkeypatch):
 
 def test_stacky_charts_and_sphere_section_push_each_cone_once(monkeypatch):
     """``from_fan`` then ``sphere_section`` of a stacky fan push each cone's
-    multiples once: the stacky fan keeps its quotients, so the two diagrams
-    hold the same stratum fan objects."""
+    multiples once, onto the star images its plain fan builds once: the
+    stacky fan keeps its quotients, so the two diagrams hold the same
+    stratum fan objects."""
     built = _count_star_quotients(monkeypatch)
     stacky = [f for f in _random_basis_fans() if isinstance(f, StackyFan)]
     assert stacky
     for fan in stacky:
         built.clear()
         chart, section = from_fan(fan), sphere_section(fan)
-        assert sorted(i for f, i in built if f is fan) == list(range(len(fan.cones)))
-        assert _no_star_quotient_twice(built)
-        assert all(isinstance(f, StackyFan) for f, _ in built)
+        cones = list(range(len(fan.cones)))
+        pushes, images = _pushes_and_images(built)
+        assert pushes == [(id(fan), i) for i in cones]
+        assert images == [(id(fan.fan), i) for i in cones]
         assert section.strata
         for s in section.strata:
             assert isinstance(s.fan, StackyFan)
@@ -701,19 +719,20 @@ def test_stratum_fans_are_one_object_exactly_when_their_content_agrees():
 
 
 def _uncarried_fans(phi):
-    """Ids of the stratum fans no arrow carries: those of strata no arrow
+    """Ids of the plain fans of the strata no arrow carries: those no arrow
     enters.  On a valid diagram every other stratum fan is an arrow's star
     quotient image, valid by the star lemma."""
     targets = {a.target for a in phi.arrows}
-    return {id(s.fan) for s in phi.strata if s.name not in targets}
+    return {id(s.plain_fan) for s in phi.strata if s.name not in targets}
 
 
 def test_validation_checks_each_distinct_fan_once(monkeypatch):
     """Construction and validation run ``Fan._problems`` at most once per
-    distinct fan, and only on fans no checked arrow carries: the fan a
-    diagram was built from and the fans of strata no arrow enters.  A
-    ``from_fan`` diagram checks its source fan alone: its zero stratum
-    holds it, and an arrow from there carries every other fan."""
+    distinct stratum fan (its plain fan), and only on fans no checked arrow
+    carries: the fan a diagram was built from and the fans of strata no
+    arrow enters.  A ``from_fan`` diagram checks its source fan alone: its
+    zero stratum holds it, and an arrow from there carries every other
+    fan."""
     calls = []
     problems = Fan.__dict__["_problems"]
     check = problems.func
@@ -728,13 +747,14 @@ def test_validation_checks_each_distinct_fan_once(monkeypatch):
         for fan in _example_fans():
             calls.clear()
             phi = build(fan)
+            plain = fans._plain_fan(fan)
             assert phi.validate().valid
             ids = [id(f) for f in calls]
             assert len(set(ids)) == len(ids)
-            assert set(ids) <= _uncarried_fans(phi) | {id(fan)}
-            assert id(fan) in ids
+            assert set(ids) <= _uncarried_fans(phi) | {id(plain)}
+            assert id(plain) in ids
             if build is from_fan:
-                assert calls == [fan]
+                assert calls == [plain]
             checked += len(calls)
             strata += len(phi.strata)
     # the 15 source fans and 29 fans of sphere-section rays; checking each
@@ -743,14 +763,14 @@ def test_validation_checks_each_distinct_fan_once(monkeypatch):
     for name in ("square", "proj2", "necklace3"):
         phi1, phi2 = EXAMPLES[name](), EXAMPLES[name]()
         for s in phi1.strata + phi2.strata:
-            s.fan.validate()
+            s.plain_fan.validate()
         calls.clear()
         phi = product(phi1, phi2)
         assert phi.validate().valid
         ids = [id(f) for f in calls]
         assert len(set(ids)) == len(ids)
         assert set(ids) <= _uncarried_fans(phi)
-        assert len(ids) == 1 < len({id(s.fan) for s in phi.strata})
+        assert len(ids) == 1 < len({id(s.plain_fan) for s in phi.strata})
 
 
 @pytest.mark.parametrize(
@@ -794,7 +814,8 @@ def test_product_builds_each_pair_of_factor_fans_once(monkeypatch):
 
 def _fan_refs(phi):
     """Weak references to every fan a diagram reaches: its strata's, its
-    source fan, and the star quotients kept on them, recursively."""
+    source fan, the plain fans of stacky ones, and the star quotients kept
+    on them, recursively."""
     todo = [s.fan for s in phi.strata] + [phi.source_fan] * (phi.source_fan is not None)
     seen = {}
     while todo:
@@ -802,6 +823,8 @@ def _fan_refs(phi):
         if id(fan) not in seen:
             seen[id(fan)] = weakref.ref(fan)
             todo += [fq.fan for fq in fan._quotients.values()]
+            if isinstance(fan, StackyFan):
+                todo.append(fan.fan)
     return list(seen.values())
 
 
@@ -1304,7 +1327,7 @@ def _reference_report(phi):
     for s in phi.strata:
         if id(s.fan) not in fresh:
             fresh[id(s.fan)] = _fresh_fan(s.fan)
-            fresh[id(s.fan)].validate()
+            fans._plain_fan(fresh[id(s.fan)]).validate()
     strata = [s._replace(fan=fresh[id(s.fan)]) for s in phi.strata]
     return Fanifold(phi.dimension, strata, phi.arrows).validate()
 
@@ -1315,7 +1338,7 @@ def _assert_carried_fans_change_no_report(phi):
     report = phi.validate()
     assert report == _reference_report(phi), phi
     for s in phi.strata:
-        assert s.fan.validate() == Fan._problems.func(s.fan), (phi, s.name)
+        assert s.plain_fan.validate() == Fan._problems.func(s.plain_fan), (phi, s.name)
     return report
 
 
@@ -1416,7 +1439,7 @@ def test_carried_fans_change_no_report(monkeypatch):
         report = _assert_carried_fans_change_no_report(mutant)
         invalid += not report.valid
         # an invalid fan in a stratum arrows enter: no arrow may carry it
-        carried_invalid += bool(Fan._problems.func(fan)) and any(
+        carried_invalid += bool(Fan._problems.func(fans._plain_fan(fan))) and any(
             a.target == target.name for a in phi.arrows
         )
     assert invalid > 300 and carried_invalid > 75, (invalid, carried_invalid)
@@ -1450,7 +1473,7 @@ def _quotient_tables(phi, a):
     """An arrow's star map and arrow map in two steps, through its star
     quotient fan and then the iso, and the star quotient itself."""
     fq = quotient_fan(phi.stratum(a.source).fan, a.cone_index)
-    tgt = phi.stratum(a.target).fan
+    tgt = phi.stratum(a.target).plain_fan
     star = {k: tgt.cone_index(c.image(a.iso)) for k, c in zip(fq.star, fq.fan.cones)}
     return star, a.iso.compose(fq.projection), fq
 

@@ -22,6 +22,7 @@ from fanifolds.fans import (
     RefinesResult,
     StackyFan,
     _held,
+    _plain_fan,
     _set_valid,
     _star_quotient,
     cones_cover,
@@ -432,6 +433,21 @@ def test_a_failing_quotient_raises_on_every_call(monkeypatch):
     assert built == [0, 0, 1]
 
 
+def test_a_star_quotient_refuses_a_cone_of_another_rank_or_an_image_with_a_line():
+    """Two inputs no valid fan gives, each refused by name, not answered: a
+    cone whose rank is not the fan's, and a ray inside a 2-cone, not as its
+    face, so that the 2-cone's image holds a line.  A stacky fan's quotient
+    refuses them as its plain fan's does."""
+    cases = [
+        (Fan([zero_cone(3)], 2), 0, "cone rank does not match"),
+        (Fan([zero_cone(2), Cone([(1, 0)], 2), Cone([(1, 1), (1, -1)], 2)], 2), 1, "not strongly convex"),
+    ]
+    for fan, k, message in cases:
+        for f in (fan, StackyFan(fan)):
+            with pytest.raises(ValueError, match=message):
+                quotient_fan(f, k)
+
+
 def test_resolve_quadric():
     result = resolve_to_smooth(quadric_fan())
     assert result.fan.is_smooth
@@ -444,6 +460,21 @@ def test_resolve_smooth_fan_is_identity():
     result = resolve_to_smooth(fan)
     assert result.steps == ()
     assert result.fan is fan
+
+
+def test_resolving_the_cube_splits_each_square_at_its_centre_first():
+    """A non-simplicial cone is split at the primitive sum of its rays
+    before any box point is sought: the cube's six square cones first, at
+    the six axis vectors, then the simplicial cones of multiplicity 2 they
+    leave, at the twelve edge midpoints."""
+    cube = _cube_face_fan()
+    result = resolve_to_smooth(cube)
+    vectors = list(itertools.product((-1, 0, 1), repeat=3))
+    axes = {v for v in vectors if sum(map(abs, v)) == 1}
+    edges = {v for v in vectors if sum(map(abs, v)) == 2}
+    assert set(result.steps[:6]) == axes and len(result.steps) == 18
+    assert set(result.steps[6:]) == edges == set(result.added_rays) - axes
+    assert result.fan.is_smooth and refines(result.fan, cube).ok
 
 
 def test_resolve_a_smooth_stacky_fan_gives_its_plain_fan():
@@ -532,11 +563,12 @@ def _refines_by_pairs(fine, coarse):
 
 
 def test_refines_matches_the_pairwise_containment_reference():
-    """Seeded pairs in random lattice bases, plain and stacky: each fan's
-    stellar subdivisions and resolution refine it; swapped pairs, unrelated
-    fans of one rank and fans of unequal rank do not.  ``refines`` gives
-    the reference's verdict and problem list, in order."""
-    fans = [f for seed in (9091, 17, 23) for f in _random_basis_fans(seed)]
+    """Seeded pairs in random lattice bases, the plain fans of stacky draws
+    among them (refinement is of the cones): each fan's stellar
+    subdivisions and resolution refine it; swapped pairs, unrelated fans of
+    one rank and fans of unequal rank do not.  ``refines`` gives the
+    reference's verdict and problem list, in order."""
+    fans = [_plain_fan(f) for seed in (9091, 17, 23) for f in _random_basis_fans(seed)]
     rng = random.Random(3607)
     pairs = []
     for k, fan in enumerate(fans):
@@ -648,16 +680,33 @@ def test_stacky_quotient_is_kept_and_its_warnings_are_a_tuple():
         assert quotient_fan(sf, k) is fq
 
 
-def test_stacky_fan_is_its_fan():
+def test_a_stacky_fan_is_a_fan_and_its_multiples():
+    """A stacky fan is no ``Fan``: it holds its plain fan, reads the cones,
+    rank and rays off it, and has no table of its own to validate or
+    index with."""
     fan = quadric_fan()
     sf = StackyFan(fan, {(1, 1): 2})
-    assert isinstance(sf, Fan)
-    assert sf.cones == fan.cones and sf.rank == fan.rank and sf.rays == fan.rays
-    assert not any(hasattr(StackyFan, name) for name in ("fan", "quotient"))
-    assert "_quotients" not in vars(StackyFan) and "rays" not in vars(StackyFan)
+    assert not isinstance(sf, Fan) and sf.fan is fan
+    assert sf.cones is fan.cones and sf.rank == fan.rank and sf.rays is fan.rays
+    assert sf.multiples == {r: 2 if r == (1, 1) else 1 for r in fan.rays}
+    assert not any(
+        hasattr(sf, name) for name in ("validate", "cone_index", "_inside", "_problems", "_owner")
+    )
     # a plain fan's quotient stays plain, with no warnings
     assert type(quotient_fan(fan, 0).fan) is Fan
     assert quotient_fan(fan, 0).warnings == ()
+
+
+def test_a_stacky_fan_refuses_a_multiple_off_its_rays_or_below_one():
+    """Multiples default to 1, and sit only on rays, each a positive
+    integer."""
+    fan = orthant_fan(2)
+    assert StackyFan(fan).multiples == StackyFan(fan, {(1, 0): 1}).multiples == {r: 1 for r in fan.rays}
+    with pytest.raises(ValueError, match=r"\(1, 1\) is not a ray of the fan"):
+        StackyFan(fan, {(1, 1): 2})
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="ray multiples must be positive"):
+            StackyFan(fan, {(1, 0): k})
 
 
 def _pushed_by_scan(sfan, fq):
@@ -919,17 +968,15 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
 
 
 def _checked_fresh(fan):
-    """A fresh copy of ``fan`` (stacky if it is), validated: its problems
-    equal ``problems_by_containment``'s, and a valid copy records its
-    containment table on the fan that keeps its tables (a stacky copy's
-    plain fan), which equals ``_inside_by_pairs``."""
+    """A fresh plain fan on ``fan``'s cones (a stacky fan's multiples do not
+    bear on validity), validated: its problems equal
+    ``problems_by_containment``'s, and a valid one records its containment
+    table, which equals ``_inside_by_pairs``."""
     fresh = Fan(fan.cones, fan.rank)
-    if isinstance(fan, StackyFan):
-        fresh = StackyFan(fresh, fan.multiples)
     problems = fresh.validate()
     assert problems == problems_by_containment(fresh), fresh.cones
     if not problems:
-        assert fresh._owner.__dict__["_inside"] == _inside_by_pairs(fresh), fresh.cones
+        assert fresh.__dict__["_inside"] == _inside_by_pairs(fresh), fresh.cones
     return problems
 
 
@@ -1048,15 +1095,15 @@ def test_a_rejected_fan_meets_each_pair_once(monkeypatch):
     assert len(cases) >= 20, len(cases)
 
 
-def test_a_stacky_fan_and_its_plain_fan_share_their_tables(monkeypatch):
-    """A stacky fan keeps its tables on its plain fan: after ``from_fan``
-    of ``StackyFan(f, m)`` validates the stacky fan and builds its star
-    quotients, the plain ``f`` is valid with the same containment table,
-    its star quotients are the plain halves of the stacky ones (a second
-    stacky twin pushes its multiples onto those same plain quotients), and
-    ``quotient_fan``, ``resolve_to_smooth`` and ``refines`` on it run no
-    ``Cone.contains``.  Smooth fans in random lattice bases, so that the
-    resolution adds no ray (a subdivision tests membership by design)."""
+def test_from_fan_of_a_stacky_fan_computes_on_its_plain_fan(monkeypatch):
+    """``from_fan(StackyFan(f, m))`` computes on ``f`` itself: after it
+    validates and builds the star quotients, ``f`` is valid with its
+    containment table, stars and cone index, its star quotients are the
+    plain halves of the stacky ones (a second stacky twin pushes its
+    multiples onto those same plain quotients), and ``quotient_fan``,
+    ``resolve_to_smooth`` and ``refines`` on it run no ``Cone.contains``.
+    Smooth fans in random lattice bases, so that the resolution adds no ray
+    (a subdivision tests membership by design)."""
     rng = random.Random(4502)
     bases = [orthant_fan(2), orthant_fan(3), projective_fan(2), projective_fan(3)] * 3
     calls = []
@@ -1078,16 +1125,19 @@ def test_a_stacky_fan_and_its_plain_fan_share_their_tables(monkeypatch):
         sf = StackyFan(f, {r: rng.randint(1, 3) for r in f.rays})
         phi = from_fan(sf)
         assert phi.validate().valid
-        assert f._problems is sf._problems == [] and f._inside is sf._inside
-        assert f._stars is sf._stars and f._first_index is sf._first_index
+        zero = next(i for i, c in enumerate(f.cones) if c.dim == 0)
+        assert phi.stratum(f"s{zero}").plain_fan is f
+        assert {"_problems", "_inside", "_stars", "_first_index"} <= set(vars(f))
+        assert f._problems == []
         for k in range(len(f.cones)):
             fq, sq = quotient_fan(f, k), quotient_fan(sf, k)
-            assert sq.fan._owner is fq.fan and sq.star is fq.star
+            assert sq.fan.fan is fq.fan and sq.star is fq.star
         images = [quotient_fan(f, k).fan for k in range(len(f.cones))]
         twin = StackyFan(f, sf.multiples)  # finds the star images on f
         for k, image in enumerate(images):
-            assert quotient_fan(twin, k).fan._owner is image is quotient_fan(f, k).fan
-        resolved = resolve_to_smooth(f)
-        assert resolved.fan is f and resolved.steps == ()
-        assert refines(resolved.fan, f).ok and refines(f, sf).ok
+            assert quotient_fan(twin, k).fan.fan is image is quotient_fan(f, k).fan
+        for fan in (f, sf):
+            resolved = resolve_to_smooth(fan)
+            assert resolved.fan is f and resolved.steps == ()
+        assert refines(resolved.fan, f).ok
         assert not calls, (f.cones, len(calls))

@@ -367,7 +367,7 @@ def test_arrow_cones_are_found_by_the_cone_rule(name):
     phi = files.fanifold_from_dict(d)
     rays = {s["id"]: s["fan"]["rays"] for s in d["strata"]}
     for a, entry in zip(phi.arrows, d["arrows"]):
-        fan = phi.stratum(a.source).fan
+        fan = phi.stratum(a.source).plain_fan
         idx, r = entry["cone"], rays[a.source]
         cone = Cone([r[i] for i in idx], fan.rank) if idx else zero_cone(fan.rank)
         assert a.cone_index == fan.cone_index(cone), (name, entry)
@@ -481,6 +481,22 @@ def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
             entry = entry[key]
         entry[path[-1]] = value
     assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+
+
+def test_a_negative_lattice_rank_is_refused_naming_its_stratum(tmp_path, capsys):
+    """A lattice of rank -1 is no lattice.  Loaded, a one-stratum file with
+    one listing the zero cone made validation report the wrong fault: the
+    zero cone of rank -1 has dimension -1, so "missing the zero cone"."""
+    d = {
+        "format": "fanifold/1",
+        "dimension": 0,
+        "strata": [{"id": "a", "dim": 1, "lattice_rank": -1, "fan": {"rays": [], "cones": [[]]}}],
+        "arrows": [],
+    }
+    line = "stratum 'a': lattice_rank -1 is negative"
+    assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+    d["strata"][0]["lattice_rank"] = 0
+    assert files.fanifold_from_dict(d).stratum("a").lattice_rank == 0
 
 
 _A3 = ("arrows", 3)  # square.json's arrow (s2,s2) -> (s0,s2) on cone [1], matrix [[1]]
