@@ -325,9 +325,6 @@ class Cone:
             dot(r, v) >= 0 for r in self.dual_rays
         )
 
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     # -- structure ---------------------------------------------------------
 
     @cached_property

@@ -173,27 +173,26 @@ class Fanifold:
         target cone, the image is that cone, for any linear map, unimodular
         or not; so looking their set up in the target's ``_first_index``
         gives the index ``cone_index`` would.  A miss (a non-simplicial star
-        cone, where a ray's image can fall inside the image cone, or a
-        diagram nothing validated) builds the image cone and keys it."""
+        cone, where a ray's image can fall inside the image cone) builds the
+        image cone and keys it.  Reading the star needs a valid source fan,
+        and every cone of one has the map's source rank."""
         out = self._star_maps.get(a)
         if out is None:
             fan, i = self.stratum(a.source).plain_fan, a.cone_index
             lmap, tgt = self.arrow_map(a), self.stratum(a.target).plain_fan
             ray_of: dict[Vec, Vec | None] = {}  # gen -> primitive image, None if 0
-            out = self._star_maps[a] = {}
+            out = {}
             for k in fan._stars[i]:
-                c, j = fan.cones[k], None
-                # a cone of another rank than the map's source (an invalid
-                # fan) goes to ``Cone.image``, which raises on it
-                if c.rank == lmap.source_rank:
-                    for g in c.gens:
-                        if g not in ray_of:
-                            im = lmap(g)
-                            ray_of[g] = primitivize(im) if any(im) else None
-                    rays = {ray_of[g] for g in c.gens}
-                    rays.discard(None)
-                    j = tgt._first_index.get(cone_key(lmap.target_rank, rays))
+                c = fan.cones[k]
+                for g in c.gens:
+                    if g not in ray_of:
+                        im = lmap(g)
+                        ray_of[g] = primitivize(im) if any(im) else None
+                rays = {ray_of[g] for g in c.gens}
+                rays.discard(None)
+                j = tgt._first_index.get(cone_key(lmap.target_rank, rays))
                 out[k] = tgt.cone_index(c.image(lmap)) if j is None else j
+            self._star_maps[a] = out
         return out
 
     def _collapse_forward(self, a: Arrow) -> Mat:

@@ -6,6 +6,15 @@ pairwise condition -- any two cones meet in a common face -- is still enforced
 by ``Fan.validate``, which nests cones by their extremal rays and builds meets
 only between maximal cones (see the lemma below).
 
+A fan's containment table ``Fan._inside`` has one rule: the nesting by
+extremal rays that validation records, which part (ii) of the lemma makes
+containment on a valid fan, or the table the star lemma carries
+(``_set_valid``).  It exists on valid fans only, so every reader of it (the
+maximal cones, stars and star quotients, ``refines`` of a fan against
+itself, completeness) refuses an invalid fan with its problems, and
+``resolve_to_smooth`` checks its argument first.  ``Fan.properties`` still
+reports an invalid fan's problems.
+
 A ``StackyFan`` is not a ``Fan``: it is a plain ``Fan`` (its ``fan``) and a
 multiple on each ray.  The plain fan computes and keeps every table (checks,
 containment table, stars, cone index) and every plain star quotient, so one
@@ -119,15 +128,13 @@ class Fan:
 
     @cached_property
     def _inside(self) -> tuple[frozenset[int], ...]:
-        """For each cone, the indices of the other cones it contains, on any
-        fan, valid or not.  Read off the containment table ``_held(self.cones,
-        self.cones)``, unless validation proved the fan valid first and
-        recorded the table off the extremal rays (the lemma in the module
-        docstring), or a carried fan took it from its source (``_set_valid``)."""
-        return tuple(
-            frozenset(j for j, c in enumerate(self.cones) if j != i and h.issuperset(c.gens))
-            for i, h in enumerate(_held(self.cones, self.cones))
-        )
+        """For each cone, the indices of the other cones it contains, on a
+        valid fan only: ValueError with the problems of an invalid one.  It
+        is the nesting by extremal rays that validation records, which on a
+        valid fan is containment (the lemma in the module docstring), or the
+        table a carried fan took from its source (``_set_valid``)."""
+        require_valid_fan(self)
+        return self.__dict__["_inside"]
 
     @cached_property
     def _stars(self) -> tuple[tuple[int, ...], ...]:
@@ -256,17 +263,15 @@ class Fan:
 
     def completeness_witness(self) -> str | None:
         """None when the support of this valid fan is everything, else a
-        short reason.  A fan with cones but no maximal cone lists one cone
-        twice: ValueError with its problems."""
+        short reason; ValueError with the problems of an invalid fan, which
+        reading its maximal cones raises."""
+        tops = [self.cones[i] for i in self.maximal_cone_indices()]
         if not self.is_face_closed:
             return "not closed under taking faces"
         if not self.cones:
             return "empty fan"
         if self.rank == 0:
             return None
-        tops = [self.cones[i] for i in self.maximal_cone_indices()]
-        if not tops:
-            require_valid_fan(self)
         bad = next((c for c in tops if c.dim != self.rank), None)
         if bad is not None:
             return f"maximal cone {list(bad.gens)} has dimension {bad.dim} < {self.rank}"
@@ -324,8 +329,9 @@ def _held(holders: Sequence[Cone], cones: Sequence[Cone]) -> list[frozenset[Vec]
 
     A cone is the conic hull of its gens, so a holder contains a cone of
     ``cones`` exactly when its entry is a superset of that cone's gens:
-    one ``Cone.contains`` per (holder, distinct gen) answers
-    ``Cone.contains_cone`` on every pair."""
+    one ``Cone.contains`` per (holder, distinct gen) answers containment
+    on every pair.  ``refines`` reads it for two fans; a fan's own table
+    is ``Fan._inside``."""
     gens = dict.fromkeys(g for c in cones for g in c.gens)
     return [frozenset(g for g in gens if h.contains(g)) for h in holders]
 
@@ -349,14 +355,14 @@ def _set_valid(fan: Fan, source: Fan, star: Mapping[int, int]) -> None:
     table with it: the caller has proved that ``star`` maps the star of a
     cone of the valid fan ``source`` one to one onto ``fan``'s cones, so
     ``fan`` is a fan whose cones nest as their preimages do (the star
-    lemma).  A problem list or a table already computed stays."""
-    cache = fan.__dict__
-    cache.setdefault("_problems", [])
-    if "_inside" not in cache:
-        inside = [frozenset()] * len(fan.cones)
-        for k, j in star.items():
-            inside[j] = frozenset(star[m] for m in source._inside[k] if m in star)
-        cache["_inside"] = tuple(inside)
+    lemma).  A fan already checked keeps its problem list, and its table
+    if it has one."""
+    if "_problems" in fan.__dict__:
+        return
+    inside = [frozenset()] * len(fan.cones)
+    for k, j in star.items():
+        inside[j] = frozenset(star[m] for m in source._inside[k] if m in star)
+    fan.__dict__.update(_problems=[], _inside=tuple(inside))
 
 
 def require_valid_fan(fan: Fan | StackyFan) -> None:
@@ -384,8 +390,9 @@ def quotient_fan(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
     """The star of cone ``cone_index`` pushed to the quotient lattice of its
     span; on a stacky fan, a stacky fan carrying the pushed multiples.
     Built once per (fan, cone index) and kept on the fan, which nothing
-    mutates, so every diagram holding the fan shares it; a cone whose star
-    does not push to a fan raises on every call."""
+    mutates, so every diagram holding the fan shares it.  The fan must be
+    valid (a stacky fan: its plain fan); an invalid one raises ValueError
+    with its problems on every call."""
     fq = fan._quotients.get(cone_index)
     if fq is None:
         fq = fan._quotients[cone_index] = _star_quotient(fan, cone_index)
@@ -396,23 +403,15 @@ def _star_quotient(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
     """The star quotient ``quotient_fan`` keeps for ``fan``: the images of
     the star's cones under the projection of the cone's span quotient.  A
     stacky fan's is its plain fan's, read through ``quotient_fan``, with the
-    multiples pushed (``_pushed``), so the star's images are built once."""
+    multiples pushed (``_pushed``), so the star's images are built once.
+    Reading the star validates the fan first, so by the star lemma the
+    images are distinct strongly convex cones that form a fan."""
     if isinstance(fan, StackyFan):
         return _pushed(fan, quotient_fan(fan.fan, cone_index))
-    sigma = fan.cones[cone_index]
-    if sigma.rank != fan.rank:
-        raise ValueError("cone rank does not match the fan rank")
-    q = sigma.quotient
     star = fan._stars[cone_index]
-    images = [fan.cones[i].image(q.projection) for i in star]
-    for im in images:
-        if not im.is_strongly_convex:
-            raise ValueError("quotient image is not strongly convex")
-    keys = [im.key for im in images]
-    if len(set(keys)) != len(keys):
-        raise ValueError("two star cones project to the same image")
+    q = fan.cones[cone_index].quotient
     return FanQuotient(
-        fan=Fan(images, q.free_rank),
+        fan=Fan([fan.cones[i].image(q.projection) for i in star], q.free_rank),
         projection=q.projection,
         section=q.section,
         star=star,
@@ -537,7 +536,9 @@ def resolve_to_smooth(fan: Fan | StackyFan) -> ResolveResult:
     the fundamental box, which strictly lowers the worst multiplicity.  The
     refinement is of the cones: a stacky fan's multiples do not carry, so
     its plain fan ``fan`` is resolved, and the result is a plain ``Fan``.
+    The fan must be valid: ValueError with its problems otherwise.
     """
+    require_valid_fan(fan)
     current = _plain_fan(fan)
     steps: list[Vec] = []
     for _ in range(_RESOLVE_STEPS):
@@ -626,9 +627,9 @@ def refines(fine: Fan, coarse: Fan) -> RefinesResult:
     fine.cones)``: a coarse cone contains a fine cone exactly when its
     entry holds the fine cone's gens, so no pair of cones is tested twice.
     A fan against itself reads its own ``_inside`` instead, each cone with
-    itself added, and runs no membership test.  The problems come in order:
-    the fine cones inside no coarse cone, then the coarse cones their fine
-    cones do not tile."""
+    itself added, and runs no membership test; it must be valid.  The
+    problems come in order: the fine cones inside no coarse cone, then the
+    coarse cones their fine cones do not tile."""
     problems: list[str] = []
     if fine.rank != coarse.rank:
         return RefinesResult(False, ("ambient ranks differ",))
@@ -683,6 +684,17 @@ class StackyFan:
 
     def __repr__(self) -> str:
         return f"StackyFan(rank={self.rank}, n_cones={len(self.cones)})"
+
+    def __getattr__(self, name: str):
+        # Called only for a name the stacky fan lacks; it reads nothing off
+        # ``self``, so copying and unpickling (which probe a bare instance)
+        # get a plain AttributeError.
+        if name in vars(Fan):
+            raise AttributeError(
+                f"'StackyFan' object has no attribute {name!r}: it is a Fan's,"
+                " so use the stacky fan's plain fan .fan"
+            )
+        raise AttributeError(f"'StackyFan' object has no attribute {name!r}")
 
     def stacky_generator(self, ray: Sequence[int]) -> Vec:
         ray = vec(ray)

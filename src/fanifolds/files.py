@@ -21,9 +21,9 @@ The document shape:
 
 Cones are stored by the indices of their extremal rays, so only pointed
 cones round-trip; the zero cone is the empty list.  Serialization is
-deterministic: ``dumps`` writes the document in one pass, and
-``fanifold_to_dict`` is the same document as a dict.  Loading re-validates
-everything it can check locally (shapes, ids, ray references);
+deterministic: ``dumps`` writes the document in one pass, byte for byte
+what ``json.dumps(..., indent=2)`` writes of it as a dict.  Loading
+re-validates everything it can check locally (shapes, ids, ray references);
 diagram-level coherence stays with ``Fanifold.validate``.  Fan entries of
 one document with equal ``fans.fan_key`` load as one fan, and an
 arrow's cone is matched to its fan entry by ray indices.
@@ -158,38 +158,6 @@ def _fan_from_dict(
             )
         multiples[tuple(primitivize(r))] = k
     return StackyFan(fan, multiples), rays, first
-
-
-def fanifold_to_dict(phi: Fanifold) -> dict:
-    strata = []
-    fans = {}  # stratum name -> its fan entry; the last one wins, as in by_name
-    for st in phi.strata:
-        fans[st.name] = fan = _fan_to_dict(st.fan)
-        entry = {
-            "id": st.name,
-            "dim": st.dim,
-            "interior": st.interior,
-            "lattice_rank": st.lattice_rank,
-            "fan": fan,
-        }
-        if st.chi_c is not None:
-            entry["chi_c"] = st.chi_c
-        strata.append(entry)
-    arrows = [
-        {
-            "from": a.source,
-            "to": a.target,
-            "cone": list(fans[a.source]["cones"][a.cone_index]),
-            "quotient_matrix": [list(row) for row in a.iso.matrix],
-        }
-        for a in phi.arrows
-    ]
-    return {
-        "format": FORMAT,
-        "dimension": phi.dimension,
-        "strata": strata,
-        "arrows": arrows,
-    }
 
 
 def _arrow(k: int, a, ends: dict[str, tuple]) -> Arrow:
@@ -332,14 +300,14 @@ def _fan_text(fan: Fan | StackyFan) -> tuple[str, list[list[int]]]:
 
 def dumps(phi: Fanifold) -> str:
     """The ``fanifold/1`` document of ``phi``: byte for byte what
-    ``json.dumps(..., indent=2)`` writes of ``fanifold_to_dict``'s dict,
-    and a newline.
+    ``json.dumps(..., indent=2)`` writes of the document as a dict, and a
+    newline.
 
     Written in one pass over the diagram in the schema's key order, with
     each integer row one join and each empty list ``[]``; a fan that
-    several strata hold is written once.  As in the dict, an arrow names
-    its cone by the ray indices of the last stratum entry with its
-    source's name."""
+    several strata hold is written once.  An arrow names its cone by the
+    ray indices of the last stratum entry with its source's name, the one
+    ``Fanifold.by_name`` keeps."""
     written: dict[Fan | StackyFan, tuple[str, list[list[int]]]] = {}  # hashed by identity
     cones_of: dict[str, list[list[int]]] = {}
     strata = []

@@ -419,6 +419,43 @@ def test_fan_commands(capsys):
     assert "refines: true" in out
 
 
+INVALID_FAN_DOC = {
+    "format": "fanifold/1",
+    "dimension": 2,
+    "strata": [
+        {
+            "id": "a", "dim": 0, "interior": True, "lattice_rank": 2,
+            # the cone on (1, 0), (1, 2) lies inside the quadrant, not as a
+            # face, and is not smooth, so a resolution would subdivide it
+            "fan": {"rays": [[1, 0], [0, 1], [1, 2]], "cones": [[], [0], [0, 1], [0, 2]]},
+        }
+    ],
+    "arrows": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "quotient", "--stratum", "a", "--cone", "1"],
+        ["fan", "refines", "--stratum", "a,a"],
+        ["fan", "resolve", "--stratum", "a"],
+    ],
+)
+def test_fan_commands_refuse_an_invalid_stratum_fan_in_one_line(tmp_path, capsys, argv):
+    """A stratum fan that is no fan: each command that reads its
+    containment table exits 2 with the fan's problem on one line, while
+    ``fan props`` reports that problem and exits 0."""
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(INVALID_FAN_DOC), encoding="utf-8")
+    problem = "cones 2 and 3 do not intersect in a common face"
+    assert run_capture(capsys, argv + ["--file", str(path)]) == (
+        2, "", f"error: invalid fan: {problem}\n"
+    )
+    code, out, err = run_capture(capsys, ["fan", "props", "--stratum", "a", "--file", str(path)])
+    assert (code, err) == (0, "") and f"  problems: [{problem!r}]" in out.splitlines()
+
+
 @pytest.mark.parametrize("cone", ["x", "0,x"])
 def test_fan_quotient_names_a_bad_cone_index(capsys, cone):
     code, out, err = run_capture(

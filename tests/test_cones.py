@@ -22,6 +22,13 @@ from fanifolds.files import load_fanifold
 from fanifolds.lattice import dot, integer_kernel, mat, smith_normal_form
 
 
+def contains_cone(cone, other):
+    """Does ``cone`` contain ``other``?  A cone is the conic hull of its
+    gens, so one membership test per gen: the containment oracle the
+    containment tables (``Fan._inside``, ``refines``) are checked against."""
+    return all(cone.contains(g) for g in other.gens)
+
+
 def is_face_of(inner, outer):
     """True when ``inner`` is a face of the strongly convex ``outer``: the
     plain definition the fan validator's meet-rule tests check against.
@@ -29,7 +36,7 @@ def is_face_of(inner, outer):
     test is not needed."""
     if inner.rank != outer.rank:
         return False
-    return outer._has_face(inner) and outer.contains_cone(inner)
+    return outer._has_face(inner) and contains_cone(outer, inner)
 
 
 def reference_faces(c):

@@ -16,10 +16,7 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "fanifolds")
 
 # def -> why it stays with no reader in src
-ALLOWED = {
-    "Cone.contains_cone": "named by perfbench's tracer (SKIPPED); the tests' containment oracle",
-    "files.fanifold_to_dict": "named by perfbench's files.dump metric; the tests read it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _docstrings(tree):

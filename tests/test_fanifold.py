@@ -60,7 +60,8 @@ from fanifolds.lattice import (
 from fanifolds.mirror import mirror_dictionary, restriction_pairs
 from fanifolds.skeleton import handle_plan, skeleton_model
 from test_bmodel import drawn_fan
-from test_fans import _random_basis_fans
+from test_cones import contains_cone
+from test_fans import _inside_by_pairs, _random_basis_fans
 from test_properties import composite_by_search
 import test_fuzz
 
@@ -90,7 +91,7 @@ def test_from_fan_strata_match_cones():
         1
         for c in fan.cones
         for d in fan.cones
-        if c is not d and d.contains_cone(c)
+        if c is not d and contains_cone(d, c)
     )
     assert len(phi.arrows) == pairs
 
@@ -588,9 +589,10 @@ def test_only_stratum_fans_build_star_quotients(monkeypatch):
 
 
 def test_a_product_of_a_factor_whose_star_is_no_fan_reports_it():
-    """Construction takes no star quotient fan, so a factor whose fan's
-    star does not push to a fan (a cone inside another, not as a face)
-    gives a product diagram, and its validation names the bad fan."""
+    """Construction takes no star quotient fan, so a factor whose fan is no
+    fan (a cone inside another, not as a face), which its star quotient
+    refuses, gives a product diagram, and its validation names the bad
+    fan."""
     bad = Fan(
         [zero_cone(2), Cone([(1, 0)], 2), Cone([(1, 0), (0, 1)], 2), Cone([(1, 0), (1, 1)], 2)],
         2,
@@ -601,7 +603,8 @@ def test_a_product_of_a_factor_whose_star_is_no_fan_reports_it():
         [Stratum("g", 0, bad), Stratum("f", 1, line)],
         [Arrow("g", "f", 1, lattice_map(((1,),), 1, 1))],
     )
-    with pytest.raises(ValueError, match="same image"):
+    refusal = "^invalid fan: cones 2 and 3 do not intersect in a common face$"
+    with pytest.raises(ValueError, match=refusal):
         quotient_fan(bad, 1)
     assert phi.validate().errors == (
         "stratum 'g' fan: cones 2 and 3 do not intersect in a common face",
@@ -914,7 +917,7 @@ def _image_walk(phi, a):
     return [
         (k, tgt.cone_index(tau.image(amap)))
         for k, tau in enumerate(phi.stratum(a.source).plain_fan.cones)
-        if tau.contains_cone(sigma)
+        if contains_cone(tau, sigma)
     ]
 
 
@@ -1000,8 +1003,9 @@ def test_star_maps_match_the_image_walk_off_valid_diagrams_and_on_random_fans():
 
 def test_a_star_cone_of_another_rank_raises_as_its_image_does():
     """A fan holding a cone of another rank is no fan, and a star map on it
-    raises the error ``Cone.image`` gives, even where the map's images
-    (all zero, into a rank-0 target) would name a cone."""
+    raises with the fan's problem before mapping any gen, even where the
+    map's images (all zero, into a rank-0 target) would name a cone; no
+    map is kept."""
     fan = Fan([zero_cone(1), Cone([(1,)], 1), Cone([(1, 0)], 2)], 1)
     point = Fan([zero_cone(0)], 0)
     phi = Fanifold(
@@ -1009,8 +1013,10 @@ def test_a_star_cone_of_another_rank_raises_as_its_image_does():
         [Stratum("a", 0, fan), Stratum("b", 1, point)],
         [Arrow("a", "b", 1, lattice_map((), 0, 0))],
     )
-    with pytest.raises(ValueError, match="map source does not match ambient rank"):
-        phi._star_map(phi.arrows[0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^invalid fan: cone 2: ambient rank 2 != 1$"):
+            phi._star_map(phi.arrows[0])
+    assert phi._star_maps == {}
 
 
 def test_loading_and_validating_the_examples_builds_no_image_cone(monkeypatch):
@@ -1397,10 +1403,10 @@ def _record_carried_tables(monkeypatch):
 
 
 def _assert_carried_tables_are_fresh(carried):
-    """Each carried ``_inside`` equals the table of a fresh fan on the same
+    """Each carried ``_inside`` equals the ``contains_cone`` table of its
     cones, and ``_stars`` is its reverse."""
     for fan in carried:
-        fresh = Fan(fan.cones, fan.rank)._inside
+        fresh = _inside_by_pairs(fan)
         assert fan._inside == fresh, fan.cones
         n = len(fan.cones)
         assert fan._stars == tuple(
@@ -1550,8 +1556,10 @@ def test_unimodularity_is_decided_once_per_iso():
 
 def test_a_hidden_stratum_carries_no_fan():
     """Two strata named g: arrows out of g read the last one's fan, which
-    is invalid, so the valid fan of the first carries nothing.  The arrow's
-    star pushes to an invalid target fan h; its errors stay reported."""
+    is invalid, so the valid fan of the first carries nothing, and the
+    arrow's check, which reads that fan's star, refuses it.  The star's
+    images form the target fan h, which is invalid; its errors stay
+    reported."""
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     sigma = Cone([e3], 3)
     tau1, tau2 = Cone([e3, e1, e2], 3), Cone([e3, (1, 1, 0), (-1, 1, 0)], 3)
@@ -1561,6 +1569,8 @@ def test_a_hidden_stratum_carries_no_fan():
     h = Fan([c.image(amap) for c in bad.cones[:3]], 2)  # the star's images
     strata = [Stratum("g", 0, Fan([zero_cone(3)], 3)), Stratum("g", 0, bad), Stratum("h", 1, h)]
     phi = Fanifold(3, strata, [arrow])
-    assert phi._arrow_error(0, arrow, {}) is None
+    refusal = "^invalid fan: cones 1 and 2 do not intersect in a common face$"
+    with pytest.raises(ValueError, match=refusal):
+        phi._arrow_error(0, arrow, {})
     report = _assert_carried_fans_change_no_report(phi)
     assert "stratum 'h' fan: cones 1 and 2 do not intersect in a common face" in report.errors

@@ -1,7 +1,9 @@
 """Cones, fans, quotients, subdivisions, and stacky structure."""
 
+import copy
 import itertools
 import os
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from fanifolds.fans import (
     RefinesResult,
     StackyFan,
     _held,
+    _pair_facets,
     _plain_fan,
     _set_valid,
     _star_quotient,
@@ -42,7 +45,7 @@ from fanifolds.lattice import (
     quotient_with_torsion,
     smith_normal_form,
 )
-from test_cones import is_face_of
+from test_cones import contains_cone, is_face_of
 from test_properties import random_fan
 
 
@@ -51,8 +54,8 @@ def test_cone_basics():
     assert c.dim == 2
     assert len(c.facets()) == 2
     assert len(c.faces()) == 4  # itself, two rays, origin
-    assert c.contains_cone(Cone([(1, 1)], 2))
-    assert not Cone([(1, 1)], 2).contains_cone(c)
+    assert contains_cone(c, Cone([(1, 1)], 2))
+    assert not contains_cone(Cone([(1, 1)], 2), c)
     assert zero_cone(3).dim == 0
 
 
@@ -218,7 +221,7 @@ def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
                     for a, b in met
                 ), (name, st.name, len(cones))
                 if valid:
-                    assert not any(a.contains_cone(b) or b.contains_cone(a) for a, b in met), (
+                    assert not any(contains_cone(a, b) or contains_cone(b, a) for a, b in met), (
                         name, st.name, len(cones)
                     )
                     tops = len(fresh.maximal_cone_indices())
@@ -229,17 +232,26 @@ def test_validate_meets_only_the_pairs_that_are_not_nested(monkeypatch):
 def test_set_valid_keeps_what_was_checked():
     """``_set_valid`` records a fan valid, with the containment table carried
     from the source's through the star map, only where nothing was
-    computed: a problem list and a table a check already made stay."""
+    checked: a problem list a check already made stays, so the table still
+    refuses that fan, and a valid fan keeps the table its check recorded."""
     quadrant = Cone([(1, 0), (0, 1)], 2)
     inner = Cone([(1, 0), (1, 1)], 2)  # inside the quadrant, not a face
     source = Fan([Cone([(1, 0)], 2), Cone([(0, 1)], 2)], 2)
     star = {0: 0, 1: 1}
     checked = Fan([quadrant, inner], 2)
-    problems, inside = checked.validate(), checked._inside
-    assert problems == problems_by_containment(checked)
-    assert problems and inside == (frozenset({1}), frozenset())
+    problems = checked.validate()
+    assert problems == problems_by_containment(checked) == [
+        "cones 0 and 1 do not intersect in a common face"
+    ]
     _set_valid(checked, source, star)
-    assert checked.validate() == problems and checked._inside is inside
+    assert checked.validate() == problems
+    with pytest.raises(ValueError, match="^invalid fan: cones 0 and 1 do not intersect"):
+        checked._inside
+    valid = Fan([quadrant, Cone([(1, 0)], 2)], 2)
+    inside = valid._inside
+    assert valid.validate() == [] and inside == (frozenset({1}), frozenset())
+    _set_valid(valid, source, star)
+    assert valid._inside is inside
     carried = Fan([quadrant, inner], 2)
     _set_valid(carried, source, star)
     assert carried.validate() == [] and carried._inside == source._inside
@@ -273,7 +285,7 @@ def test_validate_matches_the_meet_rule_on_random_fans():
         assert fan.validate() == meet_rule(fan) == problems_by_containment(fan), fan.cones
         seen["invalid" if fan.validate() else "valid"] += 1
         for ci, cj in itertools.permutations(fan.cones, 2):
-            if ci.gens and cj.contains_cone(ci):
+            if ci.gens and contains_cone(cj, ci):
                 seen["face" if is_face_of(ci, cj) else "not a face"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -331,7 +343,9 @@ def _c(*gens):
 
 def test_completeness_witness_strings_on_small_fans():
     """Each reason ``fan props`` can print, on the smallest fan that gives
-    it; complete fans give None."""
+    it; complete fans give None.  Two complete fans laid over each other are
+    no fan, so their witness is refused; the facet pairing that would name
+    them not connected is checked on their maximal cones directly."""
     hexagon = list(projective_fan(2).cones) + [
         _c((1, 1), (-2, 1)), _c((-2, 1), (1, -2)), _c((1, -2), (1, 1)),
     ]  # two complete fans laid over each other: each pairs its facets within itself
@@ -350,10 +364,6 @@ def test_completeness_witness_strings_on_small_fans():
             face_closure(Fan([_c((1, 0), (0, 1)), _c((0, 1), (-1, 0))], 2)),
             "facet [(1, 0)] of a maximal cone is shared by 0 other maximal cones, expected 1",
         ),
-        (
-            face_closure(Fan(hexagon, 2)),
-            "maximal cones do not form one facet-connected component",
-        ),
         (projective_fan(2), None),
         (p1_fan(), None),
         (Fan([zero_cone(0)], 0), None),
@@ -361,6 +371,13 @@ def test_completeness_witness_strings_on_small_fans():
     for fan, witness in cases:
         assert fan.completeness_witness() == witness, fan.cones
         assert fan.is_complete == (witness is None)
+    overlaid = face_closure(Fan(hexagon, 2))
+    problems = overlaid.validate()
+    assert len(problems) == 12
+    with pytest.raises(ValueError) as refused:
+        overlaid.completeness_witness()
+    assert str(refused.value) == "invalid fan: " + "; ".join(problems)
+    assert _pair_facets([c for c in overlaid.cones if c.dim == 2], None) == (None, False)
 
 
 def test_cones_cover_both_ways():
@@ -400,7 +417,7 @@ def test_quotient_fan_star_indices_align():
     fq = quotient_fan(fan, k)
     sigma = fan.cones[k]
     for qi, si in enumerate(fq.star):
-        assert fan.cones[si].contains_cone(sigma)
+        assert contains_cone(fan.cones[si], sigma)
         assert fan.cones[si].image(fq.projection) == fq.fan.cones[qi]
 
 
@@ -414,7 +431,8 @@ def test_quotient_fan_is_kept_on_the_fan():
 
 
 def test_a_failing_quotient_raises_on_every_call(monkeypatch):
-    """Errors are not kept: a bad cone is built, and raises, each time."""
+    """Errors are not kept: a quotient of a fan that is no fan is tried, and
+    raises with the fan's problems, each time; a valid fan's is kept."""
     built = []
 
     def counted(fan, cone_index):
@@ -422,25 +440,30 @@ def test_a_failing_quotient_raises_on_every_call(monkeypatch):
         return _star_quotient(fan, cone_index)
 
     monkeypatch.setattr("fanifolds.fans._star_quotient", counted)
-    # not a fan: the two 2-cones over the ray (1, 0) meet only in it, but
-    # both project onto the one ray of its quotient
+    # not a fan: one 2-cone over the ray (1, 0) lies inside the other, so
+    # both would project onto the one ray of its quotient
     bad = Fan([Cone([(1, 0)], 2), Cone([(1, 0), (1, 1)], 2), Cone([(1, 0), (2, 1)], 2)], 2)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="same image"):
-            quotient_fan(bad, 0)
-    assert built == [0, 0]
-    assert quotient_fan(bad, 1) is quotient_fan(bad, 1)
-    assert built == [0, 0, 1]
+    for k in (0, 0, 1):
+        with pytest.raises(ValueError, match="^invalid fan: cones 1 and 2 do not intersect"):
+            quotient_fan(bad, k)
+    assert built == [0, 0, 1] and bad._quotients == {}
+    good = Fan(bad.cones[:2], 2)
+    assert quotient_fan(good, 0) is quotient_fan(good, 0)
+    assert built == [0, 0, 1, 0]
 
 
 def test_a_star_quotient_refuses_a_cone_of_another_rank_or_an_image_with_a_line():
-    """Two inputs no valid fan gives, each refused by name, not answered: a
-    cone whose rank is not the fan's, and a ray inside a 2-cone, not as its
-    face, so that the 2-cone's image holds a line.  A stacky fan's quotient
-    refuses them as its plain fan's does."""
+    """Two inputs no valid fan gives, each refused with the fan's problem,
+    not answered: a cone whose rank is not the fan's, and a ray inside a
+    2-cone, not as its face, so that the 2-cone's image would hold a line.
+    A stacky fan's quotient refuses them as its plain fan's does."""
     cases = [
-        (Fan([zero_cone(3)], 2), 0, "cone rank does not match"),
-        (Fan([zero_cone(2), Cone([(1, 0)], 2), Cone([(1, 1), (1, -1)], 2)], 2), 1, "not strongly convex"),
+        (Fan([zero_cone(3)], 2), 0, "^invalid fan: cone 0: ambient rank 3 != 2$"),
+        (
+            Fan([zero_cone(2), Cone([(1, 0)], 2), Cone([(1, 1), (1, -1)], 2)], 2),
+            1,
+            "^invalid fan: cones 1 and 2 do not intersect in a common face$",
+        ),
     ]
     for fan, k, message in cases:
         for f in (fan, StackyFan(fan)):
@@ -552,12 +575,12 @@ def _refines_by_pairs(fine, coarse):
     problems = [
         f"fine cone {i} is not inside any coarse cone"
         for i, c in enumerate(fine.cones)
-        if not any(big.contains_cone(c) for big in coarse.cones)
+        if not any(contains_cone(big, c) for big in coarse.cones)
     ]
     problems += [
         f"coarse cone {i} is not tiled by its fine cones"
         for i, big in enumerate(coarse.cones)
-        if not cones_cover(big, [c for c in fine.cones if big.contains_cone(c)])
+        if not cones_cover(big, [c for c in fine.cones if contains_cone(big, c)])
     ]
     return RefinesResult(not problems, tuple(problems))
 
@@ -697,6 +720,32 @@ def test_a_stacky_fan_is_a_fan_and_its_multiples():
     assert quotient_fan(fan, 0).warnings == ()
 
 
+def test_a_fan_operation_on_a_stacky_fan_names_its_plain_fan():
+    """Passing a stacky fan where a ``Fan`` is needed raises an
+    AttributeError that points at the plain fan ``.fan``; any other missing
+    name keeps the usual message, and a stacky fan still copies and
+    pickles."""
+    sf = StackyFan(quadric_fan(), {(1, 1): 2})
+    calls = [
+        (lambda: stellar_subdivision(sf, (1, 1)), "support_contains"),
+        (lambda: refines(sf, sf), "_inside"),
+        (lambda: sf.validate(), "validate"),
+    ]
+    for call, name in calls:
+        with pytest.raises(AttributeError) as refused:
+            call()
+        assert str(refused.value) == (
+            f"'StackyFan' object has no attribute {name!r}: it is a Fan's,"
+            " so use the stacky fan's plain fan .fan"
+        )
+    with pytest.raises(AttributeError) as refused:
+        sf.no_such_name
+    assert str(refused.value) == "'StackyFan' object has no attribute 'no_such_name'"
+    for twin in (copy.copy(sf), copy.deepcopy(sf), pickle.loads(pickle.dumps(sf))):
+        assert type(twin) is StackyFan and twin.multiples == sf.multiples
+        assert twin.fan.cones == sf.fan.cones and not hasattr(twin, "_inside")
+
+
 def test_a_stacky_fan_refuses_a_multiple_off_its_rays_or_below_one():
     """Multiples default to 1, and sit only on rays, each a positive
     integer."""
@@ -807,7 +856,7 @@ def _inside_by_pairs(fan):
     """The oracle for ``Fan._inside``: ``contains_cone`` on every ordered
     pair of distinct cones."""
     return tuple(
-        frozenset(j for j, d in enumerate(fan.cones) if j != i and c.contains_cone(d))
+        frozenset(j for j, d in enumerate(fan.cones) if j != i and contains_cone(c, d))
         for i, c in enumerate(fan.cones)
     )
 
@@ -816,7 +865,7 @@ def _maximal_by_pairs(fan):
     return [
         i
         for i, c in enumerate(fan.cones)
-        if not any(j != i and d.contains_cone(c) for j, d in enumerate(fan.cones))
+        if not any(j != i and contains_cone(d, c) for j, d in enumerate(fan.cones))
     ]
 
 
@@ -834,35 +883,58 @@ def _moved(fan, rng):
     return Fan([c.image(move) for c in fan.cones], n)
 
 
-def test_containment_table_matches_contains_cone_on_valid_fans():
-    """Every stratum fan of every example, and seeded random fans with
-    subdivisions in random lattice bases; the stars of ``quotient_fan`` and
-    ``maximal_cone_indices`` read the table, so they are checked too."""
+def test_containment_table_matches_contains_cone_on_valid_fans(monkeypatch):
+    """Fresh fans on the cones of every stratum fan of every example, of
+    seeded random fans with subdivisions in random lattice bases, and of
+    the plain fans of drawn plain and stacky fans, which nothing validated:
+    the table, ``maximal_cone_indices`` and the stars of ``quotient_fan``
+    validate each fan on first reading, run no ``Cone.contains``, and equal
+    the ``contains_cone`` oracles.  The source fans' tables, checked or
+    carried, equal the fresh ones."""
     rng = random.Random(1111)
     fans = [st.plain_fan for build in EXAMPLES.values() for st in build().strata]
     fans += [_moved(random_fan(rng), rng) for _ in range(40)]
+    fans += [_plain_fan(f) for f in _random_basis_fans(1113)]
+    fresh = [Fan(f.cones, f.rank) for f in fans]
+
+    def refuse(*args):
+        raise AssertionError("a membership test on a fan's containment table")
+
+    with monkeypatch.context() as m:
+        m.setattr(Cone, "contains", refuse)
+        got = [
+            (
+                fan._inside,
+                fan.maximal_cone_indices(),
+                [quotient_fan(fan, k).star for k in range(len(fan.cones))],
+            )
+            for fan in fresh
+        ]
     nested = 0
-    for fan in fans:
+    for source, fan, (inside, maximal, stars) in zip(fans, fresh, got):
         assert fan.validate() == []
-        assert fan._inside == _inside_by_pairs(fan), fan.cones
-        assert fan.maximal_cone_indices() == _maximal_by_pairs(fan)
-        for k, sigma in enumerate(fan.cones):
-            star = tuple(i for i, c in enumerate(fan.cones) if c.contains_cone(sigma))
-            assert quotient_fan(fan, k).star == star
-        nested += sum(map(len, fan._inside))
+        assert inside == _inside_by_pairs(fan) == source._inside, fan.cones
+        assert maximal == _maximal_by_pairs(fan)
+        assert stars == [
+            tuple(i for i, c in enumerate(fan.cones) if contains_cone(c, sigma))
+            for sigma in fan.cones
+        ], fan.cones
+        nested += sum(map(len, inside))
     assert nested > 600
 
 
-def test_containment_table_matches_contains_cone_on_invalid_fans():
+def test_containment_table_refuses_invalid_fans():
     """A duplicated cone, two 2-cones overlapping off a face, and a cone
-    holding a line: the table still answers every pair as ``contains_cone``
-    does, and validation reports what it did before the table."""
+    holding a line: validation reports each as the containment rule does,
+    and the table, every reader of it (maximal cones, stars, star
+    quotients, completeness, a fan refining itself) and
+    ``resolve_to_smooth``, which subdivides the second before it would read
+    a table, refuse the fan with those problems, on one line."""
     z = zero_cone(2)
     cases = [
         (
             [Cone([(1, 0), (0, 1)], 2), Cone([(1, 0)], 2), Cone([(0, 1), (1, 0)], 2), z],
             ["cone 2 duplicates cone 0"],
-            [],
         ),
         (
             [
@@ -877,7 +949,6 @@ def test_containment_table_matches_contains_cone_on_invalid_fans():
                 "cones 0 and 3 do not intersect in a common face",
                 "cones 1 and 2 do not intersect in a common face",
             ],
-            [0, 1],
         ),
         (
             [
@@ -888,14 +959,25 @@ def test_containment_table_matches_contains_cone_on_invalid_fans():
                 z,
             ],
             ["cone 0: contains a line"],
-            [0],
         ),
     ]
-    for cones, problems, maximal in cases:
+    readers = [
+        lambda fan: fan._inside,
+        lambda fan: fan._stars,
+        Fan.maximal_cone_indices,
+        Fan.completeness_witness,
+        lambda fan: quotient_fan(fan, 1),
+        lambda fan: refines(fan, fan),
+        resolve_to_smooth,
+    ]
+    for cones, problems in cases:
         fan = Fan(cones, 2)
-        assert fan._inside == _inside_by_pairs(fan)
         assert fan.validate() == problems == problems_by_containment(fan)
-        assert fan.maximal_cone_indices() == _maximal_by_pairs(fan) == maximal
+        message = "invalid fan: " + "; ".join(problems)
+        for read in readers:
+            with pytest.raises(ValueError) as refused:
+                read(fan)
+            assert str(refused.value) == message
 
 
 def test_cone_quotient_equals_a_fresh_quotient():
@@ -951,7 +1033,8 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
             continue
         at = rng.randint(0, len(fan.cones))
         mutant = Fan(fan.cones[:at] + (sigma,) + fan.cones[at:], fan.rank)
-        assert at not in mutant.maximal_cone_indices()
+        assert at not in _maximal_by_pairs(mutant)
+        inside = _inside_by_pairs(mutant)
         problems = mutant.validate()
         assert problems == meet_rule(mutant) == problems_by_containment(mutant) != [], mutant.cones
         seen["mutants"] += 1
@@ -959,7 +1042,7 @@ def test_validate_matches_the_meet_rule_on_non_maximal_mutants():
             i, j = (int(w) for w in p.split()[1:4:2])
             assert at in (i, j), p
             other = j if i == at else i
-            if other not in mutant._inside[at] and at not in mutant._inside[other]:
+            if other not in inside[at] and at not in inside[other]:
                 seen["bad non-nested pairs"] += 1
     assert seen["mutants"] >= 150 and seen["bad non-nested pairs"] >= 8, seen
 
@@ -1015,9 +1098,11 @@ def test_a_ray_subset_that_is_no_face_is_rejected_by_the_face_test():
         fan = Fan(cones, 3)
         at = cones.index(diagonal)
         i, j = sorted((cones.index(square), at))
-        assert fan.validate() == [f"cones {i} and {j} do not intersect in a common face"]
+        problem = f"cones {i} and {j} do not intersect in a common face"
+        assert fan.validate() == [problem]
         assert _checked_fresh(fan) != []
-        assert fan._inside == _inside_by_pairs(fan)
+        with pytest.raises(ValueError, match=f"^invalid fan: {problem}$"):
+            fan._inside
 
 
 def _nested_otherwise():
