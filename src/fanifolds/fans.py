@@ -10,10 +10,12 @@ A fan's containment table ``Fan._inside`` has one rule: the nesting by
 extremal rays that validation records, which part (ii) of the lemma makes
 containment on a valid fan, or the table the star lemma carries
 (``_set_valid``).  It exists on valid fans only, so every reader of it (the
-maximal cones, stars and star quotients, ``refines`` of a fan against
-itself, completeness) refuses an invalid fan with its problems, and
+maximal cones, stars and star quotients, completeness, and ``refines``,
+which reads both its fans' first) refuses an invalid fan with its problems;
 ``resolve_to_smooth`` checks its argument first.  ``Fan.properties`` still
-reports an invalid fan's problems.
+reports an invalid fan's problems.  ``stellar_subdivision`` and
+``face_closure`` are constructors that take any cones: a subdivision of a
+valid fan is valid, and every reader of their output checks it.
 
 A ``StackyFan`` is not a ``Fan``: it is a plain ``Fan`` (its ``fan``) and a
 multiple on each ray.  The plain fan computes and keeps every table (checks,
@@ -52,6 +54,22 @@ tau meet F.  Now sigma meet tau = (sigma meet F) meet (tau meet F), a meet
 of two faces of F, so a face of F; lying in the face sigma meet F of F, it
 is a face of sigma meet F, hence of sigma.  Likewise of tau.  The fan is
 then valid, so by (ii) <= is containment.
+
+Tiling lemma.  Let T be the cones, at least one, of a valid fan that lie
+in a cone sigma (None: all of R^n) and share its dimension.  If each facet
+of a cone of T that meets relint sigma lies in exactly one other cone of
+T, and each facet on the boundary of sigma in none, then T covers sigma
+and is facet-connected.  So facet pairing (``_pair_facets``) is the whole
+tiling test of ``cones_cover`` and of completeness.
+
+Proof.  Two cones of T holding a facet F of the first meet in a face of
+both; distinct cones of one dimension of a valid fan do not nest, so it is
+F, and they lie on opposite sides of it.  A generic segment in relint sigma
+from inside a cone of T to a point no cone covers leaves their union
+through the relative interior of some facet; that facet meets relint
+sigma, so another cone of T lies across it, a contradiction.  One
+facet-connected component of T pairs its facets inside itself, so it
+covers sigma alone; a second would overlap it, which a valid fan forbids.
 
 Star lemma.  Let sigma be a cone of a valid fan and p the projection to the
 free quotient of the lattice by its span.  The images under p of the cones
@@ -270,21 +288,17 @@ class Fan:
             return "not closed under taking faces"
         if not self.cones:
             return "empty fan"
-        if self.rank == 0:
-            return None
         bad = next((c for c in tops if c.dim != self.rank), None)
         if bad is not None:
             return f"maximal cone {list(bad.gens)} has dimension {bad.dim} < {self.rank}"
-        unpaired, connected = _pair_facets(tops, None)
-        if unpaired is not None:
-            f, n = unpaired
-            return (
-                f"facet {list(f)} of a maximal cone is shared by "
-                f"{n} other maximal cones, expected 1"
-            )
-        if not connected:
-            return "maximal cones do not form one facet-connected component"
-        return None
+        unpaired = _pair_facets(tops, None)
+        if unpaired is None:
+            return None
+        f, n = unpaired
+        return (
+            f"facet {list(f)} of a maximal cone is shared by "
+            f"{n} other maximal cones, expected 1"
+        )
 
     def properties(self) -> dict:
         """Summary of the usual fan predicates with first witnesses."""
@@ -455,7 +469,9 @@ def _pushed(fan: StackyFan, fq: FanQuotient) -> FanQuotient:
 
 
 def face_closure(fan: Fan) -> Fan:
-    """The same fan with every face of every cone appended (deduplicated)."""
+    """The same fan with every face of every cone appended (deduplicated).
+    A constructor: it takes any cones, and the readers of its output check
+    them."""
     extra = [Cone(f, fan.rank) for f in fan._missing_faces.values()]
     extra.sort(key=lambda c: (c.dim, c.gens))
     return Fan(fan.cones + tuple(extra), fan.rank)
@@ -467,6 +483,8 @@ def stellar_subdivision(fan: Fan, point: Sequence[int]) -> Fan:
     A cone through the point is replaced by the cones spanned by the point
     together with the facets not containing it; other cones are kept.  The
     point must lie in the fan's support.  Face-closedness is preserved.
+    Like ``face_closure`` it takes any cones: a subdivision of a valid fan
+    is valid, and the readers of the result check it.
     """
     v = primitivize(vec(point))
     if not fan.support_contains(v):
@@ -498,31 +516,23 @@ class ResolveResult(NamedTuple):
     steps: tuple[Vec, ...]  # subdivision points in order
 
 
-def _parallelepiped_point(cone: Cone) -> Vec | None:
-    """A nonzero lattice point in the half-open span box of a simplicial cone."""
+def _parallelepiped_point(cone: Cone) -> Vec:
+    """A nonzero lattice point in the half-open span box of a simplicial
+    cone of multiplicity n > 1, made primitive: the box holds n - 1 of them,
+    each sum k_i g_i / n with 0 <= k_i < n, and this takes the least
+    (sum k, k); the numerator has the point's direction."""
     gens = cone.extremal_rays
     n = cone.multiplicity
-    if n == 1:
-        return None
-    best: tuple | None = None
-    d = len(gens)
-    for ks in itertools.product(range(n), repeat=d):
-        if not any(ks):
-            continue
-        pt_num = [
-            sum(k * g[i] for k, g in zip(ks, gens)) for i in range(cone.rank)
-        ]
-        if any(x % n for x in pt_num):
-            continue
-        cand = (sum(ks), ks)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    ks = best[1]
-    return primitivize(
-        tuple(sum(k * g[i] for k, g in zip(ks, gens)) // n for i in range(cone.rank))
+
+    def point(ks: tuple[int, ...]) -> Vec:
+        return tuple(sum(k * g[i] for k, g in zip(ks, gens)) for i in range(cone.rank))
+
+    _, ks = min(
+        (sum(ks), ks)
+        for ks in itertools.product(range(n), repeat=len(gens))
+        if any(ks) and not any(x % n for x in point(ks))
     )
+    return primitivize(point(ks))
 
 
 _RESOLVE_STEPS = 1000  # subdivisions before resolve_to_smooth gives up
@@ -533,10 +543,11 @@ def resolve_to_smooth(fan: Fan | StackyFan) -> ResolveResult:
 
     Non-simplicial cones are first split at the primitive sum of their rays;
     then simplicial cones of multiplicity > 1 are split at a lattice point of
-    the fundamental box, which strictly lowers the worst multiplicity.  The
-    refinement is of the cones: a stacky fan's multiples do not carry, so
-    its plain fan ``fan`` is resolved, and the result is a plain ``Fan``.
-    The fan must be valid: ValueError with its problems otherwise.
+    the fundamental box, which strictly lowers the worst multiplicity; such
+    a cone always has one (``_parallelepiped_point``).  The refinement is of
+    the cones: a stacky fan's multiples do not carry, so its plain fan
+    ``fan`` is resolved, and the result is a plain ``Fan``.  The fan must be
+    valid: ValueError with its problems otherwise.
     """
     require_valid_fan(fan)
     current = _plain_fan(fan)
@@ -548,18 +559,13 @@ def resolve_to_smooth(fan: Fan | StackyFan) -> ResolveResult:
             for g in target.extremal_rays:
                 total = vec_add(total, g)
             v = primitivize(total)
-            steps.append(v)
-            current = stellar_subdivision(current, v)
-            continue
-        rough = [c for c in current.cones if not c.is_smooth]
-        if not rough:
-            before = {r for r in fan.rays}
-            added = tuple(r for r in current.rays if r not in before)
-            return ResolveResult(fan=current, added_rays=added, steps=tuple(steps))
-        worst = max(rough, key=lambda c: (c.multiplicity, c.gens))
-        v = _parallelepiped_point(worst)
-        if v is None:
-            raise AssertionError("multiplicity > 1 but no box point found")
+        else:
+            rough = [c for c in current.cones if not c.is_smooth]
+            if not rough:
+                before = {r for r in fan.rays}
+                added = tuple(r for r in current.rays if r not in before)
+                return ResolveResult(fan=current, added_rays=added, steps=tuple(steps))
+            v = _parallelepiped_point(max(rough, key=lambda c: (c.multiplicity, c.gens)))
         steps.append(v)
         current = stellar_subdivision(current, v)
     raise RuntimeError(f"resolution did not terminate in {_RESOLVE_STEPS} steps")
@@ -568,50 +574,30 @@ def resolve_to_smooth(fan: Fan | StackyFan) -> ResolveResult:
 # -- refinement --------------------------------------------------------------
 
 
-def _pair_facets(
-    tops: Sequence[Cone], sigma: Cone | None
-) -> tuple[tuple[Mat, int] | None, bool]:
-    """Pair the facets of the equal-dimensional cones ``tops`` (not empty)
-    as a tiling of ``sigma`` (None: the whole space) needs: a facet on the
-    boundary of sigma lies in no other top, any other facet in exactly one.
-
-    Returns the first facet that breaks this, with the number of other tops
-    holding it (else None), and whether the tops are facet-connected.
-    """
+def _pair_facets(tops: Sequence[Cone], sigma: Cone | None) -> tuple[Mat, int] | None:
+    """The first facet of the equal-dimensional cones ``tops`` (not empty)
+    of a valid fan that breaks the pairing a tiling of ``sigma`` (None: the whole
+    space) needs, with the number of other tops holding it, else None: a
+    facet on the boundary of sigma lies in no other top, any other facet in
+    exactly one.  None means the tops cover sigma (the tiling lemma)."""
     ray_sets = [set(t.extremal_rays) for t in tops]
-    neighbours: list[set[int]] = [set() for _ in tops]
     for i, t in enumerate(tops):
         for f in t.facets():
             expected = 1 if sigma is None or sigma._cut(f) == sigma.extremal_rays else 0
-            sharers = [
-                j for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)
-            ]
-            if len(sharers) != expected:
-                return (f, len(sharers)), False
-            neighbours[i].update(sharers)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = neighbours[frontier.pop()] - reached
-        reached |= nxt
-        frontier.extend(nxt)
-    return None, len(reached) == len(tops)
+            sharers = sum(1 for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f))
+            if sharers != expected:
+                return f, sharers
+    return None
 
 
 def cones_cover(sigma: Cone, pieces: Sequence[Cone]) -> bool:
-    """Do the given subcones tile the cone?  Facet-pairing criterion.
+    """Do the given subcones tile the cone?  Facet-pairing criterion, the
+    whole test by the tiling lemma in the module docstring.
 
-    Assumes the pieces come from a valid fan (pairwise face intersections)
-    and are contained in ``sigma``.
+    Assumes the pieces are cones of one valid fan, contained in ``sigma``.
     """
-    d = sigma.dim
-    if d == 0:
-        return any(p.dim == 0 for p in pieces)
-    tops = [p for p in pieces if p.dim == d]
-    if not tops:
-        return False
-    unpaired, connected = _pair_facets(tops, sigma)
-    return unpaired is None and connected
+    tops = [p for p in pieces if p.dim == sigma.dim]
+    return bool(tops) and _pair_facets(tops, sigma) is None
 
 
 class RefinesResult(NamedTuple):
@@ -622,24 +608,26 @@ class RefinesResult(NamedTuple):
 def refines(fine: Fan, coarse: Fan) -> RefinesResult:
     """Is every fine cone inside a coarse cone, with equal total support?
 
-    Both checks read one containment table: for each coarse cone, the
-    fine cones inside it.  It comes from ``_held(coarse.cones,
-    fine.cones)``: a coarse cone contains a fine cone exactly when its
-    entry holds the fine cone's gens, so no pair of cones is tested twice.
-    A fan against itself reads its own ``_inside`` instead, each cone with
-    itself added, and runs no membership test; it must be valid.  The
-    problems come in order: the fine cones inside no coarse cone, then the
-    coarse cones their fine cones do not tile."""
-    problems: list[str] = []
+    Reading each fan's containment table checks it first: ValueError with
+    an invalid fan's problems, and a stacky fan's AttributeError names its
+    plain fan ``.fan``.  A valid fan refines itself: each cone is the only
+    cone of its dimension inside itself, so it tiles itself.  Two fans read
+    one table, ``_held(coarse.cones, fine.cones)``: a coarse cone contains a
+    fine cone exactly when its entry holds the fine cone's gens, so no pair
+    of cones is tested twice.  The problems come in order: the fine cones
+    inside no coarse cone, then the coarse cones their fine cones do not
+    tile."""
+    for fan in (fine, coarse):
+        fan._inside  # reading the table validates the fan
     if fine.rank != coarse.rank:
         return RefinesResult(False, ("ambient ranks differ",))
     if fine is coarse:
-        inside = [{i, *js} for i, js in enumerate(coarse._inside)]
-    else:
-        inside = [
-            {j for j, c in enumerate(fine.cones) if h.issuperset(c.gens)}
-            for h in _held(coarse.cones, fine.cones)
-        ]
+        return RefinesResult(True)
+    inside = [
+        {j for j, c in enumerate(fine.cones) if h.issuperset(c.gens)}
+        for h in _held(coarse.cones, fine.cones)
+    ]
+    problems: list[str] = []
     covered = set().union(*inside)
     for i in range(len(fine.cones)):
         if i not in covered:

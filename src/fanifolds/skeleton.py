@@ -103,7 +103,8 @@ def _piece_group_order(
     if lifted:
         # A quotient fan cannot always retain torsion (a rank-0 lattice has
         # nowhere to put it), so the value lifted from deeper strata is the
-        # authoritative one; routes only disagree on incoherent diagrams.
+        # authoritative one.  Routes can disagree on a valid diagram, since
+        # validation compares no stacky multiples; the largest is kept.
         g = lifted[0]
         if any(v != g for v in lifted):
             notes.append(

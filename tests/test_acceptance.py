@@ -144,8 +144,8 @@ def test_stacky_quadric_isotropy_resolution_and_fltz():
 
     result = resolve_to_smooth(sf)
     assert result.fan.is_smooth
-    assert refines(result.fan, sf).ok
-    assert not refines(sf, result.fan).ok
+    assert refines(result.fan, sf.fan).ok  # refinement is of the cones
+    assert not refines(sf.fan, result.fan).ok
 
     pieces = [p for p in fan_pieces(sf) if p.cone_dim == 2]
     assert len(pieces) == 1

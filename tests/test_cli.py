@@ -434,6 +434,20 @@ INVALID_FAN_DOC = {
 }
 
 
+TWO_FANS_DOC = {
+    "format": "fanifold/1",
+    "dimension": 2,
+    "strata": [
+        {
+            "id": name, "dim": 0, "interior": True, "lattice_rank": 2,
+            "fan": {"rays": [[1, 0], [0, 1], [1, 1]], "cones": cones},
+        }
+        for name, cones in [("a", [[], [0], [0, 1], [0, 2]]), ("b", [[], [0], [1], [0, 1]])]
+    ],
+    "arrows": [],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -454,6 +468,18 @@ def test_fan_commands_refuse_an_invalid_stratum_fan_in_one_line(tmp_path, capsys
     )
     code, out, err = run_capture(capsys, ["fan", "props", "--stratum", "a", "--file", str(path)])
     assert (code, err) == (0, "") and f"  problems: [{problem!r}]" in out.splitlines()
+
+
+@pytest.mark.parametrize("strata", ["b,a", "a,b"])
+def test_fan_refines_refuses_an_invalid_fan_on_either_side(tmp_path, capsys, strata):
+    """Stratum a holds the quadrant and the cone on (1,0), (1,1) inside it,
+    which is no fan; stratum b is the quadrant fan.  Read against a valid
+    fan, a is refused with its problem on one line, in either order."""
+    path = tmp_path / "two-fans.json"
+    path.write_text(json.dumps(TWO_FANS_DOC), encoding="utf-8")
+    assert run_capture(capsys, ["fan", "refines", "--stratum", strata, "--file", str(path)]) == (
+        2, "", "error: invalid fan: cones 2 and 3 do not intersect in a common face\n"
+    )
 
 
 @pytest.mark.parametrize("cone", ["x", "0,x"])

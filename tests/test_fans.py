@@ -30,6 +30,7 @@ from fanifolds.fans import (
     _star_quotient,
     cones_cover,
     face_closure,
+    fan_key,
     quotient_fan,
     refines,
     resolve_to_smooth,
@@ -341,11 +342,31 @@ def _c(*gens):
     return Cone(list(gens), len(gens[0]))
 
 
+def facet_connected(tops):
+    """Are the equal-dimensional cones ``tops`` one component under
+    sharing a facet?  The reference for the search ``_pair_facets`` once
+    ran after pairing; on a valid fan the tiling lemma in the ``fans``
+    docstring makes it follow from the pairing."""
+    ray_sets = [set(t.extremal_rays) for t in tops]
+    neighbours = [
+        {j for f in t.facets() for j, rays in enumerate(ray_sets) if j != i and rays.issuperset(f)}
+        for i, t in enumerate(tops)
+    ]
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        nxt = neighbours[frontier.pop()] - reached
+        reached |= nxt
+        frontier.extend(nxt)
+    return len(reached) == len(tops)
+
+
 def test_completeness_witness_strings_on_small_fans():
     """Each reason ``fan props`` can print, on the smallest fan that gives
     it; complete fans give None.  Two complete fans laid over each other are
-    no fan, so their witness is refused; the facet pairing that would name
-    them not connected is checked on their maximal cones directly."""
+    no fan, so their witness is refused; their maximal cones pass facet
+    pairing, and the reference search finds them not facet-connected, which
+    no valid fan's paired cones are (the tiling lemma)."""
     hexagon = list(projective_fan(2).cones) + [
         _c((1, 1), (-2, 1)), _c((-2, 1), (1, -2)), _c((1, -2), (1, 1)),
     ]  # two complete fans laid over each other: each pairs its facets within itself
@@ -377,7 +398,8 @@ def test_completeness_witness_strings_on_small_fans():
     with pytest.raises(ValueError) as refused:
         overlaid.completeness_witness()
     assert str(refused.value) == "invalid fan: " + "; ".join(problems)
-    assert _pair_facets([c for c in overlaid.cones if c.dim == 2], None) == (None, False)
+    tops = [c for c in overlaid.cones if c.dim == 2]
+    assert _pair_facets(tops, None) is None and not facet_connected(tops)
 
 
 def test_cones_cover_both_ways():
@@ -610,6 +632,75 @@ def test_refines_matches_the_pairwise_containment_reference():
         seen["coarse"] += any(p.startswith("coarse") for p in got.problems)
         seen["rank"] += got.problems == ("ambient ranks differ",)
     assert all(seen.values()), seen
+
+
+def test_a_tiling_that_pairs_its_facets_is_connected():
+    """The tiling lemma in the ``fans`` docstring, on every distinct stratum
+    fan of the bundled examples and the plain fans of ``_random_basis_fans``
+    draws, each with a stellar subdivision and its resolution: every set of
+    fine cones of a coarse cone's dimension inside it (``contains_cone``),
+    and every fine fan's full-dimensional cones against the whole space,
+    that passes facet pairing is facet-connected by the reference search.
+    On each (fine, coarse) pair, a fan against itself among them,
+    ``refines`` gives the pairwise reference's verdict and problems."""
+    fans = {fan_key(st.plain_fan): st.plain_fan for build in EXAMPLES.values() for st in build().strata}
+    fans = list(fans.values()) + [_plain_fan(f) for seed in (9091, 17) for f in _random_basis_fans(seed)]
+    rng = random.Random(4909)
+    paired = unpaired = 0
+    for fan in fans:
+        big = [c for c in fan.cones if c.dim >= 2]
+        sub = stellar_subdivision(fan, tuple(map(sum, zip(*rng.choice(big).gens)))) if big else fan
+        resolved = resolve_to_smooth(fan).fan
+        for fine, coarse in [(fan, fan), (sub, fan), (resolved, fan), (resolved, sub), (fan, sub)]:
+            assert refines(fine, coarse) == _refines_by_pairs(fine, coarse), (fine.cones, coarse.cones)
+            regions = [
+                (sigma, [c for c in fine.cones if c.dim == sigma.dim and contains_cone(sigma, c)])
+                for sigma in coarse.cones
+                if sigma.dim > 0
+            ]
+            regions.append((None, [c for c in fine.cones if c.dim == fine.rank]))
+            for sigma, tops in regions:
+                if tops and _pair_facets(tops, sigma) is None:
+                    assert facet_connected(tops), (sigma, tops)
+                    paired += 1
+                else:
+                    unpaired += 1
+    assert paired > 500 and unpaired > 50, (paired, unpaired)
+
+
+def test_refines_refuses_two_tilings_laid_over_each_other():
+    """Two stellar subdivisions of the rank-3 orthant laid over each other,
+    one at (1,1,0), the other at (1,0,1) and then at (0,1,1): each tiles
+    the orthant, so their 5 maximal cones pair every facet, yet they are
+    two facet-connected components, so they overlap and are no fan.
+    ``refines`` refuses them on either side in one line, where it once
+    answered that the orthant is not tiled."""
+    orthant = orthant_fan(3)
+    one = stellar_subdivision(orthant, (1, 1, 0))
+    two = stellar_subdivision(stellar_subdivision(orthant, (1, 0, 1)), (0, 1, 1))
+    tops = [c for f in (one, two) for c in f.cones if c.dim == 3]
+    (sigma,) = [c for c in orthant.cones if c.dim == 3]
+    assert len(tops) == 5
+    assert _pair_facets(tops, sigma) is None and not facet_connected(tops)
+    overlay = face_closure(Fan(tops, 3))
+    problems = overlay.validate()
+    assert problems
+    for fine, coarse in ((overlay, orthant), (orthant, overlay), (overlay, overlay)):
+        with pytest.raises(ValueError) as refused:
+            refines(fine, coarse)
+        assert str(refused.value) == "invalid fan: " + "; ".join(problems)
+
+
+def test_refines_refuses_a_stacky_fan_on_either_side():
+    """Refinement is of the cones, so ``refines`` takes plain fans: a
+    stacky fan on either side names its plain fan ``.fan``, as it does
+    against itself."""
+    sf = stacky_quadric_fan()
+    fine = resolve_to_smooth(sf).fan
+    for args in ((fine, sf), (sf, fine)):
+        with pytest.raises(AttributeError, match=r"no attribute '_inside': .* plain fan \.fan$"):
+            refines(*args)
+    assert refines(fine, sf.fan).ok
 
 
 def test_stacky_quadric_component_group():

@@ -4,7 +4,7 @@ import math
 import random
 
 from fanifolds import skeleton
-from fanifolds.cli import resolve_input
+from fanifolds.cli import resolve_input, run
 from fanifolds.examples import (
     EXAMPLES,
     a1_fan,
@@ -14,8 +14,8 @@ from fanifolds.examples import (
     quadric_fan,
     stacky_quadric_fan,
 )
-from fanifolds.fanifold import from_fan, sphere_section
-from fanifolds.files import load_fanifold
+from fanifolds.fanifold import Fanifold, Stratum, from_fan, sphere_section
+from fanifolds.files import dumps, load_fanifold
 from fanifolds.fans import Fan, StackyFan, refines, resolve_to_smooth
 from fanifolds.skeleton import (
     euler_characteristic_c,
@@ -154,6 +154,30 @@ def test_euler_characteristic_builds_no_model_and_equals_the_model_sum(monkeypat
     )
 
 
+def test_valid_diagram_whose_arrows_lift_different_component_groups(tmp_path, capsys):
+    """``necklace(2)`` with vertex v1 on the stacky line whose positive ray
+    has multiple 2: validation compares no multiples, so it is a valid,
+    coherent poset, yet its two arrows into e1 lift groups of orders 1 and
+    2.  The model warns, ``skeleton report`` prints the warning, and chi_c
+    takes the larger order: -2 for the necklace, -1 more from e1."""
+    phi = EXAMPLES["necklace2"]()
+    strata = [
+        Stratum(name=st.name, dim=st.dim, fan=StackyFan(p1_fan(), {(1,): 2})) if st.name == "v1" else st
+        for st in phi.strata
+    ]
+    psi = Fanifold(dimension=phi.dimension, strata=strata, arrows=list(phi.arrows))
+    report = psi.validate()
+    assert report.is_poset and report.coherent and report.errors == ()
+    warning = "component groups over 'e1' cone 0 disagree between arrows: [1, 2]"
+    assert skeleton_model(psi).warnings == (warning,)
+    assert euler_characteristic_c(psi) == -3
+    path = tmp_path / "stacky-bead.json"
+    path.write_text(dumps(psi), encoding="utf-8")
+    assert run(["skeleton", "report", "--file", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("warning:")] == [f"warning: {warning}"]
+
+
 def test_euler_characteristic_stacky_quadric_doubles():
     # the Z/2 isotropy doubles the contribution of the cone point stratum
     assert euler_characteristic_c(EXAMPLES["quadric_stacky"]()) == 2
@@ -210,7 +234,7 @@ def test_handles_sorted_by_index_then_name():
 
 def test_skeleton_refinement_check_quadric():
     """A refinement only grows the skeleton, so ``refines`` certifies it."""
-    coarse = stacky_quadric_fan()
+    coarse = stacky_quadric_fan().fan  # refinement is of the cones
     fine = resolve_to_smooth(coarse).fan
     assert refines(fine, coarse).ok
     backwards = refines(coarse, fine)  # not a refinement that way
