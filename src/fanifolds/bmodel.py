@@ -406,8 +406,7 @@ def chart_diagram(phi: Fanifold, f_name: str) -> ToricDiagram:
     any, points at the chosen stratum or its intermediaries.  Otherwise the
     closure is unrolled first.
     """
-    if f_name not in phi.by_name:
-        raise ValueError(f"unknown stratum {f_name!r}")
+    phi.stratum(f_name)  # an unknown name is refused before validity
     if not require_valid(phi).is_poset:
         closure = unrolled_closure(phi, f_name)
         warning = (

@@ -374,12 +374,6 @@ def cmd_mirror_restrict(args) -> int:
     return 0
 
 
-def _stratum(phi: Fanifold, name: str) -> Stratum:
-    if name not in phi.by_name:
-        raise ValueError(f"unknown stratum {name!r}")
-    return phi.stratum(name)
-
-
 def _fan_props(st: Stratum) -> dict:
     out = st.plain_fan.properties()
     out["stacky"] = st.is_stacky
@@ -400,7 +394,7 @@ def cmd_fan_props(args) -> int:
     payload = {"strata": {}}
     lines = []
     for name in names:
-        props = _fan_props(_stratum(phi, name))
+        props = _fan_props(phi.stratum(name))
         payload["strata"][name] = props
         lines.append(f"{name}:")
         for k in sorted(props):
@@ -414,7 +408,7 @@ def cmd_fan_props(args) -> int:
 
 def cmd_fan_quotient(args) -> int:
     phi = _load(args)
-    st = _stratum(phi, args.stratum)
+    st = phi.stratum(args.stratum)
     fan = st.plain_fan
     ray_idx = []
     for p in _split_ids(args.cone):
@@ -461,7 +455,7 @@ def cmd_fan_quotient(args) -> int:
 
 def cmd_fan_resolve(args) -> int:
     phi = _load(args)
-    fan = _stratum(phi, args.stratum).plain_fan
+    fan = phi.stratum(args.stratum).plain_fan
     result = resolve_to_smooth(fan)
     check = refines(result.fan, fan)
     payload = {
@@ -488,7 +482,7 @@ def cmd_fan_refines(args) -> int:
     names = _split_ids(args.stratum or "")
     if len(names) != 2:
         raise ValueError("fan refines needs --stratum FINE,COARSE (two stratum ids)")
-    fine, coarse = (_stratum(phi, name).plain_fan for name in names)
+    fine, coarse = (phi.stratum(name).plain_fan for name in names)
     result = refines(fine, coarse)
     payload = {
         "fine": names[0],

@@ -186,6 +186,8 @@ class Cone:
             self = None
         if self is not None:
             return self
+        if rank < 0:
+            raise ValueError(f"rank {rank} is negative")
         gens: list[Vec] = []
         seen: set[Vec] = set()
         for g in generators:
@@ -282,12 +284,8 @@ class Cone:
         """The rank of the gens, from one Hermite pass: the span of the
         cone is the span of its gens.  No perp basis is built (its kernel
         takes two reductions), so a reader that needs only the dimension,
-        such as the file loader, pays for no dual data.  The rank of the
-        gens is at most the rank; a negative rank (only a malformed file
-        gives one) has no gens, and ``min`` keeps the rank as its
-        dimension, as rank minus the perp basis size gives, so that
-        validation reports on such a file do not change."""
-        return min(self.rank, matrix_rank(self.gens))
+        such as the file loader, pays for no dual data."""
+        return matrix_rank(self.gens)
 
     @cached_property
     def is_strongly_convex(self) -> bool:

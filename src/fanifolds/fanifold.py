@@ -141,7 +141,10 @@ class Fanifold:
         )
 
     def stratum(self, name: str) -> Stratum:
-        return self.by_name[name]
+        try:
+            return self.by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown stratum {name!r}") from None
 
     def out_arrows(self, name: str) -> tuple[Arrow, ...]:
         return self._out.get(name, ())

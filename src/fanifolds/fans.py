@@ -268,10 +268,6 @@ class Fan:
         return out
 
     @property
-    def is_simplicial(self) -> bool:
-        return all(c.is_simplicial for c in self.cones)
-
-    @property
     def is_smooth(self) -> bool:
         return all(c.is_smooth for c in self.cones)
 

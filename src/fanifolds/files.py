@@ -28,10 +28,12 @@ diagram-level coherence stays with ``Fanifold.validate``.  Fan entries of
 one document with equal ``fans.fan_key`` load as one fan, and an
 arrow's cone is matched to its fan entry by ray indices.
 
-An arrow entry is checked in place, in one pass in schema order: type and
-shape tests only, with the cone's dimension read off one Hermite pass
-(``Cone.dim``).  Error text is built only when a check fails, and names
-the entry's first fault.
+Each kind of value is checked by one helper, in schema order, and an
+arrow entry's cone and matrix by the helpers that check a stratum's fan
+(``_ray_indices``, ``_int_rows``); the cone's dimension is read off one
+Hermite pass (``Cone.dim``).  Error text is built only when a check
+fails, and names the entry's first fault: ``arrow k``, ``stratum k`` or
+``stratum 'id'``, or a document-level key.
 """
 
 from __future__ import annotations
@@ -94,10 +96,16 @@ def _int(value, what: str) -> int:
 
 
 def _int_rows(rows, what: str) -> list[tuple[int, ...]]:
-    return [
-        tuple(_int(x, what) for x in _list(r, what))
-        for r in _list(rows, what)
-    ]
+    """A list of lists of JSON integers, as tuples.  Each entry gets one
+    exact type test and ``_int`` is called only to raise, so a good entry
+    costs no call."""
+    out = []
+    for r in _list(rows, what):
+        for x in _list(r, what):
+            if type(x) is not int:
+                _int(x, what)
+        out.append(tuple(r))
+    return out
 
 
 def _ray_indices(idx, rays, what: str) -> list:
@@ -138,6 +146,7 @@ def _fan_from_dict(
     if len(beta) != len(rays):
         raise ValueError(f"{what}: stacky_beta needs one row per ray")
     multiples = {}
+    fan_rays = set(fan.rays)
     for r, b in zip(rays, beta):
         if len(b) != rank:
             raise ValueError(
@@ -156,17 +165,22 @@ def _fan_from_dict(
             raise ValueError(
                 f"{what}: stacky generator {b} is not a positive multiple of {r}"
             )
-        multiples[tuple(primitivize(r))] = k
+        if prim not in fan_rays:
+            raise ValueError(
+                f"{what}: stacky generator {b} is for ray {r}, which no cone holds"
+            )
+        multiples[prim] = k
     return StackyFan(fan, multiples), rays, first
 
 
 def _arrow(k: int, a, ends: dict[str, tuple]) -> Arrow:
     """Arrow entry ``k``, checked in schema order: an object with the four
-    keys, string endpoints of known strata, a list of in-range ``int`` ray
-    indices naming a cone of the source fan, then a list of ``int`` rows of
-    shape ``t_rank x q_rank``.  Error text is built only in the branch that
-    raises.  The ``LatticeMap`` is built from the checked rows, which
-    imply ``lattice_map``'s rank and shape tests."""
+    keys, ``from`` and then ``to`` a known stratum id, a ``cone`` of ray
+    indices naming a cone of the source fan, then an integer
+    ``quotient_matrix`` of shape ``t_rank x q_rank``.  The cone and the
+    matrix are read by the helpers that read a stratum's fan, and every
+    fault is named ``arrow k``.  The ``LatticeMap`` is built from the
+    checked rows, which imply ``lattice_map``'s rank and shape tests."""
     if not isinstance(a, dict):
         raise ValueError(f"arrow {k} must be a JSON object")
     try:
@@ -174,38 +188,24 @@ def _arrow(k: int, a, ends: dict[str, tuple]) -> Arrow:
     except KeyError:
         _require(a, ("from", "to", "cone", "quotient_matrix"), f"arrow {k}")
         raise
-    if not (isinstance(src, str) and src in ends and isinstance(tgt, str) and tgt in ends):
-        raise ValueError(f"arrow references unknown stratum: {a}")
+    if not isinstance(src, str) or src not in ends:
+        raise ValueError(f"arrow {k}: from {json.dumps(src)} is not a stratum id")
+    if not isinstance(tgt, str) or tgt not in ends:
+        raise ValueError(f"arrow {k}: to {json.dumps(tgt)} is not a stratum id")
     fan, rays, first = ends[src]
-    if not isinstance(ids, list):
-        raise ValueError(f"arrow {k}: cone must be a JSON list")
-    n = len(rays)
-    for i in ids:
-        if type(i) is not int or not 0 <= i < n:
-            raise ValueError(f"arrow {k}: cone refers to missing ray {i!r}")
+    ids = _ray_indices(ids, rays, f"arrow {k}: cone")
     idx = first.get(frozenset(ids))
     if idx is None:
         # named through other rays than its fan entry: compare as cones
         idx = fan.cone_index(_cone(ids, rays, fan.rank))
         if idx is None:
-            raise ValueError(f"arrow cone {ids} is not a cone of the fan at {src!r}")
+            raise ValueError(f"arrow {k}: cone {ids} is not a cone of the fan at {src!r}")
     q_rank = fan.rank - fan.cones[idx].dim
     t_rank = ends[tgt][0].rank
-    if not isinstance(rows, list):
-        raise ValueError(f"arrow {k}: quotient_matrix must be a JSON list")
-    shaped = len(rows) == t_rank
-    for row in rows:
-        if not isinstance(row, list):
-            raise ValueError(f"arrow {k}: quotient_matrix must be a JSON list")
-        for x in row:
-            if type(x) is not int:
-                raise ValueError(f"arrow {k}: quotient_matrix: {x!r} is not an integer")
-        shaped = shaped and len(row) == q_rank
-    if not shaped:
-        raise ValueError(
-            f"quotient matrix of arrow {src!r} -> {tgt!r} must be {t_rank} x {q_rank}"
-        )
-    return Arrow(src, tgt, idx, LatticeMap(tuple(map(tuple, rows)), q_rank, t_rank))
+    rows = _int_rows(rows, f"arrow {k}: quotient_matrix")
+    if len(rows) != t_rank or any(len(r) != q_rank for r in rows):
+        raise ValueError(f"arrow {k}: quotient_matrix must be {t_rank} x {q_rank}")
+    return Arrow(src, tgt, idx, LatticeMap(tuple(rows), q_rank, t_rank))
 
 
 def fanifold_from_dict(d: dict) -> Fanifold:
@@ -289,13 +289,11 @@ _ITEM, _KEY, _FAN_KEY = " " * 4, " " * 6, " " * 8
 
 
 def _fan_text(fan: Fan | StackyFan) -> tuple[str, list[list[int]]]:
-    """A stratum's written ``fan`` value and its cones as ray indices."""
-    cones = _cone_indices(fan)
-    fields = ['"rays": ' + _rows(fan.rays, _FAN_KEY), '"cones": ' + _rows(cones, _FAN_KEY)]
-    if isinstance(fan, StackyFan):
-        beta = [fan.stacky_generator(r) for r in fan.rays]
-        fields.append('"stacky_beta": ' + _rows(beta, _FAN_KEY))
-    return _members(fields, _KEY), cones
+    """A stratum's written ``fan`` value, its fields from ``_fan_to_dict``,
+    and its cones as ray indices."""
+    d = _fan_to_dict(fan)
+    fields = [_encode_str(key) + ": " + _rows(rows, _FAN_KEY) for key, rows in d.items()]
+    return _members(fields, _KEY), d["cones"]
 
 
 def dumps(phi: Fanifold) -> str:

@@ -194,8 +194,10 @@ def test_chart_diagram_unrolls_non_posets():
     uni = EXAMPLES["unigon"]()
     diagram = chart_diagram(uni, "u")
     assert diagram.warnings
-    with pytest.raises(ValueError):
-        chart_diagram(uni, "nope")
+    # the one refusal of an unknown name, library and CLI alike
+    for call in (lambda: uni.stratum("nope"), lambda: chart_diagram(uni, "nope")):
+        with pytest.raises(ValueError, match="^unknown stratum 'nope'$"):
+            call()
 
 
 def test_u_functor_marks_closed_charts():

@@ -385,6 +385,21 @@ def test_ufunctor_and_restrict_refuse_a_bad_closed_set_alike(capsys, closed, err
         assert run_capture(capsys, argv) == (2, "", error)
 
 
+def test_an_unknown_stratum_is_refused_in_one_line(capsys):
+    """Every command that takes one ``--stratum`` reads it through
+    ``Fanifold.stratum``, whose refusal is the one line."""
+    for command in (
+        ["fan", "props"],
+        ["fan", "quotient", "--cone", "0"],
+        ["fan", "resolve"],
+        ["bmodel", "chart"],
+    ):
+        argv = command + ["--file", "square.json", "--stratum", "nope"]
+        assert run_capture(capsys, argv) == (2, "", "error: unknown stratum 'nope'\n"), command
+    argv = ["fan", "refines", "--file", "square.json", "--stratum", "(s2,s2),nope"]
+    assert run_capture(capsys, argv) == (2, "", "error: unknown stratum 'nope'\n")
+
+
 def test_fan_commands(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -233,9 +233,8 @@ def test_dim_equals_the_perp_rule_in_random_bases(monkeypatch):
     on random cones of every rank up to 4, each moved by a random matrix
     in GL(n, Z): cones with a line, lower-dimensional cones, full cones and
     the zero cone; and ``perp_basis``, which skips the kernel on a full
-    cone, is the kernel.  A zero cone of negative rank, which only a
-    malformed file gives, keeps the rank as its dimension under both
-    rules."""
+    cone, is the kernel.  A negative rank is refused where a cone is
+    built, so no cone has one."""
     kernels = []
     kernel = cones.integer_kernel
 
@@ -269,8 +268,9 @@ def test_dim_equals_the_perp_rule_in_random_bases(monkeypatch):
             else:
                 seen["full" if c.dim == rank else "lower"] += 1
     assert min(seen.values()) >= 30, seen
-    negative = Cone((), -1)
-    assert negative.dim == dim_by_perp(negative) == -1
+    for build in (lambda: Cone((), -1), lambda: zero_cone(-1)):
+        with pytest.raises(ValueError, match="^rank -1 is negative$"):
+            build()
 
 
 def test_extremal_rays_match_the_double_description_of_the_dual():

@@ -473,49 +473,59 @@ def test_an_arrow_cone_named_through_a_repeated_ray_loads(tmp_path, capsys):
 
 
 _S02 = ("strata", 1)  # the stratum '(s0,s2)' of square.json, of lattice rank 1
+_DROP = object()  # delete the key instead of setting it
 
 
-@pytest.mark.parametrize(
-    "edits, line",
-    [
-        ({_S02 + ("fan", "rays", 0, 0): 1.5}, "stratum '(s0,s2)': fan rays: 1.5 is not an integer"),
-        ({_S02 + ("dim",): 1.25}, "stratum '(s0,s2)': dim: 1.25 is not an integer"),
-        ({_S02 + ("dim",): True}, "stratum '(s0,s2)': dim: True is not an integer"),
-        ({_S02 + ("lattice_rank",): "1"}, "stratum '(s0,s2)': lattice_rank: '1' is not an integer"),
-        ({_S02 + ("chi_c",): -1.0}, "stratum '(s0,s2)': chi_c: -1.0 is not an integer"),
-        ({("dimension",): "2"}, "dimension: '2' is not an integer"),
-        ({("arrows", 3, "quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
-        ({_S02 + ("interior",): "no"}, "stratum '(s0,s2)': interior 'no' is not true or false"),
-        ({_S02 + ("interior",): 1}, "stratum '(s0,s2)': interior 1 is not true or false"),
-        ({_S02 + ("fan", "cones", 0, 0): False}, "stratum '(s0,s2)': fan cone 0 refers to missing ray False"),
-        ({("arrows", 3, "cone", 0): True}, "arrow 3: cone refers to missing ray True"),
-        (
-            {
-                _S02 + ("fan", "rays", 0, 0): 1.5,
-                _S02 + ("dim",): 1.25,
-                _S02 + ("interior",): "no",
-            },
-            "stratum '(s0,s2)': interior 'no' is not true or false",
-        ),
-        ({_S02 + ("fan", "rays", 0): []}, "stratum '(s0,s2)': ray () does not have 1 entries"),
-        ({_S02 + ("fan", "stacky_beta"): [[]]}, "stratum '(s0,s2)': stacky generator () does not have 1 entries"),
-        ({_S02 + ("fan", "stacky_beta"): []}, "stratum '(s0,s2)': stacky_beta needs one row per ray"),
-    ],
-)
+def _edited(name: str, edits: dict) -> dict:
+    """Bundled document ``name`` with each path of ``edits`` set to its
+    value, or deleted where the value is ``_DROP``."""
+    d = _bundled(name)
+    for path, value in edits.items():
+        entry = d
+        for key in path[:-1]:
+            entry = entry[key]
+        if value is _DROP:
+            del entry[path[-1]]
+        else:
+            entry[path[-1]] = value
+    return d
+
+
+# square.json edits, each with the loader's line
+NUMBER_FAULTS = [
+    ({_S02 + ("fan", "rays", 0, 0): 1.5}, "stratum '(s0,s2)': fan rays: 1.5 is not an integer"),
+    ({_S02 + ("dim",): 1.25}, "stratum '(s0,s2)': dim: 1.25 is not an integer"),
+    ({_S02 + ("dim",): True}, "stratum '(s0,s2)': dim: True is not an integer"),
+    ({_S02 + ("lattice_rank",): "1"}, "stratum '(s0,s2)': lattice_rank: '1' is not an integer"),
+    ({_S02 + ("chi_c",): -1.0}, "stratum '(s0,s2)': chi_c: -1.0 is not an integer"),
+    ({("dimension",): "2"}, "dimension: '2' is not an integer"),
+    ({("arrows", 3, "quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
+    ({_S02 + ("interior",): "no"}, "stratum '(s0,s2)': interior 'no' is not true or false"),
+    ({_S02 + ("interior",): 1}, "stratum '(s0,s2)': interior 1 is not true or false"),
+    ({_S02 + ("fan", "cones", 0, 0): False}, "stratum '(s0,s2)': fan cone 0 refers to missing ray False"),
+    ({("arrows", 3, "cone", 0): True}, "arrow 3: cone refers to missing ray True"),
+    (
+        {
+            _S02 + ("fan", "rays", 0, 0): 1.5,
+            _S02 + ("dim",): 1.25,
+            _S02 + ("interior",): "no",
+        },
+        "stratum '(s0,s2)': interior 'no' is not true or false",
+    ),
+    ({_S02 + ("fan", "rays", 0): []}, "stratum '(s0,s2)': ray () does not have 1 entries"),
+    ({_S02 + ("fan", "stacky_beta"): [[]]}, "stratum '(s0,s2)': stacky generator () does not have 1 entries"),
+    ({_S02 + ("fan", "stacky_beta"): []}, "stratum '(s0,s2)': stacky_beta needs one row per ray"),
+]
+
+
+@pytest.mark.parametrize("edits, line", NUMBER_FAULTS)
 def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
     """A float, string or boolean where the schema has an integer, and
     anything but a boolean for ``interior``; each once loaded as a nearby
     value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1.  A bad
     ray index, a short ray and a short or missing ``stacky_beta`` row name
     their stratum or arrow too."""
-    with open(os.path.join(DATA_DIR, "square.json"), encoding="utf-8") as fh:
-        d = json.load(fh)
-    for path, value in edits.items():
-        entry = d
-        for key in path[:-1]:
-            entry = entry[key]
-        entry[path[-1]] = value
-    assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+    assert _cli_load_error(tmp_path, capsys, _edited("square", edits)) == f"error: {line}"
 
 
 def test_a_negative_lattice_rank_is_refused_naming_its_stratum(tmp_path, capsys):
@@ -535,100 +545,84 @@ def test_a_negative_lattice_rank_is_refused_naming_its_stratum(tmp_path, capsys)
 
 
 _A3 = ("arrows", 3)  # square.json's arrow (s2,s2) -> (s0,s2) on cone [1], matrix [[1]]
-_DROP = object()  # delete the key instead of setting it
 
 
-@pytest.mark.parametrize(
-    "edits, line",
-    [
-        ({_A3: ["(s2,s2)", "(s0,s2)"]}, "arrow 3 must be a JSON object"),
-        ({_A3: None}, "arrow 3 must be a JSON object"),
-        ({_A3 + ("from",): _DROP}, "arrow 3 lacks 'from'"),
-        ({_A3 + ("to",): _DROP}, "arrow 3 lacks 'to'"),
-        ({_A3 + ("cone",): _DROP}, "arrow 3 lacks 'cone'"),
-        ({_A3 + ("quotient_matrix",): _DROP}, "arrow 3 lacks 'quotient_matrix'"),
-        (
-            {_A3 + ("from",): 4},
-            "arrow references unknown stratum: "
-            "{'from': 4, 'to': '(s0,s2)', 'cone': [1], 'quotient_matrix': [[1]]}",
-        ),
-        (
-            {_A3 + ("to",): None},
-            "arrow references unknown stratum: "
-            "{'from': '(s2,s2)', 'to': None, 'cone': [1], 'quotient_matrix': [[1]]}",
-        ),
-        (
-            {_A3 + ("to",): "(s9,s9)"},
-            "arrow references unknown stratum: "
-            "{'from': '(s2,s2)', 'to': '(s9,s9)', 'cone': [1], 'quotient_matrix': [[1]]}",
-        ),
-        ({_A3 + ("cone", 0): True}, "arrow 3: cone refers to missing ray True"),
-        ({_A3 + ("cone", 0): 1.0}, "arrow 3: cone refers to missing ray 1.0"),
-        ({_A3 + ("cone", 0): -1}, "arrow 3: cone refers to missing ray -1"),
-        ({_A3 + ("cone", 0): 2}, "arrow 3: cone refers to missing ray 2"),
-        ({_A3 + ("cone",): 1}, "arrow 3: cone must be a JSON list"),
-        ({_A3 + ("cone",): "1"}, "arrow 3: cone must be a JSON list"),
-        (
-            {_A3 + ("cone",): [0, 1]},
-            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 0",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): [[1], [0]]},
-            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): []},
-            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): [[1, 0]]},
-            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): [[]]},
-            "quotient matrix of arrow '(s2,s2)' -> '(s0,s2)' must be 1 x 1",
-        ),
-        ({_A3 + ("quotient_matrix", 0, 0): True}, "arrow 3: quotient_matrix: True is not an integer"),
-        ({_A3 + ("quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
-        ({_A3 + ("quotient_matrix",): 1}, "arrow 3: quotient_matrix must be a JSON list"),
-        ({_A3 + ("quotient_matrix", 0): 1}, "arrow 3: quotient_matrix must be a JSON list"),
-        # two faults: the first in schema order is named
-        ({_A3 + ("from",): _DROP, _A3 + ("cone",): _DROP}, "arrow 3 lacks 'from', 'cone'"),
-        (
-            {_A3 + ("cone", 0): True, _A3 + ("quotient_matrix", 0, 0): 1.0},
-            "arrow 3: cone refers to missing ray True",
-        ),
-        (
-            {_A3 + ("to",): "x", _A3 + ("cone", 0): 1.0},
-            "arrow references unknown stratum: "
-            "{'from': '(s2,s2)', 'to': 'x', 'cone': [1.0], 'quotient_matrix': [[1]]}",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): [[1], [1.0]]},
-            "arrow 3: quotient_matrix: 1.0 is not an integer",
-        ),
-        (
-            {_A3 + ("quotient_matrix",): [[True, 1]]},
-            "arrow 3: quotient_matrix: True is not an integer",
-        ),
-    ],
-)
+# square.json edits of arrow 3, each with the loader's line
+ARROW_FAULTS = [
+    ({_A3: ["(s2,s2)", "(s0,s2)"]}, "arrow 3 must be a JSON object"),
+    ({_A3: None}, "arrow 3 must be a JSON object"),
+    ({_A3 + ("from",): _DROP}, "arrow 3 lacks 'from'"),
+    ({_A3 + ("to",): _DROP}, "arrow 3 lacks 'to'"),
+    ({_A3 + ("cone",): _DROP}, "arrow 3 lacks 'cone'"),
+    ({_A3 + ("quotient_matrix",): _DROP}, "arrow 3 lacks 'quotient_matrix'"),
+    ({_A3 + ("from",): 4}, "arrow 3: from 4 is not a stratum id"),
+    ({_A3 + ("to",): None}, "arrow 3: to null is not a stratum id"),
+    ({_A3 + ("to",): "(s9,s9)"}, 'arrow 3: to "(s9,s9)" is not a stratum id'),
+    ({_A3 + ("cone", 0): True}, "arrow 3: cone refers to missing ray True"),
+    ({_A3 + ("cone", 0): 1.0}, "arrow 3: cone refers to missing ray 1.0"),
+    ({_A3 + ("cone", 0): -1}, "arrow 3: cone refers to missing ray -1"),
+    ({_A3 + ("cone", 0): 2}, "arrow 3: cone refers to missing ray 2"),
+    ({_A3 + ("cone",): 1}, "arrow 3: cone must be a JSON list"),
+    ({_A3 + ("cone",): "1"}, "arrow 3: cone must be a JSON list"),
+    ({_A3 + ("cone",): [0, 1]}, "arrow 3: quotient_matrix must be 1 x 0"),
+    ({_A3 + ("quotient_matrix",): [[1], [0]]}, "arrow 3: quotient_matrix must be 1 x 1"),
+    ({_A3 + ("quotient_matrix",): []}, "arrow 3: quotient_matrix must be 1 x 1"),
+    ({_A3 + ("quotient_matrix",): [[1, 0]]}, "arrow 3: quotient_matrix must be 1 x 1"),
+    ({_A3 + ("quotient_matrix",): [[]]}, "arrow 3: quotient_matrix must be 1 x 1"),
+    ({_A3 + ("quotient_matrix", 0, 0): True}, "arrow 3: quotient_matrix: True is not an integer"),
+    ({_A3 + ("quotient_matrix", 0, 0): 1.0}, "arrow 3: quotient_matrix: 1.0 is not an integer"),
+    ({_A3 + ("quotient_matrix",): 1}, "arrow 3: quotient_matrix must be a JSON list"),
+    ({_A3 + ("quotient_matrix", 0): 1}, "arrow 3: quotient_matrix must be a JSON list"),
+    # two faults: the first in schema order is named
+    ({_A3 + ("from",): _DROP, _A3 + ("cone",): _DROP}, "arrow 3 lacks 'from', 'cone'"),
+    (
+        {_A3 + ("cone", 0): True, _A3 + ("quotient_matrix", 0, 0): 1.0},
+        "arrow 3: cone refers to missing ray True",
+    ),
+    ({_A3 + ("to",): "x", _A3 + ("cone", 0): 1.0}, 'arrow 3: to "x" is not a stratum id'),
+    (
+        {_A3 + ("quotient_matrix",): [[1], [1.0]]},
+        "arrow 3: quotient_matrix: 1.0 is not an integer",
+    ),
+    (
+        {_A3 + ("quotient_matrix",): [[True, 1]]},
+        "arrow 3: quotient_matrix: True is not an integer",
+    ),
+    ({_A3 + ("from",): []}, "arrow 3: from [] is not a stratum id"),
+    # a bad from and a bad to: from is checked first
+    ({_A3 + ("from",): "y", _A3 + ("to",): None}, 'arrow 3: from "y" is not a stratum id'),
+]
+
+
+@pytest.mark.parametrize("edits, line", ARROW_FAULTS)
 def test_malformed_arrow_entries_exit_2_with_the_first_fault(tmp_path, capsys, edits, line):
-    """The loader checks an arrow entry in place and builds its error text
-    only when a check fails; a malformed entry is named by its first fault
-    in schema order (object, keys, endpoints, cone, matrix entries, matrix
-    shape), with the message each had before the in-place checks: ``true``
-    and ``1.0`` are no ray index or matrix entry, and a matrix of the wrong
-    shape names the shape its arrow needs."""
-    d = _bundled("square")
-    for path, value in edits.items():
-        entry = d
-        for key in path[:-1]:
-            entry = entry[key]
-        if value is _DROP:
-            del entry[path[-1]]
-        else:
-            entry[path[-1]] = value
+    """A malformed arrow entry is named by its index and its first fault in
+    schema order (object, keys, ``from``, ``to``, cone, matrix entries,
+    matrix shape), the cone and the matrix in the words the stratum fan
+    checks use: ``true`` and ``1.0`` are no ray index or matrix entry, an
+    endpoint is printed as JSON, and a matrix of the wrong shape names the
+    shape its arrow needs."""
+    assert _cli_load_error(tmp_path, capsys, _edited("square", edits)) == f"error: {line}"
+
+
+# the line of the necklace2.json edit that names, on arrow 0, rays of no cone
+NO_CONE_FAULT = ({("arrows", 0, "cone"): [0, 1]}, "arrow 0: cone [0, 1] is not a cone of the fan at 'v1'")
+
+
+def test_an_arrow_cone_on_rays_of_no_cone_is_named_by_its_arrow(tmp_path, capsys):
+    """The rays [-1] and [1] of the line span no cone of its fan."""
+    edits, line = NO_CONE_FAULT
+    assert _cli_load_error(tmp_path, capsys, _edited("necklace2", edits)) == f"error: {line}"
+
+
+def test_a_stacky_generator_for_a_ray_no_cone_holds_names_its_stratum(tmp_path, capsys):
+    """Every cone of quadric_stacky.json's ``s1`` that held ray [-1, 1] is
+    dropped, and its ``stacky_beta`` row stays.  The loader names the
+    stratum and the ray, where the stacky fan's own check named neither."""
+    d = _bundled("quadric_stacky")
+    fan = next(s for s in d["strata"] if s["id"] == "s1")["fan"]
+    fan["cones"] = [c for c in fan["cones"] if 0 not in c]
+    line = "stratum 's1': stacky generator (-1, 1) is for ray (-1, 1), which no cone holds"
     assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
 
 

@@ -13,7 +13,8 @@ ufunctor`` must exit 2 on every mutant that ``validate`` exits 2 on.  A
 third run, with its own seed, edits one arrow and no fan (an iso negated,
 or two arrows' targets swapped), so that many mutants reach the coherence
 check; each report must equal the report of the same file with every
-stratum fan checked on its own first, so that no fan is carried.
+stratum fan checked on its own first, so that no fan is carried.  Every
+loader refusal of a mutant of the three runs names the entry at fault.
 """
 
 import contextlib
@@ -22,11 +23,13 @@ import io
 import json
 import os
 import random
+import re
 import time
 
 from fanifolds import files
 from fanifolds.cli import run
 from test_fans import meet_rule, problems_by_containment
+from test_files import ARROW_FAULTS, NO_CONE_FAULT, NUMBER_FAULTS, _edited
 
 SEED = 1203
 MUTANTS = 400
@@ -289,3 +292,40 @@ def test_arrow_mutants_validate_as_with_every_fan_checked_first():
     assert loaded >= ARROW_MUTANTS // 2, loaded
     assert reached >= 50 and incoherent >= 20, (reached, incoherent)
     assert time.monotonic() - t0 < 60.0
+
+
+# what a loader refusal starts with: an arrow by index, a stratum by index
+# or id, or a document-level key
+NAMED_FAULT = re.compile(
+    r"arrow \d+[ :]|stratum (\d+|'[^']*')[ :]|duplicate stratum id "
+    r"|(unsupported format|the document|dimension|strata|arrows)\b"
+)
+
+
+def _refused_documents():
+    """The mutants of the three runs above, replayed from their seeds, and
+    the documents of the loader's message tables."""
+    docs = _documents()
+    names = sorted(docs)
+    for seed, mutants, mutate in (
+        (SEED, MUTANTS, _mutate),
+        (MORE_SEED, MORE_MUTANTS, _mutate),
+        (ARROW_SEED, ARROW_MUTANTS, _mutate_arrow),
+    ):
+        rng = random.Random(seed)
+        for k in range(mutants):
+            yield mutate(docs[names[k % len(names)]], rng)[0]
+    for edits, _ in NUMBER_FAULTS + ARROW_FAULTS:
+        yield _edited("square", edits)
+    yield _edited("necklace2", NO_CONE_FAULT[0])
+
+
+def test_every_loader_refusal_names_the_entry_at_fault():
+    refused = 0
+    for doc in _refused_documents():
+        try:
+            files.fanifold_from_dict(doc)
+        except ValueError as e:
+            refused += 1
+            assert NAMED_FAULT.match(str(e)), str(e)
+    assert refused >= 200, refused

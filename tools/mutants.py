@@ -54,6 +54,8 @@ ALLOWED: dict[tuple[str, str], str] = {
         "a simplicial cone has no ray subset larger than its rays",
     ("bmodel.py:_box_cuts", "g[0] < 0 -> g[0] < 1"):
         "a rank-1 gen is primitive and nonzero, so it is 1 or -1",
+    ("files.py:_int_rows", "type(x) is not int -> True"):
+        "_int repeats the exact type test; the guard only spares the call on a good entry",
 }
 
 _FLIP = {
