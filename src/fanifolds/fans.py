@@ -22,12 +22,13 @@ multiple on each ray.  The plain fan computes and keeps every table (checks,
 containment table, stars, cone index) and every plain star quotient, so one
 object owns each table.  ``quotient_fan`` is the one star quotient and the
 ``_quotients`` of its argument its one cache: stacky in, stacky out, a
-stacky fan's quotient being its plain fan's with the multiples pushed and
-the push's ``warnings``.  ``Stratum.plain_fan`` reaches the fan that
-computes.  ``fan_key`` is the one rule for when two fans are
-interchangeable; the file loader and the constructors give equal stratum
-fans of one diagram one object by it, so its checks, containment table and
-star quotients are computed at most once.
+stacky fan's quotient being its plain fan's with the multiples pushed by
+the push lemma below (a stacky fan is simplicial: Borisov, Chen and Smith,
+J. AMS 18, 2005).  ``Stratum.plain_fan`` reaches the fan that computes.
+``fan_key`` is the one rule for when two fans are interchangeable; the
+file loader and the constructors give equal stratum fans of one diagram
+one object by it, so its checks, containment table and star quotients are
+computed at most once.
 
 Write sigma <= tau when every extremal ray of sigma is one of tau, for
 distinct strongly convex cones; distinct such cones have distinct rays, so
@@ -99,11 +100,25 @@ face.  If p(tau1) lies in p(tau2), it is p(rho), of dimension dim rho - dim
 sigma, so rho, a face of tau1 of its dimension, is tau1: tau1 lies in tau2,
 and equal images come from equal cones.  A unimodular map keeps cones,
 lines, faces, containment and distinctness.
+
+Push lemma.  On a valid simplicial fan, each ray of a star quotient is the
+image of exactly one extremal ray of the star, and each extremal ray of
+the star outside sigma maps onto a ray of the quotient.
+
+Proof.  Let tau in the star have rays R, independent, with sigma's among
+them.  A combination of the p(r), r in R outside sigma, that vanishes is a
+combination of the r in span(sigma), so it is trivial: p(tau) is
+simplicial with one ray through each such p(r), and p kills sigma's rays.
+If p(r1), p(r2) lie on one ray, r1 in tau1 and r2 in tau2, it lies in
+p(tau1) meet p(tau2) = p(rho), rho = tau1 meet tau2 (star lemma), a face
+of p(tau1) whose rays are images of rays of rho; in tau1 only r1 maps onto
+it, so r1 is a ray of rho, and likewise r2, so r1 = r2.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cones import Cone, cached_property, cone_key
@@ -393,7 +408,6 @@ class FanQuotient(NamedTuple):
     section: LatticeMap
     star: tuple[int, ...]  # source cone indices, aligned with fan.cones
     torsion: tuple[int, ...]
-    warnings: tuple[str, ...] = ()  # quotient rays that kept multiple 1
 
 
 def quotient_fan(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
@@ -431,34 +445,16 @@ def _star_quotient(fan: Fan | StackyFan, cone_index: int) -> FanQuotient:
 
 def _pushed(fan: StackyFan, fq: FanQuotient) -> FanQuotient:
     """The plain star quotient ``fq`` of ``fan`` with the multiples pushed
-    in one pass over the star's extremal rays: each quotient ray inherits
-    the projected stacky generator of its unique preimage ray, and keeps
-    multiple 1 with a warning when its preimage is missing or ambiguous."""
-    # primitive image -> (preimage ray, its image), in star order; the
-    # cone's own rays land on the zero image, which no quotient ray reads
-    preimages: dict[Vec, list[tuple[Vec, Vec]]] = {}
-    seen: set[Vec] = set()
-    for i in fq.star:
-        for r in fan.cones[i].extremal_rays:
-            if r not in seen:
-                seen.add(r)
-                im = fq.projection(r)
-                preimages.setdefault(primitivize(im), []).append((r, im))
+    in one pass over the star's extremal rays: by the push lemma each
+    quotient ray takes its one preimage's multiple times the length (gcd)
+    of that preimage's image."""
+    rays = dict.fromkeys(r for i in fq.star for r in fan.cones[i].extremal_rays)
     multiples: dict[Vec, int] = {}
-    warnings: list[str] = []
-    for rbar in fq.fan.rays:
-        pre = preimages.get(rbar, ())
-        if len(pre) != 1:
-            warnings.append(
-                f"quotient ray {rbar}: {len(pre)} preimage rays, keeping multiple 1"
-            )
-            continue
-        # the image is a positive multiple of rbar, so by linearity the
-        # stacky generator's image is one too
-        ((r, im),) = pre
-        nz = next(i for i, x in enumerate(rbar) if x)
-        multiples[rbar] = fan.multiples[r] * (im[nz] // rbar[nz])
-    return fq._replace(fan=StackyFan(fq.fan, multiples), warnings=tuple(warnings))
+    for r in rays:
+        im = fq.projection(r)
+        if any(im):
+            multiples[primitivize(im)] = fan.multiples[r] * math.gcd(*im)
+    return fq._replace(fan=StackyFan(fq.fan, multiples))
 
 
 # -- subdivision and resolution ----------------------------------------------
@@ -647,10 +643,14 @@ class StackyFan:
     fan keeps only its own star quotients (``quotient_fan``), each the
     plain fan's with the multiples pushed.  The ray times its multiple is
     the distinguished lattice generator; the cokernel torsion of those
-    generators is the finite group datum carried by each cone.
+    generators is the finite group datum carried by each cone.  Every cone
+    is simplicial: ValueError names the first cone that is not.
     """
 
     def __init__(self, fan: Fan, multiples: Mapping[Sequence[int], int] | None = None):
+        bad = next((i for i, c in enumerate(fan.cones) if not c.is_simplicial), None)
+        if bad is not None:
+            raise ValueError(f"cone {bad} is not simplicial: a stacky fan's cones are")
         self.fan = fan
         self.cones, self.rank, self.rays = fan.cones, fan.rank, fan.rays
         self._quotients: dict[int, FanQuotient] = {}  # see ``quotient_fan``
@@ -700,9 +700,5 @@ class StackyFan:
 
     @property
     def is_smooth(self) -> bool:
-        """Every cone simplicial (its extremal rays, as many as its
-        dimension, are independent) with no component group."""
-        return all(
-            len(c.extremal_rays) == c.dim and not self.component_group(c)
-            for c in self.cones
-        )
+        """No cone, each simplicial, has a component group."""
+        return not any(map(self.component_group, self.cones))

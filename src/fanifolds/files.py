@@ -39,6 +39,7 @@ fails, and names the entry's first fault: ``arrow k``, ``stratum k`` or
 from __future__ import annotations
 
 import json
+import math
 
 from .cones import Cone, zero_cone
 from .fanifold import Arrow, Fanifold, Stratum
@@ -147,21 +148,14 @@ def _fan_from_dict(
         raise ValueError(f"{what}: stacky_beta needs one row per ray")
     multiples = {}
     fan_rays = set(fan.rays)
-    for r, b in zip(rays, beta):
+    for n, (r, b) in enumerate(zip(rays, beta)):
         if len(b) != rank:
             raise ValueError(
                 f"{what}: stacky generator {b} does not have {rank} entries"
             )
-        if not any(b):
-            raise ValueError(f"{what}: stacky generator for ray {r} is zero")
         prim = tuple(primitivize(r))
-        # positive multiple: b = k * primitive(r)
-        k = None
-        for x, px in zip(b, prim):
-            if px != 0:
-                k = x // px
-                break
-        if k is None or k <= 0 or tuple(px * k for px in prim) != b:
+        k = math.gcd(*b)  # b is k * prim, if it is a positive multiple of it
+        if not k or tuple(px * k for px in prim) != b:
             raise ValueError(
                 f"{what}: stacky generator {b} is not a positive multiple of {r}"
             )
@@ -169,8 +163,13 @@ def _fan_from_dict(
             raise ValueError(
                 f"{what}: stacky generator {b} is for ray {r}, which no cone holds"
             )
+        if prim in multiples:
+            raise ValueError(f"{what}: stacky_beta row {n} is a second row for ray {prim}")
         multiples[prim] = k
-    return StackyFan(fan, multiples), rays, first
+    try:
+        return StackyFan(fan, multiples), rays, first
+    except ValueError as e:  # the one fault left: a cone, named by its entry
+        raise ValueError(f"{what}: fan {e}") from None
 
 
 def _arrow(k: int, a, ends: dict[str, tuple]) -> Arrow:

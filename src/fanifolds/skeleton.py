@@ -10,10 +10,16 @@ refinement only grows the skeleton, so ``fans.refines`` is its certificate.
 
 No geometry is constructed here; everything is exact bookkeeping on the
 (stratum, cone) incidence complex.  See mesh.py for the renderer.
+
+A piece's component group is lifted onto its cone by the incoming arrows.
+Validation compares no stacky multiples, so two arrows can lift different
+groups onto one cone; no group is determined then, and every reader of the
+lift table (``_lift_table``) refuses the diagram with ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .fanifold import Fanifold, require_valid
@@ -56,7 +62,6 @@ class SkeletonModel(NamedTuple):
     fanifold: Fanifold
     strata: tuple[SkeletonStratum, ...]
     incidences: tuple[tuple[int, int], ...]
-    warnings: tuple[str, ...] = ()
 
     def strata_over(self, base: str) -> list[int]:
         return [i for i, s in enumerate(self.strata) if s.base == base]
@@ -85,50 +90,47 @@ class SkeletonModel(NamedTuple):
         return self.dimension_check()
 
 
-def _piece_group_order(
-    phi: Fanifold,
-    key: tuple[str, int],
-    lifts: dict[tuple[str, int], list[tuple[str, int]]],
-    memo: dict,
-    notes: list[str],
-) -> int:
-    """The component group order over (stratum, cone index).  ``lifts``
-    lists the source cone each incoming arrow carries onto it, in arrow
-    order."""
-    if key in memo:
-        return memo[key]
-    name, cone_index = key
-    st = phi.stratum(name)
-    lifted = [_piece_group_order(phi, k, lifts, memo, notes) for k in lifts.get(key, ())]
-    if lifted:
-        # A quotient fan cannot always retain torsion (a rank-0 lattice has
-        # nowhere to put it), so the value lifted from deeper strata is the
-        # authoritative one.  Routes can disagree on a valid diagram, since
-        # validation compares no stacky multiples; the largest is kept.
-        g = lifted[0]
-        if any(v != g for v in lifted):
-            notes.append(
-                f"component groups over {name!r} cone {cone_index} disagree "
-                f"between arrows: {sorted(set(lifted))}"
-            )
-            g = max(lifted)
-    elif st.is_stacky:
-        g = st.fan.group_order(st.fan.cones[cone_index])
-    else:
-        g = 1
-    memo[key] = g
-    return g
-
-
-def _lifts(phi: Fanifold) -> dict[tuple[str, int], list[tuple[str, int]]]:
-    """(target, cone index) -> the (source, cone index) each arrow's star
-    map sends onto it, in arrow order.  Validation checks that each star map
-    hits every target cone once, so no image is None."""
-    lifts: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a in phi.arrows:
+def _lift_table(phi: Fanifold) -> tuple[dict, dict]:
+    """``(lifts, groups)``, keyed by (stratum, cone index).  ``lifts``
+    lists (arrow index, source key) for each arrow whose star map sends a
+    source cone onto the key, in arrow order; validation checks that each
+    star map hits every target cone once.  ``groups`` holds every cone's
+    component group (``_piece_group``): one table, so every reader refuses
+    the same diagrams."""
+    lifts: dict[tuple[str, int], list] = {}
+    for n, a in enumerate(phi.arrows):
         for k, j in phi._star_map(a).items():
-            lifts.setdefault((a.target, j), []).append((a.source, k))
-    return lifts
+            lifts.setdefault((a.target, j), []).append((n, (a.source, k)))
+    groups: dict[tuple[str, int], tuple[int, ...]] = {}
+    for st in phi.strata:
+        for k in range(len(st.fan.cones)):
+            _piece_group(phi, (st.name, k), lifts, groups)
+    return lifts, groups
+
+
+def _piece_group(phi: Fanifold, key: tuple[str, int], lifts: dict, groups: dict) -> tuple[int, ...]:
+    """The invariant factors of the component group over ``key``, kept in
+    ``groups``: the group the incoming arrows lift onto it, else its stacky
+    fan's own (none on a plain stratum).  A quotient fan cannot always
+    carry torsion (a rank-0 lattice has nowhere to put it), so a lifted
+    group is the one read.  ValueError when two arrows lift different
+    groups."""
+    g = groups.get(key)
+    if g is None:
+        lifted = [(n, _piece_group(phi, src, lifts, groups)) for n, src in lifts.get(key, ())]
+        if lifted:
+            (n0, g), *rest = lifted
+            for n, h in rest:
+                if h != g:
+                    raise ValueError(
+                        f"component groups over {key[0]!r} cone {key[1]} disagree: "
+                        f"arrow {n0} lifts {list(g)}, arrow {n} lifts {list(h)}"
+                    )
+        else:
+            st = phi.stratum(key[0])
+            g = st.fan.component_group(st.fan.cones[key[1]]) if st.is_stacky else ()
+        groups[key] = g
+    return g
 
 
 def skeleton_model(phi: Fanifold) -> SkeletonModel:
@@ -148,11 +150,9 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
     for st in phi.strata:
         for k, inside in enumerate(st.plain_fan._inside):
             incidences += [(index[(st.name, k2)], index[(st.name, k)]) for k2 in inside]
-    lifts = _lifts(phi)
+    lifts, groups = _lift_table(phi)
     for key, sources in lifts.items():
-        incidences += [(index[src], index[key]) for src in sources]
-    memo: dict = {}
-    notes: list[str] = []
+        incidences += [(index[src], index[key]) for _, src in sources]
     strata: list[SkeletonStratum] = []
     for st in phi.strata:
         for k, c in enumerate(st.fan.cones):
@@ -163,7 +163,7 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
                     cone_index=k,
                     cone_dim=c.dim,
                     torus_rank=st.lattice_rank - c.dim,
-                    group_order=_piece_group_order(phi, (st.name, k), lifts, memo, notes),
+                    group_order=math.prod(groups[st.name, k]),
                     interior=st.interior,
                 )
             )
@@ -171,7 +171,6 @@ def skeleton_model(phi: Fanifold) -> SkeletonModel:
         fanifold=phi,
         strata=tuple(strata),
         incidences=tuple(sorted(set(incidences))),
-        warnings=tuple(notes),
     )
 
 
@@ -188,11 +187,9 @@ def euler_characteristic_c(model: SkeletonModel | Fanifold) -> int:
     """
     phi = model.fanifold if isinstance(model, SkeletonModel) else model
     require_valid(phi)
-    lifts = _lifts(phi)
-    memo: dict = {}
-    notes: list[str] = []
+    _, groups = _lift_table(phi)
     return sum(
-        st.chi * _piece_group_order(phi, (st.name, 0), lifts, memo, notes)
+        st.chi * math.prod(groups[st.name, 0])
         for st in phi.strata
         if st.lattice_rank == 0
     )

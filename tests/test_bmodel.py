@@ -1012,7 +1012,7 @@ def test_diagrams_and_skeleton_do_no_cone_algebra_once_the_tables_exist(monkeypa
         if phi.validate().is_poset:
             out += [_arrows_with_forward(chart_diagram(phi, s.name)) for s in phi.strata]
         model = skeleton_model(phi)
-        out.append((model.strata, model.incidences, model.warnings))
+        out.append((model.strata, model.incidences))
         return out
 
     before = [outputs(phi) for phi in phis]

@@ -21,6 +21,7 @@ from fanifolds.examples import (
 from fanifolds.fanifold import from_fan
 from fanifolds.fans import (
     Fan,
+    FanQuotient,
     RefinesResult,
     StackyFan,
     _held,
@@ -773,7 +774,6 @@ def test_stacky_quotient_propagates_multiples():
     # the surviving ray keeps its multiple in the quotient lattice
     (ray,) = fq.fan.rays
     assert fq.fan.multiples[ray] == 3
-    assert fq.warnings == ()
 
 
 def test_stacky_rank_zero_quotient_drops_torsion_with_warning():
@@ -786,11 +786,11 @@ def test_stacky_rank_zero_quotient_drops_torsion_with_warning():
     assert fq.fan.rays == ()
 
 
-def test_stacky_quotient_is_kept_and_its_warnings_are_a_tuple():
+def test_stacky_quotient_is_kept_and_is_stacky():
     sf = stacky_quadric_fan()
     for k in range(len(sf.cones)):
         fq = quotient_fan(sf, k)
-        assert isinstance(fq.fan, StackyFan) and isinstance(fq.warnings, tuple)
+        assert isinstance(fq.fan, StackyFan)
         assert quotient_fan(sf, k) is fq
 
 
@@ -806,9 +806,8 @@ def test_a_stacky_fan_is_a_fan_and_its_multiples():
     assert not any(
         hasattr(sf, name) for name in ("validate", "cone_index", "_inside", "_problems", "_owner")
     )
-    # a plain fan's quotient stays plain, with no warnings
+    # a plain fan's quotient stays plain
     assert type(quotient_fan(fan, 0).fan) is Fan
-    assert quotient_fan(fan, 0).warnings == ()
 
 
 def test_a_fan_operation_on_a_stacky_fan_names_its_plain_fan():
@@ -895,24 +894,48 @@ def _cube_face_fan():
 
 
 def test_stacky_quotient_push_matches_the_scan():
+    """The one-pass push equals the scan on every stacky fan drawn, and the
+    scan finds one preimage ray per quotient ray (the push lemma).  The
+    cube face fans, which are not simplicial, are refused as stacky fans."""
     rng = random.Random(5150)
     stacky = [stacky_quadric_fan()] + [
         st.fan for st in EXAMPLES["quadric_stacky"]().strata
     ]
     cube = _cube_face_fan()
-    stacky += [StackyFan(cube, {r: rng.choice((1, 2, 3)) for r in cube.rays}) for _ in range(3)]
+    drawn = [(cube, {r: rng.choice((1, 2, 3)) for r in cube.rays}) for _ in range(3)]
     for _ in range(120):
         fan = random_fan(rng)
-        stacky.append(StackyFan(fan, {r: rng.choice((1, 1, 1, 2, 3)) for r in fan.rays}))
-    pushes = warned = 0
+        drawn.append((fan, {r: rng.choice((1, 1, 1, 2, 3)) for r in fan.rays}))
+    refused = 0
+    for fan, multiples in drawn:
+        if all(c.is_simplicial for c in fan.cones):
+            stacky.append(StackyFan(fan, multiples))
+            continue
+        with pytest.raises(ValueError, match="is not simplicial"):
+            StackyFan(fan, multiples)
+        refused += 1
+    assert refused == 3
+    pushes = 0
     for sf in stacky:
         assert isinstance(sf, StackyFan)
         for k in range(len(sf.cones)):
             fq = quotient_fan(sf, k)
-            assert (fq.fan.multiples, fq.warnings) == _pushed_by_scan(sf, fq)
+            assert (fq.fan.multiples, ()) == _pushed_by_scan(sf, fq)
             pushes += 1
-            warned += bool(fq.warnings)
-    assert pushes > 500 and warned > 10, (pushes, warned)
+    assert pushes > 500, pushes
+
+
+def test_a_stacky_fan_refuses_a_cone_that_is_not_simplicial():
+    """A stacky fan is simplicial: a square cone of the cube face fan, the
+    first cone of the fan, is refused by its index, as is a cone with a
+    line.  A quotient records no warnings, since the push has one rule."""
+    with pytest.raises(ValueError) as refused:
+        StackyFan(_cube_face_fan())
+    assert str(refused.value) == "cone 0 is not simplicial: a stacky fan's cones are"
+    line = Fan([zero_cone(1), Cone([(1,), (-1,)], 1)], 1)
+    with pytest.raises(ValueError, match="^cone 1 is not simplicial"):
+        StackyFan(line, {})
+    assert "warnings" not in FanQuotient._fields
 
 
 def test_face_closure_lists_top_cone_first():

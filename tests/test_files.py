@@ -491,6 +491,8 @@ def _edited(name: str, edits: dict) -> dict:
     return d
 
 
+_SQUARE_CONE = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]  # four rays, dimension 3
+
 # square.json edits, each with the loader's line
 NUMBER_FAULTS = [
     ({_S02 + ("fan", "rays", 0, 0): 1.5}, "stratum '(s0,s2)': fan rays: 1.5 is not an integer"),
@@ -515,6 +517,23 @@ NUMBER_FAULTS = [
     ({_S02 + ("fan", "rays", 0): []}, "stratum '(s0,s2)': ray () does not have 1 entries"),
     ({_S02 + ("fan", "stacky_beta"): [[]]}, "stratum '(s0,s2)': stacky generator () does not have 1 entries"),
     ({_S02 + ("fan", "stacky_beta"): []}, "stratum '(s0,s2)': stacky_beta needs one row per ray"),
+    (
+        {_S02 + ("fan",): {"rays": [[1], [2]], "cones": [[0], []], "stacky_beta": [[3], [2]]}},
+        "stratum '(s0,s2)': stacky_beta row 1 is a second row for ray (1,)",
+    ),
+    ({_S02 + ("fan", "stacky_beta"): [[0]]}, "stratum '(s0,s2)': stacky generator (0,) is not a positive multiple of (1,)"),
+    ({_S02 + ("fan", "stacky_beta"): [[-2]]}, "stratum '(s0,s2)': stacky generator (-2,) is not a positive multiple of (1,)"),
+    (
+        {
+            _S02 + ("lattice_rank",): 3,
+            _S02 + ("fan",): {
+                "rays": _SQUARE_CONE,
+                "cones": [[], [0, 1, 2, 3]],
+                "stacky_beta": _SQUARE_CONE,
+            },
+        },
+        "stratum '(s0,s2)': fan cone 1 is not simplicial: a stacky fan's cones are",
+    ),
 ]
 
 
@@ -524,7 +543,9 @@ def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
     anything but a boolean for ``interior``; each once loaded as a nearby
     value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1.  A bad
     ray index, a short ray and a short or missing ``stacky_beta`` row name
-    their stratum or arrow too."""
+    their stratum or arrow too, and so do a stacky fan entry that reads two
+    ways: two ``stacky_beta`` rows for one ray (the last row once won) and
+    a cone that is not simplicial."""
     assert _cli_load_error(tmp_path, capsys, _edited("square", edits)) == f"error: {line}"
 
 

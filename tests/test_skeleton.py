@@ -3,20 +3,25 @@
 import math
 import random
 
+import pytest
+
 from fanifolds import skeleton
 from fanifolds.cli import resolve_input, run
 from fanifolds.examples import (
     EXAMPLES,
     a1_fan,
+    necklace,
     orthant_fan,
     p1_fan,
     projective_fan,
     quadric_fan,
     stacky_quadric_fan,
 )
-from fanifolds.fanifold import Fanifold, Stratum, from_fan, sphere_section
+from fanifolds.fanifold import Fanifold, from_fan, sphere_section
 from fanifolds.files import dumps, load_fanifold
 from fanifolds.fans import Fan, StackyFan, refines, resolve_to_smooth
+from fanifolds.lattice import quotient_with_torsion
+from fanifolds.mirror import mirror_dictionary
 from fanifolds.skeleton import (
     euler_characteristic_c,
     handle_plan,
@@ -125,26 +130,45 @@ def chi_by_model(phi):
     return total
 
 
+def outcome(call, phi):
+    """("chi", what ``call(phi)`` returns) or ("refused", its ValueError)."""
+    try:
+        return "chi", call(phi)
+    except ValueError as e:
+        return "refused", str(e)
+
+
 def test_euler_characteristic_builds_no_model_and_equals_the_model_sum(monkeypatch):
     """``euler_characteristic_c`` builds no skeleton model, from a fanifold
-    or from a model, and equals ``chi_by_model``: on every example built and
-    loaded, and on from_fan and sphere_section of 40 fans drawn as the
-    random-fans workload draws them (stacky ones among them)."""
+    or from a model, and either equals ``chi_by_model`` or refuses with the
+    model's own line: on every example built and loaded, and on from_fan
+    and sphere_section of 40 fans drawn as the random-fans workload draws
+    them (stacky ones among them).  Every from_fan is answered; a stacky
+    fan's sphere section can lift two groups onto one cone, and at least
+    one is refused."""
     rng = random.Random(4311)
     drawn = [drawn_fan(rng)[0] for _ in range(40)]
     diagrams = [build() for _, build in sorted(EXAMPLES.items())]
     diagrams += [load_fanifold(resolve_input(f"{name}.json")) for name in sorted(EXAMPLES)]
+    examples = len(diagrams)
     diagrams += [build(f) for f in drawn for build in (from_fan, sphere_section)]
-    models = [skeleton_model(phi) for phi in diagrams[::2]]
+    expected = [outcome(chi_by_model, phi) for phi in diagrams]
+    models = [
+        skeleton_model(phi)
+        for phi, (kind, _) in zip(diagrams[::2], expected[::2])
+        if kind == "chi"
+    ]
     built = []
     monkeypatch.setattr(skeleton, "skeleton_model", built.append)
-    chis = [euler_characteristic_c(phi) for phi in diagrams]
+    chis = [outcome(euler_characteristic_c, phi) for phi in diagrams]
     from_models = [euler_characteristic_c(model) for model in models]
     monkeypatch.undo()
     assert built == []
-    expected = [chi_by_model(phi) for phi in diagrams]
     assert chis == expected
-    assert from_models == expected[::2]
+    assert from_models == [chi for kind, chi in expected[::2] if kind == "chi"]
+    kinds = [kind for kind, _ in expected]
+    assert set(kinds[:examples]) == set(kinds[examples::2]) == {"chi"}
+    assert "refused" in kinds[examples + 1::2]
     # stacky multiples reach the sum: a stacky fan's chi_c is not its
     # plain fan's
     assert any(
@@ -154,28 +178,89 @@ def test_euler_characteristic_builds_no_model_and_equals_the_model_sum(monkeypat
     )
 
 
+def _stacky_bead(r, multiples):
+    """``necklace(r)`` with vertex i on the stacky line whose positive and
+    negative rays have ``multiples[i - 1]``."""
+    phi = necklace(r)
+    strata = [
+        st._replace(fan=StackyFan(p1_fan(), dict(zip([(1,), (-1,)], multiples[i]))))
+        for i, st in enumerate(phi.strata[:r])  # the vertices come first
+    ]
+    strata += phi.strata[r:]
+    return Fanifold(dimension=phi.dimension, strata=strata, arrows=list(phi.arrows))
+
+
 def test_valid_diagram_whose_arrows_lift_different_component_groups(tmp_path, capsys):
     """``necklace(2)`` with vertex v1 on the stacky line whose positive ray
     has multiple 2: validation compares no multiples, so it is a valid,
-    coherent poset, yet its two arrows into e1 lift groups of orders 1 and
-    2.  The model warns, ``skeleton report`` prints the warning, and chi_c
-    takes the larger order: -2 for the necklace, -1 more from e1."""
-    phi = EXAMPLES["necklace2"]()
-    strata = [
-        Stratum(name=st.name, dim=st.dim, fan=StackyFan(p1_fan(), {(1,): 2})) if st.name == "v1" else st
-        for st in phi.strata
-    ]
-    psi = Fanifold(dimension=phi.dimension, strata=strata, arrows=list(phi.arrows))
+    coherent poset, yet arrow 0 (v1 -> e1) lifts Z/2 onto e1 and arrow 3
+    (v2 -> e1) lifts the trivial group.  No group is determined, so the
+    model, chi_c and the mirror dictionary refuse it in one line, and so do
+    the commands that read them; the handle plan reads no group."""
+    psi = _stacky_bead(2, [(2, 1), (1, 1)])
     report = psi.validate()
     assert report.is_poset and report.coherent and report.errors == ()
-    warning = "component groups over 'e1' cone 0 disagree between arrows: [1, 2]"
-    assert skeleton_model(psi).warnings == (warning,)
-    assert euler_characteristic_c(psi) == -3
+    line = "component groups over 'e1' cone 0 disagree: arrow 0 lifts [2], arrow 3 lifts []"
+    for call in (skeleton_model, euler_characteristic_c, mirror_dictionary):
+        with pytest.raises(ValueError) as refused:
+            call(psi)
+        assert str(refused.value) == line, call
     path = tmp_path / "stacky-bead.json"
     path.write_text(dumps(psi), encoding="utf-8")
-    assert run(["skeleton", "report", "--file", str(path)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [line for line in out if line.startswith("warning:")] == [f"warning: {warning}"]
+    for command in (["skeleton", "report"], ["skeleton", "euler"], ["skeleton", "mesh"],
+                    ["mirror", "dict"]):
+        assert run([*command, "--file", str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n"), command
+    assert run(["skeleton", "handles", "--file", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _lifted_by_scan(phi):
+    """(target, cone index) -> the set of groups the arrows' star maps lift
+    onto it, each read off its source cone's stacky generators: the
+    reference on diagrams whose sources no arrow enters."""
+    sources = {a.source for a in phi.arrows}
+    assert not any(a.target in sources for a in phi.arrows)
+    lifted = {}
+    for a in phi.arrows:
+        src = phi.stratum(a.source)
+        for k, j in phi._star_map(a).items():
+            cone = src.plain_fan.cones[k]
+            gens = [src.fan.stacky_generator(r) for r in cone.extremal_rays]
+            group = quotient_with_torsion(src.lattice_rank, gens).torsion
+            lifted.setdefault((a.target, j), set()).add(group)
+    return lifted
+
+
+def test_the_skeleton_refuses_exactly_the_necklaces_whose_lifts_differ():
+    """``necklace(r)``, r = 1..4, with every vertex on a stacky line of
+    multiples 1-3, 40 draws each.  Every draw validates.  ``skeleton_model``
+    and ``euler_characteristic_c`` refuse, with one line, exactly the draws
+    onto one of whose cones the arrows lift two groups (a scan of every
+    arrow's star map), and chi_c of every other draw is each edge's chi_c
+    times the order of its one lifted group."""
+    rng = random.Random(2626)
+    answered = refused = 0
+    for r in range(1, 5):
+        for _ in range(40):
+            multiples = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(r)]
+            phi = _stacky_bead(r, multiples)
+            assert phi.validate().valid
+            lifted = _lifted_by_scan(phi)
+            model, chi = outcome(skeleton_model, phi), outcome(euler_characteristic_c, phi)
+            if any(len(groups) > 1 for groups in lifted.values()):
+                assert model[0] == chi[0] == "refused" and model == chi, (r, multiples)
+                refused += 1
+                continue
+            expected = sum(
+                st.chi * math.prod(next(iter(lifted[st.name, 0])))
+                for st in phi.strata
+                if st.lattice_rank == 0
+            )
+            assert chi == ("chi", expected) and model[0] == "chi", (r, multiples)
+            answered += 1
+    assert answered > 10 and refused > 10, (answered, refused)
 
 
 def test_euler_characteristic_stacky_quadric_doubles():

@@ -56,6 +56,8 @@ ALLOWED: dict[tuple[str, str], str] = {
         "a rank-1 gen is primitive and nonzero, so it is 1 or -1",
     ("files.py:_int_rows", "type(x) is not int -> True"):
         "_int repeats the exact type test; the guard only spares the call on a good entry",
+    ("skeleton.py:_piece_group", "g is None -> True"):
+        "the memo only spares work: a group computed again from its key is the same group",
 }
 
 _FLIP = {
