@@ -14,6 +14,44 @@ The one record a diagram keeps beyond it is ``Fanifold.source_fan``: the fan
 a diagram built by ``from_fan`` came from, None for every other diagram and
 for every diagram read from a file.  Only ``skeleton.handle_plan`` and the
 fan layout of ``mesh.export_mesh`` read it.
+
+Validation happens once, at the boundary.  A diagram built directly or read
+from a file is validated at its first use; ``from_fan`` and
+``sphere_section`` check their fan and carry what validation would find,
+by the lemma below: the report, each arrow's star map, and each stratum
+fan recorded valid with its containment table (``fans._set_valid``).
+
+Cone strata lemma.  Let F be a valid fan of rank n, K a set of its cones
+holding every cone that holds one of them, and s >= 0, with dim i >= s on
+K.  For i in K let p_i be the projection of i's span quotient and F_i the
+star quotient of i (the images under p_i of the cones holding i).  The
+diagram of dimension n - s with a stratum s<i> of dimension dim i - s and
+fan F_i per i in K, and for each cone j holding i (j != i) an arrow
+s<i> -> s<j> along the image k of j with an iso g, g . p_k . p_i = p_j,
+passes every check of ``Fanifold.validate``, is coherent and has no
+parallel arrows.
+
+Proof.  (dims) dim i - s + (n - dim i) = n - s, and dim i - s >= 0.
+(fans) F_i is a valid fan (the star lemma in ``fans``), and holds p_i(i),
+the zero cone; its cones nest as their preimages do.  (arrows) The images
+under p_i of the cones holding i are distinct, and only p_i(i) is zero, so
+each nonzero cone k of F_i is the image of exactly one j != i, which is in
+K: it carries exactly one arrow, and no two arrows join one pair of
+strata.  The cone k has dimension dim j - dim i, the dim difference, and
+its quotient has rank n - dim j, the target's.  p_k . p_i and p_j are
+surjections of Z^n onto Z^(n - dim j) with one kernel, the saturated span
+of j (the span of i lies in it), so they differ by a unique automorphism:
+g exists and is unimodular.  (star maps) A cone p_i(t) of F_i holds k
+exactly when t holds j, as the cones nest as their preimages do, and the
+arrow map g . p_k sends it to g . p_k . p_i (t) = p_j(t), the cone of F_j
+at the place of t in j's star: the star map is one to one onto F_j's
+cones.  (coherence) Take a: s<i> -> s<j> and b: s<j> -> s<l>.  The star
+map of a sends the image of l in F_i onto b's cone, the image of l in
+F_j, so the composite looked up is the arrow c: s<i> -> s<l>, whose target
+is b's; and its arrow map and b's after a's both give p_l after p_i,
+which is onto, so they are equal.  ``_cone_strata`` builds this diagram
+(``from_fan``: K all cones and s = 0; ``sphere_section``: the nonzero
+cones and s = 1), and reads each star map off the star quotients.
 """
 
 from __future__ import annotations
@@ -167,7 +205,9 @@ class Fanifold:
         """Each source cone containing the arrow's cone, in index order ->
         the index of its image under ``arrow_map`` in the target fan (None
         when it is no cone there), as ``tgt.cone_index(c.image(lmap))``
-        gives it.  No star quotient fan is built.
+        gives it.  No star quotient fan is built.  ``from_fan`` and
+        ``sphere_section`` carry their arrows' maps, read off their star
+        quotients.
 
         Each distinct gen of the star is mapped once.  The image of a cone c
         is the cone on the images of its gens (not of its extremal rays: a
@@ -262,7 +302,8 @@ class Fanifold:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Computed on the first call: nothing reassigns strata or arrows."""
+        """Computed on the first call (nothing reassigns strata or arrows),
+        or carried by ``from_fan`` and ``sphere_section``."""
         return self._report
 
     @cached_property
@@ -428,12 +469,15 @@ def _iso_through_section(numerator: Mat, q: QuotientResult, target_rank: int) ->
 
 def _cone_strata(
     fan: Fan, keep: Sequence[int], shift: int
-) -> tuple[list[Stratum], list[Arrow]]:
+) -> tuple[list[Stratum], list[Arrow], dict[Arrow, dict[int, int]], ValidationReport]:
     """One stratum ``s<cone index>`` of dimension dim - shift per kept cone,
-    and its face arrows.  ``keep`` holds every cone holding a kept cone.
+    its face arrows, each arrow's star map, and the report the cone strata
+    lemma (module docstring) proves.  ``fan`` must be valid, and ``keep``
+    must hold every cone holding a kept cone.
 
-    A stratum's fan is its cone's star quotient, and stratum fans with equal
-    ``fan_key`` are one object, so each distinct fan is validated and
+    A stratum's fan is its cone's star quotient, recorded valid with the
+    containment table of its star (``_set_valid``), and stratum fans with
+    equal ``fan_key`` are one object, so each distinct fan is
     star-quotiented once.  The table starts with ``fan`` itself: the zero
     cone's quotient is ``fan`` again (identity projection, same cones), so
     its stratum holds the source fan and reads the quotients built here.
@@ -442,14 +486,21 @@ def _cone_strata(
     leaves along the cone k of i's stratum fan that j goes to.  With p and
     s the projection and section of a span quotient, its iso is
     ``p_j @ s_i @ s_k``: it satisfies ``iso . p_k . p_i == p_j``, and
-    ``p_k`` is the span quotient of cone k, which validation reads too."""
+    ``p_k`` is the span quotient of cone k, which validation reads too.
+    Its star map sends the image of each cone t holding j to the image of
+    t in j's star quotient."""
     fqs = {i: quotient_fan(fan, i) for i in keep}
     shared = {fan_key(fan): fan}
     fans = {i: shared.setdefault(fan_key(fq.fan), fq.fan) for i, fq in fqs.items()}
+    # i -> (cone t of ``fan`` holding cone i -> the index of its image in fans[i])
+    at = {i: {t: k for k, t in enumerate(fq.star)} for i, fq in fqs.items()}
+    for i in keep:
+        _set_valid(_plain_fan(fans[i]), _plain_fan(fan), at[i])
     strata = [
         Stratum(name=f"s{i}", dim=fan.cones[i].dim - shift, fan=fans[i]) for i in keep
     ]
-    arrows = []
+    arrows: list[Arrow] = []
+    star_maps: dict[Arrow, dict[int, int]] = {}
     for i in keep:
         for k, j in enumerate(fqs[i].star):
             if j != i:
@@ -457,23 +508,42 @@ def _cone_strata(
                 iso = _iso_through_section(
                     mat_mul(p_j, fqs[i].section.matrix), fans[i].cones[k].quotient, len(p_j)
                 )
-                arrows.append(Arrow(source=f"s{i}", target=f"s{j}", cone_index=k, iso=iso))
-    return strata, arrows
+                a = Arrow(source=f"s{i}", target=f"s{j}", cone_index=k, iso=iso)
+                arrows.append(a)
+                star_maps[a] = {
+                    k2: at[j][t] for k2, t in enumerate(fqs[i].star) if t in at[j]
+                }
+    return strata, arrows, star_maps, ValidationReport(is_poset=True, coherent=True)
+
+
+def _carrying(
+    phi: Fanifold, star_maps: dict[Arrow, dict[int, int]], report: ValidationReport
+) -> Fanifold:
+    """``phi`` with the star maps and the report ``_cone_strata`` proved:
+    the report is assigned over the ``_report`` the first ``validate``
+    would compute."""
+    phi._star_maps.update(star_maps)
+    phi._report = report
+    return phi
 
 
 def from_fan(fan: Fan) -> Fanifold:
-    """One stratum per cone; the cone's dimension is the stratum's dimension."""
+    """One stratum per cone; the cone's dimension is the stratum's dimension.
+    Carries its report, star maps and fan tables (the cone strata lemma)."""
     require_valid_fan(fan)
-    strata, arrows = _cone_strata(fan, range(len(fan.cones)), 0)
-    return Fanifold(dimension=fan.rank, strata=strata, arrows=arrows, source_fan=fan)
+    strata, arrows, star_maps, report = _cone_strata(fan, range(len(fan.cones)), 0)
+    phi = Fanifold(dimension=fan.rank, strata=strata, arrows=arrows, source_fan=fan)
+    return _carrying(phi, star_maps, report)
 
 
 def sphere_section(fan: Fan) -> Fanifold:
-    """Fanifold structure on the unit-sphere slice of the fan's support."""
+    """Fanifold structure on the unit-sphere slice of the fan's support.
+    Carries its report, star maps and fan tables (the cone strata lemma)."""
     require_valid_fan(fan)
     keep = [i for i, c in enumerate(fan.cones) if c.dim > 0]
-    strata, arrows = _cone_strata(fan, keep, 1)
-    return Fanifold(dimension=fan.rank - 1, strata=strata, arrows=arrows)
+    strata, arrows, star_maps, report = _cone_strata(fan, keep, 1)
+    phi = Fanifold(dimension=fan.rank - 1, strata=strata, arrows=arrows)
+    return _carrying(phi, star_maps, report)
 
 
 def manifold(k: int) -> Fanifold:
@@ -513,7 +583,10 @@ def product(phi1: Fanifold, phi2: Fanifold) -> Fanifold:
         for s2 in phi2.strata:
             pf = by_pair.get((s1.fan, s2.fan))
             if pf is None:
-                pf = _product_fan(s1.fan, s2.fan)
+                try:
+                    pf = _product_fan(s1.fan, s2.fan)
+                except ValueError as e:  # a stacky product cone that is not simplicial
+                    raise ValueError(f"stratum '({s1.name},{s2.name})': fan {e}") from None
                 pf = by_pair[s1.fan, s2.fan] = shared.setdefault(fan_key(pf), pf)
             strata.append(
                 Stratum(

@@ -80,7 +80,8 @@ images under a unimodular map.  So when a fan is valid, an arrow out of it
 that passes every check of ``Fanifold._arrow_error`` (its unimodular iso
 maps the star of its cone one to one onto the target fan's cones) proves
 the target fan valid, and ``Fanifold.validate`` records it so unchecked
-(``_set_valid``).  Validation carries the containment table along with
+(``_set_valid``), as ``from_fan`` and ``sphere_section`` record each star
+quotient they build.  Validation carries the containment table along with
 validity: the target's ``_inside`` is the star's, read through the arrow's
 star map, so validation runs no ``Cone.contains`` on a carried fan.
 
@@ -208,7 +209,8 @@ class Fan:
         problem list names each pair that fails; the scan reads the answers
         the pairs already checked got, so no pair is met twice.  Computed once per fan:
         nothing reassigns a fan's cones or rank.  A fan that diagram
-        validation proved valid by the star lemma is recorded so, unchecked.
+        validation or a constructor proved valid by the star lemma is
+        recorded so, unchecked.
         """
         return list(self._problems)
 
@@ -691,12 +693,6 @@ class StackyFan:
         """Cokernel torsion of the stacky generators of the cone: the
         invariant factors > 1 of their matrix, rows or columns alike."""
         return smith_normal_form(self.stacky_gens(cone)).torsion
-
-    def group_order(self, cone: Cone) -> int:
-        out = 1
-        for d in self.component_group(cone):
-            out *= d
-        return out
 
     @property
     def is_smooth(self) -> bool:

@@ -132,6 +132,8 @@ def _fan_from_dict(
     for r in rays:
         if len(r) != rank:
             raise ValueError(f"{what}: ray {r} does not have {rank} entries")
+        if not any(r):
+            raise ValueError(f"{what}: ray {r} is zero")
     entries = [
         _ray_indices(idx, rays, f"{what}: fan cone {n}")
         for n, idx in enumerate(_list(d.get("cones", []), f"{what}: fan cones"))
@@ -140,6 +142,12 @@ def _fan_from_dict(
     for n, idx in enumerate(entries):
         first.setdefault(frozenset(idx), n)
     fan = Fan([_cone(idx, rays, rank) for idx in entries], rank)
+    # every file ray is a gen of some cone, matched by vector: a ray no
+    # cone holds (or a zero one) would load, and ``dumps`` would drop it
+    held = {g for c in fan.cones for g in c.gens}
+    for r in rays:
+        if primitivize(r) not in held:
+            raise ValueError(f"{what}: no cone holds ray {r}")
     beta = d.get("stacky_beta")
     if beta is None:
         return fan, rays, first
@@ -147,7 +155,6 @@ def _fan_from_dict(
     if len(beta) != len(rays):
         raise ValueError(f"{what}: stacky_beta needs one row per ray")
     multiples = {}
-    fan_rays = set(fan.rays)
     for n, (r, b) in enumerate(zip(rays, beta)):
         if len(b) != rank:
             raise ValueError(
@@ -158,10 +165,6 @@ def _fan_from_dict(
         if not k or tuple(px * k for px in prim) != b:
             raise ValueError(
                 f"{what}: stacky generator {b} is not a positive multiple of {r}"
-            )
-        if prim not in fan_rays:
-            raise ValueError(
-                f"{what}: stacky generator {b} is for ray {r}, which no cone holds"
             )
         if prim in multiples:
             raise ValueError(f"{what}: stacky_beta row {n} is a second row for ray {prim}")

@@ -455,9 +455,12 @@ TWO_FANS_DOC = {
     "strata": [
         {
             "id": name, "dim": 0, "interior": True, "lattice_rank": 2,
-            "fan": {"rays": [[1, 0], [0, 1], [1, 1]], "cones": cones},
+            "fan": {"rays": rays, "cones": cones},
         }
-        for name, cones in [("a", [[], [0], [0, 1], [0, 2]]), ("b", [[], [0], [1], [0, 1]])]
+        for name, rays, cones in [
+            ("a", [[1, 0], [0, 1], [1, 1]], [[], [0], [0, 1], [0, 2]]),
+            ("b", [[1, 0], [0, 1]], [[], [0], [1], [0, 1]]),
+        ]
     ],
     "arrows": [],
 }
@@ -488,7 +491,8 @@ def test_fan_commands_refuse_an_invalid_stratum_fan_in_one_line(tmp_path, capsys
 @pytest.mark.parametrize("strata", ["b,a", "a,b"])
 def test_fan_refines_refuses_an_invalid_fan_on_either_side(tmp_path, capsys, strata):
     """Stratum a holds the quadrant and the cone on (1,0), (1,1) inside it,
-    which is no fan; stratum b is the quadrant fan.  Read against a valid
+    which is no fan; stratum b is the quadrant fan, listing only its own
+    rays (a ray no cone holds is refused at load).  Read against a valid
     fan, a is refused with its problem on one line, in either order."""
     path = tmp_path / "two-fans.json"
     path.write_text(json.dumps(TWO_FANS_DOC), encoding="utf-8")

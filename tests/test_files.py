@@ -534,6 +534,7 @@ NUMBER_FAULTS = [
         },
         "stratum '(s0,s2)': fan cone 1 is not simplicial: a stacky fan's cones are",
     ),
+    ({_S02 + ("fan", "rays", 0): [0]}, "stratum '(s0,s2)': ray (0,) is zero"),
 ]
 
 
@@ -542,10 +543,10 @@ def test_malformed_numbers_and_flags_exit_2(tmp_path, capsys, edits, line):
     """A float, string or boolean where the schema has an integer, and
     anything but a boolean for ``interior``; each once loaded as a nearby
     value, ``[1.5]`` as ray ``(1,)`` and ``true`` as ray index 1.  A bad
-    ray index, a short ray and a short or missing ``stacky_beta`` row name
-    their stratum or arrow too, and so do a stacky fan entry that reads two
-    ways: two ``stacky_beta`` rows for one ray (the last row once won) and
-    a cone that is not simplicial."""
+    ray index, a short ray, a zero ray and a short or missing
+    ``stacky_beta`` row name their stratum or arrow too, and so do a stacky
+    fan entry that reads two ways: two ``stacky_beta`` rows for one ray
+    (the last row once won) and a cone that is not simplicial."""
     assert _cli_load_error(tmp_path, capsys, _edited("square", edits)) == f"error: {line}"
 
 
@@ -639,12 +640,27 @@ def test_an_arrow_cone_on_rays_of_no_cone_is_named_by_its_arrow(tmp_path, capsys
 def test_a_stacky_generator_for_a_ray_no_cone_holds_names_its_stratum(tmp_path, capsys):
     """Every cone of quadric_stacky.json's ``s1`` that held ray [-1, 1] is
     dropped, and its ``stacky_beta`` row stays.  The loader names the
-    stratum and the ray, where the stacky fan's own check named neither."""
+    stratum and the ray, where the stacky fan's own check named neither:
+    the ray no cone holds is refused before its row is read."""
     d = _bundled("quadric_stacky")
     fan = next(s for s in d["strata"] if s["id"] == "s1")["fan"]
     fan["cones"] = [c for c in fan["cones"] if 0 not in c]
-    line = "stratum 's1': stacky generator (-1, 1) is for ray (-1, 1), which no cone holds"
+    line = "stratum 's1': no cone holds ray (-1, 1)"
     assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+
+
+def test_a_ray_no_cone_holds_is_refused_naming_its_stratum(tmp_path, capsys):
+    """A ray that no cone entry holds, by vector, once loaded as valid, and
+    ``dumps`` wrote the file back without it.  A ray listed twice, both
+    entries a vector some cone holds, still loads, and dumps as the file."""
+    d = _bundled("square")
+    fan = next(s for s in d["strata"] if s["id"] == "(s2,s2)")["fan"]
+    fan["rays"].append([5, 7])
+    line = "stratum '(s2,s2)': no cone holds ray (5, 7)"
+    assert _cli_load_error(tmp_path, capsys, d) == f"error: {line}"
+    fan["rays"][-1] = list(fan["rays"][0])
+    with open(os.path.join(DATA_DIR, "square.json"), encoding="utf-8") as fh:
+        assert files.dumps(files.fanifold_from_dict(d)) == fh.read()
 
 
 def test_loading_runs_no_kernel(monkeypatch):

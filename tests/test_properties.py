@@ -18,8 +18,8 @@ from fanifolds.examples import (
     projective_fan,
     quadric_fan,
 )
-from fanifolds.fanifold import delete_strata, from_fan, sphere_section
-from fanifolds.fans import StackyFan, quotient_fan, stellar_subdivision
+from fanifolds.fanifold import Fanifold, delete_strata, from_fan, sphere_section
+from fanifolds.fans import Fan, StackyFan, quotient_fan, stellar_subdivision
 from fanifolds.lattice import (
     identity_matrix,
     is_unimodular,
@@ -89,6 +89,43 @@ def composite_by_search(phi, a, b):
         ),
         None,
     )
+
+
+def fresh_fan(fan):
+    """A new fan object with ``fan``'s cones, rank and multiples and nothing
+    cached, so nothing about it was checked or carried."""
+    plain = Fan(fan.cones, fan.rank)
+    return StackyFan(plain, fan.multiples) if isinstance(fan, StackyFan) else plain
+
+
+def rebuilt(phi, keep=()):
+    """``phi`` rebuilt through ``Fanifold(...)``: the same strata and arrows,
+    with one fresh copy per distinct stratum fan (fans shared stay shared)
+    but the fans in ``keep``, and nothing carried."""
+    fresh = {id(f): f for f in keep}
+    for s in phi.strata:
+        if id(s.fan) not in fresh:
+            fresh[id(s.fan)] = fresh_fan(s.fan)
+    strata = [s._replace(fan=fresh[id(s.fan)]) for s in phi.strata]
+    return Fanifold(phi.dimension, strata, phi.arrows, phi.source_fan)
+
+
+def assert_carries_what_validation_finds(phi):
+    """``phi``, fresh from ``from_fan`` or ``sphere_section``, carries a
+    report, a star map per arrow and a containment table per stratum fan,
+    and each equals what full validation of ``rebuilt(phi)`` computes
+    (star maps in the same order).  Returns the report."""
+    carried = dict(phi._star_maps)
+    assert "_report" in vars(phi), phi
+    assert len(carried) == len(phi.arrows), phi
+    fresh = rebuilt(phi)
+    report = fresh.validate()
+    assert phi.validate() == report, (phi, report.errors)
+    for a in phi.arrows:
+        assert list(carried[a].items()) == list(fresh._star_map(a).items()), (phi, a)
+    for s in phi.strata:
+        assert s.plain_fan._inside == fresh.stratum(s.name).plain_fan._inside, (phi, s.name)
+    return report
 
 
 # -- suite 1: quotient composition vs brute force ----------------------------
@@ -175,7 +212,9 @@ def test_snf_suite():
 
 
 def run_constructor_validation_suite(seed=SEED, cases=CASES):
-    """from_fan and sphere_section of any fan give valid coherent posets."""
+    """from_fan and sphere_section of any fan carry the report, star maps
+    and fan tables that full validation of the diagram rebuilt with fresh
+    fans computes, and that report says a valid coherent poset."""
     rng = random.Random(seed)
     for k in range(cases):
         if k % 5 == 0:
@@ -184,12 +223,11 @@ def run_constructor_validation_suite(seed=SEED, cases=CASES):
             fan = random_fan(rng, max_subdivisions=1, allow_rank3=True)
         else:
             fan = random_fan(rng, allow_rank3=False)
-        phi = from_fan(fan)
-        report = phi.validate()
+        report = assert_carries_what_validation_finds(from_fan(fan))
         assert report.valid and report.is_poset and report.coherent
         if any(c.dim for c in fan.cones):
             section = sphere_section(fan)
-            report = section.validate()
+            report = assert_carries_what_validation_finds(section)
             assert report.valid and report.coherent
             assert section.dimension == fan.rank - 1
 
