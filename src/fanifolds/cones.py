@@ -219,8 +219,17 @@ class Cone:
     @cached_property
     def quotient(self) -> QuotientResult:
         """Z^rank modulo the span of the gens: one SNF and one inverse per
-        cone, shared by every star quotient taken along it."""
-        return quotient_with_torsion(self.rank, self.gens)
+        cone, shared by every star quotient taken along it.
+
+        Zero quotient rule: n gens in Z^n with |det| 1 (a unimodular
+        full-dimensional cone, read off ``multiplicity``, one Hermite pass)
+        are a basis, so the quotient is the zero lattice.  Its fields are
+        written out, exactly as ``quotient_with_torsion`` gives them, and no
+        Smith form runs."""
+        n = self.rank
+        if len(self.gens) == n == self.dim and self.multiplicity == 1:
+            return QuotientResult(0, (), LatticeMap((), n, 0), LatticeMap(((),) * n, 0, n))
+        return quotient_with_torsion(n, self.gens)
 
     @cached_property
     def dual_rays(self) -> Mat:

@@ -18,8 +18,53 @@ fan layout of ``mesh.export_mesh`` read it.
 Validation happens once, at the boundary.  A diagram built directly or read
 from a file is validated at its first use; ``from_fan`` and
 ``sphere_section`` check their fan and carry what validation would find,
-by the lemma below: the report, each arrow's star map, and each stratum
-fan recorded valid with its containment table (``fans._set_valid``).
+by the cone strata lemma below: the report, each arrow's star map, and each
+stratum fan recorded valid with its containment table (``fans._set_valid``).
+Validation itself proves a valid diagram from its generating arrows, those
+whose cone is a ray, by the generating arrow lemma below
+(``Fanifold._proved``); a diagram that proof does not pass gets every check
+(``Fanifold._full_report``), so an invalid diagram's report names each
+fault.
+
+Generating arrow lemma.  Suppose the strata have distinct names and dims
+adding up to the total dimension, and each arrow joins two strata along a
+nonzero cone of its source fan whose dim is the dim difference, with a
+unimodular iso of rank (source rank - cone dim) onto the target's rank,
+each nonzero cone carrying exactly one arrow.  Suppose further that,
+walking the strata by dim, each stratum fan is valid with a zero cone, and
+each generating arrow's star map is one to one onto its target's cones;
+that each cone of dim >= 2 with an arrow holds a ray of its fan; and that
+each pair (a, b) with a generating is coherent.  Then every arrow passes
+``Fanifold._arrow_error`` and every pair is coherent, so every check of
+``Fanifold._full_report`` passes.  For c on sigma, with rho the first ray
+of the fan in sigma, a1 the arrow on rho and a2 the arrow on a1's image
+kappa of sigma, c's star map is a2's after a1's.
+
+Proof.  (fans) A generating arrow leaves a stratum of lower dim than its
+target, whose fan is valid, so its target fan, the image of a star, is
+valid (the star lemma in ``fans``) and holds the image of the ray, the
+zero cone: walking by dim, a carried fan's check reads its recorded empty
+problems.  (arrows) The span quotient of a cone of a valid fan has free
+rank (rank - dim), so a generating arrow passes ``_arrow_error``.  Take c
+on sigma of dim >= 2, by induction on dim sigma.  The star map f1 of a1 is
+one to one from the star of rho onto the cones of a1's target and keeps
+nesting both ways (star lemma), so it sends the star of sigma one to one
+onto the star of kappa = f1(sigma), which is nonzero, as sigma is not rho.
+The arrow a2 on kappa has a cone of dim sigma - 1, so by induction its star
+map f2 is its own and one to one onto its target's cones.  The pair (a1,
+a2) is coherent: the composite looked up is the arrow on the cone f1 sends
+onto kappa, sigma, which is c, so c goes to a2's target and its arrow map
+is a2's after a1's.  The image of a cone under a composite is the image of
+its image, so c's star map is f2 after f1 on the star of sigma, one to one
+onto the target's cones: c passes, and the derived map is c's own.
+(coherence) Take a pair (a, b), by induction on dim sigma_a; generating a
+was checked.  Otherwise write a's maps as a2's after a1's, as above.  Let
+tau be the cone a's star map sends onto sigma_b, and tau' = f1(tau), which
+holds kappa, so it is nonzero and carries one arrow e.  The pair (a2, b) is
+coherent by induction: the arrow on the cone f2 sends onto sigma_b, tau',
+is e, which goes to b's target with map b's after a2's.  The pair (a1, e)
+was checked: the arrow on tau, the composite looked up for (a, b), goes to
+e's target, b's, with map e's after a1's, that is b's after a's.
 
 Cone strata lemma.  Let F be a valid fan of rank n, K a set of its cones
 holding every cone that holds one of them, and s >= 0, with dim i >= s on
@@ -207,7 +252,8 @@ class Fanifold:
         when it is no cone there), as ``tgt.cone_index(c.image(lmap))``
         gives it.  No star quotient fan is built.  ``from_fan`` and
         ``sphere_section`` carry their arrows' maps, read off their star
-        quotients.
+        quotients, and validation of a valid diagram keeps each composite
+        arrow's map, derived from two others (``_proved``).
 
         Each distinct gen of the star is mapped once.  The image of a cone c
         is the cone on the images of its gens (not of its extremal rays: a
@@ -308,10 +354,93 @@ class Fanifold:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        """Strata and fans, then arrows and cones, then, if all of that
-        passes, coherence: each composable pair's composite, looked up."""
-        errors: list[str] = []
+        """The generating arrow proof (``_proved``, the lemma in the module
+        docstring), which keeps the composite arrows' star maps it derives;
+        a diagram it does not prove valid gets ``_full_report``."""
         unimodular: dict[LatticeMap, bool] = {}
+        derived = self._proved(unimodular)
+        if derived is None:
+            return self._full_report(unimodular)
+        self._star_maps.update(derived)
+        return ValidationReport(is_poset=self._is_poset(), coherent=True)
+
+    def _is_poset(self) -> bool:
+        """No two arrows join one pair of strata."""
+        return len({(a.source, a.target) for a in self.arrows}) == len(self.arrows)
+
+    def _proved(self, unimodular: dict[LatticeMap, bool]) -> dict[Arrow, dict[int, int]] | None:
+        """Each composite arrow's star map when the generating arrow lemma
+        proves the diagram valid and coherent; None when a check it runs
+        fails, and then no derived map is kept.  The generating arrows'
+        star maps are built (``_star_map``) and their target fans carried
+        (``_set_valid``) as ``_full_report`` would."""
+        by_name, arrow_on = self.by_name, self._arrow_on
+        if len(by_name) != len(self.strata) or len(arrow_on) != len(self.arrows):
+            return None
+        if any(s.dim < 0 or s.dim + s.lattice_rank != self.dimension for s in self.strata):
+            return None
+        generating: dict[str, list[Arrow]] = {}
+        composite: list[Arrow] = []
+        for a in self.arrows:
+            src, tgt = by_name.get(a.source), by_name.get(a.target)
+            if src is None or tgt is None or not 0 <= a.cone_index < len(src.fan.cones):
+                return None
+            # with the dims adding up, a unimodular iso of this source rank
+            # has the target's rank
+            d = src.fan.cones[a.cone_index].dim
+            if d == 0 or d != tgt.dim - src.dim or a.iso.source_rank != src.lattice_rank - d:
+                return None
+            ok = unimodular.get(a.iso)
+            if ok is None:
+                ok = unimodular[a.iso] = a.iso.is_unimodular()
+            if not ok:
+                return None
+            if d == 1:
+                generating.setdefault(a.source, []).append(a)
+            else:
+                composite.append(a)
+        # the arrows sit on distinct nonzero cones; as many as there are
+        if sum(c.dim > 0 for s in self.strata for c in s.fan.cones) != len(self.arrows):
+            return None
+        maps: dict[Arrow, dict[int, int]] = {}
+        for s in sorted(self.strata, key=lambda s: s.dim):
+            fan = s.plain_fan  # a carried fan reads its recorded empty problems
+            if fan.validate() or all(c.dim for c in fan.cones):
+                return None
+            for a in generating.get(s.name, ()):
+                star = maps[a] = self._star_map(a)
+                tgt = by_name[a.target].plain_fan
+                if len(star) != len(tgt.cones) or set(star.values()) != set(range(len(tgt.cones))):
+                    return None
+                _set_valid(tgt, fan, star)
+        for c in sorted(composite, key=lambda a: -by_name[a.source].dim):
+            fan, sigma = by_name[c.source].plain_fan, c.cone_index
+            rho = min((k for k in fan._inside[sigma] if fan.cones[k].dim == 1), default=None)
+            if rho is None:
+                return None
+            # c is a2 after a1 once the pair (a1, a2) is checked below, which
+            # also ends c at a2's target
+            a1 = arrow_on[c.source, rho]
+            m1 = maps[a1]
+            m2 = maps[arrow_on[a1.target, m1[sigma]]]
+            maps[c] = {k: m2[m1[k]] for k in fan._stars[sigma]}
+        for name, outs in generating.items():
+            for a in outs:
+                onto = {j: i for i, j in maps[a].items()}
+                a_map = self.arrow_map(a).matrix
+                for b in self.out_arrows(a.target):
+                    c = arrow_on[name, onto[b.cone_index]]
+                    composed = mat_mul(self.arrow_map(b).matrix, a_map)
+                    if c.target != b.target or self.arrow_map(c).matrix != composed:
+                        return None
+        return {c: maps[c] for c in composite}
+
+    def _full_report(self, unimodular: dict[LatticeMap, bool]) -> ValidationReport:
+        """Every check in turn, the reference the generating arrow proof
+        agrees with: strata and fans, then arrows and cones, then, if all of
+        that passes, coherence: each composable pair's composite, looked
+        up.  ``unimodular`` is as in ``_arrow_error``."""
+        errors: list[str] = []
         checked = self._carry_valid_fans(unimodular)
         seen: set[str] = set()
         for s in self.strata:
@@ -375,15 +504,8 @@ class Fanifold:
                         )
         else:
             coherent = False
-
-        parallel = False
-        pairs: set[tuple[str, str]] = set()
-        for a in self.arrows:
-            if (a.source, a.target) in pairs:
-                parallel = True
-            pairs.add((a.source, a.target))
         return ValidationReport(
-            is_poset=not parallel, coherent=coherent, errors=tuple(errors)
+            is_poset=self._is_poset(), coherent=coherent, errors=tuple(errors)
         )
 
     def _carry_valid_fans(self, unimodular: dict[LatticeMap, bool]) -> dict[int, str | None]:

@@ -5,6 +5,8 @@ import itertools
 import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -50,6 +52,7 @@ from fanifolds.fans import (
     resolve_to_smooth,
 )
 from fanifolds.lattice import (
+    LatticeMap,
     identity_matrix,
     integer_kernel,
     invert_unimodular,
@@ -402,6 +405,23 @@ def test_validate_names_the_first_fault_of_one_replaced_arrow():
     for i, replaced, errors in table:
         arrows = sq.arrows[:i] + (replaced,) + sq.arrows[i + 1:]
         assert Fanifold(sq.dimension, sq.strata, arrows).validate().errors == errors, replaced
+
+
+def test_validate_names_an_arrow_on_the_zero_cone_whose_star_maps_onto_its_target():
+    """An arrow on the zero cone between two strata of one dimension and
+    one fan, with the identity iso, passes every other arrow check (its
+    star, the whole fan, maps one to one onto the target's cones); it is
+    still named as on the zero cone, and the cones it leaves bare too."""
+    fan = orthant_fan(1)
+    zero = next(i for i, c in enumerate(fan.cones) if c.dim == 0)
+    strata = [Stratum("g", 0, fan), Stratum("h", 0, fan)]
+    arrow = Arrow("g", "h", zero, lattice_map(identity_matrix(1), 1, 1))
+    assert Fanifold(1, strata, [arrow]).validate() == (True, False, (
+        "arrow 0 (g->h): zero cone",
+        "stratum 'g': cones [0] have no arrow",
+        "stratum 'g': arrows on non-cone indices [1]",
+        "stratum 'h': cones [0] have no arrow",
+    ))
 
 
 def test_validate_names_a_valid_fan_without_its_zero_cone():
@@ -799,6 +819,33 @@ def test_validation_checks_each_distinct_fan_once(monkeypatch):
         assert len(set(ids)) == len(ids)
         assert set(ids) <= _uncarried_fans(phi)
         assert len(ids) == 1 < len({id(s.plain_fan) for s in phi.strata})
+
+
+def test_the_full_check_carries_fans_the_proof_did_not_reach(monkeypatch):
+    """A diagram that fails a cheap arrow check gets the full check before
+    the proof walks any stratum, and the full check carries fans itself:
+    ``from_fan`` of each example fan of rank 2 or more, rebuilt but for
+    its source fan (which ``from_fan`` checked) and with its first arrow on
+    a 2-cone dropped, checks no fan, since every other fan is still the
+    target of an arrow that passes from a valid fan."""
+    calls = []
+    problems = Fan.__dict__["_problems"]
+    check = problems.func
+
+    def counted(fan):
+        calls.append(fan)
+        return check(fan)
+
+    monkeypatch.setattr(problems, "func", counted)
+    for fan in _example_fans():
+        if fan.rank < 2:
+            continue
+        phi = rebuilt(from_fan(fan), keep=[fan])
+        k, a = next((k, a) for k, a in enumerate(phi.arrows) if phi.arrow_cone(a).dim == 2)
+        calls.clear()
+        report = Fanifold(phi.dimension, phi.strata, phi.arrows[:k] + phi.arrows[k + 1:]).validate()
+        assert report.errors == (f"stratum {a.source!r}: cones [{a.cone_index}] have no arrow",)
+        assert calls == [], fan
 
 
 @pytest.mark.parametrize(
@@ -1581,17 +1628,39 @@ def test_arrow_tables_equal_their_star_quotient_forms():
             assert (bad._star_map(a), bad.arrow_map(a)) == (star, amap), (phi, a)
 
 
-def test_unimodularity_is_decided_once_per_iso():
+def test_unimodularity_is_decided_once_per_iso(monkeypatch):
     """The table an arrow check fills agrees with ``is_unimodular``: on
     every example's arrows, and on the iso ``()`` of a rank-0 target, which
     is unimodular from a rank-0 quotient and not from a rank-1 one, in
-    either order."""
+    either order.  Validating an example, rebuilt so that validation runs,
+    decides each distinct iso once."""
     for _, phi in built_and_loaded():
         table = {}
         for k, a in enumerate(phi.arrows):
             assert phi._arrow_error(k, a, table) is None
         assert table == {a.iso: a.iso.is_unimodular() for a in phi.arrows}
         assert all(table.values())
+    decided = []
+    is_unimodular = LatticeMap.is_unimodular
+
+    def recording(self):
+        decided.append(self)
+        return is_unimodular(self)
+
+    monkeypatch.setattr(LatticeMap, "is_unimodular", recording)
+    for label, phi in built_and_loaded():
+        phi = rebuilt(phi)
+        del decided[:]
+        assert phi.validate().valid, label
+        assert len(decided) == len({a.iso for a in phi.arrows}), label
+    # the full check reads the isos the proof decided before it failed
+    phi = EXAMPLES["proj3"]()
+    a = phi.arrows[8]
+    negated = a._replace(iso=lattice_map([[-x for x in r] for r in a.iso.matrix], 1, 1))
+    phi = Fanifold(phi.dimension, phi.strata, phi.arrows[:8] + (negated,) + phi.arrows[9:])
+    del decided[:]
+    assert not phi.validate().coherent
+    assert len(decided) == len({a.iso for a in phi.arrows})
     # the corner arrow along the quadrant of from_fan(orthant 2) has a
     # rank-0 target and quotient; an arrow along a ray to a point stratum
     # has a rank-0 target and a rank-1 quotient
@@ -1633,3 +1702,211 @@ def test_a_hidden_stratum_carries_no_fan():
         phi._arrow_error(0, arrow, {})
     report = _assert_carried_fans_change_no_report(phi)
     assert "stratum 'h' fan: cones 1 and 2 do not intersect in a common face" in report.errors
+
+
+# -- the generating arrow proof against the full check ---------------------------
+
+
+def _assert_proof_agrees_with_the_full_check(label, phi):
+    """Validate ``rebuilt(phi)``, where the generating arrow proof runs, and
+    a second ``rebuilt(phi)`` by the full check alone (``_full_report``).
+    The reports are equal, errors in order; each star map the first keeps,
+    derived or mapped, is the one the second maps, in the same order; and on
+    a valid diagram every arrow has a star map and each stratum fan's
+    containment table is the second's.  Returns the first diagram."""
+    proved, full = rebuilt(phi), rebuilt(phi)
+    report = proved.validate()
+    assert report == full._full_report({}), label
+    for a, star in proved._star_maps.items():
+        assert list(star.items()) == list(full._star_map(a).items()), (label, a)
+    if report.valid:
+        assert len(proved._star_maps) == len(proved.arrows), label
+        for s, t in zip(proved.strata, full.strata):
+            assert s.plain_fan._inside == t.plain_fan._inside, (label, s.name)
+    return proved
+
+
+def _record_full_reports(monkeypatch):
+    """The diagrams ``_full_report`` runs on, held weakly."""
+    runs = weakref.WeakSet()
+    full_report = Fanifold._full_report
+
+    def recording(self, unimodular):
+        runs.add(self)
+        return full_report(self, unimodular)
+
+    monkeypatch.setattr(Fanifold, "_full_report", recording)
+    return runs
+
+
+def _arrow_fuzz_mutants():
+    """The mutants of the arrow fuzz run (``test_fuzz.run_arrow_fuzz``) that
+    load, in order."""
+    rng = random.Random(test_fuzz.ARROW_SEED)
+    docs = test_fuzz._documents()
+    names = sorted(docs)
+    for k in range(test_fuzz.ARROW_MUTANTS):
+        doc, kind = test_fuzz._mutate_arrow(docs[names[k % len(names)]], rng)
+        try:
+            yield f"arrow fuzz mutant {k} ({kind})", fanifold_from_dict(doc)
+        except ValueError:
+            continue
+
+
+def _lone_incoherent_pairs():
+    """from_fan of the fans of orthant 3 and P3 with their 3-cones dropped,
+    each with one arrow's iso negated.  A 2-cone's stratum then has a fan
+    of rank 1 with no cone but zero, so negating a generating arrow into it
+    breaks one pair alone: the arrow from the zero cone's stratum to its
+    source, then it."""
+    for name, fan in (("orthant 3", orthant_fan(3)), ("P3", projective_fan(3))):
+        phi = from_fan(Fan([c for c in fan.cones if c.dim < 3], 3))
+        for k, a in enumerate(phi.arrows):
+            m = [[-x for x in r] for r in a.iso.matrix]
+            negated = a._replace(iso=lattice_map(m, a.iso.source_rank, a.iso.target_rank))
+            arrows = phi.arrows[:k] + (negated,) + phi.arrows[k + 1:]
+            yield f"{name} without its 3-cones: arrow {k} negated", Fanifold(
+                phi.dimension, phi.strata, arrows
+            )
+
+
+def _products_and_unions():
+    """Products of the bundled examples two at a time, where the product
+    has at most 60 strata, and the disjoint union of each example with
+    every example of its dimension."""
+    examples = sorted(EXAMPLES.items())
+    for (x, bx), (y, by) in itertools.combinations_with_replacement(examples, 2):
+        phi, psi = bx(), by()
+        if len(phi.strata) * len(psi.strata) <= 60:
+            yield f"{x} x {y}", product(phi, psi)
+        if phi.dimension == psi.dimension:
+            yield f"{x} + {y}", disjoint_union(phi, psi)
+
+
+def test_the_generating_arrow_proof_agrees_with_the_full_check(monkeypatch):
+    """Validation proves a valid diagram from its generating arrows (the
+    lemma in ``fanifold``) and falls back to the full check on any other.
+    On every input the report, every star map it keeps and every stratum
+    fan's containment table equal the full check's on a fresh rebuild: the
+    examples built and loaded, the composite-law inputs (constructed
+    diagrams, drawn fans, both fuzz runs' mutants that load, negated isos
+    and swapped targets), the arrow fuzz run's mutants, the random-fans
+    workload's fans of seeds 1-3 through from_fan and sphere_section, and
+    products and disjoint unions of the examples."""
+    drawn = _random_fans_draws(monkeypatch)
+    full_runs = _record_full_reports(monkeypatch)
+    inputs = itertools.chain(
+        _coherence_law_inputs(),
+        _arrow_fuzz_mutants(),
+        _lone_incoherent_pairs(),
+        ((f"{b.__name__} of draw {k}", b(f)) for k, f in enumerate(drawn)
+         for b in (from_fan, sphere_section)),
+        _products_and_unions(),
+    )
+    valid = invalid = lone = 0
+    for label, phi in inputs:
+        proved = _assert_proof_agrees_with_the_full_check(label, phi)
+        report = proved.validate()
+        if report.valid:
+            assert proved not in full_runs, label  # the proof alone passed it
+            valid += 1
+        else:
+            invalid += 1
+            lone += len(report.errors) == 1 and report.errors[0].startswith("no coherent")
+    assert (valid, invalid, lone) == (1154, 517, 18), (valid, invalid, lone)
+
+
+def test_a_cone_whose_rays_are_no_cones_of_its_fan_gets_the_full_check(monkeypatch):
+    """A fan need not hold the faces of its cones: the quadrant alone, with
+    the zero cone, is a valid fan, and its one arrow, to a point stratum, is
+    valid.  The quadrant holds no ray of the fan, so no generating arrow
+    proves anything about it, and the full check runs and passes."""
+    full_runs = _record_full_reports(monkeypatch)
+    quadrant = Cone([(1, 0), (0, 1)], 2)
+    strata = [
+        Stratum("g", 0, Fan([zero_cone(2), quadrant], 2)),
+        Stratum("f", 2, Fan([zero_cone(0)], 0)),
+    ]
+    phi = Fanifold(2, strata, [Arrow("g", "f", 1, lattice_map((), 0, 0))])
+    proved = _assert_proof_agrees_with_the_full_check("quadrant", phi)
+    assert proved.validate() == (True, True, ())
+    assert proved in full_runs and proved._star_maps
+
+
+# Per loaded file, in a fresh process: (Smith forms for cone quotients, star
+# maps built by mapping gens, coherence products) one validation runs
+VALIDATION_WORK = {
+    "proj3": (13, 28, 48),
+    "affine3": (8, 12, 15),
+    "proj2": (3, 9, 6),
+    "square": (2, 12, 8),
+}
+
+_COUNT_VALIDATION_WORK = """
+import sys
+from fanifolds import cones, fanifold
+from fanifolds.cli import resolve_input
+from fanifolds.files import load_fanifold
+
+snf, mapped, products = [], [], []
+quotient, star_map, mat_mul = cones.quotient_with_torsion, fanifold.Fanifold._star_map, fanifold.mat_mul
+
+def counted_quotient(*args):
+    snf.append(args)
+    return quotient(*args)
+
+def counted_star_map(self, a):
+    if a not in self._star_maps:
+        mapped.append(a)
+    return star_map(self, a)
+
+def counted_mat_mul(*args):
+    products.append(args)
+    return mat_mul(*args)
+
+phi = load_fanifold(resolve_input(sys.argv[1] + ".json"))
+cones.quotient_with_torsion = counted_quotient
+fanifold.Fanifold._star_map = counted_star_map
+fanifold.mat_mul = counted_mat_mul
+assert phi.validate().valid
+print(len(snf), len(mapped), len(products))
+"""
+
+
+def _recorded_star_map_builds(monkeypatch):
+    """The arrows whose star map ``_star_map`` builds by mapping gens."""
+    built = []
+    star_map = Fanifold._star_map
+
+    def recording(self, a):
+        if a not in self._star_maps:
+            built.append((self, a))
+        return star_map(self, a)
+
+    monkeypatch.setattr(Fanifold, "_star_map", recording)
+    return built
+
+
+def test_validation_maps_gens_for_generating_arrows_alone(monkeypatch):
+    """Validating each file of ``VALIDATION_WORK``, loaded in a fresh
+    process (so no cone another test holds hides a Smith form), does the
+    work pinned there; before the generating arrow proof and the zero
+    quotient rule it was (22, 50, 60), (11, 19, 18), (8, 12, 6) and (4, 16,
+    8).  And validating any example, built and rebuilt or loaded, maps gens
+    only for arrows whose cone is a ray: a composite arrow's map is
+    derived."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, work in VALIDATION_WORK.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_VALIDATION_WORK, name],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(map(int, proc.stdout.split())) == work, name
+    built = _recorded_star_map_builds(monkeypatch)
+    for label, phi in built_and_loaded():
+        phi = rebuilt(phi)
+        assert phi.validate().valid, label
+    assert len(built) > 100 and {phi.arrow_cone(a).dim for phi, a in built} == {1}
